@@ -13,6 +13,7 @@ from .ifs import (
     OscReport,
     Similarity,
     Square,
+    StoppingCover,
     check_osc_unit_square,
     compose,
     compose_word,
@@ -24,6 +25,7 @@ from .ifs import (
     make_ifs,
     map_square,
     similarity_dimension,
+    stopping_cover,
     stopping_words,
     word_ratio,
 )

@@ -69,6 +69,13 @@ def _build_pipeline(cfg: RunConfig):
     """build_E -> slices -> candidate, shared by the pipeline commands."""
     res = cfg.resolve()
     _guard_dimension(res.ifs)
+    sp = res.slice_params
+    if sp.c7 < sp.phi_cell_width:
+        print(
+            f"warning: c7 = {sp.c7!r} is smaller than one phi cell ({sp.phi_cell_width!r}), "
+            "so the phi-run test only asks that some phi cell passes",
+            file=sys.stderr,
+        )
     geom = cfg.geometry()
     E = build_E(
         res.ifs,
@@ -78,7 +85,6 @@ def _build_pipeline(cfg: RunConfig):
         c5=cfg.c5,
         epsilon=cfg.epsilon,
         budget=cfg.word_budget,
-        workers=cfg.workers,
     )
     slices = SliceBuilder(res.ifs, E, geom, res.slice_params).all_rows()
     cand = build_candidate(res.ifs, E, slices, cfg.rho, geom=geom)
@@ -155,7 +161,6 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         c5=cfg.c5,
         epsilon=cfg.epsilon,
         budget=cfg.word_budget,
-        workers=cfg.workers,
     )
     csv_path = os.path.join(out, "scan.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -186,6 +191,10 @@ def cmd_build_l(cfg: RunConfig, args) -> int:
         "pitch": geom.pitch,
         "t_max": cfg.t_max,
         "c5": E.c5,
+        "c7": res.c7,
+        "phi_cell_width": res.slice_params.phi_cell_width,
+        "required_run": res.slice_params.required_run,
+        "n_required": res.slice_params.n_required,
         "excluded_fraction": E.excluded_fraction,
         "e_rows": int(E.member.sum()),
         "counts": {

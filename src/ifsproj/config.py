@@ -79,7 +79,6 @@ class RunConfig:
     search_mode: str = "iid"
     seed: int = 0
     out: str = "out"
-    workers: int = 1
 
     def __post_init__(self):
         pos = {
@@ -117,7 +116,6 @@ class RunConfig:
             "survivor_budget",
             "n_theta_sample",
             "raster_size",
-            "workers",
         ):
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 1):

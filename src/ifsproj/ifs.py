@@ -11,7 +11,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,8 +24,6 @@ _CENTER = np.array([0.5, 0.5])
 
 def as_word(w: str | Iterable[str]) -> Word:
     """Normalize a word given as 'ab' or ('a', 'b') to a tuple of symbols."""
-    if isinstance(w, str):
-        return tuple(w)
     return tuple(w)
 
 
@@ -348,36 +346,145 @@ def check_osc_unit_square(ifs: IfsSpec, tol: float = 1e-12) -> OscReport:
     )
 
 
-def stopping_words(ifs: IfsSpec, rho: float, budget: int | None = None) -> list[Word]:
+class WordSequence(Sequence[Word]):
+    """Read-only sequence of words stored as letter codes; a word becomes a
+    tuple of symbols only when it is read."""
+
+    def __init__(self, alphabet: Sequence[str], codes: np.ndarray, lengths: np.ndarray):
+        self._alphabet = tuple(alphabet)
+        self._codes = codes
+        self._lengths = lengths
+
+    def __len__(self) -> int:
+        return len(self._lengths)
+
+    def _decode(self, row, n) -> Word:
+        return tuple(self._alphabet[c] for c in row[:n])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._decode(self._codes[i].tolist(), int(self._lengths[i]))
+
+    def __iter__(self):
+        for row, n in zip(self._codes.tolist(), self._lengths.tolist()):
+            yield self._decode(row, n)
+
+
+@dataclass(frozen=True)
+class StoppingCover:
+    """The stopping words at one scale in lexicographic order, each with its
+    composed map f_w as per-word arrays: ratio, angle, reflect flag and
+    translation (tx, ty). codes[i, :lengths[i]] are word i's letter indices
+    into alphabet."""
+
+    alphabet: tuple[str, ...]
+    codes: np.ndarray
+    lengths: np.ndarray
+    ratio: np.ndarray
+    angle: np.ndarray
+    reflect: np.ndarray
+    tx: np.ndarray
+    ty: np.ndarray
+
+    @property
+    def words(self) -> WordSequence:
+        return WordSequence(self.alphabet, self.codes, self.lengths)
+
+    def images(self, point: tuple[float, float]) -> np.ndarray:
+        """The points f_w(point) as an (n, 2) array."""
+        px, py = point
+        cos_v, sin_v = np.cos(self.angle), np.sin(self.angle)
+        sy = np.where(self.reflect, -py, py)
+        cx = self.ratio * (cos_v * px - sin_v * sy) + self.tx
+        cy = self.ratio * (sin_v * px + cos_v * sy) + self.ty
+        return np.column_stack([cx, cy])
+
+
+def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> StoppingCover:
     """Minimal words w with ratio(w) <= rho < ratio(parent of w).
 
-    The result is a prefix-free cover of the symbol space, enumerated in
-    depth-first lexicographic order (alphabet order as given). With equal
-    ratios r this is just all words of the first length n with r^n <= rho.
+    The result is a prefix-free cover of the symbol space in lexicographic
+    order (alphabet order as given). The prefix tree is expanded level by
+    level: every node is finished (ratio <= rho) or active, and np.repeat
+    puts each active node's children in its place, so the order needs no
+    sort. Ratios are left-to-right products, so ratio[i] equals
+    word_ratio(ifs, words[i]). With equal ratios r the words are all words
+    of the first length n with r^n <= rho.
+
+    n_finished + k * n_active is a lower bound on the final count, and
+    equals it at the last level, so BudgetExceeded (partial = that bound)
+    is raised before a level is allocated exactly when the cover has more
+    than budget words.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0,1), got {rho}")
-    out: list[Word] = []
-    # stack of (word, ratio) nodes still to expand, ratio > rho for each
-    stack: list[tuple[Word, float]] = [((), 1.0)]
-    while stack:
-        w, r = stack.pop()
-        for a in reversed(ifs.alphabet):
-            ra = r * ifs.maps[a].ratio
-            wa = w + (a,)
-            if ra <= rho:
-                out.append(wa)
-                if budget is not None and len(out) > budget:
-                    raise BudgetExceeded(
-                        f"stopping word count exceeded budget {budget}", partial=out
-                    )
-            else:
-                stack.append((wa, ra))
-    # Leaves are emitted as soon as their parent expands, which breaks global
-    # ordering once branches stop at different depths; sort by alphabet rank.
-    rank = {a: i for i, a in enumerate(ifs.alphabet)}
-    out.sort(key=lambda w: tuple(rank[a] for a in w))
-    return out
+    k = len(ifs.alphabet)
+    letters = [ifs.maps[a] for a in ifs.alphabet]
+    lr = np.array([f.ratio for f in letters])
+    la = np.array([f.angle for f in letters])
+    lm = np.array([f.reflect for f in letters])
+    lx = np.array([f.translation[0] for f in letters])
+    ly = np.array([f.translation[1] for f in letters])
+    letter_codes = np.arange(k, dtype=np.min_scalar_type(k))
+
+    # the root node: the empty word and the identity map; every active node
+    # on the level being expanded is a word of length depth
+    codes = np.zeros((1, 1), dtype=letter_codes.dtype)
+    lengths = np.zeros(1, dtype=np.int32)
+    r, ang, refl = np.ones(1), np.zeros(1), np.zeros(1, dtype=bool)
+    tx, ty = np.zeros(1), np.zeros(1)
+    active = np.ones(1, dtype=bool)
+    depth = 0
+    while active.any():
+        n_active = int(np.count_nonzero(active))
+        n_finished = len(active) - n_active
+        total = n_finished + k * n_active
+        if budget is not None and total > budget:
+            raise BudgetExceeded(
+                f"budget exceeded: at least {total} stopping words > {budget}", partial=total
+            )
+        # compose each active node's map with every letter map, children of
+        # one node in alphabet order along axis 1
+        pr, pa, pm = r[active, None], ang[active, None], refl[active, None]
+        cos_a, sin_a = np.cos(pa), np.sin(pa)
+        sgn = np.where(pm, -1.0, 1.0)
+        py = sgn * ly
+        child_tx = (pr * (cos_a * lx - sin_a * py) + tx[active, None]).ravel()
+        child_ty = (pr * (sin_a * lx + cos_a * py) + ty[active, None]).ravel()
+        child_r = (pr * lr).ravel()
+        child_ang = (pa + sgn * la).ravel()
+        child_refl = (pm ^ lm).ravel()
+        child_codes = np.tile(letter_codes, n_active)
+
+        counts = np.where(active, k, 1)
+        is_child = np.repeat(active, counts)
+
+        def place(node_vals, child_vals):
+            # finished nodes keep their slot, active ones give it to their children
+            if not n_finished:
+                return child_vals
+            out = np.repeat(node_vals, counts, axis=0)
+            out[is_child] = child_vals
+            return out
+
+        if depth == codes.shape[1]:
+            codes = np.pad(codes, ((0, 0), (0, depth)))
+        codes = np.repeat(codes, counts, axis=0)
+        codes[is_child, depth] = child_codes
+        depth += 1
+        lengths = np.repeat(lengths, counts)
+        lengths[is_child] = depth
+        r, ang, refl = place(r, child_r), place(ang, child_ang), place(refl, child_refl)
+        tx, ty = place(tx, child_tx), place(ty, child_ty)
+        active = is_child.copy()
+        active[is_child] = child_r > rho
+    return StoppingCover(ifs.alphabet, codes, lengths, r, ang, refl, tx, ty)
+
+
+def stopping_words(ifs: IfsSpec, rho: float, budget: int | None = None) -> list[Word]:
+    """The words of stopping_cover(ifs, rho, budget) as tuples of symbols."""
+    return list(stopping_cover(ifs, rho, budget).words)
 
 
 def epsilon_distance(base: IfsSpec, other: IfsSpec) -> float:

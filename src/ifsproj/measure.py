@@ -9,14 +9,13 @@ whose estimated L2 density norm stays below a threshold c5.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded
-from .ifs import IfsSpec, Word, cylinder_square, stopping_words, word_ratio
+from .ifs import IfsSpec, Word, cylinder_square, stopping_cover
 from .lines import project_point, project_square
 
 
@@ -25,64 +24,16 @@ def stopping_cylinders(
     rho: float,
     budget: int | None = None,
     point: tuple[float, float] = (0.5, 0.5),
-) -> tuple[list[Word], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[Sequence[Word], np.ndarray, np.ndarray, np.ndarray]:
     """Stopping words at scale rho with the points f_w(point), ratios, masses.
 
-    Same word set as ifs.stopping_words, but walks the prefix tree carrying
-    the affine data numerically so large covers stay cheap. Output is sorted
-    in lexicographic (alphabet-rank) order. The default point is the square
-    center; passing an attractor point makes every f_w(point) an attractor
-    point too.
+    The words are ifs.stopping_cover's, in lexicographic (alphabet-rank)
+    order, as a read-only sequence that decodes a word only when it is read.
+    The default point is the square center; passing an attractor point makes
+    every f_w(point) an attractor point too.
     """
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0,1), got {rho}")
-    d = ifs.dimension
-    letters = []
-    for a in ifs.alphabet:
-        f = ifs.maps[a]
-        letters.append((a, f.ratio, f.angle, f.reflect, f.translation[0], f.translation[1]))
-
-    words: list[Word] = []
-    rows = []
-    # node: (word, r, angle, reflect, tx, ty) for the composed map so far
-    stack = [((), 1.0, 0.0, False, 0.0, 0.0)]
-    while stack:
-        w, r, ang, refl, tx, ty = stack.pop()
-        cos_a, sin_a = math.cos(ang), math.sin(ang)
-        sgn = -1.0 if refl else 1.0
-        for a, rl, al, ml, lx, ly in letters:
-            # compose (r, ang, refl, t) with the letter map
-            px, py = lx, sgn * ly
-            ntx = r * (cos_a * px - sin_a * py) + tx
-            nty = r * (sin_a * px + cos_a * py) + ty
-            nr = r * rl
-            nang = ang + sgn * al
-            nrefl = refl ^ ml
-            nw = w + (a,)
-            if nr <= rho:
-                words.append(nw)
-                rows.append((nr, nang, nrefl, ntx, nty))
-                if budget is not None and len(words) > budget:
-                    raise BudgetExceeded(
-                        f"budget exceeded: {len(words)} stopping words > {budget}",
-                        partial=len(words),
-                    )
-            else:
-                stack.append((nw, nr, nang, nrefl, ntx, nty))
-
-    rank = {a: i for i, a in enumerate(ifs.alphabet)}
-    order = sorted(range(len(words)), key=lambda i: tuple(rank[a] for a in words[i]))
-    words = [words[i] for i in order]
-    arr = np.array([rows[i] for i in order], dtype=float)
-    ratios = arr[:, 0]
-    px, py = point
-    cos_v, sin_v = np.cos(arr[:, 1]), np.sin(arr[:, 1])
-    sy = np.where(arr[:, 2] > 0.5, -py, py)
-    cx = arr[:, 0] * (cos_v * px - sin_v * sy) + arr[:, 3]
-    cy = arr[:, 0] * (sin_v * px + cos_v * sy) + arr[:, 4]
-    centers = np.column_stack([cx, cy])
-    masses = ratios**d
-    return words, centers, ratios, masses
+    cover = stopping_cover(ifs, rho, budget=budget)
+    return cover.words, cover.images(point), cover.ratio, cover.ratio**ifs.dimension
 
 
 @dataclass(frozen=True)
@@ -156,18 +107,6 @@ class DirectionSet:
         return np.flatnonzero(self.member)
 
 
-def _l2_for_rows(args):
-    centers, masses, delta, thetas = args
-    out = np.empty(len(thetas))
-    for j, theta in enumerate(thetas):
-        pos = centers @ np.array([-math.sin(theta), math.cos(theta)])
-        idx = np.floor(pos / delta).astype(np.int64)
-        lo = idx.min()
-        binned = np.bincount(idx - lo, weights=masses)
-        out[j] = np.dot(binned, binned) / delta
-    return out
-
-
 def select_c5(l2_values: np.ndarray, epsilon: float) -> float:
     """Smallest observed-quantile threshold excluding less than epsilon/2.
 
@@ -192,13 +131,11 @@ def build_E(
     epsilon: float = 0.3,
     words_data=None,
     budget: int | None = None,
-    workers: int = 1,
 ) -> DirectionSet:
     """Evaluate the L2 estimate on theta_j = j*pi/grid_size and threshold it.
 
     With c5 absent, the threshold is auto-selected as the smallest grid
-    quantile whose excluded fraction stays below epsilon/2. Rows are
-    independent, so the evaluation parallelizes without affecting results.
+    quantile whose excluded fraction stays below epsilon/2.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
@@ -206,13 +143,12 @@ def build_E(
         words_data = stopping_cylinders(ifs, rho, budget=budget)
     _, centers, _, masses = words_data
     thetas = np.arange(grid_size) * (math.pi / grid_size)
-    if workers <= 1:
-        l2 = _l2_for_rows((centers, masses, delta, thetas))
-    else:
-        chunks = np.array_split(thetas, workers * 4)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_l2_for_rows, [(centers, masses, delta, c) for c in chunks]))
-        l2 = np.concatenate(parts)
+    l2 = np.empty(grid_size)
+    for j, theta in enumerate(thetas):
+        pos = centers @ np.array([-math.sin(theta), math.cos(theta)])
+        idx = np.floor(pos / delta).astype(np.int64)
+        binned = np.bincount(idx - idx.min(), weights=masses)
+        l2[j] = np.dot(binned, binned) / delta
     if c5 is None:
         c5 = select_c5(l2, epsilon)
     member = l2 < c5
@@ -320,8 +256,8 @@ def measured_c9(ifs: IfsSpec, rho: float) -> float:
     d = ifs.dimension
     half = math.sqrt(rho)
     c9 = 1.0
-    for w in stopping_words(ifs, half):
-        r = word_ratio(ifs, w)
+    # the max over words only depends on the distinct word ratios
+    for r in np.unique(stopping_cover(ifs, half).ratio).tolist():
         mu = r**d
         c9 = max(c9, mu / rho ** (0.5 * d), rho ** (0.5 * d) / mu)
         c9 = max(c9, math.sqrt(2.0) * r / half, half / r)

@@ -270,7 +270,7 @@ class SliceBuilder:
         ii, pp, qq = np.nonzero(arg_ok & (lo <= hi))
         np.add.at(diff, (ii, pp, lo[ii, pp, qq]), 1)
         np.add.at(diff, (ii, pp, hi[ii, pp, qq] + 1), -1)
-        phi_pass = np.cumsum(diff[:, :, :-1], axis=2) > 0
+        phi_pass = np.cumsum(diff[:, :, :-1], axis=2, dtype=np.int16) > 0
 
         R = params.required_run
         if R > n_phi:
@@ -322,9 +322,9 @@ def _dilate_wrapped(mask: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class RecurrentCandidate:
-    """Grids of the candidate recurrent set. zero_set (L0) is the core, core_set
-    (L) its rho/2 cell-dilation — the set recurrence targets — and one_set (L1)
-    the rho dilation whose cells form the probe net Delta."""
+    """Grids of the candidate recurrent set. L0 is the core, L its rho/2
+    cell-dilation — the set recurrence targets — and L1 the rho dilation
+    whose cells form the probe net Delta."""
 
     geom: GridGeometry
     rho: float
@@ -335,18 +335,6 @@ class RecurrentCandidate:
     r1_cells: int
     e_member: np.ndarray
     c5: float
-
-    @property
-    def zero_set(self) -> np.ndarray:
-        return self.L0
-
-    @property
-    def core_set(self) -> np.ndarray:
-        return self.L
-
-    @property
-    def one_set(self) -> np.ndarray:
-        return self.L1
 
     @property
     def delta_count(self) -> int:

@@ -1,0 +1,111 @@
+"""Reference stopping-word enumerators: the depth-first walkers that the
+vectorized enumerator `ifsproj.ifs.stopping_cover` replaced, kept verbatim as
+test oracles. Both walk the prefix tree one node at a time and sort the
+leaves on tuple keys afterwards.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from ifsproj.errors import BudgetExceeded
+from ifsproj.ifs import IfsSpec, Word
+
+
+def stopping_words(ifs: IfsSpec, rho: float, budget: int | None = None) -> list[Word]:
+    """Minimal words w with ratio(w) <= rho < ratio(parent of w).
+
+    The result is a prefix-free cover of the symbol space, enumerated in
+    depth-first lexicographic order (alphabet order as given). With equal
+    ratios r this is just all words of the first length n with r^n <= rho.
+    """
+    if not (0.0 < rho < 1.0):
+        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    out: list[Word] = []
+    # stack of (word, ratio) nodes still to expand, ratio > rho for each
+    stack: list[tuple[Word, float]] = [((), 1.0)]
+    while stack:
+        w, r = stack.pop()
+        for a in reversed(ifs.alphabet):
+            ra = r * ifs.maps[a].ratio
+            wa = w + (a,)
+            if ra <= rho:
+                out.append(wa)
+                if budget is not None and len(out) > budget:
+                    raise BudgetExceeded(
+                        f"stopping word count exceeded budget {budget}", partial=out
+                    )
+            else:
+                stack.append((wa, ra))
+    # Leaves are emitted as soon as their parent expands, which breaks global
+    # ordering once branches stop at different depths; sort by alphabet rank.
+    rank = {a: i for i, a in enumerate(ifs.alphabet)}
+    out.sort(key=lambda w: tuple(rank[a] for a in w))
+    return out
+
+
+def stopping_cylinders(
+    ifs: IfsSpec,
+    rho: float,
+    budget: int | None = None,
+    point: tuple[float, float] = (0.5, 0.5),
+) -> tuple[list[Word], np.ndarray, np.ndarray, np.ndarray]:
+    """Stopping words at scale rho with the points f_w(point), ratios, masses.
+
+    Same word set as ifs.stopping_words, but walks the prefix tree carrying
+    the affine data numerically so large covers stay cheap. Output is sorted
+    in lexicographic (alphabet-rank) order. The default point is the square
+    center; passing an attractor point makes every f_w(point) an attractor
+    point too.
+    """
+    if not (0.0 < rho < 1.0):
+        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    d = ifs.dimension
+    letters = []
+    for a in ifs.alphabet:
+        f = ifs.maps[a]
+        letters.append((a, f.ratio, f.angle, f.reflect, f.translation[0], f.translation[1]))
+
+    words: list[Word] = []
+    rows = []
+    # node: (word, r, angle, reflect, tx, ty) for the composed map so far
+    stack = [((), 1.0, 0.0, False, 0.0, 0.0)]
+    while stack:
+        w, r, ang, refl, tx, ty = stack.pop()
+        cos_a, sin_a = math.cos(ang), math.sin(ang)
+        sgn = -1.0 if refl else 1.0
+        for a, rl, al, ml, lx, ly in letters:
+            # compose (r, ang, refl, t) with the letter map
+            px, py = lx, sgn * ly
+            ntx = r * (cos_a * px - sin_a * py) + tx
+            nty = r * (sin_a * px + cos_a * py) + ty
+            nr = r * rl
+            nang = ang + sgn * al
+            nrefl = refl ^ ml
+            nw = w + (a,)
+            if nr <= rho:
+                words.append(nw)
+                rows.append((nr, nang, nrefl, ntx, nty))
+                if budget is not None and len(words) > budget:
+                    raise BudgetExceeded(
+                        f"budget exceeded: {len(words)} stopping words > {budget}",
+                        partial=len(words),
+                    )
+            else:
+                stack.append((nw, nr, nang, nrefl, ntx, nty))
+
+    rank = {a: i for i, a in enumerate(ifs.alphabet)}
+    order = sorted(range(len(words)), key=lambda i: tuple(rank[a] for a in words[i]))
+    words = [words[i] for i in order]
+    arr = np.array([rows[i] for i in order], dtype=float)
+    ratios = arr[:, 0]
+    px, py = point
+    cos_v, sin_v = np.cos(arr[:, 1]), np.sin(arr[:, 1])
+    sy = np.where(arr[:, 2] > 0.5, -py, py)
+    cx = arr[:, 0] * (cos_v * px - sin_v * sy) + arr[:, 3]
+    cy = arr[:, 0] * (sin_v * px + cos_v * sy) + arr[:, 4]
+    centers = np.column_stack([cx, cy])
+    masses = ratios**d
+    return words, centers, ratios, masses

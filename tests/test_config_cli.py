@@ -214,6 +214,28 @@ def test_build_l_outputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("c7", [None, 0.05])
+def test_build_l_slice_constants_and_degenerate_warning(tmp_path, capsys, c7):
+    constants = {"rho": 0.05} if c7 is None else {"rho": 0.05, "c7": c7}
+    cfg = coarse_config(tmp_path, constants=constants)
+    assert main(["build-l", "--config", cfg]) == 0
+    summary = json.loads((tmp_path / "out" / "candidate.json").read_text())
+    res = load_config(cfg).resolve()
+    width = 2.0 * 0.3 / 33
+    assert summary["c7"] == res.c7 == (res.c7 if c7 is None else c7)
+    assert summary["phi_cell_width"] == pytest.approx(width, rel=1e-15)
+    assert summary["required_run"] == math.floor(res.c7 / width) + 1
+    assert summary["n_required"] == res.n_required
+    err = capsys.readouterr().err
+    if c7 is None:
+        # the derived c7 is far below one phi cell: runs of one cell suffice
+        assert res.c7 < width and summary["required_run"] == 1
+        assert "warning: c7" in err and "smaller than one phi cell" in err
+    else:
+        assert summary["required_run"] == 3
+        assert "warning" not in err
+
+
 def test_search_reports_and_is_deterministic(tmp_path, capsys):
     cfg = coarse_config(tmp_path)
     assert main(["search", "--config", cfg]) == 0

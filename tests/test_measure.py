@@ -77,13 +77,6 @@ def test_build_E_shapes_and_exclusion():
     assert E.member_of(E.theta_grid[row] + E.pitch * 0.3) == E.member[row]
 
 
-def test_build_E_workers_match():
-    ifs = get_builtin("sierpinski")
-    a = build_E(ifs, 37, RHO, DELTA, epsilon=0.3)
-    b = build_E(ifs, 37, RHO, DELTA, epsilon=0.3, workers=2)
-    assert np.array_equal(a.l2, b.l2) and a.c5 == b.c5
-
-
 def test_classify_brute_equals_sweep(rng):
     ifs = get_builtin("sierpinski")
     words = stopping_words(ifs, math.sqrt(RHO))
