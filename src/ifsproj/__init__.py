@@ -38,11 +38,8 @@ from .lines import (
     normal,
     project_point,
     project_square,
-    renormalize,
     renormalize_arrays,
     renormalize_map,
-    renormalize_params,
-    renormalize_via_points,
     renormalize_word,
 )
 from .measure import (
@@ -75,6 +72,7 @@ from .recurrence import (
     certify_line,
     certify_projection_interval,
     check_recurrence,
+    first_witness,
     two_letter_words,
 )
 from .search import (
@@ -89,6 +87,7 @@ from .search import (
     hull_obstruction,
     invariant_polygon,
     perturb_map,
+    perturbed_maps,
     search_omega0,
 )
 from .systems import BUILTIN, cantor_dust, four_corner, get_builtin, sierpinski

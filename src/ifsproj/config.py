@@ -22,8 +22,6 @@ _CONSTANT_KEYS = (
     "epsilon",
     "c0",
     "c1",
-    "c2",
-    "c3",
     "c5",
     "c6",
     "c7",
@@ -38,10 +36,8 @@ _GRID_KEYS = (
     "n_phi",
     "grid_size",
     "raster_size",
-    "max_depth",
     "word_budget",
     "search_budget",
-    "survivor_budget",
     "n_theta_sample",
     "cert_resolution",
 )
@@ -56,8 +52,6 @@ class RunConfig:
     epsilon: float = 0.3
     c0: float = 2.0
     c1: float = 8.0
-    c2: float = 1.0  # report-only scale constant
-    c3: float = 16.0  # report-only neighborhood constant
     c5: float | None = None  # None: smallest value excluding < epsilon/2 of angles
     c6: float = 0.05
     c7: float | None = None  # None: c6 * c10 * epsilon / (4 c9)
@@ -70,10 +64,8 @@ class RunConfig:
     n_phi: int = 33
     grid_size: int | None = None  # scan rows; None: full theta grid
     raster_size: int = 512
-    max_depth: int = 8
     word_budget: int = 6_000_000
     search_budget: int = 10_000
-    survivor_budget: int = 200_000
     n_theta_sample: int = 10
     cert_resolution: float = 1e-3
     search_mode: str = "iid"
@@ -86,8 +78,6 @@ class RunConfig:
             "epsilon": self.epsilon,
             "c0": self.c0,
             "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
             "c6": self.c6,
             "t_max": self.t_max,
             "cert_resolution": self.cert_resolution,
@@ -109,14 +99,7 @@ class RunConfig:
             raise ConfigError(f"seed: must be an unsigned integer, got {self.seed!r}")
         if self.search_mode not in ("iid", "per_symbol"):
             raise ConfigError(f"search_mode: must be 'iid' or 'per_symbol', got {self.search_mode!r}")
-        for name in (
-            "max_depth",
-            "word_budget",
-            "search_budget",
-            "survivor_budget",
-            "n_theta_sample",
-            "raster_size",
-        ):
+        for name in ("word_budget", "search_budget", "n_theta_sample", "raster_size"):
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 1):
                 raise ConfigError(f"{name}: must be a positive integer, got {v!r}")
@@ -162,7 +145,6 @@ class RunConfig:
         c7 = self.c6 * c10 * self.epsilon / (4.0 * c9) if self.c7 is None else self.c7
         d = ifs.dimension
         n_required = max(1, round(self.c6**2 * self.rho ** (-(d - 1) / 2)))
-        c8_ref = self.c6**2 * c10 / (16.0 * c9)
         return ResolvedConstants(
             ifs=ifs,
             dimension=d,
@@ -170,7 +152,6 @@ class RunConfig:
             c10=c10,
             c7=c7,
             n_required=n_required,
-            c8_ref=c8_ref,
             delta=self.delta_value(),
             slice_params=SliceParams(
                 rho=self.rho,
@@ -198,7 +179,6 @@ class ResolvedConstants:
     c10: float
     c7: float
     n_required: int
-    c8_ref: float
     delta: float
     slice_params: SliceParams
 

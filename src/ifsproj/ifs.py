@@ -142,13 +142,6 @@ class IfsSpec:
         d = similarity_dimension([self.maps[a].ratio for a in self.alphabet])
         object.__setattr__(self, "dimension", d)
 
-    @property
-    def min_ratio(self) -> float:
-        return min(self.maps[a].ratio for a in self.alphabet)
-
-    def word_map(self, w: str | Iterable[str]) -> Similarity:
-        return compose_word(self, w)
-
     def to_json_dict(self) -> dict:
         return {
             "alphabet": list(self.alphabet),

@@ -13,9 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ifs import IfsSpec, Similarity, Square, apply_similarity, compose_word, invert_map
-
-TWO_PI = 2.0 * math.pi
+from .ifs import IfsSpec, Similarity, Square, compose_word
 
 
 def canonical_angle(theta_raw: float) -> tuple[float, int]:
@@ -64,9 +62,6 @@ class Interval:
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= x <= self.hi + tol
 
-    def intersects(self, other: "Interval", tol: float = 0.0) -> bool:
-        return self.lo <= other.hi + tol and other.lo <= self.hi + tol
-
 
 def normal(theta: float) -> np.ndarray:
     return np.array([-math.sin(theta), math.cos(theta)])
@@ -103,37 +98,14 @@ def line_square_intersects(line: Line, sq: Square, tol: float = 0.0) -> bool:
     return project_square(line.theta, sq).contains(line.t, tol=tol)
 
 
-def renormalize_params(
-    f: Similarity, theta: float, t
-) -> tuple[float, float | np.ndarray]:
-    """Closed-form image of lines under f^{-1}, for the forward map f.
-
-    theta is a scalar; t may be a scalar or an array of offsets at that
-    angle. Returns (theta', t') already canonicalized. This is the hot path:
-    one trig evaluation per (map, angle), vector arithmetic over t.
-    """
-    tau = np.asarray(f.translation)
-    shift = -tau[0] * math.sin(theta) + tau[1] * math.cos(theta)
-    t_raw = (np.asarray(t, dtype=float) - shift) / f.ratio
-    if f.reflect:
-        theta_raw = f.angle - theta
-        t_raw = -t_raw
-    else:
-        theta_raw = theta - f.angle
-    theta_p, k = canonical_angle(theta_raw)
-    if k % 2 != 0:
-        t_raw = -t_raw
-    if t_raw.ndim == 0:
-        return theta_p, float(t_raw)
-    return theta_p, t_raw
-
-
 def renormalize_arrays(
     f: Similarity, thetas: np.ndarray, ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized renormalization of many lines by one forward map f.
 
-    Unlike renormalize_params, theta varies per entry. Returns canonical
+    The closed form of T_f = f^{-1} on line parameters: shift the offset by
+    the translation's projection, scale by 1/ratio, negate it for a
+    reflection and once per fold of the angle into [0, pi). Returns canonical
     (theta', t') arrays of the input shape.
     """
     thetas = np.asarray(thetas, dtype=float)
@@ -155,35 +127,11 @@ def renormalize_arrays(
 
 
 def renormalize_map(f: Similarity, line: Line) -> Line:
-    """The image of a line under f^{-1}, for a forward similarity f.
-
-    The angle comes from folding theta - angle (or angle - theta when f
-    reflects) into [0, pi); the offset is then recomputed by projecting the
-    mapped carrier point, which avoids tracking sign flips symbolically.
-    """
-    theta_raw = f.angle - line.theta if f.reflect else line.theta - f.angle
-    theta_p, _ = canonical_angle(theta_raw)
-    p = apply_similarity(invert_map(f), line.carrier_point())
-    return Line(theta_p, float(project_point(theta_p, p)))
-
-
-def renormalize(ifs: IfsSpec, a: str, line: Line) -> Line:
-    """T_a(line) = f_a^{-1}(line)."""
-    return renormalize_map(ifs.maps[a], line)
+    """The image of a line under f^{-1}, for a forward similarity f."""
+    theta, t = renormalize_arrays(f, np.array([line.theta]), np.array([line.t]))
+    return Line(float(theta[0]), float(t[0]))
 
 
 def renormalize_word(ifs: IfsSpec, w: str | Iterable[str], line: Line) -> Line:
     """T_w = T_{w_k} o ... o T_{w_1}, computed as (f_{w_1} o ... o f_{w_k})^{-1}."""
     return renormalize_map(compose_word(ifs, w), line)
-
-
-def renormalize_via_points(ifs: IfsSpec, w: str | Iterable[str], line: Line) -> Line:
-    """Reference route for T_w: push two points of the line through f_w^{-1}.
-
-    Fully independent of the angle arithmetic above (direction comes out of
-    atan2); kept for cross-checking, not for hot paths.
-    """
-    g = invert_map(compose_word(ifs, w))
-    p = line.carrier_point()
-    q = p + line.direction()
-    return line_from_two_points(apply_similarity(g, p), apply_similarity(g, q))

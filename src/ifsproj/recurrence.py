@@ -20,10 +20,12 @@ included.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d
 
 from .errors import BudgetExceeded
@@ -240,7 +242,7 @@ class SliceBuilder:
     def row_member(self, row: int, detail: bool = False) -> SliceSet:
         geom, params = self.geom, self.params
         theta = row * geom.pitch
-        n1, n_phi, n2 = self.angle_g.shape
+        n_phi = self.angle_g.shape[1]
         n_t, m, h = geom.n_t, geom.m, geom.pitch
         empty = SliceSet(
             theta=theta,
@@ -248,7 +250,8 @@ class SliceBuilder:
             member=np.zeros(n_t, dtype=bool),
             symbols=tuple(self.a1),
         )
-        if not self.E.member[row]:
+        R = params.required_run
+        if not self.E.member[row] or R > n_phi:
             return empty
 
         nv = np.array([-math.sin(theta), math.cos(theta)])
@@ -260,24 +263,12 @@ class SliceBuilder:
         arg_rows = np.rint(theta_hat / h).astype(np.int64) % geom.n_theta
         arg_ok = self.E.member[arg_rows]
 
-        r_win = np.broadcast_to(self.r_g[:, None, :], shift.shape)
-        lo = np.ceil((shift - r_win) / h - 1e-9).astype(np.int64)
-        hi = np.floor((shift + r_win) / h + 1e-9).astype(np.int64)
-        lo = np.clip(lo, -m, m + 1) + m
-        hi = np.clip(hi, -m - 1, m) + m
-
-        diff = np.zeros((n1, n_phi, n_t + 1), dtype=np.int16)
-        ii, pp, qq = np.nonzero(arg_ok & (lo <= hi))
-        np.add.at(diff, (ii, pp, lo[ii, pp, qq]), 1)
-        np.add.at(diff, (ii, pp, hi[ii, pp, qq] + 1), -1)
-        phi_pass = np.cumsum(diff[:, :, :-1], axis=2, dtype=np.int16) > 0
-
-        R = params.required_run
-        if R > n_phi:
-            return empty
-        cum = np.zeros((n1, n_phi + 1, n_t), dtype=np.int16)
-        np.cumsum(phi_pass.astype(np.int16), axis=1, out=cum[:, 1:, :])
-        qualifies = (cum[:, R:, :] - cum[:, : n_phi - R + 1, :] == R).any(axis=1)
+        r_win = self.r_g[:, None, :]
+        lo = np.ceil((shift - r_win) / h - 1e-9).astype(np.int64) + m
+        hi = np.floor((shift + r_win) / h + 1e-9).astype(np.int64) + m
+        j = np.arange(n_t)
+        phi_pass = (arg_ok[..., None] & (lo[..., None] <= j) & (j <= hi[..., None])).any(axis=2)
+        qualifies = sliding_window_view(phi_pass, R, axis=1).all(axis=-1).any(axis=1)
         member = qualifies.sum(axis=0) >= params.n_required
         out = SliceSet(
             theta=theta, t_grid=geom.t_values(), member=member, symbols=tuple(self.a1)
@@ -419,12 +410,38 @@ def build_candidate(
     )
 
 
-def two_letter_words(ifs: IfsSpec) -> list[tuple[Word, Similarity]]:
-    """All length-2 composites of the given (possibly perturbed) system."""
-    return [
-        ((b1, b2), compose(ifs.maps[b1], ifs.maps[b2]))
-        for b1, b2 in product(ifs.alphabet, repeat=2)
-    ]
+def two_letter_words(
+    alphabet: Sequence[str], maps: Mapping[str, Similarity]
+) -> list[tuple[Word, Similarity]]:
+    """All length-2 composites f_{b1} o f_{b2} of the given (possibly
+    perturbed) maps, in alphabet-product order."""
+    return [((b1, b2), compose(maps[b1], maps[b2])) for b1, b2 in product(alphabet, repeat=2)]
+
+
+def first_witness(
+    words: Sequence[Similarity],
+    thetas: np.ndarray,
+    ts: np.ndarray,
+    member: GridMembership,
+    slack: float,
+) -> np.ndarray:
+    """For each line (theta, t), the index of the first word g whose
+    renormalization T_g sends it to within slack of a set cell of member, as
+    int16; -1 where no word does.
+
+    Each word is evaluated only on the lines that no earlier word has sent
+    home.
+    """
+    witness = np.full(len(thetas), -1, dtype=np.int16)
+    rem = np.arange(len(thetas))
+    for w_i, g in enumerate(words):
+        if not len(rem):
+            break
+        th_hat, t_hat = renormalize_arrays(g, thetas[rem], ts[rem])
+        hit = member.contains(th_hat, t_hat, slack)
+        witness[rem[hit]] = w_i
+        rem = rem[~hit]
+    return witness
 
 
 @dataclass
@@ -465,7 +482,11 @@ def check_recurrence(
 ) -> RecurrenceReport:
     """Does every L-grid cell map back into L (within the rho/2 slack window)
     under some two-letter word of the perturbed system? Failures are data,
-    not errors."""
+    not errors.
+
+    Unlike `first_witness`, every word is evaluated on every cell, because
+    `per_word_hits` counts all the cells each word sends home.
+    """
     if slack is None:
         slack = cand.rho / 2.0
     thetas, ts = cand.core_points()
@@ -473,7 +494,7 @@ def check_recurrence(
     member = cand.membership("L")
     recurred = np.zeros(n, dtype=bool)
     witness_idx = np.full(n, -1, dtype=np.int16)
-    words = two_letter_words(perturbed)
+    words = two_letter_words(perturbed.alphabet, perturbed.maps)
     per_word = {}
     for w_i, (word, g) in enumerate(words):
         th_hat, t_hat = renormalize_arrays(g, thetas, ts)
@@ -662,12 +683,10 @@ def certify_projection_interval(
         if len(cols):
             if membership is None:
                 membership = candidate.membership("L")
+            words = [g for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
             th = np.full(len(cols), row * geom.pitch)
             tt = (cols - geom.m) * geom.pitch
-            rec = np.zeros(len(cols), dtype=bool)
-            for _, g in two_letter_words(ifs):
-                th_hat, t_hat = renormalize_arrays(g, th, tt)
-                rec |= membership.contains(th_hat, t_hat, candidate.rho / 2.0)
+            rec = first_witness(words, th, tt, membership, candidate.rho / 2.0) >= 0
             row_cells[cols[~rec]] = False
         run, run_start, best_run, best_start = 0, 0, 0, 0
         for j, v in enumerate(row_cells):

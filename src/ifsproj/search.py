@@ -15,20 +15,19 @@ each two-letter renormalization push lines away from P by the factor
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .ifs import IfsSpec, Similarity, apply_similarity, compose, epsilon_distance, make_ifs
-from .lines import Line, renormalize_arrays
+from .ifs import IfsSpec, Similarity, apply_similarity, epsilon_distance, make_ifs
+from .lines import Line
 from .recurrence import (
     GridGeometry,
     GridMembership,
     RecurrenceReport,
     RecurrentCandidate,
     check_recurrence,
+    first_witness,
     two_letter_words,
 )
 
@@ -81,19 +80,39 @@ def perturb_map(f: Similarity, omega: Perturbation, c1: float, rho: float) -> Si
     return Similarity(f.ratio, f.angle + omega.phi, f.reflect, (tau_p[0], tau_p[1]))
 
 
+def perturbed_maps(
+    ifs: IfsSpec, assignment: OmegaAssignment, c1: float, rho: float
+) -> dict[str, Similarity]:
+    """The maps of ifs with the assignment applied on part_one; part_two maps
+    stay as they are."""
+    if set(assignment.omegas) != set(ifs.part_one):
+        raise ValueError(
+            f"assignment domain {sorted(assignment.omegas)} != part_one {sorted(ifs.part_one)}"
+        )
+    return {
+        a: perturb_map(ifs.maps[a], assignment.omegas[a], c1, rho)
+        if a in assignment.omegas
+        else ifs.maps[a]
+        for a in ifs.alphabet
+    }
+
+
+def _perturbed_words(
+    ifs: IfsSpec, assignment: OmegaAssignment, c1: float, rho: float
+) -> list[Similarity]:
+    """Two-letter composites of the perturbed maps, in `two_letter_words`
+    order. Builds no IfsSpec, so no dimension is solved and no containment
+    is checked."""
+    maps = perturbed_maps(ifs, assignment, c1, rho)
+    return [g for _, g in two_letter_words(ifs.alphabet, maps)]
+
+
 def build_perturbed_ifs(
     ifs: IfsSpec, assignment: OmegaAssignment, c1: float, rho: float
 ) -> IfsSpec:
     """Apply the assignment on part_one, keep part_two; containment of the
     perturbed squares in I may fail and is only warned about."""
-    if set(assignment.omegas) != set(ifs.part_one):
-        raise ValueError(
-            f"assignment domain {sorted(assignment.omegas)} != part_one {sorted(ifs.part_one)}"
-        )
-    maps = {}
-    for a in ifs.alphabet:
-        f = ifs.maps[a]
-        maps[a] = perturb_map(f, assignment.omegas[a], c1, rho) if a in assignment.omegas else f
+    maps = perturbed_maps(ifs, assignment, c1, rho)
     return make_ifs(maps, part_one=ifs.part_one, alphabet=ifs.alphabet, check_containment=False)
 
 
@@ -158,43 +177,15 @@ class CoverageTester:
     def n_points(self) -> int:
         return len(self.thetas)
 
-    def _words(self, assignment: OmegaAssignment):
-        maps = {
-            a: (
-                perturb_map(self.ifs.maps[a], assignment.omegas[a], self.c1, self.cand.rho)
-                if a in assignment.omegas
-                else self.ifs.maps[a]
-            )
-            for a in self.ifs.alphabet
-        }
-        return [compose(maps[b1], maps[b2]) for b1, b2 in product(self.ifs.alphabet, repeat=2)]
-
     def coverage(
         self, assignment: OmegaAssignment, indices: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """covered flags and witness word indices (-1 where uncovered) for the
         given subset of Delta (default: all of it)."""
-        idx = np.arange(self.n_points) if indices is None else indices
-        covered = np.zeros(len(idx), dtype=bool)
-        witness = np.full(len(idx), -1, dtype=np.int16)
-        rem = np.arange(len(idx))
-        for w_i, g in enumerate(self._words(assignment)):
-            if not len(rem):
-                break
-            th_hat, t_hat = renormalize_arrays(g, self.thetas[idx[rem]], self.ts[idx[rem]])
-            hit = self.member0.contains(th_hat, t_hat, self.slack)
-            covered[rem[hit]] = True
-            witness[rem[hit]] = w_i
-            rem = rem[~hit]
-        return covered, witness
-
-    def covers_probe(self, assignment: OmegaAssignment) -> bool:
-        covered, _ = self.coverage(assignment, self.probe_idx)
-        return bool(covered.all())
-
-    def uncovered_count(self, assignment: OmegaAssignment) -> int:
-        covered, _ = self.coverage(assignment)
-        return int(np.count_nonzero(~covered))
+        idx = slice(None) if indices is None else indices
+        words = _perturbed_words(self.ifs, assignment, self.c1, self.cand.rho)
+        witness = first_witness(words, self.thetas[idx], self.ts[idx], self.member0, self.slack)
+        return witness >= 0, witness
 
 
 @dataclass
@@ -251,21 +242,8 @@ def estimate_success_prob(
     tt = np.array([u.t])
     hits = 0
     for _ in range(samples):
-        assignment = draw_assignment(rng, ifs, epsilon)
-        maps = {
-            a: (
-                perturb_map(ifs.maps[a], assignment.omegas[a], c1, cand.rho)
-                if a in assignment.omegas
-                else ifs.maps[a]
-            )
-            for a in ifs.alphabet
-        }
-        pert = make_ifs(maps, part_one=ifs.part_one, alphabet=ifs.alphabet, check_containment=False)
-        for _, g in two_letter_words(pert):
-            th_hat, t_hat = renormalize_arrays(g, th, tt)
-            if member0.contains(th_hat, t_hat, slack)[0]:
-                hits += 1
-                break
+        words = _perturbed_words(ifs, draw_assignment(rng, ifs, epsilon), c1, cand.rho)
+        hits += int(first_witness(words, th, tt, member0, slack)[0] >= 0)
     return hits / samples
 
 

@@ -60,6 +60,17 @@ def test_unknown_and_duplicate_keys():
         config_from_json_dict({"bogus": 1})
     with pytest.raises(ConfigError, match="constants.q: unknown key"):
         config_from_json_dict({"constants": {"q": 1}})
+    removed = (
+        ("constants", "c2"),
+        ("constants", "c3"),
+        ("grid", "max_depth"),
+        ("grid", "survivor_budget"),
+    )
+    for block, key in removed:
+        with pytest.raises(ConfigError, match=f"{block}.{key}: unknown key"):
+            config_from_json_dict({block: {key: 1}})
+        with pytest.raises(ConfigError, match=f"^{key}: unknown key"):
+            config_from_json_dict({key: 1})
     with pytest.raises(ConfigError, match="given twice"):
         config_from_json_dict({"rho": 0.1, "constants": {"rho": 0.1}})
 

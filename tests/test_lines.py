@@ -20,10 +20,9 @@ from ifsproj import (
     project_square,
     renormalize_arrays,
     renormalize_map,
-    renormalize_params,
-    renormalize_via_points,
     renormalize_word,
 )
+from renormalize_oracle import renormalize_via_carrier, renormalize_via_points
 
 similarities = st.builds(
     Similarity,
@@ -113,9 +112,8 @@ def test_renormalize_oracle_reflection():
 @given(similarities, lines)
 @settings(max_examples=300, deadline=None)
 def test_renormalize_routes_agree(f, u):
-    v1 = renormalize_map(f, u)
-    theta2, t2 = renormalize_params(f, u.theta, np.array([u.t]))
-    assert line_close(v1, Line(theta2, float(t2[0])), tol=1e-8)
+    v1 = renormalize_via_carrier(f, u)
+    assert line_close(v1, renormalize_map(f, u), tol=1e-8)
     th3, t3 = renormalize_arrays(f, np.array([u.theta]), np.array([u.t]))
     assert line_close(v1, Line(float(th3[0]), float(t3[0])), tol=1e-8)
 

@@ -10,6 +10,7 @@ from ifsproj import (
     Line,
     Perturbation,
     RecurrentCandidate,
+    Similarity,
     SliceParams,
     build_E,
     build_slice,
@@ -17,13 +18,19 @@ from ifsproj import (
     certify_projection_interval,
     check_recurrence,
     compose,
+    first_witness,
     get_builtin,
+    invert_map,
+    make_ifs,
     perturb_map,
-    renormalize_params,
+    renormalize_arrays,
+    renormalize_map,
     renormalize_word,
     stopping_cylinders,
+    two_letter_words,
 )
 from ifsproj.recurrence import SliceBuilder
+from renormalize_oracle import renormalize_via_carrier
 
 
 def lines_meeting_unit_square(geom: GridGeometry) -> np.ndarray:
@@ -36,6 +43,17 @@ def lines_meeting_unit_square(geom: GridGeometry) -> np.ndarray:
             geom.t_values() <= proj.max() + 1e-12
         )
     return member
+
+
+def _turned_system(part_one):
+    """Three maps of the unit square into itself with disjoint images: a
+    rotates by a quarter turn, b reflects, c does neither."""
+    maps = {
+        "a": Similarity(0.5, math.pi / 2, False, (0.5, 0.0)),
+        "b": Similarity(0.5, 0.0, True, (0.5, 1.0)),
+        "c": Similarity(0.4, 0.0, False, (0.0, 0.6)),
+    }
+    return make_ifs(maps, part_one=part_one)
 
 
 def flat_candidate(geom: GridGeometry, rho: float, member: np.ndarray) -> RecurrentCandidate:
@@ -119,9 +137,9 @@ def brute_slice_row(ifs, row, E, geom, params):
                 hit = False
                 for a2 in ifs.part_two:
                     g = compose(f1, ifs.maps[a2])
-                    th_hat, t_hat = renormalize_params(g, theta, np.array([t]))
-                    arg_row = int(round(th_hat / geom.pitch)) % geom.n_theta
-                    if E.member[arg_row] and abs(t_hat[0]) <= 1.0 + 1e-6:
+                    v = renormalize_via_carrier(g, Line(theta, t))
+                    arg_row = int(round(v.theta / geom.pitch)) % geom.n_theta
+                    if E.member[arg_row] and abs(v.t) <= 1.0 + 1e-6:
                         hit = True
                         break
                 run = run + 1 if hit else 0
@@ -141,14 +159,26 @@ def coarse_four_corner():
     return ifs, rho, geom, E
 
 
+@pytest.fixture(scope="module")
+def coarse_turned():
+    """A rotated and a reflected first-block map: reaches the reflect branch
+    of SliceBuilder."""
+    ifs = _turned_system(("a", "b"))
+    rho = 0.05
+    geom = GridGeometry(61, t_max=1.2)
+    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, epsilon=0.3)
+    return ifs, rho, geom, E
+
+
 @pytest.mark.parametrize("c7,n_phi", [(1e-3, 9), (0.07, 9)])
-def test_slice_matches_brute_force(coarse_four_corner, c7, n_phi):
-    ifs, rho, geom, E = coarse_four_corner
-    params = SliceParams(rho=rho, epsilon=0.3, c7=c7, n_phi=n_phi)
-    for row in (0, 7, 23, 44):
-        s = build_slice(ifs, row * geom.pitch, E, params, geom=geom, detail=False)
-        brute = brute_slice_row(ifs, row, E, geom, params)
-        assert np.array_equal(s.member, brute), f"row {row}"
+def test_slice_matches_brute_force(coarse_four_corner, coarse_turned, c7, n_phi):
+    for ifs, rho, geom, E in (coarse_four_corner, coarse_turned):
+        params = SliceParams(rho=rho, epsilon=0.3, c7=c7, n_phi=n_phi)
+        for row in (0, 7, 23, 44):
+            s = build_slice(ifs, row * geom.pitch, E, params, geom=geom, detail=False)
+            brute = brute_slice_row(ifs, row, E, geom, params)
+            assert s.member.any() or not E.member[row]
+            assert np.array_equal(s.member, brute), f"row {row}"
 
 
 def test_slice_monotone_in_c7(coarse_four_corner):
@@ -239,6 +269,53 @@ def test_witnesses_reverify(desk):
         assert mem.contains([v.theta], [v.t], desk.cand.rho / 2.0)[0]
         assert v.theta == pytest.approx(wit["image"]["theta"])
         assert v.t == pytest.approx(wit["image"]["t"])
+
+
+def brute_first_witness(words, thetas, ts, member, slack):
+    """Every word on every line, one line at a time; the first hit wins."""
+    out = np.full(len(thetas), -1)
+    for i, (th, t) in enumerate(zip(thetas, ts)):
+        for w_i, g in enumerate(words):
+            th_hat, t_hat = renormalize_arrays(g, np.array([th]), np.array([t]))
+            if member.contains(th_hat, t_hat, slack)[0]:
+                out[i] = w_i
+                break
+    return out
+
+
+def test_first_witness_matches_brute_loop(rng):
+    """Lines near theta = 0 and pi, and lines that a word sends exactly the
+    slack away from a set cell, under a rotated and a reflected map."""
+    ifs = _turned_system(("a", "b"))
+    words = [g for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
+    geom = GridGeometry(61, t_max=1.2)
+    h, slack = geom.pitch, geom.pitch
+    grid = rng.random((geom.n_theta, geom.n_t)) < 0.05
+    member = GridMembership(geom, grid)
+
+    n = 300
+    thetas = np.concatenate([rng.uniform(0.0, 2 * h, n), rng.uniform(math.pi - 2 * h, math.pi, n)])
+    ts = rng.uniform(-1.2, 1.2, 2 * n)
+    # boundary lines: word k sends them to (theta_i + a slack, t_j + b slack)
+    rows, cols = np.nonzero(grid[[0, 1, geom.n_theta - 2, geom.n_theta - 1]])
+    rows = np.array([0, 1, geom.n_theta - 2, geom.n_theta - 1])[rows]
+    bound_words = []
+    for r, c in zip(rows, cols):
+        k = int(rng.integers(len(words)))
+        a, b = rng.choice([-1.0, 0.0, 1.0], size=2)
+        image = Line(r * h + a * slack, (c - geom.m) * h + b * slack)
+        source = renormalize_map(invert_map(words[k]), image)
+        thetas = np.append(thetas, source.theta)
+        ts = np.append(ts, source.t)
+        bound_words.append(k)
+
+    got = first_witness(words, thetas, ts, member, slack)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, brute_first_witness(words, thetas, ts, member, slack))
+    assert (got == -1).any() and (got > 0).any()
+    on_boundary = got[2 * n :]
+    assert len(on_boundary) > 10
+    assert ((on_boundary >= 0) & (on_boundary <= bound_words)).all()
 
 
 # --- line survival certificates ---

@@ -1,4 +1,3 @@
-import math
 from itertools import product
 
 import numpy as np
@@ -10,7 +9,6 @@ from ifsproj import (
     GridGeometry,
     OmegaAssignment,
     Perturbation,
-    Similarity,
     attractor_points,
     build_perturbed_ifs,
     closeness_report,
@@ -21,7 +19,6 @@ from ifsproj import (
     get_builtin,
     hull_obstruction,
     invariant_polygon,
-    make_ifs,
     perturb_map,
     renormalize_arrays,
     search_omega0,
@@ -29,7 +26,7 @@ from ifsproj import (
     Line,
 )
 from test_acceptance import farthest_line, obstruction_faults, settlement_faults
-from test_recurrence import flat_candidate, lines_meeting_unit_square
+from test_recurrence import _turned_system, flat_candidate, lines_meeting_unit_square
 
 RHO = 4.0**-4
 
@@ -191,17 +188,6 @@ def test_no_obstruction_on_recurrent_instance(recurrent_instance):
     assert hull_obstruction(ifs, cand, c1=1e-9, epsilon=1e-9) is None
 
 
-def _turned_system(part_one):
-    """Three maps of the unit square into itself with disjoint images: a
-    rotates by a quarter turn, b reflects, c does neither."""
-    maps = {
-        "a": Similarity(0.5, math.pi / 2, False, (0.5, 0.0)),
-        "b": Similarity(0.5, 0.0, True, (0.5, 1.0)),
-        "c": Similarity(0.4, 0.0, False, (0.0, 0.6)),
-    }
-    return make_ifs(maps, part_one=part_one)
-
-
 @pytest.mark.parametrize("ifs", [get_builtin("four_corner"), _turned_system(("b", "c"))])
 def test_obstruction_on_single_far_line(ifs):
     geom = GridGeometry(61, t_max=8.0)
@@ -292,5 +278,5 @@ def test_farthest_lines_stay_uncovered(desk):
         dist, row, col = farthest_line(cand.L, geom, hull)
         assert dist > 0.05
         th, tt = np.array([row * geom.pitch]), np.array([(col - geom.m) * geom.pitch])
-        for _, g in two_letter_words(perturbed):
+        for _, g in two_letter_words(perturbed.alphabet, perturbed.maps):
             assert not member.contains(*renormalize_arrays(g, th, tt), cfg.rho / 2.0)[0]
