@@ -12,25 +12,12 @@ Usage: python3 scripts/sweep_rho.py [--samples 200] [--seed 0] [--lines 6]
 import argparse
 import time
 
-import numpy as np
-
-from ifsproj import (
-    Line,
-    RunConfig,
-    build_candidate,
-    build_E,
-    estimate_success_prob,
-    SliceBuilder,
-)
+from ifsproj import Line, RunConfig, build_pipeline, estimate_success_prob
 
 
 def build(rho: float):
-    cfg = RunConfig(ifs="sierpinski", rho=rho)
-    res = cfg.resolve()
-    geom = cfg.geometry()
-    E = build_E(res.ifs, cfg.n_theta, rho, res.delta, epsilon=cfg.epsilon)
-    slices = SliceBuilder(res.ifs, E, geom, res.slice_params).all_rows()
-    return res.ifs, build_candidate(res.ifs, E, slices, rho, geom=geom)
+    res, _, cand = build_pipeline(RunConfig(ifs="sierpinski", rho=rho))
+    return res.ifs, cand
 
 
 def main():

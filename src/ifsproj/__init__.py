@@ -6,11 +6,12 @@ candidate recurs, and certify numerically that projections of the perturbed
 attractor contain intervals.
 """
 
-from .config import RunConfig, config_from_json_dict, load_config
+from .config import RunConfig, build_pipeline, config_from_json_dict, load_config
 from .errors import BudgetExceeded, ConfigError
 from .ifs import (
     IfsSpec,
     OscReport,
+    Perturbation,
     Similarity,
     Square,
     StoppingCover,
@@ -24,6 +25,7 @@ from .ifs import (
     load_ifs,
     make_ifs,
     map_square,
+    perturb_map,
     similarity_dimension,
     stopping_cover,
     stopping_words,
@@ -78,7 +80,6 @@ from .recurrence import (
 from .search import (
     CoverageTester,
     OmegaAssignment,
-    Perturbation,
     SearchOutcome,
     build_perturbed_ifs,
     closeness_report,
@@ -86,7 +87,6 @@ from .search import (
     estimate_success_prob,
     hull_obstruction,
     invariant_polygon,
-    perturb_map,
     perturbed_maps,
     search_omega0,
 )

@@ -15,15 +15,13 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config, override
+from .config import RunConfig, build_pipeline, load_config, override
 from .errors import BudgetExceeded, ConfigError
 from .ifs import IfsSpec, check_osc_unit_square
 from .measure import DirectionSet, build_E, stopping_cylinders
 from .recurrence import (
     RecurrentCandidate,
-    SliceBuilder,
     attractor_points,
-    build_candidate,
     certify_projection_interval,
     check_recurrence,
 )
@@ -32,10 +30,9 @@ from .search import (
     build_perturbed_ifs,
     closeness_report,
     hull_obstruction,
+    perturbed_maps,
     search_omega0,
 )
-
-_DIM_GUARD = "d ≤ 1, theorem hypotheses unmet"
 
 
 def _np_default(o):
@@ -60,15 +57,9 @@ def _outdir(cfg: RunConfig) -> str:
     return cfg.out
 
 
-def _guard_dimension(ifs: IfsSpec) -> None:
-    if ifs.dimension <= 1.0 + 1e-9:
-        raise ConfigError(_DIM_GUARD)
-
-
 def _build_pipeline(cfg: RunConfig):
-    """build_E -> slices -> candidate, shared by the pipeline commands."""
-    res = cfg.resolve()
-    _guard_dimension(res.ifs)
+    """`build_pipeline`, with a warning on stderr when c7 is degenerate."""
+    res, E, cand = build_pipeline(cfg)
     sp = res.slice_params
     if sp.c7 < sp.phi_cell_width:
         print(
@@ -76,19 +67,25 @@ def _build_pipeline(cfg: RunConfig):
             "so the phi-run test only asks that some phi cell passes",
             file=sys.stderr,
         )
-    geom = cfg.geometry()
-    E = build_E(
-        res.ifs,
-        cfg.n_theta,
-        cfg.rho,
-        res.delta,
-        c5=cfg.c5,
-        epsilon=cfg.epsilon,
-        budget=cfg.word_budget,
-    )
-    slices = SliceBuilder(res.ifs, E, geom, res.slice_params).all_rows()
-    cand = build_candidate(res.ifs, E, slices, cfg.rho, geom=geom)
-    return res, geom, E, cand
+    return res, E, cand
+
+
+def _load_omega(cfg: RunConfig, path: str) -> OmegaAssignment:
+    """The perturbation assignment in path, checked against the system's
+    part_one before any pipeline work; every fault is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            assignment = OmegaAssignment.from_json_dict(json.load(fh))
+    except FileNotFoundError:
+        raise ConfigError(f"omega: no such file {path!r}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"omega: malformed perturbation file: {exc}") from None
+    ifs = cfg.load_ifs_spec()
+    try:
+        perturbed_maps(ifs, assignment, cfg.c1, cfg.rho)
+    except ValueError as exc:
+        raise ConfigError(f"omega: {exc}") from None
+    return assignment
 
 
 def _sample_e_rows(E: DirectionSet, cand: RecurrentCandidate, n: int, seed: int) -> np.ndarray:
@@ -99,6 +96,24 @@ def _sample_e_rows(E: DirectionSet, cand: RecurrentCandidate, n: int, seed: int)
     rng = np.random.default_rng([seed, 17])
     pick = rng.choice(rows, size=min(n, len(rows)), replace=False)
     return np.sort(pick) * cand.geom.pitch
+
+
+def _assess(
+    cfg: RunConfig,
+    ifs: IfsSpec,
+    E: DirectionSet,
+    cand: RecurrentCandidate,
+    assignment: OmegaAssignment,
+) -> dict:
+    """The recurrence check, the closeness report and the certified intervals
+    of one assignment: the part that search and verify reports share."""
+    perturbed = build_perturbed_ifs(ifs, assignment, cfg.c1, cfg.rho)
+    thetas = _sample_e_rows(E, cand, cfg.n_theta_sample, cfg.seed)
+    return {
+        "check": check_recurrence(perturbed, cand).to_json_dict(),
+        "closeness": closeness_report(ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0),
+        "certified_intervals": _certified_intervals(perturbed, thetas, cfg, cand),
+    }
 
 
 def _certified_intervals(ifs_eval, thetas, cfg, cand) -> list[dict]:
@@ -180,7 +195,8 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 def cmd_build_l(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
-    res, geom, E, cand = _build_pipeline(cfg)
+    res, E, cand = _build_pipeline(cfg)
+    geom = cand.geom
     npz_path = os.path.join(out, "candidate.npz")
     cand.save(npz_path)
     rows = np.flatnonzero(E.member)
@@ -218,7 +234,7 @@ def cmd_build_l(cfg: RunConfig, args) -> int:
 def cmd_search(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     print(f"seed = {cfg.seed}")
-    res, geom, E, cand = _build_pipeline(cfg)
+    res, E, cand = _build_pipeline(cfg)
     outcome = search_omega0(
         res.ifs,
         cand,
@@ -229,34 +245,19 @@ def cmd_search(cfg: RunConfig, args) -> int:
         epsilon=cfg.epsilon,
     )
     report = {
+        **outcome.to_json_dict(),
         "seed": cfg.seed,
-        "mode": outcome.mode,
         "budget": cfg.search_budget,
-        "attempts": outcome.attempts,
-        "accepted_attempt": outcome.accepted_attempt,
-        "coverage": outcome.coverage,
-        "estimated_failure_prob": outcome.estimated_failure_prob,
         "excluded_fraction": E.excluded_fraction,
-        "omega0": outcome.omega0.to_json_dict() if outcome.omega0 else None,
-        "best_assignment": (
-            outcome.best_assignment.to_json_dict() if outcome.best_assignment else None
-        ),
-        "check": outcome.check_report.to_json_dict() if outcome.check_report else None,
         "obstruction": hull_obstruction(res.ifs, cand, cfg.c1, cfg.epsilon),
     }
     if outcome.omega0 is not None:
-        perturbed = build_perturbed_ifs(res.ifs, outcome.omega0, cfg.c1, cfg.rho)
-        report["closeness"] = closeness_report(
-            res.ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0
-        )
-        thetas = _sample_e_rows(E, cand, cfg.n_theta_sample, cfg.seed)
-        report["certified_intervals"] = _certified_intervals(perturbed, thetas, cfg, cand)
+        report.update(_assess(cfg, res.ifs, E, cand, outcome.omega0))
         report["status"] = "omega0 found"
         omega_path = _write_json(os.path.join(out, "omega0.json"), outcome.omega0.to_json_dict())
         print(f"omega0 found at attempt {outcome.accepted_attempt} -> {omega_path}")
     else:
-        report["closeness"] = None
-        report["certified_intervals"] = None
+        report.update(check=None, closeness=None, certified_intervals=None)
         report["status"] = "no omega0 found"
         print(f"no omega0 found (best coverage {outcome.coverage!r} after {outcome.attempts} attempts)")
     path = _write_json(os.path.join(out, "search_report.json"), report)
@@ -267,45 +268,29 @@ def cmd_search(cfg: RunConfig, args) -> int:
 def cmd_verify(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     print(f"seed = {cfg.seed}")
-    try:
-        with open(args.omega, "r", encoding="utf-8") as fh:
-            assignment = OmegaAssignment.from_json_dict(json.load(fh))
-    except FileNotFoundError:
-        raise ConfigError(f"omega: no such file {args.omega!r}") from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"omega: malformed perturbation file: {exc}") from None
-    res, geom, E, cand = _build_pipeline(cfg)
-    try:
-        perturbed = build_perturbed_ifs(res.ifs, assignment, cfg.c1, cfg.rho)
-    except ValueError as exc:
-        raise ConfigError(f"omega: {exc}") from None
-    rep = check_recurrence(perturbed, cand)
-    thetas = _sample_e_rows(E, cand, cfg.n_theta_sample, cfg.seed)
+    assignment = _load_omega(cfg, args.omega)
+    res, E, cand = _build_pipeline(cfg)
     report = {
         "seed": cfg.seed,
         "omega_file": args.omega,
         "omega": assignment.to_json_dict(),
-        "closeness": closeness_report(res.ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0),
         "excluded_fraction": E.excluded_fraction,
-        "check": rep.to_json_dict(),
-        "certified_intervals": _certified_intervals(perturbed, thetas, cfg, cand),
+        **_assess(cfg, res.ifs, E, cand, assignment),
     }
     path = _write_json(os.path.join(out, "verify_report.json"), report)
-    print(f"recurrence: {rep.recurred}/{rep.total} ({rep.fraction:.6f})")
+    check = report["check"]
+    print(f"recurrence: {check['recurred']}/{check['total']} ({check['fraction']:.6f})")
     print(f"report -> {path}")
     return 0
 
 
 def cmd_certify(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
-    res, geom, E, cand = _build_pipeline(cfg)
+    assignment = _load_omega(cfg, args.omega) if args.omega is not None else None
+    res, E, cand = _build_pipeline(cfg)
     ifs_eval = res.ifs
-    omega_used = None
-    if getattr(args, "omega", None):
-        with open(args.omega, "r", encoding="utf-8") as fh:
-            assignment = OmegaAssignment.from_json_dict(json.load(fh))
+    if assignment is not None:
         ifs_eval = build_perturbed_ifs(res.ifs, assignment, cfg.c1, cfg.rho)
-        omega_used = args.omega
     cert = certify_projection_interval(
         ifs_eval,
         args.theta,
@@ -325,7 +310,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
             fh.write(f"# interval,{cert.interval[0]!r},{cert.interval[1]!r},{cert.length!r}\n")
         else:
             fh.write(f"# no interval,largest_gap,{cert.largest_gap!r}\n")
-    report = {"seed": cfg.seed, "omega_file": omega_used, **cert.to_json_dict()}
+    report = {"seed": cfg.seed, "omega_file": args.omega, **cert.to_json_dict()}
     path = _write_json(os.path.join(out, "certify_report.json"), report)
     if cert.certified:
         print(f"interval [{cert.interval[0]!r}, {cert.interval[1]!r}] length {cert.length!r}")

@@ -13,8 +13,14 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .ifs import IfsSpec, ifs_from_json_dict, load_ifs
-from .measure import measured_c9
-from .recurrence import GridGeometry, SliceParams
+from .measure import DirectionSet, build_E, measured_c9
+from .recurrence import (
+    GridGeometry,
+    RecurrentCandidate,
+    SliceBuilder,
+    SliceParams,
+    build_candidate,
+)
 from .systems import BUILTIN, get_builtin
 
 _CONSTANT_KEYS = (
@@ -31,7 +37,6 @@ _CONSTANT_KEYS = (
 )
 _GRID_KEYS = (
     "theta_pitch",
-    "t_pitch",
     "t_max",
     "n_phi",
     "grid_size",
@@ -59,7 +64,6 @@ class RunConfig:
     c10: float | None = None  # None: c9^-2 / 16
     delta: float | None = None  # None: sqrt(rho)/8
     theta_pitch: float | None = None  # None: pi / ceil(4 pi / rho)
-    t_pitch: float | None = None  # must equal theta_pitch when given
     t_max: float = 1.0
     n_phi: int = 33
     grid_size: int | None = None  # scan rows; None: full theta grid
@@ -82,7 +86,7 @@ class RunConfig:
             "t_max": self.t_max,
             "cert_resolution": self.cert_resolution,
         }
-        for name in ("c5", "c7", "c9", "c10", "delta", "theta_pitch", "t_pitch"):
+        for name in ("c5", "c7", "c9", "c10", "delta", "theta_pitch"):
             v = getattr(self, name)
             if v is not None:
                 pos[name] = v
@@ -105,10 +109,6 @@ class RunConfig:
                 raise ConfigError(f"{name}: must be a positive integer, got {v!r}")
         if self.grid_size is not None and not (isinstance(self.grid_size, int) and self.grid_size >= 1):
             raise ConfigError(f"grid_size: must be a positive integer, got {self.grid_size!r}")
-        if self.t_pitch is not None:
-            ref = self.theta_pitch
-            if ref is None or abs(self.t_pitch - ref) > 1e-12:
-                raise ConfigError("t_pitch: the grid uses one shared pitch; set theta_pitch instead")
 
     def load_ifs_spec(self, check_containment: bool = True) -> IfsSpec:
         src = self.ifs
@@ -181,6 +181,27 @@ class ResolvedConstants:
     n_required: int
     delta: float
     slice_params: SliceParams
+
+
+def build_pipeline(cfg: RunConfig) -> tuple[ResolvedConstants, DirectionSet, RecurrentCandidate]:
+    """Resolve the constants, scan the directions into E, run the slice test
+    on every E row and assemble the candidate. Raises ConfigError when the
+    attractor's dimension is at most 1."""
+    res = cfg.resolve()
+    if res.dimension <= 1.0 + 1e-9:
+        raise ConfigError("d ≤ 1, theorem hypotheses unmet")
+    geom = cfg.geometry()
+    E = build_E(
+        res.ifs,
+        cfg.n_theta,
+        cfg.rho,
+        res.delta,
+        c5=cfg.c5,
+        epsilon=cfg.epsilon,
+        budget=cfg.word_budget,
+    )
+    slices = SliceBuilder(res.ifs, E, geom, res.slice_params).all_rows()
+    return res, E, build_candidate(E, slices, cfg.rho, geom)
 
 
 def config_from_json_dict(data: dict) -> RunConfig:

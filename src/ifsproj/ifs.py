@@ -78,6 +78,36 @@ def compose(f: Similarity, g: Similarity) -> Similarity:
     )
 
 
+@dataclass(frozen=True)
+class Perturbation:
+    """Rotation phi of a map's image square about its center, then the shift
+    gamma * c1 * rho, with each gamma component in (-1, 1)."""
+
+    phi: float
+    gamma: tuple[float, float]
+
+    def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
+        gx, gy = self.gamma
+        if not (abs(gx) < 1.0 and abs(gy) < 1.0):
+            raise ValueError(f"gamma components must lie in (-1,1), got {self.gamma}")
+
+    @classmethod
+    def identity(cls) -> "Perturbation":
+        return cls(0.0, (0.0, 0.0))
+
+
+def perturb_map(f: Similarity, omega: Perturbation, c1: float, rho: float) -> Similarity:
+    """Rotate f's image square by phi about its center, shift by gamma*c1*rho."""
+    c = apply_similarity(f, _CENTER)
+    tau = np.asarray(f.translation)
+    cp, sp = math.cos(omega.phi), math.sin(omega.phi)
+    rot = np.array([[cp, -sp], [sp, cp]])
+    tau_p = rot @ (tau - c) + c + np.asarray(omega.gamma) * (c1 * rho)
+    return Similarity(f.ratio, f.angle + omega.phi, f.reflect, (tau_p[0], tau_p[1]))
+
+
 def invert_map(f: Similarity) -> Similarity:
     """The inverse similarity f^{-1} (expanding when f contracts).
 

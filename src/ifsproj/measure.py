@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded
 from .ifs import IfsSpec, Word, cylinder_square, stopping_cover
 from .lines import project_point, project_square
 
@@ -75,7 +74,7 @@ def projected_histogram(
     pos = centers @ np.array([-math.sin(theta), math.cos(theta)])
     idx = np.floor(pos / delta).astype(np.int64)
     lo = int(idx.min())
-    binned = np.bincount(idx - lo, weights=masses, minlength=int(idx.max()) - lo + 1)
+    binned = np.bincount(idx - lo, weights=masses)
     return ProjectedHistogram(theta=theta, bin_width=delta, origin=lo * delta, masses=binned)
 
 
@@ -129,7 +128,6 @@ def build_E(
     delta: float,
     c5: float | None = None,
     epsilon: float = 0.3,
-    words_data=None,
     budget: int | None = None,
 ) -> DirectionSet:
     """Evaluate the L2 estimate on theta_j = j*pi/grid_size and threshold it.
@@ -139,16 +137,14 @@ def build_E(
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    if words_data is None:
-        words_data = stopping_cylinders(ifs, rho, budget=budget)
-    _, centers, _, masses = words_data
+    words_data = stopping_cylinders(ifs, rho, budget=budget)
     thetas = np.arange(grid_size) * (math.pi / grid_size)
-    l2 = np.empty(grid_size)
-    for j, theta in enumerate(thetas):
-        pos = centers @ np.array([-math.sin(theta), math.cos(theta)])
-        idx = np.floor(pos / delta).astype(np.int64)
-        binned = np.bincount(idx - idx.min(), weights=masses)
-        l2[j] = np.dot(binned, binned) / delta
+    l2 = np.array(
+        [
+            l2_norm_estimate(projected_histogram(ifs, theta, rho, delta, words_data=words_data))
+            for theta in thetas
+        ]
+    )
     if c5 is None:
         c5 = select_c5(l2, epsilon)
     member = l2 < c5
@@ -192,25 +188,20 @@ def classify_good_words(
     rho: float,
     c6: float,
     c9: float,
-    method: str = "brute",
 ) -> WordClassification:
     """A word is good when at most c6^-1 rho^-(d-1)/2 centers crowd within
-    c9^-1 rho^(1/2) of its projected center (strictly, counting itself)."""
+    c9^-1 rho^(1/2) of its projected center (strictly, counting itself).
+    Counts come from one sort and two binary searches."""
     _assert_prefix_free(words)
     centers = np.array(
         [project_point(theta, cylinder_square(ifs, w).corners().mean(axis=0)) for w in words]
     )
     radius = math.sqrt(rho) / c9
     cap = (1.0 / c6) * rho ** (-0.5 * (ifs.dimension - 1.0))
-    if method == "brute":
-        counts = np.count_nonzero(np.abs(centers[:, None] - centers[None, :]) < radius, axis=1)
-    elif method == "sweep":
-        xs = np.sort(centers)
-        counts = np.searchsorted(xs, centers + radius, side="left") - np.searchsorted(
-            xs, centers - radius, side="right"
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    xs = np.sort(centers)
+    counts = np.searchsorted(xs, centers + radius, side="left") - np.searchsorted(
+        xs, centers - radius, side="right"
+    )
     return WordClassification(
         theta=theta,
         words=tuple(words),

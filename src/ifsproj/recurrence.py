@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d
 
 from .errors import BudgetExceeded
-from .ifs import IfsSpec, Similarity, Word, compose, map_square
+from .ifs import IfsSpec, Perturbation, Similarity, Word, compose, map_square, perturb_map
 from .lines import Line, line_square_intersects, renormalize_arrays
 from .measure import DirectionSet, stopping_cylinders
 
@@ -222,22 +222,14 @@ class SliceBuilder:
         self.angle_g = np.empty((n1, n_phi, n2))
         self.tau_g = np.empty((n1, n_phi, n2, 2))
         for i, a in enumerate(self.a1):
-            f1 = ifs.maps[a]
-            c = np.asarray(f1((0.5, 0.5)))
-            tau1 = np.asarray(f1.translation)
-            sgn = -1.0 if f1.reflect else 1.0
-            for q, b in enumerate(self.a2):
-                f2 = ifs.maps[b]
-                self.r_g[i, q] = f1.ratio * f2.ratio
-                self.reflect_g[i, q] = f1.reflect ^ f2.reflect
-                self.angle_g[i, :, q] = (f1.angle + phis) + sgn * f2.angle
-                for p, phi in enumerate(phis):
-                    cp, sp = math.cos(phi), math.sin(phi)
-                    rot = np.array([[cp, -sp], [sp, cp]])
-                    tau_phi = rot @ (tau1 - c) + c
-                    ca, sa = math.cos(f1.angle + phi), math.sin(f1.angle + phi)
-                    lin = f1.ratio * np.array([[ca, -sa * sgn], [sa, ca * sgn]])
-                    self.tau_g[i, p, q] = lin @ np.asarray(f2.translation) + tau_phi
+            for p, phi in enumerate(phis):
+                f1 = perturb_map(ifs.maps[a], Perturbation(phi, (0.0, 0.0)), 0.0, 0.0)
+                for q, b in enumerate(self.a2):
+                    g = compose(f1, ifs.maps[b])
+                    self.r_g[i, q] = g.ratio
+                    self.reflect_g[i, q] = g.reflect
+                    self.angle_g[i, p, q] = g.angle
+                    self.tau_g[i, p, q] = g.translation
 
     def row_member(self, row: int, detail: bool = False) -> SliceSet:
         geom, params = self.geom, self.params
@@ -328,6 +320,16 @@ class RecurrentCandidate:
     c5: float
 
     @property
+    def search_slack(self) -> float:
+        """Slack of the search rule, which sends L1 into L0: one grid pitch."""
+        return self.geom.pitch
+
+    @property
+    def check_slack(self) -> float:
+        """Slack of the check rule, which sends L into L: rho/2."""
+        return self.rho / 2.0
+
+    @property
     def delta_count(self) -> int:
         return int(np.count_nonzero(self.L1))
 
@@ -380,16 +382,10 @@ class RecurrentCandidate:
 
 
 def build_candidate(
-    ifs: IfsSpec,
-    E: DirectionSet,
-    slices: np.ndarray,
-    rho: float,
-    geom: GridGeometry | None = None,
+    E: DirectionSet, slices: np.ndarray, rho: float, geom: GridGeometry
 ) -> RecurrentCandidate:
     """Assemble L0 from per-row slices and thicken. slices is the full
     (n_theta, n_t) boolean grid; rows outside E must already be false."""
-    if geom is None:
-        geom = GridGeometry(n_theta=len(E.theta_grid))
     L0 = np.asarray(slices, dtype=bool)
     if L0.shape != (geom.n_theta, geom.n_t):
         raise ValueError(f"slice grid shape {L0.shape} != {(geom.n_theta, geom.n_t)}")
@@ -473,22 +469,20 @@ class RecurrenceReport:
         }
 
 
+_MAX_FAILURES = 100  # failing cells listed in a recurrence report
+
+
 def check_recurrence(
-    perturbed: IfsSpec,
-    cand: RecurrentCandidate,
-    slack: float | None = None,
-    max_failures: int = 100,
-    max_witnesses: int = 20,
+    perturbed: IfsSpec, cand: RecurrentCandidate, max_witnesses: int = 20
 ) -> RecurrenceReport:
-    """Does every L-grid cell map back into L (within the rho/2 slack window)
-    under some two-letter word of the perturbed system? Failures are data,
-    not errors.
+    """Does every L-grid cell map back into L (within the check rule's slack,
+    `RecurrentCandidate.check_slack`) under some two-letter word of the
+    perturbed system? Failures are data, not errors.
 
     Unlike `first_witness`, every word is evaluated on every cell, because
     `per_word_hits` counts all the cells each word sends home.
     """
-    if slack is None:
-        slack = cand.rho / 2.0
+    slack = cand.check_slack
     thetas, ts = cand.core_points()
     n = len(thetas)
     member = cand.membership("L")
@@ -504,7 +498,7 @@ def check_recurrence(
         recurred |= hit
     fail_idx = np.flatnonzero(~recurred)
     failures = [
-        {"theta": float(thetas[i]), "t": float(ts[i])} for i in fail_idx[:max_failures]
+        {"theta": float(thetas[i]), "t": float(ts[i])} for i in fail_idx[:_MAX_FAILURES]
     ]
     wit_idx = np.flatnonzero(recurred)[:max_witnesses]
     witnesses = []
@@ -633,11 +627,28 @@ def attractor_points(ifs: IfsSpec, scale: float, budget: int | None = None) -> n
     return pts
 
 
+_MIN_LENGTH_FACTOR = 10.0  # a certified interval spans this many resolutions
+
+
+def _longest_run(mask: np.ndarray, coords: np.ndarray) -> tuple[int, int]:
+    """(start, stop) of the run mask[start:stop] of True values that has the
+    largest measure coords[stop] - coords[start]; the first such run wins.
+    coords has one entry more than mask. (0, 0) when mask has no True value."""
+    breaks = np.flatnonzero(~mask)
+    starts = np.concatenate(([0], breaks + 1))
+    stops = np.append(breaks, len(mask))
+    runs = stops > starts
+    if not runs.any():
+        return 0, 0
+    starts, stops = starts[runs], stops[runs]
+    k = int(np.argmax(coords[stops] - coords[starts]))
+    return int(starts[k]), int(stops[k])
+
+
 def certify_projection_interval(
     ifs: IfsSpec,
     theta: float,
     resolution: float,
-    min_length_factor: float = 10.0,
     budget: int | None = None,
     candidate: RecurrentCandidate | None = None,
     membership: GridMembership | None = None,
@@ -649,7 +660,7 @@ def certify_projection_interval(
     Samples are exact attractor points (images of a fixed point under all
     stopping words at scale resolution/2), so sample positions lie in the
     projection. Certified means: some window of consecutive samples has all
-    gaps <= resolution and spans at least min_length_factor * resolution.
+    gaps <= resolution and spans at least _MIN_LENGTH_FACTOR * resolution.
     A dust-like projection fails because every candidate window stays short.
 
     When a candidate grid is supplied, the longest run of L-cells in the row
@@ -663,16 +674,10 @@ def certify_projection_interval(
     pos = np.sort(pts @ np.array([-math.sin(theta), math.cos(theta)]))
     gaps = np.diff(pos)
 
-    best_lo, best_hi = 0.0, 0.0
-    start = 0
-    breaks = np.flatnonzero(gaps > resolution)
-    for i in np.append(breaks, len(pos) - 1):
-        if pos[i] - pos[start] > best_hi - best_lo:
-            best_lo, best_hi = pos[start], pos[i]
-        start = i + 1
-    length = best_hi - best_lo
-    min_len = min_length_factor * resolution
-    interval = (float(best_lo), float(best_hi)) if length >= min_len else None
+    lo, hi = _longest_run(gaps <= resolution, pos)
+    length = pos[hi] - pos[lo]
+    min_len = _MIN_LENGTH_FACTOR * resolution
+    interval = (float(pos[lo]), float(pos[hi])) if length >= min_len else None
 
     rec_interval, rec_len, rec_ok = None, 0.0, None
     if candidate is not None:
@@ -686,18 +691,10 @@ def certify_projection_interval(
             words = [g for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
             th = np.full(len(cols), row * geom.pitch)
             tt = (cols - geom.m) * geom.pitch
-            rec = first_witness(words, th, tt, membership, candidate.rho / 2.0) >= 0
+            rec = first_witness(words, th, tt, membership, candidate.check_slack) >= 0
             row_cells[cols[~rec]] = False
-        run, run_start, best_run, best_start = 0, 0, 0, 0
-        for j, v in enumerate(row_cells):
-            if v:
-                if run == 0:
-                    run_start = j
-                run += 1
-                if run > best_run:
-                    best_run, best_start = run, run_start
-            else:
-                run = 0
+        best_start, stop = _longest_run(row_cells, np.arange(geom.n_t + 1))
+        best_run = stop - best_start
         rec_len = best_run * geom.pitch
         if best_run:
             lo_t = (best_start - geom.m) * geom.pitch

@@ -19,32 +19,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import IfsSpec, Similarity, apply_similarity, epsilon_distance, make_ifs
+from .ifs import (
+    IfsSpec,
+    Perturbation,
+    Similarity,
+    apply_similarity,
+    epsilon_distance,
+    make_ifs,
+    perturb_map,
+)
 from .lines import Line
 from .recurrence import (
     GridGeometry,
     GridMembership,
-    RecurrenceReport,
     RecurrentCandidate,
-    check_recurrence,
     first_witness,
     two_letter_words,
 )
-
-
-@dataclass(frozen=True)
-class Perturbation:
-    phi: float
-    gamma: tuple[float, float]
-
-    def __post_init__(self):
-        gx, gy = self.gamma
-        if not (abs(gx) < 1.0 and abs(gy) < 1.0):
-            raise ValueError(f"gamma components must lie in (-1,1), got {self.gamma}")
-
-    @classmethod
-    def identity(cls) -> "Perturbation":
-        return cls(0.0, (0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -61,23 +52,14 @@ class OmegaAssignment:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OmegaAssignment":
-        return cls(
-            {a: Perturbation(v["phi"], (v["gamma"][0], v["gamma"][1])) for a, v in d.items()}
-        )
+        """Raises KeyError, TypeError or ValueError when d is malformed."""
+        if not isinstance(d, dict):
+            raise TypeError(f"expected an object keyed by symbol, got {type(d).__name__}")
+        return cls({a: Perturbation(v["phi"], tuple(v["gamma"])) for a, v in d.items()})
 
     @classmethod
     def identity(cls, ifs: IfsSpec) -> "OmegaAssignment":
         return cls({a: Perturbation.identity() for a in ifs.part_one})
-
-
-def perturb_map(f: Similarity, omega: Perturbation, c1: float, rho: float) -> Similarity:
-    """Rotate f's image square by phi about its center, shift by gamma*c1*rho."""
-    c = np.asarray(f((0.5, 0.5)))
-    tau = np.asarray(f.translation)
-    cp, sp = math.cos(omega.phi), math.sin(omega.phi)
-    rot = np.array([[cp, -sp], [sp, cp]])
-    tau_p = rot @ (tau - c) + c + np.asarray(omega.gamma) * (c1 * rho)
-    return Similarity(f.ratio, f.angle + omega.phi, f.reflect, (tau_p[0], tau_p[1]))
 
 
 def perturbed_maps(
@@ -142,36 +124,29 @@ def draw_assignment(rng: np.random.Generator, ifs: IfsSpec, epsilon: float) -> O
     return OmegaAssignment(omegas)
 
 
+_PROBE_SIZE = 2048  # probe points checked before a full evaluation
+_STALL_LIMIT = 40  # per_symbol: rejections in a row before a fresh draw
+
+
 class CoverageTester:
     """Membership of assignments in the intersection of the per-point witness
     sets over the probe net Delta.
 
     A point u is covered under an assignment when some two-letter word of the
-    perturbed system renormalizes u to within `slack` (default: grid pitch)
-    of an L0 cell. Probe points (an evenly strided subset of Delta) give an
-    exact early rejection: an assignment that misses a probe point cannot
-    cover Delta.
+    perturbed system renormalizes u to within the search rule's slack
+    (`RecurrentCandidate.search_slack`) of an L0 cell. Probe points (an
+    evenly strided subset of Delta) give an exact early rejection: an
+    assignment that misses a probe point cannot cover Delta.
     """
 
-    def __init__(
-        self,
-        ifs: IfsSpec,
-        cand: RecurrentCandidate,
-        c1: float,
-        epsilon: float,
-        slack: float | None = None,
-        probe_size: int = 2048,
-    ):
+    def __init__(self, ifs: IfsSpec, cand: RecurrentCandidate, c1: float):
         self.ifs = ifs
         self.cand = cand
         self.c1 = c1
-        self.epsilon = epsilon
-        self.slack = cand.geom.pitch if slack is None else slack
         self.thetas, self.ts = cand.delta_points()
         self.member0 = GridMembership(cand.geom, cand.L0)
         n = len(self.thetas)
-        stride = max(1, n // probe_size)
-        self.probe_idx = np.arange(0, n, stride)
+        self.probe_idx = np.arange(0, n, max(1, n // _PROBE_SIZE))
 
     @property
     def n_points(self) -> int:
@@ -184,7 +159,9 @@ class CoverageTester:
         given subset of Delta (default: all of it)."""
         idx = slice(None) if indices is None else indices
         words = _perturbed_words(self.ifs, assignment, self.c1, self.cand.rho)
-        witness = first_witness(words, self.thetas[idx], self.ts[idx], self.member0, self.slack)
+        witness = first_witness(
+            words, self.thetas[idx], self.ts[idx], self.member0, self.cand.search_slack
+        )
         return witness >= 0, witness
 
 
@@ -194,12 +171,9 @@ class SearchOutcome:
     attempts: int
     accepted_attempt: int | None
     best_assignment: OmegaAssignment | None
-    success_table: np.ndarray | None
-    witness_words: np.ndarray | None
     coverage: float
     estimated_failure_prob: float
     mode: str
-    check_report: RecurrenceReport | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -212,7 +186,6 @@ class SearchOutcome:
             "coverage": self.coverage,
             "estimated_failure_prob": self.estimated_failure_prob,
             "mode": self.mode,
-            "check_report": self.check_report.to_json_dict() if self.check_report else None,
         }
 
 
@@ -224,7 +197,6 @@ def estimate_success_prob(
     seed: int,
     c1: float = 8.0,
     epsilon: float = 0.3,
-    slack: float | None = None,
 ) -> float:
     """Monte Carlo measure of the assignments that send u back into L0.
 
@@ -235,7 +207,6 @@ def estimate_success_prob(
     geom = cand.geom
     if not GridMembership(geom, cand.L1).contains([u.theta], [u.t], geom.pitch)[0]:
         raise ValueError(f"line (theta={u.theta}, t={u.t}) is not on the probe net")
-    slack = geom.pitch if slack is None else slack
     member0 = GridMembership(geom, cand.L0)
     rng = np.random.default_rng(seed)
     th = np.array([u.theta])
@@ -243,7 +214,7 @@ def estimate_success_prob(
     hits = 0
     for _ in range(samples):
         words = _perturbed_words(ifs, draw_assignment(rng, ifs, epsilon), c1, cand.rho)
-        hits += int(first_witness(words, th, tt, member0, slack)[0] >= 0)
+        hits += int(first_witness(words, th, tt, member0, cand.search_slack)[0] >= 0)
     return hits / samples
 
 
@@ -255,10 +226,6 @@ def search_omega0(
     mode: str = "iid",
     c1: float = 8.0,
     epsilon: float = 0.3,
-    slack: float | None = None,
-    probe_size: int = 2048,
-    stall_limit: int = 40,
-    run_check: bool = True,
 ) -> SearchOutcome:
     """Randomized search for an assignment covering the whole probe net.
 
@@ -270,7 +237,7 @@ def search_omega0(
 
     mode "per_symbol": sequential hill climb resampling one symbol's
     perturbation at a time, keeping changes that strictly shrink the
-    uncovered set; restarts from a fresh draw after stall_limit consecutive
+    uncovered set; restarts from a fresh draw after _STALL_LIMIT consecutive
     rejections. Matches the per-symbol product structure of the underlying
     probability bound; much stronger at coarse rho.
 
@@ -280,25 +247,19 @@ def search_omega0(
     """
     if cand.delta_count == 0:
         raise ValueError("probe net is empty")
-    tester = CoverageTester(ifs, cand, c1, epsilon, slack=slack, probe_size=probe_size)
+    tester = CoverageTester(ifs, cand, c1)
     n = tester.n_points
 
-    def finish(omega0, attempts, accepted, best, covered, witness):
+    def finish(omega0, attempts, accepted, best, covered):
         coverage = float(np.count_nonzero(covered) / n) if covered is not None else 0.0
-        report = None
-        if omega0 is not None and run_check:
-            report = check_recurrence(build_perturbed_ifs(ifs, omega0, c1, cand.rho), cand)
         return SearchOutcome(
             omega0=omega0,
             attempts=attempts,
             accepted_attempt=accepted,
             best_assignment=best,
-            success_table=covered,
-            witness_words=witness,
             coverage=coverage,
             estimated_failure_prob=1.0 - coverage,
             mode=mode,
-            check_report=report,
         )
 
     if mode == "iid":
@@ -312,13 +273,13 @@ def search_omega0(
                 best_frac, best_assignment = frac, assignment
             if not probe_cov.all():
                 continue
-            covered, witness = tester.coverage(assignment)
+            covered, _ = tester.coverage(assignment)
             if covered.all():
-                return finish(assignment, k + 1, k, assignment, covered, witness)
+                return finish(assignment, k + 1, k, assignment, covered)
         if best_assignment is None:
-            return finish(None, budget, None, None, None, None)
-        covered, witness = tester.coverage(best_assignment)
-        return finish(None, budget, None, best_assignment, covered, witness)
+            return finish(None, budget, None, None, None)
+        covered, _ = tester.coverage(best_assignment)
+        return finish(None, budget, None, best_assignment, covered)
 
     if mode == "per_symbol":
         rng = np.random.default_rng([seed])
@@ -327,14 +288,9 @@ def search_omega0(
 
         current = draw_assignment(rng, ifs, epsilon)
         attempts += 1
-        covered, witness = tester.coverage(current)
+        covered, _ = tester.coverage(current)
         uncovered = int(np.count_nonzero(~covered))
-        best_unc, best_assignment, best_covered, best_witness = (
-            uncovered,
-            current,
-            covered,
-            witness,
-        )
+        best_unc, best_assignment, best_covered = uncovered, current, covered
         stall = 0
         while attempts < budget and best_unc > 0:
             sym = symbols[attempts % len(symbols)]
@@ -343,41 +299,31 @@ def search_omega0(
             )
             attempts += 1
             unc_idx = np.flatnonzero(~covered)
-            stride = max(1, len(unc_idx) // probe_size)
-            probe_unc = unc_idx[::stride]
+            probe_unc = unc_idx[:: max(1, len(unc_idx) // _PROBE_SIZE)]
             probe_cov, _ = tester.coverage(candidate, probe_unc)
             if not probe_cov.any():
                 stall += 1
             else:
-                cand_covered, cand_witness = tester.coverage(candidate)
+                cand_covered, _ = tester.coverage(candidate)
                 cand_unc = int(np.count_nonzero(~cand_covered))
                 if cand_unc < uncovered:
-                    current, covered, witness, uncovered = (
-                        candidate,
-                        cand_covered,
-                        cand_witness,
-                        cand_unc,
-                    )
+                    current, covered, uncovered = candidate, cand_covered, cand_unc
                     stall = 0
                     if uncovered < best_unc:
-                        best_unc, best_assignment = uncovered, current
-                        best_covered, best_witness = covered, witness
+                        best_unc, best_assignment, best_covered = uncovered, current, covered
                 else:
                     stall += 1
-            if stall >= stall_limit and attempts < budget:
+            if stall >= _STALL_LIMIT and attempts < budget:
                 current = draw_assignment(rng, ifs, epsilon)
                 attempts += 1
-                covered, witness = tester.coverage(current)
+                covered, _ = tester.coverage(current)
                 uncovered = int(np.count_nonzero(~covered))
                 if uncovered < best_unc:
-                    best_unc, best_assignment = uncovered, current
-                    best_covered, best_witness = covered, witness
+                    best_unc, best_assignment, best_covered = uncovered, current, covered
                 stall = 0
         if best_unc == 0:
-            return finish(
-                best_assignment, attempts, attempts - 1, best_assignment, best_covered, best_witness
-            )
-        return finish(None, attempts, None, best_assignment, best_covered, best_witness)
+            return finish(best_assignment, attempts, attempts - 1, best_assignment, best_covered)
+        return finish(None, attempts, None, best_assignment, best_covered)
 
     raise ValueError(f"unknown search mode {mode!r}")
 
@@ -500,9 +446,9 @@ def hull_obstruction(
     ifs: IfsSpec, cand: RecurrentCandidate, c1: float, epsilon: float
 ) -> dict | None:
     """Certificate that no assignment in the closed box passes either the
-    search rule (L1 into L0 within the grid pitch, `CoverageTester`'s default
-    slack) or the check rule (L into L within rho/2, `check_recurrence`'s
-    default); None unless both are obstructed.
+    search rule (L1 into L0 within `RecurrentCandidate.search_slack`) or the
+    check rule (L into L within `RecurrentCandidate.check_slack`); None unless
+    both are obstructed.
 
     Let P be `invariant_polygon`, R = max |p| on P and kappa = 1/r_max^2. For
     every admissible assignment and two-letter word w, f_w(P) lies in P, so
@@ -524,8 +470,8 @@ def hull_obstruction(
         "expansion": expansion,
     }
     rules = (
-        ("search", "L1", "L0", geom.pitch),
-        ("check", "L", "L", cand.rho / 2.0),
+        ("search", "L1", "L0", cand.search_slack),
+        ("check", "L", "L", cand.check_slack),
     )
     for rule, source, target, s in rules:
         s_eff = s + _SLACK_GUARD * geom.pitch

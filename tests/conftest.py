@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ifsproj import RunConfig, SliceBuilder, build_candidate, build_E
+from ifsproj import RunConfig, build_pipeline
 
 
 @pytest.fixture(scope="session")
@@ -15,12 +15,8 @@ def desk():
     criteria; takes a few seconds to build once.
     """
     cfg = RunConfig(ifs="sierpinski")
-    res = cfg.resolve()
-    geom = cfg.geometry()
-    E = build_E(res.ifs, cfg.n_theta, cfg.rho, res.delta, epsilon=cfg.epsilon)
-    slices = SliceBuilder(res.ifs, E, geom, res.slice_params).all_rows()
-    cand = build_candidate(res.ifs, E, slices, cfg.rho, geom=geom)
-    return SimpleNamespace(cfg=cfg, res=res, ifs=res.ifs, geom=geom, E=E, cand=cand)
+    res, E, cand = build_pipeline(cfg)
+    return SimpleNamespace(cfg=cfg, res=res, ifs=res.ifs, geom=cand.geom, E=E, cand=cand)
 
 
 @pytest.fixture(autouse=True)

@@ -8,8 +8,6 @@ demands byte-identical JSON.
 import json
 import math
 import time
-from itertools import product
-
 import numpy as np
 import pytest
 
@@ -217,7 +215,7 @@ def _criterion6_report(desk) -> dict:
         crowd = np.searchsorted(xs, xs + radius, "left") - np.searchsorted(xs, xs - radius, "right")
         bad[j] = int((crowd > threshold).sum())
     for j in (0, len(thetas) // 2, len(thetas) - 1):
-        wc = classify_good_words(desk.ifs, float(thetas[j]), words, cfg.rho, cfg.c6, res.c9, method="sweep")
+        wc = classify_good_words(desk.ifs, float(thetas[j]), words, cfg.rho, cfg.c6, res.c9)
         assert int((~wc.good).sum()) == bad[j]
     cap = bad_word_cap(desk.E.c5, cfg.c6, res.c9, cfg.rho, desk.ifs.dimension)
     e_rows = np.flatnonzero(desk.E.member)

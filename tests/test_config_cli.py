@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ifsproj import ConfigError, RunConfig
+from ifsproj import ConfigError, OmegaAssignment, RunConfig, SearchOutcome, get_builtin
+from ifsproj import cli
 from ifsproj.cli import main
 from ifsproj.config import config_from_json_dict, load_config, override
 
@@ -32,7 +33,7 @@ def test_defaults_resolve():
         (dict(n_phi=10), "n_phi"),
         (dict(seed=-1), "seed"),
         (dict(search_mode="annealing"), "search_mode"),
-        (dict(theta_pitch=0.01, t_pitch=0.02), "t_pitch"),
+        (dict(theta_pitch=-0.01), "theta_pitch"),
         (dict(grid_size=0), "grid_size"),
         (dict(word_budget=0), "word_budget"),
     ],
@@ -65,6 +66,7 @@ def test_unknown_and_duplicate_keys():
         ("constants", "c3"),
         ("grid", "max_depth"),
         ("grid", "survivor_budget"),
+        ("grid", "t_pitch"),
     )
     for block, key in removed:
         with pytest.raises(ConfigError, match=f"{block}.{key}: unknown key"):
@@ -283,18 +285,74 @@ def test_verify_identity_assignment(tmp_path, capsys):
     assert len(report["certified_intervals"]) == 2
 
 
-def test_verify_rejects_bad_omega(tmp_path, capsys):
+def check_bad_omega_rejected(tmp_path, capsys, monkeypatch, command):
+    """Each faulty omega file exits 2 with an `omega:` message, before any
+    pipeline work."""
+
+    def no_pipeline(cfg):
+        raise AssertionError("pipeline built before the omega file was checked")
+
+    monkeypatch.setattr(cli, "build_pipeline", no_pipeline)
     cfg = coarse_config(tmp_path)
-    assert main(["verify", "--config", cfg, "--omega", str(tmp_path / "absent.json")]) == 2
-    assert "omega: no such file" in capsys.readouterr().err
-    bad = tmp_path / "bad_omega.json"
-    bad.write_text('{"a": {"phi": "x"}}')
-    assert main(["verify", "--config", cfg, "--omega", str(bad)]) == 2
-    assert "omega: malformed" in capsys.readouterr().err
-    wrong = tmp_path / "wrong_domain.json"
-    wrong.write_text('{"a": {"phi": 0.0, "gamma": [0.0, 0.0]}}')
-    assert main(["verify", "--config", cfg, "--omega", str(wrong)]) == 2
-    assert "part_one" in capsys.readouterr().err
+    extra = ["--theta", "0.0"] if command == "certify" else []
+    faults = {
+        "absent.json": (None, "omega: no such file"),
+        "syntax.json": ("{not json", "omega: malformed"),
+        "no_gamma.json": ('{"a": {"phi": 0.0}}', "omega: malformed"),
+        "text_phi.json": ('{"a": {"phi": "x", "gamma": [0.0, 0.0]}}', "omega: malformed"),
+        "short_gamma.json": ('{"a": {"phi": 0.0, "gamma": [0.0]}}', "omega: malformed"),
+        "list.json": ("[]", "omega: malformed"),
+        "wrong_domain.json": ('{"a": {"phi": 0.0, "gamma": [0.0, 0.0]}}', "part_one"),
+    }
+    for name, (text, message) in faults.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert main([command, "--config", cfg, "--omega", str(path), *extra]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("omega: ") and message in err, (name, err)
+
+
+def test_verify_rejects_bad_omega(tmp_path, capsys, monkeypatch):
+    check_bad_omega_rejected(tmp_path, capsys, monkeypatch, "verify")
+
+
+def test_certify_rejects_bad_omega(tmp_path, capsys, monkeypatch):
+    check_bad_omega_rejected(tmp_path, capsys, monkeypatch, "certify")
+
+
+def test_search_success_report_matches_verify(tmp_path, capsys, monkeypatch):
+    """The report of a search that finds omega0 carries the same check,
+    closeness and certified intervals as verify on the omega0 it writes."""
+
+    def accept_identity(ifs, cand, budget, seed, mode, c1, epsilon):
+        identity = OmegaAssignment.identity(ifs)
+        return SearchOutcome(
+            omega0=identity,
+            attempts=1,
+            accepted_attempt=0,
+            best_assignment=identity,
+            coverage=1.0,
+            estimated_failure_prob=0.0,
+            mode=mode,
+        )
+
+    monkeypatch.setattr(cli, "search_omega0", accept_identity)
+    cfg = coarse_config(tmp_path)
+    assert main(["search", "--config", cfg]) == 0
+    assert "omega0 found at attempt 0" in capsys.readouterr().out
+    out = tmp_path / "out"
+    search = json.loads((out / "search_report.json").read_text())
+    assert search["status"] == "omega0 found"
+    omega = json.loads((out / "omega0.json").read_text())
+    assert omega == OmegaAssignment.identity(get_builtin("four_corner")).to_json_dict()
+    assert search["omega0"] == omega
+    assert main(["verify", "--config", cfg, "--omega", str(out / "omega0.json")]) == 0
+    verify = json.loads((out / "verify_report.json").read_text())
+    for key in ("check", "closeness", "certified_intervals"):
+        assert search[key] is not None and search[key] == verify[key], key
+    assert len(search["certified_intervals"]) == 2
+    capsys.readouterr()
 
 
 def test_certify_full_projection(tmp_path, capsys):

@@ -77,13 +77,23 @@ def test_build_E_shapes_and_exclusion():
     assert E.member_of(E.theta_grid[row] + E.pitch * 0.3) == E.member[row]
 
 
+def brute_good(wc) -> np.ndarray:
+    """Oracle for classify_good_words' count: every pair of projected
+    centers compared directly."""
+    gaps = np.abs(wc.centers[:, None] - wc.centers[None, :])
+    return np.count_nonzero(gaps < wc.radius, axis=1) <= wc.count_cap
+
+
 def test_classify_brute_equals_sweep(rng):
     ifs = get_builtin("sierpinski")
     words = stopping_words(ifs, math.sqrt(RHO))
+    n_bad = 0
     for theta in rng.uniform(0, math.pi, size=10):
-        a = classify_good_words(ifs, float(theta), words, RHO, c6=0.05, c9=math.sqrt(2), method="brute")
-        b = classify_good_words(ifs, float(theta), words, RHO, c6=0.05, c9=math.sqrt(2), method="sweep")
-        assert np.array_equal(a.good, b.good)
+        for c6 in (0.05, 2.0):
+            wc = classify_good_words(ifs, float(theta), words, RHO, c6=c6, c9=math.sqrt(2))
+            assert np.array_equal(wc.good, brute_good(wc))
+            n_bad += wc.n_bad
+    assert 0 < n_bad < 20 * len(words)  # both verdicts occur
 
 
 def test_classify_rejects_non_prefix_free():

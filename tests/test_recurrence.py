@@ -29,7 +29,7 @@ from ifsproj import (
     stopping_cylinders,
     two_letter_words,
 )
-from ifsproj.recurrence import SliceBuilder
+from ifsproj.recurrence import _longest_run
 from renormalize_oracle import renormalize_via_carrier
 
 
@@ -398,6 +398,31 @@ def test_projection_interval_sierpinski_y_axis():
     cert = certify_projection_interval(sier, 0.0, 1e-3)
     assert cert.certified
     assert cert.length >= 0.9
+
+
+def loop_longest_run(mask, coords):
+    """One pass over mask; a run replaces the best only when strictly longer."""
+    best, best_len, start = (0, 0), None, None
+    for j, v in enumerate(list(mask) + [False]):
+        if v and start is None:
+            start = j
+        elif not v and start is not None:
+            if best_len is None or coords[j] - coords[start] > best_len:
+                best, best_len = (start, j), coords[j] - coords[start]
+            start = None
+    return best
+
+
+def test_longest_run_matches_loop(rng):
+    masks = [np.zeros(0, bool), np.zeros(9, bool), np.ones(9, bool)]
+    masks += [np.array([1, 1, 0, 1, 1, 0, 1], bool), np.array([0, 1, 0, 1, 0], bool)]
+    masks += [rng.random(int(rng.integers(1, 40))) < p for p in rng.uniform(0.1, 0.9, 300)]
+    for mask in masks:
+        counts = np.arange(len(mask) + 1)
+        spans = np.cumsum(np.concatenate([[0.0], rng.integers(0, 3, len(mask)) * 0.25]))
+        for coords in (counts, spans):
+            assert _longest_run(mask, coords) == loop_longest_run(mask, coords), (mask, coords)
+    assert _longest_run(np.array([1, 1, 0, 1, 1], bool), np.arange(6)) == (0, 2)
 
 
 def test_projection_interval_recurrence_route(desk):

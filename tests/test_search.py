@@ -11,10 +11,10 @@ from ifsproj import (
     Perturbation,
     attractor_points,
     build_perturbed_ifs,
+    check_recurrence,
     closeness_report,
     compose,
     draw_assignment,
-    epsilon_distance,
     estimate_success_prob,
     get_builtin,
     hull_obstruction,
@@ -103,13 +103,14 @@ def test_search_accepts_on_recurrent_instance(recurrent_instance):
     assert out.omega0 is not None
     assert out.accepted_attempt == 0
     assert out.coverage == 1.0
-    assert out.check_report is not None and out.check_report.all_recurred
+    perturbed = build_perturbed_ifs(ifs, out.omega0, 1e-9, cand.rho)
+    assert check_recurrence(perturbed, cand).all_recurred
 
 
 def test_per_symbol_accepts_on_recurrent_instance(recurrent_instance):
     ifs, cand = recurrent_instance
     out = search_omega0(
-        ifs, cand, budget=10, seed=0, mode="per_symbol", c1=1e-9, epsilon=1e-9, run_check=False
+        ifs, cand, budget=10, seed=0, mode="per_symbol", c1=1e-9, epsilon=1e-9
     )
     assert out.omega0 is not None and out.coverage == 1.0
 
@@ -125,7 +126,7 @@ def test_estimate_success_prob(recurrent_instance):
 
 def test_probe_is_consistent_with_full_eval(recurrent_instance, rng):
     ifs, cand = recurrent_instance
-    tester = CoverageTester(ifs, cand, c1=0.5, epsilon=0.3)
+    tester = CoverageTester(ifs, cand, c1=0.5)
     a = draw_assignment(rng, ifs, 0.3)
     full, _ = tester.coverage(a)
     probe, _ = tester.coverage(a, tester.probe_idx)
@@ -134,7 +135,7 @@ def test_probe_is_consistent_with_full_eval(recurrent_instance, rng):
 
 def test_coverage_witnesses_reverify(recurrent_instance, rng):
     ifs, cand = recurrent_instance
-    tester = CoverageTester(ifs, cand, c1=0.5, epsilon=0.3)
+    tester = CoverageTester(ifs, cand, c1=0.5)
     a = draw_assignment(rng, ifs, 0.3)
     covered, witness = tester.coverage(a)
     maps = {
@@ -147,12 +148,12 @@ def test_coverage_witnesses_reverify(recurrent_instance, rng):
     for i in idx:
         g = words[witness[i]]
         th, tt = renormalize_arrays(g, tester.thetas[[i]], tester.ts[[i]])
-        assert member0.contains(th, tt, tester.slack)[0]
+        assert member0.contains(th, tt, cand.search_slack)[0]
 
 
 def test_search_is_deterministic(recurrent_instance):
     ifs, cand = recurrent_instance
-    kw = dict(budget=6, seed=11, c1=0.5, epsilon=0.3, run_check=False)
+    kw = dict(budget=6, seed=11, c1=0.5, epsilon=0.3)
     a = search_omega0(ifs, cand, mode="iid", **kw)
     b = search_omega0(ifs, cand, mode="iid", **kw)
     assert a.to_json_dict() == b.to_json_dict()
@@ -165,7 +166,7 @@ def test_search_reports_best_on_failure(recurrent_instance):
     ifs, cand = recurrent_instance
     # c1 large enough that random translations break coverage
     out = search_omega0(
-        ifs, cand, budget=4, seed=2, mode="iid", c1=2.0, epsilon=0.3, run_check=False
+        ifs, cand, budget=4, seed=2, mode="iid", c1=2.0, epsilon=0.3
     )
     if out.omega0 is None:
         assert out.best_assignment is not None
@@ -259,7 +260,7 @@ def test_farthest_lines_stay_uncovered(desk):
     probe-net line farthest from a perturbed attractor's hull is covered by
     no word, and neither is the farthest L line under the check rule."""
     cfg, cand, geom = desk.cfg, desk.cand, desk.geom
-    tester = CoverageTester(desk.ifs, cand, cfg.c1, cfg.epsilon)
+    tester = CoverageTester(desk.ifs, cand, cfg.c1)
     member = cand.membership("L")
     rng = np.random.default_rng(8)
     for _ in range(2):
