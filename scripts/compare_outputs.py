@@ -1,0 +1,169 @@
+"""Run a fixed set of ifsproj commands against two source trees and compare
+what they write.
+
+Usage: python3 scripts/compare_outputs.py OLD_SRC NEW_SRC [--work DIR]
+
+OLD_SRC and NEW_SRC are directories holding an `ifsproj` package (a
+checkout's `src/`). Every command runs once per tree, with that tree first on
+PYTHONPATH and the configs of this checkout. The commands:
+
+- `build-l` on configs/sierpinski.json, configs/four_corner.json, and
+  four_corner at rho 2^-7;
+- `scan` on configs/sierpinski.json;
+- `search` on configs/sierpinski.json at seed 1: iid with budget 300, and
+  per_symbol with budget 5;
+- `verify` on four_corner at rho 2^-7, seed 1, with the omega that
+  `bench/run.py` draws for seed 1;
+- `certify` at theta 0.7854 on the same system, with and without that omega.
+
+Outputs are compared as follows: `.npz` files by their unpacked arrays,
+`.json` files by value with `candidate_file` and `omega_file` removed (they
+name paths), and every other file by its bytes. Every differing file and
+JSON key is printed; the exit status is 1 on any difference, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import runpy
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SIERPINSKI = str(ROOT / "configs" / "sierpinski.json")
+FOUR_CORNER = str(ROOT / "configs" / "four_corner.json")
+FINE = ["--config", FOUR_CORNER, "--rho", repr(2.0**-7)]
+OMEGA = "omega.json"  # written into the work directory, next to each output
+
+COMMANDS = {
+    "build-l-sierpinski": ["build-l", "--config", SIERPINSKI],
+    "build-l-four-corner": ["build-l", "--config", FOUR_CORNER],
+    "build-l-four-corner-fine": ["build-l", *FINE],
+    "scan-sierpinski": ["scan", "--config", SIERPINSKI],
+    "search-iid": ["search", "--config", SIERPINSKI, "--seed", "1", "--mode", "iid", "--budget", "300"],
+    "search-per-symbol": [
+        "search", "--config", SIERPINSKI, "--seed", "1", "--mode", "per_symbol", "--budget", "5",
+    ],
+    "verify": ["verify", *FINE, "--seed", "1", "--omega", OMEGA],
+    "certify": ["certify", *FINE, "--theta", "0.7854"],
+    "certify-omega": ["certify", *FINE, "--theta", "0.7854", "--omega", OMEGA],
+}
+PATH_KEYS = ("candidate_file", "omega_file")
+
+
+def bench_omega() -> dict:
+    """The omega `bench/run.py` writes for four-corner-verify at seed 1."""
+    bench = runpy.run_path(str(ROOT / "bench" / "run.py"))
+    wl = bench["WORKLOADS"]["four-corner-verify"]
+    eps = json.loads((ROOT / wl.config).read_text())["constants"]["epsilon"]
+    return bench["draw_omega"](random.Random(1), wl.omega_symbols, eps)
+
+
+def run_all(src: Path, work: Path, side: str) -> dict[str, int]:
+    """Exit code of every command, run with src on PYTHONPATH; outputs go to
+    work/side/<command>, console output to work/logs/<side>-<command>.log."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    (work / "logs").mkdir(exist_ok=True)
+    codes = {}
+    for name, args in COMMANDS.items():
+        d = work / side / name
+        d.mkdir(parents=True)
+        print(f"[{side}] {name}", flush=True)
+        with open(work / "logs" / f"{side}-{name}.log", "w", encoding="utf-8") as log:
+            codes[name] = subprocess.run(
+                [sys.executable, "-m", "ifsproj.cli", *args, "--out", str(d)],
+                cwd=work,
+                env=env,
+                stdout=log,
+                stderr=subprocess.STDOUT,
+            ).returncode
+    return codes
+
+
+def json_diff(a, b, path: str) -> list[str]:
+    """Key paths at which two decoded JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for k in sorted(set(a) | set(b)):
+            p = f"{path}.{k}" if path else k
+            if k not in b:
+                out.append(f"{p}: only in old")
+            elif k not in a:
+                out.append(f"{p}: only in new")
+            else:
+                out += json_diff(a[k], b[k], p)
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (x, y) in enumerate(zip(a, b)) for d in json_diff(x, y, f"{path}[{i}]")]
+    return [] if json.dumps(a) == json.dumps(b) else [f"{path or '<root>'}: values differ"]
+
+
+def file_diff(old: Path, new: Path) -> list[str]:
+    if old.suffix == ".npz":
+        with np.load(old) as a, np.load(new) as b:
+            out = [f"{k}: only in {'old' if k in a else 'new'}" for k in sorted(set(a) ^ set(b))]
+            for k in sorted(set(a) & set(b)):
+                x, y = a[k], b[k]
+                if x.dtype != y.dtype or not np.array_equal(x, y):
+                    out.append(f"{k}: arrays differ")
+            return out
+    if old.suffix == ".json":
+        a, b = json.loads(old.read_text()), json.loads(new.read_text())
+        for d in (a, b):
+            for k in PATH_KEYS:
+                d.pop(k, None)
+        return json_diff(a, b, "")
+    return [] if old.read_bytes() == new.read_bytes() else ["bytes differ"]
+
+
+def compare(old: Path, new: Path) -> list[str]:
+    """One line per differing file or key under the two output trees."""
+    files = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
+    files |= {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
+    out = []
+    for rel in sorted(files):
+        if not (old / rel).exists() or not (new / rel).exists():
+            out.append(f"{rel}: only in {'new' if not (old / rel).exists() else 'old'}")
+            continue
+        out += [f"{rel}: {d}" for d in file_diff(old / rel, new / rel)]
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old_src", type=Path)
+    ap.add_argument("new_src", type=Path)
+    ap.add_argument("--work", type=Path, default=None, help="output directory (default: a new temp dir)")
+    args = ap.parse_args(argv)
+    for src in (args.old_src, args.new_src):
+        if not (src / "ifsproj" / "__init__.py").is_file():
+            ap.error(f"{src} holds no ifsproj package")
+    work = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs_"))
+    work.mkdir(parents=True, exist_ok=True)
+    (work / OMEGA).write_text(json.dumps(bench_omega(), indent=2, sort_keys=True) + "\n")
+
+    codes = {
+        side: run_all(src.resolve(), work, side)
+        for side, src in (("old", args.old_src), ("new", args.new_src))
+    }
+    diffs = [
+        f"{name}: exit code old {codes['old'][name]} new {codes['new'][name]}"
+        for name in COMMANDS
+        if codes["old"][name] or codes["new"][name]
+    ]
+    diffs += compare(work / "old", work / "new")
+    for d in diffs:
+        print(d)
+    print(f"{len(diffs)} difference(s); outputs in {work}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

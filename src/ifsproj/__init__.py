@@ -66,11 +66,9 @@ from .recurrence import (
     RecurrentCandidate,
     SliceBuilder,
     SliceParams,
-    SliceSet,
     SurvivalReport,
     attractor_points,
     build_candidate,
-    build_slice,
     certify_line,
     certify_projection_interval,
     check_recurrence,

@@ -110,19 +110,19 @@ class RunConfig:
         if self.grid_size is not None and not (isinstance(self.grid_size, int) and self.grid_size >= 1):
             raise ConfigError(f"grid_size: must be a positive integer, got {self.grid_size!r}")
 
-    def load_ifs_spec(self, check_containment: bool = True) -> IfsSpec:
+    def load_ifs_spec(self) -> IfsSpec:
         src = self.ifs
         if isinstance(src, str):
             if src in BUILTIN:
                 return get_builtin(src)
             try:
-                return load_ifs(src, check_containment=check_containment)
+                return load_ifs(src)
             except FileNotFoundError:
                 raise ConfigError(
                     f"ifs: {src!r} is neither a builtin ({', '.join(sorted(BUILTIN))}) nor a readable file"
                 ) from None
         if isinstance(src, dict):
-            return ifs_from_json_dict(src, check_containment=check_containment)
+            return ifs_from_json_dict(src)
         raise ConfigError(f"ifs: expected a name, path, or inline spec, got {type(src).__name__}")
 
     @property
@@ -150,11 +150,8 @@ class RunConfig:
             dimension=d,
             c9=c9,
             c10=c10,
-            c7=c7,
-            n_required=n_required,
             delta=self.delta_value(),
             slice_params=SliceParams(
-                rho=self.rho,
                 epsilon=self.epsilon,
                 c7=c7,
                 n_phi=self.n_phi,
@@ -177,8 +174,6 @@ class ResolvedConstants:
     dimension: float
     c9: float
     c10: float
-    c7: float
-    n_required: int
     delta: float
     slice_params: SliceParams
 

@@ -195,12 +195,14 @@ def default_partition(alphabet: Sequence[str]) -> tuple[tuple[str, ...], tuple[s
     return tuple(alphabet[:k]), tuple(alphabet[k:])
 
 
+_CONTAINMENT_TOL = 1e-9  # how far a map may send a corner of I outside I
+
+
 def make_ifs(
     maps: Mapping[str, Similarity],
     part_one: Sequence[str] | None = None,
     alphabet: Sequence[str] | None = None,
     check_containment: bool = True,
-    containment_tol: float = 1e-9,
 ) -> IfsSpec:
     """Assemble an IfsSpec, optionally verifying f_a(I) within the unit square.
 
@@ -221,7 +223,7 @@ def make_ifs(
     outside = []
     for a in spec.alphabet:
         corners = cylinder_square(spec, (a,)).corners()
-        if corners.min() < -containment_tol or corners.max() > 1.0 + containment_tol:
+        if corners.min() < -_CONTAINMENT_TOL or corners.max() > 1.0 + _CONTAINMENT_TOL:
             outside.append(a)
     if outside:
         msg = f"maps {outside} send the unit square outside itself"
@@ -231,7 +233,7 @@ def make_ifs(
     return spec
 
 
-def ifs_from_json_dict(data: Mapping, check_containment: bool = True) -> IfsSpec:
+def ifs_from_json_dict(data: Mapping) -> IfsSpec:
     """Parse the on-disk IFS description (see README for the schema)."""
     for field in ("alphabet", "maps"):
         if not isinstance(data, Mapping) or field not in data:
@@ -253,13 +255,13 @@ def ifs_from_json_dict(data: Mapping, check_containment: bool = True) -> IfsSpec
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"maps: bad entry for symbol {a!r}: {exc}") from exc
     part_one = data.get("part_one")
-    return make_ifs(maps, part_one=part_one, alphabet=alphabet, check_containment=check_containment)
+    return make_ifs(maps, part_one=part_one, alphabet=alphabet)
 
 
-def load_ifs(path: str, check_containment: bool = True) -> IfsSpec:
+def load_ifs(path: str) -> IfsSpec:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return ifs_from_json_dict(data, check_containment=check_containment)
+    return ifs_from_json_dict(data)
 
 
 def compose_word(ifs: IfsSpec, w: str | Iterable[str]) -> Similarity:

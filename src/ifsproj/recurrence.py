@@ -61,35 +61,43 @@ class GridGeometry:
     def t_values(self) -> np.ndarray:
         return np.arange(-self.m, self.m + 1) * self.pitch
 
-    def row_of(self, theta: float) -> int:
-        return int(round(theta / self.pitch)) % self.n_theta
+
+def _pad_wrapped(grid: np.ndarray, k: int) -> np.ndarray:
+    """grid with k rows added at each theta end: the rows that continue it
+    past pi and below 0, which are the far end's rows with t negated."""
+    return np.concatenate([grid[-k:, ::-1], grid, grid[:k, ::-1]], axis=0)
 
 
 class GridMembership:
     """Slack-window membership queries against one boolean grid.
 
-    A point (theta, t) is a member when some true cell center (theta_i, t_j)
-    satisfies |theta_i - theta| <= slack and |t_j - t| <= slack. Windows
-    crossing theta = 0 or pi continue on the other end with t negated. The
-    test is exact in index space (integral image), so re-checks reproduce it
-    bit for bit.
+    A point (theta, t), with theta canonical in [0, pi], is a member when
+    some true cell center (theta_i, t_j) satisfies |theta_i - theta| <= slack
+    and |t_j - t| <= slack. Windows crossing theta = 0 or pi continue on the
+    other end with t negated: the grid is padded once with its mirrored end
+    rows, so each query is one rectangle. The test is exact in index space
+    (integral image), so re-checks reproduce it bit for bit.
     """
 
     _TOL = 1e-9  # index-space guard so boundary offsets stay included
 
-    def __init__(self, geom: GridGeometry, grid: np.ndarray):
+    def __init__(self, geom: GridGeometry, grid: np.ndarray, slack: float):
         if grid.shape != (geom.n_theta, geom.n_t):
             raise ValueError(f"grid shape {grid.shape} != {(geom.n_theta, geom.n_t)}")
         self.geom = geom
-        self.grid = grid
-        sat = np.zeros((geom.n_theta + 1, geom.n_t + 1), dtype=np.int64)
-        np.cumsum(grid, axis=0, dtype=np.int64, out=sat[1:, 1:])
+        self.slack = slack
+        # rows a window around a canonical theta can reach past either end
+        self._pad = math.ceil(slack / geom.pitch) + 1
+        padded = _pad_wrapped(grid, self._pad)
+        sat = np.zeros((padded.shape[0] + 1, geom.n_t + 1), dtype=np.int64)
+        np.cumsum(padded, axis=0, dtype=np.int64, out=sat[1:, 1:])
         np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
         self._sat = sat
 
     def _rect_count(self, r1, r2, c1, c2):
-        """Inclusive index-window counts; empty or off-grid windows count 0."""
-        n, n_t = self.geom.n_theta, self.geom.n_t
+        """Inclusive index-window counts on the padded grid; empty or off-grid
+        windows count 0."""
+        n, n_t = self._sat.shape[0] - 1, self.geom.n_t
         r1c = np.clip(r1, 0, n - 1)
         r2c = np.clip(r2, 0, n - 1)
         c1c = np.clip(c1, 0, n_t - 1)
@@ -99,29 +107,15 @@ class GridMembership:
         cnt = s[r2c + 1, c2c + 1] - s[r1c, c2c + 1] - s[r2c + 1, c1c] + s[r1c, c1c]
         return np.where(ok, cnt, 0)
 
-    def contains(self, thetas: np.ndarray, ts: np.ndarray, slack: float) -> np.ndarray:
+    def contains(self, thetas: np.ndarray, ts: np.ndarray) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        h, m, n = self.geom.pitch, self.geom.m, self.geom.n_theta
-        tol = self._TOL
-        r1 = np.ceil((thetas - slack) / h - tol).astype(np.int64)
-        r2 = np.floor((thetas + slack) / h + tol).astype(np.int64)
+        h, m, slack, tol = self.geom.pitch, self.geom.m, self.slack, self._TOL
+        r1 = np.ceil((thetas - slack) / h - tol).astype(np.int64) + self._pad
+        r2 = np.floor((thetas + slack) / h + tol).astype(np.int64) + self._pad
         c1 = np.ceil((ts - slack) / h - tol).astype(np.int64) + m
         c2 = np.floor((ts + slack) / h + tol).astype(np.int64) + m
-        count = self._rect_count(np.maximum(r1, 0), np.minimum(r2, n - 1), c1, c2)
-        # mirrored continuation below theta = 0: (theta + pi, -t)
-        mc1, mc2 = 2 * m - c2, 2 * m - c1
-        low = r1 < 0
-        if low.any():
-            count = count + np.where(
-                low, self._rect_count(r1 + n, np.full_like(r2, n - 1), mc1, mc2), 0
-            )
-        high = r2 > n - 1
-        if high.any():
-            count = count + np.where(
-                high, self._rect_count(np.zeros_like(r1), r2 - n, mc1, mc2), 0
-            )
-        return count > 0
+        return self._rect_count(r1, r2, c1, c2) > 0
 
 
 @dataclass(frozen=True)
@@ -129,7 +123,6 @@ class SliceParams:
     """Knobs of the slice test. n_phi is kept odd so the unperturbed rotation
     sits at a cell center; phi cells tile (-epsilon, epsilon)."""
 
-    rho: float
     epsilon: float
     c7: float
     n_phi: int = 33
@@ -153,37 +146,6 @@ class SliceParams:
     def required_run(self) -> int:
         """Cells in a phi-run whose measure strictly exceeds c7."""
         return int(math.floor(self.c7 / self.phi_cell_width)) + 1
-
-
-@dataclass
-class SliceSet:
-    """One theta-slice of the candidate: membership over the t-grid plus,
-    when built with detail, enough per-symbol data to reconstruct witnesses."""
-
-    theta: float
-    t_grid: np.ndarray
-    member: np.ndarray
-    symbols: tuple[str, ...] = ()
-    qualifies: np.ndarray | None = None  # (n_a1, n_t)
-    phi_pass: np.ndarray | None = None  # (n_a1, n_phi, n_t)
-    phi_centers: np.ndarray | None = None
-
-    def phi_cell_counts(self) -> np.ndarray:
-        """Diagnostic: number of passing rotation cells per (symbol, t)."""
-        if self.phi_pass is None:
-            raise ValueError("slice was built without detail")
-        return self.phi_pass.sum(axis=1)
-
-    def witness_words(self, j: int) -> list[tuple[str, np.ndarray]]:
-        """For t-grid index j, the qualifying first-block symbols with their
-        passing rotation angles."""
-        if self.qualifies is None or self.phi_pass is None:
-            raise ValueError("slice was built without detail")
-        out = []
-        for i, a in enumerate(self.symbols):
-            if self.qualifies[i, j]:
-                out.append((a, self.phi_centers[self.phi_pass[i, :, j]]))
-        return out
 
 
 class SliceBuilder:
@@ -231,20 +193,15 @@ class SliceBuilder:
                     self.angle_g[i, p, q] = g.angle
                     self.tau_g[i, p, q] = g.translation
 
-    def row_member(self, row: int, detail: bool = False) -> SliceSet:
+    def row_member(self, row: int) -> np.ndarray:
+        """The slice test's member mask over the t-grid of one row."""
         geom, params = self.geom, self.params
         theta = row * geom.pitch
         n_phi = self.angle_g.shape[1]
         n_t, m, h = geom.n_t, geom.m, geom.pitch
-        empty = SliceSet(
-            theta=theta,
-            t_grid=geom.t_values(),
-            member=np.zeros(n_t, dtype=bool),
-            symbols=tuple(self.a1),
-        )
         R = params.required_run
         if not self.E.member[row] or R > n_phi:
-            return empty
+            return np.zeros(n_t, dtype=bool)
 
         nv = np.array([-math.sin(theta), math.cos(theta)])
         shift = self.tau_g @ nv
@@ -261,44 +218,21 @@ class SliceBuilder:
         j = np.arange(n_t)
         phi_pass = (arg_ok[..., None] & (lo[..., None] <= j) & (j <= hi[..., None])).any(axis=2)
         qualifies = sliding_window_view(phi_pass, R, axis=1).all(axis=-1).any(axis=1)
-        member = qualifies.sum(axis=0) >= params.n_required
-        out = SliceSet(
-            theta=theta, t_grid=geom.t_values(), member=member, symbols=tuple(self.a1)
-        )
-        if detail:
-            out.qualifies, out.phi_pass = qualifies, phi_pass
-            out.phi_centers = params.phi_centers()
-        return out
+        return qualifies.sum(axis=0) >= params.n_required
 
     def all_rows(self) -> np.ndarray:
         L0 = np.zeros((self.geom.n_theta, self.geom.n_t), dtype=bool)
         for row in self.E.member_rows():
-            L0[row] = self.row_member(int(row)).member
+            L0[row] = self.row_member(int(row))
         return L0
-
-
-def build_slice(
-    ifs: IfsSpec,
-    theta: float,
-    E: DirectionSet,
-    params: SliceParams,
-    geom: GridGeometry | None = None,
-    detail: bool = True,
-) -> SliceSet:
-    """The t-slice of the candidate at the grid row nearest to theta."""
-    if geom is None:
-        geom = GridGeometry(n_theta=len(E.theta_grid))
-    return SliceBuilder(ifs, E, geom, params).row_member(geom.row_of(theta), detail=detail)
 
 
 def _dilate_wrapped(mask: np.ndarray, k: int) -> np.ndarray:
     """Sup-metric dilation by k cells; the theta axis wraps with t negated."""
     if k <= 0:
         return mask.copy()
-    top = mask[-k:, ::-1]
-    bottom = mask[:k, ::-1]
-    padded = np.concatenate([top, mask, bottom], axis=0)
-    padded = maximum_filter1d(padded.view(np.uint8), size=2 * k + 1, axis=0, mode="constant")
+    padded = _pad_wrapped(mask, k).view(np.uint8)
+    padded = maximum_filter1d(padded, size=2 * k + 1, axis=0, mode="constant")
     out = maximum_filter1d(padded[k:-k], size=2 * k + 1, axis=1, mode="constant")
     return out.astype(bool)
 
@@ -341,9 +275,6 @@ class RecurrentCandidate:
     def core_points(self) -> tuple[np.ndarray, np.ndarray]:
         rows, cols = np.nonzero(self.L)
         return rows * self.geom.pitch, (cols - self.geom.m) * self.geom.pitch
-
-    def membership(self, which: str) -> GridMembership:
-        return GridMembership(self.geom, getattr(self, which))
 
     def save(self, path: str):
         np.savez_compressed(
@@ -419,11 +350,10 @@ def first_witness(
     thetas: np.ndarray,
     ts: np.ndarray,
     member: GridMembership,
-    slack: float,
 ) -> np.ndarray:
     """For each line (theta, t), the index of the first word g whose
-    renormalization T_g sends it to within slack of a set cell of member, as
-    int16; -1 where no word does.
+    renormalization T_g sends it into member (within its slack), as int16;
+    -1 where no word does.
 
     Each word is evaluated only on the lines that no earlier word has sent
     home.
@@ -434,7 +364,7 @@ def first_witness(
         if not len(rem):
             break
         th_hat, t_hat = renormalize_arrays(g, thetas[rem], ts[rem])
-        hit = member.contains(th_hat, t_hat, slack)
+        hit = member.contains(th_hat, t_hat)
         witness[rem[hit]] = w_i
         rem = rem[~hit]
     return witness
@@ -445,7 +375,7 @@ class RecurrenceReport:
     total: int
     recurred: int
     slack: float
-    per_word_hits: dict[str, int]
+    witness_counts: dict[str, int]
     failures: list[dict] = field(default_factory=list)
     witnesses: list[dict] = field(default_factory=list)
 
@@ -463,47 +393,37 @@ class RecurrenceReport:
             "recurred": self.recurred,
             "fraction": self.fraction,
             "slack": self.slack,
-            "per_word_hits": self.per_word_hits,
+            "witness_counts": self.witness_counts,
             "failures": self.failures,
             "witnesses": self.witnesses,
         }
 
 
 _MAX_FAILURES = 100  # failing cells listed in a recurrence report
+_MAX_WITNESSES = 20  # recurring cells listed with their first word
 
 
-def check_recurrence(
-    perturbed: IfsSpec, cand: RecurrentCandidate, max_witnesses: int = 20
-) -> RecurrenceReport:
+def check_recurrence(perturbed: IfsSpec, cand: RecurrentCandidate) -> RecurrenceReport:
     """Does every L-grid cell map back into L (within the check rule's slack,
     `RecurrentCandidate.check_slack`) under some two-letter word of the
     perturbed system? Failures are data, not errors.
 
-    Unlike `first_witness`, every word is evaluated on every cell, because
-    `per_word_hits` counts all the cells each word sends home.
+    `witness_counts` counts, per word, the cells whose first witness it is;
+    the counts sum to `recurred`.
     """
-    slack = cand.check_slack
     thetas, ts = cand.core_points()
-    n = len(thetas)
-    member = cand.membership("L")
-    recurred = np.zeros(n, dtype=bool)
-    witness_idx = np.full(n, -1, dtype=np.int16)
+    member = GridMembership(cand.geom, cand.L, cand.check_slack)
     words = two_letter_words(perturbed.alphabet, perturbed.maps)
-    per_word = {}
-    for w_i, (word, g) in enumerate(words):
-        th_hat, t_hat = renormalize_arrays(g, thetas, ts)
-        hit = member.contains(th_hat, t_hat, slack)
-        per_word["".join(word)] = int(np.count_nonzero(hit))
-        witness_idx[hit & ~recurred] = w_i
-        recurred |= hit
-    fail_idx = np.flatnonzero(~recurred)
+    witness = first_witness([g for _, g in words], thetas, ts, member)
+    recurred = witness >= 0
+    counts = np.bincount(witness[recurred], minlength=len(words))
     failures = [
-        {"theta": float(thetas[i]), "t": float(ts[i])} for i in fail_idx[:_MAX_FAILURES]
+        {"theta": float(thetas[i]), "t": float(ts[i])}
+        for i in np.flatnonzero(~recurred)[:_MAX_FAILURES]
     ]
-    wit_idx = np.flatnonzero(recurred)[:max_witnesses]
     witnesses = []
-    for i in wit_idx:
-        word, g = words[witness_idx[i]]
+    for i in np.flatnonzero(recurred)[:_MAX_WITNESSES]:
+        word, g = words[witness[i]]
         th_hat, t_hat = renormalize_arrays(g, thetas[i : i + 1], ts[i : i + 1])
         witnesses.append(
             {
@@ -514,10 +434,10 @@ def check_recurrence(
             }
         )
     return RecurrenceReport(
-        total=n,
+        total=len(thetas),
         recurred=int(np.count_nonzero(recurred)),
-        slack=float(slack),
-        per_word_hits=per_word,
+        slack=float(member.slack),
+        witness_counts={"".join(w): int(c) for (w, _), c in zip(words, counts)},
         failures=failures,
         witnesses=witnesses,
     )
@@ -537,24 +457,26 @@ class SurvivalReport:
         return len(self.surviving_counts) - 1
 
 
+_SQUARE_TOL = 1e-12  # inflation of cylinder squares in the line test
+_MAX_SURVIVORS = 1000  # surviving words listed in a survival report
+
+
 def certify_line(
     ifs: IfsSpec,
     line: Line,
     max_depth: int,
     budget: int | None = None,
-    tol: float = 1e-12,
-    max_survivors: int = 1000,
 ) -> SurvivalReport:
     """Breadth-first survival of cylinders meeting the line.
 
     An empty level certifies K does not meet the line (squares are inflated
-    by tol, so the verdict survives roundoff). A nonempty front at max_depth
-    is only evidence of intersection, not proof. budget caps the population
-    of any single level.
+    by _SQUARE_TOL, so the verdict survives roundoff). A nonempty front at
+    max_depth is only evidence of intersection, not proof. budget caps the
+    population of any single level.
     """
     identity = Similarity(ratio=1.0, angle=0.0, reflect=False, translation=(0.0, 0.0))
     front: list[tuple[Word, Similarity]] = [((), identity)]
-    if not line_square_intersects(line, map_square(identity), tol=tol):
+    if not line_square_intersects(line, map_square(identity), tol=_SQUARE_TOL):
         front = []
     counts = [len(front)]
     for _ in range(max_depth):
@@ -564,7 +486,7 @@ def certify_line(
         for w, g in front:
             for a in ifs.alphabet:
                 child = compose(g, ifs.maps[a])
-                if line_square_intersects(line, map_square(child), tol=tol):
+                if line_square_intersects(line, map_square(child), tol=_SQUARE_TOL):
                     nxt.append((w + (a,), child))
             if budget is not None and len(nxt) > budget:
                 raise BudgetExceeded(
@@ -573,7 +495,7 @@ def certify_line(
                         line=line,
                         surviving_counts=counts,
                         verdict="budget_exhausted",
-                        survivors=[w for w, _ in nxt[:max_survivors]],
+                        survivors=[w for w, _ in nxt[:_MAX_SURVIVORS]],
                     ),
                 )
         front = nxt
@@ -583,7 +505,7 @@ def certify_line(
         line=line,
         surviving_counts=counts,
         verdict=verdict,
-        survivors=[w for w, _ in front[:max_survivors]],
+        survivors=[w for w, _ in front[:_MAX_SURVIVORS]],
     )
 
 
@@ -665,8 +587,10 @@ def certify_projection_interval(
 
     When a candidate grid is supplied, the longest run of L-cells in the row
     nearest theta, all of which recur into L under ifs, is reported as a
-    second, independent certificate. Pass the prebuilt L membership when
-    certifying several angles against one candidate.
+    second, independent certificate, in the offsets of theta itself: a row
+    reached an odd number of half-turns away names the line with t negated.
+    Pass the prebuilt L membership (with the check slack) when certifying
+    several angles against one candidate.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
@@ -682,16 +606,16 @@ def certify_projection_interval(
     rec_interval, rec_len, rec_ok = None, 0.0, None
     if candidate is not None:
         geom = candidate.geom
-        row = geom.row_of(theta)
+        turns, row = divmod(int(round(theta / geom.pitch)), geom.n_theta)
         row_cells = candidate.L[row].copy()
         cols = np.flatnonzero(row_cells)
         if len(cols):
             if membership is None:
-                membership = candidate.membership("L")
+                membership = GridMembership(geom, candidate.L, candidate.check_slack)
             words = [g for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
             th = np.full(len(cols), row * geom.pitch)
             tt = (cols - geom.m) * geom.pitch
-            rec = first_witness(words, th, tt, membership, candidate.check_slack) >= 0
+            rec = first_witness(words, th, tt, membership) >= 0
             row_cells[cols[~rec]] = False
         best_start, stop = _longest_run(row_cells, np.arange(geom.n_t + 1))
         best_run = stop - best_start
@@ -699,6 +623,8 @@ def certify_projection_interval(
         if best_run:
             lo_t = (best_start - geom.m) * geom.pitch
             rec_interval = (float(lo_t), float(lo_t + rec_len))
+            if turns % 2:
+                rec_interval = (-rec_interval[1], -rec_interval[0])
         rec_ok = rec_len >= min_len
     return IntervalCertificate(
         theta=float(theta),

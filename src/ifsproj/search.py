@@ -144,7 +144,7 @@ class CoverageTester:
         self.cand = cand
         self.c1 = c1
         self.thetas, self.ts = cand.delta_points()
-        self.member0 = GridMembership(cand.geom, cand.L0)
+        self.member0 = GridMembership(cand.geom, cand.L0, cand.search_slack)
         n = len(self.thetas)
         self.probe_idx = np.arange(0, n, max(1, n // _PROBE_SIZE))
 
@@ -159,9 +159,7 @@ class CoverageTester:
         given subset of Delta (default: all of it)."""
         idx = slice(None) if indices is None else indices
         words = _perturbed_words(self.ifs, assignment, self.c1, self.cand.rho)
-        witness = first_witness(
-            words, self.thetas[idx], self.ts[idx], self.member0, self.cand.search_slack
-        )
+        witness = first_witness(words, self.thetas[idx], self.ts[idx], self.member0)
         return witness >= 0, witness
 
 
@@ -205,16 +203,16 @@ def estimate_success_prob(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     geom = cand.geom
-    if not GridMembership(geom, cand.L1).contains([u.theta], [u.t], geom.pitch)[0]:
+    if not GridMembership(geom, cand.L1, geom.pitch).contains([u.theta], [u.t])[0]:
         raise ValueError(f"line (theta={u.theta}, t={u.t}) is not on the probe net")
-    member0 = GridMembership(geom, cand.L0)
+    member0 = GridMembership(geom, cand.L0, cand.search_slack)
     rng = np.random.default_rng(seed)
     th = np.array([u.theta])
     tt = np.array([u.t])
     hits = 0
     for _ in range(samples):
         words = _perturbed_words(ifs, draw_assignment(rng, ifs, epsilon), c1, cand.rho)
-        hits += int(first_witness(words, th, tt, member0, cand.search_slack)[0] >= 0)
+        hits += int(first_witness(words, th, tt, member0)[0] >= 0)
     return hits / samples
 
 

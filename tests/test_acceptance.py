@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ifsproj import (
+    GridMembership,
     Line,
     OmegaAssignment,
     RunConfig,
@@ -412,7 +413,7 @@ def test_criterion_08_end_to_end_search(desk, tmp_path, emit):
         closeness = closeness_report(desk.ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0)
         thetas = _sample_e_rows(desk.E, desk.cand, cfg.n_theta_sample, cfg.seed)
         pts = attractor_points(perturbed, cfg.cert_resolution / 2.0, budget=cfg.word_budget)
-        membership = desk.cand.membership("L")
+        membership = GridMembership(desk.geom, desk.cand.L, desk.cand.check_slack)
         certs = [
             certify_projection_interval(
                 perturbed, float(th), cfg.cert_resolution, budget=cfg.word_budget,

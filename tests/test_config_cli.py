@@ -20,8 +20,8 @@ def test_defaults_resolve():
     assert cfg.delta_value() == pytest.approx(math.sqrt(cfg.rho) / 8)
     res = cfg.resolve()
     assert res.c9 == pytest.approx(math.sqrt(2.0))
-    assert res.n_required >= 1
-    assert res.c7 > 0 and res.c10 > 0
+    assert res.slice_params.n_required >= 1
+    assert res.slice_params.c7 > 0 and res.c10 > 0
 
 
 @pytest.mark.parametrize(
@@ -233,16 +233,16 @@ def test_build_l_slice_constants_and_degenerate_warning(tmp_path, capsys, c7):
     cfg = coarse_config(tmp_path, constants=constants)
     assert main(["build-l", "--config", cfg]) == 0
     summary = json.loads((tmp_path / "out" / "candidate.json").read_text())
-    res = load_config(cfg).resolve()
+    sp = load_config(cfg).resolve().slice_params
     width = 2.0 * 0.3 / 33
-    assert summary["c7"] == res.c7 == (res.c7 if c7 is None else c7)
+    assert summary["c7"] == sp.c7 == (sp.c7 if c7 is None else c7)
     assert summary["phi_cell_width"] == pytest.approx(width, rel=1e-15)
-    assert summary["required_run"] == math.floor(res.c7 / width) + 1
-    assert summary["n_required"] == res.n_required
+    assert summary["required_run"] == math.floor(sp.c7 / width) + 1
+    assert summary["n_required"] == sp.n_required
     err = capsys.readouterr().err
     if c7 is None:
         # the derived c7 is far below one phi cell: runs of one cell suffice
-        assert res.c7 < width and summary["required_run"] == 1
+        assert sp.c7 < width and summary["required_run"] == 1
         assert "warning: c7" in err and "smaller than one phi cell" in err
     else:
         assert summary["required_run"] == 3

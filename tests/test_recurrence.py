@@ -11,9 +11,10 @@ from ifsproj import (
     Perturbation,
     RecurrentCandidate,
     Similarity,
+    SliceBuilder,
     SliceParams,
+    attractor_points,
     build_E,
-    build_slice,
     certify_line,
     certify_projection_interval,
     check_recurrence,
@@ -30,6 +31,7 @@ from ifsproj import (
     two_letter_words,
 )
 from ifsproj.recurrence import _longest_run
+from membership_oracle import ThreeRectMembership
 from renormalize_oracle import renormalize_via_carrier
 
 
@@ -79,40 +81,69 @@ def test_grid_geometry():
     assert geom.pitch == pytest.approx(math.pi / 100)
     assert geom.n_t == 2 * geom.m + 1
     assert geom.t_values()[geom.m] == 0.0
-    assert geom.row_of(0.0) == 0
-    assert geom.row_of(geom.pitch * 3.4) == 3
-    assert geom.row_of(math.pi - 1e-9) == 0  # wraps
 
 
 def test_membership_basic_window():
     geom = GridGeometry(50, t_max=1.0)
     grid = np.zeros((geom.n_theta, geom.n_t), dtype=bool)
     grid[10, geom.m + 4] = True
-    mem = GridMembership(geom, grid)
+    half = GridMembership(geom, grid, geom.pitch / 2)
     th = 10 * geom.pitch
     tt = 4 * geom.pitch
-    assert mem.contains([th], [tt], geom.pitch / 2)[0]
-    assert mem.contains([th + 0.4 * geom.pitch], [tt], geom.pitch / 2)[0]
-    assert not mem.contains([th + 2.0 * geom.pitch], [tt], geom.pitch / 2)[0]
+    assert half.contains([th], [tt])[0]
+    assert half.contains([th + 0.4 * geom.pitch], [tt])[0]
+    assert not half.contains([th + 2.0 * geom.pitch], [tt])[0]
     # boundary is inclusive: a query exactly slack away still counts
-    assert mem.contains([th], [tt + geom.pitch], geom.pitch)[0]
+    assert GridMembership(geom, grid, geom.pitch).contains([th], [tt + geom.pitch])[0]
 
 
 def test_membership_wraps_with_t_flip():
     geom = GridGeometry(40, t_max=1.0)
     grid = np.zeros((geom.n_theta, geom.n_t), dtype=bool)
     grid[0, geom.m + 7] = True  # theta = 0, t = 7h
-    mem = GridMembership(geom, grid)
+    mem = GridMembership(geom, grid, geom.pitch)
     # just below pi is the same line with t negated
     th = math.pi - 0.3 * geom.pitch
-    assert mem.contains([th], [-7 * geom.pitch], geom.pitch)[0]
-    assert not mem.contains([th], [7 * geom.pitch], geom.pitch)[0]
+    assert mem.contains([th], [-7 * geom.pitch])[0]
+    assert not mem.contains([th], [7 * geom.pitch])[0]
+
+
+@pytest.mark.parametrize("n_theta,t_max,density", [(61, 1.2, 0.05), (40, 1.0, 0.3)])
+def test_membership_matches_three_rect_oracle(rng, n_theta, t_max, density):
+    """One padded rectangle per query answers as the unpadded grid with a
+    mirrored second rectangle at the wrap did, at the slacks the pipeline
+    uses (pitch, rho/2 = 2.0000003 pitch at the desk constants) and beyond."""
+    geom = GridGeometry(n_theta, t_max=t_max)
+    h, m = geom.pitch, geom.m
+    grid = rng.random((geom.n_theta, geom.n_t)) < density
+    n = 2000
+    for slack in (h / 2, h, 2.0000003 * h, 2.5 * h):
+        thetas = np.concatenate(
+            [rng.uniform(0.0, math.pi, n), rng.uniform(0.0, h, n), rng.uniform(math.pi - h, math.pi, n)]
+        )
+        ts = rng.uniform(-t_max - 3 * slack, t_max + 3 * slack, 3 * n)
+        # exactly one slack (or none) from a set cell's center in each coordinate
+        rows, cols = np.nonzero(grid)
+        pick = rng.integers(len(rows), size=n)
+        a, b = rng.choice([-1.0, 0.0, 1.0], size=(2, n))
+        th_edge = rows[pick] * h + a * slack
+        t_edge = (cols[pick] - m) * h + b * slack
+        # canonical theta: below 0 is the line (theta + pi, -t)
+        below = th_edge < 0
+        th_edge[below] += math.pi
+        t_edge[below] *= -1
+        thetas, ts = np.concatenate([thetas, th_edge]), np.concatenate([ts, t_edge])
+
+        got = GridMembership(geom, grid, slack).contains(thetas, ts)
+        want = ThreeRectMembership(geom, grid).contains(thetas, ts, slack)
+        assert np.array_equal(got, want), slack
+        assert got.any() and not got.all()
 
 
 def test_slice_params_validation():
     with pytest.raises(ValueError):
-        SliceParams(rho=0.01, epsilon=0.3, c7=1e-4, n_phi=10)
-    p = SliceParams(rho=0.01, epsilon=0.3, c7=0.07, n_phi=9)
+        SliceParams(epsilon=0.3, c7=1e-4, n_phi=10)
+    p = SliceParams(epsilon=0.3, c7=0.07, n_phi=9)
     w = 2 * 0.3 / 9
     assert p.phi_cell_width == pytest.approx(w)
     assert p.required_run == int(0.07 / w) + 1 == 2
@@ -173,38 +204,22 @@ def coarse_turned():
 @pytest.mark.parametrize("c7,n_phi", [(1e-3, 9), (0.07, 9)])
 def test_slice_matches_brute_force(coarse_four_corner, coarse_turned, c7, n_phi):
     for ifs, rho, geom, E in (coarse_four_corner, coarse_turned):
-        params = SliceParams(rho=rho, epsilon=0.3, c7=c7, n_phi=n_phi)
+        params = SliceParams(epsilon=0.3, c7=c7, n_phi=n_phi)
+        builder = SliceBuilder(ifs, E, geom, params)
         for row in (0, 7, 23, 44):
-            s = build_slice(ifs, row * geom.pitch, E, params, geom=geom, detail=False)
+            member = builder.row_member(row)
             brute = brute_slice_row(ifs, row, E, geom, params)
-            assert s.member.any() or not E.member[row]
-            assert np.array_equal(s.member, brute), f"row {row}"
+            assert member.any() or not E.member[row]
+            assert np.array_equal(member, brute), f"row {row}"
 
 
 def test_slice_monotone_in_c7(coarse_four_corner):
     ifs, rho, geom, E = coarse_four_corner
-    loose = SliceParams(rho=rho, epsilon=0.3, c7=1e-4, n_phi=9)
-    tight = SliceParams(rho=rho, epsilon=0.3, c7=0.12, n_phi=9)
+    loose = SliceBuilder(ifs, E, geom, SliceParams(epsilon=0.3, c7=1e-4, n_phi=9))
+    tight = SliceBuilder(ifs, E, geom, SliceParams(epsilon=0.3, c7=0.12, n_phi=9))
     for row in (3, 19, 50):
-        a = build_slice(ifs, row * geom.pitch, E, params=loose, geom=geom, detail=False)
-        b = build_slice(ifs, row * geom.pitch, E, params=tight, geom=geom, detail=False)
         # decreasing c7 never removes members
-        assert not np.any(b.member & ~a.member)
-
-
-def test_slice_witnesses_and_phi_counts(coarse_four_corner):
-    ifs, rho, geom, E = coarse_four_corner
-    params = SliceParams(rho=rho, epsilon=0.3, c7=1e-3, n_phi=9)
-    theta = float(np.flatnonzero(E.member)[3]) * geom.pitch
-    s = build_slice(ifs, theta, E, params, geom=geom, detail=True)
-    counts = s.phi_cell_counts()
-    assert counts.shape == (len(ifs.part_one), geom.n_t)
-    j = int(np.flatnonzero(s.member)[0])
-    ws = s.witness_words(j)
-    assert ws and all(len(angles) >= params.required_run for _, angles in ws)
-    nodetail = build_slice(ifs, theta, E, params, geom=geom, detail=False)
-    with pytest.raises(ValueError):
-        nodetail.witness_words(j)
+        assert not np.any(tight.row_member(row) & ~loose.row_member(row))
 
 
 # --- candidate assembly and persistence ---
@@ -261,23 +276,23 @@ def test_single_far_line_fails():
 
 
 def test_witnesses_reverify(desk):
-    rep = check_recurrence(desk.ifs, desk.cand, max_witnesses=50)
-    assert rep.witnesses
-    mem = desk.cand.membership("L")
+    rep = check_recurrence(desk.ifs, desk.cand)
+    assert len(rep.witnesses) == 20
+    mem = GridMembership(desk.geom, desk.cand.L, desk.cand.check_slack)
     for wit in rep.witnesses:
         v = renormalize_word(desk.ifs, wit["word"], Line(wit["theta"], wit["t"]))
-        assert mem.contains([v.theta], [v.t], desk.cand.rho / 2.0)[0]
+        assert mem.contains([v.theta], [v.t])[0]
         assert v.theta == pytest.approx(wit["image"]["theta"])
         assert v.t == pytest.approx(wit["image"]["t"])
 
 
-def brute_first_witness(words, thetas, ts, member, slack):
+def brute_first_witness(words, thetas, ts, member):
     """Every word on every line, one line at a time; the first hit wins."""
     out = np.full(len(thetas), -1)
     for i, (th, t) in enumerate(zip(thetas, ts)):
         for w_i, g in enumerate(words):
             th_hat, t_hat = renormalize_arrays(g, np.array([th]), np.array([t]))
-            if member.contains(th_hat, t_hat, slack)[0]:
+            if member.contains(th_hat, t_hat)[0]:
                 out[i] = w_i
                 break
     return out
@@ -291,7 +306,7 @@ def test_first_witness_matches_brute_loop(rng):
     geom = GridGeometry(61, t_max=1.2)
     h, slack = geom.pitch, geom.pitch
     grid = rng.random((geom.n_theta, geom.n_t)) < 0.05
-    member = GridMembership(geom, grid)
+    member = GridMembership(geom, grid, slack)
 
     n = 300
     thetas = np.concatenate([rng.uniform(0.0, 2 * h, n), rng.uniform(math.pi - 2 * h, math.pi, n)])
@@ -309,13 +324,43 @@ def test_first_witness_matches_brute_loop(rng):
         ts = np.append(ts, source.t)
         bound_words.append(k)
 
-    got = first_witness(words, thetas, ts, member, slack)
+    got = first_witness(words, thetas, ts, member)
     assert got.dtype == np.int16
-    assert np.array_equal(got, brute_first_witness(words, thetas, ts, member, slack))
+    assert np.array_equal(got, brute_first_witness(words, thetas, ts, member))
     assert (got == -1).any() and (got > 0).any()
     on_boundary = got[2 * n :]
     assert len(on_boundary) > 10
     assert ((on_boundary >= 0) & (on_boundary <= bound_words)).all()
+
+
+def test_check_recurrence_matches_brute_first_witness(rng):
+    """The report is the brute first-hit loop over the L cells: same recurred
+    count, failures and witnesses, and witness_counts tallies first hits."""
+    geom = GridGeometry(31, t_max=1.2)
+    cases = [
+        (_turned_system(("a", "b")), rng.random((geom.n_theta, geom.n_t)) < 0.3),
+        (get_builtin("four_corner"), lines_meeting_unit_square(geom)),
+    ]
+    for ifs, grid in cases:
+        cand = flat_candidate(geom, 0.15, grid)
+        rep = check_recurrence(ifs, cand)
+        words = two_letter_words(ifs.alphabet, ifs.maps)
+        thetas, ts = cand.core_points()
+        member = GridMembership(geom, cand.L, cand.check_slack)
+        brute = brute_first_witness([g for _, g in words], thetas, ts, member)
+
+        assert rep.total == len(thetas) and rep.recurred == int((brute >= 0).sum())
+        fails = np.flatnonzero(brute < 0)[:100]
+        assert rep.failures == [{"theta": thetas[i], "t": ts[i]} for i in fails]
+        wits = np.flatnonzero(brute >= 0)[:20]
+        assert [(w["theta"], w["t"], w["word"]) for w in rep.witnesses] == [
+            (thetas[i], ts[i], "".join(words[brute[i]][0])) for i in wits
+        ]
+        assert sum(rep.witness_counts.values()) == rep.recurred
+        assert list(rep.witness_counts.values()) == np.bincount(
+            brute[brute >= 0], minlength=len(words)
+        ).tolist()
+    assert rep.all_recurred  # four_corner: every line meeting I recurs
 
 
 # --- line survival certificates ---
@@ -434,3 +479,29 @@ def test_projection_interval_recurrence_route(desk):
     assert cert.recurrence_length > 0.0
     lo, hi = cert.recurrence_interval
     assert hi - lo == pytest.approx(cert.recurrence_length)
+
+
+def test_projection_intervals_mirror_under_half_turn():
+    """theta and theta + pi name the same lines with t negated, so both
+    certificates come out mirrored; a theta just below pi reads row 0 with t
+    negated."""
+    four = get_builtin("four_corner")
+    geom = GridGeometry(61, t_max=1.5)
+    cand = flat_candidate(geom, 0.1, lines_meeting_unit_square(geom))
+    pts = attractor_points(four, 5e-3)
+
+    def cert(theta):
+        return certify_projection_interval(four, theta, 1e-2, candidate=cand, points=pts)
+
+    theta = round(1.5 / geom.pitch) * geom.pitch
+    a, b = cert(theta), cert(theta + math.pi)
+    assert a.certified and b.certified and a.recurrence_interval is not None
+    assert b.interval == pytest.approx((-a.interval[1], -a.interval[0]), abs=1e-12)
+    assert b.recurrence_interval == (-a.recurrence_interval[1], -a.recurrence_interval[0])
+
+    assert cand.L[0].any()
+    row0, near_pi = cert(0.0), cert(math.pi - geom.pitch / 4)
+    lo, hi = near_pi.recurrence_interval
+    assert (lo, hi) == (-row0.recurrence_interval[1], -row0.recurrence_interval[0])
+    # and it sits on the point-gap interval of the same direction, [-1, 0]
+    assert near_pi.interval[0] - geom.pitch <= lo < hi <= near_pi.interval[1] + geom.pitch

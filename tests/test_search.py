@@ -7,6 +7,7 @@ from scipy.spatial import ConvexHull
 from ifsproj import (
     CoverageTester,
     GridGeometry,
+    GridMembership,
     OmegaAssignment,
     Perturbation,
     attractor_points,
@@ -143,12 +144,12 @@ def test_coverage_witnesses_reverify(recurrent_instance, rng):
         for s in ifs.alphabet
     }
     words = [compose(maps[b1], maps[b2]) for b1, b2 in product(ifs.alphabet, repeat=2)]
-    member0 = cand.membership("L0")
+    member0 = GridMembership(cand.geom, cand.L0, cand.search_slack)
     idx = np.flatnonzero(covered)[:: max(1, covered.sum() // 64)]
     for i in idx:
         g = words[witness[i]]
         th, tt = renormalize_arrays(g, tester.thetas[[i]], tester.ts[[i]])
-        assert member0.contains(th, tt, cand.search_slack)[0]
+        assert member0.contains(th, tt)[0]
 
 
 def test_search_is_deterministic(recurrent_instance):
@@ -261,7 +262,7 @@ def test_farthest_lines_stay_uncovered(desk):
     no word, and neither is the farthest L line under the check rule."""
     cfg, cand, geom = desk.cfg, desk.cand, desk.geom
     tester = CoverageTester(desk.ifs, cand, cfg.c1)
-    member = cand.membership("L")
+    member = GridMembership(geom, cand.L, cand.check_slack)
     rng = np.random.default_rng(8)
     for _ in range(2):
         assignment = draw_assignment(rng, desk.ifs, cfg.epsilon)
@@ -280,4 +281,4 @@ def test_farthest_lines_stay_uncovered(desk):
         assert dist > 0.05
         th, tt = np.array([row * geom.pitch]), np.array([(col - geom.m) * geom.pitch])
         for _, g in two_letter_words(perturbed.alphabet, perturbed.maps):
-            assert not member.contains(*renormalize_arrays(g, th, tt), cfg.rho / 2.0)[0]
+            assert not member.contains(*renormalize_arrays(g, th, tt))[0]
