@@ -14,6 +14,10 @@ PYTHONPATH and the configs of this checkout. The commands:
   per_symbol with budget 5;
 - `verify` on four_corner at rho 2^-7, seed 1, with the omega that
   `bench/run.py` draws for seed 1;
+- `verify` on configs/sierpinski.json (the desk run, whose check slack of
+  2.0000003 pitches is not a whole number of cells), seed 1, with the omega
+  that `bench/run.py`'s `draw_omega` draws at seed 1 for the gasket's
+  part_one;
 - `certify` at theta 0.7854 on the same system, with and without that omega.
 
 Outputs are compared as follows: `.npz` files by their unpacked arrays,
@@ -41,6 +45,8 @@ SIERPINSKI = str(ROOT / "configs" / "sierpinski.json")
 FOUR_CORNER = str(ROOT / "configs" / "four_corner.json")
 FINE = ["--config", FOUR_CORNER, "--rho", repr(2.0**-7)]
 OMEGA = "omega.json"  # written into the work directory, next to each output
+OMEGA_DESK = "omega_sierpinski.json"
+DESK_PART_ONE = ("a", "b")  # the gasket's part_one, the first ceil(3/2) symbols
 
 COMMANDS = {
     "build-l-sierpinski": ["build-l", "--config", SIERPINSKI],
@@ -52,18 +58,28 @@ COMMANDS = {
         "search", "--config", SIERPINSKI, "--seed", "1", "--mode", "per_symbol", "--budget", "5",
     ],
     "verify": ["verify", *FINE, "--seed", "1", "--omega", OMEGA],
+    "verify-sierpinski": ["verify", "--config", SIERPINSKI, "--seed", "1", "--omega", OMEGA_DESK],
     "certify": ["certify", *FINE, "--theta", "0.7854"],
     "certify-omega": ["certify", *FINE, "--theta", "0.7854", "--omega", OMEGA],
 }
 PATH_KEYS = ("candidate_file", "omega_file")
 
 
-def bench_omega() -> dict:
-    """The omega `bench/run.py` writes for four-corner-verify at seed 1."""
+def bench_omegas() -> dict[str, dict]:
+    """The omega files by name: the omega `bench/run.py` writes for
+    four-corner-verify at seed 1, and the one its `draw_omega` draws at seed 1
+    for the gasket's part_one."""
     bench = runpy.run_path(str(ROOT / "bench" / "run.py"))
     wl = bench["WORKLOADS"]["four-corner-verify"]
-    eps = json.loads((ROOT / wl.config).read_text())["constants"]["epsilon"]
-    return bench["draw_omega"](random.Random(1), wl.omega_symbols, eps)
+
+    def draw(config: Path, symbols: tuple[str, ...]) -> dict:
+        eps = json.loads(config.read_text())["constants"]["epsilon"]
+        return bench["draw_omega"](random.Random(1), symbols, eps)
+
+    return {
+        OMEGA: draw(ROOT / wl.config, wl.omega_symbols),
+        OMEGA_DESK: draw(Path(SIERPINSKI), DESK_PART_ONE),
+    }
 
 
 def run_all(src: Path, work: Path, side: str) -> dict[str, int]:
@@ -147,7 +163,8 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"{src} holds no ifsproj package")
     work = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs_"))
     work.mkdir(parents=True, exist_ok=True)
-    (work / OMEGA).write_text(json.dumps(bench_omega(), indent=2, sort_keys=True) + "\n")
+    for name, omega in bench_omegas().items():
+        (work / name).write_text(json.dumps(omega, indent=2, sort_keys=True) + "\n")
 
     codes = {
         side: run_all(src.resolve(), work, side)

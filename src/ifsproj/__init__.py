@@ -40,6 +40,7 @@ from .lines import (
     normal,
     project_point,
     project_square,
+    renormalize_affine,
     renormalize_arrays,
     renormalize_map,
     renormalize_word,
@@ -64,6 +65,7 @@ from .recurrence import (
     IntervalCertificate,
     RecurrenceReport,
     RecurrentCandidate,
+    RowRuns,
     SliceBuilder,
     SliceParams,
     SurvivalReport,
@@ -73,6 +75,7 @@ from .recurrence import (
     certify_projection_interval,
     check_recurrence,
     first_witness,
+    first_witness_rows,
     two_letter_words,
 )
 from .search import (

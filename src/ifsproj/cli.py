@@ -110,19 +110,19 @@ def _assess(
     of one assignment: the part that search and verify reports share."""
     perturbed = build_perturbed_ifs(ifs, assignment, cfg.c1, cfg.rho)
     thetas = _sample_e_rows(E, cand, cfg.n_theta_sample, cfg.seed)
+    member = GridMembership(cand.geom, cand.L, cand.check_slack)
     # Certify first: the attractor points are the largest allocation of the
     # run, and made after the check, on the heap it leaves, they raised the
     # peak RSS of verify on four_corner at rho 2^-7 from 520 MB to 555 MB.
-    certified = _certified_intervals(perturbed, thetas, cfg, cand)
+    certified = _certified_intervals(perturbed, thetas, cfg, cand, member)
     return {
-        "check": check_recurrence(perturbed, cand).to_json_dict(),
+        "check": check_recurrence(perturbed, cand, member).to_json_dict(),
         "closeness": closeness_report(ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0),
         "certified_intervals": certified,
     }
 
 
-def _certified_intervals(ifs_eval, thetas, cfg, cand) -> list[dict]:
-    membership = GridMembership(cand.geom, cand.L, cand.check_slack)
+def _certified_intervals(ifs_eval, thetas, cfg, cand, membership) -> list[dict]:
     pts = attractor_points(ifs_eval, cfg.cert_resolution / 2.0, budget=cfg.word_budget)
     out = []
     for theta in thetas:

@@ -98,32 +98,37 @@ def line_square_intersects(line: Line, sq: Square, tol: float = 0.0) -> bool:
     return project_square(line.theta, sq).contains(line.t, tol=tol)
 
 
-def renormalize_arrays(
-    f: Similarity, thetas: np.ndarray, ts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized renormalization of many lines by one forward map f.
+def renormalize_affine(
+    f: Similarity, thetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T_f = f^{-1} on lines of the given angles, for a forward map f.
 
-    The closed form of T_f = f^{-1} on line parameters: shift the offset by
-    the translation's projection, scale by 1/ratio, negate it for a
-    reflection and once per fold of the angle into [0, pi). Returns canonical
-    (theta', t') arrays of the input shape.
+    Returns canonical theta' and the affine offset map of each angle:
+    T_f(theta, t) = (theta', sign * (t - shift) / f.ratio). shift is the
+    translation's projection; sign is -1 for a reflection, flipped once per
+    fold of the angle into [0, pi).
     """
     thetas = np.asarray(thetas, dtype=float)
     shift = -f.translation[0] * np.sin(thetas) + f.translation[1] * np.cos(thetas)
-    t_raw = (np.asarray(ts, dtype=float) - shift) / f.ratio
-    if f.reflect:
-        theta_raw = f.angle - thetas
-        t_raw = -t_raw
-    else:
-        theta_raw = thetas - f.angle
+    theta_raw = f.angle - thetas if f.reflect else thetas - f.angle
     k = np.floor(theta_raw / math.pi)
     theta_p = theta_raw - k * math.pi
     edge = theta_p >= math.pi
     if edge.any():
         theta_p = np.where(edge, theta_p - math.pi, theta_p)
         k = k + edge
-    t_p = np.where(k.astype(np.int64) % 2 == 0, t_raw, -t_raw)
-    return theta_p, t_p
+    flip = (k.astype(np.int64) % 2 == 1) ^ f.reflect
+    return theta_p, np.where(flip, -1.0, 1.0), shift
+
+
+def renormalize_arrays(
+    f: Similarity, thetas: np.ndarray, ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized renormalization of many lines by one forward map f: the
+    closed form of `renormalize_affine` applied to each offset. Returns
+    canonical (theta', t') arrays of the input shape."""
+    theta_p, sign, shift = renormalize_affine(f, thetas)
+    return theta_p, sign * ((np.asarray(ts, dtype=float) - shift) / f.ratio)
 
 
 def renormalize_map(f: Similarity, line: Line) -> Line:

@@ -23,6 +23,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,7 +31,7 @@ from scipy.ndimage import maximum_filter1d
 
 from .errors import BudgetExceeded
 from .ifs import IfsSpec, Perturbation, Similarity, Word, compose, map_square, perturb_map
-from .lines import Line, line_square_intersects, renormalize_arrays
+from .lines import Line, line_square_intersects, renormalize_affine, renormalize_arrays
 from .measure import DirectionSet, stopping_cylinders
 
 
@@ -68,6 +69,43 @@ def _pad_wrapped(grid: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([grid[-k:, ::-1], grid, grid[:k, ::-1]], axis=0)
 
 
+class RowRuns(NamedTuple):
+    """The maximal runs of true cells of a boolean grid, row by row: row r
+    holds the half-open column runs [start[k], stop[k]) for k in
+    ptr[r]:ptr[r + 1], left to right. Cells are numbered in row-major order,
+    the order of `np.nonzero` on the grid."""
+
+    ptr: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+
+    @classmethod
+    def of(cls, grid: np.ndarray) -> "RowRuns":
+        n, n_t = grid.shape
+        # one false cell before the grid and after every row, so each run
+        # starts and stops at a change between neighbours of the flat buffer
+        buf = np.zeros(n * (n_t + 1) + 1, dtype=bool)
+        buf[1:].reshape(n, n_t + 1)[:, :n_t] = grid
+        change = np.flatnonzero(buf[1:] != buf[:-1])
+        row, start = np.divmod(change[0::2], n_t + 1)
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
+        return cls(ptr, start, change[1::2] - row * (n_t + 1))
+
+    @property
+    def before(self) -> np.ndarray:
+        """Cells before each run, and the cell count at the end."""
+        return np.concatenate(([0], np.cumsum(self.stop - self.start)))
+
+    def lines(self, geom: GridGeometry, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, t) of the given cells, as `RecurrentCandidate.delta_points`
+        computes them."""
+        before = self.before
+        k = np.searchsorted(before, cells, "right") - 1
+        row = np.searchsorted(self.ptr, k, "right") - 1
+        return row * geom.pitch, (self.start[k] + cells - before[k] - geom.m) * geom.pitch
+
+
 class GridMembership:
     """Slack-window membership queries against one boolean grid.
 
@@ -76,7 +114,8 @@ class GridMembership:
     and |t_j - t| <= slack. Windows crossing theta = 0 or pi continue on the
     other end with t negated: the grid is padded once with its mirrored end
     rows, so each query is one rectangle. The test is exact in index space
-    (integral image), so re-checks reproduce it bit for bit.
+    (integral image), so re-checks reproduce it bit for bit. The padded
+    grid's row runs (`runs`) serve `first_witness_rows`.
     """
 
     _TOL = 1e-9  # index-space guard so boundary offsets stay included
@@ -93,6 +132,19 @@ class GridMembership:
         np.cumsum(padded, axis=0, dtype=np.int64, out=sat[1:, 1:])
         np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
         self._sat = sat
+        self.runs = RowRuns.of(padded)
+
+    def _window(self, x: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+        """First and last index of the cells within slack of the coordinates
+        x, offset by base."""
+        h, slack, tol = self.geom.pitch, self.slack, self._TOL
+        lo = np.ceil((x - slack) / h - tol).astype(np.int64) + base
+        hi = np.floor((x + slack) / h + tol).astype(np.int64) + base
+        return lo, hi
+
+    def rows(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and last padded row of the windows around thetas."""
+        return self._window(thetas, self._pad)
 
     def _rect_count(self, r1, r2, c1, c2):
         """Inclusive index-window counts on the padded grid; empty or off-grid
@@ -110,11 +162,8 @@ class GridMembership:
     def contains(self, thetas: np.ndarray, ts: np.ndarray) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        h, m, slack, tol = self.geom.pitch, self.geom.m, self.slack, self._TOL
-        r1 = np.ceil((thetas - slack) / h - tol).astype(np.int64) + self._pad
-        r2 = np.floor((thetas + slack) / h + tol).astype(np.int64) + self._pad
-        c1 = np.ceil((ts - slack) / h - tol).astype(np.int64) + m
-        c2 = np.floor((ts + slack) / h + tol).astype(np.int64) + m
+        r1, r2 = self.rows(thetas)
+        c1, c2 = self._window(ts, self.geom.m)
         return self._rect_count(r1, r2, c1, c2) > 0
 
 
@@ -370,6 +419,137 @@ def first_witness(
     return witness
 
 
+def _merge(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Union of half-open intervals [start, stop): the disjoint intervals in
+    increasing order; touching ones join."""
+    order = np.argsort(start, kind="stable")
+    start, stop = start[order], stop[order]
+    if not len(start):
+        return start, stop
+    reach = np.maximum.accumulate(stop)
+    first = np.flatnonzero(np.concatenate(([True], start[1:] > reach[:-1])))
+    return start[first], reach[np.append(first[1:], len(start)) - 1]
+
+
+def _inside(x: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Is each x in the union of the disjoint sorted intervals [start, stop)?"""
+    return np.searchsorted(start, x, "right") > np.searchsorted(stop, x, "right")
+
+
+def _expand(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """first[i], first[i] + 1, ..., first[i] + count[i] - 1 for every i, in order."""
+    skip = np.cumsum(count) - count
+    return np.repeat(first - skip, count) + np.arange(count.sum())
+
+
+def _pull_back(
+    g: Similarity, rows: np.ndarray, member: GridMembership
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intervals (row, lo, hi) of real column coordinates: up to rounding,
+    T_g sends a cell of one of the given source rows into member exactly
+    when its column lies in [lo, hi] of one of that row's intervals.
+
+    A row's image angle selects one band of padded target rows; each run of
+    the band's union is met by the windows of offsets in [(a - m) h - slack,
+    (b - 1 - m) h + slack] (columns a..b-1), and the offset map
+    t -> sign (t - shift) / ratio is inverted at both ends.
+    """
+    geom = member.geom
+    h, m, n_t = geom.pitch, geom.m, geom.n_t
+    ptr, start, stop = member.runs
+    theta_p, sign, shift = renormalize_affine(g, rows * h)
+    r1, r2 = member.rows(theta_p)
+    r1, r2 = np.maximum(r1, 0), np.minimum(r2, len(ptr) - 2)  # padded rows 0..len(ptr)-2
+    band = np.maximum(r2 - r1 + 1, 0)
+    t_row = _expand(r1, band)
+    n_runs = ptr[t_row + 1] - ptr[t_row]
+    k = _expand(ptr[t_row], n_runs)
+    # key stride n_t + 1 keeps the runs of different source rows apart
+    key = np.repeat(np.repeat(np.arange(len(rows)), band), n_runs) * (n_t + 1)
+    a, b = _merge(key + start[k], key + stop[k])
+    i = a // (n_t + 1)
+    a, b = a - i * (n_t + 1), b - i * (n_t + 1)
+    ends = np.stack([(a - m) * h - member.slack, (b - 1 - m) * h + member.slack])
+    j = (shift[i] + sign[i] * g.ratio * ends) / h + m
+    return rows[i], j.min(axis=0), j.max(axis=0)
+
+
+def first_witness_rows(
+    words: Sequence[Similarity], source: RowRuns, member: GridMembership
+) -> np.ndarray:
+    """`first_witness` on every true cell of a grid (given by its row runs),
+    in row-major order, evaluated row by row.
+
+    The cells of a row share theta, so under one word the cells it sends
+    into member lie in a few column intervals (`_pull_back`). Cells more
+    than one column inside an interval are members, cells more than one
+    column outside all of them are not, and the cells in between go through
+    the point route (`renormalize_arrays` and `GridMembership.contains`).
+    Rounding and the membership's index guard move an interval end by far
+    less than a column for any word of ratio below 1e6, so the witnesses
+    equal `first_witness` on the cells' (theta, t) bit for bit. Below a
+    slack of half a pitch a window can fall between cell centers; there the
+    point route answers for every cell.
+    """
+    geom = member.geom
+    n_t = geom.n_t
+    ptr, start, stop = source
+    run_x = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)) * n_t + start
+    before = source.before
+    n_cells = int(before[-1])
+    if member.slack < geom.pitch / 2:
+        return first_witness(words, *source.lines(geom, np.arange(n_cells)), member)
+
+    def cell_ranges(row, c0, c1):
+        """[first, stop) of the source cells in columns [c0, c1) of each row,
+        found by ranking the flat index row * n_t + column among the runs."""
+        c0, c1 = (np.clip(c, 0, n_t).astype(np.int64) for c in (c0, c1))
+        x = np.stack([row * n_t + c0, row * n_t + c1])[:, c0 < c1]
+        k = np.maximum(np.searchsorted(run_x, x, "right") - 1, 0)
+        return before[k] + np.clip(x - run_x[k], 0, stop[k] - start[k])
+
+    rows = np.flatnonzero(np.diff(ptr))
+    hit0 = hit1 = np.zeros(0, dtype=np.int64)  # cells that some earlier word hits
+    firsts, stops, hits = [hit0], [hit0], [hit0]  # each word's first hits
+    for w_i, g in enumerate(words):
+        if len(hit0) == 1 and hit1[0] - hit0[0] == n_cells:
+            break
+        row, lo, hi = _pull_back(g, rows, member)
+        sure0, sure1 = _merge(*cell_ranges(row, np.floor(lo) + 2, np.ceil(hi) - 1))
+        near0, near1 = _merge(
+            *cell_ranges(
+                np.concatenate([row, row]),
+                np.concatenate([np.ceil(lo - 1), np.ceil(hi - 1)]),
+                np.concatenate([np.floor(lo + 1), np.floor(hi + 1)]) + 1,
+            )
+        )
+        near = _expand(near0, near1 - near0)
+        near = near[~_inside(near, sure0, sure1) & ~_inside(near, hit0, hit1)]
+        th_hat, t_hat = renormalize_arrays(g, *source.lines(geom, near))
+        confirmed = near[member.contains(th_hat, t_hat)]
+        # the sure cells outside the earlier hits, as elementary segments
+        cuts = np.sort(np.concatenate([sure0, sure1, hit0, hit1]))
+        seg0, seg1 = cuts[:-1], cuts[1:]
+        new = (seg0 < seg1) & _inside(seg0, sure0, sure1) & ~_inside(seg0, hit0, hit1)
+        firsts += [seg0[new], confirmed]
+        stops += [seg1[new], confirmed + 1]
+        hits.append(np.full(np.count_nonzero(new) + len(confirmed), w_i))
+        hit0, hit1 = _merge(
+            np.concatenate([hit0, sure0, confirmed]), np.concatenate([hit1, sure1, confirmed + 1])
+        )
+
+    # paint every first hit at once, -1 in the gaps between them
+    first, stop_, word = (np.concatenate(x) for x in (firsts, stops, hits))
+    order = np.argsort(first)
+    first, stop_, word = first[order], stop_[order], word[order]
+    value = np.full(2 * len(first) + 1, -1, dtype=np.int16)
+    value[1::2] = word
+    length = np.empty(2 * len(first) + 1, dtype=np.int64)
+    length[0::2] = np.append(first, n_cells) - np.concatenate([[0], stop_])
+    length[1::2] = stop_ - first
+    return np.repeat(value, length)
+
+
 @dataclass
 class RecurrenceReport:
     total: int
@@ -403,38 +583,43 @@ _MAX_FAILURES = 100  # failing cells listed in a recurrence report
 _MAX_WITNESSES = 20  # recurring cells listed with their first word
 
 
-def check_recurrence(perturbed: IfsSpec, cand: RecurrentCandidate) -> RecurrenceReport:
+def check_recurrence(
+    perturbed: IfsSpec, cand: RecurrentCandidate, member: GridMembership
+) -> RecurrenceReport:
     """Does every L-grid cell map back into L (within the check rule's slack,
     `RecurrentCandidate.check_slack`) under some two-letter word of the
-    perturbed system? Failures are data, not errors.
+    perturbed system? Failures are data, not errors. member is the L
+    membership at the check slack, `GridMembership(cand.geom, cand.L,
+    cand.check_slack)`, so one assessment builds it once.
 
     `witness_counts` counts, per word, the cells whose first witness it is;
     the counts sum to `recurred`.
     """
-    thetas, ts = cand.core_points()
-    member = GridMembership(cand.geom, cand.L, cand.check_slack)
+    if member.geom != cand.geom or member.slack != cand.check_slack:
+        raise ValueError("member is not the candidate's L membership at the check slack")
+    source = RowRuns.of(cand.L)
     words = two_letter_words(perturbed.alphabet, perturbed.maps)
-    witness = first_witness([g for _, g in words], thetas, ts, member)
+    witness = first_witness_rows([g for _, g in words], source, member)
     recurred = witness >= 0
     counts = np.bincount(witness[recurred], minlength=len(words))
-    failures = [
-        {"theta": float(thetas[i]), "t": float(ts[i])}
-        for i in np.flatnonzero(~recurred)[:_MAX_FAILURES]
-    ]
+    thetas, ts = source.lines(cand.geom, np.flatnonzero(~recurred)[:_MAX_FAILURES])
+    failures = [{"theta": float(th), "t": float(t)} for th, t in zip(thetas, ts)]
+    first = np.flatnonzero(recurred)[:_MAX_WITNESSES]
+    thetas, ts = source.lines(cand.geom, first)
     witnesses = []
-    for i in np.flatnonzero(recurred)[:_MAX_WITNESSES]:
+    for i, th, t in zip(first, thetas, ts):
         word, g = words[witness[i]]
-        th_hat, t_hat = renormalize_arrays(g, thetas[i : i + 1], ts[i : i + 1])
+        th_hat, t_hat = renormalize_arrays(g, np.array([th]), np.array([t]))
         witnesses.append(
             {
-                "theta": float(thetas[i]),
-                "t": float(ts[i]),
+                "theta": float(th),
+                "t": float(t),
                 "word": "".join(word),
                 "image": {"theta": float(th_hat[0]), "t": float(t_hat[0])},
             }
         )
     return RecurrenceReport(
-        total=len(thetas),
+        total=len(witness),
         recurred=int(np.count_nonzero(recurred)),
         slack=float(member.slack),
         witness_counts={"".join(w): int(c) for (w, _), c in zip(words, counts)},

@@ -33,7 +33,9 @@ from .recurrence import (
     GridGeometry,
     GridMembership,
     RecurrentCandidate,
+    RowRuns,
     first_witness,
+    first_witness_rows,
     two_letter_words,
 )
 
@@ -136,7 +138,9 @@ class CoverageTester:
     perturbed system renormalizes u to within the search rule's slack
     (`RecurrentCandidate.search_slack`) of an L0 cell. Probe points (an
     evenly strided subset of Delta) give an exact early rejection: an
-    assignment that misses a probe point cannot cover Delta.
+    assignment that misses a probe point cannot cover Delta. Subsets go
+    through the point route (`first_witness`), all of Delta through the row
+    route (`first_witness_rows`); both give the same witnesses.
     """
 
     def __init__(self, ifs: IfsSpec, cand: RecurrentCandidate, c1: float):
@@ -145,6 +149,7 @@ class CoverageTester:
         self.c1 = c1
         self.thetas, self.ts = cand.delta_points()
         self.member0 = GridMembership(cand.geom, cand.L0, cand.search_slack)
+        self.delta_runs = RowRuns.of(cand.L1)
         n = len(self.thetas)
         self.probe_idx = np.arange(0, n, max(1, n // _PROBE_SIZE))
 
@@ -157,9 +162,11 @@ class CoverageTester:
     ) -> tuple[np.ndarray, np.ndarray]:
         """covered flags and witness word indices (-1 where uncovered) for the
         given subset of Delta (default: all of it)."""
-        idx = slice(None) if indices is None else indices
         words = _perturbed_words(self.ifs, assignment, self.c1, self.cand.rho)
-        witness = first_witness(words, self.thetas[idx], self.ts[idx], self.member0)
+        if indices is None:
+            witness = first_witness_rows(words, self.delta_runs, self.member0)
+        else:
+            witness = first_witness(words, self.thetas[indices], self.ts[indices], self.member0)
         return witness >= 0, witness
 
 

@@ -10,6 +10,7 @@ from ifsproj import (
     Line,
     Perturbation,
     RecurrentCandidate,
+    RowRuns,
     Similarity,
     SliceBuilder,
     SliceParams,
@@ -20,6 +21,7 @@ from ifsproj import (
     check_recurrence,
     compose,
     first_witness,
+    first_witness_rows,
     get_builtin,
     invert_map,
     make_ifs,
@@ -71,6 +73,11 @@ def flat_candidate(geom: GridGeometry, rho: float, member: np.ndarray) -> Recurr
         e_member=np.ones(geom.n_theta, dtype=bool),
         c5=1.0,
     )
+
+
+def l_membership(cand: RecurrentCandidate) -> GridMembership:
+    """The L membership at the check slack, as `check_recurrence` takes it."""
+    return GridMembership(cand.geom, cand.L, cand.check_slack)
 
 
 # --- grids ---
@@ -259,7 +266,7 @@ def test_all_lines_meeting_square_recur_four_corner():
     geom = GridGeometry(181, t_max=1.2)
     rho = 0.05
     cand = flat_candidate(geom, rho, lines_meeting_unit_square(geom))
-    rep = check_recurrence(ifs, cand)
+    rep = check_recurrence(ifs, cand, l_membership(cand))
     assert rep.total > 10_000
     assert rep.all_recurred, f"failed on {rep.total - rep.recurred}"
 
@@ -270,15 +277,15 @@ def test_single_far_line_fails():
     member = np.zeros((geom.n_theta, geom.n_t), dtype=bool)
     member[0, geom.m + int(6.0 / geom.pitch)] = True
     cand = flat_candidate(geom, 0.05, member)
-    rep = check_recurrence(ifs, cand)
+    rep = check_recurrence(ifs, cand, l_membership(cand))
     assert rep.total == 1 and rep.recurred == 0
     assert rep.failures
 
 
 def test_witnesses_reverify(desk):
-    rep = check_recurrence(desk.ifs, desk.cand)
+    mem = l_membership(desk.cand)
+    rep = check_recurrence(desk.ifs, desk.cand, mem)
     assert len(rep.witnesses) == 20
-    mem = GridMembership(desk.geom, desk.cand.L, desk.cand.check_slack)
     for wit in rep.witnesses:
         v = renormalize_word(desk.ifs, wit["word"], Line(wit["theta"], wit["t"]))
         assert mem.contains([v.theta], [v.t])[0]
@@ -333,6 +340,77 @@ def test_first_witness_matches_brute_loop(rng):
     assert ((on_boundary >= 0) & (on_boundary <= bound_words)).all()
 
 
+def _run_grid(rng, geom: GridGeometry) -> np.ndarray:
+    """Rows of zero to three random column runs; the theta-end rows and one
+    row that reaches both t edges are never empty."""
+    grid = np.zeros((geom.n_theta, geom.n_t), dtype=bool)
+    for row in range(geom.n_theta):
+        for _ in range(int(rng.integers(0, 4))):
+            a, b = np.sort(rng.integers(0, geom.n_t + 1, size=2))
+            grid[row, a:b] = True
+    grid[[0, -1], geom.m - 3 : geom.m + 4] = True
+    grid[geom.n_theta // 2] = True
+    return grid
+
+
+def _word_onto(theta, t, image_theta, image_t, ratio):
+    """A similarity whose renormalization sends the line (theta, t) to
+    (image_theta, image_t), an angle that may lie outside [0, pi)."""
+    shift = t - ratio * image_t
+    return Similarity(ratio, theta - image_theta, False, (-shift * math.sin(theta), shift * math.cos(theta)))
+
+
+@pytest.mark.parametrize("slack_pitches", [1.0, 2.0000003, 2.5, 0.4])
+def test_row_route_matches_point_route(rng, slack_pitches):
+    """first_witness_rows equals first_witness on every cell of a source
+    grid: rows of 0, 1 and 2+ runs in source and target, the rows at theta 0
+    and pi - pitch, the rotated and reflected words of the turned system,
+    words that send whole rows onto window edges (images on the grid or
+    half grid), words that send a cell exactly one slack (or none) off a
+    target cell, and images far beyond t_max. Slacks: one pitch (search
+    rule), rho/2 = 2.0000003 pitch (desk check rule), 2.5 pitch, and below
+    half a pitch, where the point route answers for every cell."""
+    ifs = _turned_system(("a", "b"))
+    geom = GridGeometry(61, t_max=1.2)
+    h, m = geom.pitch, geom.m
+    slack = slack_pitches * h
+    source, target = _run_grid(rng, geom), _run_grid(rng, geom)
+    member = GridMembership(geom, target, slack)
+    words = [g for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
+    words += [
+        Similarity(r, a, f, (0.0, 0.0))
+        for r in (0.5, 2 / 3)
+        for a in (0.0, h / 2)
+        for f in (False, True)
+    ]
+    rows, cols = np.nonzero(source)
+    t_rows, t_cols = np.nonzero(target)
+    for _ in range(12):
+        i, k = rng.integers(len(rows)), rng.integers(len(t_rows))
+        a, b = rng.choice([-1.0, 0.0, 1.0], size=2)
+        image = (t_rows[k] * h + a * slack, (t_cols[k] - m) * h + b * slack)
+        words.append(_word_onto(rows[i] * h, (cols[i] - m) * h, *image, ratio=0.3))
+
+    runs = RowRuns.of(source)
+    per_row = np.diff(runs.ptr)
+    assert {0, 1} <= set(per_row.tolist()) and per_row.max() >= 2
+    assert (np.diff(RowRuns.of(target).ptr) >= 2).any()
+    thetas, ts = rows * h, (cols - m) * h
+    assert all(np.array_equal(x, y) for x, y in zip(runs.lines(geom, np.arange(len(rows))), (thetas, ts)))
+    far = np.abs(renormalize_arrays(words[9], thetas, ts)[1]) > geom.t_max + slack
+    assert far.any()
+
+    got = first_witness_rows(words, runs, member)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, first_witness(words, thetas, ts, member))
+    assert (got == -1).any() and (got >= 9).any()
+    # each word alone, so that no earlier word covers its boundary cells
+    for g in words:
+        assert np.array_equal(first_witness_rows([g], runs, member), first_witness([g], thetas, ts, member))
+    empty = RowRuns.of(np.zeros_like(source))
+    assert len(first_witness_rows(words, empty, member)) == 0
+
+
 def test_check_recurrence_matches_brute_first_witness(rng):
     """The report is the brute first-hit loop over the L cells: same recurred
     count, failures and witnesses, and witness_counts tallies first hits."""
@@ -343,10 +421,10 @@ def test_check_recurrence_matches_brute_first_witness(rng):
     ]
     for ifs, grid in cases:
         cand = flat_candidate(geom, 0.15, grid)
-        rep = check_recurrence(ifs, cand)
+        member = l_membership(cand)
+        rep = check_recurrence(ifs, cand, member)
         words = two_letter_words(ifs.alphabet, ifs.maps)
         thetas, ts = cand.core_points()
-        member = GridMembership(geom, cand.L, cand.check_slack)
         brute = brute_first_witness([g for _, g in words], thetas, ts, member)
 
         assert rep.total == len(thetas) and rep.recurred == int((brute >= 0).sum())

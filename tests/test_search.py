@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+import ifsproj
 from ifsproj import (
     CoverageTester,
     GridGeometry,
     GridMembership,
     OmegaAssignment,
     Perturbation,
+    RunConfig,
     attractor_points,
+    build_pipeline,
     build_perturbed_ifs,
     check_recurrence,
     closeness_report,
@@ -27,7 +30,7 @@ from ifsproj import (
     Line,
 )
 from test_acceptance import farthest_line, obstruction_faults, settlement_faults
-from test_recurrence import _turned_system, flat_candidate, lines_meeting_unit_square
+from test_recurrence import _turned_system, flat_candidate, l_membership, lines_meeting_unit_square
 
 RHO = 4.0**-4
 
@@ -105,7 +108,7 @@ def test_search_accepts_on_recurrent_instance(recurrent_instance):
     assert out.accepted_attempt == 0
     assert out.coverage == 1.0
     perturbed = build_perturbed_ifs(ifs, out.omega0, 1e-9, cand.rho)
-    assert check_recurrence(perturbed, cand).all_recurred
+    assert check_recurrence(perturbed, cand, l_membership(cand)).all_recurred
 
 
 def test_per_symbol_accepts_on_recurrent_instance(recurrent_instance):
@@ -132,6 +135,33 @@ def test_probe_is_consistent_with_full_eval(recurrent_instance, rng):
     full, _ = tester.coverage(a)
     probe, _ = tester.coverage(a, tester.probe_idx)
     assert np.array_equal(full[tester.probe_idx], probe)
+
+
+def test_whole_grid_evaluations_stay_row_wise(monkeypatch):
+    """A full coverage and a recurrence check send at most 10% of their cells
+    through the point route (counted at every binding of renormalize_arrays),
+    so neither can quietly fall back to evaluating cell by cell."""
+    cfg = RunConfig(ifs="sierpinski", rho=4.0**-3)
+    res, _, cand = build_pipeline(cfg)
+    points = []
+
+    def counting(g, thetas, ts):
+        points.append(len(thetas))
+        return renormalize_arrays(g, thetas, ts)
+
+    for mod in (ifsproj.lines, ifsproj.recurrence, ifsproj.search):
+        if hasattr(mod, "renormalize_arrays"):
+            monkeypatch.setattr(mod, "renormalize_arrays", counting)
+    assignment = draw_assignment(np.random.default_rng(0), res.ifs, cfg.epsilon)
+    covered, _ = CoverageTester(res.ifs, cand, cfg.c1).coverage(assignment)
+    assert covered.any() and not covered.all()
+    assert 0 < sum(points) <= 0.1 * len(covered)
+
+    points.clear()
+    perturbed = build_perturbed_ifs(res.ifs, assignment, cfg.c1, cfg.rho)
+    rep = check_recurrence(perturbed, cand, l_membership(cand))
+    assert 0 < rep.recurred < rep.total
+    assert 0 < sum(points) <= 0.1 * rep.total
 
 
 def test_coverage_witnesses_reverify(recurrent_instance, rng):
