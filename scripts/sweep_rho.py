@@ -12,7 +12,9 @@ Usage: python3 scripts/sweep_rho.py [--samples 200] [--seed 0] [--lines 6]
 import argparse
 import time
 
-from ifsproj import Line, RunConfig, build_pipeline, estimate_success_prob
+import numpy as np
+
+from ifsproj import Line, RowRuns, RunConfig, build_pipeline, estimate_success_prob
 
 
 def build(rho: float):
@@ -39,9 +41,10 @@ def main():
     # net by coordinates (membership pre-check inside estimate_success_prob
     # re-snaps them against each grid)
     _, coarse = systems[rhos[0]]
-    th, tt = coarse.delta_points()
-    stride = max(1, len(th) // args.lines)
-    probes = [Line(float(th[i]), float(tt[i])) for i in range(0, len(th), stride)][: args.lines]
+    n = coarse.delta_count
+    cells = np.arange(0, n, max(1, n // args.lines))[: args.lines]
+    th, tt = RowRuns.of(coarse.L1).lines(coarse.geom, cells)
+    probes = [Line(float(a), float(b)) for a, b in zip(th, tt)]
 
     print(f"{'theta':>10} {'t':>10} " + " ".join(f"p_fail@{r:.4g}" for r in rhos))
     monotone = 0

@@ -290,6 +290,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def cmd_certify(cfg: RunConfig, args) -> int:
+    if not np.isfinite(args.theta):
+        raise ConfigError(f"theta: must be finite, got {args.theta!r}")
     out = _outdir(cfg)
     assignment = _load_omega(cfg, args.omega) if args.omega is not None else None
     res, E, cand = _build_pipeline(cfg)
@@ -326,11 +328,11 @@ def cmd_certify(cfg: RunConfig, args) -> int:
 
 
 def cmd_render(cfg: RunConfig, args) -> int:
+    cfg = override(cfg, raster_size=args.size)
     ifs = cfg.load_ifs_spec()
     out = _outdir(cfg)
-    size = args.size if getattr(args, "size", None) else cfg.raster_size
     path = os.path.join(out, "attractor.pgm")
-    n = _render_pgm(ifs, cfg.rho, size, path, cfg.word_budget)
+    n = _render_pgm(ifs, cfg.rho, cfg.raster_size, path, cfg.word_budget)
     print(f"raster: {n} centers -> {path}")
     return 0
 

@@ -238,8 +238,11 @@ def ifs_from_json_dict(data: Mapping) -> IfsSpec:
     for field in ("alphabet", "maps"):
         if not isinstance(data, Mapping) or field not in data:
             raise ConfigError(f"{field}: missing")
-    alphabet = list(data["alphabet"])
-    raw_maps = data["maps"]
+    alphabet, raw_maps = data["alphabet"], data["maps"]
+    if not (isinstance(alphabet, list) and all(isinstance(a, str) for a in alphabet)):
+        raise ConfigError(f"alphabet: must be a list of symbol strings, got {alphabet!r}")
+    if not isinstance(raw_maps, Mapping):
+        raise ConfigError(f"maps: must be an object keyed by symbol, got {raw_maps!r}")
     maps = {}
     for a in alphabet:
         if a not in raw_maps:
@@ -421,9 +424,16 @@ class StoppingCover:
         px, py = point
         cos_v, sin_v = np.cos(self.angle), np.sin(self.angle)
         sy = np.where(self.reflect, -py, py)
-        cx = self.ratio * (cos_v * px - sin_v * sy) + self.tx
-        cy = self.ratio * (sin_v * px + cos_v * sy) + self.ty
-        return np.column_stack([cx, cy])
+        # in place, cos and sin as scratch: this is the memory peak of verify
+        out = np.empty((len(self.ratio), 2))
+        x = np.multiply(cos_v, px, out=out[:, 0])
+        y = np.multiply(sin_v, px, out=out[:, 1])
+        x -= np.multiply(sin_v, sy, out=sin_v)
+        y += np.multiply(cos_v, sy, out=cos_v)
+        out *= self.ratio[:, None]
+        x += self.tx
+        y += self.ty
+        return out
 
 
 def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> StoppingCover:

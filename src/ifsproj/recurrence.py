@@ -98,8 +98,8 @@ class RowRuns(NamedTuple):
         return np.concatenate(([0], np.cumsum(self.stop - self.start)))
 
     def lines(self, geom: GridGeometry, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, t) of the given cells, as `RecurrentCandidate.delta_points`
-        computes them."""
+        """(theta, t) = (row * pitch, (column - m) * pitch) of the given
+        cells."""
         before = self.before
         k = np.searchsorted(before, cells, "right") - 1
         row = np.searchsorted(self.ptr, k, "right") - 1
@@ -113,9 +113,10 @@ class GridMembership:
     some true cell center (theta_i, t_j) satisfies |theta_i - theta| <= slack
     and |t_j - t| <= slack. Windows crossing theta = 0 or pi continue on the
     other end with t negated: the grid is padded once with its mirrored end
-    rows, so each query is one rectangle. The test is exact in index space
-    (integral image), so re-checks reproduce it bit for bit. The padded
-    grid's row runs (`runs`) serve `first_witness_rows`.
+    rows, so each query is one rectangle of index space. The padded grid is
+    held only as its row runs (`runs`), which answer each row of a window by
+    one binary search and also serve `first_witness_rows`. The test is exact
+    in index space, so re-checks reproduce it bit for bit.
     """
 
     _TOL = 1e-9  # index-space guard so boundary offsets stay included
@@ -127,12 +128,10 @@ class GridMembership:
         self.slack = slack
         # rows a window around a canonical theta can reach past either end
         self._pad = math.ceil(slack / geom.pitch) + 1
-        padded = _pad_wrapped(grid, self._pad)
-        sat = np.zeros((padded.shape[0] + 1, geom.n_t + 1), dtype=np.int64)
-        np.cumsum(padded, axis=0, dtype=np.int64, out=sat[1:, 1:])
-        np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
-        self._sat = sat
-        self.runs = RowRuns.of(padded)
+        self.runs = RowRuns.of(_pad_wrapped(grid, self._pad))
+        ptr, start, _ = self.runs
+        # key stride n_t + 1 orders the runs by row, then by first column
+        self._keys = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)) * (geom.n_t + 1) + start
 
     def _window(self, x: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
         """First and last index of the cells within slack of the coordinates
@@ -146,25 +145,26 @@ class GridMembership:
         """First and last padded row of the windows around thetas."""
         return self._window(thetas, self._pad)
 
-    def _rect_count(self, r1, r2, c1, c2):
-        """Inclusive index-window counts on the padded grid; empty or off-grid
-        windows count 0."""
-        n, n_t = self._sat.shape[0] - 1, self.geom.n_t
-        r1c = np.clip(r1, 0, n - 1)
-        r2c = np.clip(r2, 0, n - 1)
-        c1c = np.clip(c1, 0, n_t - 1)
-        c2c = np.clip(c2, 0, n_t - 1)
-        ok = (r1 <= r2) & (c1 <= c2) & (r2 >= 0) & (r1 <= n - 1) & (c2 >= 0) & (c1 <= n_t - 1)
-        s = self._sat
-        cnt = s[r2c + 1, c2c + 1] - s[r1c, c2c + 1] - s[r2c + 1, c1c] + s[r1c, c1c]
-        return np.where(ok, cnt, 0)
-
     def contains(self, thetas: np.ndarray, ts: np.ndarray) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        ptr, _, stop = self.runs
+        hit = np.zeros(len(thetas), dtype=bool)
+        if not len(stop):
+            return hit
+        n_t = self.geom.n_t
         r1, r2 = self.rows(thetas)
         c1, c2 = self._window(ts, self.geom.m)
-        return self._rect_count(r1, r2, c1, c2) > 0
+        r1, r2, c2 = np.maximum(r1, 0), np.minimum(r2, len(ptr) - 2), np.minimum(c2, n_t - 1)
+        # empty windows read row -1, whose ptr entry (the run count) no k reaches
+        r2[(r1 > r2) | (c1 > c2)] = -1
+        for d in range(int((r2 - r1).max(initial=-1)) + 1):
+            row = np.minimum(r1 + d, r2)
+            # the row's last run starting at or before c2; a c2 below 0 finds
+            # an earlier row's run, which the ptr test rejects
+            k = np.searchsorted(self._keys, row * (n_t + 1) + c2, "right") - 1
+            hit |= (k >= ptr[row]) & (stop[k] > c1)
+        return hit
 
 
 @dataclass(frozen=True)
@@ -315,15 +315,6 @@ class RecurrentCandidate:
     @property
     def delta_count(self) -> int:
         return int(np.count_nonzero(self.L1))
-
-    def delta_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row-major (theta, t) coordinates of every Delta cell."""
-        rows, cols = np.nonzero(self.L1)
-        return rows * self.geom.pitch, (cols - self.geom.m) * self.geom.pitch
-
-    def core_points(self) -> tuple[np.ndarray, np.ndarray]:
-        rows, cols = np.nonzero(self.L)
-        return rows * self.geom.pitch, (cols - self.geom.m) * self.geom.pitch
 
     def save(self, path: str):
         np.savez_compressed(

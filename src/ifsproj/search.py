@@ -138,24 +138,19 @@ class CoverageTester:
     perturbed system renormalizes u to within the search rule's slack
     (`RecurrentCandidate.search_slack`) of an L0 cell. Probe points (an
     evenly strided subset of Delta) give an exact early rejection: an
-    assignment that misses a probe point cannot cover Delta. Subsets go
-    through the point route (`first_witness`), all of Delta through the row
-    route (`first_witness_rows`); both give the same witnesses.
+    assignment that misses a probe point cannot cover Delta. Delta is held
+    only as row runs; subsets go through the point route, all of it through
+    the row route (`first_witness`, `first_witness_rows`): same witnesses.
     """
 
     def __init__(self, ifs: IfsSpec, cand: RecurrentCandidate, c1: float):
         self.ifs = ifs
         self.cand = cand
         self.c1 = c1
-        self.thetas, self.ts = cand.delta_points()
         self.member0 = GridMembership(cand.geom, cand.L0, cand.search_slack)
         self.delta_runs = RowRuns.of(cand.L1)
-        n = len(self.thetas)
+        n = cand.delta_count
         self.probe_idx = np.arange(0, n, max(1, n // _PROBE_SIZE))
-
-    @property
-    def n_points(self) -> int:
-        return len(self.thetas)
 
     def coverage(
         self, assignment: OmegaAssignment, indices: np.ndarray | None = None
@@ -166,7 +161,8 @@ class CoverageTester:
         if indices is None:
             witness = first_witness_rows(words, self.delta_runs, self.member0)
         else:
-            witness = first_witness(words, self.thetas[indices], self.ts[indices], self.member0)
+            lines = self.delta_runs.lines(self.cand.geom, indices)
+            witness = first_witness(words, *lines, self.member0)
         return witness >= 0, witness
 
 
@@ -253,7 +249,7 @@ def search_omega0(
     if cand.delta_count == 0:
         raise ValueError("probe net is empty")
     tester = CoverageTester(ifs, cand, c1)
-    n = tester.n_points
+    n = cand.delta_count
 
     def finish(omega0, attempts, accepted, best, covered):
         coverage = float(np.count_nonzero(covered) / n) if covered is not None else 0.0

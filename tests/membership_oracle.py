@@ -1,9 +1,11 @@
 """The three-rectangle slack-window membership, kept as a test oracle for
 `ifsproj.recurrence.GridMembership`, which pads the grid with its mirrored
-wrap rows once and answers each query with a single rectangle.
+wrap rows once, keeps only the padded grid's row runs and answers each
+query's single rectangle row by row from those runs.
 
-This route leaves the grid unpadded and adds, per query, a second rectangle
-on the mirrored far end whenever the window crosses theta = 0 or pi.
+This route shares neither step: it leaves the grid unpadded, counts cells
+with an integral image, and adds, per query, a second rectangle on the
+mirrored far end whenever the window crosses theta = 0 or pi.
 """
 
 from __future__ import annotations

@@ -167,6 +167,10 @@ def test_malformed_ifs_is_config_error(tmp_path, capsys):
     p.write_text(json.dumps(spec))
     assert main(["dimension", "--ifs", str(p)]) == 2
     assert "maps: missing symbol 'c'" in capsys.readouterr().err
+    for field, value in (("alphabet", 5), ("alphabet", [1, 2]), ("maps", 5), ("maps", ["a"])):
+        p.write_text(json.dumps({**spec, field: value}))
+        assert main(["dimension", "--ifs", str(p)]) == 2, (field, value)
+        assert capsys.readouterr().err.startswith(f"{field}: must be"), (field, value)
 
 
 def test_thin_system_guard(tmp_path, capsys):
@@ -190,6 +194,14 @@ def test_render_pgm(tmp_path):
     body = np.frombuffer(raw[len(header):], dtype=np.uint8)
     assert body.size == 32 * 32
     assert set(np.unique(body)) <= {0, 255} and (body == 255).any()
+
+
+def test_render_rejects_bad_size(tmp_path, capsys):
+    for size in ("0", "-3"):
+        argv = ["render", "--ifs", "sierpinski", "--out", str(tmp_path), f"--size={size}"]
+        assert main(argv) == 2, size
+        assert capsys.readouterr().err.startswith("raster_size: must be a positive integer")
+    assert not (tmp_path / "attractor.pgm").exists()
 
 
 def test_scan_csv_format_and_determinism(tmp_path, capsys):
@@ -319,6 +331,20 @@ def test_verify_rejects_bad_omega(tmp_path, capsys, monkeypatch):
 
 def test_certify_rejects_bad_omega(tmp_path, capsys, monkeypatch):
     check_bad_omega_rejected(tmp_path, capsys, monkeypatch, "certify")
+
+
+def test_certify_rejects_nonfinite_theta(tmp_path, capsys, monkeypatch):
+    """A theta that is not a finite number exits 2 with a `theta:` message,
+    before any pipeline work."""
+
+    def no_pipeline(cfg):
+        raise AssertionError("pipeline built before theta was checked")
+
+    monkeypatch.setattr(cli, "build_pipeline", no_pipeline)
+    cfg = coarse_config(tmp_path)
+    for theta in ("nan", "inf", "-inf"):
+        assert main(["certify", "--config", cfg, f"--theta={theta}"]) == 2, theta
+        assert capsys.readouterr().err.startswith("theta: must be finite"), theta
 
 
 def test_search_success_report_matches_verify(tmp_path, capsys, monkeypatch):

@@ -115,16 +115,21 @@ def test_membership_wraps_with_t_flip():
     assert not mem.contains([th], [7 * geom.pitch])[0]
 
 
-@pytest.mark.parametrize("n_theta,t_max,density", [(61, 1.2, 0.05), (40, 1.0, 0.3)])
+@pytest.mark.parametrize(
+    "n_theta,t_max,density", [(61, 1.2, 0.05), (40, 1.0, 0.3), (37, 1.0, 0.9)]
+)
 def test_membership_matches_three_rect_oracle(rng, n_theta, t_max, density):
     """One padded rectangle per query answers as the unpadded grid with a
     mirrored second rectangle at the wrap did, at the slacks the pipeline
-    uses (pitch, rho/2 = 2.0000003 pitch at the desk constants) and beyond."""
+    uses (pitch, rho/2 = 2.0000003 pitch at the desk constants), beyond
+    them, and below half a pitch, where a window can hold no row or column.
+    The dense grid has long runs and full rows; an all-false grid holds no
+    run and contains nothing."""
     geom = GridGeometry(n_theta, t_max=t_max)
     h, m = geom.pitch, geom.m
     grid = rng.random((geom.n_theta, geom.n_t)) < density
     n = 2000
-    for slack in (h / 2, h, 2.0000003 * h, 2.5 * h):
+    for slack in (0.4 * h, h / 2, h, 2.0000003 * h, 2.5 * h):
         thetas = np.concatenate(
             [rng.uniform(0.0, math.pi, n), rng.uniform(0.0, h, n), rng.uniform(math.pi - h, math.pi, n)]
         )
@@ -145,6 +150,7 @@ def test_membership_matches_three_rect_oracle(rng, n_theta, t_max, density):
         want = ThreeRectMembership(geom, grid).contains(thetas, ts, slack)
         assert np.array_equal(got, want), slack
         assert got.any() and not got.all()
+        assert not GridMembership(geom, np.zeros_like(grid), slack).contains(thetas, ts).any()
 
 
 def test_slice_params_validation():
@@ -237,9 +243,12 @@ def test_candidate_layers_nest(desk):
     assert not np.any(cand.L0 & ~cand.L)
     assert not np.any(cand.L & ~cand.L1)
     assert cand.r_cells == 3 and cand.r1_cells == 5
-    # delta points enumerate L1 exactly
-    th, tt = cand.delta_points()
+    # the run lines enumerate L1 exactly
+    th, tt = RowRuns.of(cand.L1).lines(cand.geom, np.arange(cand.delta_count))
     assert len(th) == int(cand.L1.sum()) == cand.delta_count
+    rows, cols = np.nonzero(cand.L1)
+    assert np.array_equal(th, rows * cand.geom.pitch)
+    assert np.array_equal(tt, (cols - cand.geom.m) * cand.geom.pitch)
 
 
 def test_candidate_save_load_roundtrip(desk, tmp_path):
@@ -424,7 +433,8 @@ def test_check_recurrence_matches_brute_first_witness(rng):
         member = l_membership(cand)
         rep = check_recurrence(ifs, cand, member)
         words = two_letter_words(ifs.alphabet, ifs.maps)
-        thetas, ts = cand.core_points()
+        rows, cols = np.nonzero(cand.L)
+        thetas, ts = rows * geom.pitch, (cols - geom.m) * geom.pitch
         brute = brute_first_witness([g for _, g in words], thetas, ts, member)
 
         assert rep.total == len(thetas) and rep.recurred == int((brute >= 0).sum())

@@ -178,8 +178,33 @@ def test_coverage_witnesses_reverify(recurrent_instance, rng):
     idx = np.flatnonzero(covered)[:: max(1, covered.sum() // 64)]
     for i in idx:
         g = words[witness[i]]
-        th, tt = renormalize_arrays(g, tester.thetas[[i]], tester.ts[[i]])
+        th, tt = renormalize_arrays(g, *tester.delta_runs.lines(cand.geom, np.array([i])))
         assert member0.contains(th, tt)[0]
+
+
+def _held_bytes(obj) -> int:
+    """Bytes of the arrays obj holds itself, in its row runs, and in the
+    memberships it holds."""
+    total = 0
+    for v in vars(obj).values():
+        if isinstance(v, np.ndarray):
+            total += v.nbytes
+        elif isinstance(v, tuple):
+            total += sum(a.nbytes for a in v if isinstance(a, np.ndarray))
+        elif isinstance(v, GridMembership):
+            total += _held_bytes(v)
+    return total
+
+
+def test_memberships_hold_no_per_cell_arrays():
+    """The probe net and the memberships are held as run lists: a
+    CoverageTester with its L0 membership, and the L membership of the
+    check, hold fewer bytes than the grid has cells (the candidate's own
+    grids aside)."""
+    res, _, cand = build_pipeline(RunConfig(ifs="sierpinski", rho=4.0**-3))
+    tester = CoverageTester(res.ifs, cand, 8.0)
+    held = _held_bytes(tester) + _held_bytes(l_membership(cand))
+    assert held < cand.L0.size
 
 
 def test_search_is_deterministic(recurrent_instance):
@@ -303,7 +328,8 @@ def test_farthest_lines_stay_uncovered(desk):
         dist, row, col = farthest_line(cand.L1, geom, hull)
         assert dist > 0.05
         i = int(np.count_nonzero(cand.L1.ravel()[: row * geom.n_t + col]))
-        assert (tester.thetas[i], tester.ts[i]) == (row * geom.pitch, (col - geom.m) * geom.pitch)
+        th, tt = tester.delta_runs.lines(geom, np.array([i]))
+        assert (th[0], tt[0]) == (row * geom.pitch, (col - geom.m) * geom.pitch)
         covered, _ = tester.coverage(assignment, indices=np.array([i]))
         assert not covered[0]
 
