@@ -12,6 +12,8 @@ PYTHONPATH and the configs of this checkout. The commands:
 - `scan` on configs/sierpinski.json;
 - `search` on configs/sierpinski.json at seed 1: iid with budget 300, and
   per_symbol with budget 5;
+- `search` iid on four_corner at rho 2^-7, seed 1, budget 200: 12 full blocks
+  of iid draws and a partial one, on a second probe net;
 - `verify` on four_corner at rho 2^-7, seed 1, with the omega that
   `bench/run.py` draws for seed 1;
 - `verify` on configs/sierpinski.json (the desk run, whose check slack of
@@ -57,6 +59,7 @@ COMMANDS = {
     "search-per-symbol": [
         "search", "--config", SIERPINSKI, "--seed", "1", "--mode", "per_symbol", "--budget", "5",
     ],
+    "search-iid-four-corner": ["search", *FINE, "--seed", "1", "--mode", "iid", "--budget", "200"],
     "verify": ["verify", *FINE, "--seed", "1", "--omega", OMEGA],
     "verify-sierpinski": ["verify", "--config", SIERPINSKI, "--seed", "1", "--omega", OMEGA_DESK],
     "certify": ["certify", *FINE, "--theta", "0.7854"],

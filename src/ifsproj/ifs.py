@@ -243,6 +243,11 @@ def ifs_from_json_dict(data: Mapping) -> IfsSpec:
         raise ConfigError(f"alphabet: must be a list of symbol strings, got {alphabet!r}")
     if not isinstance(raw_maps, Mapping):
         raise ConfigError(f"maps: must be an object keyed by symbol, got {raw_maps!r}")
+    part_one = data.get("part_one")
+    if part_one is not None and not (
+        isinstance(part_one, list) and all(isinstance(a, str) for a in part_one)
+    ):
+        raise ConfigError(f"part_one: must be a list of symbol strings, got {part_one!r}")
     maps = {}
     for a in alphabet:
         if a not in raw_maps:
@@ -257,7 +262,6 @@ def ifs_from_json_dict(data: Mapping) -> IfsSpec:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"maps: bad entry for symbol {a!r}: {exc}") from exc
-    part_one = data.get("part_one")
     return make_ifs(maps, part_one=part_one, alphabet=alphabet)
 
 

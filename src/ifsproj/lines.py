@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,10 +98,40 @@ def line_square_intersects(line: Line, sq: Square, tol: float = 0.0) -> bool:
     return project_square(line.theta, sq).contains(line.t, tol=tol)
 
 
+class MapArrays(NamedTuple):
+    """The fields of `Similarity` as arrays, one forward map per element;
+    translation is the pair (x, y) of arrays. `renormalize_affine` and
+    `renormalize_arrays` take it wherever they take a Similarity and
+    broadcast it against the lines."""
+
+    ratio: np.ndarray
+    angle: np.ndarray
+    reflect: np.ndarray
+    translation: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(cls, maps: Sequence[Similarity]) -> "MapArrays":
+        return cls(
+            np.array([f.ratio for f in maps], dtype=float),
+            np.array([f.angle for f in maps], dtype=float),
+            np.array([f.reflect for f in maps], dtype=bool),
+            (
+                np.array([f.translation[0] for f in maps], dtype=float),
+                np.array([f.translation[1] for f in maps], dtype=float),
+            ),
+        )
+
+    def take(self, idx: np.ndarray) -> "MapArrays":
+        """The maps at the given indices."""
+        tx, ty = self.translation
+        return MapArrays(self.ratio[idx], self.angle[idx], self.reflect[idx], (tx[idx], ty[idx]))
+
+
 def renormalize_affine(
-    f: Similarity, thetas: np.ndarray
+    f: Similarity | MapArrays, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """T_f = f^{-1} on lines of the given angles, for a forward map f.
+    """T_f = f^{-1} on lines of the given angles, for a forward map f (one
+    map, or one per angle).
 
     Returns canonical theta' and the affine offset map of each angle:
     T_f(theta, t) = (theta', sign * (t - shift) / f.ratio). shift is the
@@ -109,8 +139,9 @@ def renormalize_affine(
     fold of the angle into [0, pi).
     """
     thetas = np.asarray(thetas, dtype=float)
-    shift = -f.translation[0] * np.sin(thetas) + f.translation[1] * np.cos(thetas)
-    theta_raw = f.angle - thetas if f.reflect else thetas - f.angle
+    tx, ty = f.translation
+    shift = -tx * np.sin(thetas) + ty * np.cos(thetas)
+    theta_raw = np.where(f.reflect, f.angle - thetas, thetas - f.angle)
     k = np.floor(theta_raw / math.pi)
     theta_p = theta_raw - k * math.pi
     edge = theta_p >= math.pi
@@ -122,11 +153,11 @@ def renormalize_affine(
 
 
 def renormalize_arrays(
-    f: Similarity, thetas: np.ndarray, ts: np.ndarray
+    f: Similarity | MapArrays, thetas: np.ndarray, ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized renormalization of many lines by one forward map f: the
-    closed form of `renormalize_affine` applied to each offset. Returns
-    canonical (theta', t') arrays of the input shape."""
+    """Vectorized renormalization of many lines by one forward map f, or by
+    one map per line: the closed form of `renormalize_affine` applied to each
+    offset. Returns canonical (theta', t') arrays of the input shape."""
     theta_p, sign, shift = renormalize_affine(f, thetas)
     return theta_p, sign * ((np.asarray(ts, dtype=float) - shift) / f.ratio)
 

@@ -31,7 +31,7 @@ from scipy.ndimage import maximum_filter1d
 
 from .errors import BudgetExceeded
 from .ifs import IfsSpec, Perturbation, Similarity, Word, compose, map_square, perturb_map
-from .lines import Line, line_square_intersects, renormalize_affine, renormalize_arrays
+from .lines import Line, MapArrays, line_square_intersects, renormalize_affine, renormalize_arrays
 from .measure import DirectionSet, stopping_cylinders
 
 
@@ -114,9 +114,10 @@ class GridMembership:
     and |t_j - t| <= slack. Windows crossing theta = 0 or pi continue on the
     other end with t negated: the grid is padded once with its mirrored end
     rows, so each query is one rectangle of index space. The padded grid is
-    held only as its row runs (`runs`), which answer each row of a window by
-    one binary search and also serve `first_witness_rows`. The test is exact
-    in index space, so re-checks reproduce it bit for bit.
+    held only as its row runs (`runs`), which answer each row of a window
+    from the row's last run (a binary search where the row has several) and
+    also serve `first_witness_rows`. The test is exact in index space, so
+    re-checks reproduce it bit for bit.
     """
 
     _TOL = 1e-9  # index-space guard so boundary offsets stay included
@@ -148,22 +149,33 @@ class GridMembership:
     def contains(self, thetas: np.ndarray, ts: np.ndarray) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        ptr, _, stop = self.runs
-        hit = np.zeros(len(thetas), dtype=bool)
+        ptr, start, stop = self.runs
         if not len(stop):
-            return hit
+            return np.zeros(len(thetas), dtype=bool)
         n_t = self.geom.n_t
         r1, r2 = self.rows(thetas)
         c1, c2 = self._window(ts, self.geom.m)
         r1, r2, c2 = np.maximum(r1, 0), np.minimum(r2, len(ptr) - 2), np.minimum(c2, n_t - 1)
         # empty windows read row -1, whose ptr entry (the run count) no k reaches
-        r2[(r1 > r2) | (c1 > c2)] = -1
-        for d in range(int((r2 - r1).max(initial=-1)) + 1):
-            row = np.minimum(r1 + d, r2)
-            # the row's last run starting at or before c2; a c2 below 0 finds
-            # an earlier row's run, which the ptr test rejects
-            k = np.searchsorted(self._keys, row * (n_t + 1) + c2, "right") - 1
-            hit |= (k >= ptr[row]) & (stop[k] > c1)
+        empty = (r1 > r2) | (c1 > c2)
+        r1[empty] = r2[empty] = -1
+
+        def row_hit(row, c1, c2):
+            # the row's last run starting at or before c2: its last run, or a
+            # binary search where it has several; a search that finds an
+            # earlier row's run fails the ptr test
+            k = ptr[row + 1] - 1
+            several = k > ptr[row]
+            if several.any():
+                key = row[several] * (n_t + 1) + c2[several]
+                k[several] = np.searchsorted(self._keys, key, "right") - 1
+            return (k >= ptr[row]) & (start[k] <= c2) & (stop[k] > c1)
+
+        # a window's end rows, then its inner rows where it has any
+        hit = row_hit(r1, c1, c2) | row_hit(r2, c1, c2)
+        for d in range(1, int((r2 - r1).max(initial=0))):
+            i = np.flatnonzero(r1 + d < r2)
+            hit[i] |= row_hit(r1[i] + d, c1[i], c2[i])
         return hit
 
 
@@ -386,28 +398,36 @@ def two_letter_words(
 
 
 def first_witness(
-    words: Sequence[Similarity],
+    word_sets: Sequence[Sequence[Similarity]],
     thetas: np.ndarray,
     ts: np.ndarray,
     member: GridMembership,
 ) -> np.ndarray:
-    """For each line (theta, t), the index of the first word g whose
-    renormalization T_g sends it into member (within its slack), as int16;
-    -1 where no word does.
+    """For each word list (set) and each line (theta, t), the index of the
+    set's first word g whose renormalization T_g sends the line into member
+    (within its slack), as a (sets, lines) int16 array; -1 where no word of
+    the set does. The lists must have equal length.
 
-    Each word is evaluated only on the lines that no earlier word has sent
-    home.
+    Word index k runs once over the (set, line) pairs that no earlier word of
+    their own set has sent home, with each pair's own map (`MapArrays`): one
+    renormalization and one membership query per word index, however many
+    sets there are.
     """
-    witness = np.full(len(thetas), -1, dtype=np.int16)
-    rem = np.arange(len(thetas))
-    for w_i, g in enumerate(words):
+    n_sets, n = len(word_sets), len(thetas)
+    if len({len(words) for words in word_sets}) > 1:
+        raise ValueError("word lists differ in length")
+    witness = np.full(n_sets * n, -1, dtype=np.int16)
+    rem = np.arange(n_sets * n)  # pair b * n + i: set b, line i
+    for w_i, column in enumerate(zip(*word_sets)):
         if not len(rem):
             break
-        th_hat, t_hat = renormalize_arrays(g, thetas[rem], ts[rem])
+        sets, lines = np.divmod(rem, n)
+        g = MapArrays.of(column).take(sets)
+        th_hat, t_hat = renormalize_arrays(g, thetas[lines], ts[lines])
         hit = member.contains(th_hat, t_hat)
         witness[rem[hit]] = w_i
         rem = rem[~hit]
-    return witness
+    return witness.reshape(n_sets, n)
 
 
 def _merge(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,7 +509,7 @@ def first_witness_rows(
     before = source.before
     n_cells = int(before[-1])
     if member.slack < geom.pitch / 2:
-        return first_witness(words, *source.lines(geom, np.arange(n_cells)), member)
+        return first_witness([words], *source.lines(geom, np.arange(n_cells)), member)[0]
 
     def cell_ranges(row, c0, c1):
         """[first, stop) of the source cells in columns [c0, c1) of each row,
@@ -791,7 +811,7 @@ def certify_projection_interval(
             words = [g for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
             th = np.full(len(cols), row * geom.pitch)
             tt = (cols - geom.m) * geom.pitch
-            rec = first_witness(words, th, tt, membership) >= 0
+            rec = first_witness([words], th, tt, membership)[0] >= 0
             row_cells[cols[~rec]] = False
         best_start, stop = _longest_run(row_cells, np.arange(geom.n_t + 1))
         best_run = stop - best_start

@@ -15,6 +15,7 @@ each two-letter renormalization push lines away from P by the factor
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,7 @@ def draw_assignment(rng: np.random.Generator, ifs: IfsSpec, epsilon: float) -> O
 
 
 _PROBE_SIZE = 2048  # probe points checked before a full evaluation
+_IID_BLOCK = 16  # iid draws whose probes one coverage call evaluates
 _STALL_LIMIT = 40  # per_symbol: rejections in a row before a fresh draw
 
 
@@ -141,6 +143,7 @@ class CoverageTester:
     assignment that misses a probe point cannot cover Delta. Delta is held
     only as row runs; subsets go through the point route, all of it through
     the row route (`first_witness`, `first_witness_rows`): same witnesses.
+    The point route takes all the assignments of a call at once.
     """
 
     def __init__(self, ifs: IfsSpec, cand: RecurrentCandidate, c1: float):
@@ -153,16 +156,19 @@ class CoverageTester:
         self.probe_idx = np.arange(0, n, max(1, n // _PROBE_SIZE))
 
     def coverage(
-        self, assignment: OmegaAssignment, indices: np.ndarray | None = None
+        self, assignments: Sequence[OmegaAssignment], indices: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """covered flags and witness word indices (-1 where uncovered) for the
-        given subset of Delta (default: all of it)."""
-        words = _perturbed_words(self.ifs, assignment, self.c1, self.cand.rho)
+        """covered flags and witness word indices (-1 where uncovered) of each
+        assignment on the given subset of Delta (default: all of it), one
+        assignment after the other: with n points, entry b * n + i belongs to
+        assignment b and point i."""
+        word_sets = [_perturbed_words(self.ifs, a, self.c1, self.cand.rho) for a in assignments]
         if indices is None:
-            witness = first_witness_rows(words, self.delta_runs, self.member0)
+            rows = [first_witness_rows(words, self.delta_runs, self.member0) for words in word_sets]
+            witness = rows[0] if len(rows) == 1 else np.concatenate(rows)  # one: no copy
         else:
             lines = self.delta_runs.lines(self.cand.geom, indices)
-            witness = first_witness(words, *lines, self.member0)
+            witness = first_witness(word_sets, *lines, self.member0).ravel()
         return witness >= 0, witness
 
 
@@ -201,7 +207,9 @@ def estimate_success_prob(
 ) -> float:
     """Monte Carlo measure of the assignments that send u back into L0.
 
-    u must lie on the probe net (within grid pitch of an L1 cell).
+    u must lie on the probe net (within grid pitch of an L1 cell). The
+    samples are drawn in order from one stream and evaluated _IID_BLOCK at a
+    time.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -213,9 +221,12 @@ def estimate_success_prob(
     th = np.array([u.theta])
     tt = np.array([u.t])
     hits = 0
-    for _ in range(samples):
-        words = _perturbed_words(ifs, draw_assignment(rng, ifs, epsilon), c1, cand.rho)
-        hits += int(first_witness(words, th, tt, member0)[0] >= 0)
+    for first in range(0, samples, _IID_BLOCK):
+        word_sets = [
+            _perturbed_words(ifs, draw_assignment(rng, ifs, epsilon), c1, cand.rho)
+            for _ in range(min(_IID_BLOCK, samples - first))
+        ]
+        hits += int(np.count_nonzero(first_witness(word_sets, th, tt, member0) >= 0))
     return hits / samples
 
 
@@ -230,11 +241,12 @@ def search_omega0(
 ) -> SearchOutcome:
     """Randomized search for an assignment covering the whole probe net.
 
-    mode "iid": fresh assignment per attempt from per-index streams (so a
-    parallel evaluator would accept the same, lowest-index, sample). An
-    attempt is rejected exactly when it misses a probe point (probe misses
-    are sound rejections); full-net evaluation only runs on probe-clean
-    attempts, and acceptance requires full coverage.
+    mode "iid": fresh assignment per attempt from per-index streams, so the
+    outcome does not depend on how attempts are grouped. Attempts are drawn
+    and probed _IID_BLOCK at a time, then walked in index order. An attempt
+    is rejected exactly when it misses a probe point (probe misses are sound
+    rejections); full-net evaluation only runs on probe-clean attempts,
+    acceptance requires full coverage, and the lowest accepted index wins.
 
     mode "per_symbol": sequential hill climb resampling one symbol's
     perturbation at a time, keeping changes that strictly shrink the
@@ -265,21 +277,22 @@ def search_omega0(
 
     if mode == "iid":
         best_frac, best_assignment = -1.0, None
-        for k in range(budget):
-            rng = np.random.default_rng([seed, k])
-            assignment = draw_assignment(rng, ifs, epsilon)
-            probe_cov, _ = tester.coverage(assignment, tester.probe_idx)
-            frac = float(np.count_nonzero(probe_cov) / len(probe_cov))
-            if frac > best_frac:
-                best_frac, best_assignment = frac, assignment
-            if not probe_cov.all():
-                continue
-            covered, _ = tester.coverage(assignment)
-            if covered.all():
-                return finish(assignment, k + 1, k, assignment, covered)
+        for first in range(0, budget, _IID_BLOCK):
+            ks = range(first, min(first + _IID_BLOCK, budget))
+            block = [draw_assignment(np.random.default_rng([seed, k]), ifs, epsilon) for k in ks]
+            probe_cov, _ = tester.coverage(block, tester.probe_idx)
+            for k, assignment, cov in zip(ks, block, probe_cov.reshape(len(block), -1)):
+                frac = float(np.count_nonzero(cov) / len(cov))
+                if frac > best_frac:
+                    best_frac, best_assignment = frac, assignment
+                if not cov.all():
+                    continue
+                covered, _ = tester.coverage([assignment])
+                if covered.all():
+                    return finish(assignment, k + 1, k, assignment, covered)
         if best_assignment is None:
             return finish(None, budget, None, None, None)
-        covered, _ = tester.coverage(best_assignment)
+        covered, _ = tester.coverage([best_assignment])
         return finish(None, budget, None, best_assignment, covered)
 
     if mode == "per_symbol":
@@ -289,7 +302,7 @@ def search_omega0(
 
         current = draw_assignment(rng, ifs, epsilon)
         attempts += 1
-        covered, _ = tester.coverage(current)
+        covered, _ = tester.coverage([current])
         uncovered = int(np.count_nonzero(~covered))
         best_unc, best_assignment, best_covered = uncovered, current, covered
         stall = 0
@@ -301,11 +314,11 @@ def search_omega0(
             attempts += 1
             unc_idx = np.flatnonzero(~covered)
             probe_unc = unc_idx[:: max(1, len(unc_idx) // _PROBE_SIZE)]
-            probe_cov, _ = tester.coverage(candidate, probe_unc)
+            probe_cov, _ = tester.coverage([candidate], probe_unc)
             if not probe_cov.any():
                 stall += 1
             else:
-                cand_covered, _ = tester.coverage(candidate)
+                cand_covered, _ = tester.coverage([candidate])
                 cand_unc = int(np.count_nonzero(~cand_covered))
                 if cand_unc < uncovered:
                     current, covered, uncovered = candidate, cand_covered, cand_unc
@@ -317,7 +330,7 @@ def search_omega0(
             if stall >= _STALL_LIMIT and attempts < budget:
                 current = draw_assignment(rng, ifs, epsilon)
                 attempts += 1
-                covered, _ = tester.coverage(current)
+                covered, _ = tester.coverage([current])
                 uncovered = int(np.count_nonzero(~covered))
                 if uncovered < best_unc:
                     best_unc, best_assignment, best_covered = uncovered, current, covered

@@ -167,7 +167,15 @@ def test_malformed_ifs_is_config_error(tmp_path, capsys):
     p.write_text(json.dumps(spec))
     assert main(["dimension", "--ifs", str(p)]) == 2
     assert "maps: missing symbol 'c'" in capsys.readouterr().err
-    for field, value in (("alphabet", 5), ("alphabet", [1, 2]), ("maps", 5), ("maps", ["a"])):
+    bad = (
+        ("alphabet", 5),
+        ("alphabet", [1, 2]),
+        ("maps", 5),
+        ("maps", ["a"]),
+        ("part_one", 5),
+        ("part_one", "ab"),
+    )
+    for field, value in bad:
         p.write_text(json.dumps({**spec, field: value}))
         assert main(["dimension", "--ifs", str(p)]) == 2, (field, value)
         assert capsys.readouterr().err.startswith(f"{field}: must be"), (field, value)

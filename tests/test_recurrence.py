@@ -340,7 +340,7 @@ def test_first_witness_matches_brute_loop(rng):
         ts = np.append(ts, source.t)
         bound_words.append(k)
 
-    got = first_witness(words, thetas, ts, member)
+    got = first_witness([words], thetas, ts, member)[0]
     assert got.dtype == np.int16
     assert np.array_equal(got, brute_first_witness(words, thetas, ts, member))
     assert (got == -1).any() and (got > 0).any()
@@ -411,13 +411,71 @@ def test_row_route_matches_point_route(rng, slack_pitches):
 
     got = first_witness_rows(words, runs, member)
     assert got.dtype == np.int16
-    assert np.array_equal(got, first_witness(words, thetas, ts, member))
+    assert np.array_equal(got, first_witness([words], thetas, ts, member)[0])
     assert (got == -1).any() and (got >= 9).any()
     # each word alone, so that no earlier word covers its boundary cells
     for g in words:
-        assert np.array_equal(first_witness_rows([g], runs, member), first_witness([g], thetas, ts, member))
+        assert np.array_equal(first_witness_rows([g], runs, member), first_witness([[g]], thetas, ts, member)[0])
     empty = RowRuns.of(np.zeros_like(source))
     assert len(first_witness_rows(words, empty, member)) == 0
+
+
+def _one_list_witness(words, thetas, ts, member):
+    """One word list on its own, with scalar maps: each word on the lines
+    that no earlier word has sent into member."""
+    witness = np.full(len(thetas), -1, dtype=np.int16)
+    rem = np.arange(len(thetas))
+    for w_i, g in enumerate(words):
+        th_hat, t_hat = renormalize_arrays(g, thetas[rem], ts[rem])
+        hit = member.contains(th_hat, t_hat)
+        witness[rem[hit]] = w_i
+        rem = rem[~hit]
+    return witness
+
+
+@pytest.mark.parametrize("slack_pitches", [1.0, 2.5, 0.4])
+def test_batched_first_witness_matches_per_set_loop(rng, slack_pitches):
+    """first_witness on a block of word lists equals each list on its own,
+    bit for bit: blocks of 1, 7 and 16 perturbed copies of the turned
+    system's words (rotated and reflected maps, in a different order in
+    each list); lines at theta 0, just below pi, on grid cells and anywhere;
+    a target of rows with 0, 1 and 2+ runs; slacks of one pitch (search
+    rule), 2.5 pitch and below half a pitch."""
+    ifs = _turned_system(("a", "b"))
+    geom = GridGeometry(61, t_max=1.2)
+    h, m = geom.pitch, geom.m
+    target = _run_grid(rng, geom)
+    member = GridMembership(geom, target, slack_pitches * h)
+    rows, cols = np.nonzero(target)
+    cells = rng.integers(len(rows), size=60)
+    thetas = np.concatenate(
+        [np.zeros(40), math.pi - rng.uniform(0.0, 2 * h, 40), rows[cells] * h, rng.uniform(0.0, math.pi, 200)]
+    )
+    ts = np.concatenate([rng.uniform(-1.3, 1.3, 80), (cols[cells] - m) * h, rng.uniform(-1.3, 1.3, 200)])
+
+    def words():
+        maps = {
+            a: perturb_map(f, Perturbation(rng.uniform(-0.3, 0.3), tuple(rng.uniform(-0.9, 0.9, 2))), 0.1, 0.5)
+            if a in ifs.part_one
+            else f
+            for a, f in ifs.maps.items()
+        }
+        words = [g for _, g in two_letter_words(ifs.alphabet, maps)]
+        # shuffled, so that one word index mixes reflected and turned maps
+        return [words[i] for i in rng.permutation(len(words))]
+
+    seen = set()
+    for n_sets in (1, 7, 16):
+        word_sets = [words() for _ in range(n_sets)]
+        got = first_witness(word_sets, thetas, ts, member)
+        assert got.shape == (n_sets, len(thetas)) and got.dtype == np.int16
+        for ws, row in zip(word_sets, got):
+            assert np.array_equal(row, _one_list_witness(ws, thetas, ts, member))
+        seen |= set(got.ravel().tolist())
+    assert len({row.tobytes() for row in got}) > 1  # the sets do differ
+    assert -1 in seen and len(seen) > 5
+    with pytest.raises(ValueError, match="differ in length"):
+        first_witness([word_sets[0], word_sets[1][:-1]], thetas, ts, member)
 
 
 def test_check_recurrence_matches_brute_first_witness(rng):

@@ -12,6 +12,7 @@ from ifsproj import (
     OmegaAssignment,
     Perturbation,
     RunConfig,
+    SearchOutcome,
     attractor_points,
     build_pipeline,
     build_perturbed_ifs,
@@ -20,15 +21,18 @@ from ifsproj import (
     compose,
     draw_assignment,
     estimate_success_prob,
+    first_witness,
     get_builtin,
     hull_obstruction,
     invariant_polygon,
     perturb_map,
+    perturbed_maps,
     renormalize_arrays,
     search_omega0,
     two_letter_words,
     Line,
 )
+from ifsproj.search import _IID_BLOCK
 from test_acceptance import farthest_line, obstruction_faults, settlement_faults
 from test_recurrence import _turned_system, flat_candidate, l_membership, lines_meeting_unit_square
 
@@ -128,12 +132,67 @@ def test_estimate_success_prob(recurrent_instance):
         estimate_success_prob(ifs, Line(0.0, -0.9), cand, samples=4, seed=1)
 
 
+def _iid_one_by_one(ifs, cand, budget, seed, c1, epsilon) -> SearchOutcome:
+    """The iid search written out one attempt at a time: the best probe
+    fraction (strictly greater wins), a full evaluation for each probe-clean
+    attempt, and the first fully covering attempt accepted."""
+    tester = CoverageTester(ifs, cand, c1)
+    best_frac, best = -1.0, None
+    for k in range(budget):
+        a = draw_assignment(np.random.default_rng([seed, k]), ifs, epsilon)
+        probe, _ = tester.coverage([a], tester.probe_idx)
+        frac = float(np.count_nonzero(probe) / len(probe))
+        if frac > best_frac:
+            best_frac, best = frac, a
+        if probe.all() and tester.coverage([a])[0].all():
+            return SearchOutcome(a, k + 1, k, a, 1.0, 0.0, "iid")
+    coverage = float(np.count_nonzero(tester.coverage([best])[0]) / cand.delta_count)
+    return SearchOutcome(None, budget, None, best, coverage, 1.0 - coverage, "iid")
+
+
+def test_iid_blocks_match_one_attempt_at_a_time(recurrent_instance):
+    """Drawing and probing iid attempts in blocks changes no outcome. Cases
+    (budget, c1, epsilon, accepted attempt): an acceptance at attempt 23,
+    the eighth of its block; one at attempt 11 although attempt 13 of the
+    same block passes too; and two failing searches whose budgets end inside
+    a block, in the second of which attempts 11 and 13 tie at a clean probe
+    and the first stays best."""
+    ifs, cand = recurrent_instance
+    cases = ((40, 0.3, 0.3, 23), (40, 0.3, 0.1, 11), (21, 0.3, 0.3, None), (21, 0.5, 0.2, None))
+    for budget, c1, epsilon, accepted in cases:
+        out = search_omega0(ifs, cand, budget=budget, seed=0, mode="iid", c1=c1, epsilon=epsilon)
+        assert out.accepted_attempt == accepted
+        assert out.to_json_dict() == _iid_one_by_one(ifs, cand, budget, 0, c1, epsilon).to_json_dict()
+    assert 0 < 23 % _IID_BLOCK < _IID_BLOCK - 1 and budget % _IID_BLOCK
+    assert out.best_assignment == draw_assignment(np.random.default_rng([0, 11]), ifs, epsilon)
+    assert 0.0 < out.coverage < 1.0
+
+
+def test_estimate_success_prob_matches_per_sample_loop(recurrent_instance):
+    """The blocked estimate counts the same hits as evaluating each sample
+    alone, for sample counts below, at and past one block."""
+    ifs, cand = recurrent_instance
+    geom = cand.geom
+    u = Line(30 * geom.pitch, (41 - geom.m) * geom.pitch)
+    member0 = GridMembership(geom, cand.L0, cand.search_slack)
+    for samples in (1, _IID_BLOCK, 2 * _IID_BLOCK + 5):
+        rng = np.random.default_rng(3)
+        hits = 0
+        for _ in range(samples):
+            a = draw_assignment(rng, ifs, 0.3)
+            words = [g for _, g in two_letter_words(ifs.alphabet, perturbed_maps(ifs, a, 0.3, cand.rho))]
+            hits += int(first_witness([words], np.array([u.theta]), np.array([u.t]), member0)[0, 0] >= 0)
+        p = estimate_success_prob(ifs, u, cand, samples=samples, seed=3, c1=0.3, epsilon=0.3)
+        assert p == hits / samples
+    assert 0.0 < p < 1.0
+
+
 def test_probe_is_consistent_with_full_eval(recurrent_instance, rng):
     ifs, cand = recurrent_instance
     tester = CoverageTester(ifs, cand, c1=0.5)
     a = draw_assignment(rng, ifs, 0.3)
-    full, _ = tester.coverage(a)
-    probe, _ = tester.coverage(a, tester.probe_idx)
+    full, _ = tester.coverage([a])
+    probe, _ = tester.coverage([a], tester.probe_idx)
     assert np.array_equal(full[tester.probe_idx], probe)
 
 
@@ -153,7 +212,7 @@ def test_whole_grid_evaluations_stay_row_wise(monkeypatch):
         if hasattr(mod, "renormalize_arrays"):
             monkeypatch.setattr(mod, "renormalize_arrays", counting)
     assignment = draw_assignment(np.random.default_rng(0), res.ifs, cfg.epsilon)
-    covered, _ = CoverageTester(res.ifs, cand, cfg.c1).coverage(assignment)
+    covered, _ = CoverageTester(res.ifs, cand, cfg.c1).coverage([assignment])
     assert covered.any() and not covered.all()
     assert 0 < sum(points) <= 0.1 * len(covered)
 
@@ -168,7 +227,7 @@ def test_coverage_witnesses_reverify(recurrent_instance, rng):
     ifs, cand = recurrent_instance
     tester = CoverageTester(ifs, cand, c1=0.5)
     a = draw_assignment(rng, ifs, 0.3)
-    covered, witness = tester.coverage(a)
+    covered, witness = tester.coverage([a])
     maps = {
         s: perturb_map(ifs.maps[s], a.omegas[s], 0.5, cand.rho) if s in a.omegas else ifs.maps[s]
         for s in ifs.alphabet
@@ -224,10 +283,10 @@ def test_search_reports_best_on_failure(recurrent_instance):
     out = search_omega0(
         ifs, cand, budget=4, seed=2, mode="iid", c1=2.0, epsilon=0.3
     )
-    if out.omega0 is None:
-        assert out.best_assignment is not None
-        assert 0.0 < out.coverage < 1.0
-        assert out.estimated_failure_prob == pytest.approx(1.0 - out.coverage)
+    assert out.omega0 is None
+    assert out.best_assignment is not None
+    assert 0.0 < out.coverage < 1.0
+    assert out.estimated_failure_prob == pytest.approx(1.0 - out.coverage)
 
 
 def test_unknown_mode_rejected(recurrent_instance):
@@ -330,7 +389,7 @@ def test_farthest_lines_stay_uncovered(desk):
         i = int(np.count_nonzero(cand.L1.ravel()[: row * geom.n_t + col]))
         th, tt = tester.delta_runs.lines(geom, np.array([i]))
         assert (th[0], tt[0]) == (row * geom.pitch, (col - geom.m) * geom.pitch)
-        covered, _ = tester.coverage(assignment, indices=np.array([i]))
+        covered, _ = tester.coverage([assignment], indices=np.array([i]))
         assert not covered[0]
 
         dist, row, col = farthest_line(cand.L, geom, hull)
