@@ -21,43 +21,28 @@ from .ifs import (
     cylinder_square,
     epsilon_distance,
     ifs_from_json_dict,
-    invert_map,
     load_ifs,
     make_ifs,
     map_square,
     perturb_map,
     similarity_dimension,
     stopping_cover,
-    stopping_words,
-    word_ratio,
 )
 from .lines import (
-    Interval,
     Line,
     canonical_angle,
-    line_from_two_points,
-    line_square_intersects,
-    normal,
-    project_point,
-    project_square,
     renormalize_affine,
     renormalize_arrays,
-    renormalize_map,
-    renormalize_word,
 )
 from .measure import (
     DirectionSet,
     ProjectedHistogram,
-    WordClassification,
-    bad_word_cap,
     build_E,
-    classify_good_words,
     l2_norm_estimate,
     measured_c9,
     projected_histogram,
     select_c5,
     stopping_cylinders,
-    union_projection_length,
 )
 from .recurrence import (
     GridGeometry,
@@ -68,10 +53,8 @@ from .recurrence import (
     RowRuns,
     SliceBuilder,
     SliceParams,
-    SurvivalReport,
     attractor_points,
     build_candidate,
-    certify_line,
     certify_projection_interval,
     check_recurrence,
     first_witness,

@@ -240,6 +240,15 @@ def cmd_search(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     print(f"seed = {cfg.seed}")
     res, E, cand = _build_pipeline(cfg)
+    obstruction = hull_obstruction(res.ifs, cand, cfg.c1, cfg.epsilon)
+    if obstruction is None:
+        print("hull obstruction: not proved")
+    else:
+        rule = obstruction["search"]
+        print(
+            f"hull obstruction: proved, no draw can be accepted ({rule['source']} cell "
+            f"{rule['distance']:.6g} from the invariant polygon > bound {rule['bound']:.6g})"
+        )
     outcome = search_omega0(
         res.ifs,
         cand,
@@ -254,7 +263,7 @@ def cmd_search(cfg: RunConfig, args) -> int:
         "seed": cfg.seed,
         "budget": cfg.search_budget,
         "excluded_fraction": E.excluded_fraction,
-        "obstruction": hull_obstruction(res.ifs, cand, cfg.c1, cfg.epsilon),
+        "obstruction": obstruction,
     }
     if outcome.omega0 is not None:
         report.update(_assess(cfg, res.ifs, E, cand, outcome.omega0))

@@ -48,6 +48,11 @@ _GRID_KEYS = (
 )
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool: JSON true and false load as Python bools."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """All knobs of a pipeline run. None means "derive the default"."""
@@ -91,23 +96,25 @@ class RunConfig:
             if v is not None:
                 pos[name] = v
         for name, v in pos.items():
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not ((_is_int(v) or isinstance(v, float)) and math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name}: must be a positive number, got {v!r}")
         if self.rho >= 1:
             raise ConfigError(f"rho: must be < 1, got {self.rho}")
         if self.epsilon >= math.pi / 2:
             raise ConfigError(f"epsilon: must be < pi/2, got {self.epsilon}")
-        if self.n_phi % 2 == 0 or self.n_phi < 1:
-            raise ConfigError(f"n_phi: must be a positive odd integer, got {self.n_phi}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (_is_int(self.n_phi) and self.n_phi >= 1 and self.n_phi % 2 == 1):
+            raise ConfigError(f"n_phi: must be a positive odd integer, got {self.n_phi!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed: must be an unsigned integer, got {self.seed!r}")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out: must be a directory path, got {self.out!r}")
         if self.search_mode not in ("iid", "per_symbol"):
             raise ConfigError(f"search_mode: must be 'iid' or 'per_symbol', got {self.search_mode!r}")
         for name in ("word_budget", "search_budget", "n_theta_sample", "raster_size"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
+            if not (_is_int(v) and v >= 1):
                 raise ConfigError(f"{name}: must be a positive integer, got {v!r}")
-        if self.grid_size is not None and not (isinstance(self.grid_size, int) and self.grid_size >= 1):
+        if self.grid_size is not None and not (_is_int(self.grid_size) and self.grid_size >= 1):
             raise ConfigError(f"grid_size: must be a positive integer, got {self.grid_size!r}")
 
     def load_ifs_spec(self) -> IfsSpec:
@@ -204,7 +211,9 @@ def config_from_json_dict(data: dict) -> RunConfig:
         raise ConfigError(f"config: expected a JSON object, got {type(data).__name__}")
     flat: dict = {}
 
-    def take(block: dict, allowed: tuple[str, ...], label: str):
+    def take(block, allowed: tuple[str, ...], label: str):
+        if not isinstance(block, dict):
+            raise ConfigError(f"{label}: expected a JSON object, got {type(block).__name__}")
         for k, v in block.items():
             if k not in allowed:
                 raise ConfigError(f"{label}.{k}: unknown key")

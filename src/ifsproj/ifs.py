@@ -93,10 +93,6 @@ class Perturbation:
         if not (abs(gx) < 1.0 and abs(gy) < 1.0):
             raise ValueError(f"gamma components must lie in (-1,1), got {self.gamma}")
 
-    @classmethod
-    def identity(cls) -> "Perturbation":
-        return cls(0.0, (0.0, 0.0))
-
 
 def perturb_map(f: Similarity, omega: Perturbation, c1: float, rho: float) -> Similarity:
     """Rotate f's image square by phi about its center, shift by gamma*c1*rho."""
@@ -106,18 +102,6 @@ def perturb_map(f: Similarity, omega: Perturbation, c1: float, rho: float) -> Si
     rot = np.array([[cp, -sp], [sp, cp]])
     tau_p = rot @ (tau - c) + c + np.asarray(omega.gamma) * (c1 * rho)
     return Similarity(f.ratio, f.angle + omega.phi, f.reflect, (tau_p[0], tau_p[1]))
-
-
-def invert_map(f: Similarity) -> Similarity:
-    """The inverse similarity f^{-1} (expanding when f contracts).
-
-    For A = r R(a) M^m one has A^{-1} = (1/r) R(-a) without reflection and
-    A^{-1} = (1/r) R(a) M with it, so the inverse stays in the same family.
-    """
-    angle = f.angle if f.reflect else -f.angle
-    inv_lin = Similarity(1.0 / f.ratio, angle, f.reflect, (0.0, 0.0))
-    tau = -apply_similarity(inv_lin, np.asarray(f.translation))
-    return Similarity(1.0 / f.ratio, angle, f.reflect, (tau[0], tau[1]))
 
 
 @dataclass(frozen=True)
@@ -277,13 +261,6 @@ def compose_word(ifs: IfsSpec, w: str | Iterable[str]) -> Similarity:
     for a in as_word(w):
         f = compose(f, ifs.maps[a])
     return f
-
-
-def word_ratio(ifs: IfsSpec, w: str | Iterable[str]) -> float:
-    r = 1.0
-    for a in as_word(w):
-        r *= ifs.maps[a].ratio
-    return r
 
 
 def map_square(f: Similarity) -> Square:
@@ -447,8 +424,8 @@ def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> Stopp
     order (alphabet order as given). The prefix tree is expanded level by
     level: every node is finished (ratio <= rho) or active, and np.repeat
     puts each active node's children in its place, so the order needs no
-    sort. Ratios are left-to-right products, so ratio[i] equals
-    word_ratio(ifs, words[i]). With equal ratios r the words are all words
+    sort. Ratios are products of the letters' ratios taken left to right,
+    as compose_word forms them. With equal ratios r the words are all words
     of the first length n with r^n <= rho.
 
     n_finished + k * n_active is a lower bound on the final count, and
@@ -519,11 +496,6 @@ def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> Stopp
         active = is_child.copy()
         active[is_child] = child_r > rho
     return StoppingCover(ifs.alphabet, codes, lengths, r, ang, refl, tx, ty)
-
-
-def stopping_words(ifs: IfsSpec, rho: float, budget: int | None = None) -> list[Word]:
-    """The words of stopping_cover(ifs, rho, budget) as tuples of symbols."""
-    return list(stopping_cover(ifs, rho, budget).words)
 
 
 def epsilon_distance(base: IfsSpec, other: IfsSpec) -> float:

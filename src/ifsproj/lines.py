@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ifs import IfsSpec, Similarity, Square, compose_word
+from .ifs import Similarity
 
 
 def canonical_angle(theta_raw: float) -> tuple[float, int]:
@@ -38,64 +38,6 @@ class Line:
         t = float(self.t) if k % 2 == 0 else -float(self.t)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "t", t)
-
-    def carrier_point(self) -> np.ndarray:
-        return self.t * normal(self.theta)
-
-    def direction(self) -> np.ndarray:
-        return np.array([math.cos(self.theta), math.sin(self.theta)])
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.hi < self.lo:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
-
-def normal(theta: float) -> np.ndarray:
-    return np.array([-math.sin(theta), math.cos(theta)])
-
-
-def project_point(theta: float, p) -> float | np.ndarray:
-    """Signed offset of p along nu(theta); accepts a point or (n, 2) array."""
-    pts = np.asarray(p, dtype=float)
-    out = -pts[..., 0] * math.sin(theta) + pts[..., 1] * math.cos(theta)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def project_square(theta: float, sq: Square) -> Interval:
-    """The interval swept by the square's projection offsets."""
-    vals = project_point(theta, sq.corners())
-    return Interval(float(vals.min()), float(vals.max()))
-
-
-def line_from_two_points(p, q, tol: float = 1e-12) -> Line:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    d = q - p
-    n = float(np.hypot(d[0], d[1]))
-    if n < tol:
-        raise ValueError("points are too close to define a line")
-    theta_raw = math.atan2(d[1], d[0])
-    return Line(theta_raw, float(project_point(theta_raw % math.pi, p)))
-
-
-def line_square_intersects(line: Line, sq: Square, tol: float = 0.0) -> bool:
-    """Does the line meet the (closed) square, with tol of slack?"""
-    return project_square(line.theta, sq).contains(line.t, tol=tol)
 
 
 class MapArrays(NamedTuple):
@@ -161,13 +103,3 @@ def renormalize_arrays(
     theta_p, sign, shift = renormalize_affine(f, thetas)
     return theta_p, sign * ((np.asarray(ts, dtype=float) - shift) / f.ratio)
 
-
-def renormalize_map(f: Similarity, line: Line) -> Line:
-    """The image of a line under f^{-1}, for a forward similarity f."""
-    theta, t = renormalize_arrays(f, np.array([line.theta]), np.array([line.t]))
-    return Line(float(theta[0]), float(t[0]))
-
-
-def renormalize_word(ifs: IfsSpec, w: str | Iterable[str], line: Line) -> Line:
-    """T_w = T_{w_k} o ... o T_{w_1}, computed as (f_{w_1} o ... o f_{w_k})^{-1}."""
-    return renormalize_map(compose_word(ifs, w), line)

@@ -14,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ifs import IfsSpec, Word, cylinder_square, stopping_cover
-from .lines import project_point, project_square
+from .ifs import IfsSpec, Word, stopping_cover
 
 
 def stopping_cylinders(
@@ -47,10 +46,6 @@ class ProjectedHistogram:
     bin_width: float
     origin: float
     masses: np.ndarray
-
-    @property
-    def total_mass(self) -> float:
-        return float(math.fsum(self.masses.tolist()))
 
 
 def projected_histogram(
@@ -92,15 +87,6 @@ class DirectionSet:
     c5: float
     member: np.ndarray
     excluded_fraction: float
-
-    @property
-    def pitch(self) -> float:
-        return math.pi / len(self.theta_grid)
-
-    def member_of(self, theta: float) -> bool:
-        """Cell membership for an arbitrary canonical angle (nearest row)."""
-        i = int(round(theta / self.pitch)) % len(self.theta_grid)
-        return bool(self.member[i])
 
     def member_rows(self) -> np.ndarray:
         return np.flatnonzero(self.member)
@@ -155,86 +141,6 @@ def build_E(
         member=member,
         excluded_fraction=float(np.count_nonzero(~member) / grid_size),
     )
-
-
-@dataclass(frozen=True)
-class WordClassification:
-    """Good/bad split of a word family by projected-center crowding."""
-
-    theta: float
-    words: tuple[Word, ...]
-    centers: np.ndarray
-    good: np.ndarray
-    radius: float
-    count_cap: float
-
-    @property
-    def n_bad(self) -> int:
-        return int(np.count_nonzero(~self.good))
-
-
-def _assert_prefix_free(words: Sequence[Word]):
-    if not words:
-        raise ValueError("word list is empty")
-    for u, v in zip(sorted(words), sorted(words)[1:]):
-        if v[: len(u)] == u:
-            raise ValueError(f"word list is not prefix-free: {u} prefixes {v}")
-
-
-def classify_good_words(
-    ifs: IfsSpec,
-    theta: float,
-    words: Sequence[Word],
-    rho: float,
-    c6: float,
-    c9: float,
-) -> WordClassification:
-    """A word is good when at most c6^-1 rho^-(d-1)/2 centers crowd within
-    c9^-1 rho^(1/2) of its projected center (strictly, counting itself).
-    Counts come from one sort and two binary searches."""
-    _assert_prefix_free(words)
-    centers = np.array(
-        [project_point(theta, cylinder_square(ifs, w).corners().mean(axis=0)) for w in words]
-    )
-    radius = math.sqrt(rho) / c9
-    cap = (1.0 / c6) * rho ** (-0.5 * (ifs.dimension - 1.0))
-    xs = np.sort(centers)
-    counts = np.searchsorted(xs, centers + radius, side="left") - np.searchsorted(
-        xs, centers - radius, side="right"
-    )
-    return WordClassification(
-        theta=theta,
-        words=tuple(words),
-        centers=centers,
-        good=counts <= cap,
-        radius=radius,
-        count_cap=cap,
-    )
-
-
-def bad_word_cap(c5: float, c6: float, c9: float, rho: float, d: float) -> float:
-    """Configured-constant ceiling for the number of bad words at any good
-    direction: 6 c5 c6 c9^3 rho^(-d/2)."""
-    return 6.0 * c5 * c6 * c9**3 * rho ** (-0.5 * d)
-
-
-def union_projection_length(ifs: IfsSpec, words: Sequence[Word], theta: float) -> float:
-    """Exact total length of the union of projected cylinder intervals."""
-    if not words:
-        return 0.0
-    ivs = sorted(
-        (project_square(theta, cylinder_square(ifs, w)) for w in words),
-        key=lambda iv: iv.lo,
-    )
-    total = 0.0
-    cur_lo, cur_hi = ivs[0].lo, ivs[0].hi
-    for iv in ivs[1:]:
-        if iv.lo > cur_hi:
-            total += cur_hi - cur_lo
-            cur_lo, cur_hi = iv.lo, iv.hi
-        else:
-            cur_hi = max(cur_hi, iv.hi)
-    return total + (cur_hi - cur_lo)
 
 
 def measured_c9(ifs: IfsSpec, rho: float) -> float:

@@ -29,9 +29,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d
 
-from .errors import BudgetExceeded
-from .ifs import IfsSpec, Perturbation, Similarity, Word, compose, map_square, perturb_map
-from .lines import Line, MapArrays, line_square_intersects, renormalize_affine, renormalize_arrays
+from .ifs import IfsSpec, Perturbation, Similarity, Word, compose, perturb_map
+from .lines import MapArrays, renormalize_affine, renormalize_arrays
 from .measure import DirectionSet, stopping_cylinders
 
 
@@ -55,12 +54,6 @@ class GridGeometry:
     @property
     def n_t(self) -> int:
         return 2 * self.m + 1
-
-    def theta_values(self) -> np.ndarray:
-        return np.arange(self.n_theta) * self.pitch
-
-    def t_values(self) -> np.ndarray:
-        return np.arange(-self.m, self.m + 1) * self.pitch
 
 
 def _pad_wrapped(grid: np.ndarray, k: int) -> np.ndarray:
@@ -574,10 +567,6 @@ class RecurrenceReport:
     def fraction(self) -> float:
         return self.recurred / self.total if self.total else 0.0
 
-    @property
-    def all_recurred(self) -> bool:
-        return self.recurred == self.total
-
     def to_json_dict(self) -> dict:
         return {
             "total": self.total,
@@ -636,72 +625,6 @@ def check_recurrence(
         witness_counts={"".join(w): int(c) for (w, _), c in zip(words, counts)},
         failures=failures,
         witnesses=witnesses,
-    )
-
-
-@dataclass
-class SurvivalReport:
-    """Cylinder-counting certificate for K intersect a line."""
-
-    line: Line
-    surviving_counts: list[int]
-    verdict: str  # "certified_empty" | "surviving_at_depth"
-    survivors: list[Word]
-
-    @property
-    def depth(self) -> int:
-        return len(self.surviving_counts) - 1
-
-
-_SQUARE_TOL = 1e-12  # inflation of cylinder squares in the line test
-_MAX_SURVIVORS = 1000  # surviving words listed in a survival report
-
-
-def certify_line(
-    ifs: IfsSpec,
-    line: Line,
-    max_depth: int,
-    budget: int | None = None,
-) -> SurvivalReport:
-    """Breadth-first survival of cylinders meeting the line.
-
-    An empty level certifies K does not meet the line (squares are inflated
-    by _SQUARE_TOL, so the verdict survives roundoff). A nonempty front at
-    max_depth is only evidence of intersection, not proof. budget caps the
-    population of any single level.
-    """
-    identity = Similarity(ratio=1.0, angle=0.0, reflect=False, translation=(0.0, 0.0))
-    front: list[tuple[Word, Similarity]] = [((), identity)]
-    if not line_square_intersects(line, map_square(identity), tol=_SQUARE_TOL):
-        front = []
-    counts = [len(front)]
-    for _ in range(max_depth):
-        if not front:
-            break
-        nxt = []
-        for w, g in front:
-            for a in ifs.alphabet:
-                child = compose(g, ifs.maps[a])
-                if line_square_intersects(line, map_square(child), tol=_SQUARE_TOL):
-                    nxt.append((w + (a,), child))
-            if budget is not None and len(nxt) > budget:
-                raise BudgetExceeded(
-                    f"budget exceeded: level population passed {budget}",
-                    partial=SurvivalReport(
-                        line=line,
-                        surviving_counts=counts,
-                        verdict="budget_exhausted",
-                        survivors=[w for w, _ in nxt[:_MAX_SURVIVORS]],
-                    ),
-                )
-        front = nxt
-        counts.append(len(front))
-    verdict = "certified_empty" if not front else "surviving_at_depth"
-    return SurvivalReport(
-        line=line,
-        surviving_counts=counts,
-        verdict=verdict,
-        survivors=[w for w, _ in front[:_MAX_SURVIVORS]],
     )
 
 

@@ -60,10 +60,6 @@ class OmegaAssignment:
             raise TypeError(f"expected an object keyed by symbol, got {type(d).__name__}")
         return cls({a: Perturbation(v["phi"], tuple(v["gamma"])) for a, v in d.items()})
 
-    @classmethod
-    def identity(cls, ifs: IfsSpec) -> "OmegaAssignment":
-        return cls({a: Perturbation.identity() for a in ifs.part_one})
-
 
 def perturbed_maps(
     ifs: IfsSpec, assignment: OmegaAssignment, c1: float, rho: float

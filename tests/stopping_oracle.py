@@ -1,17 +1,26 @@
 """Reference stopping-word enumerators: the depth-first walkers that the
 vectorized enumerator `ifsproj.ifs.stopping_cover` replaced, kept verbatim as
 test oracles. Both walk the prefix tree one node at a time and sort the
-leaves on tuple keys afterwards.
+leaves on tuple keys afterwards. `word_ratio` is the ratio of one word, one
+letter at a time.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
 from ifsproj.errors import BudgetExceeded
-from ifsproj.ifs import IfsSpec, Word
+from ifsproj.ifs import IfsSpec, Word, as_word
+
+
+def word_ratio(ifs: IfsSpec, w: str | Iterable[str]) -> float:
+    r = 1.0
+    for a in as_word(w):
+        r *= ifs.maps[a].ratio
+    return r
 
 
 def stopping_words(ifs: IfsSpec, rho: float, budget: int | None = None) -> list[Word]:
@@ -54,7 +63,7 @@ def stopping_cylinders(
 ) -> tuple[list[Word], np.ndarray, np.ndarray, np.ndarray]:
     """Stopping words at scale rho with the points f_w(point), ratios, masses.
 
-    Same word set as ifs.stopping_words, but walks the prefix tree carrying
+    Same word set as stopping_words, but walks the prefix tree carrying
     the affine data numerically so large covers stay cheap. Output is sorted
     in lexicographic (alphabet-rank) order. The default point is the square
     center; passing an attractor point makes every f_w(point) an attractor

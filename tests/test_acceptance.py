@@ -18,25 +18,22 @@ from ifsproj import (
     RunConfig,
     Similarity,
     attractor_points,
-    bad_word_cap,
     build_perturbed_ifs,
-    certify_line,
     certify_projection_interval,
-    classify_good_words,
     closeness_report,
     compose,
     cylinder_square,
     get_builtin,
-    invert_map,
     l2_norm_estimate,
-    project_point,
     projected_histogram,
-    renormalize_map,
     similarity_dimension,
+    stopping_cover,
     stopping_cylinders,
-    stopping_words,
 )
 from ifsproj.cli import _sample_e_rows, main
+from certificate_oracle import certify_line
+from crowding_oracle import bad_word_cap, classify_good_words
+from renormalize_oracle import invert_map, project_point, renormalize_map
 
 _state: dict = {}
 
@@ -204,9 +201,9 @@ def test_criterion_05_measure_sanity(emit):
 
 def _criterion6_report(desk) -> dict:
     cfg, res = desk.cfg, desk.res
-    words = stopping_words(desk.ifs, math.sqrt(cfg.rho))
+    words = list(stopping_cover(desk.ifs, math.sqrt(cfg.rho)).words)
     centers = np.array([cylinder_square(desk.ifs, w).corners().mean(axis=0) for w in words])
-    thetas = desk.geom.theta_values()
+    thetas = np.arange(desk.geom.n_theta) * desk.geom.pitch
     proj = centers @ np.stack([-np.sin(thetas), np.cos(thetas)])
     radius = math.sqrt(cfg.rho) / res.c9
     threshold = (1.0 / cfg.c6) * cfg.rho ** (-0.5 * (desk.ifs.dimension - 1.0))

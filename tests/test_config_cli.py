@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ifsproj import ConfigError, OmegaAssignment, RunConfig, SearchOutcome, get_builtin
+from ifsproj import ConfigError, OmegaAssignment, Perturbation, RunConfig, SearchOutcome, get_builtin
 from ifsproj import cli
 from ifsproj.cli import main
 from ifsproj.config import config_from_json_dict, load_config, override
@@ -36,6 +36,13 @@ def test_defaults_resolve():
         (dict(theta_pitch=-0.01), "theta_pitch"),
         (dict(grid_size=0), "grid_size"),
         (dict(word_budget=0), "word_budget"),
+        (dict(n_phi="33"), "n_phi"),
+        (dict(n_phi=33.0), "n_phi"),
+        (dict(n_phi=True), "n_phi"),
+        (dict(seed=True), "seed"),
+        (dict(search_budget=True), "search_budget"),
+        (dict(c1=True), "c1"),
+        (dict(out=5), "out"),
     ],
 )
 def test_validation_names_offending_field(kwargs, field):
@@ -75,6 +82,9 @@ def test_unknown_and_duplicate_keys():
             config_from_json_dict({key: 1})
     with pytest.raises(ConfigError, match="given twice"):
         config_from_json_dict({"rho": 0.1, "constants": {"rho": 0.1}})
+    for block, value in (("constants", "x"), ("grid", [1])):
+        with pytest.raises(ConfigError, match=f"^{block}: expected a JSON object"):
+            config_from_json_dict({block: value})
 
 
 def test_load_config_errors(tmp_path):
@@ -129,6 +139,11 @@ def coarse_config(tmp_path, **extra):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def test_malformed_config_is_config_error(tmp_path, capsys):
+    assert main(["build-l", "--config", coarse_config(tmp_path, grid={"n_phi": "33"})]) == 2
+    assert capsys.readouterr().err.startswith("n_phi: must be a positive odd integer")
 
 
 def test_dimension_output(capsys):
@@ -274,6 +289,10 @@ def test_search_reports_and_is_deterministic(tmp_path, capsys):
     assert main(["search", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "seed = 3" in out
+    lines = out.splitlines()
+    verdict = next(i for i, line in enumerate(lines) if line.startswith("hull obstruction: "))
+    outcome = next(i for i, line in enumerate(lines) if "omega0 found" in line)
+    assert verdict < outcome
     report_path = tmp_path / "out" / "search_report.json"
     report = json.loads(report_path.read_text())
     assert report["seed"] == 3 and report["mode"] == "iid"
@@ -360,7 +379,7 @@ def test_search_success_report_matches_verify(tmp_path, capsys, monkeypatch):
     closeness and certified intervals as verify on the omega0 it writes."""
 
     def accept_identity(ifs, cand, budget, seed, mode, c1, epsilon):
-        identity = OmegaAssignment.identity(ifs)
+        identity = OmegaAssignment({a: Perturbation(0.0, (0.0, 0.0)) for a in ifs.part_one})
         return SearchOutcome(
             omega0=identity,
             attempts=1,
@@ -379,7 +398,8 @@ def test_search_success_report_matches_verify(tmp_path, capsys, monkeypatch):
     search = json.loads((out / "search_report.json").read_text())
     assert search["status"] == "omega0 found"
     omega = json.loads((out / "omega0.json").read_text())
-    assert omega == OmegaAssignment.identity(get_builtin("four_corner")).to_json_dict()
+    part_one = get_builtin("four_corner").part_one
+    assert omega == {a: {"phi": 0.0, "gamma": [0.0, 0.0]} for a in part_one}
     assert search["omega0"] == omega
     assert main(["verify", "--config", cfg, "--omega", str(out / "omega0.json")]) == 0
     verify = json.loads((out / "verify_report.json").read_text())

@@ -17,14 +17,14 @@ from ifsproj import (
     epsilon_distance,
     get_builtin,
     ifs_from_json_dict,
-    invert_map,
     load_ifs,
     make_ifs,
     map_square,
     similarity_dimension,
-    stopping_words,
-    word_ratio,
+    stopping_cover,
 )
+from renormalize_oracle import invert_map
+from stopping_oracle import word_ratio
 
 similarities = st.builds(
     Similarity,
@@ -130,12 +130,12 @@ def test_osc_detects_overlap():
 def test_stopping_words_counts():
     # r = 1/2 and rho = 2^-8: every word stops at depth exactly 8
     rho = 4.0**-4
-    assert len(stopping_words(get_builtin("four_corner"), rho)) == 4**8
-    assert len(stopping_words(get_builtin("sierpinski"), rho)) == 3**8
+    assert len(stopping_cover(get_builtin("four_corner"), rho).words) == 4**8
+    assert len(stopping_cover(get_builtin("sierpinski"), rho).words) == 3**8
 
 
 def test_stopping_words_prefix_free_and_sorted():
-    words = stopping_words(get_builtin("sierpinski"), 0.1)
+    words = list(stopping_cover(get_builtin("sierpinski"), 0.1).words)
     as_str = ["".join(w) for w in words]
     assert as_str == sorted(as_str)
     ws = set(as_str)
@@ -146,7 +146,7 @@ def test_stopping_words_prefix_free_and_sorted():
 
 def test_stopping_words_budget():
     with pytest.raises(BudgetExceeded) as ei:
-        stopping_words(get_builtin("four_corner"), 4.0**-4, budget=100)
+        stopping_cover(get_builtin("four_corner"), 4.0**-4, budget=100)
     assert ei.value.partial is not None
 
 

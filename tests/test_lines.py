@@ -10,19 +10,22 @@ from ifsproj import (
     Similarity,
     compose_word,
     get_builtin,
-    invert_map,
-    line_from_two_points,
-    line_square_intersects,
     make_ifs,
     map_square,
     canonical_angle,
-    project_point,
-    project_square,
     renormalize_arrays,
-    renormalize_map,
-    renormalize_word,
 )
-from renormalize_oracle import renormalize_via_carrier, renormalize_via_points
+from certificate_oracle import line_square_intersects, project_square
+from renormalize_oracle import (
+    carrier_point,
+    direction,
+    invert_map,
+    line_from_two_points,
+    project_point,
+    renormalize_map,
+    renormalize_via_carrier,
+    renormalize_via_points,
+)
 
 similarities = st.builds(
     Similarity,
@@ -88,7 +91,7 @@ def test_project_square_and_intersection():
 @settings(max_examples=300, deadline=None)
 def test_renormalize_equivariance(f, u, s):
     """p on u iff f^-1(p) on T_f(u)."""
-    p = u.carrier_point() + s * u.direction()
+    p = carrier_point(u) + s * direction(u)
     v = renormalize_map(f, u)
     q = invert_map(f)(p)
     assert abs(project_point(v.theta, q) - v.t) < 1e-9
@@ -124,12 +127,14 @@ def test_via_points_reference_route(u, word_seed):
     ifs = get_builtin("sierpinski")
     words = ["ab", "bc", "ca", "cc", "aa", "ba", "cb", "ac", "bb"]
     w = words[word_seed]
-    assert line_close(renormalize_word(ifs, w, u), renormalize_via_points(ifs, w, u), tol=1e-8)
+    assert line_close(
+        renormalize_map(compose_word(ifs, w), u), renormalize_via_points(ifs, w, u), tol=1e-8
+    )
 
 
 def test_composition_law_random_systems(rng):
-    """Letterwise renormalization equals renormalizing by the composed map,
-    with the word order folded."""
+    """T_{w_k}(...T_{w_1}(u)), one letter at a time, equals renormalizing by
+    the composed map f_{w_1} o ... o f_{w_k}, for words of length 1-4."""
     for trial in range(100):
         maps = {
             a: Similarity(
@@ -141,11 +146,13 @@ def test_composition_law_random_systems(rng):
             for a in "ab"
         }
         ifs = make_ifs(maps, check_containment=False)
-        w = "".join(rng.choice(["a", "b"], size=2))
+        w = "".join(rng.choice(["a", "b"], size=rng.integers(1, 5)))
         u = Line(rng.uniform(0, math.pi), rng.uniform(-1.5, 1.5))
         folded = renormalize_map(compose_word(ifs, w), u)
-        letterwise = renormalize_word(ifs, w, u)
-        assert line_close(folded, letterwise, tol=1e-10)
+        letterwise = u
+        for a in w:
+            letterwise = renormalize_map(ifs.maps[a], letterwise)
+        assert line_close(folded, letterwise, tol=1e-10), (trial, w)
 
 
 @given(similarities, st.floats(0.0, 3.1), st.floats(-2.0, 2.0))

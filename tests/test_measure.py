@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from ifsproj import (
-    bad_word_cap,
     build_E,
-    classify_good_words,
     get_builtin,
     l2_norm_estimate,
     measured_c9,
     projected_histogram,
     select_c5,
+    stopping_cover,
     stopping_cylinders,
-    stopping_words,
-    union_projection_length,
 )
+from crowding_oracle import bad_word_cap, classify_good_words
+from stopping_oracle import stopping_words
 
 RHO = 4.0**-4
 DELTA = math.sqrt(RHO) / 8.0
@@ -49,7 +48,7 @@ def test_histograms_sum_to_one(rng):
             h = projected_histogram(
                 ifs, float(theta), 4.0**-3, math.sqrt(4.0**-3) / 8, words_data=data
             )
-            assert h.total_mass == pytest.approx(1.0, abs=1e-9)
+            assert math.fsum(h.masses.tolist()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_four_corner_l2_flat():
@@ -72,9 +71,6 @@ def test_build_E_shapes_and_exclusion():
     assert len(E.theta_grid) == 64 and len(E.l2) == 64 and len(E.member) == 64
     assert E.excluded_fraction < 0.15  # strictly below epsilon/2
     assert np.all(E.member == (E.l2 < E.c5))
-    # member_of snaps to the nearest row
-    row = 7
-    assert E.member_of(E.theta_grid[row] + E.pitch * 0.3) == E.member[row]
 
 
 def brute_good(wc) -> np.ndarray:
@@ -86,7 +82,7 @@ def brute_good(wc) -> np.ndarray:
 
 def test_classify_brute_equals_sweep(rng):
     ifs = get_builtin("sierpinski")
-    words = stopping_words(ifs, math.sqrt(RHO))
+    words = list(stopping_cover(ifs, math.sqrt(RHO)).words)
     n_bad = 0
     for theta in rng.uniform(0, math.pi, size=10):
         for c6 in (0.05, 2.0):
@@ -106,14 +102,6 @@ def test_bad_word_cap_formula():
     assert bad_word_cap(1.5, 0.05, math.sqrt(2), RHO, 1.5) == pytest.approx(
         6 * 1.5 * 0.05 * 2**1.5 * RHO**-0.75
     )
-
-
-def test_union_projection_length():
-    four = get_builtin("four_corner")
-    assert union_projection_length(four, [(a,) for a in four.alphabet], 0.0) == pytest.approx(1.0)
-    dust = get_builtin("cantor_dust")
-    # depth-1 squares of the dust project onto [0, 1/4] and [3/4, 1]
-    assert union_projection_length(dust, [(a,) for a in dust.alphabet], 0.0) == pytest.approx(0.5)
 
 
 def test_measured_c9():

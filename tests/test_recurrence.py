@@ -16,36 +16,34 @@ from ifsproj import (
     SliceParams,
     attractor_points,
     build_E,
-    certify_line,
     certify_projection_interval,
     check_recurrence,
     compose,
+    compose_word,
     first_witness,
     first_witness_rows,
     get_builtin,
-    invert_map,
     make_ifs,
     perturb_map,
     renormalize_arrays,
-    renormalize_map,
-    renormalize_word,
     stopping_cylinders,
     two_letter_words,
 )
 from ifsproj.recurrence import _longest_run
+from certificate_oracle import certify_line
 from membership_oracle import ThreeRectMembership
-from renormalize_oracle import renormalize_via_carrier
+from renormalize_oracle import invert_map, renormalize_map, renormalize_via_carrier
 
 
 def lines_meeting_unit_square(geom: GridGeometry) -> np.ndarray:
     """Grid mask of lines that hit [0,1]^2."""
     corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
     member = np.zeros((geom.n_theta, geom.n_t), dtype=bool)
-    for i, th in enumerate(geom.theta_values()):
+    t_values = np.arange(-geom.m, geom.m + 1) * geom.pitch
+    for i in range(geom.n_theta):
+        th = i * geom.pitch
         proj = corners @ np.array([-math.sin(th), math.cos(th)])
-        member[i] = (geom.t_values() >= proj.min() - 1e-12) & (
-            geom.t_values() <= proj.max() + 1e-12
-        )
+        member[i] = (t_values >= proj.min() - 1e-12) & (t_values <= proj.max() + 1e-12)
     return member
 
 
@@ -87,7 +85,8 @@ def test_grid_geometry():
     geom = GridGeometry(100, t_max=1.0)
     assert geom.pitch == pytest.approx(math.pi / 100)
     assert geom.n_t == 2 * geom.m + 1
-    assert geom.t_values()[geom.m] == 0.0
+    t_values = np.arange(-geom.m, geom.m + 1) * geom.pitch
+    assert len(t_values) == geom.n_t and t_values[geom.m] == 0.0 and t_values[-1] < geom.t_max
 
 
 def test_membership_basic_window():
@@ -172,7 +171,8 @@ def brute_slice_row(ifs, row, E, geom, params):
     member = np.zeros(geom.n_t, dtype=bool)
     if not E.member[row]:
         return member
-    for j, t in enumerate(geom.t_values()):
+    for j in range(geom.n_t):
+        t = (j - geom.m) * geom.pitch
         qualifying = 0
         for a1 in ifs.part_one:
             run = best = 0
@@ -277,7 +277,7 @@ def test_all_lines_meeting_square_recur_four_corner():
     cand = flat_candidate(geom, rho, lines_meeting_unit_square(geom))
     rep = check_recurrence(ifs, cand, l_membership(cand))
     assert rep.total > 10_000
-    assert rep.all_recurred, f"failed on {rep.total - rep.recurred}"
+    assert rep.recurred == rep.total, f"failed on {rep.total - rep.recurred}"
 
 
 def test_single_far_line_fails():
@@ -296,7 +296,7 @@ def test_witnesses_reverify(desk):
     rep = check_recurrence(desk.ifs, desk.cand, mem)
     assert len(rep.witnesses) == 20
     for wit in rep.witnesses:
-        v = renormalize_word(desk.ifs, wit["word"], Line(wit["theta"], wit["t"]))
+        v = renormalize_map(compose_word(desk.ifs, wit["word"]), Line(wit["theta"], wit["t"]))
         assert mem.contains([v.theta], [v.t])[0]
         assert v.theta == pytest.approx(wit["image"]["theta"])
         assert v.t == pytest.approx(wit["image"]["t"])
@@ -506,7 +506,7 @@ def test_check_recurrence_matches_brute_first_witness(rng):
         assert list(rep.witness_counts.values()) == np.bincount(
             brute[brute >= 0], minlength=len(words)
         ).tolist()
-    assert rep.all_recurred  # four_corner: every line meeting I recurs
+    assert rep.recurred == rep.total  # four_corner: every line meeting I recurs
 
 
 # --- line survival certificates ---

@@ -112,7 +112,8 @@ def test_search_accepts_on_recurrent_instance(recurrent_instance):
     assert out.accepted_attempt == 0
     assert out.coverage == 1.0
     perturbed = build_perturbed_ifs(ifs, out.omega0, 1e-9, cand.rho)
-    assert check_recurrence(perturbed, cand, l_membership(cand)).all_recurred
+    rep = check_recurrence(perturbed, cand, l_membership(cand))
+    assert rep.recurred == rep.total
 
 
 def test_per_symbol_accepts_on_recurrent_instance(recurrent_instance):
