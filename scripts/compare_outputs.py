@@ -7,8 +7,9 @@ OLD_SRC and NEW_SRC are directories holding an `ifsproj` package (a
 checkout's `src/`). Every command runs once per tree, with that tree first on
 PYTHONPATH and the configs of this checkout. The commands:
 
-- `build-l` on configs/sierpinski.json, configs/four_corner.json, and
-  four_corner at rho 2^-7;
+- `build-l` on configs/sierpinski.json, configs/four_corner.json,
+  four_corner at rho 2^-7, and the gasket at rho 0.05 with c7 0.05, whose
+  slice test asks for runs of 3 phi cells;
 - `scan` on configs/sierpinski.json;
 - `search` on configs/sierpinski.json at seed 1: iid with budget 300, and
   per_symbol with budget 5;
@@ -49,11 +50,13 @@ FINE = ["--config", FOUR_CORNER, "--rho", repr(2.0**-7)]
 OMEGA = "omega.json"  # written into the work directory, next to each output
 OMEGA_DESK = "omega_sierpinski.json"
 DESK_PART_ONE = ("a", "b")  # the gasket's part_one, the first ceil(3/2) symbols
+PHI_RUN_3 = "sierpinski_phi_run_3.json"  # written into the work directory too
 
 COMMANDS = {
     "build-l-sierpinski": ["build-l", "--config", SIERPINSKI],
     "build-l-four-corner": ["build-l", "--config", FOUR_CORNER],
     "build-l-four-corner-fine": ["build-l", *FINE],
+    "build-l-sierpinski-phi-run-3": ["build-l", "--config", PHI_RUN_3],
     "scan-sierpinski": ["scan", "--config", SIERPINSKI],
     "search-iid": ["search", "--config", SIERPINSKI, "--seed", "1", "--mode", "iid", "--budget", "300"],
     "search-per-symbol": [
@@ -83,6 +86,14 @@ def bench_omegas() -> dict[str, dict]:
         OMEGA: draw(ROOT / wl.config, wl.omega_symbols),
         OMEGA_DESK: draw(Path(SIERPINSKI), DESK_PART_ONE),
     }
+
+
+def phi_run_3_config() -> dict:
+    """configs/sierpinski.json at rho 0.05 with c7 0.05: c7 spans two phi
+    cells of width 0.6/33 and part of a third, so required_run = 3."""
+    cfg = json.loads(Path(SIERPINSKI).read_text())
+    cfg["constants"].update(rho=0.05, c7=0.05)
+    return cfg
 
 
 def run_all(src: Path, work: Path, side: str) -> dict[str, int]:
@@ -166,8 +177,8 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"{src} holds no ifsproj package")
     work = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs_"))
     work.mkdir(parents=True, exist_ok=True)
-    for name, omega in bench_omegas().items():
-        (work / name).write_text(json.dumps(omega, indent=2, sort_keys=True) + "\n")
+    for name, data in {**bench_omegas(), PHI_RUN_3: phi_run_3_config()}.items():
+        (work / name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
     codes = {
         side: run_all(src.resolve(), work, side)

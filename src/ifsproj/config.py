@@ -102,6 +102,8 @@ class RunConfig:
             raise ConfigError(f"rho: must be < 1, got {self.rho}")
         if self.epsilon >= math.pi / 2:
             raise ConfigError(f"epsilon: must be < pi/2, got {self.epsilon}")
+        if self.cert_resolution >= 2:  # certificates sample at scale cert_resolution / 2 < 1
+            raise ConfigError(f"cert_resolution: must be < 2, got {self.cert_resolution}")
         if not (_is_int(self.n_phi) and self.n_phi >= 1 and self.n_phi % 2 == 1):
             raise ConfigError(f"n_phi: must be a positive odd integer, got {self.n_phi!r}")
         if not (_is_int(self.seed) and self.seed >= 0):

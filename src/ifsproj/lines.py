@@ -20,6 +20,9 @@ def canonical_angle(theta_raw: float) -> tuple[float, int]:
     """Reduce an angle mod pi; the fold count parity flips the offset sign."""
     k = math.floor(theta_raw / math.pi)
     theta = theta_raw - k * math.pi
+    if theta < 0:  # theta_raw / pi underflowed to -0.0 from a tiny negative angle
+        theta += math.pi
+        k -= 1
     if theta >= math.pi:  # representation edge when theta_raw is just below k*pi
         theta -= math.pi
         k += 1
@@ -86,6 +89,10 @@ def renormalize_affine(
     theta_raw = np.where(f.reflect, f.angle - thetas, thetas - f.angle)
     k = np.floor(theta_raw / math.pi)
     theta_p = theta_raw - k * math.pi
+    under = theta_p < 0  # theta_raw / pi underflowed to -0.0 from a tiny negative angle
+    if under.any():
+        theta_p = np.where(under, theta_p + math.pi, theta_p)
+        k = k - under
     edge = theta_p >= math.pi
     if edge.any():
         theta_p = np.where(edge, theta_p - math.pi, theta_p)

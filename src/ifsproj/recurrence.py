@@ -26,8 +26,6 @@ from itertools import product
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import maximum_filter1d
 
 from .ifs import IfsSpec, Perturbation, Similarity, Word, compose, perturb_map
 from .lines import MapArrays, renormalize_affine, renormalize_arrays
@@ -81,9 +79,30 @@ class RowRuns(NamedTuple):
         buf[1:].reshape(n, n_t + 1)[:, :n_t] = grid
         change = np.flatnonzero(buf[1:] != buf[:-1])
         row, start = np.divmod(change[0::2], n_t + 1)
+        return cls.from_rows(n, row, start, change[1::2] - row * (n_t + 1))
+
+    @classmethod
+    def from_rows(cls, n: int, row: np.ndarray, start: np.ndarray, stop: np.ndarray) -> "RowRuns":
+        """The runs of an n-row grid from each run's row, given sorted by
+        row, then by column."""
         ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
-        return cls(ptr, start, change[1::2] - row * (n_t + 1))
+        return cls(ptr, start, stop)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The row of each run."""
+        return np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
+
+    def grid(self, n_t: int) -> np.ndarray:
+        """The boolean grid with n_t columns whose true cells the runs are:
+        false and true stretches of the flat grid painted in one pass."""
+        n = len(self.ptr) - 1
+        first, last = self.rows * n_t + self.start, self.rows * n_t + self.stop
+        length = np.empty(2 * len(first) + 1, dtype=np.int64)
+        length[0::2] = np.append(first, n * n_t) - np.concatenate([[0], last])
+        length[1::2] = last - first
+        return np.repeat(np.arange(len(length)) % 2 == 1, length).reshape(n, n_t)
 
     @property
     def before(self) -> np.ndarray:
@@ -123,9 +142,8 @@ class GridMembership:
         # rows a window around a canonical theta can reach past either end
         self._pad = math.ceil(slack / geom.pitch) + 1
         self.runs = RowRuns.of(_pad_wrapped(grid, self._pad))
-        ptr, start, _ = self.runs
         # key stride n_t + 1 orders the runs by row, then by first column
-        self._keys = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)) * (geom.n_t + 1) + start
+        self._keys = self.runs.rows * (geom.n_t + 1) + self.runs.start
 
     def _window(self, x: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
         """First and last index of the cells within slack of the coordinates
@@ -203,7 +221,8 @@ class SliceParams:
 
 
 class SliceBuilder:
-    """Evaluates the slice test row by row, sharing the phi-tensor precompute.
+    """Evaluates the slice test on many rows at once, sharing the phi-tensor
+    precompute.
 
     For first-block symbol a1, rotation phi, second symbol a2, the composed
     map is (rotate f_{a1} by phi about its cell center) o f_{a2}; only its
@@ -247,48 +266,75 @@ class SliceBuilder:
                     self.angle_g[i, p, q] = g.angle
                     self.tau_g[i, p, q] = g.translation
 
-    def row_member(self, row: int) -> np.ndarray:
-        """The slice test's member mask over the t-grid of one row."""
+    def _runs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The slice test's member cells on the given rows (those in E), as
+        runs (row, start, stop) in row order.
+
+        Each (row, a1, phi, a2) with its image angle in E passes on one
+        column interval. Four covers reduce these: the union over a2 gives
+        the cells each (a1, phi) passes; a window of required_run
+        consecutive phi cells passes where all of them do (a cover of
+        required_run); a1 qualifies where some window passes; a cell is a
+        member where at least n_required first-block symbols qualify.
+        """
         geom, params = self.geom, self.params
-        theta = row * geom.pitch
-        n_phi = self.angle_g.shape[1]
+        n1, n_phi, n2 = self.angle_g.shape
         n_t, m, h = geom.n_t, geom.m, geom.pitch
         R = params.required_run
-        if not self.E.member[row] or R > n_phi:
-            return np.zeros(n_t, dtype=bool)
+        rows = rows[self.E.member[rows]]
+        n_win = n_phi - R + 1
+        if n_win < 1:
+            rows = rows[:0]
 
-        nv = np.array([-math.sin(theta), math.cos(theta)])
-        shift = self.tau_g @ nv
-        theta_raw = np.where(
-            self.reflect_g[:, None, :], self.angle_g - theta, theta - self.angle_g
-        )
+        theta = (rows * h)[:, None, None, None]
+        # one normal per row from scalar libm sine and cosine, and one
+        # (n2, 2) @ (2, 1) product per (row, a1, phi), so that a row's
+        # intervals round alike whatever rows are evaluated with it
+        nv = np.array([[-math.sin(th), math.cos(th)] for th in theta.ravel()]).reshape(-1, 2)
+        shift = (self.tau_g @ nv[:, None, None, :, None])[..., 0]
+        theta_raw = np.where(self.reflect_g[:, None, :], self.angle_g - theta, theta - self.angle_g)
         theta_hat = np.mod(theta_raw, math.pi)
-        arg_rows = np.rint(theta_hat / h).astype(np.int64) % geom.n_theta
-        arg_ok = self.E.member[arg_rows]
-
+        arg_ok = self.E.member[np.rint(theta_hat / h).astype(np.int64) % geom.n_theta]
         r_win = self.r_g[:, None, :]
         lo = np.ceil((shift - r_win) / h - 1e-9).astype(np.int64) + m
         hi = np.floor((shift + r_win) / h + 1e-9).astype(np.int64) + m
-        j = np.arange(n_t)
-        phi_pass = (arg_ok[..., None] & (lo[..., None] <= j) & (j <= hi[..., None])).any(axis=2)
-        qualifies = sliding_window_view(phi_pass, R, axis=1).all(axis=-1).any(axis=1)
-        return qualifies.sum(axis=0) >= params.n_required
+        lo, stop = np.maximum(lo, 0), np.minimum(hi + 1, n_t)
+        passes = np.flatnonzero(arg_ok & (lo < stop))
 
-    def all_rows(self) -> np.ndarray:
-        L0 = np.zeros((self.geom.n_theta, self.geom.n_t), dtype=bool)
-        for row in self.E.member_rows():
-            L0[row] = self.row_member(int(row))
-        return L0
+        # key (row, a1, phi): the cells each rotation passes
+        key, start, stop = _cover(passes // n2, lo.ravel()[passes], stop.ravel()[passes], 1)
+        # key (row, a1, window): each phi cell's runs, once per window holding it
+        phi = key % n_phi
+        w0 = np.maximum(phi - R + 1, 0)
+        count = np.minimum(phi, n_win - 1) - w0 + 1
+        key = np.repeat(key // n_phi * n_win, count) + _expand(w0, count)
+        key, start, stop = _cover(key, np.repeat(start, count), np.repeat(stop, count), R)
+        key, start, stop = _cover(key // n_win, start, stop, 1)
+        key, start, stop = _cover(key // n1, start, stop, params.n_required)
+        return rows[key], start, stop
+
+    def row_member(self, row: int) -> np.ndarray:
+        """The slice test's member mask over the t-grid of one row."""
+        _, start, stop = self._runs(np.array([row]))
+        return RowRuns.from_rows(1, np.zeros_like(start), start, stop).grid(self.geom.n_t)[0]
+
+    def all_rows(self) -> RowRuns:
+        """The core L0: the slice test on every E row, as row runs."""
+        return RowRuns.from_rows(self.geom.n_theta, *self._runs(self.E.member_rows()))
 
 
-def _dilate_wrapped(mask: np.ndarray, k: int) -> np.ndarray:
-    """Sup-metric dilation by k cells; the theta axis wraps with t negated."""
-    if k <= 0:
-        return mask.copy()
-    padded = _pad_wrapped(mask, k).view(np.uint8)
-    padded = maximum_filter1d(padded, size=2 * k + 1, axis=0, mode="constant")
-    out = maximum_filter1d(padded[k:-k], size=2 * k + 1, axis=1, mode="constant")
-    return out.astype(bool)
+def _dilate(runs: RowRuns, n_t: int, k: int) -> RowRuns:
+    """Sup-metric dilation by k cells of the grid with n_t columns whose
+    runs are given; the theta axis wraps with t negated. Each run is copied
+    onto the 2k + 1 rows around its own, mirrored where the row passes an
+    end, and widened by k columns; the copies are merged."""
+    n = len(runs.ptr) - 1
+    row = (runs.rows[:, None] + np.arange(-k, k + 1)).ravel()
+    start, stop = np.repeat(runs.start, 2 * k + 1), np.repeat(runs.stop, 2 * k + 1)
+    wrap = (row < 0) | (row >= n)
+    start, stop = np.where(wrap, n_t - stop, start), np.where(wrap, n_t - start, stop)
+    row, start, stop = _cover(row % n, np.maximum(start - k, 0), np.minimum(stop + k, n_t), 1)
+    return RowRuns.from_rows(n, row, start, stop)
 
 
 @dataclass
@@ -358,23 +404,22 @@ class RecurrentCandidate:
 
 
 def build_candidate(
-    E: DirectionSet, slices: np.ndarray, rho: float, geom: GridGeometry
+    E: DirectionSet, slices: RowRuns, rho: float, geom: GridGeometry
 ) -> RecurrentCandidate:
-    """Assemble L0 from per-row slices and thicken. slices is the full
-    (n_theta, n_t) boolean grid; rows outside E must already be false."""
-    L0 = np.asarray(slices, dtype=bool)
-    if L0.shape != (geom.n_theta, geom.n_t):
-        raise ValueError(f"slice grid shape {L0.shape} != {(geom.n_theta, geom.n_t)}")
-    if not L0.any():
+    """Assemble the candidate from the core L0, given as the row runs of the
+    slice test on every E row (`SliceBuilder.all_rows`), and thicken it."""
+    if len(slices.ptr) != geom.n_theta + 1:
+        raise ValueError(f"slice runs cover {len(slices.ptr) - 1} rows, not {geom.n_theta}")
+    if not len(slices.start):
         raise ValueError("empty candidate: no slice produced members")
     r_cells = math.ceil((rho / 2.0) / geom.pitch)
     r1_cells = math.ceil(rho / geom.pitch)
     return RecurrentCandidate(
         geom=geom,
         rho=rho,
-        L0=L0,
-        L=_dilate_wrapped(L0, r_cells),
-        L1=_dilate_wrapped(L0, r1_cells),
+        L0=slices.grid(geom.n_t),
+        L=_dilate(slices, geom.n_t, r_cells).grid(geom.n_t),
+        L1=_dilate(slices, geom.n_t, r1_cells).grid(geom.n_t),
         r_cells=r_cells,
         r1_cells=r1_cells,
         e_member=E.member.copy(),
@@ -435,6 +480,36 @@ def _merge(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return start[first], reach[np.append(first[1:], len(start)) - 1]
 
 
+def _cover(
+    keys: np.ndarray, start: np.ndarray, stop: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells covered by at least k >= 1 of the nonempty half-open runs
+    [start, stop) of their own key, as maximal runs (keys, start, stop) in
+    order of key, then start. Starts are nonnegative; touching runs join.
+
+    The runs of all keys are handled at once, each key's cells laid out past
+    the previous key's on one line. A union (k = 1) is a `_merge`; otherwise
+    one sweep counts the runs opened minus those closed before each
+    stretch between run ends.
+    """
+    stride = int(stop.max(initial=0)) + 1
+    base = keys * stride
+    if k == 1:
+        a, b = _merge(base + start, base + stop)
+    else:
+        x = np.concatenate([base + start, base + stop])
+        order = np.argsort(x, kind="stable")
+        x = x[order]
+        depth = np.cumsum(np.where(order < len(start), 1, -1))
+        on = np.flatnonzero((depth[:-1] >= k) & (x[:-1] < x[1:]))
+        a, b = x[on], x[on + 1]
+        first, last = np.ones(len(a), dtype=bool), np.ones(len(a), dtype=bool)
+        first[1:] = last[:-1] = a[1:] != b[:-1]
+        a, b = a[first], b[last]
+    key = a // stride
+    return key, a - key * stride, b - key * stride
+
+
 def _inside(x: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """Is each x in the union of the disjoint sorted intervals [start, stop)?"""
     return np.searchsorted(start, x, "right") > np.searchsorted(stop, x, "right")
@@ -459,7 +534,7 @@ def _pull_back(
     t -> sign (t - shift) / ratio is inverted at both ends.
     """
     geom = member.geom
-    h, m, n_t = geom.pitch, geom.m, geom.n_t
+    h, m = geom.pitch, geom.m
     ptr, start, stop = member.runs
     theta_p, sign, shift = renormalize_affine(g, rows * h)
     r1, r2 = member.rows(theta_p)
@@ -468,11 +543,7 @@ def _pull_back(
     t_row = _expand(r1, band)
     n_runs = ptr[t_row + 1] - ptr[t_row]
     k = _expand(ptr[t_row], n_runs)
-    # key stride n_t + 1 keeps the runs of different source rows apart
-    key = np.repeat(np.repeat(np.arange(len(rows)), band), n_runs) * (n_t + 1)
-    a, b = _merge(key + start[k], key + stop[k])
-    i = a // (n_t + 1)
-    a, b = a - i * (n_t + 1), b - i * (n_t + 1)
+    i, a, b = _cover(np.repeat(np.repeat(np.arange(len(rows)), band), n_runs), start[k], stop[k], 1)
     ends = np.stack([(a - m) * h - member.slack, (b - 1 - m) * h + member.slack])
     j = (shift[i] + sign[i] * g.ratio * ends) / h + m
     return rows[i], j.min(axis=0), j.max(axis=0)
@@ -498,7 +569,7 @@ def first_witness_rows(
     geom = member.geom
     n_t = geom.n_t
     ptr, start, stop = source
-    run_x = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)) * n_t + start
+    run_x = source.rows * n_t + start
     before = source.before
     n_cells = int(before[-1])
     if member.slack < geom.pitch / 2:
@@ -714,7 +785,8 @@ def certify_projection_interval(
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     pts = attractor_points(ifs, resolution / 2.0, budget=budget) if points is None else points
-    pos = np.sort(pts @ np.array([-math.sin(theta), math.cos(theta)]))
+    pos = pts @ np.array([-math.sin(theta), math.cos(theta)])
+    pos.sort()
     gaps = np.diff(pos)
 
     lo, hi = _longest_run(gaps <= resolution, pos)

@@ -43,6 +43,7 @@ def test_defaults_resolve():
         (dict(search_budget=True), "search_budget"),
         (dict(c1=True), "c1"),
         (dict(out=5), "out"),
+        (dict(cert_resolution=2.0), "cert_resolution"),
     ],
 )
 def test_validation_names_offending_field(kwargs, field):
@@ -144,6 +145,10 @@ def coarse_config(tmp_path, **extra):
 def test_malformed_config_is_config_error(tmp_path, capsys):
     assert main(["build-l", "--config", coarse_config(tmp_path, grid={"n_phi": "33"})]) == 2
     assert capsys.readouterr().err.startswith("n_phi: must be a positive odd integer")
+    # attractor samples at scale cert_resolution / 2 need that scale below 1
+    coarse = coarse_config(tmp_path, grid={"cert_resolution": 4.0})
+    assert main(["certify", "--config", coarse, "--theta", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("cert_resolution: must be < 2")
 
 
 def test_dimension_output(capsys):

@@ -2,6 +2,9 @@
 and every public definition of the package has a reader outside tests."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,3 +114,11 @@ def test_finds_an_unread_definition(tmp_path):
     )
     user.write_text("import lib\nfrom lib import used\n\nBox = lib.PI\n")
     assert unread_definitions([lib], [lib, user]) == [(lib, "recursive"), (lib, "Box")]
+
+
+def test_cli_imports_no_scipy():
+    """scipy serves only the test oracles: importing the CLI loads none of it."""
+    code = "import sys, ifsproj.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

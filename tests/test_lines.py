@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifsproj import (
@@ -55,6 +55,9 @@ def test_canonical_angle():
     # the representative never lands on pi itself
     th, k = canonical_angle(math.pi - 1e-18)
     assert 0.0 <= th < math.pi
+    # -5e-324 / pi underflows to -0.0, whose floor is 0: the fold still
+    # lands in [0, pi), here on 0 itself after the pi edge
+    assert canonical_angle(-5e-324) == (0.0, 0)
 
 
 def test_line_canonicalizes():
@@ -156,6 +159,7 @@ def test_composition_law_random_systems(rng):
 
 
 @given(similarities, st.floats(0.0, 3.1), st.floats(-2.0, 2.0))
+@example(Similarity(0.5, 5e-324, False, (0.0, 0.0)), 0.0, 0.0)
 @settings(max_examples=200, deadline=None)
 def test_arrays_route_handles_wrap(f, theta, t):
     th, tt = renormalize_arrays(f, np.array([theta]), np.array([t]))

@@ -29,8 +29,9 @@ from ifsproj import (
     stopping_cylinders,
     two_letter_words,
 )
-from ifsproj.recurrence import _longest_run
+from ifsproj.recurrence import _cover, _dilate, _longest_run
 from certificate_oracle import certify_line
+from dilation_oracle import _dilate_wrapped
 from membership_oracle import ThreeRectMembership
 from renormalize_oracle import invert_map, renormalize_map, renormalize_via_carrier
 
@@ -166,37 +167,52 @@ def test_slice_params_validation():
 # --- slice test against a direct reimplementation ---
 
 
-def brute_slice_row(ifs, row, E, geom, params):
-    theta = row * geom.pitch
-    member = np.zeros(geom.n_t, dtype=bool)
+def brute_best_runs(ifs, row, E, geom, phis):
+    """Longest run of consecutive phi cells that pass, per first-block symbol
+    and column of one row: one carrier-point renormalization per (column,
+    a1, phi, a2)."""
+    best = np.zeros((len(ifs.part_one), geom.n_t), dtype=int)
     if not E.member[row]:
-        return member
+        return best
+    theta = row * geom.pitch
+    maps = []  # maps[a1][phi][a2]: the rotated f_{a1} composed with f_{a2}
+    for a1 in ifs.part_one:
+        rotated = [perturb_map(ifs.maps[a1], Perturbation(phi, (0.0, 0.0)), 0.0, 1.0) for phi in phis]
+        maps.append([[compose(f1, ifs.maps[a2]) for a2 in ifs.part_two] for f1 in rotated])
     for j in range(geom.n_t):
         t = (j - geom.m) * geom.pitch
-        qualifying = 0
-        for a1 in ifs.part_one:
-            run = best = 0
-            for phi in params.phi_centers():
-                f1 = perturb_map(ifs.maps[a1], Perturbation(phi, (0.0, 0.0)), 0.0, 1.0)
+        for i, per_phi in enumerate(maps):
+            run = 0
+            for per_a2 in per_phi:
                 hit = False
-                for a2 in ifs.part_two:
-                    g = compose(f1, ifs.maps[a2])
+                for g in per_a2:
                     v = renormalize_via_carrier(g, Line(theta, t))
                     arg_row = int(round(v.theta / geom.pitch)) % geom.n_theta
                     if E.member[arg_row] and abs(v.t) <= 1.0 + 1e-6:
                         hit = True
                         break
                 run = run + 1 if hit else 0
-                best = max(best, run)
-            if best >= params.required_run:
-                qualifying += 1
-        member[j] = qualifying >= params.n_required
-    return member
+                best[i, j] = max(best[i, j], run)
+    return best
+
+
+def brute_slice_row(ifs, row, E, geom, params):
+    best = brute_best_runs(ifs, row, E, geom, params.phi_centers())
+    return (best >= params.required_run).sum(axis=0) >= params.n_required
 
 
 @pytest.fixture(scope="module")
 def coarse_four_corner():
     ifs = get_builtin("four_corner")
+    rho = 0.05
+    geom = GridGeometry(61, t_max=1.2)
+    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, epsilon=0.3)
+    return ifs, rho, geom, E
+
+
+@pytest.fixture(scope="module")
+def coarse_sierpinski():
+    ifs = get_builtin("sierpinski")
     rho = 0.05
     geom = GridGeometry(61, t_max=1.2)
     E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, epsilon=0.3)
@@ -226,6 +242,27 @@ def test_slice_matches_brute_force(coarse_four_corner, coarse_turned, c7, n_phi)
             assert np.array_equal(member, brute), f"row {row}"
 
 
+def test_whole_grid_slice_matches_brute_force(coarse_four_corner, coarse_sierpinski, coarse_turned):
+    """all_rows on every row, and row_member on a few, against the direct
+    reimplementation, for phi runs from one cell to more than n_phi and one
+    or two qualifying first-block symbols."""
+    n_phi = 9
+    w = 0.6 / n_phi
+    phis = SliceParams(epsilon=0.3, c7=w / 2, n_phi=n_phi).phi_centers()
+    for ifs, rho, geom, E in (coarse_four_corner, coarse_sierpinski, coarse_turned):
+        best = np.array([brute_best_runs(ifs, row, E, geom, phis) for row in range(geom.n_theta)])
+        for run in (1, 2, 3, n_phi, n_phi + 1):
+            for n_required in (1, 2):
+                params = SliceParams(epsilon=0.3, c7=(run - 0.5) * w, n_phi=n_phi, n_required=n_required)
+                assert params.required_run == run
+                builder = SliceBuilder(ifs, E, geom, params)
+                brute = (best >= run).sum(axis=1) >= n_required
+                assert np.array_equal(builder.all_rows().grid(geom.n_t), brute), (run, n_required)
+                for row in (0, 23, 60):
+                    assert np.array_equal(builder.row_member(row), brute[row])
+        assert best.max() == n_phi  # some column passes every phi cell
+
+
 def test_slice_monotone_in_c7(coarse_four_corner):
     ifs, rho, geom, E = coarse_four_corner
     loose = SliceBuilder(ifs, E, geom, SliceParams(epsilon=0.3, c7=1e-4, n_phi=9))
@@ -249,6 +286,49 @@ def test_candidate_layers_nest(desk):
     rows, cols = np.nonzero(cand.L1)
     assert np.array_equal(th, rows * cand.geom.pitch)
     assert np.array_equal(tt, (cols - cand.geom.m) * cand.geom.pitch)
+
+
+def test_candidate_layers_are_oracle_dilations(desk):
+    cand = desk.cand
+    assert np.array_equal(cand.L, _dilate_wrapped(cand.L0, cand.r_cells))
+    assert np.array_equal(cand.L1, _dilate_wrapped(cand.L0, cand.r1_cells))
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 5])
+def test_run_dilation_matches_oracle(k, rng):
+    n, n_t = 17, 13
+    grids = [np.zeros((n, n_t), dtype=bool), np.ones((n, n_t), dtype=bool)]
+    for density in (0.05, 0.2, 0.5):
+        for _ in range(10):
+            grid = rng.random((n, n_t)) < density
+            # runs that touch both theta ends and both column ends
+            grid[0, :2] = grid[-1, -3:] = grid[1, -1] = grid[-2, 0] = True
+            grids.append(grid)
+    for grid in grids:
+        runs = _dilate(RowRuns.of(grid), n_t, k)
+        assert np.array_equal(runs.grid(n_t), _dilate_wrapped(grid, k))
+        # the maximal runs of the dilated grid, as RowRuns.of finds them
+        assert all(np.array_equal(a, b) for a, b in zip(runs, RowRuns.of(runs.grid(n_t))))
+
+
+def test_cover_counts_runs(rng):
+    """_cover against counting each cell's runs, over several keys, with
+    touching, nested and repeated runs."""
+    n_keys, width = 5, 30
+    for _ in range(50):
+        n = int(rng.integers(0, 40))
+        keys = rng.integers(0, n_keys, n)
+        start = rng.integers(0, width - 1, n)
+        stop = start + rng.integers(1, 8, n)
+        count = np.zeros((n_keys, width + 8), dtype=int)
+        for key, a, b in zip(keys, start, stop):
+            count[key, a:b] += 1
+        for k in (1, 2, 3):
+            key, a, b = _cover(keys, start, stop, k)
+            got = RowRuns.from_rows(n_keys, key, a, b)
+            assert np.array_equal(got.grid(width + 8), count >= k)
+            # maximal runs: none empty, none touching the next one of its key
+            assert np.all(a < b) and not np.any((key[1:] == key[:-1]) & (a[1:] <= b[:-1]))
 
 
 def test_candidate_save_load_roundtrip(desk, tmp_path):
