@@ -13,6 +13,9 @@ PYTHONPATH and the configs of this checkout. The commands:
 - `scan` on configs/sierpinski.json;
 - `search` on configs/sierpinski.json at seed 1: iid with budget 300, and
   per_symbol with budget 5;
+- `search` iid on configs/sierpinski.json at seed 2, budget 1000: 62 full
+  blocks of iid draws and a partial one, so that a probe flag flipped in
+  any of them would change the best assignment;
 - `search` iid on four_corner at rho 2^-7, seed 1, budget 200: 12 full blocks
   of iid draws and a partial one, on a second probe net;
 - `verify` on four_corner at rho 2^-7, seed 1, with the omega that
@@ -59,6 +62,7 @@ COMMANDS = {
     "build-l-sierpinski-phi-run-3": ["build-l", "--config", PHI_RUN_3],
     "scan-sierpinski": ["scan", "--config", SIERPINSKI],
     "search-iid": ["search", "--config", SIERPINSKI, "--seed", "1", "--mode", "iid", "--budget", "300"],
+    "search-iid-seed-2": ["search", "--config", SIERPINSKI, "--seed", "2", "--mode", "iid", "--budget", "1000"],
     "search-per-symbol": [
         "search", "--config", SIERPINSKI, "--seed", "1", "--mode", "per_symbol", "--budget", "5",
     ],

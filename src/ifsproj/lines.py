@@ -73,7 +73,9 @@ class MapArrays(NamedTuple):
 
 
 def renormalize_affine(
-    f: Similarity | MapArrays, thetas: np.ndarray
+    f: Similarity | MapArrays,
+    thetas: np.ndarray,
+    sincos: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """T_f = f^{-1} on lines of the given angles, for a forward map f (one
     map, or one per angle).
@@ -81,11 +83,14 @@ def renormalize_affine(
     Returns canonical theta' and the affine offset map of each angle:
     T_f(theta, t) = (theta', sign * (t - shift) / f.ratio). shift is the
     translation's projection; sign is -1 for a reflection, flipped once per
-    fold of the angle into [0, pi).
+    fold of the angle into [0, pi). sincos, when given, is
+    (np.sin(thetas), np.cos(thetas)) computed by the caller, for callers
+    that renormalize the same angles under many maps.
     """
     thetas = np.asarray(thetas, dtype=float)
     tx, ty = f.translation
-    shift = -tx * np.sin(thetas) + ty * np.cos(thetas)
+    sin, cos = (np.sin(thetas), np.cos(thetas)) if sincos is None else sincos
+    shift = -tx * sin + ty * cos
     theta_raw = np.where(f.reflect, f.angle - thetas, thetas - f.angle)
     k = np.floor(theta_raw / math.pi)
     theta_p = theta_raw - k * math.pi
@@ -102,11 +107,15 @@ def renormalize_affine(
 
 
 def renormalize_arrays(
-    f: Similarity | MapArrays, thetas: np.ndarray, ts: np.ndarray
+    f: Similarity | MapArrays,
+    thetas: np.ndarray,
+    ts: np.ndarray,
+    sincos: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized renormalization of many lines by one forward map f, or by
-    one map per line: the closed form of `renormalize_affine` applied to each
-    offset. Returns canonical (theta', t') arrays of the input shape."""
-    theta_p, sign, shift = renormalize_affine(f, thetas)
+    one map per line: the closed form of `renormalize_affine` (which takes
+    sincos) applied to each offset. Returns canonical (theta', t') arrays of
+    the input shape."""
+    theta_p, sign, shift = renormalize_affine(f, thetas, sincos)
     return theta_p, sign * ((np.asarray(ts, dtype=float) - shift) / f.ratio)
 

@@ -54,12 +54,6 @@ class GridGeometry:
         return 2 * self.m + 1
 
 
-def _pad_wrapped(grid: np.ndarray, k: int) -> np.ndarray:
-    """grid with k rows added at each theta end: the rows that continue it
-    past pi and below 0, which are the far end's rows with t negated."""
-    return np.concatenate([grid[-k:, ::-1], grid, grid[:k, ::-1]], axis=0)
-
-
 class RowRuns(NamedTuple):
     """The maximal runs of true cells of a boolean grid, row by row: row r
     holds the half-open column runs [start[k], stop[k]) for k in
@@ -124,9 +118,10 @@ class GridMembership:
     A point (theta, t), with theta canonical in [0, pi], is a member when
     some true cell center (theta_i, t_j) satisfies |theta_i - theta| <= slack
     and |t_j - t| <= slack. Windows crossing theta = 0 or pi continue on the
-    other end with t negated: the grid is padded once with its mirrored end
-    rows, so each query is one rectangle of index space. The padded grid is
-    held only as its row runs (`runs`), which answer each row of a window
+    other end with t negated: the grid's row runs are padded once with the
+    mirrored runs of its end rows (`_pad_runs`), so each query is one
+    rectangle of index space. The padded grid is held only as these row
+    runs (`runs`), which answer each row of a window
     from the row's last run (a binary search where the row has several) and
     also serve `first_witness_rows`. The test is exact in index space, so
     re-checks reproduce it bit for bit.
@@ -141,7 +136,7 @@ class GridMembership:
         self.slack = slack
         # rows a window around a canonical theta can reach past either end
         self._pad = math.ceil(slack / geom.pitch) + 1
-        self.runs = RowRuns.of(_pad_wrapped(grid, self._pad))
+        self.runs = _pad_runs(RowRuns.of(grid), geom.n_t, self._pad)
         # key stride n_t + 1 orders the runs by row, then by first column
         self._keys = self.runs.rows * (geom.n_t + 1) + self.runs.start
 
@@ -323,6 +318,22 @@ class SliceBuilder:
         return RowRuns.from_rows(self.geom.n_theta, *self._runs(self.E.member_rows()))
 
 
+def _pad_runs(runs: RowRuns, n_t: int, k: int) -> RowRuns:
+    """The runs of the grid with n_t columns whose runs are given, with k
+    rows added at each theta end (as many as it has, if fewer): the rows
+    that continue it past pi and below 0, which are the far end's rows with
+    t negated, so their runs are mirrored as in `_dilate`."""
+    n = len(runs.ptr) - 1
+    k = min(k, n)
+    rows = runs.rows
+    # the runs of the last k rows start at tail; those of the first k end at head
+    tail, head = runs.ptr[n - k], runs.ptr[k]
+    row = np.concatenate([rows[tail:] - (n - k), rows + k, rows[:head] + n + k])
+    start = np.concatenate([n_t - runs.stop[tail:], runs.start, n_t - runs.stop[:head]])
+    stop = np.concatenate([n_t - runs.start[tail:], runs.stop, n_t - runs.start[:head]])
+    return RowRuns.from_rows(n + 2 * k, *_cover(row, start, stop, 1))
+
+
 def _dilate(runs: RowRuns, n_t: int, k: int) -> RowRuns:
     """Sup-metric dilation by k cells of the grid with n_t columns whose
     runs are given; the theta axis wraps with t negated. Each run is copied
@@ -440,30 +451,42 @@ def first_witness(
     thetas: np.ndarray,
     ts: np.ndarray,
     member: GridMembership,
+    order: np.ndarray | None = None,
 ) -> np.ndarray:
     """For each word list (set) and each line (theta, t), the index of the
     set's first word g whose renormalization T_g sends the line into member
     (within its slack), as a (sets, lines) int16 array; -1 where no word of
     the set does. The lists must have equal length.
 
-    Word index k runs once over the (set, line) pairs that no earlier word of
-    their own set has sent home, with each pair's own map (`MapArrays`): one
-    renormalization and one membership query per word index, however many
-    sets there are.
+    order, a (words, lines) array whose column i is a permutation of the
+    word indices, sets the order in which line i tries the words of every
+    set; the result is then the first hit in that order, which need not be
+    the first in list order. Without it every line tries the words in list
+    order. Either way a line gets -1 exactly when no word of the set hits.
+
+    Step k runs once over the (set, line) pairs that no earlier step has
+    sent home, each pair with its own map (`MapArrays`): one renormalization
+    and one membership query per step, however many sets there are. Each
+    line's sine and cosine are computed once per call.
     """
     n_sets, n = len(word_sets), len(thetas)
     if len({len(words) for words in word_sets}) > 1:
         raise ValueError("word lists differ in length")
+    n_words = len(word_sets[0]) if n_sets else 0
+    sin, cos = np.sin(thetas), np.cos(thetas)
+    maps = MapArrays.of([g for words in word_sets for g in words])  # set b, word w: b * n_words + w
     witness = np.full(n_sets * n, -1, dtype=np.int16)
     rem = np.arange(n_sets * n)  # pair b * n + i: set b, line i
-    for w_i, column in enumerate(zip(*word_sets)):
+    for k in range(n_words):
         if not len(rem):
             break
         sets, lines = np.divmod(rem, n)
-        g = MapArrays.of(column).take(sets)
-        th_hat, t_hat = renormalize_arrays(g, thetas[lines], ts[lines])
+        word = np.full(len(rem), k) if order is None else order[k, lines]
+        th_hat, t_hat = renormalize_arrays(
+            maps.take(sets * n_words + word), thetas[lines], ts[lines], (sin[lines], cos[lines])
+        )
         hit = member.contains(th_hat, t_hat)
-        witness[rem[hit]] = w_i
+        witness[rem[hit]] = word[hit]
         rem = rem[~hit]
     return witness.reshape(n_sets, n)
 

@@ -140,6 +140,12 @@ class CoverageTester:
     only as row runs; subsets go through the point route, all of it through
     the row route (`first_witness`, `first_witness_rows`): same witnesses.
     The point route takes all the assignments of a call at once.
+
+    `probe_order` lists, per probe point, first the words that send it home
+    in the unperturbed system, then the others, each part in word order.
+    Small perturbations mostly keep those hits, so `probe` tries fewer words
+    per point; a witness index found in this order is the first hit in it,
+    not the first in word order, and only the covered flags leave `probe`.
     """
 
     def __init__(self, ifs: IfsSpec, cand: RecurrentCandidate, c1: float):
@@ -150,22 +156,39 @@ class CoverageTester:
         self.delta_runs = RowRuns.of(cand.L1)
         n = cand.delta_count
         self.probe_idx = np.arange(0, n, max(1, n // _PROBE_SIZE))
+        # each word as a list of its own: the (words, probes) hit table
+        words = [[g] for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
+        lines = self.delta_runs.lines(cand.geom, self.probe_idx)
+        home = first_witness(words, *lines, self.member0) >= 0
+        self.probe_order = np.argsort(~home, axis=0, kind="stable")
 
     def coverage(
-        self, assignments: Sequence[OmegaAssignment], indices: np.ndarray | None = None
+        self,
+        assignments: Sequence[OmegaAssignment],
+        indices: np.ndarray | None = None,
+        order: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """covered flags and witness word indices (-1 where uncovered) of each
         assignment on the given subset of Delta (default: all of it), one
         assignment after the other: with n points, entry b * n + i belongs to
-        assignment b and point i."""
+        assignment b and point i. order, for a subset only, is the per-point
+        word order of `first_witness`; the witnesses are then the first hits
+        in that order."""
         word_sets = [_perturbed_words(self.ifs, a, self.c1, self.cand.rho) for a in assignments]
         if indices is None:
             rows = [first_witness_rows(words, self.delta_runs, self.member0) for words in word_sets]
             witness = rows[0] if len(rows) == 1 else np.concatenate(rows)  # one: no copy
         else:
             lines = self.delta_runs.lines(self.cand.geom, indices)
-            witness = first_witness(word_sets, *lines, self.member0).ravel()
+            witness = first_witness(word_sets, *lines, self.member0, order).ravel()
         return witness >= 0, witness
+
+    def probe(self, assignments: Sequence[OmegaAssignment]) -> np.ndarray:
+        """covered flags of each assignment on the probe points, as an
+        (assignments, probe points) array, with the words tried in
+        `probe_order`: the flags of `coverage` on `probe_idx`."""
+        covered, _ = self.coverage(assignments, self.probe_idx, self.probe_order)
+        return covered.reshape(len(assignments), -1)
 
 
 @dataclass
@@ -276,8 +299,7 @@ def search_omega0(
         for first in range(0, budget, _IID_BLOCK):
             ks = range(first, min(first + _IID_BLOCK, budget))
             block = [draw_assignment(np.random.default_rng([seed, k]), ifs, epsilon) for k in ks]
-            probe_cov, _ = tester.coverage(block, tester.probe_idx)
-            for k, assignment, cov in zip(ks, block, probe_cov.reshape(len(block), -1)):
+            for k, assignment, cov in zip(ks, block, tester.probe(block)):
                 frac = float(np.count_nonzero(cov) / len(cov))
                 if frac > best_frac:
                     best_frac, best_assignment = frac, assignment

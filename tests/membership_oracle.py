@@ -1,11 +1,14 @@
 """The three-rectangle slack-window membership, kept as a test oracle for
-`ifsproj.recurrence.GridMembership`, which pads the grid with its mirrored
-wrap rows once, keeps only the padded grid's row runs and answers each
-query's single rectangle row by row from those runs.
+`ifsproj.recurrence.GridMembership`, which pads the grid's row runs with the
+mirrored runs of its wrap rows once and answers each query's single
+rectangle row by row from those runs.
 
 This route shares neither step: it leaves the grid unpadded, counts cells
 with an integral image, and adds, per query, a second rectangle on the
 mirrored far end whenever the window crosses theta = 0 or pi.
+
+`_pad_wrapped` is the boolean-grid padding, kept as the oracle of the run
+padding `ifsproj.recurrence._pad_runs`.
 """
 
 from __future__ import annotations
@@ -13,6 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from ifsproj.recurrence import GridGeometry
+
+
+def _pad_wrapped(grid: np.ndarray, k: int) -> np.ndarray:
+    """grid with k rows added at each theta end: the rows that continue it
+    past pi and below 0, which are the far end's rows with t negated."""
+    return np.concatenate([grid[-k:, ::-1], grid, grid[:k, ::-1]], axis=0)
 
 
 class ThreeRectMembership:

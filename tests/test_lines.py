@@ -15,6 +15,7 @@ from ifsproj import (
     canonical_angle,
     renormalize_arrays,
 )
+from ifsproj.lines import MapArrays
 from certificate_oracle import line_square_intersects, project_square
 from renormalize_oracle import (
     carrier_point,
@@ -165,3 +166,32 @@ def test_arrays_route_handles_wrap(f, theta, t):
     th, tt = renormalize_arrays(f, np.array([theta]), np.array([t]))
     assert 0.0 <= float(th[0]) < math.pi
     assert np.isfinite(tt).all()
+
+
+def test_precomputed_trig_is_bit_identical(rng):
+    """renormalize_arrays with the lines' sine and cosine passed in, computed
+    over other lines and gathered as `first_witness` does, equals each line
+    renormalized on its own, bit for bit: random maps (one per line, rotated
+    and reflected) and angles, plus the wrap cases, an image angle of
+    -5e-324 and angles just below k pi."""
+    n = 400
+    thetas = rng.uniform(0.0, 3.1, n)
+    angle = rng.uniform(-7.0, 7.0, n)
+    reflect = rng.random(n) < 0.5
+    # theta' = -5e-324, then theta' = angle - 0 just below k pi
+    thetas[:5] = 0.0
+    angle[:5] = [5e-324] + [np.nextafter(k * math.pi, -np.inf) for k in (-1, 1, 2, 3)]
+    reflect[:5] = [False, True, True, True, True]
+    maps = MapArrays(
+        rng.uniform(0.15, 0.9, n), angle, reflect, (rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n))
+    )
+    ts = rng.uniform(-2.0, 2.0, n)
+    sin, cos = np.sin(thetas), np.cos(thetas)
+    idx = np.concatenate([np.arange(n), rng.integers(n, size=n)])
+    got_th, got_t = renormalize_arrays(maps.take(idx), thetas[idx], ts[idx], (sin[idx], cos[idx]))
+    for j, i in enumerate(idx):
+        th, tt = renormalize_arrays(maps.take([i]), thetas[[i]], ts[[i]])
+        assert (got_th[j], got_t[j]) == (th[0], tt[0])
+    assert ((got_th >= 0.0) & (got_th < math.pi)).all()
+    assert got_th[0] == 0.0  # -5e-324 folds up to pi, which is the angle 0
+

@@ -29,10 +29,10 @@ from ifsproj import (
     stopping_cylinders,
     two_letter_words,
 )
-from ifsproj.recurrence import _cover, _dilate, _longest_run
+from ifsproj.recurrence import _cover, _dilate, _longest_run, _pad_runs
 from certificate_oracle import certify_line
 from dilation_oracle import _dilate_wrapped
-from membership_oracle import ThreeRectMembership
+from membership_oracle import ThreeRectMembership, _pad_wrapped
 from renormalize_oracle import invert_map, renormalize_map, renormalize_via_carrier
 
 
@@ -294,21 +294,37 @@ def test_candidate_layers_are_oracle_dilations(desk):
     assert np.array_equal(cand.L1, _dilate_wrapped(cand.L0, cand.r1_cells))
 
 
-@pytest.mark.parametrize("k", [0, 1, 3, 5])
-def test_run_dilation_matches_oracle(k, rng):
-    n, n_t = 17, 13
+def _wrap_grids(rng, n: int, n_t: int) -> list[np.ndarray]:
+    """An empty and a full grid, and random grids whose runs touch both
+    theta ends and both column ends."""
     grids = [np.zeros((n, n_t), dtype=bool), np.ones((n, n_t), dtype=bool)]
     for density in (0.05, 0.2, 0.5):
         for _ in range(10):
             grid = rng.random((n, n_t)) < density
-            # runs that touch both theta ends and both column ends
             grid[0, :2] = grid[-1, -3:] = grid[1, -1] = grid[-2, 0] = True
             grids.append(grid)
-    for grid in grids:
+    return grids
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 5])
+def test_run_dilation_matches_oracle(k, rng):
+    n, n_t = 17, 13
+    for grid in _wrap_grids(rng, n, n_t):
         runs = _dilate(RowRuns.of(grid), n_t, k)
         assert np.array_equal(runs.grid(n_t), _dilate_wrapped(grid, k))
         # the maximal runs of the dilated grid, as RowRuns.of finds them
         assert all(np.array_equal(a, b) for a, b in zip(runs, RowRuns.of(runs.grid(n_t))))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 17, 20])
+def test_run_padding_matches_oracle(k, rng):
+    """_pad_runs gives the runs of the boolean-padded grid, on grids whose
+    runs touch both theta ends and both column ends, for pads below, at and
+    past the row count."""
+    n, n_t = 17, 13
+    for grid in _wrap_grids(rng, n, n_t):
+        got = _pad_runs(RowRuns.of(grid), n_t, k)
+        assert all(np.array_equal(a, b) for a, b in zip(got, RowRuns.of(_pad_wrapped(grid, k))))
 
 
 def test_cover_counts_runs(rng):

@@ -32,6 +32,7 @@ from ifsproj import (
     two_letter_words,
     Line,
 )
+from ifsproj.lines import MapArrays
 from ifsproj.search import _IID_BLOCK
 from test_acceptance import farthest_line, obstruction_faults, settlement_faults
 from test_recurrence import _turned_system, flat_candidate, l_membership, lines_meeting_unit_square
@@ -200,20 +201,24 @@ def test_probe_is_consistent_with_full_eval(recurrent_instance, rng):
 def test_whole_grid_evaluations_stay_row_wise(monkeypatch):
     """A full coverage and a recurrence check send at most 10% of their cells
     through the point route (counted at every binding of renormalize_arrays),
-    so neither can quietly fall back to evaluating cell by cell."""
+    so neither can quietly fall back to evaluating cell by cell. The tester
+    is built before counting starts: its set-up renormalizes the probe points
+    once under each unperturbed word (`probe_order`), a fixed cost of the
+    probe size, not of a coverage evaluation."""
     cfg = RunConfig(ifs="sierpinski", rho=4.0**-3)
     res, _, cand = build_pipeline(cfg)
+    tester = CoverageTester(res.ifs, cand, cfg.c1)
     points = []
 
-    def counting(g, thetas, ts):
+    def counting(g, thetas, ts, sincos=None):
         points.append(len(thetas))
-        return renormalize_arrays(g, thetas, ts)
+        return renormalize_arrays(g, thetas, ts, sincos)
 
     for mod in (ifsproj.lines, ifsproj.recurrence, ifsproj.search):
         if hasattr(mod, "renormalize_arrays"):
             monkeypatch.setattr(mod, "renormalize_arrays", counting)
     assignment = draw_assignment(np.random.default_rng(0), res.ifs, cfg.epsilon)
-    covered, _ = CoverageTester(res.ifs, cand, cfg.c1).coverage([assignment])
+    covered, _ = tester.coverage([assignment])
     assert covered.any() and not covered.all()
     assert 0 < sum(points) <= 0.1 * len(covered)
 
@@ -240,6 +245,45 @@ def test_coverage_witnesses_reverify(recurrent_instance, rng):
         g = words[witness[i]]
         th, tt = renormalize_arrays(g, *tester.delta_runs.lines(cand.geom, np.array([i])))
         assert member0.contains(th, tt)[0]
+
+
+@pytest.mark.parametrize("system", ["four_corner", "sierpinski", "turned"])
+def test_ordered_probe_changes_no_flag(system):
+    """Probing in the unperturbed system's word order gives the canonical
+    order's covered flags, and each witness it returns re-verifies: 40 draws
+    in blocks of _IID_BLOCK, the last one partial, on four_corner (4 of its
+    16 words unperturbed), the gasket and the turned system (rotated and
+    reflected maps)."""
+    ifs = _turned_system(("a", "b")) if system == "turned" else get_builtin(system)
+    geom = GridGeometry(181, t_max=1.2)
+    cand = flat_candidate(geom, 0.05, lines_meeting_unit_square(geom))
+    tester = CoverageTester(ifs, cand, c1=0.5)
+    order = tester.probe_order
+    assert (order != np.arange(len(order))[:, None]).any()
+    assert all(np.array_equal(np.sort(col), np.arange(len(order))) for col in order.T)
+    thetas, ts = tester.delta_runs.lines(geom, tester.probe_idx)
+    n = len(thetas)
+    rng = np.random.default_rng(5)
+    draws = [draw_assignment(rng, ifs, 0.3) for _ in range(40)]
+    reordered = False
+    for first in range(0, len(draws), _IID_BLOCK):
+        block = draws[first : first + _IID_BLOCK]
+        flags = tester.probe(block)
+        covered, witness = tester.coverage(block, tester.probe_idx, order)
+        canonical, canonical_witness = tester.coverage(block, tester.probe_idx)
+        assert flags.shape == (len(block), n)
+        assert np.array_equal(flags.ravel(), canonical) and np.array_equal(covered, canonical)
+        assert np.array_equal(witness >= 0, covered)
+        reordered |= not np.array_equal(witness, canonical_witness)
+        # renormalize each covered point by its witness word
+        maps = [perturbed_maps(ifs, a, 0.5, cand.rho) for a in block]
+        words = [g for m in maps for _, g in two_letter_words(ifs.alphabet, m)]
+        pair = np.flatnonzero(covered)
+        b, i = np.divmod(pair, n)
+        g = MapArrays.of(words).take(b * len(order) + witness[pair])
+        assert tester.member0.contains(*renormalize_arrays(g, thetas[i], ts[i])).all()
+    assert len(block) < _IID_BLOCK and reordered
+    assert covered.any() and not covered.all()
 
 
 def _held_bytes(obj) -> int:
