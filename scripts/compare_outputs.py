@@ -24,7 +24,10 @@ PYTHONPATH and the configs of this checkout. The commands:
   2.0000003 pitches is not a whole number of cells), seed 1, with the omega
   that `bench/run.py`'s `draw_omega` draws at seed 1 for the gasket's
   part_one;
-- `certify` at theta 0.7854 on the same system, with and without that omega.
+- `certify` at theta 0.7854 on the same system, with and without that
+  omega, and with it at theta 3.9270 (0.7854 + pi), which reads its
+  recurrence row a half-turn away and reports that row's interval with t
+  negated.
 
 Outputs are compared as follows: `.npz` files by their unpacked arrays,
 `.json` files by value with `candidate_file` and `omega_file` removed (they
@@ -71,6 +74,7 @@ COMMANDS = {
     "verify-sierpinski": ["verify", "--config", SIERPINSKI, "--seed", "1", "--omega", OMEGA_DESK],
     "certify": ["certify", *FINE, "--theta", "0.7854"],
     "certify-omega": ["certify", *FINE, "--theta", "0.7854", "--omega", OMEGA],
+    "certify-half-turn": ["certify", *FINE, "--theta", "3.9270", "--omega", OMEGA],
 }
 PATH_KEYS = ("candidate_file", "omega_file")
 

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from ifsproj import Line, RowRuns, RunConfig, build_pipeline, estimate_success_prob
+from ifsproj import Line, RunConfig, build_pipeline, estimate_success_prob
 
 
 def build(rho: float):
@@ -35,7 +35,7 @@ def main():
     for rho in rhos:
         systems[rho] = build(rho)
         ifs, cand = systems[rho]
-        print(f"[{time.time()-t0:6.1f}s] rho = {rho:.6g}: |L1| = {int(cand.L1.sum())}")
+        print(f"[{time.time()-t0:6.1f}s] rho = {rho:.6g}: |L1| = {cand.delta_count}")
 
     # probe lines: evenly strided points of the coarse net, mapped to the fine
     # net by coordinates (membership pre-check inside estimate_success_prob
@@ -43,7 +43,7 @@ def main():
     _, coarse = systems[rhos[0]]
     n = coarse.delta_count
     cells = np.arange(0, n, max(1, n // args.lines))[: args.lines]
-    th, tt = RowRuns.of(coarse.L1).lines(coarse.geom, cells)
+    th, tt = coarse.L1.lines(coarse.geom, cells)
     probes = [Line(float(a), float(b)) for a, b in zip(th, tt)]
 
     print(f"{'theta':>10} {'t':>10} " + " ".join(f"p_fail@{r:.4g}" for r in rhos))

@@ -91,7 +91,7 @@ def _load_omega(cfg: RunConfig, path: str) -> OmegaAssignment:
 
 def _sample_e_rows(E: DirectionSet, cand: RecurrentCandidate, n: int, seed: int) -> np.ndarray:
     """Deterministic sample of E-grid angles with a nonempty slice."""
-    rows = np.flatnonzero(E.member & cand.L.any(axis=1))
+    rows = np.flatnonzero(E.member & (np.diff(cand.L.ptr) > 0))
     if not len(rows):
         return np.array([])
     rng = np.random.default_rng([seed, 17])
@@ -205,7 +205,7 @@ def cmd_build_l(cfg: RunConfig, args) -> int:
     npz_path = os.path.join(out, "candidate.npz")
     cand.save(npz_path)
     rows = np.flatnonzero(E.member)
-    slice_measures = cand.L0[rows].sum(axis=1) * geom.pitch
+    slice_measures = cand.L0.row_cells[rows] * geom.pitch
     summary = {
         "rho": cfg.rho,
         "n_theta": geom.n_theta,
@@ -218,11 +218,7 @@ def cmd_build_l(cfg: RunConfig, args) -> int:
         "n_required": res.slice_params.n_required,
         "excluded_fraction": E.excluded_fraction,
         "e_rows": int(E.member.sum()),
-        "counts": {
-            "L0": int(cand.L0.sum()),
-            "L": int(cand.L.sum()),
-            "L1": int(cand.L1.sum()),
-        },
+        "counts": {k: int(getattr(cand, k).before[-1]) for k in ("L0", "L", "L1")},
         "min_slice_measure": float(slice_measures.min()) if len(rows) else 0.0,
         "empty_e_slices": int((slice_measures == 0).sum()) if len(rows) else 0,
         "candidate_file": npz_path,

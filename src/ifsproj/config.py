@@ -116,8 +116,10 @@ class RunConfig:
             v = getattr(self, name)
             if not (_is_int(v) and v >= 1):
                 raise ConfigError(f"{name}: must be a positive integer, got {v!r}")
-        if self.grid_size is not None and not (_is_int(self.grid_size) and self.grid_size >= 1):
-            raise ConfigError(f"grid_size: must be a positive integer, got {self.grid_size!r}")
+        if self.theta_pitch is not None and self.theta_pitch >= math.pi:  # E needs 2 rows
+            raise ConfigError(f"theta_pitch: must be < pi, got {self.theta_pitch}")
+        if self.grid_size is not None and not (_is_int(self.grid_size) and self.grid_size >= 2):
+            raise ConfigError(f"grid_size: must be an integer >= 2, got {self.grid_size!r}")
 
     def load_ifs_spec(self) -> IfsSpec:
         src = self.ifs
@@ -137,7 +139,7 @@ class RunConfig:
     @property
     def n_theta(self) -> int:
         if self.theta_pitch is not None:
-            return max(1, math.ceil(math.pi / self.theta_pitch))
+            return math.ceil(math.pi / self.theta_pitch)
         return math.ceil(4.0 * math.pi / self.rho)
 
     def geometry(self) -> GridGeometry:

@@ -103,6 +103,11 @@ class RowRuns(NamedTuple):
         """Cells before each run, and the cell count at the end."""
         return np.concatenate(([0], np.cumsum(self.stop - self.start)))
 
+    @property
+    def row_cells(self) -> np.ndarray:
+        """Cells in each row."""
+        return np.diff(self.before[self.ptr])
+
     def lines(self, geom: GridGeometry, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(theta, t) = (row * pitch, (column - m) * pitch) of the given
         cells."""
@@ -113,30 +118,31 @@ class RowRuns(NamedTuple):
 
 
 class GridMembership:
-    """Slack-window membership queries against one boolean grid.
+    """Slack-window membership queries against one gridded set, given by its
+    row runs.
 
     A point (theta, t), with theta canonical in [0, pi], is a member when
     some true cell center (theta_i, t_j) satisfies |theta_i - theta| <= slack
     and |t_j - t| <= slack. Windows crossing theta = 0 or pi continue on the
-    other end with t negated: the grid's row runs are padded once with the
+    other end with t negated: the set's row runs are padded once with the
     mirrored runs of its end rows (`_pad_runs`), so each query is one
-    rectangle of index space. The padded grid is held only as these row
-    runs (`runs`), which answer each row of a window
-    from the row's last run (a binary search where the row has several) and
-    also serve `first_witness_rows`. The test is exact in index space, so
-    re-checks reproduce it bit for bit.
+    rectangle of index space. The padded set is held only as these row runs
+    (`runs`), which answer each row of a window from the row's last run (a
+    binary search where the row has several) and also serve
+    `first_witness_rows`. The test is exact in index space, so re-checks
+    reproduce it bit for bit.
     """
 
     _TOL = 1e-9  # index-space guard so boundary offsets stay included
 
-    def __init__(self, geom: GridGeometry, grid: np.ndarray, slack: float):
-        if grid.shape != (geom.n_theta, geom.n_t):
-            raise ValueError(f"grid shape {grid.shape} != {(geom.n_theta, geom.n_t)}")
+    def __init__(self, geom: GridGeometry, runs: RowRuns, slack: float):
+        if len(runs.ptr) != geom.n_theta + 1:
+            raise ValueError(f"runs cover {len(runs.ptr) - 1} rows, not {geom.n_theta}")
         self.geom = geom
         self.slack = slack
         # rows a window around a canonical theta can reach past either end
         self._pad = math.ceil(slack / geom.pitch) + 1
-        self.runs = _pad_runs(RowRuns.of(grid), geom.n_t, self._pad)
+        self.runs = _pad_runs(runs, geom.n_t, self._pad)
         # key stride n_t + 1 orders the runs by row, then by first column
         self._keys = self.runs.rows * (geom.n_t + 1) + self.runs.start
 
@@ -348,17 +354,21 @@ def _dilate(runs: RowRuns, n_t: int, k: int) -> RowRuns:
     return RowRuns.from_rows(n, row, start, stop)
 
 
+_LAYERS = ("L0", "L", "L1")  # in the order of candidate.npz
+
+
 @dataclass
 class RecurrentCandidate:
-    """Grids of the candidate recurrent set. L0 is the core, L its rho/2
-    cell-dilation — the set recurrence targets — and L1 the rho dilation
-    whose cells form the probe net Delta."""
+    """The layers of the candidate recurrent set, as row runs. L0 is the
+    core, L its rho/2 cell-dilation — the set recurrence targets — and L1
+    the rho dilation whose cells form the probe net Delta. Only `save`
+    paints them as boolean grids, for `candidate.npz`; `load` scans them."""
 
     geom: GridGeometry
     rho: float
-    L0: np.ndarray
-    L: np.ndarray
-    L1: np.ndarray
+    L0: RowRuns
+    L: RowRuns
+    L1: RowRuns
     r_cells: int
     r1_cells: int
     e_member: np.ndarray
@@ -376,7 +386,7 @@ class RecurrentCandidate:
 
     @property
     def delta_count(self) -> int:
-        return int(np.count_nonzero(self.L1))
+        return int(self.L1.before[-1])
 
     def save(self, path: str):
         np.savez_compressed(
@@ -384,9 +394,7 @@ class RecurrentCandidate:
             n_theta=self.geom.n_theta,
             t_max=self.geom.t_max,
             rho=self.rho,
-            L0=np.packbits(self.L0, axis=1),
-            L=np.packbits(self.L, axis=1),
-            L1=np.packbits(self.L1, axis=1),
+            **{k: np.packbits(getattr(self, k).grid(self.geom.n_t), axis=1) for k in _LAYERS},
             r_cells=self.r_cells,
             r1_cells=self.r1_cells,
             e_member=np.packbits(self.e_member),
@@ -397,16 +405,10 @@ class RecurrentCandidate:
     def load(cls, path: str) -> "RecurrentCandidate":
         z = np.load(path)
         geom = GridGeometry(n_theta=int(z["n_theta"]), t_max=float(z["t_max"]))
-
-        def unpack(a, n):
-            return np.unpackbits(a, axis=1, count=n).astype(bool)
-
         return cls(
             geom=geom,
             rho=float(z["rho"]),
-            L0=unpack(z["L0"], geom.n_t),
-            L=unpack(z["L"], geom.n_t),
-            L1=unpack(z["L1"], geom.n_t),
+            **{k: RowRuns.of(np.unpackbits(z[k], axis=1, count=geom.n_t).astype(bool)) for k in _LAYERS},
             r_cells=int(z["r_cells"]),
             r1_cells=int(z["r1_cells"]),
             e_member=np.unpackbits(z["e_member"], count=geom.n_theta).astype(bool),
@@ -428,9 +430,9 @@ def build_candidate(
     return RecurrentCandidate(
         geom=geom,
         rho=rho,
-        L0=slices.grid(geom.n_t),
-        L=_dilate(slices, geom.n_t, r_cells).grid(geom.n_t),
-        L1=_dilate(slices, geom.n_t, r1_cells).grid(geom.n_t),
+        L0=slices,
+        L=_dilate(slices, geom.n_t, r_cells),
+        L1=_dilate(slices, geom.n_t, r1_cells),
         r_cells=r_cells,
         r1_cells=r1_cells,
         e_member=E.member.copy(),
@@ -680,7 +682,7 @@ _MAX_WITNESSES = 20  # recurring cells listed with their first word
 def check_recurrence(
     perturbed: IfsSpec, cand: RecurrentCandidate, member: GridMembership
 ) -> RecurrenceReport:
-    """Does every L-grid cell map back into L (within the check rule's slack,
+    """Does every L cell map back into L (within the check rule's slack,
     `RecurrentCandidate.check_slack`) under some two-letter word of the
     perturbed system? Failures are data, not errors. member is the L
     membership at the check slack, `GridMembership(cand.geom, cand.L,
@@ -691,15 +693,14 @@ def check_recurrence(
     """
     if member.geom != cand.geom or member.slack != cand.check_slack:
         raise ValueError("member is not the candidate's L membership at the check slack")
-    source = RowRuns.of(cand.L)
     words = two_letter_words(perturbed.alphabet, perturbed.maps)
-    witness = first_witness_rows([g for _, g in words], source, member)
+    witness = first_witness_rows([g for _, g in words], cand.L, member)
     recurred = witness >= 0
     counts = np.bincount(witness[recurred], minlength=len(words))
-    thetas, ts = source.lines(cand.geom, np.flatnonzero(~recurred)[:_MAX_FAILURES])
+    thetas, ts = cand.L.lines(cand.geom, np.flatnonzero(~recurred)[:_MAX_FAILURES])
     failures = [{"theta": float(th), "t": float(t)} for th, t in zip(thetas, ts)]
     first = np.flatnonzero(recurred)[:_MAX_WITNESSES]
-    thetas, ts = source.lines(cand.geom, first)
+    thetas, ts = cand.L.lines(cand.geom, first)
     witnesses = []
     for i, th, t in zip(first, thetas, ts):
         word, g = words[witness[i]]
@@ -798,7 +799,7 @@ def certify_projection_interval(
     gaps <= resolution and spans at least _MIN_LENGTH_FACTOR * resolution.
     A dust-like projection fails because every candidate window stays short.
 
-    When a candidate grid is supplied, the longest run of L-cells in the row
+    When a candidate is supplied, the longest run of L-cells in the row
     nearest theta, all of which recur into L under ifs, is reported as a
     second, independent certificate, in the offsets of theta itself: a row
     reached an odd number of half-turns away names the line with t negated.
@@ -821,21 +822,20 @@ def certify_projection_interval(
     if candidate is not None:
         geom = candidate.geom
         turns, row = divmod(int(round(theta / geom.pitch)), geom.n_theta)
-        row_cells = candidate.L[row].copy()
-        cols = np.flatnonzero(row_cells)
+        ptr, start, stop = candidate.L
+        runs = slice(ptr[row], ptr[row + 1])
+        cols = _expand(start[runs], stop[runs] - start[runs])
         if len(cols):
             if membership is None:
                 membership = GridMembership(geom, candidate.L, candidate.check_slack)
             words = [g for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
             th = np.full(len(cols), row * geom.pitch)
             tt = (cols - geom.m) * geom.pitch
-            rec = first_witness([words], th, tt, membership)[0] >= 0
-            row_cells[cols[~rec]] = False
-        best_start, stop = _longest_run(row_cells, np.arange(geom.n_t + 1))
-        best_run = stop - best_start
-        rec_len = best_run * geom.pitch
-        if best_run:
-            lo_t = (best_start - geom.m) * geom.pitch
+            cols = cols[first_witness([words], th, tt, membership)[0] >= 0]
+        if len(cols):  # the first longest run of consecutive recurring columns
+            first, last = _longest_run(np.diff(cols) == 1, cols)
+            rec_len = (last - first + 1) * geom.pitch
+            lo_t = (cols[first] - geom.m) * geom.pitch
             rec_interval = (float(lo_t), float(lo_t + rec_len))
             if turns % 2:
                 rec_interval = (-rec_interval[1], -rec_interval[0])

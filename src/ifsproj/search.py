@@ -136,9 +136,10 @@ class CoverageTester:
     perturbed system renormalizes u to within the search rule's slack
     (`RecurrentCandidate.search_slack`) of an L0 cell. Probe points (an
     evenly strided subset of Delta) give an exact early rejection: an
-    assignment that misses a probe point cannot cover Delta. Delta is held
-    only as row runs; subsets go through the point route, all of it through
-    the row route (`first_witness`, `first_witness_rows`): same witnesses.
+    assignment that misses a probe point cannot cover Delta. Delta is the
+    candidate's L1 row runs; subsets go through the point route, all of it
+    through the row route (`first_witness`, `first_witness_rows`): same
+    witnesses.
     The point route takes all the assignments of a call at once.
 
     `probe_order` lists, per probe point, first the words that send it home
@@ -153,12 +154,11 @@ class CoverageTester:
         self.cand = cand
         self.c1 = c1
         self.member0 = GridMembership(cand.geom, cand.L0, cand.search_slack)
-        self.delta_runs = RowRuns.of(cand.L1)
         n = cand.delta_count
         self.probe_idx = np.arange(0, n, max(1, n // _PROBE_SIZE))
         # each word as a list of its own: the (words, probes) hit table
         words = [[g] for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
-        lines = self.delta_runs.lines(cand.geom, self.probe_idx)
+        lines = cand.L1.lines(cand.geom, self.probe_idx)
         home = first_witness(words, *lines, self.member0) >= 0
         self.probe_order = np.argsort(~home, axis=0, kind="stable")
 
@@ -176,10 +176,10 @@ class CoverageTester:
         in that order."""
         word_sets = [_perturbed_words(self.ifs, a, self.c1, self.cand.rho) for a in assignments]
         if indices is None:
-            rows = [first_witness_rows(words, self.delta_runs, self.member0) for words in word_sets]
+            rows = [first_witness_rows(words, self.cand.L1, self.member0) for words in word_sets]
             witness = rows[0] if len(rows) == 1 else np.concatenate(rows)  # one: no copy
         else:
-            lines = self.delta_runs.lines(self.cand.geom, indices)
+            lines = self.cand.L1.lines(self.cand.geom, indices)
             witness = first_witness(word_sets, *lines, self.member0, order).ravel()
         return witness >= 0, witness
 
@@ -455,17 +455,17 @@ def invariant_polygon(ifs: IfsSpec, c1: float, rho: float, epsilon: float) -> np
 
 
 def _farthest_cell(
-    mask: np.ndarray, geom: GridGeometry, poly: np.ndarray
+    layer: RowRuns, geom: GridGeometry, poly: np.ndarray
 ) -> tuple[int, int, float]:
-    """(row, column, distance) of the set cell of mask farthest from conv(poly).
+    """(row, column, distance) of the cell of layer farthest from conv(poly).
 
     Distance is convex in t, so only each row's first and last cell are scanned.
     """
-    rows = np.flatnonzero(mask.any(axis=1))
+    ptr, start, stop = layer
+    rows = np.flatnonzero(np.diff(ptr))
     if not len(rows):
         raise ValueError("empty layer")
-    first = mask[rows].argmax(axis=1)
-    last = geom.n_t - 1 - mask[rows, ::-1].argmax(axis=1)
+    first, last = start[ptr[rows]], stop[ptr[rows + 1] - 1] - 1
     rows, cols = np.concatenate([rows, rows]), np.concatenate([first, last])
     thetas, ts = rows * geom.pitch, (cols - geom.m) * geom.pitch
     proj = np.stack([-np.sin(thetas), np.cos(thetas)], axis=1) @ poly.T

@@ -242,7 +242,7 @@ _C8_BASELINE = 0.666990296052791  # min |L(theta)| over E at default constants
 
 def _criterion7_report(desk) -> dict:
     rows = np.flatnonzero(desk.E.member)
-    measures = desk.cand.L[rows].sum(axis=1) * desk.geom.pitch
+    measures = desk.cand.L.grid(desk.geom.n_t)[rows].sum(axis=1) * desk.geom.pitch
     return {
         "e_rows": int(len(rows)),
         "min_measure": float(measures.min()),
@@ -330,6 +330,7 @@ def obstruction_faults(obs, ifs, cand, c1: float, epsilon: float) -> list[str]:
     radius = float(np.hypot(poly[:, 0], poly[:, 1]).max())
     expansion = 1.0 / max(f.ratio for f in ifs.maps.values()) ** 2
     rules = {"search": ("L1", "L0", geom.pitch), "check": ("L", "L", cand.rho / 2.0)}
+    layers = {name: getattr(cand, name).grid(geom.n_t) for name in ("L0", "L", "L1")}
     for rule, (source, target, slack) in rules.items():
         try:
             row, col = int(cells[rule]["cell"]["row"]), int(cells[rule]["cell"]["col"])
@@ -337,7 +338,7 @@ def obstruction_faults(obs, ifs, cand, c1: float, epsilon: float) -> list[str]:
         except (KeyError, TypeError, ValueError) as exc:
             faults.append(f"{rule}: malformed cell: {exc!r}")
             continue
-        if not (0 <= row < geom.n_theta and 0 <= col < geom.n_t and getattr(cand, source)[row, col]):
+        if not (0 <= row < geom.n_theta and 0 <= col < geom.n_t and layers[source][row, col]):
             faults.append(f"{rule}: cell ({row}, {col}) is not in {source}")
             continue
         theta, t = row * geom.pitch, (col - geom.m) * geom.pitch
@@ -347,7 +348,7 @@ def obstruction_faults(obs, ifs, cand, c1: float, epsilon: float) -> list[str]:
             faults.append(f"{rule}: claimed distance {claimed:.6f} != {dist:.6f}")
         # 1e-6 pitch covers the membership test's 1e-9 index guard and rounding
         window = slack + 1e-6 * geom.pitch
-        bound = (farthest_line(getattr(cand, target), geom, poly)[0] + window * (1 + radius)) / expansion
+        bound = (farthest_line(layers[target], geom, poly)[0] + window * (1 + radius)) / expansion
         if not dist > bound:
             faults.append(f"{rule}: distance {dist:.6f} <= bound {bound:.6f}")
     return faults

@@ -44,6 +44,8 @@ def test_defaults_resolve():
         (dict(c1=True), "c1"),
         (dict(out=5), "out"),
         (dict(cert_resolution=2.0), "cert_resolution"),
+        (dict(grid_size=1), "grid_size"),
+        (dict(theta_pitch=4.0), "theta_pitch"),
     ],
 )
 def test_validation_names_offending_field(kwargs, field):

@@ -60,13 +60,15 @@ def _turned_system(part_one):
 
 
 def flat_candidate(geom: GridGeometry, rho: float, member: np.ndarray) -> RecurrentCandidate:
-    """Candidate whose three layers coincide; enough for membership tests."""
+    """Candidate whose three layers coincide, the row runs of the grid
+    member; enough for membership tests."""
+    runs = RowRuns.of(member)
     return RecurrentCandidate(
         geom=geom,
         rho=rho,
-        L0=member,
-        L=member,
-        L1=member,
+        L0=runs,
+        L=runs,
+        L1=runs,
         r_cells=0,
         r1_cells=0,
         e_member=np.ones(geom.n_theta, dtype=bool),
@@ -94,21 +96,21 @@ def test_membership_basic_window():
     geom = GridGeometry(50, t_max=1.0)
     grid = np.zeros((geom.n_theta, geom.n_t), dtype=bool)
     grid[10, geom.m + 4] = True
-    half = GridMembership(geom, grid, geom.pitch / 2)
+    half = GridMembership(geom, RowRuns.of(grid), geom.pitch / 2)
     th = 10 * geom.pitch
     tt = 4 * geom.pitch
     assert half.contains([th], [tt])[0]
     assert half.contains([th + 0.4 * geom.pitch], [tt])[0]
     assert not half.contains([th + 2.0 * geom.pitch], [tt])[0]
     # boundary is inclusive: a query exactly slack away still counts
-    assert GridMembership(geom, grid, geom.pitch).contains([th], [tt + geom.pitch])[0]
+    assert GridMembership(geom, RowRuns.of(grid), geom.pitch).contains([th], [tt + geom.pitch])[0]
 
 
 def test_membership_wraps_with_t_flip():
     geom = GridGeometry(40, t_max=1.0)
     grid = np.zeros((geom.n_theta, geom.n_t), dtype=bool)
     grid[0, geom.m + 7] = True  # theta = 0, t = 7h
-    mem = GridMembership(geom, grid, geom.pitch)
+    mem = GridMembership(geom, RowRuns.of(grid), geom.pitch)
     # just below pi is the same line with t negated
     th = math.pi - 0.3 * geom.pitch
     assert mem.contains([th], [-7 * geom.pitch])[0]
@@ -146,11 +148,11 @@ def test_membership_matches_three_rect_oracle(rng, n_theta, t_max, density):
         t_edge[below] *= -1
         thetas, ts = np.concatenate([thetas, th_edge]), np.concatenate([ts, t_edge])
 
-        got = GridMembership(geom, grid, slack).contains(thetas, ts)
+        got = GridMembership(geom, RowRuns.of(grid), slack).contains(thetas, ts)
         want = ThreeRectMembership(geom, grid).contains(thetas, ts, slack)
         assert np.array_equal(got, want), slack
         assert got.any() and not got.all()
-        assert not GridMembership(geom, np.zeros_like(grid), slack).contains(thetas, ts).any()
+        assert not GridMembership(geom, RowRuns.of(np.zeros_like(grid)), slack).contains(thetas, ts).any()
 
 
 def test_slice_params_validation():
@@ -277,21 +279,27 @@ def test_slice_monotone_in_c7(coarse_four_corner):
 
 def test_candidate_layers_nest(desk):
     cand = desk.cand
-    assert not np.any(cand.L0 & ~cand.L)
-    assert not np.any(cand.L & ~cand.L1)
+    L0, L, L1 = (layer.grid(cand.geom.n_t) for layer in (cand.L0, cand.L, cand.L1))
+    assert not np.any(L0 & ~L)
+    assert not np.any(L & ~L1)
     assert cand.r_cells == 3 and cand.r1_cells == 5
     # the run lines enumerate L1 exactly
-    th, tt = RowRuns.of(cand.L1).lines(cand.geom, np.arange(cand.delta_count))
-    assert len(th) == int(cand.L1.sum()) == cand.delta_count
-    rows, cols = np.nonzero(cand.L1)
+    th, tt = cand.L1.lines(cand.geom, np.arange(cand.delta_count))
+    assert len(th) == int(L1.sum()) == cand.delta_count
+    rows, cols = np.nonzero(L1)
     assert np.array_equal(th, rows * cand.geom.pitch)
     assert np.array_equal(tt, (cols - cand.geom.m) * cand.geom.pitch)
 
 
 def test_candidate_layers_are_oracle_dilations(desk):
     cand = desk.cand
-    assert np.array_equal(cand.L, _dilate_wrapped(cand.L0, cand.r_cells))
-    assert np.array_equal(cand.L1, _dilate_wrapped(cand.L0, cand.r1_cells))
+    n_t = cand.geom.n_t
+    L0 = cand.L0.grid(n_t)
+    assert np.array_equal(cand.L.grid(n_t), _dilate_wrapped(L0, cand.r_cells))
+    assert np.array_equal(cand.L1.grid(n_t), _dilate_wrapped(L0, cand.r1_cells))
+    # each layer as its maximal row runs, as RowRuns.of finds them
+    for layer in (cand.L0, cand.L, cand.L1):
+        assert all(np.array_equal(a, b) for a, b in zip(layer, RowRuns.of(layer.grid(n_t))))
 
 
 def _wrap_grids(rng, n: int, n_t: int) -> list[np.ndarray]:
@@ -354,7 +362,7 @@ def test_candidate_save_load_roundtrip(desk, tmp_path):
     assert back.geom == desk.cand.geom
     assert back.rho == desk.cand.rho
     for name in ("L0", "L", "L1"):
-        assert np.array_equal(getattr(back, name), getattr(desk.cand, name))
+        assert all(np.array_equal(a, b) for a, b in zip(getattr(back, name), getattr(desk.cand, name)))
     assert np.array_equal(back.e_member, desk.cand.e_member)
     p2 = tmp_path / "cand2.npz"
     desk.cand.save(str(p2))
@@ -418,7 +426,7 @@ def test_first_witness_matches_brute_loop(rng):
     geom = GridGeometry(61, t_max=1.2)
     h, slack = geom.pitch, geom.pitch
     grid = rng.random((geom.n_theta, geom.n_t)) < 0.05
-    member = GridMembership(geom, grid, slack)
+    member = GridMembership(geom, RowRuns.of(grid), slack)
 
     n = 300
     thetas = np.concatenate([rng.uniform(0.0, 2 * h, n), rng.uniform(math.pi - 2 * h, math.pi, n)])
@@ -480,7 +488,7 @@ def test_row_route_matches_point_route(rng, slack_pitches):
     h, m = geom.pitch, geom.m
     slack = slack_pitches * h
     source, target = _run_grid(rng, geom), _run_grid(rng, geom)
-    member = GridMembership(geom, target, slack)
+    member = GridMembership(geom, RowRuns.of(target), slack)
     words = [g for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
     words += [
         Similarity(r, a, f, (0.0, 0.0))
@@ -541,7 +549,7 @@ def test_batched_first_witness_matches_per_set_loop(rng, slack_pitches):
     geom = GridGeometry(61, t_max=1.2)
     h, m = geom.pitch, geom.m
     target = _run_grid(rng, geom)
-    member = GridMembership(geom, target, slack_pitches * h)
+    member = GridMembership(geom, RowRuns.of(target), slack_pitches * h)
     rows, cols = np.nonzero(target)
     cells = rng.integers(len(rows), size=60)
     thetas = np.concatenate(
@@ -587,7 +595,7 @@ def test_check_recurrence_matches_brute_first_witness(rng):
         member = l_membership(cand)
         rep = check_recurrence(ifs, cand, member)
         words = two_letter_words(ifs.alphabet, ifs.maps)
-        rows, cols = np.nonzero(cand.L)
+        rows, cols = np.nonzero(cand.L.grid(geom.n_t))
         thetas, ts = rows * geom.pitch, (cols - geom.m) * geom.pitch
         brute = brute_first_witness([g for _, g in words], thetas, ts, member)
 
@@ -741,7 +749,7 @@ def test_projection_intervals_mirror_under_half_turn():
     assert b.interval == pytest.approx((-a.interval[1], -a.interval[0]), abs=1e-12)
     assert b.recurrence_interval == (-a.recurrence_interval[1], -a.recurrence_interval[0])
 
-    assert cand.L[0].any()
+    assert cand.L.row_cells[0] > 0
     row0, near_pi = cert(0.0), cert(math.pi - geom.pitch / 4)
     lo, hi = near_pi.recurrence_interval
     assert (lo, hi) == (-row0.recurrence_interval[1], -row0.recurrence_interval[0])

@@ -243,7 +243,7 @@ def test_coverage_witnesses_reverify(recurrent_instance, rng):
     idx = np.flatnonzero(covered)[:: max(1, covered.sum() // 64)]
     for i in idx:
         g = words[witness[i]]
-        th, tt = renormalize_arrays(g, *tester.delta_runs.lines(cand.geom, np.array([i])))
+        th, tt = renormalize_arrays(g, *cand.L1.lines(cand.geom, np.array([i])))
         assert member0.contains(th, tt)[0]
 
 
@@ -261,7 +261,7 @@ def test_ordered_probe_changes_no_flag(system):
     order = tester.probe_order
     assert (order != np.arange(len(order))[:, None]).any()
     assert all(np.array_equal(np.sort(col), np.arange(len(order))) for col in order.T)
-    thetas, ts = tester.delta_runs.lines(geom, tester.probe_idx)
+    thetas, ts = cand.L1.lines(geom, tester.probe_idx)
     n = len(thetas)
     rng = np.random.default_rng(5)
     draws = [draw_assignment(rng, ifs, 0.3) for _ in range(40)]
@@ -301,14 +301,14 @@ def _held_bytes(obj) -> int:
 
 
 def test_memberships_hold_no_per_cell_arrays():
-    """The probe net and the memberships are held as run lists: a
-    CoverageTester with its L0 membership, and the L membership of the
-    check, hold fewer bytes than the grid has cells (the candidate's own
-    grids aside)."""
+    """The candidate, the probe net and the memberships are held as run
+    lists: the candidate's layers, a CoverageTester with its L0 membership,
+    and the L membership of the check hold fewer bytes than the grid has
+    cells."""
     res, _, cand = build_pipeline(RunConfig(ifs="sierpinski", rho=4.0**-3))
     tester = CoverageTester(res.ifs, cand, 8.0)
-    held = _held_bytes(tester) + _held_bytes(l_membership(cand))
-    assert held < cand.L0.size
+    held = _held_bytes(cand) + _held_bytes(tester) + _held_bytes(l_membership(cand))
+    assert held < cand.geom.n_theta * cand.geom.n_t
 
 
 def test_search_is_deterministic(recurrent_instance):
@@ -395,6 +395,12 @@ def test_verifier_rejects_tampered_certificate(desk):
 
     assert faults(obs) == []
     assert faults(None) == ["no obstruction certificate"]
+    # both rules' cells are the farthest of their layers
+    poly = np.asarray(obs["polygon"])
+    for rule in ("search", "check"):
+        for key, layer in (("distance", obs[rule]["source"]), ("target_distance", obs[rule]["target"])):
+            want = farthest_line(getattr(desk.cand, layer).grid(desk.geom.n_t), desk.geom, poly)[0]
+            assert abs(obs[rule][key] - want) <= 1e-12, (rule, key)
     found = {"status": "omega0 found", "check": {"fraction": 1.0}, "obstruction": obs}
     assert settlement_faults(found, desk.ifs, desk.cand, cfg.c1, cfg.epsilon) == [
         "omega0 reported next to an obstruction"
@@ -402,7 +408,7 @@ def test_verifier_rejects_tampered_certificate(desk):
 
     # move the search cell to the middle of its row, a line that crosses P
     row = obs["search"]["cell"]["row"]
-    cols = np.flatnonzero(desk.cand.L1[row])
+    cols = np.flatnonzero(desk.cand.L1.grid(desk.geom.n_t)[row])
     cell = {**obs["search"]["cell"], "col": int(cols[len(cols) // 2])}
     inside = {**obs, "search": {**obs["search"], "cell": cell, "distance": 0.0}}
     assert [f.split(":")[0] for f in faults(inside)] == ["search"]
@@ -422,6 +428,7 @@ def test_farthest_lines_stay_uncovered(desk):
     cfg, cand, geom = desk.cfg, desk.cand, desk.geom
     tester = CoverageTester(desk.ifs, cand, cfg.c1)
     member = GridMembership(geom, cand.L, cand.check_slack)
+    L, L1 = cand.L.grid(geom.n_t), cand.L1.grid(geom.n_t)
     rng = np.random.default_rng(8)
     for _ in range(2):
         assignment = draw_assignment(rng, desk.ifs, cfg.epsilon)
@@ -429,15 +436,15 @@ def test_farthest_lines_stay_uncovered(desk):
         pts = attractor_points(perturbed, 2.0**-8)
         hull = pts[ConvexHull(pts).vertices]
 
-        dist, row, col = farthest_line(cand.L1, geom, hull)
+        dist, row, col = farthest_line(L1, geom, hull)
         assert dist > 0.05
-        i = int(np.count_nonzero(cand.L1.ravel()[: row * geom.n_t + col]))
-        th, tt = tester.delta_runs.lines(geom, np.array([i]))
+        i = int(np.count_nonzero(L1.ravel()[: row * geom.n_t + col]))
+        th, tt = cand.L1.lines(geom, np.array([i]))
         assert (th[0], tt[0]) == (row * geom.pitch, (col - geom.m) * geom.pitch)
         covered, _ = tester.coverage([assignment], indices=np.array([i]))
         assert not covered[0]
 
-        dist, row, col = farthest_line(cand.L, geom, hull)
+        dist, row, col = farthest_line(L, geom, hull)
         assert dist > 0.05
         th, tt = np.array([row * geom.pitch]), np.array([(col - geom.m) * geom.pitch])
         for _, g in two_letter_words(perturbed.alphabet, perturbed.maps):
