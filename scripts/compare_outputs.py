@@ -28,6 +28,8 @@ PYTHONPATH and the configs of this checkout. The commands:
   omega, and with it at theta 3.9270 (0.7854 + pi), which reads its
   recurrence row a half-turn away and reports that row's interval with t
   negated.
+- `render` on configs/sierpinski.json: `attractor.pgm`, the stopping-word
+  centers of `measure.stopping_cylinders` drawn as a raster.
 
 Outputs are compared as follows: `.npz` files by their unpacked arrays,
 `.json` files by value with `candidate_file` and `omega_file` removed (they
@@ -75,6 +77,7 @@ COMMANDS = {
     "certify": ["certify", *FINE, "--theta", "0.7854"],
     "certify-omega": ["certify", *FINE, "--theta", "0.7854", "--omega", OMEGA],
     "certify-half-turn": ["certify", *FINE, "--theta", "3.9270", "--omega", OMEGA],
+    "render-sierpinski": ["render", "--config", SIERPINSKI],
 }
 PATH_KEYS = ("candidate_file", "omega_file")
 

@@ -10,18 +10,17 @@ from .config import RunConfig, build_pipeline, config_from_json_dict, load_confi
 from .errors import BudgetExceeded, ConfigError
 from .ifs import (
     IfsSpec,
+    MapArrays,
     OscReport,
     Perturbation,
     Similarity,
     Square,
-    StoppingCover,
     check_osc_unit_square,
     compose,
     compose_word,
     cylinder_square,
     epsilon_distance,
     ifs_from_json_dict,
-    load_ifs,
     make_ifs,
     map_square,
     perturb_map,

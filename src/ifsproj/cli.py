@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, build_pipeline, load_config, override
+from .config import RunConfig, build_pipeline, load_config, override, read_json_file
 from .errors import BudgetExceeded, ConfigError
 from .ifs import IfsSpec, check_osc_unit_square
 from .measure import DirectionSet, build_E, stopping_cylinders
@@ -74,11 +74,9 @@ def _build_pipeline(cfg: RunConfig):
 def _load_omega(cfg: RunConfig, path: str) -> OmegaAssignment:
     """The perturbation assignment in path, checked against the system's
     part_one before any pipeline work; every fault is a ConfigError."""
+    data = read_json_file(path, "omega")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            assignment = OmegaAssignment.from_json_dict(json.load(fh))
-    except FileNotFoundError:
-        raise ConfigError(f"omega: no such file {path!r}") from None
+        assignment = OmegaAssignment.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"omega: malformed perturbation file: {exc}") from None
     ifs = cfg.load_ifs_spec()
@@ -111,14 +109,10 @@ def _assess(
     perturbed = build_perturbed_ifs(ifs, assignment, cfg.c1, cfg.rho)
     thetas = _sample_e_rows(E, cand, cfg.n_theta_sample, cfg.seed)
     member = GridMembership(cand.geom, cand.L, cand.check_slack)
-    # Certify first: the attractor points are the largest allocation of the
-    # run, and made after the check, on the heap it leaves, they raised the
-    # peak RSS of verify on four_corner at rho 2^-7 from 520 MB to 555 MB.
-    certified = _certified_intervals(perturbed, thetas, cfg, cand, member)
     return {
         "check": check_recurrence(perturbed, cand, member).to_json_dict(),
         "closeness": closeness_report(ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0),
-        "certified_intervals": certified,
+        "certified_intervals": _certified_intervals(perturbed, thetas, cfg, cand, member),
     }
 
 
@@ -158,7 +152,7 @@ def cmd_dimension(cfg: RunConfig, args) -> int:
 
 def _render_pgm(ifs: IfsSpec, rho: float, size: int, path: str, budget: int | None) -> int:
     """White stopping-word centers on black, y axis pointing up."""
-    _, centers, _, _ = stopping_cylinders(ifs, rho, budget=budget)
+    centers, _, _ = stopping_cylinders(ifs, rho, budget=budget)
     img = np.zeros((size, size), dtype=np.uint8)
     cols = np.clip(np.rint(centers[:, 0] * (size - 1)).astype(int), 0, size - 1)
     rows = (size - 1) - np.clip(np.rint(centers[:, 1] * (size - 1)).astype(int), 0, size - 1)

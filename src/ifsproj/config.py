@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .ifs import IfsSpec, ifs_from_json_dict, load_ifs
+from .ifs import IfsSpec, ifs_from_json_dict
 from .measure import DirectionSet, build_E, measured_c9
 from .recurrence import (
     GridGeometry,
@@ -126,12 +126,8 @@ class RunConfig:
         if isinstance(src, str):
             if src in BUILTIN:
                 return get_builtin(src)
-            try:
-                return load_ifs(src)
-            except FileNotFoundError:
-                raise ConfigError(
-                    f"ifs: {src!r} is neither a builtin ({', '.join(sorted(BUILTIN))}) nor a readable file"
-                ) from None
+            unreadable = f"{src!r} is neither a builtin ({', '.join(sorted(BUILTIN))}) nor a readable file"
+            return ifs_from_json_dict(read_json_file(src, "ifs", unreadable))
         if isinstance(src, dict):
             return ifs_from_json_dict(src)
         raise ConfigError(f"ifs: expected a name, path, or inline spec, got {type(src).__name__}")
@@ -240,15 +236,25 @@ def config_from_json_dict(data: dict) -> RunConfig:
     return RunConfig(**flat)
 
 
-def load_config(path: str) -> RunConfig:
+def read_json_file(path: str, field: str, unreadable: str | None = None):
+    """The JSON value in the file at path. Every fault is a ConfigError
+    that starts with "<field>: ": a path that cannot be opened or read (a
+    missing file, a directory) gives unreadable when given, and a file that
+    is not UTF-8 JSON is malformed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config: no such file {path!r}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON in {path!r}: {exc}") from None
-    return config_from_json_dict(data)
+            return json.load(fh)
+    except OSError as exc:
+        if unreadable is None:
+            missing = isinstance(exc, FileNotFoundError)
+            unreadable = f"no such file {path!r}" if missing else f"cannot read {path!r}: {exc.strerror}"
+        raise ConfigError(f"{field}: {unreadable}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"{field}: malformed file {path!r}, invalid JSON: {exc}") from None
+
+
+def load_config(path: str) -> RunConfig:
+    return config_from_json_dict(read_json_file(path, "config"))
 
 
 def override(cfg: RunConfig, **kwargs) -> RunConfig:

@@ -7,11 +7,11 @@ Attractors live in I = [0,1]^2.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +76,53 @@ def compose(f: Similarity, g: Similarity) -> Similarity:
         reflect=f.reflect ^ g.reflect,
         translation=(tau[0], tau[1]),
     )
+
+
+class MapArrays(NamedTuple):
+    """The fields of `Similarity` as arrays, one map per element;
+    translation is the pair (x, y) of arrays. `stopping_cover` returns the
+    stopping words' maps in this form, and `lines.renormalize_affine` and
+    `lines.renormalize_arrays` take it wherever they take a Similarity and
+    broadcast it against the lines."""
+
+    ratio: np.ndarray
+    angle: np.ndarray
+    reflect: np.ndarray
+    translation: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(cls, maps: Sequence[Similarity]) -> "MapArrays":
+        return cls(
+            np.array([f.ratio for f in maps], dtype=float),
+            np.array([f.angle for f in maps], dtype=float),
+            np.array([f.reflect for f in maps], dtype=bool),
+            (
+                np.array([f.translation[0] for f in maps], dtype=float),
+                np.array([f.translation[1] for f in maps], dtype=float),
+            ),
+        )
+
+    def take(self, idx: np.ndarray) -> "MapArrays":
+        """The maps at the given indices."""
+        tx, ty = self.translation
+        return MapArrays(self.ratio[idx], self.angle[idx], self.reflect[idx], (tx[idx], ty[idx]))
+
+    def images(self, point: tuple[float, float]) -> np.ndarray:
+        """The points f(point) of every map f as an (n, 2) array."""
+        px, py = point
+        cos_v, sin_v = np.cos(self.angle), np.sin(self.angle)
+        sy = np.where(self.reflect, -py, py)
+        # in place, cos and sin as scratch: this is the memory peak of verify
+        out = np.empty((len(self.ratio), 2))
+        x = np.multiply(cos_v, px, out=out[:, 0])
+        y = np.multiply(sin_v, px, out=out[:, 1])
+        x -= np.multiply(sin_v, sy, out=sin_v)
+        y += np.multiply(cos_v, sy, out=cos_v)
+        out *= self.ratio[:, None]
+        tx, ty = self.translation
+        x += tx
+        y += ty
+        return out
 
 
 @dataclass(frozen=True)
@@ -249,12 +296,6 @@ def ifs_from_json_dict(data: Mapping) -> IfsSpec:
     return make_ifs(maps, part_one=part_one, alphabet=alphabet)
 
 
-def load_ifs(path: str) -> IfsSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return ifs_from_json_dict(data)
-
-
 def compose_word(ifs: IfsSpec, w: str | Iterable[str]) -> Similarity:
     """f_w = f_{w_1} o ... o f_{w_k}; the empty word gives the identity."""
     f = Similarity(1.0, 0.0, False, (0.0, 0.0))
@@ -355,78 +396,18 @@ def check_osc_unit_square(ifs: IfsSpec, tol: float = 1e-12) -> OscReport:
     )
 
 
-class WordSequence(Sequence[Word]):
-    """Read-only sequence of words stored as letter codes; a word becomes a
-    tuple of symbols only when it is read."""
+def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> MapArrays:
+    """The maps f_w of the minimal words w with ratio(w) <= rho <
+    ratio(parent of w).
 
-    def __init__(self, alphabet: Sequence[str], codes: np.ndarray, lengths: np.ndarray):
-        self._alphabet = tuple(alphabet)
-        self._codes = codes
-        self._lengths = lengths
-
-    def __len__(self) -> int:
-        return len(self._lengths)
-
-    def _decode(self, row, n) -> Word:
-        return tuple(self._alphabet[c] for c in row[:n])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return self._decode(self._codes[i].tolist(), int(self._lengths[i]))
-
-    def __iter__(self):
-        for row, n in zip(self._codes.tolist(), self._lengths.tolist()):
-            yield self._decode(row, n)
-
-
-@dataclass(frozen=True)
-class StoppingCover:
-    """The stopping words at one scale in lexicographic order, each with its
-    composed map f_w as per-word arrays: ratio, angle, reflect flag and
-    translation (tx, ty). codes[i, :lengths[i]] are word i's letter indices
-    into alphabet."""
-
-    alphabet: tuple[str, ...]
-    codes: np.ndarray
-    lengths: np.ndarray
-    ratio: np.ndarray
-    angle: np.ndarray
-    reflect: np.ndarray
-    tx: np.ndarray
-    ty: np.ndarray
-
-    @property
-    def words(self) -> WordSequence:
-        return WordSequence(self.alphabet, self.codes, self.lengths)
-
-    def images(self, point: tuple[float, float]) -> np.ndarray:
-        """The points f_w(point) as an (n, 2) array."""
-        px, py = point
-        cos_v, sin_v = np.cos(self.angle), np.sin(self.angle)
-        sy = np.where(self.reflect, -py, py)
-        # in place, cos and sin as scratch: this is the memory peak of verify
-        out = np.empty((len(self.ratio), 2))
-        x = np.multiply(cos_v, px, out=out[:, 0])
-        y = np.multiply(sin_v, px, out=out[:, 1])
-        x -= np.multiply(sin_v, sy, out=sin_v)
-        y += np.multiply(cos_v, sy, out=cos_v)
-        out *= self.ratio[:, None]
-        x += self.tx
-        y += self.ty
-        return out
-
-
-def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> StoppingCover:
-    """Minimal words w with ratio(w) <= rho < ratio(parent of w).
-
-    The result is a prefix-free cover of the symbol space in lexicographic
-    order (alphabet order as given). The prefix tree is expanded level by
-    level: every node is finished (ratio <= rho) or active, and np.repeat
-    puts each active node's children in its place, so the order needs no
-    sort. Ratios are products of the letters' ratios taken left to right,
-    as compose_word forms them. With equal ratios r the words are all words
-    of the first length n with r^n <= rho.
+    These words are a prefix-free cover of the symbol space; their maps come
+    in the words' lexicographic order (alphabet order as given). The prefix
+    tree is expanded level by level: every node is finished (ratio <= rho)
+    or active, and np.repeat puts each active node's children in its place,
+    so the order needs no sort. Ratios are products of the letters' ratios
+    taken left to right, as compose_word forms them. With equal ratios r the
+    words are all words of the first length n with r^n <= rho. The words
+    themselves are not kept: the pipeline reads only their maps.
 
     n_finished + k * n_active is a lower bound on the final count, and
     equals it at the last level, so BudgetExceeded (partial = that bound)
@@ -436,22 +417,12 @@ def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> Stopp
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0,1), got {rho}")
     k = len(ifs.alphabet)
-    letters = [ifs.maps[a] for a in ifs.alphabet]
-    lr = np.array([f.ratio for f in letters])
-    la = np.array([f.angle for f in letters])
-    lm = np.array([f.reflect for f in letters])
-    lx = np.array([f.translation[0] for f in letters])
-    ly = np.array([f.translation[1] for f in letters])
-    letter_codes = np.arange(k, dtype=np.min_scalar_type(k))
+    lr, la, lm, (lx, ly) = MapArrays.of([ifs.maps[a] for a in ifs.alphabet])
 
-    # the root node: the empty word and the identity map; every active node
-    # on the level being expanded is a word of length depth
-    codes = np.zeros((1, 1), dtype=letter_codes.dtype)
-    lengths = np.zeros(1, dtype=np.int32)
+    # the root node: the empty word and the identity map
     r, ang, refl = np.ones(1), np.zeros(1), np.zeros(1, dtype=bool)
     tx, ty = np.zeros(1), np.zeros(1)
     active = np.ones(1, dtype=bool)
-    depth = 0
     while active.any():
         n_active = int(np.count_nonzero(active))
         n_finished = len(active) - n_active
@@ -471,7 +442,6 @@ def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> Stopp
         child_r = (pr * lr).ravel()
         child_ang = (pa + sgn * la).ravel()
         child_refl = (pm ^ lm).ravel()
-        child_codes = np.tile(letter_codes, n_active)
 
         counts = np.where(active, k, 1)
         is_child = np.repeat(active, counts)
@@ -480,22 +450,15 @@ def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> Stopp
             # finished nodes keep their slot, active ones give it to their children
             if not n_finished:
                 return child_vals
-            out = np.repeat(node_vals, counts, axis=0)
+            out = np.repeat(node_vals, counts)
             out[is_child] = child_vals
             return out
 
-        if depth == codes.shape[1]:
-            codes = np.pad(codes, ((0, 0), (0, depth)))
-        codes = np.repeat(codes, counts, axis=0)
-        codes[is_child, depth] = child_codes
-        depth += 1
-        lengths = np.repeat(lengths, counts)
-        lengths[is_child] = depth
         r, ang, refl = place(r, child_r), place(ang, child_ang), place(refl, child_refl)
         tx, ty = place(tx, child_tx), place(ty, child_ty)
         active = is_child.copy()
         active[is_child] = child_r > rho
-    return StoppingCover(ifs.alphabet, codes, lengths, r, ang, refl, tx, ty)
+    return MapArrays(r, ang, refl, (tx, ty))
 
 
 def epsilon_distance(base: IfsSpec, other: IfsSpec) -> float:

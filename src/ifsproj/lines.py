@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ifs import Similarity
+from .ifs import MapArrays, Similarity
 
 
 def canonical_angle(theta_raw: float) -> tuple[float, int]:
@@ -41,35 +40,6 @@ class Line:
         t = float(self.t) if k % 2 == 0 else -float(self.t)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "t", t)
-
-
-class MapArrays(NamedTuple):
-    """The fields of `Similarity` as arrays, one forward map per element;
-    translation is the pair (x, y) of arrays. `renormalize_affine` and
-    `renormalize_arrays` take it wherever they take a Similarity and
-    broadcast it against the lines."""
-
-    ratio: np.ndarray
-    angle: np.ndarray
-    reflect: np.ndarray
-    translation: tuple[np.ndarray, np.ndarray]
-
-    @classmethod
-    def of(cls, maps: Sequence[Similarity]) -> "MapArrays":
-        return cls(
-            np.array([f.ratio for f in maps], dtype=float),
-            np.array([f.angle for f in maps], dtype=float),
-            np.array([f.reflect for f in maps], dtype=bool),
-            (
-                np.array([f.translation[0] for f in maps], dtype=float),
-                np.array([f.translation[1] for f in maps], dtype=float),
-            ),
-        )
-
-    def take(self, idx: np.ndarray) -> "MapArrays":
-        """The maps at the given indices."""
-        tx, ty = self.translation
-        return MapArrays(self.ratio[idx], self.angle[idx], self.reflect[idx], (tx[idx], ty[idx]))
 
 
 def renormalize_affine(

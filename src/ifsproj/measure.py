@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .ifs import IfsSpec, Word, stopping_cover
+from .ifs import IfsSpec, stopping_cover
 
 
 def stopping_cylinders(
@@ -22,16 +21,16 @@ def stopping_cylinders(
     rho: float,
     budget: int | None = None,
     point: tuple[float, float] = (0.5, 0.5),
-) -> tuple[Sequence[Word], np.ndarray, np.ndarray, np.ndarray]:
-    """Stopping words at scale rho with the points f_w(point), ratios, masses.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points f_w(point), ratios and masses of the stopping words w at
+    scale rho, in the words' lexicographic (alphabet-rank) order: one row or
+    element per map of ifs.stopping_cover.
 
-    The words are ifs.stopping_cover's, in lexicographic (alphabet-rank)
-    order, as a read-only sequence that decodes a word only when it is read.
     The default point is the square center; passing an attractor point makes
     every f_w(point) an attractor point too.
     """
-    cover = stopping_cover(ifs, rho, budget=budget)
-    return cover.words, cover.images(point), cover.ratio, cover.ratio**ifs.dimension
+    maps = stopping_cover(ifs, rho, budget=budget)
+    return maps.images(point), maps.ratio, maps.ratio**ifs.dimension
 
 
 @dataclass(frozen=True)
@@ -53,19 +52,21 @@ def projected_histogram(
     theta: float,
     rho: float,
     delta: float,
-    words_data=None,
+    cylinders=None,
     budget: int | None = None,
 ) -> ProjectedHistogram:
     """Deposit cylinder masses at projected centers into width-delta bins.
+    cylinders, when given, is stopping_cylinders(ifs, rho) computed by the
+    caller, for callers that project the same cover at many angles.
 
     Center deposits are off by at most the cylinder diameter (~rho), which is
     why delta should stay at the rho^(1/2) scale.
     """
     if not (delta > 0.0):
         raise ValueError(f"delta must be positive, got {delta}")
-    if words_data is None:
-        words_data = stopping_cylinders(ifs, rho, budget=budget)
-    _, centers, _, masses = words_data
+    if cylinders is None:
+        cylinders = stopping_cylinders(ifs, rho, budget=budget)
+    centers, _, masses = cylinders
     pos = centers @ np.array([-math.sin(theta), math.cos(theta)])
     idx = np.floor(pos / delta).astype(np.int64)
     lo = int(idx.min())
@@ -123,11 +124,11 @@ def build_E(
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    words_data = stopping_cylinders(ifs, rho, budget=budget)
+    cylinders = stopping_cylinders(ifs, rho, budget=budget)
     thetas = np.arange(grid_size) * (math.pi / grid_size)
     l2 = np.array(
         [
-            l2_norm_estimate(projected_histogram(ifs, theta, rho, delta, words_data=words_data))
+            l2_norm_estimate(projected_histogram(ifs, theta, rho, delta, cylinders=cylinders))
             for theta in thetas
         ]
     )

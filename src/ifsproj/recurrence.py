@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ifs import IfsSpec, Perturbation, Similarity, Word, compose, perturb_map
-from .lines import MapArrays, renormalize_affine, renormalize_arrays
+from .ifs import IfsSpec, MapArrays, Perturbation, Similarity, Word, compose, perturb_map
+from .lines import renormalize_affine, renormalize_arrays
 from .measure import DirectionSet, stopping_cylinders
 
 
@@ -63,17 +63,6 @@ class RowRuns(NamedTuple):
     ptr: np.ndarray
     start: np.ndarray
     stop: np.ndarray
-
-    @classmethod
-    def of(cls, grid: np.ndarray) -> "RowRuns":
-        n, n_t = grid.shape
-        # one false cell before the grid and after every row, so each run
-        # starts and stops at a change between neighbours of the flat buffer
-        buf = np.zeros(n * (n_t + 1) + 1, dtype=bool)
-        buf[1:].reshape(n, n_t + 1)[:, :n_t] = grid
-        change = np.flatnonzero(buf[1:] != buf[:-1])
-        row, start = np.divmod(change[0::2], n_t + 1)
-        return cls.from_rows(n, row, start, change[1::2] - row * (n_t + 1))
 
     @classmethod
     def from_rows(cls, n: int, row: np.ndarray, start: np.ndarray, stop: np.ndarray) -> "RowRuns":
@@ -362,7 +351,7 @@ class RecurrentCandidate:
     """The layers of the candidate recurrent set, as row runs. L0 is the
     core, L its rho/2 cell-dilation — the set recurrence targets — and L1
     the rho dilation whose cells form the probe net Delta. Only `save`
-    paints them as boolean grids, for `candidate.npz`; `load` scans them."""
+    paints them as boolean grids, for `candidate.npz`."""
 
     geom: GridGeometry
     rho: float
@@ -399,20 +388,6 @@ class RecurrentCandidate:
             r1_cells=self.r1_cells,
             e_member=np.packbits(self.e_member),
             c5=self.c5,
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "RecurrentCandidate":
-        z = np.load(path)
-        geom = GridGeometry(n_theta=int(z["n_theta"]), t_max=float(z["t_max"]))
-        return cls(
-            geom=geom,
-            rho=float(z["rho"]),
-            **{k: RowRuns.of(np.unpackbits(z[k], axis=1, count=geom.n_t).astype(bool)) for k in _LAYERS},
-            r_cells=int(z["r_cells"]),
-            r1_cells=int(z["r1_cells"]),
-            e_member=np.unpackbits(z["e_member"], count=geom.n_theta).astype(bool),
-            c5=float(z["c5"]),
         )
 
 
@@ -759,7 +734,7 @@ def attractor_points(ifs: IfsSpec, scale: float, budget: int | None = None) -> n
     every stopping word at the given scale. Reusable across angles."""
     f0 = ifs.maps[ifs.alphabet[0]]
     p0 = np.linalg.solve(np.eye(2) - f0.linear(), np.asarray(f0.translation))
-    _, pts, _, _ = stopping_cylinders(ifs, scale, budget=budget, point=(p0[0], p0[1]))
+    pts, _, _ = stopping_cylinders(ifs, scale, budget=budget, point=(p0[0], p0[1]))
     return pts
 
 

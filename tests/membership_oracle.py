@@ -8,14 +8,27 @@ with an integral image, and adds, per query, a second rectangle on the
 mirrored far end whenever the window crosses theta = 0 or pi.
 
 `_pad_wrapped` is the boolean-grid padding, kept as the oracle of the run
-padding `ifsproj.recurrence._pad_runs`.
+padding `ifsproj.recurrence._pad_runs`, and `row_runs` scans a boolean grid
+into its maximal row runs, the inverse of `RowRuns.grid`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ifsproj.recurrence import GridGeometry
+from ifsproj.recurrence import GridGeometry, RowRuns
+
+
+def row_runs(grid: np.ndarray) -> RowRuns:
+    """The maximal runs of true cells of a boolean grid, row by row."""
+    n, n_t = grid.shape
+    # one false cell before the grid and after every row, so each run
+    # starts and stops at a change between neighbours of the flat buffer
+    buf = np.zeros(n * (n_t + 1) + 1, dtype=bool)
+    buf[1:].reshape(n, n_t + 1)[:, :n_t] = grid
+    change = np.flatnonzero(buf[1:] != buf[:-1])
+    row, start = np.divmod(change[0::2], n_t + 1)
+    return RowRuns.from_rows(n, row, start, change[1::2] - row * (n_t + 1))
 
 
 def _pad_wrapped(grid: np.ndarray, k: int) -> np.ndarray:

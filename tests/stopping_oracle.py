@@ -1,8 +1,9 @@
 """Reference stopping-word enumerators: the depth-first walkers that the
-vectorized enumerator `ifsproj.ifs.stopping_cover` replaced, kept verbatim as
-test oracles. Both walk the prefix tree one node at a time and sort the
-leaves on tuple keys afterwards. `word_ratio` is the ratio of one word, one
-letter at a time.
+vectorized enumerator `ifsproj.ifs.stopping_cover` replaced, kept as test
+oracles. Both walk the prefix tree one node at a time and sort the leaves
+on tuple keys afterwards; they are also the test side's source of the
+words themselves, which `stopping_cover` does not keep. `word_ratio` is the
+ratio of one word, one letter at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from ifsproj.errors import BudgetExceeded
-from ifsproj.ifs import IfsSpec, Word, as_word
+from ifsproj.ifs import IfsSpec, MapArrays, Word, as_word
 
 
 def word_ratio(ifs: IfsSpec, w: str | Iterable[str]) -> float:
@@ -55,23 +56,17 @@ def stopping_words(ifs: IfsSpec, rho: float, budget: int | None = None) -> list[
     return out
 
 
-def stopping_cylinders(
-    ifs: IfsSpec,
-    rho: float,
-    budget: int | None = None,
-    point: tuple[float, float] = (0.5, 0.5),
-) -> tuple[list[Word], np.ndarray, np.ndarray, np.ndarray]:
-    """Stopping words at scale rho with the points f_w(point), ratios, masses.
+def stopping_maps(
+    ifs: IfsSpec, rho: float, budget: int | None = None
+) -> tuple[list[Word], MapArrays]:
+    """Stopping words at scale rho with their composed maps f_w.
 
     Same word set as stopping_words, but walks the prefix tree carrying
     the affine data numerically so large covers stay cheap. Output is sorted
-    in lexicographic (alphabet-rank) order. The default point is the square
-    center; passing an attractor point makes every f_w(point) an attractor
-    point too.
+    in lexicographic (alphabet-rank) order.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0,1), got {rho}")
-    d = ifs.dimension
     letters = []
     for a in ifs.alphabet:
         f = ifs.maps[a]
@@ -109,12 +104,28 @@ def stopping_cylinders(
     order = sorted(range(len(words)), key=lambda i: tuple(rank[a] for a in words[i]))
     words = [words[i] for i in order]
     arr = np.array([rows[i] for i in order], dtype=float)
-    ratios = arr[:, 0]
+    maps = MapArrays(arr[:, 0], arr[:, 1], arr[:, 2] > 0.5, (arr[:, 3], arr[:, 4]))
+    return words, maps
+
+
+def stopping_cylinders(
+    ifs: IfsSpec,
+    rho: float,
+    budget: int | None = None,
+    point: tuple[float, float] = (0.5, 0.5),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points f_w(point), ratios and masses of stopping_maps' words, in
+    their order. The default point is the square center; passing an
+    attractor point makes every f_w(point) an attractor point too.
+    """
+    _, maps = stopping_maps(ifs, rho, budget)
+    ratios = maps.ratio
+    tx, ty = maps.translation
     px, py = point
-    cos_v, sin_v = np.cos(arr[:, 1]), np.sin(arr[:, 1])
-    sy = np.where(arr[:, 2] > 0.5, -py, py)
-    cx = arr[:, 0] * (cos_v * px - sin_v * sy) + arr[:, 3]
-    cy = arr[:, 0] * (sin_v * px + cos_v * sy) + arr[:, 4]
+    cos_v, sin_v = np.cos(maps.angle), np.sin(maps.angle)
+    sy = np.where(maps.reflect, -py, py)
+    cx = ratios * (cos_v * px - sin_v * sy) + tx
+    cy = ratios * (sin_v * px + cos_v * sy) + ty
     centers = np.column_stack([cx, cy])
-    masses = ratios**d
-    return words, centers, ratios, masses
+    masses = ratios**ifs.dimension
+    return centers, ratios, masses

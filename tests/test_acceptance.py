@@ -27,13 +27,13 @@ from ifsproj import (
     l2_norm_estimate,
     projected_histogram,
     similarity_dimension,
-    stopping_cover,
     stopping_cylinders,
 )
 from ifsproj.cli import _sample_e_rows, main
 from certificate_oracle import certify_line
 from crowding_oracle import bad_word_cap, classify_good_words
 from renormalize_oracle import invert_map, project_point, renormalize_map
+from stopping_oracle import stopping_words
 
 _state: dict = {}
 
@@ -115,7 +115,7 @@ def test_criterion_02_two_letter_composition(emit):
 def test_criterion_03_line_certificates_vs_point_cloud(emit):
     dust = get_builtin("cantor_dust")
     t0 = time.perf_counter()
-    _, pts, _, _ = stopping_cylinders(dust, 4.0**-10, point=(0.0, 0.0))
+    pts, _, _ = stopping_cylinders(dust, 4.0**-10, point=(0.0, 0.0))
     thresh = 2.0 * math.sqrt(2.0) * 4.0**-10
     rng = np.random.default_rng(303)
     missed_completeness = 0  # oracle far => BFS must certify empty
@@ -169,10 +169,10 @@ def _criterion5_report() -> dict:
     sums = {}
     for name in ("sierpinski", "four_corner", "cantor_dust"):
         ifs = get_builtin(name)
-        words_data = stopping_cylinders(ifs, rho_coarse)
+        cylinders = stopping_cylinders(ifs, rho_coarse)
         delta = math.sqrt(rho_coarse) / 8.0
         sums[name] = [
-            float(projected_histogram(ifs, j * math.pi / 12, rho_coarse, delta, words_data=words_data).masses.sum())
+            float(projected_histogram(ifs, j * math.pi / 12, rho_coarse, delta, cylinders=cylinders).masses.sum())
             for j in range(12)
         ]
     cfg = RunConfig()
@@ -201,7 +201,7 @@ def test_criterion_05_measure_sanity(emit):
 
 def _criterion6_report(desk) -> dict:
     cfg, res = desk.cfg, desk.res
-    words = list(stopping_cover(desk.ifs, math.sqrt(cfg.rho)).words)
+    words = stopping_words(desk.ifs, math.sqrt(cfg.rho))
     centers = np.array([cylinder_square(desk.ifs, w).corners().mean(axis=0) for w in words])
     thetas = np.arange(desk.geom.n_theta) * desk.geom.pitch
     proj = centers @ np.stack([-np.sin(thetas), np.cos(thetas)])

@@ -97,6 +97,12 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(str(bad))
+    with pytest.raises(ConfigError, match="^config: cannot read"):
+        load_config(str(tmp_path))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"seed": 1, "out": "r\xe9sultats"}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match="^config: malformed file .*invalid JSON"):
+        load_config(str(latin1))
 
 
 def test_override_drops_none():
@@ -201,6 +207,11 @@ def test_malformed_ifs_is_config_error(tmp_path, capsys):
         p.write_text(json.dumps({**spec, field: value}))
         assert main(["dimension", "--ifs", str(p)]) == 2, (field, value)
         assert capsys.readouterr().err.startswith(f"{field}: must be"), (field, value)
+    p.write_text("{not json")
+    assert main(["dimension", "--ifs", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("ifs: malformed file")
+    assert main(["dimension", "--ifs", str(tmp_path)]) == 2
+    assert "is neither a builtin" in capsys.readouterr().err
 
 
 def test_thin_system_guard(tmp_path, capsys):
@@ -349,10 +360,13 @@ def check_bad_omega_rejected(tmp_path, capsys, monkeypatch, command):
         "short_gamma.json": ('{"a": {"phi": 0.0, "gamma": [0.0]}}', "omega: malformed"),
         "list.json": ("[]", "omega: malformed"),
         "wrong_domain.json": ('{"a": {"phi": 0.0, "gamma": [0.0, 0.0]}}', "part_one"),
+        "a_directory": ("", "omega: cannot read"),
     }
     for name, (text, message) in faults.items():
         path = tmp_path / name
-        if text is not None:
+        if name == "a_directory":
+            path.mkdir()
+        elif text is not None:
             path.write_text(text)
         assert main([command, "--config", cfg, "--omega", str(path), *extra]) == 2, name
         err = capsys.readouterr().err

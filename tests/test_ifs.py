@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ifsproj import (
     BudgetExceeded,
     ConfigError,
+    RunConfig,
     Similarity,
     check_osc_unit_square,
     compose,
@@ -17,14 +18,13 @@ from ifsproj import (
     epsilon_distance,
     get_builtin,
     ifs_from_json_dict,
-    load_ifs,
     make_ifs,
     map_square,
     similarity_dimension,
     stopping_cover,
 )
 from renormalize_oracle import invert_map
-from stopping_oracle import word_ratio
+from stopping_oracle import stopping_words, word_ratio
 
 similarities = st.builds(
     Similarity,
@@ -130,12 +130,13 @@ def test_osc_detects_overlap():
 def test_stopping_words_counts():
     # r = 1/2 and rho = 2^-8: every word stops at depth exactly 8
     rho = 4.0**-4
-    assert len(stopping_cover(get_builtin("four_corner"), rho).words) == 4**8
-    assert len(stopping_cover(get_builtin("sierpinski"), rho).words) == 3**8
+    assert len(stopping_cover(get_builtin("four_corner"), rho).ratio) == 4**8
+    assert len(stopping_cover(get_builtin("sierpinski"), rho).ratio) == 3**8
 
 
 def test_stopping_words_prefix_free_and_sorted():
-    words = list(stopping_cover(get_builtin("sierpinski"), 0.1).words)
+    # the oracle's words, against which test_stopping_cover checks the cover's maps
+    words = stopping_words(get_builtin("sierpinski"), 0.1)
     as_str = ["".join(w) for w in words]
     assert as_str == sorted(as_str)
     ws = set(as_str)
@@ -195,6 +196,6 @@ def test_ifs_json_errors(tmp_path):
             }
         )
     )
-    ifs = load_ifs(str(p))
+    ifs = RunConfig(ifs=str(p)).load_ifs_spec()
     assert ifs.alphabet == ("a", "b")
     assert ifs.part_one == ("a",)  # default partition takes the first half

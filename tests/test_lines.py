@@ -15,7 +15,7 @@ from ifsproj import (
     canonical_angle,
     renormalize_arrays,
 )
-from ifsproj.lines import MapArrays
+from ifsproj.ifs import MapArrays
 from certificate_oracle import line_square_intersects, project_square
 from renormalize_oracle import (
     carrier_point,

@@ -5,12 +5,12 @@ import pytest
 
 from ifsproj import (
     build_E,
+    compose_word,
     get_builtin,
     l2_norm_estimate,
     measured_c9,
     projected_histogram,
     select_c5,
-    stopping_cover,
     stopping_cylinders,
 )
 from crowding_oracle import bad_word_cap, classify_good_words
@@ -22,8 +22,8 @@ DELTA = math.sqrt(RHO) / 8.0
 
 def test_stopping_cylinders_four_corner():
     ifs = get_builtin("four_corner")
-    words, centers, ratios, masses = stopping_cylinders(ifs, RHO)
-    assert len(words) == 4**8
+    centers, ratios, masses = stopping_cylinders(ifs, RHO)
+    assert len(centers) == 4**8
     assert np.all(ratios == 2.0**-8)
     # masses are r^d with d = 2, and they tile exactly
     assert masses.sum() == pytest.approx(1.0, abs=1e-12)
@@ -32,12 +32,12 @@ def test_stopping_cylinders_four_corner():
 
 def test_stopping_cylinders_match_word_enumeration():
     ifs = get_builtin("sierpinski")
-    words, centers, ratios, masses = stopping_cylinders(ifs, 0.1)
-    assert [tuple(w) for w in words] == [tuple(w) for w in stopping_words(ifs, 0.1)]
-    # spot-check a center against the composed map
-    from ifsproj import compose_word
-
-    assert np.allclose(centers[5], compose_word(ifs, words[5])((0.5, 0.5)))
+    centers, ratios, _ = stopping_cylinders(ifs, 0.1)
+    words = stopping_words(ifs, 0.1)
+    # each center and ratio against the composed map of its word
+    maps = [compose_word(ifs, w) for w in words]
+    assert np.allclose(centers, [f((0.5, 0.5)) for f in maps], rtol=0.0, atol=1e-14)
+    assert np.allclose(ratios, [f.ratio for f in maps], rtol=1e-14, atol=0.0)
 
 
 def test_histograms_sum_to_one(rng):
@@ -46,7 +46,7 @@ def test_histograms_sum_to_one(rng):
         data = stopping_cylinders(ifs, 4.0**-3)
         for theta in rng.uniform(0, math.pi, size=12):
             h = projected_histogram(
-                ifs, float(theta), 4.0**-3, math.sqrt(4.0**-3) / 8, words_data=data
+                ifs, float(theta), 4.0**-3, math.sqrt(4.0**-3) / 8, cylinders=data
             )
             assert math.fsum(h.masses.tolist()) == pytest.approx(1.0, abs=1e-9)
 
@@ -82,7 +82,7 @@ def brute_good(wc) -> np.ndarray:
 
 def test_classify_brute_equals_sweep(rng):
     ifs = get_builtin("sierpinski")
-    words = list(stopping_cover(ifs, math.sqrt(RHO)).words)
+    words = stopping_words(ifs, math.sqrt(RHO))
     n_bad = 0
     for theta in rng.uniform(0, math.pi, size=10):
         for c6 in (0.05, 2.0):

@@ -32,7 +32,7 @@ from ifsproj import (
 from ifsproj.recurrence import _cover, _dilate, _longest_run, _pad_runs
 from certificate_oracle import certify_line
 from dilation_oracle import _dilate_wrapped
-from membership_oracle import ThreeRectMembership, _pad_wrapped
+from membership_oracle import ThreeRectMembership, _pad_wrapped, row_runs
 from renormalize_oracle import invert_map, renormalize_map, renormalize_via_carrier
 
 
@@ -62,7 +62,7 @@ def _turned_system(part_one):
 def flat_candidate(geom: GridGeometry, rho: float, member: np.ndarray) -> RecurrentCandidate:
     """Candidate whose three layers coincide, the row runs of the grid
     member; enough for membership tests."""
-    runs = RowRuns.of(member)
+    runs = row_runs(member)
     return RecurrentCandidate(
         geom=geom,
         rho=rho,
@@ -96,21 +96,21 @@ def test_membership_basic_window():
     geom = GridGeometry(50, t_max=1.0)
     grid = np.zeros((geom.n_theta, geom.n_t), dtype=bool)
     grid[10, geom.m + 4] = True
-    half = GridMembership(geom, RowRuns.of(grid), geom.pitch / 2)
+    half = GridMembership(geom, row_runs(grid), geom.pitch / 2)
     th = 10 * geom.pitch
     tt = 4 * geom.pitch
     assert half.contains([th], [tt])[0]
     assert half.contains([th + 0.4 * geom.pitch], [tt])[0]
     assert not half.contains([th + 2.0 * geom.pitch], [tt])[0]
     # boundary is inclusive: a query exactly slack away still counts
-    assert GridMembership(geom, RowRuns.of(grid), geom.pitch).contains([th], [tt + geom.pitch])[0]
+    assert GridMembership(geom, row_runs(grid), geom.pitch).contains([th], [tt + geom.pitch])[0]
 
 
 def test_membership_wraps_with_t_flip():
     geom = GridGeometry(40, t_max=1.0)
     grid = np.zeros((geom.n_theta, geom.n_t), dtype=bool)
     grid[0, geom.m + 7] = True  # theta = 0, t = 7h
-    mem = GridMembership(geom, RowRuns.of(grid), geom.pitch)
+    mem = GridMembership(geom, row_runs(grid), geom.pitch)
     # just below pi is the same line with t negated
     th = math.pi - 0.3 * geom.pitch
     assert mem.contains([th], [-7 * geom.pitch])[0]
@@ -148,11 +148,11 @@ def test_membership_matches_three_rect_oracle(rng, n_theta, t_max, density):
         t_edge[below] *= -1
         thetas, ts = np.concatenate([thetas, th_edge]), np.concatenate([ts, t_edge])
 
-        got = GridMembership(geom, RowRuns.of(grid), slack).contains(thetas, ts)
+        got = GridMembership(geom, row_runs(grid), slack).contains(thetas, ts)
         want = ThreeRectMembership(geom, grid).contains(thetas, ts, slack)
         assert np.array_equal(got, want), slack
         assert got.any() and not got.all()
-        assert not GridMembership(geom, RowRuns.of(np.zeros_like(grid)), slack).contains(thetas, ts).any()
+        assert not GridMembership(geom, row_runs(np.zeros_like(grid)), slack).contains(thetas, ts).any()
 
 
 def test_slice_params_validation():
@@ -297,9 +297,9 @@ def test_candidate_layers_are_oracle_dilations(desk):
     L0 = cand.L0.grid(n_t)
     assert np.array_equal(cand.L.grid(n_t), _dilate_wrapped(L0, cand.r_cells))
     assert np.array_equal(cand.L1.grid(n_t), _dilate_wrapped(L0, cand.r1_cells))
-    # each layer as its maximal row runs, as RowRuns.of finds them
+    # each layer as its maximal row runs, as row_runs finds them
     for layer in (cand.L0, cand.L, cand.L1):
-        assert all(np.array_equal(a, b) for a, b in zip(layer, RowRuns.of(layer.grid(n_t))))
+        assert all(np.array_equal(a, b) for a, b in zip(layer, row_runs(layer.grid(n_t))))
 
 
 def _wrap_grids(rng, n: int, n_t: int) -> list[np.ndarray]:
@@ -318,10 +318,10 @@ def _wrap_grids(rng, n: int, n_t: int) -> list[np.ndarray]:
 def test_run_dilation_matches_oracle(k, rng):
     n, n_t = 17, 13
     for grid in _wrap_grids(rng, n, n_t):
-        runs = _dilate(RowRuns.of(grid), n_t, k)
+        runs = _dilate(row_runs(grid), n_t, k)
         assert np.array_equal(runs.grid(n_t), _dilate_wrapped(grid, k))
-        # the maximal runs of the dilated grid, as RowRuns.of finds them
-        assert all(np.array_equal(a, b) for a, b in zip(runs, RowRuns.of(runs.grid(n_t))))
+        # the maximal runs of the dilated grid, as row_runs finds them
+        assert all(np.array_equal(a, b) for a, b in zip(runs, row_runs(runs.grid(n_t))))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 17, 20])
@@ -331,8 +331,8 @@ def test_run_padding_matches_oracle(k, rng):
     past the row count."""
     n, n_t = 17, 13
     for grid in _wrap_grids(rng, n, n_t):
-        got = _pad_runs(RowRuns.of(grid), n_t, k)
-        assert all(np.array_equal(a, b) for a, b in zip(got, RowRuns.of(_pad_wrapped(grid, k))))
+        got = _pad_runs(row_runs(grid), n_t, k)
+        assert all(np.array_equal(a, b) for a, b in zip(got, row_runs(_pad_wrapped(grid, k))))
 
 
 def test_cover_counts_runs(rng):
@@ -356,16 +356,25 @@ def test_cover_counts_runs(rng):
 
 
 def test_candidate_save_load_roundtrip(desk, tmp_path):
-    p = tmp_path / "cand.npz"
-    desk.cand.save(str(p))
-    back = RecurrentCandidate.load(str(p))
-    assert back.geom == desk.cand.geom
-    assert back.rho == desk.cand.rho
-    for name in ("L0", "L", "L1"):
-        assert all(np.array_equal(a, b) for a, b in zip(getattr(back, name), getattr(desk.cand, name)))
-    assert np.array_equal(back.e_member, desk.cand.e_member)
+    """candidate.npz holds every layer as its painted boolean grid, packed
+    to bits, and every scalar field; a second save writes the same bytes."""
+    cand, p = desk.cand, tmp_path / "cand.npz"
+    cand.save(str(p))
+    n_t = cand.geom.n_t
+    with np.load(p) as z:
+        assert int(z["n_theta"]) == cand.geom.n_theta
+        assert float(z["t_max"]) == cand.geom.t_max
+        assert float(z["rho"]) == cand.rho
+        assert int(z["r_cells"]) == cand.r_cells
+        assert int(z["r1_cells"]) == cand.r1_cells
+        assert float(z["c5"]) == cand.c5
+        for name in ("L0", "L", "L1"):
+            grid = np.unpackbits(z[name], axis=1, count=n_t).astype(bool)
+            assert np.array_equal(grid, getattr(cand, name).grid(n_t))
+        e_member = np.unpackbits(z["e_member"], count=cand.geom.n_theta).astype(bool)
+        assert np.array_equal(e_member, cand.e_member)
     p2 = tmp_path / "cand2.npz"
-    desk.cand.save(str(p2))
+    cand.save(str(p2))
     assert p.read_bytes() == p2.read_bytes()
 
 
@@ -426,7 +435,7 @@ def test_first_witness_matches_brute_loop(rng):
     geom = GridGeometry(61, t_max=1.2)
     h, slack = geom.pitch, geom.pitch
     grid = rng.random((geom.n_theta, geom.n_t)) < 0.05
-    member = GridMembership(geom, RowRuns.of(grid), slack)
+    member = GridMembership(geom, row_runs(grid), slack)
 
     n = 300
     thetas = np.concatenate([rng.uniform(0.0, 2 * h, n), rng.uniform(math.pi - 2 * h, math.pi, n)])
@@ -488,7 +497,7 @@ def test_row_route_matches_point_route(rng, slack_pitches):
     h, m = geom.pitch, geom.m
     slack = slack_pitches * h
     source, target = _run_grid(rng, geom), _run_grid(rng, geom)
-    member = GridMembership(geom, RowRuns.of(target), slack)
+    member = GridMembership(geom, row_runs(target), slack)
     words = [g for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
     words += [
         Similarity(r, a, f, (0.0, 0.0))
@@ -504,10 +513,10 @@ def test_row_route_matches_point_route(rng, slack_pitches):
         image = (t_rows[k] * h + a * slack, (t_cols[k] - m) * h + b * slack)
         words.append(_word_onto(rows[i] * h, (cols[i] - m) * h, *image, ratio=0.3))
 
-    runs = RowRuns.of(source)
+    runs = row_runs(source)
     per_row = np.diff(runs.ptr)
     assert {0, 1} <= set(per_row.tolist()) and per_row.max() >= 2
-    assert (np.diff(RowRuns.of(target).ptr) >= 2).any()
+    assert (np.diff(row_runs(target).ptr) >= 2).any()
     thetas, ts = rows * h, (cols - m) * h
     assert all(np.array_equal(x, y) for x, y in zip(runs.lines(geom, np.arange(len(rows))), (thetas, ts)))
     far = np.abs(renormalize_arrays(words[9], thetas, ts)[1]) > geom.t_max + slack
@@ -520,7 +529,7 @@ def test_row_route_matches_point_route(rng, slack_pitches):
     # each word alone, so that no earlier word covers its boundary cells
     for g in words:
         assert np.array_equal(first_witness_rows([g], runs, member), first_witness([[g]], thetas, ts, member)[0])
-    empty = RowRuns.of(np.zeros_like(source))
+    empty = row_runs(np.zeros_like(source))
     assert len(first_witness_rows(words, empty, member)) == 0
 
 
@@ -549,7 +558,7 @@ def test_batched_first_witness_matches_per_set_loop(rng, slack_pitches):
     geom = GridGeometry(61, t_max=1.2)
     h, m = geom.pitch, geom.m
     target = _run_grid(rng, geom)
-    member = GridMembership(geom, RowRuns.of(target), slack_pitches * h)
+    member = GridMembership(geom, row_runs(target), slack_pitches * h)
     rows, cols = np.nonzero(target)
     cells = rng.integers(len(rows), size=60)
     thetas = np.concatenate(
@@ -640,7 +649,7 @@ def test_certify_line_monotone_and_sound(rng):
 
     def corner_cloud(depth):
         if depth not in clouds:
-            _, pts, _, _ = stopping_cylinders(dust, 4.0**-depth, point=(0.0, 0.0))
+            pts, _, _ = stopping_cylinders(dust, 4.0**-depth, point=(0.0, 0.0))
             clouds[depth] = pts
         return clouds[depth]
 

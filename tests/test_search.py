@@ -32,7 +32,7 @@ from ifsproj import (
     two_letter_words,
     Line,
 )
-from ifsproj.lines import MapArrays
+from ifsproj.ifs import MapArrays
 from ifsproj.search import _IID_BLOCK
 from test_acceptance import farthest_line, obstruction_faults, settlement_faults
 from test_recurrence import _turned_system, flat_candidate, l_membership, lines_meeting_unit_square

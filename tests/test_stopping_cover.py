@@ -1,6 +1,6 @@
 """The level-by-level stopping-word enumerator against the depth-first
-walkers it replaced (tests/stopping_oracle.py): same words in the same order,
-and bit-identical centers, ratios and masses."""
+walkers it replaced (tests/stopping_oracle.py): bit-identical maps in the
+order of the walkers' words, and bit-identical centers, ratios and masses."""
 
 import math
 
@@ -49,39 +49,43 @@ SYSTEMS = {
 CASES = [(name, rho) for name in SYSTEMS for rho in (0.3, 0.1, 0.01, 0.004)]
 
 
+def _fields(maps):
+    return (maps.ratio, maps.angle, maps.reflect, *maps.translation)
+
+
 def _assert_same(new, old):
-    words, centers, ratios, masses = new
-    assert len(words) == len(old[0])
-    assert list(words) == old[0]
-    assert [words[i] for i in range(len(words))] == old[0]
-    for a, b in zip((centers, ratios, masses), old[1:]):
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name,rho", CASES)
 def test_cover_matches_depth_first_walkers(name, rho):
     ifs = SYSTEMS[name]()
+    words, maps = oracle.stopping_maps(ifs, rho)
+    assert words == oracle.stopping_words(ifs, rho)
+    _assert_same(_fields(stopping_cover(ifs, rho)), _fields(maps))
     _assert_same(stopping_cylinders(ifs, rho), oracle.stopping_cylinders(ifs, rho))
     point = (0.1234, 0.7771)
     _assert_same(
         stopping_cylinders(ifs, rho, point=point),
         oracle.stopping_cylinders(ifs, rho, point=point),
     )
-    assert list(stopping_cover(ifs, rho).words) == oracle.stopping_words(ifs, rho)
 
 
 def test_mixed_system_interleaves_depths():
     ifs = _mixed_system()
-    words = list(stopping_cover(ifs, 0.01).words)
+    words = oracle.stopping_words(ifs, 0.01)
     assert len({len(w) for w in words}) > 2
     assert words == sorted(words)
+    assert len(stopping_cover(ifs, 0.01).ratio) == len(words)
 
 
 @pytest.mark.parametrize("name", list(SYSTEMS))
 def test_ratios_are_left_to_right_products(name):
     ifs = SYSTEMS[name]()
-    cover = stopping_cover(ifs, 0.01)
-    assert cover.ratio.tolist() == [oracle.word_ratio(ifs, w) for w in cover.words]
+    ratios = stopping_cover(ifs, 0.01).ratio
+    assert ratios.tolist() == [oracle.word_ratio(ifs, w) for w in oracle.stopping_words(ifs, 0.01)]
     half = math.sqrt(0.01)
     c9 = 1.0
     for w in oracle.stopping_words(ifs, half):
@@ -96,28 +100,16 @@ def test_ratios_are_left_to_right_products(name):
 def test_budget_raises_exactly_when_count_exceeds_it(name, rho):
     ifs = SYSTEMS[name]()
     count = len(oracle.stopping_words(ifs, rho))
-    walkers = (stopping_cylinders, oracle.stopping_words, oracle.stopping_cylinders)
+    walkers = (stopping_cylinders, oracle.stopping_words, oracle.stopping_maps)
     for enumerate_words in walkers:
         enumerate_words(ifs, rho, budget=count)
         with pytest.raises(BudgetExceeded):
             enumerate_words(ifs, rho, budget=count - 1)
-    assert len(stopping_cover(ifs, rho, budget=count).words) == count
+    assert len(stopping_cover(ifs, rho, budget=count).ratio) == count
     with pytest.raises(BudgetExceeded) as ei:
         stopping_cover(ifs, rho, budget=count - 1)
     # the lower bound that tripped the check is the full count at the last level
     assert ei.value.partial == count
-
-
-def test_word_sequence_reads():
-    ifs = _mixed_system()
-    words = stopping_cylinders(ifs, 0.1)[0]
-    expected = oracle.stopping_words(ifs, 0.1)
-    assert words[-1] == expected[-1]
-    assert words[2:7] == expected[2:7]
-    assert words[::-3] == expected[::-3]
-    assert expected[4] in words
-    with pytest.raises(IndexError):
-        words[len(expected)]
 
 
 def test_rho_out_of_range():

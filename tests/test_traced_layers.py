@@ -1,7 +1,10 @@
 """The traced benchmark run charges time to layers by wrapping ifsproj
 functions by name (bench/traced_cli.py). A rename or a bypassed binding in
 the package would leave a layer without spans; this test catches that at a
-coarse rho, running the wrapper unmodified in a child process."""
+coarse rho, running the wrapper unmodified in a child process. The word
+count the wrapper reads off `measure.stopping_cylinders`' result is checked
+against the stopping covers of the run, so a change of that function's
+return shape that breaks the count fails here too."""
 
 import json
 import os
@@ -9,11 +12,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from ifsproj import OmegaAssignment, build_perturbed_ifs, get_builtin, stopping_cover
+
 ROOT = Path(__file__).resolve().parent.parent
 
 EXPECTED = {
     "search": {"lines.renormalize", "recurrence.contains", "search.probe", "search.full"},
     "verify": {
+        "measure.stopping_cylinders",
         "lines.renormalize",
         "recurrence.contains",
         "recurrence.check",
@@ -22,7 +28,7 @@ EXPECTED = {
 }
 
 
-def _traced_spans(tmp_path: Path, args: list[str]) -> set[str]:
+def _traced_run(tmp_path: Path, args: list[str]) -> dict:
     spans = tmp_path / f"{args[0]}_spans.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -35,7 +41,11 @@ def _traced_spans(tmp_path: Path, args: list[str]) -> set[str]:
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return {span[2] for span in json.loads(spans.read_text())["spans"]}
+    return json.loads(spans.read_text())
+
+
+def _span_names(dump: dict) -> set[str]:
+    return {span[2] for span in dump["spans"]}
 
 
 def test_traced_cli_reaches_every_kernel_layer(tmp_path):
@@ -47,7 +57,16 @@ def test_traced_cli_reaches_every_kernel_layer(tmp_path):
     (tmp_path / "omega.json").write_text(json.dumps(omega))
     common = ["--config", "config.json", "--out", "out"]
 
-    names = _traced_spans(tmp_path, ["search", *common])
+    names = _span_names(_traced_run(tmp_path, ["search", *common]))
     assert EXPECTED["search"] <= names, EXPECTED["search"] - names
-    names = _traced_spans(tmp_path, ["verify", *common, "--omega", "omega.json"])
+    dump = _traced_run(tmp_path, ["verify", *common, "--omega", "omega.json"])
+    names = _span_names(dump)
     assert EXPECTED["verify"] <= names, EXPECTED["verify"] - names
+    # verify enumerates the stopping words twice: the system's at rho for
+    # the direction scan, and the perturbed system's at cert_resolution / 2
+    # for the attractor points
+    rho, c1 = cfg["constants"]["rho"], cfg["constants"]["c1"]
+    ifs = get_builtin(cfg["ifs"])
+    perturbed = build_perturbed_ifs(ifs, OmegaAssignment.from_json_dict(omega), c1, rho)
+    covers = (stopping_cover(ifs, rho), stopping_cover(perturbed, cfg["grid"]["cert_resolution"] / 2))
+    assert dump["counts"]["measure.stopping_cylinders.words"] == sum(len(c.ratio) for c in covers)
