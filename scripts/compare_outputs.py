@@ -30,17 +30,27 @@ PYTHONPATH and the configs of this checkout. The commands:
   negated.
 - `render` on configs/sierpinski.json: `attractor.pgm`, the stopping-word
   centers of `measure.stopping_cylinders` drawn as a raster.
+- `build-l`, `search` (iid, seed 1, budget 200) and `verify` (seed 1, with
+  the four_corner omega above, drawn for part_one (a, b)) at rho 2^-5 on a
+  turned and reflected four-corner set of ratio 1/3, the only commands
+  whose system has a rotated or reflected map: a turns by a quarter turn
+  and moves by (1/3, 0), b moves by (2/3, 0), c by (0, 2/3), and d reflects
+  and moves by (2/3, 1). The other constants are those of
+  configs/four_corner.json.
 
 Outputs are compared as follows: `.npz` files by their unpacked arrays,
 `.json` files by value with `candidate_file` and `omega_file` removed (they
 name paths), and every other file by its bytes. Every differing file and
-JSON key is printed; the exit status is 1 on any difference, 0 otherwise.
+JSON key is printed, a differing JSON number with its old value, its new
+value and the absolute difference; the exit status is 1 on any difference,
+0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import runpy
@@ -59,6 +69,8 @@ OMEGA = "omega.json"  # written into the work directory, next to each output
 OMEGA_DESK = "omega_sierpinski.json"
 DESK_PART_ONE = ("a", "b")  # the gasket's part_one, the first ceil(3/2) symbols
 PHI_RUN_3 = "sierpinski_phi_run_3.json"  # written into the work directory too
+TURNED = "four_corner_turned.json"  # an IFS file, written there too
+TURNED_RUN = ["--config", FOUR_CORNER, "--ifs", TURNED, "--rho", repr(2.0**-5)]
 
 COMMANDS = {
     "build-l-sierpinski": ["build-l", "--config", SIERPINSKI],
@@ -78,6 +90,9 @@ COMMANDS = {
     "certify-omega": ["certify", *FINE, "--theta", "0.7854", "--omega", OMEGA],
     "certify-half-turn": ["certify", *FINE, "--theta", "3.9270", "--omega", OMEGA],
     "render-sierpinski": ["render", "--config", SIERPINSKI],
+    "build-l-turned": ["build-l", *TURNED_RUN],
+    "search-iid-turned": ["search", *TURNED_RUN, "--seed", "1", "--mode", "iid", "--budget", "200"],
+    "verify-turned": ["verify", *TURNED_RUN, "--seed", "1", "--omega", OMEGA],
 }
 PATH_KEYS = ("candidate_file", "omega_file")
 
@@ -105,6 +120,22 @@ def phi_run_3_config() -> dict:
     cfg = json.loads(Path(SIERPINSKI).read_text())
     cfg["constants"].update(rho=0.05, c7=0.05)
     return cfg
+
+
+def turned_four_corner() -> dict:
+    """The four-corner set of ratio 1/3 with a turned map a and a reflected
+    map d, as an IFS file (dimension log 4 / log 3; the open unit square
+    test holds)."""
+    third = 1.0 / 3.0
+    return {
+        "alphabet": ["a", "b", "c", "d"],
+        "maps": {
+            "a": {"r": third, "angle": math.pi / 2, "tx": third, "ty": 0.0},
+            "b": {"r": third, "tx": 2 * third, "ty": 0.0},
+            "c": {"r": third, "tx": 0.0, "ty": 2 * third},
+            "d": {"r": third, "reflect": True, "tx": 2 * third, "ty": 1.0},
+        },
+    }
 
 
 def run_all(src: Path, work: Path, side: str) -> dict[str, int]:
@@ -143,7 +174,11 @@ def json_diff(a, b, path: str) -> list[str]:
         return out
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [d for i, (x, y) in enumerate(zip(a, b)) for d in json_diff(x, y, f"{path}[{i}]")]
-    return [] if json.dumps(a) == json.dumps(b) else [f"{path or '<root>'}: values differ"]
+    if json.dumps(a) == json.dumps(b):
+        return []
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        return [f"{path or '<root>'}: old {a!r} new {b!r} |delta| {abs(a - b)!r}"]
+    return [f"{path or '<root>'}: values differ"]
 
 
 def file_diff(old: Path, new: Path) -> list[str]:
@@ -188,7 +223,8 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"{src} holds no ifsproj package")
     work = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs_"))
     work.mkdir(parents=True, exist_ok=True)
-    for name, data in {**bench_omegas(), PHI_RUN_3: phi_run_3_config()}.items():
+    inputs = {**bench_omegas(), PHI_RUN_3: phi_run_3_config(), TURNED: turned_four_corner()}
+    for name, data in inputs.items():
         (work / name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
     codes = {

@@ -14,16 +14,10 @@ from .ifs import (
     OscReport,
     Perturbation,
     Similarity,
-    Square,
     check_osc_unit_square,
-    compose,
-    compose_word,
-    cylinder_square,
     epsilon_distance,
     ifs_from_json_dict,
     make_ifs,
-    map_square,
-    perturb_map,
     similarity_dimension,
     stopping_cover,
 )
@@ -70,7 +64,7 @@ from .search import (
     estimate_success_prob,
     hull_obstruction,
     invariant_polygon,
-    perturbed_maps,
+    perturbed_letters,
     search_omega0,
 )
 from .systems import BUILTIN, cantor_dust, four_corner, get_builtin, sierpinski

@@ -31,7 +31,7 @@ from .search import (
     build_perturbed_ifs,
     closeness_report,
     hull_obstruction,
-    perturbed_maps,
+    perturbed_letters,
     search_omega0,
 )
 
@@ -81,7 +81,7 @@ def _load_omega(cfg: RunConfig, path: str) -> OmegaAssignment:
         raise ConfigError(f"omega: malformed perturbation file: {exc}") from None
     ifs = cfg.load_ifs_spec()
     try:
-        perturbed_maps(ifs, assignment, cfg.c1, cfg.rho)
+        perturbed_letters(ifs, [assignment], cfg.c1, cfg.rho)
     except ValueError as exc:
         raise ConfigError(f"omega: {exc}") from None
     return assignment

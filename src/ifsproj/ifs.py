@@ -3,6 +3,13 @@
 A similarity is p -> r * R(angle) * M^reflect * p + translation, where R is
 counterclockwise rotation and M = diag(1, -1) is applied before the rotation.
 Attractors live in I = [0,1]^2.
+
+`Similarity` is the validated record of one map that an `IfsSpec` and the
+IFS JSON hold. `MapArrays` is the one arithmetic on maps: it applies,
+composes and turns them in elementwise numpy, with no matrix product. A 2x2
+product through BLAS rounds with or without fused multiply-adds depending on
+the kernel the CPU selects, so it would tie the reported numbers to the
+machine that ran them.
 """
 
 from __future__ import annotations
@@ -10,21 +17,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigError
 
-Word = tuple[str, ...]
-
-_CENTER = np.array([0.5, 0.5])
-
-
-def as_word(w: str | Iterable[str]) -> Word:
-    """Normalize a word given as 'ab' or ('a', 'b') to a tuple of symbols."""
-    return tuple(w)
+_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])  # of I, counterclockwise
 
 
 @dataclass(frozen=True)
@@ -50,40 +51,17 @@ class Similarity:
     def linear(self) -> np.ndarray:
         """The 2x2 linear part r * R(angle) * M^reflect."""
         c, s = math.cos(self.angle), math.sin(self.angle)
-        m = np.array([[c, -s], [s, c]])
-        if self.reflect:
-            m = m @ np.array([[1.0, 0.0], [0.0, -1.0]])
-        return self.ratio * m
-
-    def __call__(self, p) -> np.ndarray:
-        return apply_similarity(self, p)
-
-
-def apply_similarity(f: Similarity, p) -> np.ndarray:
-    """Apply f to a point or an (n, 2) array of points."""
-    pts = np.asarray(p, dtype=float)
-    out = pts @ f.linear().T + np.asarray(f.translation)
-    return out
-
-
-def compose(f: Similarity, g: Similarity) -> Similarity:
-    """The similarity f o g."""
-    sign = -1.0 if f.reflect else 1.0
-    tau = apply_similarity(f, np.asarray(g.translation))
-    return Similarity(
-        ratio=f.ratio * g.ratio,
-        angle=f.angle + sign * g.angle,
-        reflect=f.reflect ^ g.reflect,
-        translation=(tau[0], tau[1]),
-    )
+        m = [[c, s], [s, -c]] if self.reflect else [[c, -s], [s, c]]
+        return self.ratio * np.array(m)
 
 
 class MapArrays(NamedTuple):
-    """The fields of `Similarity` as arrays, one map per element;
-    translation is the pair (x, y) of arrays. `stopping_cover` returns the
-    stopping words' maps in this form, and `lines.renormalize_affine` and
-    `lines.renormalize_arrays` take it wherever they take a Similarity and
-    broadcast it against the lines."""
+    """The fields of `Similarity` as arrays of one shape, one map per
+    element; translation is the pair (x, y) of arrays. `images` applies the
+    maps, `compose` composes them and `turned` perturbs them, each
+    elementwise and broadcasting, so a block of maps gives bit for bit the
+    results of its maps one at a time. `lines.renormalize_affine` and
+    `lines.renormalize_arrays` broadcast a MapArrays against the lines."""
 
     ratio: np.ndarray
     angle: np.ndarray
@@ -102,27 +80,68 @@ class MapArrays(NamedTuple):
             ),
         )
 
-    def take(self, idx: np.ndarray) -> "MapArrays":
-        """The maps at the given indices."""
+    def _each(self, fn) -> "MapArrays":
         tx, ty = self.translation
-        return MapArrays(self.ratio[idx], self.angle[idx], self.reflect[idx], (tx[idx], ty[idx]))
+        return MapArrays(fn(self.ratio), fn(self.angle), fn(self.reflect), (fn(tx), fn(ty)))
 
-    def images(self, point: tuple[float, float]) -> np.ndarray:
-        """The points f(point) of every map f as an (n, 2) array."""
-        px, py = point
-        cos_v, sin_v = np.cos(self.angle), np.sin(self.angle)
-        sy = np.where(self.reflect, -py, py)
-        # in place, cos and sin as scratch: this is the memory peak of verify
-        out = np.empty((len(self.ratio), 2))
-        x = np.multiply(cos_v, px, out=out[:, 0])
-        y = np.multiply(sin_v, px, out=out[:, 1])
-        x -= np.multiply(sin_v, sy, out=sin_v)
-        y += np.multiply(cos_v, sy, out=cos_v)
-        out *= self.ratio[:, None]
+    def take(self, idx) -> "MapArrays":
+        """The maps at the given index (any numpy index)."""
+        return self._each(lambda v: v[idx])
+
+    def reshape(self, *shape: int) -> "MapArrays":
+        return self._each(lambda v: v.reshape(shape))
+
+    def images(self, points) -> np.ndarray:
+        """f(p) for every map f and point p, the points given as an array
+        whose last axis is (x, y): shape (maps..., points..., 2), so one
+        point gives (maps..., 2)."""
+        px, py = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+        lead = (...,) + (None,) * px.ndim  # the maps' axes, then the points'
+        cos_v, sin_v = np.cos(self.angle)[lead], np.sin(self.angle)[lead]
+        sy = np.where(self.reflect[lead], -py, py)
+        out = np.empty(sy.shape + (2,))
+        x = np.multiply(cos_v, px, out=out[..., 0])
+        y = np.multiply(sin_v, px, out=out[..., 1])
+        # one point: cos and sin are the scratch, this is the memory peak of verify
+        one = px.ndim == 0
+        x -= np.multiply(sin_v, sy, out=sin_v if one else None)
+        y += np.multiply(cos_v, sy, out=cos_v if one else None)
+        out *= self.ratio[lead][..., None]
         tx, ty = self.translation
-        x += tx
-        y += ty
+        x += tx[lead]
+        y += ty[lead]
         return out
+
+    def compose(self, inner: "MapArrays") -> "MapArrays":
+        """f o g for every map f along self's last axis and g along inner's,
+        f-major along the result's last axis; leading axes broadcast. The
+        angles add as they are, not reduced mod 2 pi."""
+        r, ang, m, (tx, ty) = self._each(lambda v: v[..., None])
+        lr, la, lm, (lx, ly) = inner._each(lambda v: v[..., None, :])
+        cos_a, sin_a = np.cos(ang), np.sin(ang)
+        sgn = np.where(m, -1.0, 1.0)
+        py = sgn * ly
+        x = r * (cos_a * lx - sin_a * py) + tx
+        y = r * (sin_a * lx + cos_a * py) + ty
+        return MapArrays(r * lr, ang + sgn * la, m ^ lm, (x, y))._each(
+            lambda v: v.reshape(v.shape[:-2] + (-1,))
+        )
+
+    def turned(self, phi, shift) -> "MapArrays":
+        """Each map turned by phi about the center of its square f(I), then
+        moved by shift = (x, y); phi and the shift broadcast against the
+        maps, and every field takes the common shape."""
+        center = self.images((0.5, 0.5))
+        cx, cy = center[..., 0], center[..., 1]
+        tx, ty = self.translation
+        dx, dy = tx - cx, ty - cy
+        cp, sp = np.cos(phi), np.sin(phi)
+        x = cp * dx - sp * dy + cx + shift[0]
+        y = sp * dx + cp * dy + cy + shift[1]
+        ang = self.angle + phi
+        shape = np.broadcast_shapes(ang.shape, x.shape, y.shape)
+        out = MapArrays(self.ratio, ang, self.reflect, (x, y))
+        return out._each(lambda v: np.broadcast_to(v, shape))
 
 
 @dataclass(frozen=True)
@@ -139,36 +158,6 @@ class Perturbation:
         gx, gy = self.gamma
         if not (abs(gx) < 1.0 and abs(gy) < 1.0):
             raise ValueError(f"gamma components must lie in (-1,1), got {self.gamma}")
-
-
-def perturb_map(f: Similarity, omega: Perturbation, c1: float, rho: float) -> Similarity:
-    """Rotate f's image square by phi about its center, shift by gamma*c1*rho."""
-    c = apply_similarity(f, _CENTER)
-    tau = np.asarray(f.translation)
-    cp, sp = math.cos(omega.phi), math.sin(omega.phi)
-    rot = np.array([[cp, -sp], [sp, cp]])
-    tau_p = rot @ (tau - c) + c + np.asarray(omega.gamma) * (c1 * rho)
-    return Similarity(f.ratio, f.angle + omega.phi, f.reflect, (tau_p[0], tau_p[1]))
-
-
-@dataclass(frozen=True)
-class Square:
-    """An oriented (possibly reflected) square, e.g. the image f_w(I)."""
-
-    center: tuple[float, float]
-    half_diag: float
-    angle: float
-    reflect: bool
-
-    @property
-    def side(self) -> float:
-        return self.half_diag * math.sqrt(2.0)
-
-    def corners(self) -> np.ndarray:
-        """The four corners, images of (0,0),(1,0),(1,1),(0,1) in that order."""
-        f = Similarity(self.side, self.angle, self.reflect, (0.0, 0.0))
-        unit = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
-        return apply_similarity(f, unit) + np.asarray(self.center)
 
 
 @dataclass(frozen=True)
@@ -203,6 +192,10 @@ class IfsSpec:
         d = similarity_dimension([self.maps[a].ratio for a in self.alphabet])
         object.__setattr__(self, "dimension", d)
 
+    def letter_maps(self, symbols: Sequence[str] | None = None) -> MapArrays:
+        """The maps of the given symbols (default: the alphabet), in order."""
+        return MapArrays.of([self.maps[a] for a in (self.alphabet if symbols is None else symbols)])
+
     def to_json_dict(self) -> dict:
         return {
             "alphabet": list(self.alphabet),
@@ -224,6 +217,13 @@ def default_partition(alphabet: Sequence[str]) -> tuple[tuple[str, ...], tuple[s
     """Split an alphabet into the two symbol classes; ties go to the first."""
     k = math.ceil(len(alphabet) / 2)
     return tuple(alphabet[:k]), tuple(alphabet[k:])
+
+
+def _outside(ifs: IfsSpec, corners: np.ndarray, tol: float) -> list[str]:
+    """The symbols a whose square f_a(I), given by its corners (one (4, 2)
+    array per symbol), reaches more than tol outside I."""
+    far = (corners.min(axis=(1, 2)) < -tol) | (corners.max(axis=(1, 2)) > 1.0 + tol)
+    return [a for a, out in zip(ifs.alphabet, far) if out]
 
 
 _CONTAINMENT_TOL = 1e-9  # how far a map may send a corner of I outside I
@@ -251,17 +251,52 @@ def make_ifs(
         part_one = tuple(part_one)
         part_two = tuple(a for a in alphabet if a not in set(part_one))
     spec = IfsSpec(alphabet=alphabet, maps=dict(maps), part_one=part_one, part_two=part_two)
-    outside = []
-    for a in spec.alphabet:
-        corners = cylinder_square(spec, (a,)).corners()
-        if corners.min() < -_CONTAINMENT_TOL or corners.max() > 1.0 + _CONTAINMENT_TOL:
-            outside.append(a)
+    outside = _outside(spec, spec.letter_maps().images(_CORNERS), _CONTAINMENT_TOL)
     if outside:
         msg = f"maps {outside} send the unit square outside itself"
         if check_containment:
             raise ConfigError(msg)
         warnings.warn(msg, stacklevel=2)
     return spec
+
+
+_MAP_NUMBERS = ("r", "angle", "tx", "ty")  # the keys of a map entry that hold numbers
+
+
+def _finite_number(v) -> bool:
+    """Is v a JSON number (not a boolean) that a float holds finitely?"""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def _similarity_from_json(a: str, m) -> Similarity:
+    """The map of symbol a from its IFS JSON entry: r, tx and ty finite
+    numbers, angle a finite number (default 0), reflect a boolean (default
+    false), and no other key."""
+    if not isinstance(m, Mapping):
+        raise ConfigError(f"maps: bad entry for symbol {a!r}: expected an object, got {m!r}")
+    for k, v in m.items():
+        if k not in _MAP_NUMBERS and k != "reflect":
+            raise ConfigError(f"maps: unknown key {k!r} in the entry for symbol {a!r}")
+        if k == "reflect" and not isinstance(v, bool):
+            raise ConfigError(f"maps: reflect of symbol {a!r} must be true or false, got {v!r}")
+        if k != "reflect" and not _finite_number(v):
+            raise ConfigError(f"maps: {k} of symbol {a!r} must be a finite number, got {v!r}")
+    try:
+        return Similarity(
+            ratio=float(m["r"]),
+            angle=float(m.get("angle", 0.0)),
+            reflect=m.get("reflect", False),
+            translation=(float(m["tx"]), float(m["ty"])),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"maps: bad entry for symbol {a!r}: missing {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"maps: bad entry for symbol {a!r}: {exc}") from exc
 
 
 def ifs_from_json_dict(data: Mapping) -> IfsSpec:
@@ -279,45 +314,15 @@ def ifs_from_json_dict(data: Mapping) -> IfsSpec:
         isinstance(part_one, list) and all(isinstance(a, str) for a in part_one)
     ):
         raise ConfigError(f"part_one: must be a list of symbol strings, got {part_one!r}")
+    for a in raw_maps:
+        if a not in alphabet:
+            raise ConfigError(f"maps: symbol {a!r} is not in the alphabet")
     maps = {}
     for a in alphabet:
         if a not in raw_maps:
             raise ConfigError(f"maps: missing symbol {a!r}")
-        m = raw_maps[a]
-        try:
-            maps[a] = Similarity(
-                ratio=float(m["r"]),
-                angle=float(m.get("angle", 0.0)),
-                reflect=bool(m.get("reflect", False)),
-                translation=(float(m["tx"]), float(m["ty"])),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"maps: bad entry for symbol {a!r}: {exc}") from exc
+        maps[a] = _similarity_from_json(a, raw_maps[a])
     return make_ifs(maps, part_one=part_one, alphabet=alphabet)
-
-
-def compose_word(ifs: IfsSpec, w: str | Iterable[str]) -> Similarity:
-    """f_w = f_{w_1} o ... o f_{w_k}; the empty word gives the identity."""
-    f = Similarity(1.0, 0.0, False, (0.0, 0.0))
-    for a in as_word(w):
-        f = compose(f, ifs.maps[a])
-    return f
-
-
-def map_square(f: Similarity) -> Square:
-    """The square f(I) with its orientation data."""
-    c = apply_similarity(f, _CENTER)
-    return Square(
-        center=(c[0], c[1]),
-        half_diag=f.ratio * math.sqrt(0.5),
-        angle=f.angle,
-        reflect=f.reflect,
-    )
-
-
-def cylinder_square(ifs: IfsSpec, w: str | Iterable[str]) -> Square:
-    """The square f_w(I) with its orientation data."""
-    return map_square(compose_word(ifs, w))
 
 
 def similarity_dimension(ratios: Sequence[float]) -> float:
@@ -356,19 +361,16 @@ class OscReport:
     overlapping_pairs: tuple[tuple[str, str], ...]
 
 
-def _square_axes(sq: Square) -> np.ndarray:
-    c, s = math.cos(sq.angle), math.sin(sq.angle)
-    return np.array([[c, s], [-s, c]])
-
-
-def squares_interiors_overlap(a: Square, b: Square, tol: float = 1e-12) -> bool:
-    """Separating-axis test: do two oriented squares share interior points?"""
-    axes = np.vstack([_square_axes(a), _square_axes(b)])
-    ca, cb = a.corners(), b.corners()
-    for ax in axes:
-        pa, pb = ca @ ax, cb @ ax
-        if pa.max() <= pb.min() + tol or pb.max() <= pa.min() + tol:
-            return False
+def _interiors_overlap(ca: np.ndarray, cb: np.ndarray, tol: float) -> bool:
+    """Separating-axis test: do two squares, given by their corners in
+    order around them, share interior points? The axes are the squares'
+    edge directions."""
+    for c in (ca, cb):
+        for edge in (c[1] - c[0], c[3] - c[0]):
+            ux, uy = edge / np.hypot(edge[0], edge[1])
+            pa, pb = ca[:, 0] * ux + ca[:, 1] * uy, cb[:, 0] * ux + cb[:, 1] * uy
+            if pa.max() <= pb.min() + tol or pb.max() <= pa.min() + tol:
+                return False
     return True
 
 
@@ -378,17 +380,13 @@ def check_osc_unit_square(ifs: IfsSpec, tol: float = 1e-12) -> OscReport:
     Requires every f_a(I) inside I and pairwise disjoint interiors among the
     first-level images. Sufficient, not necessary, for the OSC proper.
     """
-    squares = {a: cylinder_square(ifs, (a,)) for a in ifs.alphabet}
-    not_contained = []
-    for a, sq in squares.items():
-        corners = sq.corners()
-        if corners.min() < -tol or corners.max() > 1.0 + tol:
-            not_contained.append(a)
-    overlapping = []
-    for i, a in enumerate(ifs.alphabet):
-        for b in ifs.alphabet[i + 1 :]:
-            if squares_interiors_overlap(squares[a], squares[b], tol=tol):
-                overlapping.append((a, b))
+    corners = ifs.letter_maps().images(_CORNERS)
+    not_contained = _outside(ifs, corners, tol)
+    overlapping = [
+        (ifs.alphabet[i], ifs.alphabet[j])
+        for i, j in combinations(range(len(ifs.alphabet)), 2)
+        if _interiors_overlap(corners[i], corners[j], tol)
+    ]
     return OscReport(
         ok=not not_contained and not overlapping,
         not_contained=tuple(not_contained),
@@ -403,9 +401,10 @@ def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> MapAr
     These words are a prefix-free cover of the symbol space; their maps come
     in the words' lexicographic order (alphabet order as given). The prefix
     tree is expanded level by level: every node is finished (ratio <= rho)
-    or active, and np.repeat puts each active node's children in its place,
-    so the order needs no sort. Ratios are products of the letters' ratios
-    taken left to right, as compose_word forms them. With equal ratios r the
+    or active, each level composes the active nodes' maps with the letter
+    maps (`MapArrays.compose`), and np.repeat puts each active node's
+    children in its place, so the order needs no sort. Ratios are products
+    of the letters' ratios taken left to right. With equal ratios r the
     words are all words of the first length n with r^n <= rho. The words
     themselves are not kept: the pipeline reads only their maps.
 
@@ -417,11 +416,10 @@ def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> MapAr
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0,1), got {rho}")
     k = len(ifs.alphabet)
-    lr, la, lm, (lx, ly) = MapArrays.of([ifs.maps[a] for a in ifs.alphabet])
+    letters = ifs.letter_maps()
 
     # the root node: the empty word and the identity map
-    r, ang, refl = np.ones(1), np.zeros(1), np.zeros(1, dtype=bool)
-    tx, ty = np.zeros(1), np.zeros(1)
+    maps = MapArrays(np.ones(1), np.zeros(1), np.zeros(1, dtype=bool), (np.zeros(1), np.zeros(1)))
     active = np.ones(1, dtype=bool)
     while active.any():
         n_active = int(np.count_nonzero(active))
@@ -431,34 +429,27 @@ def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> MapAr
             raise BudgetExceeded(
                 f"budget exceeded: at least {total} stopping words > {budget}", partial=total
             )
-        # compose each active node's map with every letter map, children of
-        # one node in alphabet order along axis 1
-        pr, pa, pm = r[active, None], ang[active, None], refl[active, None]
-        cos_a, sin_a = np.cos(pa), np.sin(pa)
-        sgn = np.where(pm, -1.0, 1.0)
-        py = sgn * ly
-        child_tx = (pr * (cos_a * lx - sin_a * py) + tx[active, None]).ravel()
-        child_ty = (pr * (sin_a * lx + cos_a * py) + ty[active, None]).ravel()
-        child_r = (pr * lr).ravel()
-        child_ang = (pa + sgn * la).ravel()
-        child_refl = (pm ^ lm).ravel()
-
+        # each active node's children, in alphabet order
+        children = (maps.take(active) if n_finished else maps).compose(letters)
         counts = np.where(active, k, 1)
         is_child = np.repeat(active, counts)
+        active = is_child.copy()
+        active[is_child] = children.ratio > rho
+        if not n_finished:
+            maps = children
+            continue
 
+        # finished nodes keep their slot, active ones give it to their children
         def place(node_vals, child_vals):
-            # finished nodes keep their slot, active ones give it to their children
-            if not n_finished:
-                return child_vals
             out = np.repeat(node_vals, counts)
             out[is_child] = child_vals
             return out
 
-        r, ang, refl = place(r, child_r), place(ang, child_ang), place(refl, child_refl)
-        tx, ty = place(tx, child_tx), place(ty, child_ty)
-        active = is_child.copy()
-        active[is_child] = child_r > rho
-    return MapArrays(r, ang, refl, (tx, ty))
+        (r, ang, refl, (tx, ty)), (cr, ca, cm, (cx, cy)) = maps, children
+        maps = MapArrays(
+            place(r, cr), place(ang, ca), place(refl, cm), (place(tx, cx), place(ty, cy))
+        )
+    return maps
 
 
 def epsilon_distance(base: IfsSpec, other: IfsSpec) -> float:
@@ -471,12 +462,9 @@ def epsilon_distance(base: IfsSpec, other: IfsSpec) -> float:
     """
     if set(base.alphabet) != set(other.alphabet):
         raise ValueError("systems are not comparable: different alphabets")
-    worst = 0.0
-    for a in base.alphabet:
-        if abs(base.maps[a].ratio - other.maps[a].ratio) > 1e-12:
+    f, g = base.letter_maps(), other.letter_maps(base.alphabet)
+    for a, rf, rg in zip(base.alphabet, f.ratio, g.ratio):
+        if abs(rf - rg) > 1e-12:
             raise ValueError(f"systems are not comparable: ratio differs at {a!r}")
-        ca = cylinder_square(base, (a,)).corners()
-        cb = cylinder_square(other, (a,)).corners()
-        gap = float(np.linalg.norm(ca - cb, axis=1).max())
-        worst = max(worst, gap / base.maps[a].ratio)
-    return worst
+    gap = f.images(_CORNERS) - g.images(_CORNERS)
+    return float((np.hypot(gap[..., 0], gap[..., 1]).max(axis=1) / f.ratio).max())

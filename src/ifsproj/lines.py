@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import MapArrays, Similarity
+from .ifs import MapArrays
 
 
 def canonical_angle(theta_raw: float) -> tuple[float, int]:
@@ -43,7 +43,7 @@ class Line:
 
 
 def renormalize_affine(
-    f: Similarity | MapArrays,
+    f: MapArrays,
     thetas: np.ndarray,
     sincos: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,7 +77,7 @@ def renormalize_affine(
 
 
 def renormalize_arrays(
-    f: Similarity | MapArrays,
+    f: MapArrays,
     thetas: np.ndarray,
     ts: np.ndarray,
     sincos: tuple[np.ndarray, np.ndarray] | None = None,

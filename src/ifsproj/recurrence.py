@@ -20,14 +20,13 @@ included.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from .ifs import IfsSpec, MapArrays, Perturbation, Similarity, Word, compose, perturb_map
+from .ifs import IfsSpec, MapArrays
 from .lines import renormalize_affine, renormalize_arrays
 from .measure import DirectionSet, stopping_cylinders
 
@@ -240,21 +239,13 @@ class SliceBuilder:
         if not self.a1 or not self.a2:
             raise ValueError("slice test needs both alphabet blocks nonempty")
         n1, n2, n_phi = len(self.a1), len(self.a2), params.n_phi
-        phis = params.phi_centers()
-
-        self.r_g = np.empty((n1, n2))
-        self.reflect_g = np.empty((n1, n2), dtype=bool)
-        self.angle_g = np.empty((n1, n_phi, n2))
-        self.tau_g = np.empty((n1, n_phi, n2, 2))
-        for i, a in enumerate(self.a1):
-            for p, phi in enumerate(phis):
-                f1 = perturb_map(ifs.maps[a], Perturbation(phi, (0.0, 0.0)), 0.0, 0.0)
-                for q, b in enumerate(self.a2):
-                    g = compose(f1, ifs.maps[b])
-                    self.r_g[i, q] = g.ratio
-                    self.reflect_g[i, q] = g.reflect
-                    self.angle_g[i, p, q] = g.angle
-                    self.tau_g[i, p, q] = g.translation
+        # (rotate f_{a1} by phi about its cell center) o f_{a2} for every (a1, phi, a2)
+        turned = ifs.letter_maps(self.a1).reshape(n1, 1).turned(params.phi_centers(), (0.0, 0.0))
+        g = turned.compose(ifs.letter_maps(self.a2)).reshape(n1, n_phi, n2)
+        self.r_g = g.ratio[:, 0]
+        self.reflect_g = g.reflect[:, 0]
+        self.angle_g = g.angle
+        self.tau_g = np.stack(g.translation, axis=-1)
 
     def _runs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The slice test's member cells on the given rows (those in E), as
@@ -415,16 +406,15 @@ def build_candidate(
     )
 
 
-def two_letter_words(
-    alphabet: Sequence[str], maps: Mapping[str, Similarity]
-) -> list[tuple[Word, Similarity]]:
-    """All length-2 composites f_{b1} o f_{b2} of the given (possibly
-    perturbed) maps, in alphabet-product order."""
-    return [((b1, b2), compose(maps[b1], maps[b2])) for b1, b2 in product(alphabet, repeat=2)]
+def two_letter_words(letters: MapArrays) -> MapArrays:
+    """The maps f_{b1} o f_{b2} of the k^2 two-letter words over the letter
+    maps along the last axis (one system's, or a block of perturbed
+    systems'), in alphabet-product order: word b1 * k + b2."""
+    return letters.compose(letters)
 
 
 def first_witness(
-    word_sets: Sequence[Sequence[Similarity]],
+    words: MapArrays,
     thetas: np.ndarray,
     ts: np.ndarray,
     member: GridMembership,
@@ -433,7 +423,7 @@ def first_witness(
     """For each word list (set) and each line (theta, t), the index of the
     set's first word g whose renormalization T_g sends the line into member
     (within its slack), as a (sets, lines) int16 array; -1 where no word of
-    the set does. The lists must have equal length.
+    the set does. words holds the sets' maps as (sets, words) arrays.
 
     order, a (words, lines) array whose column i is a permutation of the
     word indices, sets the order in which line i tries the words of every
@@ -442,16 +432,13 @@ def first_witness(
     order. Either way a line gets -1 exactly when no word of the set hits.
 
     Step k runs once over the (set, line) pairs that no earlier step has
-    sent home, each pair with its own map (`MapArrays`): one renormalization
-    and one membership query per step, however many sets there are. Each
-    line's sine and cosine are computed once per call.
+    sent home, each pair with its own map: one renormalization and one
+    membership query per step, however many sets there are. Each line's
+    sine and cosine are computed once per call.
     """
-    n_sets, n = len(word_sets), len(thetas)
-    if len({len(words) for words in word_sets}) > 1:
-        raise ValueError("word lists differ in length")
-    n_words = len(word_sets[0]) if n_sets else 0
+    (n_sets, n_words), n = words.ratio.shape, len(thetas)
     sin, cos = np.sin(thetas), np.cos(thetas)
-    maps = MapArrays.of([g for words in word_sets for g in words])  # set b, word w: b * n_words + w
+    flat = words.reshape(-1)  # set b, word w: b * n_words + w; one flat index is the fastest take
     witness = np.full(n_sets * n, -1, dtype=np.int16)
     rem = np.arange(n_sets * n)  # pair b * n + i: set b, line i
     for k in range(n_words):
@@ -460,7 +447,7 @@ def first_witness(
         sets, lines = np.divmod(rem, n)
         word = np.full(len(rem), k) if order is None else order[k, lines]
         th_hat, t_hat = renormalize_arrays(
-            maps.take(sets * n_words + word), thetas[lines], ts[lines], (sin[lines], cos[lines])
+            flat.take(sets * n_words + word), thetas[lines], ts[lines], (sin[lines], cos[lines])
         )
         hit = member.contains(th_hat, t_hat)
         witness[rem[hit]] = word[hit]
@@ -522,7 +509,7 @@ def _expand(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 def _pull_back(
-    g: Similarity, rows: np.ndarray, member: GridMembership
+    g: MapArrays, rows: np.ndarray, member: GridMembership
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intervals (row, lo, hi) of real column coordinates: up to rounding,
     T_g sends a cell of one of the given source rows into member exactly
@@ -549,11 +536,10 @@ def _pull_back(
     return rows[i], j.min(axis=0), j.max(axis=0)
 
 
-def first_witness_rows(
-    words: Sequence[Similarity], source: RowRuns, member: GridMembership
-) -> np.ndarray:
+def first_witness_rows(words: MapArrays, source: RowRuns, member: GridMembership) -> np.ndarray:
     """`first_witness` on every true cell of a grid (given by its row runs),
-    in row-major order, evaluated row by row.
+    in row-major order, evaluated row by row, for one word list (maps along
+    one axis).
 
     The cells of a row share theta, so under one word the cells it sends
     into member lie in a few column intervals (`_pull_back`). Cells more
@@ -573,7 +559,8 @@ def first_witness_rows(
     before = source.before
     n_cells = int(before[-1])
     if member.slack < geom.pitch / 2:
-        return first_witness([words], *source.lines(geom, np.arange(n_cells)), member)[0]
+        lines = source.lines(geom, np.arange(n_cells))
+        return first_witness(words.reshape(1, -1), *lines, member)[0]
 
     def cell_ranges(row, c0, c1):
         """[first, stop) of the source cells in columns [c0, c1) of each row,
@@ -586,7 +573,8 @@ def first_witness_rows(
     rows = np.flatnonzero(np.diff(ptr))
     hit0 = hit1 = np.zeros(0, dtype=np.int64)  # cells that some earlier word hits
     firsts, stops, hits = [hit0], [hit0], [hit0]  # each word's first hits
-    for w_i, g in enumerate(words):
+    for w_i in range(len(words.ratio)):
+        g = words.take(w_i)
         if len(hit0) == 1 and hit1[0] - hit0[0] == n_cells:
             break
         row, lo, hi = _pull_back(g, rows, member)
@@ -668,23 +656,23 @@ def check_recurrence(
     """
     if member.geom != cand.geom or member.slack != cand.check_slack:
         raise ValueError("member is not the candidate's L membership at the check slack")
-    words = two_letter_words(perturbed.alphabet, perturbed.maps)
-    witness = first_witness_rows([g for _, g in words], cand.L, member)
+    names = ["".join(w) for w in product(perturbed.alphabet, repeat=2)]
+    words = two_letter_words(perturbed.letter_maps())
+    witness = first_witness_rows(words, cand.L, member)
     recurred = witness >= 0
-    counts = np.bincount(witness[recurred], minlength=len(words))
+    counts = np.bincount(witness[recurred], minlength=len(names))
     thetas, ts = cand.L.lines(cand.geom, np.flatnonzero(~recurred)[:_MAX_FAILURES])
     failures = [{"theta": float(th), "t": float(t)} for th, t in zip(thetas, ts)]
     first = np.flatnonzero(recurred)[:_MAX_WITNESSES]
     thetas, ts = cand.L.lines(cand.geom, first)
     witnesses = []
     for i, th, t in zip(first, thetas, ts):
-        word, g = words[witness[i]]
-        th_hat, t_hat = renormalize_arrays(g, np.array([th]), np.array([t]))
+        th_hat, t_hat = renormalize_arrays(words.take(witness[i]), np.array([th]), np.array([t]))
         witnesses.append(
             {
                 "theta": float(th),
                 "t": float(t),
-                "word": "".join(word),
+                "word": names[witness[i]],
                 "image": {"theta": float(th_hat[0]), "t": float(t_hat[0])},
             }
         )
@@ -692,7 +680,7 @@ def check_recurrence(
         total=len(witness),
         recurred=int(np.count_nonzero(recurred)),
         slack=float(member.slack),
-        witness_counts={"".join(w): int(c) for (w, _), c in zip(words, counts)},
+        witness_counts={w: int(c) for w, c in zip(names, counts)},
         failures=failures,
         witnesses=witnesses,
     )
@@ -739,6 +727,21 @@ def attractor_points(ifs: IfsSpec, scale: float, budget: int | None = None) -> n
 
 
 _MIN_LENGTH_FACTOR = 10.0  # a certified interval spans this many resolutions
+_CHUNK = 1 << 15  # points projected at a time: their products stay in cache
+
+
+def _offsets(pts: np.ndarray, theta: float) -> np.ndarray:
+    """y cos(theta) - x sin(theta) for each point (x, y), the offset of the
+    line at angle theta through it. Elementwise, since a BLAS product would
+    round by the kernel the CPU selects, and chunk by chunk, which reads
+    the points once, as such a product does."""
+    c, s = math.cos(theta), math.sin(theta)
+    pos = np.empty(len(pts))
+    for i in range(0, len(pts), _CHUNK):
+        out = pos[i : i + _CHUNK]
+        np.multiply(pts[i : i + _CHUNK, 1], c, out=out)
+        out -= pts[i : i + _CHUNK, 0] * s
+    return pos
 
 
 def _longest_run(mask: np.ndarray, coords: np.ndarray) -> tuple[int, int]:
@@ -784,7 +787,7 @@ def certify_projection_interval(
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     pts = attractor_points(ifs, resolution / 2.0, budget=budget) if points is None else points
-    pos = pts @ np.array([-math.sin(theta), math.cos(theta)])
+    pos = _offsets(pts, theta)
     pos.sort()
     gaps = np.diff(pos)
 
@@ -803,10 +806,10 @@ def certify_projection_interval(
         if len(cols):
             if membership is None:
                 membership = GridMembership(geom, candidate.L, candidate.check_slack)
-            words = [g for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
+            words = two_letter_words(ifs.letter_maps()).reshape(1, -1)
             th = np.full(len(cols), row * geom.pitch)
             tt = (cols - geom.m) * geom.pitch
-            cols = cols[first_witness([words], th, tt, membership)[0] >= 0]
+            cols = cols[first_witness(words, th, tt, membership)[0] >= 0]
         if len(cols):  # the first longest run of consecutive recurring columns
             first, last = _longest_run(np.diff(cols) == 1, cols)
             rec_len = (last - first + 1) * geom.pitch

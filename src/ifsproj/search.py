@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import (
-    IfsSpec,
-    Perturbation,
-    Similarity,
-    apply_similarity,
-    epsilon_distance,
-    make_ifs,
-    perturb_map,
-)
+from .ifs import IfsSpec, MapArrays, Perturbation, Similarity, epsilon_distance, make_ifs
 from .lines import Line
 from .recurrence import (
     GridGeometry,
@@ -61,31 +53,29 @@ class OmegaAssignment:
         return cls({a: Perturbation(v["phi"], tuple(v["gamma"])) for a, v in d.items()})
 
 
-def perturbed_maps(
-    ifs: IfsSpec, assignment: OmegaAssignment, c1: float, rho: float
-) -> dict[str, Similarity]:
-    """The maps of ifs with the assignment applied on part_one; part_two maps
-    stay as they are."""
-    if set(assignment.omegas) != set(ifs.part_one):
-        raise ValueError(
-            f"assignment domain {sorted(assignment.omegas)} != part_one {sorted(ifs.part_one)}"
-        )
-    return {
-        a: perturb_map(ifs.maps[a], assignment.omegas[a], c1, rho)
-        if a in assignment.omegas
-        else ifs.maps[a]
-        for a in ifs.alphabet
-    }
-
-
-def _perturbed_words(
-    ifs: IfsSpec, assignment: OmegaAssignment, c1: float, rho: float
-) -> list[Similarity]:
-    """Two-letter composites of the perturbed maps, in `two_letter_words`
-    order. Builds no IfsSpec, so no dimension is solved and no containment
-    is checked."""
-    maps = perturbed_maps(ifs, assignment, c1, rho)
-    return [g for _, g in two_letter_words(ifs.alphabet, maps)]
+def perturbed_letters(
+    ifs: IfsSpec, assignments: Sequence[OmegaAssignment], c1: float, rho: float
+) -> MapArrays:
+    """The letter maps of ifs under each assignment, as (assignments,
+    letters) arrays in alphabet order: each part_one letter turned by its
+    phi about the center of its square f_a(I) and moved by gamma * c1 * rho
+    (`MapArrays.turned`), the part_two letters as they are."""
+    for assignment in assignments:
+        if set(assignment.omegas) != set(ifs.part_one):
+            raise ValueError(
+                f"assignment domain {sorted(assignment.omegas)} != part_one {sorted(ifs.part_one)}"
+            )
+    still = Perturbation(0.0, (0.0, 0.0))
+    omegas = [[w.omegas.get(a, still) for a in ifs.alphabet] for w in assignments]
+    phi = np.array([[o.phi for o in row] for row in omegas])
+    shift = np.array([[o.gamma for o in row] for row in omegas]) * (c1 * rho)
+    letters = ifs.letter_maps()
+    r, ang, refl, (x, y) = letters.turned(phi, (shift[..., 0], shift[..., 1]))
+    # turning a part_two letter by 0 need not give it back bit for bit: keep it
+    one = np.isin(ifs.alphabet, ifs.part_one)
+    _, ang0, _, (x0, y0) = letters
+    x, y = np.where(one, x, x0), np.where(one, y, y0)
+    return MapArrays(r, np.where(one, ang, ang0), refl, (x, y))
 
 
 def build_perturbed_ifs(
@@ -93,7 +83,11 @@ def build_perturbed_ifs(
 ) -> IfsSpec:
     """Apply the assignment on part_one, keep part_two; containment of the
     perturbed squares in I may fail and is only warned about."""
-    maps = perturbed_maps(ifs, assignment, c1, rho)
+    r, ang, refl, (tx, ty) = perturbed_letters(ifs, [assignment], c1, rho).take(0)
+    maps = {
+        a: Similarity(float(r[i]), float(ang[i]), bool(refl[i]), (tx[i], ty[i]))
+        for i, a in enumerate(ifs.alphabet)
+    }
     return make_ifs(maps, part_one=ifs.part_one, alphabet=ifs.alphabet, check_containment=False)
 
 
@@ -157,7 +151,7 @@ class CoverageTester:
         n = cand.delta_count
         self.probe_idx = np.arange(0, n, max(1, n // _PROBE_SIZE))
         # each word as a list of its own: the (words, probes) hit table
-        words = [[g] for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
+        words = two_letter_words(ifs.letter_maps()).reshape(-1, 1)
         lines = cand.L1.lines(cand.geom, self.probe_idx)
         home = first_witness(words, *lines, self.member0) >= 0
         self.probe_order = np.argsort(~home, axis=0, kind="stable")
@@ -174,13 +168,16 @@ class CoverageTester:
         assignment b and point i. order, for a subset only, is the per-point
         word order of `first_witness`; the witnesses are then the first hits
         in that order."""
-        word_sets = [_perturbed_words(self.ifs, a, self.c1, self.cand.rho) for a in assignments]
+        words = two_letter_words(perturbed_letters(self.ifs, assignments, self.c1, self.cand.rho))
         if indices is None:
-            rows = [first_witness_rows(words, self.cand.L1, self.member0) for words in word_sets]
+            rows = [
+                first_witness_rows(words.take(b), self.cand.L1, self.member0)
+                for b in range(len(assignments))
+            ]
             witness = rows[0] if len(rows) == 1 else np.concatenate(rows)  # one: no copy
         else:
             lines = self.cand.L1.lines(self.cand.geom, indices)
-            witness = first_witness(word_sets, *lines, self.member0, order).ravel()
+            witness = first_witness(words, *lines, self.member0, order).ravel()
         return witness >= 0, witness
 
     def probe(self, assignments: Sequence[OmegaAssignment]) -> np.ndarray:
@@ -241,11 +238,10 @@ def estimate_success_prob(
     tt = np.array([u.t])
     hits = 0
     for first in range(0, samples, _IID_BLOCK):
-        word_sets = [
-            _perturbed_words(ifs, draw_assignment(rng, ifs, epsilon), c1, cand.rho)
-            for _ in range(min(_IID_BLOCK, samples - first))
-        ]
-        hits += int(np.count_nonzero(first_witness(word_sets, th, tt, member0) >= 0))
+        n = min(_IID_BLOCK, samples - first)
+        block = [draw_assignment(rng, ifs, epsilon) for _ in range(n)]
+        words = two_letter_words(perturbed_letters(ifs, block, c1, cand.rho))
+        hits += int(np.count_nonzero(first_witness(words, th, tt, member0) >= 0))
     return hits / samples
 
 
@@ -383,11 +379,9 @@ def _box_support(
     beta = np.arctan2(normals[:, 1], normals[:, 0])
     shift = c1 * rho * np.abs(normals).sum(axis=1)
     best = np.full(len(normals), -np.inf)
-    for a in ifs.alphabet:
-        f = ifs.maps[a]
-        img = apply_similarity(f, points)
+    letters = ifs.letter_maps()
+    for a, img, c in zip(ifs.alphabet, letters.images(points), letters.images((0.5, 0.5))):
         if a in ifs.part_one:
-            c = apply_similarity(f, np.array([0.5, 0.5]))
             d = img - c
             alpha = np.arctan2(d[:, 1], d[:, 0])
             off = np.abs(np.mod(beta[:, None] - alpha + math.pi, 2 * math.pi) - math.pi)

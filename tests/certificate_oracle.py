@@ -7,9 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ifsproj.errors import BudgetExceeded
-from ifsproj.ifs import IfsSpec, Similarity, Square, Word, compose, map_square
+from ifsproj.ifs import IfsSpec
 from ifsproj.lines import Line
+from map_oracle import IDENTITY, Word, compose, square_corners
 from renormalize_oracle import project_point
 
 
@@ -26,15 +29,17 @@ class Interval:
         return self.lo - tol <= x <= self.hi + tol
 
 
-def project_square(theta: float, sq: Square) -> Interval:
-    """The interval swept by the square's projection offsets."""
-    vals = project_point(theta, sq.corners())
+def project_square(theta: float, corners: np.ndarray) -> Interval:
+    """The interval swept by the projection offsets of a square, given by
+    its corners."""
+    vals = project_point(theta, corners)
     return Interval(float(vals.min()), float(vals.max()))
 
 
-def line_square_intersects(line: Line, sq: Square, tol: float = 0.0) -> bool:
-    """Does the line meet the (closed) square, with tol of slack?"""
-    return project_square(line.theta, sq).contains(line.t, tol=tol)
+def line_square_intersects(line: Line, corners: np.ndarray, tol: float = 0.0) -> bool:
+    """Does the line meet the (closed) square with the given corners, with
+    tol of slack?"""
+    return project_square(line.theta, corners).contains(line.t, tol=tol)
 
 
 @dataclass
@@ -64,9 +69,8 @@ def certify_line(
     max_depth is only evidence of intersection, not proof. budget caps the
     population of any single level.
     """
-    identity = Similarity(ratio=1.0, angle=0.0, reflect=False, translation=(0.0, 0.0))
-    front: list[tuple[Word, Similarity]] = [((), identity)]
-    if not line_square_intersects(line, map_square(identity), tol=_SQUARE_TOL):
+    front = [((), IDENTITY)]
+    if not line_square_intersects(line, square_corners(IDENTITY), tol=_SQUARE_TOL):
         front = []
     counts = [len(front)]
     for _ in range(max_depth):
@@ -76,7 +80,7 @@ def certify_line(
         for w, g in front:
             for a in ifs.alphabet:
                 child = compose(g, ifs.maps[a])
-                if line_square_intersects(line, map_square(child), tol=_SQUARE_TOL):
+                if line_square_intersects(line, square_corners(child), tol=_SQUARE_TOL):
                     nxt.append((w + (a,), child))
             if budget is not None and len(nxt) > budget:
                 raise BudgetExceeded(

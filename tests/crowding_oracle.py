@@ -11,7 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ifsproj.ifs import IfsSpec, Word, cylinder_square
+from ifsproj.ifs import IfsSpec
+from map_oracle import Word, apply, compose_word
 from renormalize_oracle import project_point
 
 
@@ -50,7 +51,7 @@ def classify_good_words(
     Counts come from one sort and two binary searches."""
     _assert_prefix_free(words)
     centers = np.array(
-        [project_point(theta, cylinder_square(ifs, w).corners().mean(axis=0)) for w in words]
+        [project_point(theta, apply(compose_word(ifs, w), (0.5, 0.5))) for w in words]
     )
     radius = math.sqrt(rho) / c9
     cap = (1.0 / c6) * rho ** (-0.5 * (ifs.dimension - 1.0))

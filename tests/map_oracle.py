@@ -1,0 +1,98 @@
+"""Scalar references for `ifsproj.ifs.MapArrays`: maps applied, composed
+and turned one at a time, with the same elementwise formulas, so that the
+array routes can be held to them bit for bit. A scalar map is a `MapArrays`
+of Python scalars; a `Similarity` serves as one too. Composed and turned
+angles are not reduced mod 2 pi, as in `MapArrays`.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product
+from typing import Iterable
+
+import numpy as np
+
+from ifsproj.ifs import IfsSpec, MapArrays
+from ifsproj.search import OmegaAssignment
+
+Word = tuple[str, ...]
+
+IDENTITY = MapArrays(1.0, 0.0, False, (0.0, 0.0))
+
+
+def as_word(w: str | Iterable[str]) -> Word:
+    """Normalize a word given as 'ab' or ('a', 'b') to a tuple of symbols."""
+    return tuple(w)
+
+
+def apply(f, p) -> np.ndarray:
+    """f(p) for a point p = (x, y) or an array of points with last axis (x, y)."""
+    pts = np.asarray(p, dtype=float)
+    px, py = pts[..., 0], pts[..., 1]
+    c, s = math.cos(f.angle), math.sin(f.angle)
+    sy = -py if f.reflect else py
+    tx, ty = f.translation
+    return np.stack([f.ratio * (c * px - s * sy) + tx, f.ratio * (s * px + c * sy) + ty], axis=-1)
+
+
+def square_corners(f) -> np.ndarray:
+    """The corners of the square f(I), images of (0,0), (1,0), (1,1), (0,1)."""
+    return apply(f, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def compose(f, g) -> MapArrays:
+    """The map f o g."""
+    c, s = math.cos(f.angle), math.sin(f.angle)
+    sgn = -1.0 if f.reflect else 1.0
+    gx, gy = g.translation
+    py = sgn * gy
+    tx, ty = f.translation
+    return MapArrays(
+        f.ratio * g.ratio,
+        f.angle + sgn * g.angle,
+        bool(f.reflect) ^ bool(g.reflect),
+        (f.ratio * (c * gx - s * py) + tx, f.ratio * (s * gx + c * py) + ty),
+    )
+
+
+def compose_word(ifs: IfsSpec, w: str | Iterable[str]) -> MapArrays:
+    """f_w = f_{w_1} o ... o f_{w_k}; the empty word gives the identity."""
+    f = IDENTITY
+    for a in as_word(w):
+        f = compose(f, ifs.maps[a])
+    return f
+
+
+def turn(f, phi: float, shift: tuple[float, float] = (0.0, 0.0)) -> MapArrays:
+    """f turned by phi about the center of its square f(I), then moved by shift."""
+    cx, cy = (float(v) for v in apply(f, (0.5, 0.5)))
+    tx, ty = f.translation
+    dx, dy = tx - cx, ty - cy
+    cp, sp = math.cos(phi), math.sin(phi)
+    x = cp * dx - sp * dy + cx + shift[0]
+    y = sp * dx + cp * dy + cy + shift[1]
+    return MapArrays(f.ratio, f.angle + phi, f.reflect, (x, y))
+
+
+def perturbed_maps(ifs: IfsSpec, assignment: OmegaAssignment, c1: float, rho: float) -> list:
+    """The letter maps of ifs under one assignment, in alphabet order: each
+    part_one letter turned by its phi and moved by gamma * c1 * rho."""
+    maps = []
+    for a in ifs.alphabet:
+        w = assignment.omegas.get(a)
+        f = ifs.maps[a]
+        maps.append(f if w is None else turn(f, w.phi, (w.gamma[0] * (c1 * rho), w.gamma[1] * (c1 * rho))))
+    return maps
+
+
+def two_letter_words(alphabet, letters) -> list[tuple[Word, MapArrays]]:
+    """(word, f_{b1} o f_{b2}) for every two-letter word over the letter
+    maps (given in alphabet order), in alphabet-product order."""
+    maps = dict(zip(alphabet, letters))
+    return [((b1, b2), compose(maps[b1], maps[b2])) for b1, b2 in product(alphabet, repeat=2)]
+
+
+def letters(ifs: IfsSpec) -> list:
+    """The letter maps of ifs, in alphabet order."""
+    return [ifs.maps[a] for a in ifs.alphabet]

@@ -14,7 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-from ifsproj.ifs import IfsSpec, Similarity, apply_similarity, compose_word
+from ifsproj.ifs import IfsSpec, Similarity
+from map_oracle import apply, compose_word
 from ifsproj.lines import Line, canonical_angle, renormalize_arrays
 
 
@@ -47,7 +48,7 @@ def line_from_two_points(p, q, tol: float = 1e-12) -> Line:
     return Line(theta_raw, float(project_point(theta_raw % math.pi, p)))
 
 
-def invert_map(f: Similarity) -> Similarity:
+def invert_map(f) -> Similarity:
     """The inverse similarity f^{-1} (expanding when f contracts).
 
     For A = r R(a) M^m one has A^{-1} = (1/r) R(-a) without reflection and
@@ -55,17 +56,17 @@ def invert_map(f: Similarity) -> Similarity:
     """
     angle = f.angle if f.reflect else -f.angle
     inv_lin = Similarity(1.0 / f.ratio, angle, f.reflect, (0.0, 0.0))
-    tau = -apply_similarity(inv_lin, np.asarray(f.translation))
+    tau = -apply(inv_lin, f.translation)
     return Similarity(1.0 / f.ratio, angle, f.reflect, (tau[0], tau[1]))
 
 
-def renormalize_map(f: Similarity, line: Line) -> Line:
+def renormalize_map(f, line: Line) -> Line:
     """The image of a line under f^{-1}, for a forward similarity f."""
     theta, t = renormalize_arrays(f, np.array([line.theta]), np.array([line.t]))
     return Line(float(theta[0]), float(t[0]))
 
 
-def renormalize_via_carrier(f: Similarity, line: Line) -> Line:
+def renormalize_via_carrier(f, line: Line) -> Line:
     """The image of a line under f^{-1}, for a forward similarity f.
 
     The angle comes from folding theta - angle (or angle - theta when f
@@ -74,7 +75,7 @@ def renormalize_via_carrier(f: Similarity, line: Line) -> Line:
     """
     theta_raw = f.angle - line.theta if f.reflect else line.theta - f.angle
     theta_p, _ = canonical_angle(theta_raw)
-    p = apply_similarity(invert_map(f), carrier_point(line))
+    p = apply(invert_map(f), carrier_point(line))
     return Line(theta_p, float(project_point(theta_p, p)))
 
 
@@ -83,4 +84,4 @@ def renormalize_via_points(ifs: IfsSpec, w: str | Iterable[str], line: Line) -> 
     g = invert_map(compose_word(ifs, w))
     p = carrier_point(line)
     q = p + direction(line)
-    return line_from_two_points(apply_similarity(g, p), apply_similarity(g, q))
+    return line_from_two_points(apply(g, p), apply(g, q))

@@ -14,7 +14,8 @@ from typing import Iterable
 import numpy as np
 
 from ifsproj.errors import BudgetExceeded
-from ifsproj.ifs import IfsSpec, MapArrays, Word, as_word
+from ifsproj.ifs import IfsSpec, MapArrays
+from map_oracle import Word, as_word
 
 
 def word_ratio(ifs: IfsSpec, w: str | Iterable[str]) -> float:

@@ -21,8 +21,6 @@ from ifsproj import (
     build_perturbed_ifs,
     certify_projection_interval,
     closeness_report,
-    compose,
-    cylinder_square,
     get_builtin,
     l2_norm_estimate,
     projected_histogram,
@@ -30,8 +28,10 @@ from ifsproj import (
     stopping_cylinders,
 )
 from ifsproj.cli import _sample_e_rows, main
+from ifsproj.ifs import MapArrays
 from certificate_oracle import certify_line
 from crowding_oracle import bad_word_cap, classify_good_words
+from map_oracle import apply, compose_word
 from renormalize_oracle import invert_map, project_point, renormalize_map
 from stopping_oracle import stopping_words
 
@@ -78,9 +78,9 @@ def test_criterion_01_renormalization_equivariance(emit):
         along = np.array([math.cos(u.theta), math.sin(u.theta)])
         normal = np.array([-math.sin(u.theta), math.cos(u.theta)])
         p = u.t * normal + float(rng.uniform(-2.0, 2.0)) * along
-        worst_on = max(worst_on, abs(project_point(v.theta, finv(p)) - v.t))
+        worst_on = max(worst_on, abs(project_point(v.theta, apply(finv, p)) - v.t))
         h = float(rng.uniform(1e-3, 1.0)) * (1 if rng.integers(0, 2) else -1)
-        if abs(project_point(v.theta, finv(p + h * normal)) - v.t) <= 1e-4:
+        if abs(project_point(v.theta, apply(finv, p + h * normal)) - v.t) <= 1e-4:
             off_failures += 1
     elapsed = time.perf_counter() - t0
     ok = worst_on <= 1e-9 and off_failures == 0 and elapsed < 1.0
@@ -98,7 +98,7 @@ def test_criterion_02_two_letter_composition(emit):
     for _ in range(100):
         f1, f2 = _random_similarity(rng), _random_similarity(rng)
         u = Line(float(rng.uniform(0.0, math.pi)), float(rng.uniform(-2.0, 2.0)))
-        folded = renormalize_map(compose(f1, f2), u)
+        folded = renormalize_map(MapArrays.of([f1]).compose(MapArrays.of([f2])).take(0), u)
         stepwise = renormalize_map(f2, renormalize_map(f1, u))
         if not _line_close(folded, stepwise, 1e-10):
             mismatches += 1
@@ -202,7 +202,7 @@ def test_criterion_05_measure_sanity(emit):
 def _criterion6_report(desk) -> dict:
     cfg, res = desk.cfg, desk.res
     words = stopping_words(desk.ifs, math.sqrt(cfg.rho))
-    centers = np.array([cylinder_square(desk.ifs, w).corners().mean(axis=0) for w in words])
+    centers = np.array([apply(compose_word(desk.ifs, w), (0.5, 0.5)) for w in words])
     thetas = np.arange(desk.geom.n_theta) * desk.geom.pitch
     proj = centers @ np.stack([-np.sin(thetas), np.cos(thetas)])
     radius = math.sqrt(cfg.rho) / res.c9

@@ -207,6 +207,23 @@ def test_malformed_ifs_is_config_error(tmp_path, capsys):
         p.write_text(json.dumps({**spec, field: value}))
         assert main(["dimension", "--ifs", str(p)]) == 2, (field, value)
         assert capsys.readouterr().err.startswith(f"{field}: must be"), (field, value)
+    # map entries: reflect a JSON boolean, numbers not strings or booleans,
+    # no unknown key, no symbol outside the alphabet
+    full = {**spec["maps"], "c": {"r": 0.5, "tx": 0.0, "ty": 0.5}}
+    entries = (
+        ("a", {"r": 0.5, "tx": 0.0, "ty": 0.0, "reflect": "false"}, "reflect"),
+        ("a", {"r": 0.5, "tx": 0.0, "ty": 0.0, "refelct": True}, "refelct"),
+        ("b", {"r": 0.5, "tx": 0.5, "ty": 0.0, "angel": 0.5}, "angel"),
+        ("c", {"r": 0.5, "tx": "0.25", "ty": 0.5}, "tx"),
+        ("c", {"r": 0.5, "angle": False, "tx": 0.0, "ty": 0.5}, "angle"),
+        ("b", {"r": 0.5, "tx": float("nan"), "ty": 0.0}, "tx"),
+        ("z", {"r": 0.5, "tx": 0.5, "ty": 0.5}, "alphabet"),
+    )
+    for symbol, entry, word in entries:
+        p.write_text(json.dumps({**spec, "maps": {**full, symbol: entry}}))
+        assert main(["dimension", "--ifs", str(p)]) == 2, (symbol, entry)
+        err = capsys.readouterr().err
+        assert err.startswith("maps: ") and repr(symbol) in err and word in err, err
     p.write_text("{not json")
     assert main(["dimension", "--ifs", str(p)]) == 2
     assert capsys.readouterr().err.startswith("ifs: malformed file")

@@ -12,17 +12,15 @@ from ifsproj import (
     RunConfig,
     Similarity,
     check_osc_unit_square,
-    compose,
-    compose_word,
-    cylinder_square,
     epsilon_distance,
     get_builtin,
     ifs_from_json_dict,
     make_ifs,
-    map_square,
     similarity_dimension,
     stopping_cover,
 )
+from ifsproj.ifs import MapArrays
+from map_oracle import apply, compose_word, square_corners
 from renormalize_oracle import invert_map
 from stopping_oracle import stopping_words, word_ratio
 
@@ -36,41 +34,46 @@ similarities = st.builds(
 points = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 
 
+def _images(f, p):
+    """f(p) through `MapArrays.images`, for one map and one point."""
+    return MapArrays.of([f]).images(p)[0]
+
+
 def test_apply_rotation():
     f = Similarity(0.5, math.pi / 2, False, (0.25, 0.0))
-    assert np.allclose(f((1.0, 0.0)), (0.25, 0.5))
+    assert np.allclose(_images(f, (1.0, 0.0)), (0.25, 0.5))
 
 
 def test_apply_reflection_flips_y_before_rotation():
     f = Similarity(1.0, 0.0, True, (0.0, 0.0))
-    assert np.allclose(f((0.2, 0.7)), (0.2, -0.7))
+    assert np.allclose(_images(f, (0.2, 0.7)), (0.2, -0.7))
     g = Similarity(1.0, math.pi / 2, True, (0.0, 0.0))
     # rotate the reflected point
-    assert np.allclose(g((0.2, 0.7)), (0.7, 0.2))
+    assert np.allclose(_images(g, (0.2, 0.7)), (0.7, 0.2))
 
 
 @given(similarities, similarities, points)
 @settings(max_examples=150, deadline=None)
 def test_compose_matches_pointwise(f, g, p):
-    h = compose(f, g)
-    assert np.allclose(h(p), f(g(p)), atol=1e-9)
+    h = MapArrays.of([f]).compose(MapArrays.of([g]))
+    assert np.allclose(h.images(p)[0], apply(f, apply(g, p)), atol=1e-9)
 
 
 @given(similarities, points)
 @settings(max_examples=150, deadline=None)
 def test_invert_roundtrip(f, p):
-    assert np.allclose(invert_map(f)(f(p)), p, atol=1e-8)
+    assert np.allclose(apply(invert_map(f), apply(f, p)), p, atol=1e-8)
 
 
 def test_compose_parameters():
     f = Similarity(0.5, 0.3, True, (0.1, 0.2))
     g = Similarity(0.4, 0.5, True, (0.0, 0.3))
-    h = compose(f, g)
+    h = MapArrays.of([f]).compose(MapArrays.of([g])).take(0)
     assert h.ratio == pytest.approx(0.2)
-    # reflection conjugates the inner angle
-    assert h.angle == pytest.approx((0.3 - 0.5) % (2 * math.pi))
-    assert h.reflect is False
-    assert np.allclose(h.translation, f((0.0, 0.3)))
+    # reflection conjugates the inner angle, which is not reduced mod 2 pi
+    assert h.angle == pytest.approx(0.3 - 0.5)
+    assert not h.reflect
+    assert np.allclose(h.translation, apply(f, (0.0, 0.3)))
 
 
 def test_dimension_sierpinski():
@@ -152,12 +155,17 @@ def test_stopping_words_budget():
 
 
 def test_cylinder_square_matches_word_map():
+    """The square f_ab(I) as `MapArrays` composes and maps it: the corners
+    of the oracle's word map, bit for bit, with sides of the word's ratio."""
     ifs = get_builtin("sierpinski")
-    sq = cylinder_square(ifs, "ab")
+    letters = ifs.letter_maps()
+    unit = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    corners = letters.take([0]).compose(letters.take([1])).images(unit)[0]
     f = compose_word(ifs, "ab")
-    assert sq.half_diag == pytest.approx(word_ratio(ifs, "ab") * math.sqrt(2) / 2)
-    assert np.allclose(sq.center, f((0.5, 0.5)))
-    assert np.allclose(map_square(f).corners(), sq.corners())
+    assert np.array_equal(corners, square_corners(f))
+    side = np.hypot(*(corners[1] - corners[0]))
+    assert side == pytest.approx(word_ratio(ifs, "ab"))
+    assert np.allclose(corners.mean(axis=0), apply(f, (0.5, 0.5)))
 
 
 def test_make_ifs_containment():

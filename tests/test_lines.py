@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from ifsproj import (
     Line,
     Similarity,
-    compose_word,
     get_builtin,
     make_ifs,
-    map_square,
     canonical_angle,
     renormalize_arrays,
 )
 from ifsproj.ifs import MapArrays
 from certificate_oracle import line_square_intersects, project_square
+from map_oracle import apply, compose_word, square_corners
 from renormalize_oracle import (
     carrier_point,
     direction,
@@ -82,7 +81,7 @@ def test_line_from_two_points():
 
 
 def test_project_square_and_intersection():
-    sq = map_square(Similarity(0.5, 0.0, False, (0.25, 0.25)))
+    sq = square_corners(Similarity(0.5, 0.0, False, (0.25, 0.25)))
     iv = project_square(0.0, sq)
     assert (iv.lo, iv.hi) == (pytest.approx(0.25), pytest.approx(0.75))
     assert line_square_intersects(Line(0.0, 0.5), sq)
@@ -97,7 +96,7 @@ def test_renormalize_equivariance(f, u, s):
     """p on u iff f^-1(p) on T_f(u)."""
     p = carrier_point(u) + s * direction(u)
     v = renormalize_map(f, u)
-    q = invert_map(f)(p)
+    q = apply(invert_map(f), p)
     assert abs(project_point(v.theta, q) - v.t) < 1e-9
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from ifsproj import (
     build_E,
-    compose_word,
     get_builtin,
     l2_norm_estimate,
     measured_c9,
@@ -14,6 +13,7 @@ from ifsproj import (
     stopping_cylinders,
 )
 from crowding_oracle import bad_word_cap, classify_good_words
+from map_oracle import apply, compose_word
 from stopping_oracle import stopping_words
 
 RHO = 4.0**-4
@@ -36,7 +36,7 @@ def test_stopping_cylinders_match_word_enumeration():
     words = stopping_words(ifs, 0.1)
     # each center and ratio against the composed map of its word
     maps = [compose_word(ifs, w) for w in words]
-    assert np.allclose(centers, [f((0.5, 0.5)) for f in maps], rtol=0.0, atol=1e-14)
+    assert np.allclose(centers, [apply(f, (0.5, 0.5)) for f in maps], rtol=0.0, atol=1e-14)
     assert np.allclose(ratios, [f.ratio for f in maps], rtol=1e-14, atol=0.0)
 
 

@@ -8,7 +8,6 @@ from ifsproj import (
     GridGeometry,
     GridMembership,
     Line,
-    Perturbation,
     RecurrentCandidate,
     RowRuns,
     Similarity,
@@ -18,18 +17,17 @@ from ifsproj import (
     build_E,
     certify_projection_interval,
     check_recurrence,
-    compose,
-    compose_word,
     first_witness,
     first_witness_rows,
     get_builtin,
     make_ifs,
-    perturb_map,
     renormalize_arrays,
     stopping_cylinders,
     two_letter_words,
 )
+from ifsproj.ifs import MapArrays
 from ifsproj.recurrence import _cover, _dilate, _longest_run, _pad_runs
+import map_oracle as oracle
 from certificate_oracle import certify_line
 from dilation_oracle import _dilate_wrapped
 from membership_oracle import ThreeRectMembership, _pad_wrapped, row_runs
@@ -179,8 +177,8 @@ def brute_best_runs(ifs, row, E, geom, phis):
     theta = row * geom.pitch
     maps = []  # maps[a1][phi][a2]: the rotated f_{a1} composed with f_{a2}
     for a1 in ifs.part_one:
-        rotated = [perturb_map(ifs.maps[a1], Perturbation(phi, (0.0, 0.0)), 0.0, 1.0) for phi in phis]
-        maps.append([[compose(f1, ifs.maps[a2]) for a2 in ifs.part_two] for f1 in rotated])
+        rotated = [oracle.turn(ifs.maps[a1], phi) for phi in phis]
+        maps.append([[oracle.compose(f1, ifs.maps[a2]) for a2 in ifs.part_two] for f1 in rotated])
     for j in range(geom.n_t):
         t = (j - geom.m) * geom.pitch
         for i, per_phi in enumerate(maps):
@@ -409,7 +407,7 @@ def test_witnesses_reverify(desk):
     rep = check_recurrence(desk.ifs, desk.cand, mem)
     assert len(rep.witnesses) == 20
     for wit in rep.witnesses:
-        v = renormalize_map(compose_word(desk.ifs, wit["word"]), Line(wit["theta"], wit["t"]))
+        v = renormalize_map(oracle.compose_word(desk.ifs, wit["word"]), Line(wit["theta"], wit["t"]))
         assert mem.contains([v.theta], [v.t])[0]
         assert v.theta == pytest.approx(wit["image"]["theta"])
         assert v.t == pytest.approx(wit["image"]["t"])
@@ -431,7 +429,8 @@ def test_first_witness_matches_brute_loop(rng):
     """Lines near theta = 0 and pi, and lines that a word sends exactly the
     slack away from a set cell, under a rotated and a reflected map."""
     ifs = _turned_system(("a", "b"))
-    words = [g for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
+    maps = two_letter_words(ifs.letter_maps())
+    words = [maps.take(i) for i in range(len(maps.ratio))]
     geom = GridGeometry(61, t_max=1.2)
     h, slack = geom.pitch, geom.pitch
     grid = rng.random((geom.n_theta, geom.n_t)) < 0.05
@@ -453,7 +452,7 @@ def test_first_witness_matches_brute_loop(rng):
         ts = np.append(ts, source.t)
         bound_words.append(k)
 
-    got = first_witness([words], thetas, ts, member)[0]
+    got = first_witness(maps.reshape(1, -1), thetas, ts, member)[0]
     assert got.dtype == np.int16
     assert np.array_equal(got, brute_first_witness(words, thetas, ts, member))
     assert (got == -1).any() and (got > 0).any()
@@ -498,7 +497,8 @@ def test_row_route_matches_point_route(rng, slack_pitches):
     slack = slack_pitches * h
     source, target = _run_grid(rng, geom), _run_grid(rng, geom)
     member = GridMembership(geom, row_runs(target), slack)
-    words = [g for _, g in two_letter_words(ifs.alphabet, ifs.maps)]
+    maps = two_letter_words(ifs.letter_maps())
+    words = [maps.take(i) for i in range(len(maps.ratio))]
     words += [
         Similarity(r, a, f, (0.0, 0.0))
         for r in (0.5, 2 / 3)
@@ -522,15 +522,17 @@ def test_row_route_matches_point_route(rng, slack_pitches):
     far = np.abs(renormalize_arrays(words[9], thetas, ts)[1]) > geom.t_max + slack
     assert far.any()
 
-    got = first_witness_rows(words, runs, member)
+    maps = MapArrays.of(words)
+    got = first_witness_rows(maps, runs, member)
     assert got.dtype == np.int16
-    assert np.array_equal(got, first_witness([words], thetas, ts, member)[0])
+    assert np.array_equal(got, first_witness(maps.reshape(1, -1), thetas, ts, member)[0])
     assert (got == -1).any() and (got >= 9).any()
     # each word alone, so that no earlier word covers its boundary cells
-    for g in words:
-        assert np.array_equal(first_witness_rows([g], runs, member), first_witness([[g]], thetas, ts, member)[0])
+    for w in range(len(words)):
+        g = maps.take([w])
+        assert np.array_equal(first_witness_rows(g, runs, member), first_witness(g.reshape(1, 1), thetas, ts, member)[0])
     empty = row_runs(np.zeros_like(source))
-    assert len(first_witness_rows(words, empty, member)) == 0
+    assert len(first_witness_rows(maps, empty, member)) == 0
 
 
 def _one_list_witness(words, thetas, ts, member):
@@ -568,27 +570,25 @@ def test_batched_first_witness_matches_per_set_loop(rng, slack_pitches):
 
     def words():
         maps = {
-            a: perturb_map(f, Perturbation(rng.uniform(-0.3, 0.3), tuple(rng.uniform(-0.9, 0.9, 2))), 0.1, 0.5)
+            a: oracle.turn(f, rng.uniform(-0.3, 0.3), rng.uniform(-0.9, 0.9, 2) * (0.1 * 0.5))
             if a in ifs.part_one
             else f
             for a, f in ifs.maps.items()
         }
-        words = [g for _, g in two_letter_words(ifs.alphabet, maps)]
+        words = [g for _, g in oracle.two_letter_words(ifs.alphabet, list(maps.values()))]
         # shuffled, so that one word index mixes reflected and turned maps
         return [words[i] for i in rng.permutation(len(words))]
 
     seen = set()
     for n_sets in (1, 7, 16):
         word_sets = [words() for _ in range(n_sets)]
-        got = first_witness(word_sets, thetas, ts, member)
+        got = first_witness(MapArrays.of(sum(word_sets, [])).reshape(n_sets, -1), thetas, ts, member)
         assert got.shape == (n_sets, len(thetas)) and got.dtype == np.int16
         for ws, row in zip(word_sets, got):
             assert np.array_equal(row, _one_list_witness(ws, thetas, ts, member))
         seen |= set(got.ravel().tolist())
     assert len({row.tobytes() for row in got}) > 1  # the sets do differ
     assert -1 in seen and len(seen) > 5
-    with pytest.raises(ValueError, match="differ in length"):
-        first_witness([word_sets[0], word_sets[1][:-1]], thetas, ts, member)
 
 
 def test_check_recurrence_matches_brute_first_witness(rng):
@@ -603,7 +603,7 @@ def test_check_recurrence_matches_brute_first_witness(rng):
         cand = flat_candidate(geom, 0.15, grid)
         member = l_membership(cand)
         rep = check_recurrence(ifs, cand, member)
-        words = two_letter_words(ifs.alphabet, ifs.maps)
+        words = oracle.two_letter_words(ifs.alphabet, oracle.letters(ifs))
         rows, cols = np.nonzero(cand.L.grid(geom.n_t))
         thetas, ts = rows * geom.pitch, (cols - geom.m) * geom.pitch
         brute = brute_first_witness([g for _, g in words], thetas, ts, member)

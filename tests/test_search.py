@@ -18,22 +18,20 @@ from ifsproj import (
     build_perturbed_ifs,
     check_recurrence,
     closeness_report,
-    compose,
     draw_assignment,
     estimate_success_prob,
     first_witness,
     get_builtin,
     hull_obstruction,
     invariant_polygon,
-    perturb_map,
-    perturbed_maps,
+    perturbed_letters,
     renormalize_arrays,
     search_omega0,
     two_letter_words,
     Line,
 )
-from ifsproj.ifs import MapArrays
 from ifsproj.search import _IID_BLOCK
+import map_oracle as oracle
 from test_acceptance import farthest_line, obstruction_faults, settlement_faults
 from test_recurrence import _turned_system, flat_candidate, l_membership, lines_meeting_unit_square
 
@@ -70,18 +68,25 @@ def test_assignment_json_roundtrip():
 
 
 def test_perturb_map_geometry():
+    """A perturbation turns b about the center of its square and then moves
+    it by gamma c1 rho; the part_two letter c stays as it is."""
     ifs = get_builtin("sierpinski")
     f = ifs.maps["b"]
-    center = f((0.5, 0.5))
-    rotated = perturb_map(f, Perturbation(0.3, (0.0, 0.0)), c1=8.0, rho=RHO)
+    still = Perturbation(0.0, (0.0, 0.0))
+    center = ifs.letter_maps().images((0.5, 0.5))
+
+    def perturbed(omega):
+        return perturbed_letters(ifs, [OmegaAssignment({"a": still, "b": omega})], 8.0, RHO).take(0)
+
+    rotated = perturbed(Perturbation(0.3, (0.0, 0.0)))
     # pure rotation about the image square center keeps the center put
-    assert np.allclose(rotated((0.5, 0.5)), center)
-    assert rotated.ratio == f.ratio and rotated.reflect == f.reflect
-    assert rotated.angle == pytest.approx(f.angle + 0.3)
-    shifted = perturb_map(f, Perturbation(0.0, (0.5, -0.25)), c1=8.0, rho=RHO)
-    assert np.allclose(
-        shifted((0.5, 0.5)) - center, np.array([0.5, -0.25]) * 8.0 * RHO
-    )
+    assert np.allclose(rotated.images((0.5, 0.5)), center)
+    assert rotated.ratio[1] == f.ratio and rotated.reflect[1] == f.reflect
+    assert rotated.angle[1] == pytest.approx(f.angle + 0.3)
+    shifted = perturbed(Perturbation(0.0, (0.5, -0.25)))
+    assert np.allclose(shifted.images((0.5, 0.5))[1] - center[1], np.array([0.5, -0.25]) * 8.0 * RHO)
+    for moved in (rotated, shifted):
+        assert np.array_equal(moved.take([2]).images((0.3, 0.7)), ifs.letter_maps(["c"]).images((0.3, 0.7)))
 
 
 def test_build_perturbed_requires_part_one_domain():
@@ -182,8 +187,8 @@ def test_estimate_success_prob_matches_per_sample_loop(recurrent_instance):
         hits = 0
         for _ in range(samples):
             a = draw_assignment(rng, ifs, 0.3)
-            words = [g for _, g in two_letter_words(ifs.alphabet, perturbed_maps(ifs, a, 0.3, cand.rho))]
-            hits += int(first_witness([words], np.array([u.theta]), np.array([u.t]), member0)[0, 0] >= 0)
+            words = two_letter_words(perturbed_letters(ifs, [a], 0.3, cand.rho))
+            hits += int(first_witness(words, np.array([u.theta]), np.array([u.t]), member0)[0, 0] >= 0)
         p = estimate_success_prob(ifs, u, cand, samples=samples, seed=3, c1=0.3, epsilon=0.3)
         assert p == hits / samples
     assert 0.0 < p < 1.0
@@ -234,11 +239,8 @@ def test_coverage_witnesses_reverify(recurrent_instance, rng):
     tester = CoverageTester(ifs, cand, c1=0.5)
     a = draw_assignment(rng, ifs, 0.3)
     covered, witness = tester.coverage([a])
-    maps = {
-        s: perturb_map(ifs.maps[s], a.omegas[s], 0.5, cand.rho) if s in a.omegas else ifs.maps[s]
-        for s in ifs.alphabet
-    }
-    words = [compose(maps[b1], maps[b2]) for b1, b2 in product(ifs.alphabet, repeat=2)]
+    maps = oracle.perturbed_maps(ifs, a, 0.5, cand.rho)
+    words = [g for _, g in oracle.two_letter_words(ifs.alphabet, maps)]
     member0 = GridMembership(cand.geom, cand.L0, cand.search_slack)
     idx = np.flatnonzero(covered)[:: max(1, covered.sum() // 64)]
     for i in idx:
@@ -276,11 +278,10 @@ def test_ordered_probe_changes_no_flag(system):
         assert np.array_equal(witness >= 0, covered)
         reordered |= not np.array_equal(witness, canonical_witness)
         # renormalize each covered point by its witness word
-        maps = [perturbed_maps(ifs, a, 0.5, cand.rho) for a in block]
-        words = [g for m in maps for _, g in two_letter_words(ifs.alphabet, m)]
+        words = two_letter_words(perturbed_letters(ifs, block, 0.5, cand.rho))
         pair = np.flatnonzero(covered)
         b, i = np.divmod(pair, n)
-        g = MapArrays.of(words).take(b * len(order) + witness[pair])
+        g = words.take((b, witness[pair]))
         assert tester.member0.contains(*renormalize_arrays(g, thetas[i], ts[i])).all()
     assert len(block) < _IID_BLOCK and reordered
     assert covered.any() and not covered.all()
@@ -447,5 +448,6 @@ def test_farthest_lines_stay_uncovered(desk):
         dist, row, col = farthest_line(L, geom, hull)
         assert dist > 0.05
         th, tt = np.array([row * geom.pitch]), np.array([(col - geom.m) * geom.pitch])
-        for _, g in two_letter_words(perturbed.alphabet, perturbed.maps):
-            assert not member.contains(*renormalize_arrays(g, th, tt))[0]
+        words = two_letter_words(perturbed.letter_maps())
+        for w in range(len(words.ratio)):
+            assert not member.contains(*renormalize_arrays(words.take(w), th, tt))[0]
