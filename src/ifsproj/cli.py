@@ -152,7 +152,7 @@ def cmd_dimension(cfg: RunConfig, args) -> int:
 
 def _render_pgm(ifs: IfsSpec, rho: float, size: int, path: str, budget: int | None) -> int:
     """White stopping-word centers on black, y axis pointing up."""
-    centers, _, _ = stopping_cylinders(ifs, rho, budget=budget)
+    centers, _ = stopping_cylinders(ifs, rho, budget=budget)
     img = np.zeros((size, size), dtype=np.uint8)
     cols = np.clip(np.rint(centers[:, 0] * (size - 1)).astype(int), 0, size - 1)
     rows = (size - 1) - np.clip(np.rint(centers[:, 1] * (size - 1)).astype(int), 0, size - 1)
@@ -291,6 +291,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def cmd_certify(cfg: RunConfig, args) -> int:
     if not np.isfinite(args.theta):
         raise ConfigError(f"theta: must be finite, got {args.theta!r}")
+    # the certificate's recurrence row is round(theta / pitch)
+    if not np.isfinite(args.theta / cfg.geometry().pitch):
+        raise ConfigError(f"theta: {args.theta!r} is too large for the theta grid")
     out = _outdir(cfg)
     assignment = _load_omega(cfg, args.omega) if args.omega is not None else None
     res, E, cand = _build_pipeline(cfg)

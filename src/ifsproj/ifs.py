@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import combinations
 from typing import NamedTuple
 
@@ -84,6 +84,10 @@ class MapArrays(NamedTuple):
         tx, ty = self.translation
         return MapArrays(fn(self.ratio), fn(self.angle), fn(self.reflect), (fn(tx), fn(ty)))
 
+    def fields(self) -> tuple[np.ndarray, ...]:
+        """ratio, angle, reflect and the translation's x and y."""
+        return (self.ratio, self.angle, self.reflect, *self.translation)
+
     def take(self, idx) -> "MapArrays":
         """The maps at the given index (any numpy index)."""
         return self._each(lambda v: v[idx])
@@ -102,10 +106,8 @@ class MapArrays(NamedTuple):
         out = np.empty(sy.shape + (2,))
         x = np.multiply(cos_v, px, out=out[..., 0])
         y = np.multiply(sin_v, px, out=out[..., 1])
-        # one point: cos and sin are the scratch, this is the memory peak of verify
-        one = px.ndim == 0
-        x -= np.multiply(sin_v, sy, out=sin_v if one else None)
-        y += np.multiply(cos_v, sy, out=cos_v if one else None)
+        x -= sin_v * sy
+        y += cos_v * sy
         out *= self.ratio[lead][..., None]
         tx, ty = self.translation
         x += tx[lead]
@@ -394,62 +396,139 @@ def check_osc_unit_square(ifs: IfsSpec, tol: float = 1e-12) -> OscReport:
     )
 
 
+_BATCH = 1 << 11  # prefix-tree nodes expanded at a time: a batch's maps stay in cache
+
+
+def _count_cover(ratios: np.ndarray, rho: float, budget: int | None) -> int:
+    """The number of stopping words at scale rho, from the letters' ratios
+    alone, on the prefix tree that `stopping_batches` walks; products are
+    taken left to right, as `MapArrays.compose` takes them.
+
+    done + k * (active nodes pending) is a lower bound on the count that
+    never decreases and equals it at the end, so BudgetExceeded (partial =
+    that bound) is raised exactly when the cover has more than budget
+    words."""
+    k = len(ratios)
+    done, n_pending = 0, 1
+    pending = [np.ones(1)]  # ratios of active nodes, more than rho each
+    while pending:
+        r = pending.pop()
+        if len(r) > _BATCH:
+            pending.append(r[_BATCH:])
+            r = r[:_BATCH]
+        children = (r[:, None] * ratios).ravel()
+        active = children[children > rho]
+        done += len(children) - len(active)
+        n_pending += len(active) - len(r)
+        total = done + k * n_pending
+        if budget is not None and total > budget:
+            raise BudgetExceeded(
+                f"budget exceeded: at least {total} stopping words > {budget}", partial=total
+            )
+        if len(active):
+            pending.append(active)
+    return done
+
+
+def _expand(
+    maps: MapArrays, active: np.ndarray, letters: MapArrays, rho: float
+) -> tuple[MapArrays, np.ndarray]:
+    """Nodes in order with every active one replaced by its children in
+    alphabet order (`MapArrays.compose`), and which of the new nodes are
+    active; finished nodes keep their place, and np.repeat opens the
+    children's, so the order needs no sort."""
+    k = len(letters.ratio)
+    n_finished = len(active) - int(np.count_nonzero(active))
+    children = (maps.take(active) if n_finished else maps).compose(letters)
+    if not n_finished:
+        return children, children.ratio > rho
+    counts = np.where(active, k, 1)
+    is_child = np.repeat(active, counts)
+    child_active = is_child.copy()
+    child_active[is_child] = children.ratio > rho
+
+    def place(node_vals, child_vals):
+        out = np.repeat(node_vals, counts)
+        out[is_child] = child_vals
+        return out
+
+    (r, ang, refl, (tx, ty)), (cr, ca, cm, (cx, cy)) = maps, children
+    placed = MapArrays(
+        place(r, cr), place(ang, ca), place(refl, cm), (place(tx, cx), place(ty, cy))
+    )
+    return placed, child_active
+
+
+def stopping_batches(
+    ifs: IfsSpec, rho: float, budget: int | None = None
+) -> tuple[int, Iterator[MapArrays]]:
+    """The number of stopping words at scale rho (see `stopping_cover`) and
+    their maps in consecutive batches, in the words' lexicographic order.
+
+    The count comes first, from a walk over the ratios alone, so a budget
+    overrun raises BudgetExceeded before any map is composed. The maps come
+    from a front-first stack of node runs, each run in lexicographic order
+    and every node finished (ratio <= rho) or active: the leading finished
+    nodes of the front run are yielded, and at most _BATCH nodes after them
+    are expanded (`_expand`) and pushed back in their place. Every map is
+    computed by the same elementwise formula whatever the batch, so the
+    maps do not depend on _BATCH, and memory stays at a few batches per
+    tree level.
+    """
+    if not (0.0 < rho < 1.0):
+        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    letters = ifs.letter_maps()
+    count = _count_cover(letters.ratio, rho, budget)
+
+    def walk():
+        # the root node: the empty word and the identity map
+        root = MapArrays(
+            np.ones(1), np.zeros(1), np.zeros(1, dtype=bool), (np.zeros(1), np.zeros(1))
+        )
+        stack = [(root, np.ones(1, dtype=bool))]
+        while stack:
+            maps, active = stack.pop()
+            first = int(np.argmax(active))
+            if not active[first]:
+                yield maps
+                continue
+            if first:
+                yield maps.take(slice(0, first))
+            stop = first + _BATCH
+            if stop < len(active):
+                stack.append((maps.take(slice(stop, None)), active[stop:]))
+            stack.append(_expand(maps.take(slice(first, stop)), active[first:stop], letters, rho))
+
+    return count, walk()
+
+
 def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> MapArrays:
     """The maps f_w of the minimal words w with ratio(w) <= rho <
     ratio(parent of w).
 
     These words are a prefix-free cover of the symbol space; their maps come
-    in the words' lexicographic order (alphabet order as given). The prefix
-    tree is expanded level by level: every node is finished (ratio <= rho)
-    or active, each level composes the active nodes' maps with the letter
-    maps (`MapArrays.compose`), and np.repeat puts each active node's
-    children in its place, so the order needs no sort. Ratios are products
+    in the words' lexicographic order (alphabet order as given), gathered
+    from `stopping_batches` into arrays allocated once. Ratios are products
     of the letters' ratios taken left to right. With equal ratios r the
     words are all words of the first length n with r^n <= rho. The words
     themselves are not kept: the pipeline reads only their maps.
-
-    n_finished + k * n_active is a lower bound on the final count, and
-    equals it at the last level, so BudgetExceeded (partial = that bound)
-    is raised before a level is allocated exactly when the cover has more
-    than budget words.
+    BudgetExceeded is raised, before any map is composed, exactly when the
+    cover has more than budget words.
     """
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0,1), got {rho}")
-    k = len(ifs.alphabet)
-    letters = ifs.letter_maps()
-
-    # the root node: the empty word and the identity map
-    maps = MapArrays(np.ones(1), np.zeros(1), np.zeros(1, dtype=bool), (np.zeros(1), np.zeros(1)))
-    active = np.ones(1, dtype=bool)
-    while active.any():
-        n_active = int(np.count_nonzero(active))
-        n_finished = len(active) - n_active
-        total = n_finished + k * n_active
-        if budget is not None and total > budget:
-            raise BudgetExceeded(
-                f"budget exceeded: at least {total} stopping words > {budget}", partial=total
-            )
-        # each active node's children, in alphabet order
-        children = (maps.take(active) if n_finished else maps).compose(letters)
-        counts = np.where(active, k, 1)
-        is_child = np.repeat(active, counts)
-        active = is_child.copy()
-        active[is_child] = children.ratio > rho
-        if not n_finished:
-            maps = children
-            continue
-
-        # finished nodes keep their slot, active ones give it to their children
-        def place(node_vals, child_vals):
-            out = np.repeat(node_vals, counts)
-            out[is_child] = child_vals
-            return out
-
-        (r, ang, refl, (tx, ty)), (cr, ca, cm, (cx, cy)) = maps, children
-        maps = MapArrays(
-            place(r, cr), place(ang, ca), place(refl, cm), (place(tx, cx), place(ty, cy))
-        )
-    return maps
+    count, batches = stopping_batches(ifs, rho, budget)
+    out = MapArrays(
+        np.empty(count),
+        np.empty(count),
+        np.empty(count, dtype=bool),
+        (np.empty(count), np.empty(count)),
+    )
+    lo = 0
+    for maps in batches:
+        hi = lo + len(maps.ratio)
+        for dst, src in zip(out.fields(), maps.fields()):
+            dst[lo:hi] = src
+        lo = hi
+    return out
 
 
 def epsilon_distance(base: IfsSpec, other: IfsSpec) -> float:

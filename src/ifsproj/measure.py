@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import IfsSpec, stopping_cover
+from .ifs import IfsSpec, stopping_batches, stopping_cover
 
 
 def stopping_cylinders(
@@ -21,16 +21,31 @@ def stopping_cylinders(
     rho: float,
     budget: int | None = None,
     point: tuple[float, float] = (0.5, 0.5),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points f_w(point), ratios and masses of the stopping words w at
-    scale rho, in the words' lexicographic (alphabet-rank) order: one row or
-    element per map of ifs.stopping_cover.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points f_w(point) and ratios of the stopping words w at scale
+    rho, in the words' lexicographic (alphabet-rank) order: one row or
+    element per map of ifs.stopping_cover. Both arrays are allocated once,
+    from the count, and filled batch by batch from ifs.stopping_batches, so
+    the cover's maps are never held whole.
 
     The default point is the square center; passing an attractor point makes
     every f_w(point) an attractor point too.
     """
-    maps = stopping_cover(ifs, rho, budget=budget)
-    return maps.images(point), maps.ratio, maps.ratio**ifs.dimension
+    count, batches = stopping_batches(ifs, rho, budget=budget)
+    points, ratios = np.empty((count, 2)), np.empty(count)
+    lo = 0
+    for maps in batches:
+        hi = lo + len(maps.ratio)
+        points[lo:hi] = maps.images(point)
+        ratios[lo:hi] = maps.ratio
+        lo = hi
+    return points, ratios
+
+
+def _deposits(ifs: IfsSpec, rho: float, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The stopping words' centers and masses ratio^d."""
+    centers, ratios = stopping_cylinders(ifs, rho, budget=budget)
+    return centers, ratios**ifs.dimension
 
 
 @dataclass(frozen=True)
@@ -56,17 +71,16 @@ def projected_histogram(
     budget: int | None = None,
 ) -> ProjectedHistogram:
     """Deposit cylinder masses at projected centers into width-delta bins.
-    cylinders, when given, is stopping_cylinders(ifs, rho) computed by the
-    caller, for callers that project the same cover at many angles.
+    cylinders, when given, is the stopping words' centers and masses
+    ratio^d at scale rho, computed by the caller, for callers that project
+    the same cover at many angles.
 
     Center deposits are off by at most the cylinder diameter (~rho), which is
     why delta should stay at the rho^(1/2) scale.
     """
     if not (delta > 0.0):
         raise ValueError(f"delta must be positive, got {delta}")
-    if cylinders is None:
-        cylinders = stopping_cylinders(ifs, rho, budget=budget)
-    centers, _, masses = cylinders
+    centers, masses = _deposits(ifs, rho, budget) if cylinders is None else cylinders
     pos = centers @ np.array([-math.sin(theta), math.cos(theta)])
     idx = np.floor(pos / delta).astype(np.int64)
     lo = int(idx.min())
@@ -124,7 +138,7 @@ def build_E(
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    cylinders = stopping_cylinders(ifs, rho, budget=budget)
+    cylinders = _deposits(ifs, rho, budget)
     thetas = np.arange(grid_size) * (math.pi / grid_size)
     l2 = np.array(
         [

@@ -722,7 +722,7 @@ def attractor_points(ifs: IfsSpec, scale: float, budget: int | None = None) -> n
     every stopping word at the given scale. Reusable across angles."""
     f0 = ifs.maps[ifs.alphabet[0]]
     p0 = np.linalg.solve(np.eye(2) - f0.linear(), np.asarray(f0.translation))
-    pts, _, _ = stopping_cylinders(ifs, scale, budget=budget, point=(p0[0], p0[1]))
+    pts, _ = stopping_cylinders(ifs, scale, budget=budget, point=(p0[0], p0[1]))
     return pts
 
 
@@ -742,6 +742,20 @@ def _offsets(pts: np.ndarray, theta: float) -> np.ndarray:
         np.multiply(pts[i : i + _CHUNK, 1], c, out=out)
         out -= pts[i : i + _CHUNK, 0] * s
     return pos
+
+
+def _gap_scan(pos: np.ndarray, resolution: float) -> tuple[np.ndarray, float]:
+    """For sorted positions: the mask of the gaps pos[i + 1] - pos[i] that
+    are at most resolution, and the largest gap (inf with no gap). Chunk by
+    chunk, so no full-size array of gaps is held."""
+    close = np.empty(max(len(pos) - 1, 0), dtype=bool)
+    largest = -math.inf
+    for i in range(0, len(close), _CHUNK):
+        stop = min(i + _CHUNK, len(close))
+        gaps = pos[i + 1 : stop + 1] - pos[i:stop]
+        np.less_equal(gaps, resolution, out=close[i:stop])
+        largest = max(largest, float(gaps.max()))
+    return close, largest if len(close) else math.inf
 
 
 def _longest_run(mask: np.ndarray, coords: np.ndarray) -> tuple[int, int]:
@@ -789,9 +803,9 @@ def certify_projection_interval(
     pts = attractor_points(ifs, resolution / 2.0, budget=budget) if points is None else points
     pos = _offsets(pts, theta)
     pos.sort()
-    gaps = np.diff(pos)
+    close, largest_gap = _gap_scan(pos, resolution)
 
-    lo, hi = _longest_run(gaps <= resolution, pos)
+    lo, hi = _longest_run(close, pos)
     length = pos[hi] - pos[lo]
     min_len = _MIN_LENGTH_FACTOR * resolution
     interval = (float(pos[lo]), float(pos[hi])) if length >= min_len else None
@@ -824,7 +838,7 @@ def certify_projection_interval(
         n_samples=len(pos),
         interval=interval,
         length=float(length),
-        largest_gap=float(gaps.max()) if len(gaps) else math.inf,
+        largest_gap=largest_gap,
         certified=interval is not None,
         recurrence_interval=rec_interval,
         recurrence_length=float(rec_len),

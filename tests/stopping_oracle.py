@@ -114,9 +114,9 @@ def stopping_cylinders(
     rho: float,
     budget: int | None = None,
     point: tuple[float, float] = (0.5, 0.5),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points f_w(point), ratios and masses of stopping_maps' words, in
-    their order. The default point is the square center; passing an
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points f_w(point) and ratios of stopping_maps' words, in their
+    order. The default point is the square center; passing an
     attractor point makes every f_w(point) an attractor point too.
     """
     _, maps = stopping_maps(ifs, rho, budget)
@@ -127,6 +127,4 @@ def stopping_cylinders(
     sy = np.where(maps.reflect, -py, py)
     cx = ratios * (cos_v * px - sin_v * sy) + tx
     cy = ratios * (sin_v * px + cos_v * sy) + ty
-    centers = np.column_stack([cx, cy])
-    masses = ratios**ifs.dimension
-    return centers, ratios, masses
+    return np.column_stack([cx, cy]), ratios

@@ -115,7 +115,7 @@ def test_criterion_02_two_letter_composition(emit):
 def test_criterion_03_line_certificates_vs_point_cloud(emit):
     dust = get_builtin("cantor_dust")
     t0 = time.perf_counter()
-    pts, _, _ = stopping_cylinders(dust, 4.0**-10, point=(0.0, 0.0))
+    pts, _ = stopping_cylinders(dust, 4.0**-10, point=(0.0, 0.0))
     thresh = 2.0 * math.sqrt(2.0) * 4.0**-10
     rng = np.random.default_rng(303)
     missed_completeness = 0  # oracle far => BFS must certify empty
@@ -169,7 +169,8 @@ def _criterion5_report() -> dict:
     sums = {}
     for name in ("sierpinski", "four_corner", "cantor_dust"):
         ifs = get_builtin(name)
-        cylinders = stopping_cylinders(ifs, rho_coarse)
+        centers, ratios = stopping_cylinders(ifs, rho_coarse)
+        cylinders = (centers, ratios**ifs.dimension)
         delta = math.sqrt(rho_coarse) / 8.0
         sums[name] = [
             float(projected_histogram(ifs, j * math.pi / 12, rho_coarse, delta, cylinders=cylinders).masses.sum())

@@ -410,6 +410,10 @@ def test_certify_rejects_nonfinite_theta(tmp_path, capsys, monkeypatch):
     for theta in ("nan", "inf", "-inf"):
         assert main(["certify", "--config", cfg, f"--theta={theta}"]) == 2, theta
         assert capsys.readouterr().err.startswith("theta: must be finite"), theta
+    # finite, but theta / pitch overflows the row index
+    for theta in ("1e308", "-1.7e308"):
+        assert main(["certify", "--config", cfg, f"--theta={theta}"]) == 2, theta
+        assert capsys.readouterr().err.startswith(f"theta: {float(theta)!r} is too large"), theta
 
 
 def test_search_success_report_matches_verify(tmp_path, capsys, monkeypatch):

@@ -38,13 +38,9 @@ SYSTEMS = {
 }
 
 
-def _fields(maps: MapArrays) -> tuple:
-    return (maps.ratio, maps.angle, maps.reflect, *maps.translation)
-
-
 def _assert_maps_equal(got: MapArrays, want: list):
     """The maps of got, in order, are the scalar maps want, bit for bit."""
-    fields = _fields(got)
+    fields = got.fields()
     dtypes = (np.float64, np.float64, np.bool_, np.float64, np.float64)
     ratio, angle, reflect, tx, ty = (
         [f.ratio for f in want],
@@ -118,7 +114,7 @@ def test_block_equals_one_at_a_time(system):
     for b, assignment in enumerate(block):
         alone = perturbed_letters(ifs, [assignment], C1, RHO)
         for got, want in ((letters.take([b]), alone), (words.take([b]), two_letter_words(alone))):
-            for x, y in zip(_fields(got), _fields(want)):
+            for x, y in zip(got.fields(), want.fields()):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
         perturbed = build_perturbed_ifs(ifs, assignment, C1, RHO)
         record = perturbed.letter_maps()

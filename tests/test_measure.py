@@ -22,7 +22,8 @@ DELTA = math.sqrt(RHO) / 8.0
 
 def test_stopping_cylinders_four_corner():
     ifs = get_builtin("four_corner")
-    centers, ratios, masses = stopping_cylinders(ifs, RHO)
+    centers, ratios = stopping_cylinders(ifs, RHO)
+    masses = ratios**ifs.dimension
     assert len(centers) == 4**8
     assert np.all(ratios == 2.0**-8)
     # masses are r^d with d = 2, and they tile exactly
@@ -32,7 +33,7 @@ def test_stopping_cylinders_four_corner():
 
 def test_stopping_cylinders_match_word_enumeration():
     ifs = get_builtin("sierpinski")
-    centers, ratios, _ = stopping_cylinders(ifs, 0.1)
+    centers, ratios = stopping_cylinders(ifs, 0.1)
     words = stopping_words(ifs, 0.1)
     # each center and ratio against the composed map of its word
     maps = [compose_word(ifs, w) for w in words]
@@ -43,7 +44,8 @@ def test_stopping_cylinders_match_word_enumeration():
 def test_histograms_sum_to_one(rng):
     for name in ("sierpinski", "four_corner", "cantor_dust"):
         ifs = get_builtin(name)
-        data = stopping_cylinders(ifs, 4.0**-3)
+        centers, ratios = stopping_cylinders(ifs, 4.0**-3)
+        data = (centers, ratios**ifs.dimension)
         for theta in rng.uniform(0, math.pi, size=12):
             h = projected_histogram(
                 ifs, float(theta), 4.0**-3, math.sqrt(4.0**-3) / 8, cylinders=data

@@ -649,7 +649,7 @@ def test_certify_line_monotone_and_sound(rng):
 
     def corner_cloud(depth):
         if depth not in clouds:
-            pts, _, _ = stopping_cylinders(dust, 4.0**-depth, point=(0.0, 0.0))
+            pts, _ = stopping_cylinders(dust, 4.0**-depth, point=(0.0, 0.0))
             clouds[depth] = pts
         return clouds[depth]
 

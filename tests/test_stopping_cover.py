@@ -1,16 +1,20 @@
-"""The level-by-level stopping-word enumerator against the depth-first
-walkers it replaced (tests/stopping_oracle.py): bit-identical maps in the
-order of the walkers' words, and bit-identical centers, ratios and masses."""
+"""The batched stopping-word walk against the depth-first walkers it
+replaced (tests/stopping_oracle.py): bit-identical maps in the order of the
+walkers' words, and bit-identical points and ratios, at the default batch
+size and at batch sizes small enough to split every level."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import stopping_oracle as oracle
 
+import ifsproj.ifs
 from ifsproj import (
     BudgetExceeded,
     Similarity,
+    attractor_points,
     build_perturbed_ifs,
     draw_assignment,
     get_builtin,
@@ -49,10 +53,6 @@ SYSTEMS = {
 CASES = [(name, rho) for name in SYSTEMS for rho in (0.3, 0.1, 0.01, 0.004)]
 
 
-def _fields(maps):
-    return (maps.ratio, maps.angle, maps.reflect, *maps.translation)
-
-
 def _assert_same(new, old):
     assert len(new) == len(old)
     for a, b in zip(new, old):
@@ -64,7 +64,7 @@ def test_cover_matches_depth_first_walkers(name, rho):
     ifs = SYSTEMS[name]()
     words, maps = oracle.stopping_maps(ifs, rho)
     assert words == oracle.stopping_words(ifs, rho)
-    _assert_same(_fields(stopping_cover(ifs, rho)), _fields(maps))
+    _assert_same(stopping_cover(ifs, rho).fields(), maps.fields())
     _assert_same(stopping_cylinders(ifs, rho), oracle.stopping_cylinders(ifs, rho))
     point = (0.1234, 0.7771)
     _assert_same(
@@ -110,6 +110,71 @@ def test_budget_raises_exactly_when_count_exceeds_it(name, rho):
         stopping_cover(ifs, rho, budget=count - 1)
     # the lower bound that tripped the check is the full count at the last level
     assert ei.value.partial == count
+
+
+BATCHES = (1, 3, 7, 64)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_cover_does_not_depend_on_batch_size(name, batch, monkeypatch):
+    ifs = SYSTEMS[name]()
+    monkeypatch.setattr(ifsproj.ifs, "_BATCH", batch)
+    for rho in (0.3, 0.05, 0.01):
+        _, maps = oracle.stopping_maps(ifs, rho)
+        _assert_same(stopping_cover(ifs, rho).fields(), maps.fields())
+        point = (0.1234, 0.7771)
+        _assert_same(
+            stopping_cylinders(ifs, rho, point=point),
+            oracle.stopping_cylinders(ifs, rho, point=point),
+        )
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("name,rho", [("four_corner", 0.01), ("mixed", 0.003)])
+def test_budget_at_count_minus_one_reports_the_count(name, rho, batch, monkeypatch):
+    ifs = SYSTEMS[name]()
+    monkeypatch.setattr(ifsproj.ifs, "_BATCH", batch)
+    count = len(oracle.stopping_words(ifs, rho))
+    for enumerate_words in (stopping_cover, stopping_cylinders):
+        # the first field: the ratios of the cover, the points of the cylinders
+        assert len(enumerate_words(ifs, rho, budget=count)[0]) == count
+        with pytest.raises(BudgetExceeded) as ei:
+            enumerate_words(ifs, rho, budget=count - 1)
+        assert ei.value.partial == count
+
+
+def _traced_peak(fn):
+    """fn's result and the peak bytes numpy and Python allocated during it."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_attractor_points_hold_no_cover_sized_scratch():
+    """Beside the points, stopping_cylinders returns the ratios (half the
+    points' bytes); the walk itself may add at most another half."""
+    ifs = get_builtin("four_corner")
+    attractor_points(ifs, 2.0**-5)  # imports and caches stay outside the trace
+    pts, peak = _traced_peak(lambda: attractor_points(ifs, 2.0**-9))
+    assert len(pts) == 4**9
+    assert peak <= 2.0 * pts.nbytes
+
+
+def test_budget_overrun_raises_before_composing_maps():
+    ifs = get_builtin("four_corner")
+
+    def overrun():
+        with pytest.raises(BudgetExceeded) as ei:
+            stopping_cover(ifs, 1e-12, budget=6_000_000)
+        return ei.value.partial
+
+    partial, peak = _traced_peak(overrun)
+    assert 6_000_000 < partial <= 4**40
+    assert peak < 32 * 2**20
 
 
 def test_rho_out_of_range():
