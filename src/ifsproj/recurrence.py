@@ -209,9 +209,14 @@ class SliceParams:
         return int(math.floor(self.c7 / self.phi_cell_width)) + 1
 
 
+_SLICE_BLOCK = 1 << 13  # (row, a1, phi, a2) entries of the slice test evaluated at a time
+
+
 class SliceBuilder:
-    """Evaluates the slice test on many rows at once, sharing the phi-tensor
-    precompute.
+    """Evaluates the slice test on blocks of consecutive rows, sharing the
+    phi-tensor precompute: `all_rows` takes the E rows about _SLICE_BLOCK
+    (row, a1, phi, a2) entries at a time, so its working set depends
+    neither on the number of E rows nor on the alphabet or n_phi.
 
     For first-block symbol a1, rotation phi, second symbol a2, the composed
     map is (rotate f_{a1} by phi about its cell center) o f_{a2}; only its
@@ -300,8 +305,15 @@ class SliceBuilder:
         return RowRuns.from_rows(1, np.zeros_like(start), start, stop).grid(self.geom.n_t)[0]
 
     def all_rows(self) -> RowRuns:
-        """The core L0: the slice test on every E row, as row runs."""
-        return RowRuns.from_rows(self.geom.n_theta, *self._runs(self.E.member_rows()))
+        """The core L0: the slice test on every E row, as row runs. `_runs`
+        is row-local, so the runs of consecutive blocks of rows, joined in
+        order, are those of all rows at once; no E rows make one empty
+        block."""
+        rows = self.E.member_rows()
+        per_block = max(1, _SLICE_BLOCK // self.angle_g.size)
+        starts = range(0, max(len(rows), 1), per_block)
+        blocks = [self._runs(rows[i : i + per_block]) for i in starts]
+        return RowRuns.from_rows(self.geom.n_theta, *(np.concatenate(x) for x in zip(*blocks)))
 
 
 def _pad_runs(runs: RowRuns, n_t: int, k: int) -> RowRuns:
@@ -642,6 +654,17 @@ _MAX_FAILURES = 100  # failing cells listed in a recurrence report
 _MAX_WITNESSES = 20  # recurring cells listed with their first word
 
 
+def _first_true(mask: np.ndarray, k: int) -> np.ndarray:
+    """The indices of the first k true entries of mask (all, if fewer),
+    found _CHUNK entries at a time rather than from every true entry."""
+    found = []
+    for i in range(0, len(mask), _CHUNK):
+        found.extend(i + np.flatnonzero(mask[i : i + _CHUNK]))
+        if len(found) >= k:
+            break
+    return np.array(found[:k], dtype=np.int64)
+
+
 def check_recurrence(
     perturbed: IfsSpec, cand: RecurrentCandidate, member: GridMembership
 ) -> RecurrenceReport:
@@ -660,10 +683,11 @@ def check_recurrence(
     words = two_letter_words(perturbed.letter_maps())
     witness = first_witness_rows(words, cand.L, member)
     recurred = witness >= 0
-    counts = np.bincount(witness[recurred], minlength=len(names))
-    thetas, ts = cand.L.lines(cand.geom, np.flatnonzero(~recurred)[:_MAX_FAILURES])
+    # per word, not np.bincount, which would copy the witnesses as int64
+    counts = [np.count_nonzero(witness == k) for k in range(len(names))]
+    thetas, ts = cand.L.lines(cand.geom, _first_true(~recurred, _MAX_FAILURES))
     failures = [{"theta": float(th), "t": float(t)} for th, t in zip(thetas, ts)]
-    first = np.flatnonzero(recurred)[:_MAX_WITNESSES]
+    first = _first_true(recurred, _MAX_WITNESSES)
     thetas, ts = cand.L.lines(cand.geom, first)
     witnesses = []
     for i, th, t in zip(first, thetas, ts):

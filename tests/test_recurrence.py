@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +16,11 @@ from ifsproj import (
     SliceParams,
     attractor_points,
     build_E,
+    build_candidate,
+    build_perturbed_ifs,
     certify_projection_interval,
     check_recurrence,
+    draw_assignment,
     first_witness,
     first_witness_rows,
     get_builtin,
@@ -25,8 +29,9 @@ from ifsproj import (
     stopping_cylinders,
     two_letter_words,
 )
+import ifsproj.recurrence
 from ifsproj.ifs import MapArrays
-from ifsproj.recurrence import _cover, _dilate, _longest_run, _pad_runs
+from ifsproj.recurrence import _cover, _dilate, _first_true, _longest_run, _pad_runs
 import map_oracle as oracle
 from certificate_oracle import certify_line
 from dilation_oracle import _dilate_wrapped
@@ -261,6 +266,49 @@ def test_whole_grid_slice_matches_brute_force(coarse_four_corner, coarse_sierpin
                 for row in (0, 23, 60):
                     assert np.array_equal(builder.row_member(row), brute[row])
         assert best.max() == n_phi  # some column passes every phi cell
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 7, None])
+def test_slice_does_not_depend_on_block_size(
+    monkeypatch, coarse_four_corner, coarse_sierpinski, coarse_turned, rows_per_block
+):
+    """all_rows with the E rows in blocks of 1, 2 or 7 rows, or all in one
+    (None), is bit for bit all_rows on every row at once: on each coarse
+    system, and on the gasket with c7 0.05, whose phi runs span 3 cells."""
+    systems = (coarse_four_corner, coarse_sierpinski, coarse_turned)
+    cases = [(system, SliceParams(epsilon=0.3, c7=1e-3)) for system in systems]
+    cases.append((coarse_sierpinski, SliceParams(epsilon=0.3, c7=0.05)))
+    assert cases[-1][1].required_run == 3
+    for (ifs, rho, geom, E), params in cases:
+        builder = SliceBuilder(ifs, E, geom, params)
+        monkeypatch.setattr(ifsproj.recurrence, "_SLICE_BLOCK", 1 << 62)
+        whole = builder.all_rows()
+        assert len(whole.start) > 0
+        n_rows = len(E.member_rows()) if rows_per_block is None else rows_per_block
+        assert n_rows < len(E.member_rows()) or rows_per_block is None
+        monkeypatch.setattr(ifsproj.recurrence, "_SLICE_BLOCK", n_rows * builder.angle_g.size)
+        blocked = builder.all_rows()
+        for a, b in zip(blocked, whole):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_slice_without_e_rows_is_an_empty_candidate(coarse_sierpinski):
+    ifs, rho, geom, E = coarse_sierpinski
+    no_rows = dataclasses.replace(E, member=np.zeros_like(E.member))
+    runs = SliceBuilder(ifs, no_rows, geom, SliceParams(epsilon=0.3, c7=1e-3)).all_rows()
+    assert not runs.ptr.any() and len(runs.ptr) == geom.n_theta + 1 and not len(runs.start)
+    with pytest.raises(ValueError, match="empty candidate"):
+        build_candidate(no_rows, runs, rho, geom)
+
+
+def test_desk_slice_holds_one_block_of_rows(desk, traced_peak):
+    """all_rows on the desk's 2,735 E rows holds one block's phi tensor at a
+    time: 1.5 MB measured, against 29.3 MB for all rows at once."""
+    builder = SliceBuilder(desk.ifs, desk.E, desk.geom, desk.res.slice_params)
+    runs, peak = traced_peak(builder.all_rows)
+    for a, b in zip(runs, desk.cand.L0):
+        assert np.array_equal(a, b)
+    assert peak <= 3 * 2**20
 
 
 def test_slice_monotone_in_c7(coarse_four_corner):
@@ -589,6 +637,31 @@ def test_batched_first_witness_matches_per_set_loop(rng, slack_pitches):
         seen |= set(got.ravel().tolist())
     assert len({row.tobytes() for row in got}) > 1  # the sets do differ
     assert -1 in seen and len(seen) > 5
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_first_true_matches_flatnonzero(monkeypatch, rng, chunk):
+    monkeypatch.setattr(ifsproj.recurrence, "_CHUNK", chunk)
+    for density in (0.0, 0.02, 0.5):
+        mask = rng.random(500) < density
+        for k in (1, 20, 100):
+            got = _first_true(mask, k)
+            assert got.dtype == np.int64 and np.array_equal(got, np.flatnonzero(mask)[:k])
+
+
+def test_desk_check_holds_no_wide_copy_of_the_witnesses(desk, traced_peak):
+    """check_recurrence on the desk's 2.6M L cells under one fixed draw. The
+    first witnesses are int16, 2 bytes a cell; counting them word by word
+    and finding the listed cells chunk by chunk keeps the peak below 6 bytes
+    a cell (4.1 measured). An int64 bincount and an index of every
+    recurring cell took it to 12.1."""
+    cfg = desk.cfg
+    omega = draw_assignment(np.random.default_rng(1), desk.ifs, cfg.epsilon)
+    perturbed = build_perturbed_ifs(desk.ifs, omega, cfg.c1, cfg.rho)
+    member = l_membership(desk.cand)
+    rep, peak = traced_peak(lambda: check_recurrence(perturbed, desk.cand, member))
+    assert rep.total == desk.cand.L.before[-1] and 0 < rep.recurred < rep.total
+    assert peak <= 6 * rep.total
 
 
 def test_check_recurrence_matches_brute_first_witness(rng):

@@ -4,7 +4,6 @@ walkers' words, and bit-identical points and ratios, at the default batch
 size and at batch sizes small enough to split every level."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,27 +143,17 @@ def test_budget_at_count_minus_one_reports_the_count(name, rho, batch, monkeypat
         assert ei.value.partial == count
 
 
-def _traced_peak(fn):
-    """fn's result and the peak bytes numpy and Python allocated during it."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_attractor_points_hold_no_cover_sized_scratch():
+def test_attractor_points_hold_no_cover_sized_scratch(traced_peak):
     """Beside the points, stopping_cylinders returns the ratios (half the
     points' bytes); the walk itself may add at most another half."""
     ifs = get_builtin("four_corner")
     attractor_points(ifs, 2.0**-5)  # imports and caches stay outside the trace
-    pts, peak = _traced_peak(lambda: attractor_points(ifs, 2.0**-9))
+    pts, peak = traced_peak(lambda: attractor_points(ifs, 2.0**-9))
     assert len(pts) == 4**9
     assert peak <= 2.0 * pts.nbytes
 
 
-def test_budget_overrun_raises_before_composing_maps():
+def test_budget_overrun_raises_before_composing_maps(traced_peak):
     ifs = get_builtin("four_corner")
 
     def overrun():
@@ -172,7 +161,7 @@ def test_budget_overrun_raises_before_composing_maps():
             stopping_cover(ifs, 1e-12, budget=6_000_000)
         return ei.value.partial
 
-    partial, peak = _traced_peak(overrun)
+    partial, peak = traced_peak(overrun)
     assert 6_000_000 < partial <= 4**40
     assert peak < 32 * 2**20
 
