@@ -118,7 +118,8 @@ def draw_assignment(rng: np.random.Generator, ifs: IfsSpec, epsilon: float) -> O
 
 
 _PROBE_SIZE = 2048  # probe points checked before a full evaluation
-_IID_BLOCK = 16  # iid draws whose probes one coverage call evaluates
+_PROBE_STAGE = 256  # probe points in the first stage of `probe`; each later stage doubles
+_IID_BLOCK = 16  # iid draws evaluated in one call
 _STALL_LIMIT = 40  # per_symbol: rejections in a row before a fresh draw
 
 
@@ -140,7 +141,16 @@ class CoverageTester:
     in the unperturbed system, then the others, each part in word order.
     Small perturbations mostly keep those hits, so `probe` tries fewer words
     per point; a witness index found in this order is the first hit in it,
-    not the first in word order, and only the covered flags leave `probe`.
+    not the first in word order, and only counts leave `probe`.
+
+    `probe_stages` cuts the probe points, ranked by how many unperturbed
+    words send them home (fewest first), into stages of _PROBE_STAGE points,
+    then twice as many at each further stage, each stage's positions in
+    `probe_idx` sorted. Draws miss the points with few home words most often
+    (on the desk, draws miss the points that no unperturbed word sends home
+    77% of the time on average, and each group of points with two or more
+    home words at most 3.4% of the time), so `probe` learns from the first
+    stages which draws cannot beat a count.
     """
 
     def __init__(self, ifs: IfsSpec, cand: RecurrentCandidate, c1: float):
@@ -155,6 +165,12 @@ class CoverageTester:
         lines = cand.L1.lines(cand.geom, self.probe_idx)
         home = first_witness(words, *lines, self.member0) >= 0
         self.probe_order = np.argsort(~home, axis=0, kind="stable")
+        rank = np.argsort(home.sum(axis=0), kind="stable")
+        self.probe_stages = []
+        lo, size = 0, _PROBE_STAGE
+        while lo < len(rank):
+            self.probe_stages.append(np.sort(rank[lo : lo + size]))
+            lo, size = lo + size, 2 * size
 
     def coverage(
         self,
@@ -180,12 +196,31 @@ class CoverageTester:
             witness = first_witness(words, *lines, self.member0, order).ravel()
         return witness >= 0, witness
 
-    def probe(self, assignments: Sequence[OmegaAssignment]) -> np.ndarray:
-        """covered flags of each assignment on the probe points, as an
-        (assignments, probe points) array, with the words tried in
-        `probe_order`: the flags of `coverage` on `probe_idx`."""
-        covered, _ = self.coverage(assignments, self.probe_idx, self.probe_order)
-        return covered.reshape(len(assignments), -1)
+    def probe(self, assignments: Sequence[OmegaAssignment], beat: int) -> np.ndarray:
+        """Each assignment's number of covered probe points where that
+        exceeds beat, else -1: an exact search for the assignments that
+        cover more than beat probe points (beat -1 counts every assignment).
+
+        The stages of `probe_stages` run in turn, each one call of `coverage`
+        on its points, with the words in `probe_order`, for the assignments
+        still in play. After each stage an assignment drops out once its
+        misses so far leave it at most beat points. A count other than -1 is
+        therefore the number of covered flags `coverage` gives on
+        `probe_idx`, and -1 means at most beat of them.
+        """
+        n = len(self.probe_idx)
+        live = np.arange(len(assignments))
+        misses = np.zeros(len(assignments), dtype=np.intp)
+        for stage in self.probe_stages:
+            if not len(live):
+                break
+            subset = [assignments[b] for b in live]
+            covered = self.coverage(subset, self.probe_idx[stage], self.probe_order[:, stage])[0]
+            misses[live] += len(stage) - np.count_nonzero(covered.reshape(len(live), -1), axis=1)
+            live = live[n - misses[live] > beat]
+        counts = np.full(len(assignments), -1)
+        counts[live] = n - misses[live]
+        return counts
 
 
 @dataclass
@@ -262,6 +297,11 @@ def search_omega0(
     is rejected exactly when it misses a probe point (probe misses are sound
     rejections); full-net evaluation only runs on probe-clean attempts,
     acceptance requires full coverage, and the lowest accepted index wins.
+    The best attempt is the first with the most covered probe points. Each
+    block is probed with beat = the best count before it (at most the probe
+    size less one), so `probe` drops the attempts that could neither beat
+    the best nor be probe-clean, and the outcome is that of counting every
+    attempt's probe points.
 
     mode "per_symbol": sequential hill climb resampling one symbol's
     perturbation at a time, keeping changes that strictly shrink the
@@ -291,22 +331,24 @@ def search_omega0(
         )
 
     if mode == "iid":
-        best_frac, best_assignment = -1.0, None
+        n_probe = len(tester.probe_idx)
+        best_count, best_assignment = -1, None
         for first in range(0, budget, _IID_BLOCK):
             ks = range(first, min(first + _IID_BLOCK, budget))
             block = [draw_assignment(np.random.default_rng([seed, k]), ifs, epsilon) for k in ks]
-            for k, assignment, cov in zip(ks, block, tester.probe(block)):
-                frac = float(np.count_nonzero(cov) / len(cov))
-                if frac > best_frac:
-                    best_frac, best_assignment = frac, assignment
-                if not cov.all():
+            # a dropped draw (-1) can neither beat the best nor cover every probe point
+            counts = tester.probe(block, min(best_count, n_probe - 1))
+            for k, assignment, count in zip(ks, block, counts):
+                if count > best_count:
+                    best_count, best_assignment = count, assignment
+                if count < n_probe:
                     continue
-                covered, _ = tester.coverage([assignment])
+                covered = tester.coverage([assignment])[0]
                 if covered.all():
                     return finish(assignment, k + 1, k, assignment, covered)
         if best_assignment is None:
             return finish(None, budget, None, None, None)
-        covered, _ = tester.coverage([best_assignment])
+        covered = tester.coverage([best_assignment])[0]
         return finish(None, budget, None, best_assignment, covered)
 
     if mode == "per_symbol":
@@ -316,7 +358,7 @@ def search_omega0(
 
         current = draw_assignment(rng, ifs, epsilon)
         attempts += 1
-        covered, _ = tester.coverage([current])
+        covered = tester.coverage([current])[0]
         uncovered = int(np.count_nonzero(~covered))
         best_unc, best_assignment, best_covered = uncovered, current, covered
         stall = 0
@@ -326,13 +368,13 @@ def search_omega0(
                 {**current.omegas, sym: draw_assignment(rng, ifs, epsilon).omegas[sym]}
             )
             attempts += 1
-            unc_idx = np.flatnonzero(~covered)
-            probe_unc = unc_idx[:: max(1, len(unc_idx) // _PROBE_SIZE)]
-            probe_cov, _ = tester.coverage([candidate], probe_unc)
+            # a copy: the strided view would hold every uncovered index
+            probe_unc = np.flatnonzero(~covered)[:: max(1, uncovered // _PROBE_SIZE)].copy()
+            probe_cov = tester.coverage([candidate], probe_unc)[0]
             if not probe_cov.any():
                 stall += 1
             else:
-                cand_covered, _ = tester.coverage([candidate])
+                cand_covered = tester.coverage([candidate])[0]
                 cand_unc = int(np.count_nonzero(~cand_covered))
                 if cand_unc < uncovered:
                     current, covered, uncovered = candidate, cand_covered, cand_unc
@@ -341,10 +383,11 @@ def search_omega0(
                         best_unc, best_assignment, best_covered = uncovered, current, covered
                 else:
                     stall += 1
+                del cand_covered  # rejected flags must not outlive the next coverage
             if stall >= _STALL_LIMIT and attempts < budget:
                 current = draw_assignment(rng, ifs, epsilon)
                 attempts += 1
-                covered, _ = tester.coverage([current])
+                covered = tester.coverage([current])[0]
                 uncovered = int(np.count_nonzero(~covered))
                 if uncovered < best_unc:
                     best_unc, best_assignment, best_covered = uncovered, current, covered

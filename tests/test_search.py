@@ -157,19 +157,42 @@ def _iid_one_by_one(ifs, cand, budget, seed, c1, epsilon) -> SearchOutcome:
     return SearchOutcome(None, budget, None, best, coverage, 1.0 - coverage, "iid")
 
 
-def test_iid_blocks_match_one_attempt_at_a_time(recurrent_instance):
-    """Drawing and probing iid attempts in blocks changes no outcome. Cases
-    (budget, c1, epsilon, accepted attempt): an acceptance at attempt 23,
+def test_iid_blocks_match_one_attempt_at_a_time(recurrent_instance, monkeypatch):
+    """Drawing and probing iid attempts in blocks, and dropping the draws
+    that cannot beat the best, change no outcome. Cases (budget, c1,
+    epsilon, accepted attempt) on four_corner: an acceptance at attempt 23,
     the eighth of its block; one at attempt 11 although attempt 13 of the
     same block passes too; and two failing searches whose budgets end inside
     a block, in the second of which attempts 11 and 13 tie at a clean probe
-    and the first stays best."""
-    ifs, cand = recurrent_instance
-    cases = ((40, 0.3, 0.3, 23), (40, 0.3, 0.1, 11), (21, 0.3, 0.3, None), (21, 0.5, 0.2, None))
-    for budget, c1, epsilon, accepted in cases:
+    and the first stays best. First the gasket on the same candidate, which
+    no draw covers, over a budget ending inside its fourth block: `probe`
+    drops most of its draws after the first block."""
+    four_corner, cand = recurrent_instance
+    dropped = []
+    probe = CoverageTester.probe
+
+    def counting(self, assignments, beat):
+        counts = probe(self, assignments, beat)
+        dropped.append(int(np.count_nonzero(counts == -1)))
+        return counts
+
+    monkeypatch.setattr(CoverageTester, "probe", counting)
+    cases = (
+        (get_builtin("sierpinski"), 3 * _IID_BLOCK + 5, 0.5, 0.3, None),
+        (four_corner, 40, 0.3, 0.3, 23),
+        (four_corner, 40, 0.3, 0.1, 11),
+        (four_corner, 21, 0.3, 0.3, None),
+        (four_corner, 21, 0.5, 0.2, None),
+    )
+    drops = []
+    for ifs, budget, c1, epsilon, accepted in cases:
+        dropped.clear()
         out = search_omega0(ifs, cand, budget=budget, seed=0, mode="iid", c1=c1, epsilon=epsilon)
+        drops.append(sum(dropped))
+        assert dropped[0] == 0
         assert out.accepted_attempt == accepted
         assert out.to_json_dict() == _iid_one_by_one(ifs, cand, budget, 0, c1, epsilon).to_json_dict()
+    assert drops[0] > cases[0][1] // 2 and drops[1:] == [15, 0, 5, 5]
     assert 0 < 23 % _IID_BLOCK < _IID_BLOCK - 1 and budget % _IID_BLOCK
     assert out.best_assignment == draw_assignment(np.random.default_rng([0, 11]), ifs, epsilon)
     assert 0.0 < out.coverage < 1.0
@@ -249,16 +272,23 @@ def test_coverage_witnesses_reverify(recurrent_instance, rng):
         assert member0.contains(th, tt)[0]
 
 
+def _coarse_candidate(system):
+    """A system and the lines-meeting-I candidate on a coarse grid."""
+    ifs = _turned_system(("a", "b")) if system == "turned" else get_builtin(system)
+    geom = GridGeometry(181, t_max=1.2)
+    return ifs, flat_candidate(geom, 0.05, lines_meeting_unit_square(geom))
+
+
 @pytest.mark.parametrize("system", ["four_corner", "sierpinski", "turned"])
 def test_ordered_probe_changes_no_flag(system):
     """Probing in the unperturbed system's word order gives the canonical
-    order's covered flags, and each witness it returns re-verifies: 40 draws
-    in blocks of _IID_BLOCK, the last one partial, on four_corner (4 of its
-    16 words unperturbed), the gasket and the turned system (rotated and
+    order's covered flags, each witness it returns re-verifies, and `probe`
+    with beat -1 counts the canonical flags of every draw: 40 draws in
+    blocks of _IID_BLOCK, the last one partial, on four_corner (4 of its 16
+    words unperturbed), the gasket and the turned system (rotated and
     reflected maps)."""
-    ifs = _turned_system(("a", "b")) if system == "turned" else get_builtin(system)
-    geom = GridGeometry(181, t_max=1.2)
-    cand = flat_candidate(geom, 0.05, lines_meeting_unit_square(geom))
+    ifs, cand = _coarse_candidate(system)
+    geom = cand.geom
     tester = CoverageTester(ifs, cand, c1=0.5)
     order = tester.probe_order
     assert (order != np.arange(len(order))[:, None]).any()
@@ -270,11 +300,11 @@ def test_ordered_probe_changes_no_flag(system):
     reordered = False
     for first in range(0, len(draws), _IID_BLOCK):
         block = draws[first : first + _IID_BLOCK]
-        flags = tester.probe(block)
+        counts = tester.probe(block, -1)
         covered, witness = tester.coverage(block, tester.probe_idx, order)
         canonical, canonical_witness = tester.coverage(block, tester.probe_idx)
-        assert flags.shape == (len(block), n)
-        assert np.array_equal(flags.ravel(), canonical) and np.array_equal(covered, canonical)
+        assert np.array_equal(counts, canonical.reshape(len(block), n).sum(axis=1))
+        assert np.array_equal(covered, canonical)
         assert np.array_equal(witness >= 0, covered)
         reordered |= not np.array_equal(witness, canonical_witness)
         # renormalize each covered point by its witness word
@@ -285,6 +315,55 @@ def test_ordered_probe_changes_no_flag(system):
         assert tester.member0.contains(*renormalize_arrays(g, thetas[i], ts[i])).all()
     assert len(block) < _IID_BLOCK and reordered
     assert covered.any() and not covered.all()
+
+
+@pytest.mark.parametrize("system", ["four_corner", "sierpinski", "turned"])
+def test_probe_drops_only_draws_that_cannot_beat(system, monkeypatch):
+    """`probe(block, beat)` is an exact search: each draw gets its count of
+    covered probe points where that exceeds beat and -1 where it does not,
+    for beat -1, 0, the median count, n - 1 and n (n probe points); the 40
+    draws of `test_ordered_probe_changes_no_flag`. From the median up some
+    draws are dropped before the last stage, so fewer (draw, point) pairs
+    are evaluated than the probe has."""
+    ifs, cand = _coarse_candidate(system)
+    tester = CoverageTester(ifs, cand, c1=0.5)
+    n = len(tester.probe_idx)
+    assert len(tester.probe_stages) > 2
+    assert np.array_equal(np.sort(np.concatenate(tester.probe_stages)), np.arange(n))
+    rng = np.random.default_rng(5)
+    draws = [draw_assignment(rng, ifs, 0.3) for _ in range(40)]
+    blocks = [draws[first : first + _IID_BLOCK] for first in range(0, len(draws), _IID_BLOCK)]
+    exact = [tester.coverage(b, tester.probe_idx)[0].reshape(len(b), n).sum(axis=1) for b in blocks]
+    pairs = []
+    coverage = tester.coverage
+
+    def counting(assignments, indices, order):
+        pairs.append(len(assignments) * len(indices))
+        return coverage(assignments, indices, order)
+
+    monkeypatch.setattr(tester, "coverage", counting)
+    median = int(np.median(np.concatenate(exact)))
+    for beat in (-1, 0, median, n - 1, n):
+        pairs.clear()
+        for block, count in zip(blocks, exact):
+            assert np.array_equal(tester.probe(block, beat), np.where(count > beat, count, -1))
+        assert (sum(pairs) < len(draws) * n) == (beat >= median)
+
+
+def test_desk_per_symbol_search_holds_no_stale_flags(desk, traced_peak):
+    """The desk per_symbol search (budget 5, seed 1) holds only the current
+    and best covered flags between full coverages: no witness array, no
+    rejected candidate's flags and no list of uncovered indices. Its peak
+    stays under 5.5 bytes per probe-net cell, one full coverage's own
+    scratch (int16 witnesses and their flags) included."""
+    out, peak = traced_peak(
+        lambda: search_omega0(
+            desk.ifs, desk.cand, budget=5, seed=1, mode="per_symbol",
+            c1=desk.cfg.c1, epsilon=desk.cfg.epsilon,
+        )
+    )
+    assert out.attempts == 5 and 0.0 < out.coverage < 1.0
+    assert peak < 5.5 * desk.cand.delta_count
 
 
 def _held_bytes(obj) -> int:
