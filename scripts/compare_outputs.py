@@ -30,13 +30,14 @@ PYTHONPATH and the configs of this checkout. The commands:
   negated.
 - `render` on configs/sierpinski.json: `attractor.pgm`, the stopping-word
   centers of `measure.stopping_cylinders` drawn as a raster.
-- `build-l`, `search` (iid, seed 1, budget 200) and `verify` (seed 1, with
-  the four_corner omega above, drawn for part_one (a, b)) at rho 2^-5 on a
-  turned and reflected four-corner set of ratio 1/3, the only commands
-  whose system has a rotated or reflected map: a turns by a quarter turn
-  and moves by (1/3, 0), b moves by (2/3, 0), c by (0, 2/3), and d reflects
-  and moves by (2/3, 1). The other constants are those of
-  configs/four_corner.json.
+- `build-l`, `search` (iid, seed 1, budget 200), `verify` (seed 1, with
+  the four_corner omega above, drawn for part_one (a, b)) and `certify` (at
+  theta 4.0, past pi, so its recurrence row is read a half-turn away with
+  t negated, with the same omega) at rho 2^-5 on a turned and reflected
+  four-corner set of ratio 1/3, the only commands whose system has a
+  rotated or reflected map: a turns by a quarter turn and moves by
+  (1/3, 0), b moves by (2/3, 0), c by (0, 2/3), and d reflects and moves
+  by (2/3, 1). The other constants are those of configs/four_corner.json.
 
 Outputs are compared as follows: `.npz` files by their unpacked arrays,
 `.json` files by value with `candidate_file` and `omega_file` removed (they
@@ -93,6 +94,7 @@ COMMANDS = {
     "build-l-turned": ["build-l", *TURNED_RUN],
     "search-iid-turned": ["search", *TURNED_RUN, "--seed", "1", "--mode", "iid", "--budget", "200"],
     "verify-turned": ["verify", *TURNED_RUN, "--seed", "1", "--omega", OMEGA],
+    "certify-turned": ["certify", *TURNED_RUN, "--theta", "4.0", "--omega", OMEGA],
 }
 PATH_KEYS = ("candidate_file", "omega_file")
 

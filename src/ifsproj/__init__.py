@@ -19,7 +19,6 @@ from .ifs import (
     ifs_from_json_dict,
     make_ifs,
     similarity_dimension,
-    stopping_cover,
 )
 from .lines import (
     Line,

@@ -25,6 +25,8 @@ from .recurrence import (
     attractor_points,
     certify_projection_interval,
     check_recurrence,
+    first_witness_rows,
+    two_letter_words,
 )
 from .search import (
     OmegaAssignment,
@@ -105,32 +107,26 @@ def _assess(
     assignment: OmegaAssignment,
 ) -> dict:
     """The recurrence check, the closeness report and the certified intervals
-    of one assignment: the part that search and verify reports share."""
+    of one assignment: the part that search and verify reports share. The
+    certificates read their recurrence rows from the check's witnesses, of
+    which only the sampled rows' are kept past the check, and their samples
+    from one `attractor_points` call."""
     perturbed = build_perturbed_ifs(ifs, assignment, cfg.c1, cfg.rho)
     thetas = _sample_e_rows(E, cand, cfg.n_theta_sample, cfg.seed)
-    member = GridMembership(cand.geom, cand.L, cand.check_slack)
+    check = check_recurrence(perturbed, cand)
+    runs, cells = cand.L.only([cand.geom.nearest_row(th)[1] for th in thetas])
+    recurrence = (runs, check.cell_witness[cells])
+    check.cell_witness = None  # not held through the samples' enumeration
+    samples = attractor_points(perturbed, cfg.cert_resolution / 2.0, budget=cfg.word_budget)
+    certs = [
+        certify_projection_interval(samples, float(th), cfg.cert_resolution, cand.geom, recurrence)
+        for th in thetas
+    ]
     return {
-        "check": check_recurrence(perturbed, cand, member).to_json_dict(),
+        "check": check.to_json_dict(),
         "closeness": closeness_report(ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0),
-        "certified_intervals": _certified_intervals(perturbed, thetas, cfg, cand, member),
+        "certified_intervals": [cert.to_json_dict() for cert in certs],
     }
-
-
-def _certified_intervals(ifs_eval, thetas, cfg, cand, membership) -> list[dict]:
-    pts = attractor_points(ifs_eval, cfg.cert_resolution / 2.0, budget=cfg.word_budget)
-    out = []
-    for theta in thetas:
-        cert = certify_projection_interval(
-            ifs_eval,
-            float(theta),
-            cfg.cert_resolution,
-            budget=cfg.word_budget,
-            candidate=cand,
-            membership=membership,
-            points=pts,
-        )
-        out.append(cert.to_json_dict())
-    return out
 
 
 def cmd_dimension(cfg: RunConfig, args) -> int:
@@ -300,12 +296,17 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     ifs_eval = res.ifs
     if assignment is not None:
         ifs_eval = build_perturbed_ifs(res.ifs, assignment, cfg.c1, cfg.rho)
+    # the row route on the certified row alone, into L at the check slack
+    row, _ = cand.L.only(cand.geom.nearest_row(args.theta)[1])
+    words = two_letter_words(ifs_eval.letter_maps())
+    witness = first_witness_rows(words, row, GridMembership(cand.geom, cand.L, cand.check_slack))
+    # the samples are made in the call, so only their sorted positions outlive it
     cert = certify_projection_interval(
-        ifs_eval,
+        attractor_points(ifs_eval, cfg.cert_resolution / 2.0, budget=cfg.word_budget),
         args.theta,
         cfg.cert_resolution,
-        budget=cfg.word_budget,
-        candidate=cand,
+        cand.geom,
+        (row, witness),
         keep_positions=True,
     )
     gaps_path = os.path.join(out, "certify_gaps.csv")

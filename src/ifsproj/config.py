@@ -147,7 +147,7 @@ class RunConfig:
     def resolve(self, ifs: IfsSpec | None = None) -> "ResolvedConstants":
         """Fill in measured/derived constants for a concrete system."""
         ifs = self.load_ifs_spec() if ifs is None else ifs
-        c9 = measured_c9(ifs, self.rho) if self.c9 is None else self.c9
+        c9 = measured_c9(ifs, self.rho, self.word_budget) if self.c9 is None else self.c9
         c10 = c9**-2 / 16.0 if self.c10 is None else self.c10
         c7 = self.c6 * c10 * self.epsilon / (4.0 * c9) if self.c7 is None else self.c7
         d = ifs.dimension

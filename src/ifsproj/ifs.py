@@ -462,8 +462,12 @@ def _expand(
 def stopping_batches(
     ifs: IfsSpec, rho: float, budget: int | None = None
 ) -> tuple[int, Iterator[MapArrays]]:
-    """The number of stopping words at scale rho (see `stopping_cover`) and
-    their maps in consecutive batches, in the words' lexicographic order.
+    """The number of stopping words at scale rho, the minimal words w with
+    ratio(w) <= rho < ratio(parent of w), and their maps f_w in consecutive
+    batches, in the words' lexicographic order (alphabet order as given).
+    Ratios are products of the letters' ratios taken left to right. The
+    words themselves are not kept; `measure.stopping_cylinders` gathers
+    the maps' images and ratios.
 
     The count comes first, from a walk over the ratios alone, so a budget
     overrun raises BudgetExceeded before any map is composed. The maps come
@@ -500,35 +504,6 @@ def stopping_batches(
             stack.append(_expand(maps.take(slice(first, stop)), active[first:stop], letters, rho))
 
     return count, walk()
-
-
-def stopping_cover(ifs: IfsSpec, rho: float, budget: int | None = None) -> MapArrays:
-    """The maps f_w of the minimal words w with ratio(w) <= rho <
-    ratio(parent of w).
-
-    These words are a prefix-free cover of the symbol space; their maps come
-    in the words' lexicographic order (alphabet order as given), gathered
-    from `stopping_batches` into arrays allocated once. Ratios are products
-    of the letters' ratios taken left to right. With equal ratios r the
-    words are all words of the first length n with r^n <= rho. The words
-    themselves are not kept: the pipeline reads only their maps.
-    BudgetExceeded is raised, before any map is composed, exactly when the
-    cover has more than budget words.
-    """
-    count, batches = stopping_batches(ifs, rho, budget)
-    out = MapArrays(
-        np.empty(count),
-        np.empty(count),
-        np.empty(count, dtype=bool),
-        (np.empty(count), np.empty(count)),
-    )
-    lo = 0
-    for maps in batches:
-        hi = lo + len(maps.ratio)
-        for dst, src in zip(out.fields(), maps.fields()):
-            dst[lo:hi] = src
-        lo = hi
-    return out
 
 
 def epsilon_distance(base: IfsSpec, other: IfsSpec) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import IfsSpec, stopping_batches, stopping_cover
+from .ifs import IfsSpec, stopping_batches
 
 
 def stopping_cylinders(
@@ -23,10 +23,11 @@ def stopping_cylinders(
     point: tuple[float, float] = (0.5, 0.5),
 ) -> tuple[np.ndarray, np.ndarray]:
     """The points f_w(point) and ratios of the stopping words w at scale
-    rho, in the words' lexicographic (alphabet-rank) order: one row or
-    element per map of ifs.stopping_cover. Both arrays are allocated once,
-    from the count, and filled batch by batch from ifs.stopping_batches, so
-    the cover's maps are never held whole.
+    rho (see `ifs.stopping_batches`), in the words' lexicographic
+    (alphabet-rank) order. This is the one gatherer of the stopping words:
+    both arrays are allocated once, from the count, and filled batch by
+    batch, so the words' maps are never held whole. Ratios are the
+    products of the letters' ratios taken left to right.
 
     The default point is the square center; passing an attractor point makes
     every f_w(point) an attractor point too.
@@ -40,12 +41,6 @@ def stopping_cylinders(
         ratios[lo:hi] = maps.ratio
         lo = hi
     return points, ratios
-
-
-def _deposits(ifs: IfsSpec, rho: float, budget: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The stopping words' centers and masses ratio^d."""
-    centers, ratios = stopping_cylinders(ifs, rho, budget=budget)
-    return centers, ratios**ifs.dimension
 
 
 @dataclass(frozen=True)
@@ -63,24 +58,19 @@ class ProjectedHistogram:
 
 
 def projected_histogram(
-    ifs: IfsSpec,
-    theta: float,
-    rho: float,
-    delta: float,
-    cylinders=None,
-    budget: int | None = None,
+    cylinders: tuple[np.ndarray, np.ndarray], theta: float, delta: float
 ) -> ProjectedHistogram:
     """Deposit cylinder masses at projected centers into width-delta bins.
-    cylinders, when given, is the stopping words' centers and masses
-    ratio^d at scale rho, computed by the caller, for callers that project
-    the same cover at many angles.
+    cylinders is the stopping words' centers and masses ratio^d at scale
+    rho (`stopping_cylinders`), computed once by the caller for all its
+    angles.
 
     Center deposits are off by at most the cylinder diameter (~rho), which is
     why delta should stay at the rho^(1/2) scale.
     """
     if not (delta > 0.0):
         raise ValueError(f"delta must be positive, got {delta}")
-    centers, masses = _deposits(ifs, rho, budget) if cylinders is None else cylinders
+    centers, masses = cylinders
     pos = centers @ np.array([-math.sin(theta), math.cos(theta)])
     idx = np.floor(pos / delta).astype(np.int64)
     lo = int(idx.min())
@@ -138,14 +128,10 @@ def build_E(
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    cylinders = _deposits(ifs, rho, budget)
+    centers, ratios = stopping_cylinders(ifs, rho, budget=budget)
+    cylinders = (centers, ratios**ifs.dimension)
     thetas = np.arange(grid_size) * (math.pi / grid_size)
-    l2 = np.array(
-        [
-            l2_norm_estimate(projected_histogram(ifs, theta, rho, delta, cylinders=cylinders))
-            for theta in thetas
-        ]
-    )
+    l2 = np.array([l2_norm_estimate(projected_histogram(cylinders, th, delta)) for th in thetas])
     if c5 is None:
         c5 = select_c5(l2, epsilon)
     member = l2 < c5
@@ -158,9 +144,10 @@ def build_E(
     )
 
 
-def measured_c9(ifs: IfsSpec, rho: float) -> float:
+def measured_c9(ifs: IfsSpec, rho: float, budget: int | None = None) -> float:
     """Smallest constant making the cylinder-measure and projected-length
-    sandwiches hold for every stopping word at scale rho^(1/2).
+    sandwiches hold for every stopping word at scale rho^(1/2); a cover of
+    more than budget words raises BudgetExceeded.
 
     Projected lengths of a square of side r lie in [r, sqrt(2) r] over all
     angles, so the angle sup is exact without scanning theta.
@@ -169,7 +156,7 @@ def measured_c9(ifs: IfsSpec, rho: float) -> float:
     half = math.sqrt(rho)
     c9 = 1.0
     # the max over words only depends on the distinct word ratios
-    for r in np.unique(stopping_cover(ifs, half).ratio).tolist():
+    for r in np.unique(stopping_cylinders(ifs, half, budget=budget)[1]).tolist():
         mu = r**d
         c9 = max(c9, mu / rho ** (0.5 * d), rho ** (0.5 * d) / mu)
         c9 = max(c9, math.sqrt(2.0) * r / half, half / r)

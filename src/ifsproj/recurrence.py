@@ -15,6 +15,11 @@ cells of L1 (its pitch is capped below by the grid pitch). Membership queries
 for off-grid points use a sup-metric slack window: a point is "in" a gridded
 set when some true cell center lies within the slack of it, boundary
 included.
+
+Recurrence has one rule, the first word that sends a line into a membership,
+and two routes with equal witnesses: `first_witness_rows` for grid cells (the
+check, full coverage and every certificate's recurrence row) and
+`first_witness` for scattered lines (probes and the row route's boundary).
 """
 
 from __future__ import annotations
@@ -52,6 +57,13 @@ class GridGeometry:
     def n_t(self) -> int:
         return 2 * self.m + 1
 
+    def nearest_row(self, theta: float) -> tuple[int, int]:
+        """(half-turns, row) of the grid angle nearest theta: theta is about
+        row * pitch + half-turns * pi, so an odd count of half-turns names
+        the row's lines with t negated."""
+        turns, row = divmod(int(round(theta / self.pitch)), self.n_theta)
+        return turns, row
+
 
 class RowRuns(NamedTuple):
     """The maximal runs of true cells of a boolean grid, row by row: row r
@@ -70,6 +82,17 @@ class RowRuns(NamedTuple):
         ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
         return cls(ptr, start, stop)
+
+    def only(self, rows) -> tuple["RowRuns", np.ndarray]:
+        """The runs of the given rows (ascending) alone, every other row
+        empty, and where those rows' cells stand in the row-major numbering
+        of all of these runs' cells."""
+        rows = np.atleast_1d(rows)
+        count = np.diff(self.ptr)[rows]
+        k = _expand(self.ptr[rows], count)
+        n = len(self.ptr) - 1
+        runs = RowRuns.from_rows(n, np.repeat(rows, count), self.start[k], self.stop[k])
+        return runs, _expand(self.before[self.ptr[rows]], self.row_cells[rows])
 
     @property
     def rows(self) -> np.ndarray:
@@ -627,12 +650,17 @@ def first_witness_rows(words: MapArrays, source: RowRuns, member: GridMembership
 
 @dataclass
 class RecurrenceReport:
+    """The recurrence check's findings. `cell_witness` holds the first
+    witness of every L cell (int16, -1 where none, in row-major order) for
+    the certificates' recurrence rows; it stays out of the JSON."""
+
     total: int
     recurred: int
     slack: float
     witness_counts: dict[str, int]
     failures: list[dict] = field(default_factory=list)
     witnesses: list[dict] = field(default_factory=list)
+    cell_witness: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def fraction(self) -> float:
@@ -665,22 +693,20 @@ def _first_true(mask: np.ndarray, k: int) -> np.ndarray:
     return np.array(found[:k], dtype=np.int64)
 
 
-def check_recurrence(
-    perturbed: IfsSpec, cand: RecurrentCandidate, member: GridMembership
-) -> RecurrenceReport:
+def check_recurrence(perturbed: IfsSpec, cand: RecurrentCandidate) -> RecurrenceReport:
     """Does every L cell map back into L (within the check rule's slack,
     `RecurrentCandidate.check_slack`) under some two-letter word of the
-    perturbed system? Failures are data, not errors. member is the L
-    membership at the check slack, `GridMembership(cand.geom, cand.L,
-    cand.check_slack)`, so one assessment builds it once.
+    perturbed system? The row route (`first_witness_rows`) answers for
+    every cell at once, against the L membership at that slack. Failures
+    are data, not errors.
 
     `witness_counts` counts, per word, the cells whose first witness it is;
-    the counts sum to `recurred`.
+    the counts sum to `recurred`. The witnesses themselves stay on the
+    report as `cell_witness`.
     """
-    if member.geom != cand.geom or member.slack != cand.check_slack:
-        raise ValueError("member is not the candidate's L membership at the check slack")
     names = ["".join(w) for w in product(perturbed.alphabet, repeat=2)]
     words = two_letter_words(perturbed.letter_maps())
+    member = GridMembership(cand.geom, cand.L, cand.check_slack)
     witness = first_witness_rows(words, cand.L, member)
     recurred = witness >= 0
     # per word, not np.bincount, which would copy the witnesses as int64
@@ -707,6 +733,7 @@ def check_recurrence(
         witness_counts={w: int(c) for w, c in zip(names, counts)},
         failures=failures,
         witnesses=witnesses,
+        cell_witness=witness,
     )
 
 
@@ -798,34 +825,33 @@ def _longest_run(mask: np.ndarray, coords: np.ndarray) -> tuple[int, int]:
 
 
 def certify_projection_interval(
-    ifs: IfsSpec,
+    samples: np.ndarray,
     theta: float,
     resolution: float,
-    budget: int | None = None,
-    candidate: RecurrentCandidate | None = None,
-    membership: GridMembership | None = None,
+    geom: GridGeometry | None = None,
+    recurrence: tuple[RowRuns, np.ndarray] | None = None,
     keep_positions: bool = False,
-    points: np.ndarray | None = None,
 ) -> IntervalCertificate:
-    """Gap certificate for the projection of the attractor onto theta.
+    """Gap certificate for the projection of an attractor onto theta.
 
-    Samples are exact attractor points (images of a fixed point under all
-    stopping words at scale resolution/2), so sample positions lie in the
-    projection. Certified means: some window of consecutive samples has all
-    gaps <= resolution and spans at least _MIN_LENGTH_FACTOR * resolution.
-    A dust-like projection fails because every candidate window stays short.
+    samples are exact attractor points (`attractor_points` at scale
+    resolution/2, computed once by the caller for all its angles), so sample
+    positions lie in the projection. Certified means: some window of
+    consecutive samples has all gaps <= resolution and spans at least
+    _MIN_LENGTH_FACTOR * resolution. A dust-like projection fails because
+    every candidate window stays short.
 
-    When a candidate is supplied, the longest run of L-cells in the row
-    nearest theta, all of which recur into L under ifs, is reported as a
-    second, independent certificate, in the offsets of theta itself: a row
-    reached an odd number of half-turns away names the line with t negated.
-    Pass the prebuilt L membership (with the check slack) when certifying
-    several angles against one candidate.
+    recurrence, given with the grid geom, is a second, independent
+    certificate: L's row runs (all of L, or only the row nearest theta,
+    `RowRuns.only`) and the first witnesses of their cells into L from the
+    row route (`first_witness_rows`; `check_recurrence` keeps those of all
+    of L). The longest run of L cells in the row nearest theta that all
+    recur is reported in the offsets of theta itself: a row reached an odd
+    number of half-turns away names the line with t negated.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
-    pts = attractor_points(ifs, resolution / 2.0, budget=budget) if points is None else points
-    pos = _offsets(pts, theta)
+    pos = _offsets(samples, theta)
     pos.sort()
     close, largest_gap = _gap_scan(pos, resolution)
 
@@ -835,19 +861,13 @@ def certify_projection_interval(
     interval = (float(pos[lo]), float(pos[hi])) if length >= min_len else None
 
     rec_interval, rec_len, rec_ok = None, 0.0, None
-    if candidate is not None:
-        geom = candidate.geom
-        turns, row = divmod(int(round(theta / geom.pitch)), geom.n_theta)
-        ptr, start, stop = candidate.L
-        runs = slice(ptr[row], ptr[row + 1])
-        cols = _expand(start[runs], stop[runs] - start[runs])
-        if len(cols):
-            if membership is None:
-                membership = GridMembership(geom, candidate.L, candidate.check_slack)
-            words = two_letter_words(ifs.letter_maps()).reshape(1, -1)
-            th = np.full(len(cols), row * geom.pitch)
-            tt = (cols - geom.m) * geom.pitch
-            cols = cols[first_witness(words, th, tt, membership)[0] >= 0]
+    if recurrence is not None:
+        runs, witness = recurrence
+        turns, row = geom.nearest_row(theta)
+        k = slice(runs.ptr[row], runs.ptr[row + 1])
+        cols = _expand(runs.start[k], runs.stop[k] - runs.start[k])
+        skip = runs.before[k.start]  # the cells of the rows before
+        cols = cols[witness[skip : skip + len(cols)] >= 0]
         if len(cols):  # the first longest run of consecutive recurring columns
             first, last = _longest_run(np.diff(cols) == 1, cols)
             rec_len = (last - first + 1) * geom.pitch

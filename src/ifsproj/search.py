@@ -172,23 +172,27 @@ class CoverageTester:
             self.probe_stages.append(np.sort(rank[lo : lo + size]))
             lo, size = lo + size, 2 * size
 
+    def words(self, assignments: Sequence[OmegaAssignment]) -> MapArrays:
+        """The two-letter word maps of each assignment's perturbed system,
+        as (assignments, words) arrays: what `coverage` takes."""
+        return two_letter_words(perturbed_letters(self.ifs, assignments, self.c1, self.cand.rho))
+
     def coverage(
         self,
-        assignments: Sequence[OmegaAssignment],
+        words: MapArrays,
         indices: np.ndarray | None = None,
         order: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """covered flags and witness word indices (-1 where uncovered) of each
-        assignment on the given subset of Delta (default: all of it), one
-        assignment after the other: with n points, entry b * n + i belongs to
-        assignment b and point i. order, for a subset only, is the per-point
-        word order of `first_witness`; the witnesses are then the first hits
-        in that order."""
-        words = two_letter_words(perturbed_letters(self.ifs, assignments, self.c1, self.cand.rho))
+        """covered flags and witness word indices (-1 where uncovered) under
+        each word list of words (`words`, one per assignment) on the given
+        subset of Delta (default: all of it), one list after the other: with
+        n points, entry b * n + i belongs to list b and point i. order, for
+        a subset only, is the per-point word order of `first_witness`; the
+        witnesses are then the first hits in that order."""
         if indices is None:
             rows = [
                 first_witness_rows(words.take(b), self.cand.L1, self.member0)
-                for b in range(len(assignments))
+                for b in range(len(words.ratio))
             ]
             witness = rows[0] if len(rows) == 1 else np.concatenate(rows)  # one: no copy
         else:
@@ -201,21 +205,23 @@ class CoverageTester:
         exceeds beat, else -1: an exact search for the assignments that
         cover more than beat probe points (beat -1 counts every assignment).
 
-        The stages of `probe_stages` run in turn, each one call of `coverage`
-        on its points, with the words in `probe_order`, for the assignments
-        still in play. After each stage an assignment drops out once its
+        The block's word maps are built once. The stages of `probe_stages`
+        run in turn, each one call of `coverage` on its points, with the
+        words in `probe_order`, for the rows of the assignments still in
+        play. After each stage an assignment drops out once its
         misses so far leave it at most beat points. A count other than -1 is
         therefore the number of covered flags `coverage` gives on
         `probe_idx`, and -1 means at most beat of them.
         """
         n = len(self.probe_idx)
+        words = self.words(assignments)
         live = np.arange(len(assignments))
         misses = np.zeros(len(assignments), dtype=np.intp)
         for stage in self.probe_stages:
             if not len(live):
                 break
-            subset = [assignments[b] for b in live]
-            covered = self.coverage(subset, self.probe_idx[stage], self.probe_order[:, stage])[0]
+            order = self.probe_order[:, stage]
+            covered = self.coverage(words.take(live), self.probe_idx[stage], order)[0]
             misses[live] += len(stage) - np.count_nonzero(covered.reshape(len(live), -1), axis=1)
             live = live[n - misses[live] > beat]
         counts = np.full(len(assignments), -1)
@@ -343,12 +349,12 @@ def search_omega0(
                     best_count, best_assignment = count, assignment
                 if count < n_probe:
                     continue
-                covered = tester.coverage([assignment])[0]
+                covered = tester.coverage(tester.words([assignment]))[0]
                 if covered.all():
                     return finish(assignment, k + 1, k, assignment, covered)
         if best_assignment is None:
             return finish(None, budget, None, None, None)
-        covered = tester.coverage([best_assignment])[0]
+        covered = tester.coverage(tester.words([best_assignment]))[0]
         return finish(None, budget, None, best_assignment, covered)
 
     if mode == "per_symbol":
@@ -358,7 +364,7 @@ def search_omega0(
 
         current = draw_assignment(rng, ifs, epsilon)
         attempts += 1
-        covered = tester.coverage([current])[0]
+        covered = tester.coverage(tester.words([current]))[0]
         uncovered = int(np.count_nonzero(~covered))
         best_unc, best_assignment, best_covered = uncovered, current, covered
         stall = 0
@@ -370,11 +376,11 @@ def search_omega0(
             attempts += 1
             # a copy: the strided view would hold every uncovered index
             probe_unc = np.flatnonzero(~covered)[:: max(1, uncovered // _PROBE_SIZE)].copy()
-            probe_cov = tester.coverage([candidate], probe_unc)[0]
+            probe_cov = tester.coverage(tester.words([candidate]), probe_unc)[0]
             if not probe_cov.any():
                 stall += 1
             else:
-                cand_covered = tester.coverage([candidate])[0]
+                cand_covered = tester.coverage(tester.words([candidate]))[0]
                 cand_unc = int(np.count_nonzero(~cand_covered))
                 if cand_unc < uncovered:
                     current, covered, uncovered = candidate, cand_covered, cand_unc
@@ -387,7 +393,7 @@ def search_omega0(
             if stall >= _STALL_LIMIT and attempts < budget:
                 current = draw_assignment(rng, ifs, epsilon)
                 attempts += 1
-                covered = tester.coverage([current])[0]
+                covered = tester.coverage(tester.words([current]))[0]
                 uncovered = int(np.count_nonzero(~covered))
                 if uncovered < best_unc:
                     best_unc, best_assignment, best_covered = uncovered, current, covered

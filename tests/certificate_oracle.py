@@ -1,6 +1,10 @@
 """Cylinder-counting line certificate, kept as a test oracle: criterion 3
 checks its verdicts against a point cloud of the attractor. It works one
 square at a time, with none of the package's array routes.
+
+Also the recurrence row of a projection-interval certificate as the point
+route computes it (`point_route_row`), the route the certificate took
+before it read the row route's witnesses.
 """
 
 from __future__ import annotations
@@ -12,6 +16,14 @@ import numpy as np
 from ifsproj.errors import BudgetExceeded
 from ifsproj.ifs import IfsSpec
 from ifsproj.lines import Line
+from ifsproj.recurrence import (
+    _MIN_LENGTH_FACTOR,
+    GridMembership,
+    RecurrentCandidate,
+    _longest_run,
+    first_witness,
+    two_letter_words,
+)
 from map_oracle import IDENTITY, Word, compose, square_corners
 from renormalize_oracle import project_point
 
@@ -101,3 +113,35 @@ def certify_line(
         verdict=verdict,
         survivors=[w for w, _ in front[:_MAX_SURVIVORS]],
     )
+
+
+def point_route_row(
+    ifs: IfsSpec, cand: RecurrentCandidate, theta: float, resolution: float
+) -> tuple[tuple[float, float] | None, float, bool]:
+    """(recurrence_interval, recurrence_length, recurrence_certified) of
+    the certificate at theta: the L cells of the row nearest theta go
+    through `first_witness` one by one against the L membership at the
+    check slack, and the first longest run of recurring columns is
+    reported in theta's own offsets (t negated an odd number of half-turns
+    away)."""
+    geom = cand.geom
+    turns, row = divmod(int(round(theta / geom.pitch)), geom.n_theta)
+    ptr, start, stop = cand.L
+    cols = np.array(
+        [c for k in range(ptr[row], ptr[row + 1]) for c in range(start[k], stop[k])], dtype=np.int64
+    )
+    if len(cols):
+        membership = GridMembership(geom, cand.L, cand.check_slack)
+        words = two_letter_words(ifs.letter_maps()).reshape(1, -1)
+        th = np.full(len(cols), row * geom.pitch)
+        tt = (cols - geom.m) * geom.pitch
+        cols = cols[first_witness(words, th, tt, membership)[0] >= 0]
+    interval, length = None, 0.0
+    if len(cols):
+        first, last = _longest_run(np.diff(cols) == 1, cols)
+        length = (last - first + 1) * geom.pitch
+        lo_t = (cols[first] - geom.m) * geom.pitch
+        interval = (float(lo_t), float(lo_t + length))
+        if turns % 2:
+            interval = (-interval[1], -interval[0])
+    return interval, float(length), length >= _MIN_LENGTH_FACTOR * resolution

@@ -1,8 +1,8 @@
 """Reference stopping-word enumerators: the depth-first walkers that the
-vectorized enumerator `ifsproj.ifs.stopping_cover` replaced, kept as test
+batched enumerator `ifsproj.ifs.stopping_batches` replaced, kept as test
 oracles. Both walk the prefix tree one node at a time and sort the leaves
 on tuple keys afterwards; they are also the test side's source of the
-words themselves, which `stopping_cover` does not keep. `word_ratio` is the
+words themselves, which `stopping_batches` does not keep. `word_ratio` is the
 ratio of one word, one letter at a time.
 """
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from ifsproj import (
-    GridMembership,
     Line,
     OmegaAssignment,
     RunConfig,
@@ -173,11 +172,13 @@ def _criterion5_report() -> dict:
         cylinders = (centers, ratios**ifs.dimension)
         delta = math.sqrt(rho_coarse) / 8.0
         sums[name] = [
-            float(projected_histogram(ifs, j * math.pi / 12, rho_coarse, delta, cylinders=cylinders).masses.sum())
+            float(projected_histogram(cylinders, j * math.pi / 12, delta).masses.sum())
             for j in range(12)
         ]
     cfg = RunConfig()
-    hist = projected_histogram(get_builtin("four_corner"), 0.0, cfg.rho, cfg.delta_value())
+    four = get_builtin("four_corner")
+    centers, ratios = stopping_cylinders(four, cfg.rho)
+    hist = projected_histogram((centers, ratios**four.dimension), 0.0, cfg.delta_value())
     return {
         "histogram_sums": sums,
         "four_corner_sum_desk": float(hist.masses.sum()),
@@ -411,13 +412,10 @@ def test_criterion_08_end_to_end_search(desk, tmp_path, emit):
         perturbed = build_perturbed_ifs(desk.ifs, best, cfg.c1, cfg.rho)
         closeness = closeness_report(desk.ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0)
         thetas = _sample_e_rows(desk.E, desk.cand, cfg.n_theta_sample, cfg.seed)
+        # only the gap certificates' verdicts are read below
         pts = attractor_points(perturbed, cfg.cert_resolution / 2.0, budget=cfg.word_budget)
-        membership = GridMembership(desk.geom, desk.cand.L, desk.cand.check_slack)
         certs = [
-            certify_projection_interval(
-                perturbed, float(th), cfg.cert_resolution, budget=cfg.word_budget,
-                candidate=desk.cand, membership=membership, points=pts,
-            ).to_json_dict()
+            certify_projection_interval(pts, float(th), cfg.cert_resolution).to_json_dict()
             for th in thetas
         ]
     close_ok = bool(closeness["epsilon_ok"])

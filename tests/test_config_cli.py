@@ -241,6 +241,16 @@ def test_budget_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_word_budget_bounds_the_measured_c9_cover(tmp_path, capsys):
+    """The measured c9 enumerates the stopping words at sqrt(rho) under the
+    word budget too: at rho 1e-9 that cover has 4^15 words, far more than
+    budget 1000 (and at rho 1e-16 more than the default budget), so
+    build-l exits 3 before any map is composed."""
+    for extra in (["--rho", "1e-9", "--budget", "1000"], ["--rho", "1e-16"]):
+        assert main(["build-l", "--ifs", "four_corner", *extra, "--out", str(tmp_path)]) == 3, extra
+        assert capsys.readouterr().err.startswith("budget exceeded"), extra
+
+
 def test_render_pgm(tmp_path):
     rc = main(
         ["render", "--ifs", "sierpinski", "--rho", "0.2", "--out", str(tmp_path), "--size", "32"]

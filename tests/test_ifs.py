@@ -17,7 +17,7 @@ from ifsproj import (
     ifs_from_json_dict,
     make_ifs,
     similarity_dimension,
-    stopping_cover,
+    stopping_cylinders,
 )
 from ifsproj.ifs import MapArrays
 from map_oracle import apply, compose_word, square_corners
@@ -133,8 +133,8 @@ def test_osc_detects_overlap():
 def test_stopping_words_counts():
     # r = 1/2 and rho = 2^-8: every word stops at depth exactly 8
     rho = 4.0**-4
-    assert len(stopping_cover(get_builtin("four_corner"), rho).ratio) == 4**8
-    assert len(stopping_cover(get_builtin("sierpinski"), rho).ratio) == 3**8
+    assert len(stopping_cylinders(get_builtin("four_corner"), rho)[1]) == 4**8
+    assert len(stopping_cylinders(get_builtin("sierpinski"), rho)[1]) == 3**8
 
 
 def test_stopping_words_prefix_free_and_sorted():
@@ -150,7 +150,7 @@ def test_stopping_words_prefix_free_and_sorted():
 
 def test_stopping_words_budget():
     with pytest.raises(BudgetExceeded) as ei:
-        stopping_cover(get_builtin("four_corner"), 4.0**-4, budget=100)
+        stopping_cylinders(get_builtin("four_corner"), 4.0**-4, budget=100)
     assert ei.value.partial is not None
 
 

@@ -47,16 +47,15 @@ def test_histograms_sum_to_one(rng):
         centers, ratios = stopping_cylinders(ifs, 4.0**-3)
         data = (centers, ratios**ifs.dimension)
         for theta in rng.uniform(0, math.pi, size=12):
-            h = projected_histogram(
-                ifs, float(theta), 4.0**-3, math.sqrt(4.0**-3) / 8, cylinders=data
-            )
+            h = projected_histogram(data, float(theta), math.sqrt(4.0**-3) / 8)
             assert math.fsum(h.masses.tolist()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_four_corner_l2_flat():
     # the full square projects to the uniform density; its L2 norm is 1
     ifs = get_builtin("four_corner")
-    h = projected_histogram(ifs, 0.0, RHO, DELTA)
+    centers, ratios = stopping_cylinders(ifs, RHO)
+    h = projected_histogram((centers, ratios**ifs.dimension), 0.0, DELTA)
     assert l2_norm_estimate(h) == pytest.approx(1.0, rel=0.05)
 
 

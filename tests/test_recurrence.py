@@ -11,6 +11,7 @@ from ifsproj import (
     Line,
     RecurrentCandidate,
     RowRuns,
+    RunConfig,
     Similarity,
     SliceBuilder,
     SliceParams,
@@ -18,6 +19,7 @@ from ifsproj import (
     build_E,
     build_candidate,
     build_perturbed_ifs,
+    build_pipeline,
     certify_projection_interval,
     check_recurrence,
     draw_assignment,
@@ -32,6 +34,7 @@ from ifsproj import (
 import ifsproj.recurrence
 from ifsproj.ifs import MapArrays
 from ifsproj.recurrence import _cover, _dilate, _first_true, _longest_run, _pad_runs
+import certificate_oracle
 import map_oracle as oracle
 from certificate_oracle import certify_line
 from dilation_oracle import _dilate_wrapped
@@ -80,7 +83,7 @@ def flat_candidate(geom: GridGeometry, rho: float, member: np.ndarray) -> Recurr
 
 
 def l_membership(cand: RecurrentCandidate) -> GridMembership:
-    """The L membership at the check slack, as `check_recurrence` takes it."""
+    """The L membership at the check slack, as `check_recurrence` builds it."""
     return GridMembership(cand.geom, cand.L, cand.check_slack)
 
 
@@ -434,7 +437,7 @@ def test_all_lines_meeting_square_recur_four_corner():
     geom = GridGeometry(181, t_max=1.2)
     rho = 0.05
     cand = flat_candidate(geom, rho, lines_meeting_unit_square(geom))
-    rep = check_recurrence(ifs, cand, l_membership(cand))
+    rep = check_recurrence(ifs, cand)
     assert rep.total > 10_000
     assert rep.recurred == rep.total, f"failed on {rep.total - rep.recurred}"
 
@@ -445,14 +448,14 @@ def test_single_far_line_fails():
     member = np.zeros((geom.n_theta, geom.n_t), dtype=bool)
     member[0, geom.m + int(6.0 / geom.pitch)] = True
     cand = flat_candidate(geom, 0.05, member)
-    rep = check_recurrence(ifs, cand, l_membership(cand))
+    rep = check_recurrence(ifs, cand)
     assert rep.total == 1 and rep.recurred == 0
     assert rep.failures
 
 
 def test_witnesses_reverify(desk):
     mem = l_membership(desk.cand)
-    rep = check_recurrence(desk.ifs, desk.cand, mem)
+    rep = check_recurrence(desk.ifs, desk.cand)
     assert len(rep.witnesses) == 20
     for wit in rep.witnesses:
         v = renormalize_map(oracle.compose_word(desk.ifs, wit["word"]), Line(wit["theta"], wit["t"]))
@@ -658,8 +661,7 @@ def test_desk_check_holds_no_wide_copy_of_the_witnesses(desk, traced_peak):
     cfg = desk.cfg
     omega = draw_assignment(np.random.default_rng(1), desk.ifs, cfg.epsilon)
     perturbed = build_perturbed_ifs(desk.ifs, omega, cfg.c1, cfg.rho)
-    member = l_membership(desk.cand)
-    rep, peak = traced_peak(lambda: check_recurrence(perturbed, desk.cand, member))
+    rep, peak = traced_peak(lambda: check_recurrence(perturbed, desk.cand))
     assert rep.total == desk.cand.L.before[-1] and 0 < rep.recurred < rep.total
     assert peak <= 6 * rep.total
 
@@ -675,7 +677,7 @@ def test_check_recurrence_matches_brute_first_witness(rng):
     for ifs, grid in cases:
         cand = flat_candidate(geom, 0.15, grid)
         member = l_membership(cand)
-        rep = check_recurrence(ifs, cand, member)
+        rep = check_recurrence(ifs, cand)
         words = oracle.two_letter_words(ifs.alphabet, oracle.letters(ifs))
         rows, cols = np.nonzero(cand.L.grid(geom.n_t))
         thetas, ts = rows * geom.pitch, (cols - geom.m) * geom.pitch
@@ -756,7 +758,7 @@ def test_certify_line_budget():
 
 def test_projection_interval_four_corner_full():
     four = get_builtin("four_corner")
-    cert = certify_projection_interval(four, 0.0, 1e-3)
+    cert = certify_projection_interval(attractor_points(four, 5e-4), 0.0, 1e-3)
     assert cert.certified
     lo, hi = cert.interval
     assert lo == pytest.approx(0.0, abs=2e-3)
@@ -765,14 +767,14 @@ def test_projection_interval_four_corner_full():
 
 def test_projection_interval_dust_fails_with_half_gap():
     dust = get_builtin("cantor_dust")
-    cert = certify_projection_interval(dust, 0.0, 1e-3)
+    cert = certify_projection_interval(attractor_points(dust, 5e-4), 0.0, 1e-3)
     assert not cert.certified
     assert cert.largest_gap == pytest.approx(0.5, abs=0.02)
 
 
 def test_projection_interval_sierpinski_y_axis():
     sier = get_builtin("sierpinski")
-    cert = certify_projection_interval(sier, 0.0, 1e-3)
+    cert = certify_projection_interval(attractor_points(sier, 5e-4), 0.0, 1e-3)
     assert cert.certified
     assert cert.length >= 0.9
 
@@ -802,10 +804,22 @@ def test_longest_run_matches_loop(rng):
     assert _longest_run(np.array([1, 1, 0, 1, 1], bool), np.arange(6)) == (0, 2)
 
 
+def row_witnesses(ifs, cand: RecurrentCandidate, theta: float) -> tuple[RowRuns, np.ndarray]:
+    """L's runs on the row nearest theta alone and their first witnesses
+    into L at the check slack, as `certify` computes them."""
+    row, _ = cand.L.only(cand.geom.nearest_row(theta)[1])
+    words = two_letter_words(ifs.letter_maps())
+    return row, first_witness_rows(words, row, l_membership(cand))
+
+
 def test_projection_interval_recurrence_route(desk):
     theta = float(np.flatnonzero(desk.E.member)[0]) * desk.geom.pitch
     cert = certify_projection_interval(
-        desk.ifs, theta, 1e-3, candidate=desk.cand
+        attractor_points(desk.ifs, 5e-4),
+        theta,
+        1e-3,
+        desk.geom,
+        row_witnesses(desk.ifs, desk.cand, theta),
     )
     assert cert.recurrence_certified is not None
     assert cert.recurrence_length > 0.0
@@ -821,9 +835,10 @@ def test_projection_intervals_mirror_under_half_turn():
     geom = GridGeometry(61, t_max=1.5)
     cand = flat_candidate(geom, 0.1, lines_meeting_unit_square(geom))
     pts = attractor_points(four, 5e-3)
+    recurrence = (cand.L, check_recurrence(four, cand).cell_witness)
 
     def cert(theta):
-        return certify_projection_interval(four, theta, 1e-2, candidate=cand, points=pts)
+        return certify_projection_interval(pts, theta, 1e-2, geom, recurrence)
 
     theta = round(1.5 / geom.pitch) * geom.pitch
     a, b = cert(theta), cert(theta + math.pi)
@@ -837,3 +852,56 @@ def test_projection_intervals_mirror_under_half_turn():
     assert (lo, hi) == (-row0.recurrence_interval[1], -row0.recurrence_interval[0])
     # and it sits on the point-gap interval of the same direction, [-1, 0]
     assert near_pi.interval[0] - geom.pitch <= lo < hi <= near_pi.interval[1] + geom.pitch
+
+
+def _cert_cases():
+    """(name, system, candidate): the lines meeting I on a coarse grid, some
+    cells dropped and one row emptied, for four_corner, the gasket and the
+    turned system; and the coarse four_corner pipeline's own candidate under
+    a drawn perturbation."""
+    geom = GridGeometry(61, t_max=1.5)
+    grid = lines_meeting_unit_square(geom) & (np.random.default_rng(2).random((61, geom.n_t)) < 0.9)
+    grid[7] = False
+    systems = {
+        "four_corner": get_builtin("four_corner"),
+        "sierpinski": get_builtin("sierpinski"),
+        "turned": _turned_system(("a", "b")),
+    }
+    cases = [(name, ifs, flat_candidate(geom, 0.15, grid)) for name, ifs in systems.items()]
+    cfg = dataclasses.replace(RunConfig(ifs="four_corner"), rho=2.0**-4)
+    res, _, cand = build_pipeline(cfg)
+    omega = draw_assignment(np.random.default_rng(1), res.ifs, cfg.epsilon)
+    cases.append(("four_corner_pipeline", build_perturbed_ifs(res.ifs, omega, cfg.c1, cfg.rho), cand))
+    return cases
+
+
+def test_certificate_row_equals_point_route():
+    """The certificate's recurrence row is the same from the whole-L check's
+    witnesses (all of them, or those of the certified rows), from the row
+    route on the certified row alone, and from the point route (`certificate_oracle.point_route_row`): for rows in [0, pi),
+    the same rows a half-turn on, negative angles, angles just below pi
+    (row 0 with t negated) and a row with no L cells."""
+    resolution = 0.05
+    for name, ifs, cand in _cert_cases():
+        geom = cand.geom
+        samples = attractor_points(ifs, resolution / 2)
+        whole = (cand.L, check_recurrence(ifs, cand).cell_witness)
+        rows = np.flatnonzero(np.diff(cand.L.ptr))[::5]
+        thetas = np.concatenate([rows, rows + geom.n_theta, -rows - 0.3]) * geom.pitch
+        thetas = [*thetas.tolist(), math.pi - geom.pitch / 4, math.nextafter(math.pi, 0.0)]
+        empty = np.flatnonzero(np.diff(cand.L.ptr) == 0)
+        thetas += (empty * geom.pitch).tolist()
+        # the check's witnesses of the certified rows only, as verify keeps them
+        picked, cells = cand.L.only(np.unique([geom.nearest_row(th)[1] for th in thetas]))
+        kept = (picked, whole[1][cells])
+        partial = certified = 0
+        for theta in thetas:
+            want = certificate_oracle.point_route_row(ifs, cand, theta, resolution)
+            for recurrence in (whole, kept, row_witnesses(ifs, cand, theta)):
+                cert = certify_projection_interval(samples, theta, resolution, geom, recurrence)
+                got = (cert.recurrence_interval, cert.recurrence_length, cert.recurrence_certified)
+                assert got == want, (name, theta)
+            certified += want[2]
+            _, row = geom.nearest_row(theta)
+            partial += 0 < want[1] < cand.L.row_cells[row] * geom.pitch
+        assert 0 < certified < len(thetas) and partial > 0 and len(empty) > 0, name

@@ -118,7 +118,7 @@ def test_search_accepts_on_recurrent_instance(recurrent_instance):
     assert out.accepted_attempt == 0
     assert out.coverage == 1.0
     perturbed = build_perturbed_ifs(ifs, out.omega0, 1e-9, cand.rho)
-    rep = check_recurrence(perturbed, cand, l_membership(cand))
+    rep = check_recurrence(perturbed, cand)
     assert rep.recurred == rep.total
 
 
@@ -147,13 +147,13 @@ def _iid_one_by_one(ifs, cand, budget, seed, c1, epsilon) -> SearchOutcome:
     best_frac, best = -1.0, None
     for k in range(budget):
         a = draw_assignment(np.random.default_rng([seed, k]), ifs, epsilon)
-        probe, _ = tester.coverage([a], tester.probe_idx)
+        probe, _ = tester.coverage(tester.words([a]), tester.probe_idx)
         frac = float(np.count_nonzero(probe) / len(probe))
         if frac > best_frac:
             best_frac, best = frac, a
-        if probe.all() and tester.coverage([a])[0].all():
+        if probe.all() and tester.coverage(tester.words([a]))[0].all():
             return SearchOutcome(a, k + 1, k, a, 1.0, 0.0, "iid")
-    coverage = float(np.count_nonzero(tester.coverage([best])[0]) / cand.delta_count)
+    coverage = float(np.count_nonzero(tester.coverage(tester.words([best]))[0]) / cand.delta_count)
     return SearchOutcome(None, budget, None, best, coverage, 1.0 - coverage, "iid")
 
 
@@ -221,8 +221,8 @@ def test_probe_is_consistent_with_full_eval(recurrent_instance, rng):
     ifs, cand = recurrent_instance
     tester = CoverageTester(ifs, cand, c1=0.5)
     a = draw_assignment(rng, ifs, 0.3)
-    full, _ = tester.coverage([a])
-    probe, _ = tester.coverage([a], tester.probe_idx)
+    full, _ = tester.coverage(tester.words([a]))
+    probe, _ = tester.coverage(tester.words([a]), tester.probe_idx)
     assert np.array_equal(full[tester.probe_idx], probe)
 
 
@@ -246,13 +246,13 @@ def test_whole_grid_evaluations_stay_row_wise(monkeypatch):
         if hasattr(mod, "renormalize_arrays"):
             monkeypatch.setattr(mod, "renormalize_arrays", counting)
     assignment = draw_assignment(np.random.default_rng(0), res.ifs, cfg.epsilon)
-    covered, _ = tester.coverage([assignment])
+    covered, _ = tester.coverage(tester.words([assignment]))
     assert covered.any() and not covered.all()
     assert 0 < sum(points) <= 0.1 * len(covered)
 
     points.clear()
     perturbed = build_perturbed_ifs(res.ifs, assignment, cfg.c1, cfg.rho)
-    rep = check_recurrence(perturbed, cand, l_membership(cand))
+    rep = check_recurrence(perturbed, cand)
     assert 0 < rep.recurred < rep.total
     assert 0 < sum(points) <= 0.1 * rep.total
 
@@ -261,7 +261,7 @@ def test_coverage_witnesses_reverify(recurrent_instance, rng):
     ifs, cand = recurrent_instance
     tester = CoverageTester(ifs, cand, c1=0.5)
     a = draw_assignment(rng, ifs, 0.3)
-    covered, witness = tester.coverage([a])
+    covered, witness = tester.coverage(tester.words([a]))
     maps = oracle.perturbed_maps(ifs, a, 0.5, cand.rho)
     words = [g for _, g in oracle.two_letter_words(ifs.alphabet, maps)]
     member0 = GridMembership(cand.geom, cand.L0, cand.search_slack)
@@ -301,8 +301,8 @@ def test_ordered_probe_changes_no_flag(system):
     for first in range(0, len(draws), _IID_BLOCK):
         block = draws[first : first + _IID_BLOCK]
         counts = tester.probe(block, -1)
-        covered, witness = tester.coverage(block, tester.probe_idx, order)
-        canonical, canonical_witness = tester.coverage(block, tester.probe_idx)
+        covered, witness = tester.coverage(tester.words(block), tester.probe_idx, order)
+        canonical, canonical_witness = tester.coverage(tester.words(block), tester.probe_idx)
         assert np.array_equal(counts, canonical.reshape(len(block), n).sum(axis=1))
         assert np.array_equal(covered, canonical)
         assert np.array_equal(witness >= 0, covered)
@@ -333,13 +333,16 @@ def test_probe_drops_only_draws_that_cannot_beat(system, monkeypatch):
     rng = np.random.default_rng(5)
     draws = [draw_assignment(rng, ifs, 0.3) for _ in range(40)]
     blocks = [draws[first : first + _IID_BLOCK] for first in range(0, len(draws), _IID_BLOCK)]
-    exact = [tester.coverage(b, tester.probe_idx)[0].reshape(len(b), n).sum(axis=1) for b in blocks]
+    exact = [
+        tester.coverage(tester.words(b), tester.probe_idx)[0].reshape(len(b), n).sum(axis=1)
+        for b in blocks
+    ]
     pairs = []
     coverage = tester.coverage
 
-    def counting(assignments, indices, order):
-        pairs.append(len(assignments) * len(indices))
-        return coverage(assignments, indices, order)
+    def counting(words, indices, order):
+        pairs.append(len(words.ratio) * len(indices))
+        return coverage(words, indices, order)
 
     monkeypatch.setattr(tester, "coverage", counting)
     median = int(np.median(np.concatenate(exact)))
@@ -521,7 +524,7 @@ def test_farthest_lines_stay_uncovered(desk):
         i = int(np.count_nonzero(L1.ravel()[: row * geom.n_t + col]))
         th, tt = cand.L1.lines(geom, np.array([i]))
         assert (th[0], tt[0]) == (row * geom.pitch, (col - geom.m) * geom.pitch)
-        covered, _ = tester.coverage([assignment], indices=np.array([i]))
+        covered, _ = tester.coverage(tester.words([assignment]), indices=np.array([i]))
         assert not covered[0]
 
         dist, row, col = farthest_line(L, geom, hull)

@@ -12,6 +12,7 @@ import stopping_oracle as oracle
 import ifsproj.ifs
 from ifsproj import (
     BudgetExceeded,
+    MapArrays,
     Similarity,
     attractor_points,
     build_perturbed_ifs,
@@ -19,9 +20,17 @@ from ifsproj import (
     get_builtin,
     make_ifs,
     measured_c9,
-    stopping_cover,
     stopping_cylinders,
 )
+from ifsproj.ifs import stopping_batches
+
+
+def stopping_cover(ifs, rho, budget=None) -> MapArrays:
+    """The stopping words' maps, every batch of `stopping_batches` joined
+    into one `MapArrays`."""
+    _, batches = stopping_batches(ifs, rho, budget)
+    r, ang, refl, tx, ty = (np.concatenate(f) for f in zip(*(m.fields() for m in batches)))
+    return MapArrays(r, ang, refl, (tx, ty))
 
 
 def _mixed_system():
@@ -77,13 +86,13 @@ def test_mixed_system_interleaves_depths():
     words = oracle.stopping_words(ifs, 0.01)
     assert len({len(w) for w in words}) > 2
     assert words == sorted(words)
-    assert len(stopping_cover(ifs, 0.01).ratio) == len(words)
+    assert len(stopping_cylinders(ifs, 0.01)[1]) == len(words)
 
 
 @pytest.mark.parametrize("name", list(SYSTEMS))
 def test_ratios_are_left_to_right_products(name):
     ifs = SYSTEMS[name]()
-    ratios = stopping_cover(ifs, 0.01).ratio
+    ratios = stopping_cylinders(ifs, 0.01)[1]
     assert ratios.tolist() == [oracle.word_ratio(ifs, w) for w in oracle.stopping_words(ifs, 0.01)]
     half = math.sqrt(0.01)
     c9 = 1.0
@@ -158,7 +167,7 @@ def test_budget_overrun_raises_before_composing_maps(traced_peak):
 
     def overrun():
         with pytest.raises(BudgetExceeded) as ei:
-            stopping_cover(ifs, 1e-12, budget=6_000_000)
+            stopping_cylinders(ifs, 1e-12, budget=6_000_000)
         return ei.value.partial
 
     partial, peak = traced_peak(overrun)
@@ -169,4 +178,4 @@ def test_budget_overrun_raises_before_composing_maps(traced_peak):
 def test_rho_out_of_range():
     for rho in (0.0, 1.0):
         with pytest.raises(ValueError):
-            stopping_cover(get_builtin("sierpinski"), rho)
+            stopping_cylinders(get_builtin("sierpinski"), rho)

@@ -3,16 +3,17 @@ functions by name (bench/traced_cli.py). A rename or a bypassed binding in
 the package would leave a layer without spans; this test catches that at a
 coarse rho, running the wrapper unmodified in a child process. The word
 count the wrapper reads off `measure.stopping_cylinders`' result is checked
-against the stopping covers of the run, so a change of that function's
+against the stopping words of the run, so a change of that function's
 return shape that breaks the count fails here too."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from ifsproj import OmegaAssignment, build_perturbed_ifs, get_builtin, stopping_cover
+from ifsproj import OmegaAssignment, build_perturbed_ifs, get_builtin, stopping_cylinders
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,11 +63,13 @@ def test_traced_cli_reaches_every_kernel_layer(tmp_path):
     dump = _traced_run(tmp_path, ["verify", *common, "--omega", "omega.json"])
     names = _span_names(dump)
     assert EXPECTED["verify"] <= names, EXPECTED["verify"] - names
-    # verify enumerates the stopping words twice: the system's at rho for
-    # the direction scan, and the perturbed system's at cert_resolution / 2
-    # for the attractor points
+    # verify enumerates the stopping words three times: the system's at
+    # sqrt(rho) for the measured c9, the system's at rho for the direction
+    # scan, and the perturbed system's at cert_resolution / 2 for the
+    # attractor points
     rho, c1 = cfg["constants"]["rho"], cfg["constants"]["c1"]
     ifs = get_builtin(cfg["ifs"])
     perturbed = build_perturbed_ifs(ifs, OmegaAssignment.from_json_dict(omega), c1, rho)
-    covers = (stopping_cover(ifs, rho), stopping_cover(perturbed, cfg["grid"]["cert_resolution"] / 2))
-    assert dump["counts"]["measure.stopping_cylinders.words"] == sum(len(c.ratio) for c in covers)
+    scales = ((ifs, math.sqrt(rho)), (ifs, rho), (perturbed, cfg["grid"]["cert_resolution"] / 2))
+    words = sum(len(stopping_cylinders(s, scale)[1]) for s, scale in scales)
+    assert dump["counts"]["measure.stopping_cylinders.words"] == words
