@@ -2,10 +2,16 @@
 what they write.
 
 Usage: python3 scripts/compare_outputs.py OLD_SRC NEW_SRC [--work DIR]
+                                          [--new-kernel CORETYPE]
 
 OLD_SRC and NEW_SRC are directories holding an `ifsproj` package (a
 checkout's `src/`). Every command runs once per tree, with that tree first on
-PYTHONPATH and the configs of this checkout. The commands:
+PYTHONPATH and the configs of this checkout. With `--new-kernel CORETYPE`
+the NEW_SRC side runs with OPENBLAS_CORETYPE=CORETYPE (for example
+Prescott, whose kernels round a product without fused multiply-adds), and
+the OLD_SRC side with the environment as it is, so
+`compare_outputs.py src src --new-kernel Prescott` checks in one run that no
+output depends on the BLAS kernel. The commands:
 
 - `build-l` on configs/sierpinski.json, configs/four_corner.json,
   four_corner at rho 2^-7, and the gasket at rho 0.05 with c7 0.05, whose
@@ -140,10 +146,13 @@ def turned_four_corner() -> dict:
     }
 
 
-def run_all(src: Path, work: Path, side: str) -> dict[str, int]:
-    """Exit code of every command, run with src on PYTHONPATH; outputs go to
-    work/side/<command>, console output to work/logs/<side>-<command>.log."""
+def run_all(src: Path, work: Path, side: str, coretype: str | None = None) -> dict[str, int]:
+    """Exit code of every command, run with src on PYTHONPATH (and
+    OPENBLAS_CORETYPE=coretype when given); outputs go to work/side/<command>,
+    console output to work/logs/<side>-<command>.log."""
     env = {**os.environ, "PYTHONPATH": str(src)}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     (work / "logs").mkdir(exist_ok=True)
     codes = {}
     for name, args in COMMANDS.items():
@@ -219,6 +228,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("old_src", type=Path)
     ap.add_argument("new_src", type=Path)
     ap.add_argument("--work", type=Path, default=None, help="output directory (default: a new temp dir)")
+    ap.add_argument(
+        "--new-kernel",
+        metavar="CORETYPE",
+        default=None,
+        help="run the NEW_SRC side with OPENBLAS_CORETYPE set to this",
+    )
     args = ap.parse_args(argv)
     for src in (args.old_src, args.new_src):
         if not (src / "ifsproj" / "__init__.py").is_file():
@@ -230,8 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         (work / name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
     codes = {
-        side: run_all(src.resolve(), work, side)
-        for side, src in (("old", args.old_src), ("new", args.new_src))
+        "old": run_all(args.old_src.resolve(), work, "old"),
+        "new": run_all(args.new_src.resolve(), work, "new", args.new_kernel),
     }
     diffs = [
         f"{name}: exit code old {codes['old'][name]} new {codes['new'][name]}"

@@ -166,14 +166,6 @@ class RunConfig:
             ),
         )
 
-    def to_json_dict(self) -> dict:
-        d = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is not None:
-                d[f.name] = v
-        return d
-
 
 @dataclass(frozen=True)
 class ResolvedConstants:

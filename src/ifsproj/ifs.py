@@ -149,14 +149,16 @@ class MapArrays(NamedTuple):
 @dataclass(frozen=True)
 class Perturbation:
     """Rotation phi of a map's image square about its center, then the shift
-    gamma * c1 * rho, with each gamma component in (-1, 1)."""
+    gamma * c1 * rho, with each gamma component in (-1, 1). phi and gamma
+    pass the IFS file's number rule (`_finite_number`), as an omega file
+    gives them."""
 
     phi: float
     gamma: tuple[float, float]
 
     def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
+        if not all(_finite_number(v) for v in (self.phi, *self.gamma)):
+            raise ValueError("phi and gamma must be finite numbers")
         gx, gy = self.gamma
         if not (abs(gx) < 1.0 and abs(gy) < 1.0):
             raise ValueError(f"gamma components must lie in (-1,1), got {self.gamma}")
@@ -197,22 +199,6 @@ class IfsSpec:
     def letter_maps(self, symbols: Sequence[str] | None = None) -> MapArrays:
         """The maps of the given symbols (default: the alphabet), in order."""
         return MapArrays.of([self.maps[a] for a in (self.alphabet if symbols is None else symbols)])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alphabet": list(self.alphabet),
-            "maps": {
-                a: {
-                    "r": f.ratio,
-                    "angle": f.angle,
-                    "tx": f.translation[0],
-                    "ty": f.translation[1],
-                    "reflect": f.reflect,
-                }
-                for a, f in ((a, self.maps[a]) for a in self.alphabet)
-            },
-            "part_one": list(self.part_one),
-        }
 
 
 def default_partition(alphabet: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ifs import IfsSpec, stopping_batches
+from .lines import offsets
 
 
 def stopping_cylinders(
@@ -27,13 +28,15 @@ def stopping_cylinders(
     (alphabet-rank) order. This is the one gatherer of the stopping words:
     both arrays are allocated once, from the count, and filled batch by
     batch, so the words' maps are never held whole. Ratios are the
-    products of the letters' ratios taken left to right.
+    products of the letters' ratios taken left to right. The points are
+    column-major, so that `lines.offsets` reads each coordinate
+    contiguously.
 
     The default point is the square center; passing an attractor point makes
     every f_w(point) an attractor point too.
     """
     count, batches = stopping_batches(ifs, rho, budget=budget)
-    points, ratios = np.empty((count, 2)), np.empty(count)
+    points, ratios = np.empty((count, 2), order="F"), np.empty(count)
     lo = 0
     for maps in batches:
         hi = lo + len(maps.ratio)
@@ -71,7 +74,7 @@ def projected_histogram(
     if not (delta > 0.0):
         raise ValueError(f"delta must be positive, got {delta}")
     centers, masses = cylinders
-    pos = centers @ np.array([-math.sin(theta), math.cos(theta)])
+    pos = offsets(centers[:, 0], centers[:, 1], math.sin(theta), math.cos(theta))
     idx = np.floor(pos / delta).astype(np.int64)
     lo = int(idx.min())
     binned = np.bincount(idx - lo, weights=masses)
@@ -79,8 +82,10 @@ def projected_histogram(
 
 
 def l2_norm_estimate(h: ProjectedHistogram) -> float:
-    """Squared L2 norm of the histogram's density: sum of mass^2 / bin width."""
-    return float(np.dot(h.masses, h.masses) / h.bin_width)
+    """Squared L2 norm of the histogram's density: sum of mass^2 / bin width.
+    The sum is exactly rounded (`math.fsum`), so no summation order, and no
+    BLAS kernel, can change it."""
+    return math.fsum((h.masses * h.masses).tolist()) / h.bin_width
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ifs import IfsSpec, MapArrays
-from .lines import renormalize_affine, renormalize_arrays
+from .lines import _CHUNK, offsets, renormalize_affine, renormalize_arrays
 from .measure import DirectionSet, stopping_cylinders
 
 
@@ -242,11 +242,13 @@ class SliceBuilder:
     neither on the number of E rows nor on the alphabet or n_phi.
 
     For first-block symbol a1, rotation phi, second symbol a2, the composed
-    map is (rotate f_{a1} by phi about its cell center) o f_{a2}; only its
-    translation and angle depend on phi, and the offset window where
-    |pos| <= 1 is [shift - r, shift + r] regardless of orientation signs.
+    map g is (rotate f_{a1} by phi about its cell center) o f_{a2}; the
+    builder keeps them as one (n1, n_phi, n2) `MapArrays` `g`. A row's
+    renormalization T_g(theta, t) = (theta_hat, sign (t - shift) / r) comes
+    from `lines.renormalize_affine`, and the offsets t with |t_hat| <= 1
+    form the window [shift - r, shift + r] whatever the sign.
 
-    The window |pos| <= 1 is measured about the origin, not about the
+    The window |t_hat| <= 1 is measured about the origin, not about the
     attractor, so it admits offsets of lines that miss the attractor
     altogether (for the gasket, up to 0.24 outside its triangle). Whether the
     paper's slice is narrower is not settled by PAPER.md.
@@ -269,25 +271,24 @@ class SliceBuilder:
         n1, n2, n_phi = len(self.a1), len(self.a2), params.n_phi
         # (rotate f_{a1} by phi about its cell center) o f_{a2} for every (a1, phi, a2)
         turned = ifs.letter_maps(self.a1).reshape(n1, 1).turned(params.phi_centers(), (0.0, 0.0))
-        g = turned.compose(ifs.letter_maps(self.a2)).reshape(n1, n_phi, n2)
-        self.r_g = g.ratio[:, 0]
-        self.reflect_g = g.reflect[:, 0]
-        self.angle_g = g.angle
-        self.tau_g = np.stack(g.translation, axis=-1)
+        self.g = turned.compose(ifs.letter_maps(self.a2)).reshape(n1, n_phi, n2)
 
     def _runs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The slice test's member cells on the given rows (those in E), as
         runs (row, start, stop) in row order.
 
-        Each (row, a1, phi, a2) with its image angle in E passes on one
-        column interval. Four covers reduce these: the union over a2 gives
-        the cells each (a1, phi) passes; a window of required_run
-        consecutive phi cells passes where all of them do (a cover of
-        required_run); a1 qualifies where some window passes; a cell is a
-        member where at least n_required first-block symbols qualify.
+        Each (row, a1, phi, a2) with its image angle theta_hat in E passes
+        on the column interval of its offset window; `renormalize_affine`
+        broadcasts `g` against the rows' angles elementwise, so a row's
+        windows round alike whatever rows are evaluated with it. Four covers
+        reduce these: the union over a2 gives the cells each (a1, phi)
+        passes; a window of required_run consecutive phi cells passes where
+        all of them do (a cover of required_run); a1 qualifies where some
+        window passes; a cell is a member where at least n_required
+        first-block symbols qualify.
         """
         geom, params = self.geom, self.params
-        n1, n_phi, n2 = self.angle_g.shape
+        n1, n_phi, n2 = self.g.ratio.shape
         n_t, m, h = geom.n_t, geom.m, geom.pitch
         R = params.required_run
         rows = rows[self.E.member[rows]]
@@ -295,18 +296,10 @@ class SliceBuilder:
         if n_win < 1:
             rows = rows[:0]
 
-        theta = (rows * h)[:, None, None, None]
-        # one normal per row from scalar libm sine and cosine, and one
-        # (n2, 2) @ (2, 1) product per (row, a1, phi), so that a row's
-        # intervals round alike whatever rows are evaluated with it
-        nv = np.array([[-math.sin(th), math.cos(th)] for th in theta.ravel()]).reshape(-1, 2)
-        shift = (self.tau_g @ nv[:, None, None, :, None])[..., 0]
-        theta_raw = np.where(self.reflect_g[:, None, :], self.angle_g - theta, theta - self.angle_g)
-        theta_hat = np.mod(theta_raw, math.pi)
+        theta_hat, _, shift = renormalize_affine(self.g, (rows * h)[:, None, None, None])
         arg_ok = self.E.member[np.rint(theta_hat / h).astype(np.int64) % geom.n_theta]
-        r_win = self.r_g[:, None, :]
-        lo = np.ceil((shift - r_win) / h - 1e-9).astype(np.int64) + m
-        hi = np.floor((shift + r_win) / h + 1e-9).astype(np.int64) + m
+        lo = np.ceil((shift - self.g.ratio) / h - 1e-9).astype(np.int64) + m
+        hi = np.floor((shift + self.g.ratio) / h + 1e-9).astype(np.int64) + m
         lo, stop = np.maximum(lo, 0), np.minimum(hi + 1, n_t)
         passes = np.flatnonzero(arg_ok & (lo < stop))
 
@@ -333,7 +326,7 @@ class SliceBuilder:
         order, are those of all rows at once; no E rows make one empty
         block."""
         rows = self.E.member_rows()
-        per_block = max(1, _SLICE_BLOCK // self.angle_g.size)
+        per_block = max(1, _SLICE_BLOCK // self.g.ratio.size)
         starts = range(0, max(len(rows), 1), per_block)
         blocks = [self._runs(rows[i : i + per_block]) for i in starts]
         return RowRuns.from_rows(self.geom.n_theta, *(np.concatenate(x) for x in zip(*blocks)))
@@ -778,21 +771,6 @@ def attractor_points(ifs: IfsSpec, scale: float, budget: int | None = None) -> n
 
 
 _MIN_LENGTH_FACTOR = 10.0  # a certified interval spans this many resolutions
-_CHUNK = 1 << 15  # points projected at a time: their products stay in cache
-
-
-def _offsets(pts: np.ndarray, theta: float) -> np.ndarray:
-    """y cos(theta) - x sin(theta) for each point (x, y), the offset of the
-    line at angle theta through it. Elementwise, since a BLAS product would
-    round by the kernel the CPU selects, and chunk by chunk, which reads
-    the points once, as such a product does."""
-    c, s = math.cos(theta), math.sin(theta)
-    pos = np.empty(len(pts))
-    for i in range(0, len(pts), _CHUNK):
-        out = pos[i : i + _CHUNK]
-        np.multiply(pts[i : i + _CHUNK, 1], c, out=out)
-        out -= pts[i : i + _CHUNK, 0] * s
-    return pos
 
 
 def _gap_scan(pos: np.ndarray, resolution: float) -> tuple[np.ndarray, float]:
@@ -851,7 +829,7 @@ def certify_projection_interval(
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
-    pos = _offsets(samples, theta)
+    pos = offsets(samples[:, 0], samples[:, 1], math.sin(theta), math.cos(theta))
     pos.sort()
     close, largest_gap = _gap_scan(pos, resolution)
 

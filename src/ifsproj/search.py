@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ifs import IfsSpec, MapArrays, Perturbation, Similarity, epsilon_distance, make_ifs
-from .lines import Line
+from .lines import Line, offsets
 from .recurrence import (
     GridGeometry,
     GridMembership,
@@ -360,15 +360,18 @@ def search_omega0(
     if mode == "per_symbol":
         rng = np.random.default_rng([seed])
         symbols = list(ifs.part_one)
-        attempts = 0
-
-        current = draw_assignment(rng, ifs, epsilon)
-        attempts += 1
-        covered = tester.coverage(tester.words([current]))[0]
-        uncovered = int(np.count_nonzero(~covered))
-        best_unc, best_assignment, best_covered = uncovered, current, covered
-        stall = 0
+        attempts, stall = 0, _STALL_LIMIT  # the first attempt is a fresh draw
+        best_unc, best_assignment, best_covered = n + 1, None, None
         while attempts < budget and best_unc > 0:
+            if stall >= _STALL_LIMIT:  # a fresh draw: the first, or a restart
+                current = draw_assignment(rng, ifs, epsilon)
+                attempts += 1
+                covered = tester.coverage(tester.words([current]))[0]
+                uncovered = int(np.count_nonzero(~covered))
+                if uncovered < best_unc:
+                    best_unc, best_assignment, best_covered = uncovered, current, covered
+                stall = 0
+                continue
             sym = symbols[attempts % len(symbols)]
             candidate = OmegaAssignment(
                 {**current.omegas, sym: draw_assignment(rng, ifs, epsilon).omegas[sym]}
@@ -390,14 +393,6 @@ def search_omega0(
                 else:
                     stall += 1
                 del cand_covered  # rejected flags must not outlive the next coverage
-            if stall >= _STALL_LIMIT and attempts < budget:
-                current = draw_assignment(rng, ifs, epsilon)
-                attempts += 1
-                covered = tester.coverage(tester.words([current]))[0]
-                uncovered = int(np.count_nonzero(~covered))
-                if uncovered < best_unc:
-                    best_unc, best_assignment, best_covered = uncovered, current, covered
-                stall = 0
         if best_unc == 0:
             return finish(best_assignment, attempts, attempts - 1, best_assignment, best_covered)
         return finish(None, attempts, None, best_assignment, best_covered)
@@ -413,6 +408,13 @@ _HULL_MARGIN = 1e-12  # images must clear each facet by this much, far above rou
 # The membership test admits offsets up to its 1e-9 index guard past the slack;
 # 1e-6 pitch more covers that guard and the rounding of renormalized lines.
 _SLACK_GUARD = 1e-6
+
+
+def _dot(normals: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """n_x p_x + n_y p_y over the broadcast leading axes of normals and
+    points, elementwise: a BLAS product would round by the kernel the CPU
+    selects."""
+    return normals[..., 0] * points[..., 0] + normals[..., 1] * points[..., 1]
 
 
 def _box_support(
@@ -435,9 +437,9 @@ def _box_support(
             alpha = np.arctan2(d[:, 1], d[:, 0])
             off = np.abs(np.mod(beta[:, None] - alpha + math.pi, 2 * math.pi) - math.pi)
             gain = np.where(off <= epsilon, 1.0, np.cos(off - epsilon))
-            s = normals @ c + (np.hypot(d[:, 0], d[:, 1]) * gain).max(axis=1) + shift
+            s = _dot(normals, c) + (np.hypot(d[:, 0], d[:, 1]) * gain).max(axis=1) + shift
         else:
-            s = (normals @ img.T).max(axis=1)
+            s = _dot(normals[:, None], img).max(axis=1)
         best = np.maximum(best, s)
     return best
 
@@ -461,8 +463,8 @@ def _polygon_is_invariant(
     edges = np.roll(verts, -1, axis=0) - verts
     normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
-    b = (normals * verts).sum(axis=1)
-    if not (normals @ verts.T <= b[:, None] + _HULL_MARGIN).all():
+    b = _dot(normals, verts)
+    if not (_dot(normals[:, None], verts) <= b[:, None] + _HULL_MARGIN).all():
         return False
     return bool((_box_support(ifs, normals, verts, c1, rho, epsilon) <= b - _HULL_MARGIN).all())
 
@@ -481,7 +483,7 @@ def invariant_polygon(ifs: IfsSpec, c1: float, rho: float, epsilon: float) -> np
     ang = 2.0 * math.pi * np.arange(_HULL_NORMALS) / _HULL_NORMALS
     normals = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    h = (normals @ verts.T).max(axis=1)
+    h = _dot(normals[:, None], verts).max(axis=1)
     for _ in range(2000):
         h_new = _box_support(ifs, normals, verts, c1, rho, epsilon)
         settled = np.abs(h_new - h).max() <= 1e-12
@@ -511,7 +513,7 @@ def _farthest_cell(
     first, last = start[ptr[rows]], stop[ptr[rows + 1] - 1] - 1
     rows, cols = np.concatenate([rows, rows]), np.concatenate([first, last])
     thetas, ts = rows * geom.pitch, (cols - geom.m) * geom.pitch
-    proj = np.stack([-np.sin(thetas), np.cos(thetas)], axis=1) @ poly.T
+    proj = offsets(poly[:, 0], poly[:, 1], np.sin(thetas)[:, None], np.cos(thetas)[:, None])
     dist = np.maximum(np.maximum(ts - proj.max(axis=1), proj.min(axis=1) - ts), 0.0)
     k = int(np.argmax(dist))
     return int(rows[k]), int(cols[k]), float(dist[k])

@@ -27,10 +27,32 @@ def _numpy_uses_openblas() -> bool:
     return "openblas" in str(blas.get("name", "")).lower()
 
 
-@pytest.mark.skipif(
+pytestmark = pytest.mark.skipif(
     platform.machine() != "x86_64" or not _numpy_uses_openblas(),
     reason="OPENBLAS_CORETYPE selects kernels only in OpenBLAS on x86_64",
 )
+
+
+def _under_both_kernels(tmp_path: Path, args: list[str], report: str) -> list[bytes]:
+    """The bytes of one report that the CLI command writes under the
+    default kernel and under OPENBLAS_CORETYPE=Prescott."""
+    reports = []
+    for core in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        out = tmp_path / (core or "default")
+        subprocess.run(
+            [sys.executable, "-m", "ifsproj.cli", *args, "--out", str(out)],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        reports.append((out / report).read_bytes())
+    return reports
+
+
 def test_verify_report_is_kernel_independent(tmp_path):
     """`verify` on four_corner at rho 2^-4 writes the same report bytes under
     the default kernel and under OPENBLAS_CORETYPE=Prescott: the recurrence
@@ -44,19 +66,23 @@ def test_verify_report_is_kernel_independent(tmp_path):
             }
         )
     )
-    reports = []
-    for core in (None, "Prescott"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-        if core is not None:
-            env["OPENBLAS_CORETYPE"] = core
-        out = tmp_path / (core or "default")
-        args = ["verify", "--ifs", "four_corner", "--rho", repr(2.0**-4), "--seed", "1"]
-        subprocess.run(
-            [sys.executable, "-m", "ifsproj.cli", *args, "--omega", str(omega), "--out", str(out)],
-            env=env,
-            check=True,
-            capture_output=True,
-        )
-        reports.append((out / "verify_report.json").read_bytes())
-    assert reports[0] == reports[1]
+    args = ["verify", "--ifs", "four_corner", "--rho", repr(2.0**-4), "--seed", "1", "--omega", str(omega)]
+    default, prescott = _under_both_kernels(tmp_path, args, "verify_report.json")
+    assert default == prescott
+
+
+def test_scan_is_kernel_independent(tmp_path):
+    """`scan` on the gasket at rho 1/16 writes the same `scan.csv` bytes
+    under both kernels: every row's L2 estimate and E membership."""
+    args = ["scan", "--ifs", "sierpinski", "--rho", "0.0625"]
+    default, prescott = _under_both_kernels(tmp_path, args, "scan.csv")
+    assert default == prescott
+
+
+def test_search_report_is_kernel_independent(tmp_path):
+    """`search` on four_corner at rho 2^-7 writes the same report bytes
+    under both kernels, the proved hull obstruction included."""
+    args = ["search", "--ifs", "four_corner", "--rho", repr(2.0**-7), "--seed", "1", "--budget", "1"]
+    default, prescott = _under_both_kernels(tmp_path, args, "search_report.json")
+    assert default == prescott
+    assert json.loads(default)["obstruction"] is not None

@@ -385,6 +385,10 @@ def check_bad_omega_rejected(tmp_path, capsys, monkeypatch, command):
         "no_gamma.json": ('{"a": {"phi": 0.0}}', "omega: malformed"),
         "text_phi.json": ('{"a": {"phi": "x", "gamma": [0.0, 0.0]}}', "omega: malformed"),
         "short_gamma.json": ('{"a": {"phi": 0.0, "gamma": [0.0]}}', "omega: malformed"),
+        # past the float range, a true and a false: numbers only by Python's rules
+        "huge_phi.json": ('{"a": {"phi": 1%s, "gamma": [0.0, 0.0]}}' % ("0" * 400), "omega: malformed"),
+        "bool_phi.json": ('{"a": {"phi": true, "gamma": [0.0, 0.0]}}', "omega: malformed"),
+        "bool_gamma.json": ('{"a": {"phi": 0.0, "gamma": [false, 0.0]}}', "omega: malformed"),
         "list.json": ("[]", "omega: malformed"),
         "wrong_domain.json": ('{"a": {"phi": 0.0, "gamma": [0.0, 0.0]}}', "part_one"),
         "a_directory": ("", "omega: cannot read"),

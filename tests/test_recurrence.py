@@ -289,7 +289,7 @@ def test_slice_does_not_depend_on_block_size(
         assert len(whole.start) > 0
         n_rows = len(E.member_rows()) if rows_per_block is None else rows_per_block
         assert n_rows < len(E.member_rows()) or rows_per_block is None
-        monkeypatch.setattr(ifsproj.recurrence, "_SLICE_BLOCK", n_rows * builder.angle_g.size)
+        monkeypatch.setattr(ifsproj.recurrence, "_SLICE_BLOCK", n_rows * builder.g.ratio.size)
         blocked = builder.all_rows()
         for a, b in zip(blocked, whole):
             assert a.dtype == b.dtype and np.array_equal(a, b)
