@@ -44,6 +44,12 @@ output depends on the BLAS kernel. The commands:
   rotated or reflected map: a turns by a quarter turn and moves by
   (1/3, 0), b moves by (2/3, 0), c by (0, 2/3), and d reflects and moves
   by (2/3, 1). The other constants are those of configs/four_corner.json.
+- `certify` at theta 0 and at theta 0.2, rho 2^-5, on C3 = C x C, the
+  four-corner set of ratio 1/3 with the maps at the corners, unperturbed:
+  at theta 0 its projection is the middle-thirds Cantor set, which no
+  certificate covers (the `# no interval` trailer and 63 wide gaps); at
+  0.2 the projection is an interval with one wide gap in its sample.
+  The other constants are those of configs/four_corner.json.
 
 Outputs are compared as follows: `.npz` files by their unpacked arrays,
 `.json` files by value with `candidate_file` and `omega_file` removed (they
@@ -78,6 +84,8 @@ DESK_PART_ONE = ("a", "b")  # the gasket's part_one, the first ceil(3/2) symbols
 PHI_RUN_3 = "sierpinski_phi_run_3.json"  # written into the work directory too
 TURNED = "four_corner_turned.json"  # an IFS file, written there too
 TURNED_RUN = ["--config", FOUR_CORNER, "--ifs", TURNED, "--rho", repr(2.0**-5)]
+C3 = "cantor_product.json"  # an IFS file, written there too
+C3_RUN = ["--config", FOUR_CORNER, "--ifs", C3, "--rho", repr(2.0**-5)]
 
 COMMANDS = {
     "build-l-sierpinski": ["build-l", "--config", SIERPINSKI],
@@ -101,6 +109,8 @@ COMMANDS = {
     "search-iid-turned": ["search", *TURNED_RUN, "--seed", "1", "--mode", "iid", "--budget", "200"],
     "verify-turned": ["verify", *TURNED_RUN, "--seed", "1", "--omega", OMEGA],
     "certify-turned": ["certify", *TURNED_RUN, "--theta", "4.0", "--omega", OMEGA],
+    "certify-c3": ["certify", *C3_RUN, "--theta", "0.0"],
+    "certify-c3-tilt": ["certify", *C3_RUN, "--theta", "0.2"],
 }
 PATH_KEYS = ("candidate_file", "omega_file")
 
@@ -143,6 +153,17 @@ def turned_four_corner() -> dict:
             "c": {"r": third, "tx": 0.0, "ty": 2 * third},
             "d": {"r": third, "reflect": True, "tx": 2 * third, "ty": 1.0},
         },
+    }
+
+
+def cantor_product() -> dict:
+    """C3 = C x C as an IFS file: four maps of ratio 1/3 that move the unit
+    square into its corners."""
+    third = 1.0 / 3.0
+    corners = {"a": (0, 0), "b": (2, 0), "c": (0, 2), "d": (2, 2)}
+    return {
+        "alphabet": list(corners),
+        "maps": {a: {"r": third, "tx": x * third, "ty": y * third} for a, (x, y) in corners.items()},
     }
 
 
@@ -240,7 +261,12 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"{src} holds no ifsproj package")
     work = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs_"))
     work.mkdir(parents=True, exist_ok=True)
-    inputs = {**bench_omegas(), PHI_RUN_3: phi_run_3_config(), TURNED: turned_four_corner()}
+    inputs = {
+        **bench_omegas(),
+        PHI_RUN_3: phi_run_3_config(),
+        TURNED: turned_four_corner(),
+        C3: cantor_product(),
+    }
     for name, data in inputs.items():
         (work / name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 

@@ -48,6 +48,7 @@ from .recurrence import (
     attractor_points,
     build_candidate,
     certify_projection_interval,
+    certify_projection_intervals,
     check_recurrence,
     first_witness,
     first_witness_rows,

@@ -19,15 +19,7 @@ from .config import RunConfig, build_pipeline, load_config, override, read_json_
 from .errors import BudgetExceeded, ConfigError
 from .ifs import IfsSpec, check_osc_unit_square
 from .measure import DirectionSet, build_E, stopping_cylinders
-from .recurrence import (
-    GridMembership,
-    RecurrentCandidate,
-    attractor_points,
-    certify_projection_interval,
-    check_recurrence,
-    first_witness_rows,
-    two_letter_words,
-)
+from .recurrence import RecurrentCandidate, certify_projection_intervals, check_recurrence
 from .search import (
     OmegaAssignment,
     build_perturbed_ifs,
@@ -107,21 +99,13 @@ def _assess(
     assignment: OmegaAssignment,
 ) -> dict:
     """The recurrence check, the closeness report and the certified intervals
-    of one assignment: the part that search and verify reports share. The
-    certificates read their recurrence rows from the check's witnesses, of
-    which only the sampled rows' are kept past the check, and their samples
-    from one `attractor_points` call."""
+    of one assignment: the part that search and verify reports share."""
     perturbed = build_perturbed_ifs(ifs, assignment, cfg.c1, cfg.rho)
     thetas = _sample_e_rows(E, cand, cfg.n_theta_sample, cfg.seed)
     check = check_recurrence(perturbed, cand)
-    runs, cells = cand.L.only([cand.geom.nearest_row(th)[1] for th in thetas])
-    recurrence = (runs, check.cell_witness[cells])
-    check.cell_witness = None  # not held through the samples' enumeration
-    samples = attractor_points(perturbed, cfg.cert_resolution / 2.0, budget=cfg.word_budget)
-    certs = [
-        certify_projection_interval(samples, float(th), cfg.cert_resolution, cand.geom, recurrence)
-        for th in thetas
-    ]
+    certs = certify_projection_intervals(
+        perturbed, cand, thetas, cfg.cert_resolution, cfg.word_budget
+    )
     return {
         "check": check.to_json_dict(),
         "closeness": closeness_report(ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0),
@@ -296,26 +280,14 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     ifs_eval = res.ifs
     if assignment is not None:
         ifs_eval = build_perturbed_ifs(res.ifs, assignment, cfg.c1, cfg.rho)
-    # the row route on the certified row alone, into L at the check slack
-    row, _ = cand.L.only(cand.geom.nearest_row(args.theta)[1])
-    words = two_letter_words(ifs_eval.letter_maps())
-    witness = first_witness_rows(words, row, GridMembership(cand.geom, cand.L, cand.check_slack))
-    # the samples are made in the call, so only their sorted positions outlive it
-    cert = certify_projection_interval(
-        attractor_points(ifs_eval, cfg.cert_resolution / 2.0, budget=cfg.word_budget),
-        args.theta,
-        cfg.cert_resolution,
-        cand.geom,
-        (row, witness),
-        keep_positions=True,
+    (cert,) = certify_projection_intervals(
+        ifs_eval, cand, [args.theta], cfg.cert_resolution, cfg.word_budget
     )
     gaps_path = os.path.join(out, "certify_gaps.csv")
-    pos = cert.positions
-    gaps = np.diff(pos)
     with open(gaps_path, "w", encoding="utf-8") as fh:
         fh.write("left,right,gap\n")
-        for i in np.flatnonzero(gaps > cfg.cert_resolution):
-            fh.write(f"{float(pos[i])!r},{float(pos[i + 1])!r},{float(gaps[i])!r}\n")
+        for left, right in cert.gaps:
+            fh.write(f"{float(left)!r},{float(right)!r},{float(right - left)!r}\n")
         if cert.interval:
             fh.write(f"# interval,{cert.interval[0]!r},{cert.interval[1]!r},{cert.length!r}\n")
         else:

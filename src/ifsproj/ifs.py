@@ -189,6 +189,11 @@ class IfsSpec:
             raise ConfigError("part_one and part_two must partition the alphabet")
         if set(self.part_one) & set(self.part_two):
             raise ConfigError("part_one and part_two overlap")
+        if not self.part_one or not self.part_two:
+            raise ConfigError(
+                "part_one: must be a nonempty proper subset of the alphabet, "
+                f"got {list(self.part_one)!r}"
+            )
         for a in self.alphabet:
             r = self.maps[a].ratio
             if not (0.0 < r < 1.0):

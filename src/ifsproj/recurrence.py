@@ -83,16 +83,14 @@ class RowRuns(NamedTuple):
         np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
         return cls(ptr, start, stop)
 
-    def only(self, rows) -> tuple["RowRuns", np.ndarray]:
+    def only(self, rows) -> "RowRuns":
         """The runs of the given rows (ascending) alone, every other row
-        empty, and where those rows' cells stand in the row-major numbering
-        of all of these runs' cells."""
+        empty."""
         rows = np.atleast_1d(rows)
         count = np.diff(self.ptr)[rows]
         k = _expand(self.ptr[rows], count)
         n = len(self.ptr) - 1
-        runs = RowRuns.from_rows(n, np.repeat(rows, count), self.start[k], self.stop[k])
-        return runs, _expand(self.before[self.ptr[rows]], self.row_cells[rows])
+        return RowRuns.from_rows(n, np.repeat(rows, count), self.start[k], self.stop[k])
 
     @property
     def rows(self) -> np.ndarray:
@@ -104,10 +102,7 @@ class RowRuns(NamedTuple):
         false and true stretches of the flat grid painted in one pass."""
         n = len(self.ptr) - 1
         first, last = self.rows * n_t + self.start, self.rows * n_t + self.stop
-        length = np.empty(2 * len(first) + 1, dtype=np.int64)
-        length[0::2] = np.append(first, n * n_t) - np.concatenate([[0], last])
-        length[1::2] = last - first
-        return np.repeat(np.arange(len(length)) % 2 == 1, length).reshape(n, n_t)
+        return _paint(first, last, True, False, n * n_t).reshape(n, n_t)
 
     @property
     def before(self) -> np.ndarray:
@@ -266,8 +261,6 @@ class SliceBuilder:
         self.params = params
         self.a1 = list(ifs.part_one)
         self.a2 = list(ifs.part_two)
-        if not self.a1 or not self.a2:
-            raise ValueError("slice test needs both alphabet blocks nonempty")
         n1, n2, n_phi = len(self.a1), len(self.a2), params.n_phi
         # (rotate f_{a1} by phi about its cell center) o f_{a2} for every (a1, phi, a2)
         turned = ifs.letter_maps(self.a1).reshape(n1, 1).turned(params.phi_centers(), (0.0, 0.0))
@@ -536,6 +529,18 @@ def _expand(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(first - skip, count) + np.arange(count.sum())
 
 
+def _paint(first: np.ndarray, stop: np.ndarray, value, fill, n: int) -> np.ndarray:
+    """n entries of fill's dtype: value (one for all, or one per stretch)
+    on the disjoint ascending stretches [first[k], stop[k]), fill in the
+    gaps between them, painted in one pass."""
+    paint = np.full(2 * len(first) + 1, fill)
+    paint[1::2] = value
+    length = np.empty(len(paint), dtype=np.int64)
+    length[0::2] = np.append(first, n) - np.concatenate([[0], stop])
+    length[1::2] = stop - first
+    return np.repeat(paint, length)
+
+
 def _pull_back(
     g: MapArrays, rows: np.ndarray, member: GridMembership
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -632,20 +637,13 @@ def first_witness_rows(words: MapArrays, source: RowRuns, member: GridMembership
     # paint every first hit at once, -1 in the gaps between them
     first, stop_, word = (np.concatenate(x) for x in (firsts, stops, hits))
     order = np.argsort(first)
-    first, stop_, word = first[order], stop_[order], word[order]
-    value = np.full(2 * len(first) + 1, -1, dtype=np.int16)
-    value[1::2] = word
-    length = np.empty(2 * len(first) + 1, dtype=np.int64)
-    length[0::2] = np.append(first, n_cells) - np.concatenate([[0], stop_])
-    length[1::2] = stop_ - first
-    return np.repeat(value, length)
+    first, stop_, word = first[order], stop_[order], word[order]  # frees the unsorted ones
+    return _paint(first, stop_, word, np.int16(-1), n_cells)
 
 
 @dataclass
 class RecurrenceReport:
-    """The recurrence check's findings. `cell_witness` holds the first
-    witness of every L cell (int16, -1 where none, in row-major order) for
-    the certificates' recurrence rows; it stays out of the JSON."""
+    """The recurrence check's findings."""
 
     total: int
     recurred: int
@@ -653,7 +651,6 @@ class RecurrenceReport:
     witness_counts: dict[str, int]
     failures: list[dict] = field(default_factory=list)
     witnesses: list[dict] = field(default_factory=list)
-    cell_witness: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def fraction(self) -> float:
@@ -694,8 +691,9 @@ def check_recurrence(perturbed: IfsSpec, cand: RecurrentCandidate) -> Recurrence
     are data, not errors.
 
     `witness_counts` counts, per word, the cells whose first witness it is;
-    the counts sum to `recurred`. The witnesses themselves stay on the
-    report as `cell_witness`.
+    the counts sum to `recurred`. The witnesses themselves are dropped on
+    return; a certificate finds those of its own row
+    (`certify_projection_intervals`).
     """
     names = ["".join(w) for w in product(perturbed.alphabet, repeat=2)]
     words = two_letter_words(perturbed.letter_maps())
@@ -708,17 +706,17 @@ def check_recurrence(perturbed: IfsSpec, cand: RecurrentCandidate) -> Recurrence
     failures = [{"theta": float(th), "t": float(t)} for th, t in zip(thetas, ts)]
     first = _first_true(recurred, _MAX_WITNESSES)
     thetas, ts = cand.L.lines(cand.geom, first)
-    witnesses = []
-    for i, th, t in zip(first, thetas, ts):
-        th_hat, t_hat = renormalize_arrays(words.take(witness[i]), np.array([th]), np.array([t]))
-        witnesses.append(
-            {
-                "theta": float(th),
-                "t": float(t),
-                "word": names[witness[i]],
-                "image": {"theta": float(th_hat[0]), "t": float(t_hat[0])},
-            }
-        )
+    word = witness[first]
+    th_hat, t_hat = renormalize_arrays(words.take(word), thetas, ts)
+    witnesses = [
+        {
+            "theta": float(th),
+            "t": float(t),
+            "word": names[w],
+            "image": {"theta": float(a), "t": float(b)},
+        }
+        for th, t, w, a, b in zip(thetas, ts, word, th_hat, t_hat)
+    ]
     return RecurrenceReport(
         total=len(witness),
         recurred=int(np.count_nonzero(recurred)),
@@ -726,7 +724,6 @@ def check_recurrence(perturbed: IfsSpec, cand: RecurrentCandidate) -> Recurrence
         witness_counts={w: int(c) for w, c in zip(names, counts)},
         failures=failures,
         witnesses=witnesses,
-        cell_witness=witness,
     )
 
 
@@ -739,10 +736,10 @@ class IntervalCertificate:
     length: float
     largest_gap: float
     certified: bool
+    gaps: np.ndarray  # (left, right) samples of each gap wider than resolution, ascending
     recurrence_interval: tuple[float, float] | None = None
     recurrence_length: float = 0.0
     recurrence_certified: bool | None = None
-    positions: np.ndarray | None = None  # sorted sample projections, kept on request
 
     def to_json_dict(self) -> dict:
         return {
@@ -774,26 +771,26 @@ _MIN_LENGTH_FACTOR = 10.0  # a certified interval spans this many resolutions
 
 
 def _gap_scan(pos: np.ndarray, resolution: float) -> tuple[np.ndarray, float]:
-    """For sorted positions: the mask of the gaps pos[i + 1] - pos[i] that
-    are at most resolution, and the largest gap (inf with no gap). Chunk by
-    chunk, so no full-size array of gaps is held."""
-    close = np.empty(max(len(pos) - 1, 0), dtype=bool)
-    largest = -math.inf
-    for i in range(0, len(close), _CHUNK):
-        stop = min(i + _CHUNK, len(close))
+    """For sorted positions: the indices i of the gaps pos[i + 1] - pos[i]
+    wider than resolution, and the largest gap (inf with no gap). Chunk by
+    chunk, so no array of gaps or flags as long as pos is held."""
+    n = max(len(pos) - 1, 0)
+    wide, largest = [np.zeros(0, dtype=np.int64)], -math.inf
+    for i in range(0, n, _CHUNK):
+        stop = min(i + _CHUNK, n)
         gaps = pos[i + 1 : stop + 1] - pos[i:stop]
-        np.less_equal(gaps, resolution, out=close[i:stop])
+        wide.append(i + np.flatnonzero(gaps > resolution))
         largest = max(largest, float(gaps.max()))
-    return close, largest if len(close) else math.inf
+    return np.concatenate(wide), largest if n else math.inf
 
 
-def _longest_run(mask: np.ndarray, coords: np.ndarray) -> tuple[int, int]:
-    """(start, stop) of the run mask[start:stop] of True values that has the
-    largest measure coords[stop] - coords[start]; the first such run wins.
-    coords has one entry more than mask. (0, 0) when mask has no True value."""
-    breaks = np.flatnonzero(~mask)
+def _longest_run(breaks: np.ndarray, coords: np.ndarray) -> tuple[int, int]:
+    """(start, stop) of the run [start, stop) of the len(coords) - 1 steps
+    between consecutive coords that holds none of the break indices
+    (ascending) and has the largest measure coords[stop] - coords[start];
+    the first such run wins. (0, 0) when every step is a break."""
     starts = np.concatenate(([0], breaks + 1))
-    stops = np.append(breaks, len(mask))
+    stops = np.append(breaks, len(coords) - 1)
     runs = stops > starts
     if not runs.any():
         return 0, 0
@@ -808,7 +805,6 @@ def certify_projection_interval(
     resolution: float,
     geom: GridGeometry | None = None,
     recurrence: tuple[RowRuns, np.ndarray] | None = None,
-    keep_positions: bool = False,
 ) -> IntervalCertificate:
     """Gap certificate for the projection of an attractor onto theta.
 
@@ -817,23 +813,24 @@ def certify_projection_interval(
     positions lie in the projection. Certified means: some window of
     consecutive samples has all gaps <= resolution and spans at least
     _MIN_LENGTH_FACTOR * resolution. A dust-like projection fails because
-    every candidate window stays short.
+    every candidate window stays short. The certificate keeps the gaps
+    wider than resolution, not the sample positions.
 
     recurrence, given with the grid geom, is a second, independent
-    certificate: L's row runs (all of L, or only the row nearest theta,
-    `RowRuns.only`) and the first witnesses of their cells into L from the
-    row route (`first_witness_rows`; `check_recurrence` keeps those of all
-    of L). The longest run of L cells in the row nearest theta that all
-    recur is reported in the offsets of theta itself: a row reached an odd
-    number of half-turns away names the line with t negated.
+    certificate: L's row runs (all of L, or only some rows, `RowRuns.only`,
+    the row nearest theta among them) and the first witnesses of their
+    cells into L from the row route (`first_witness_rows`). The longest
+    run of L cells in the row nearest theta that all recur is reported in
+    the offsets of theta itself: a row reached an odd number of half-turns
+    away names the line with t negated.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     pos = offsets(samples[:, 0], samples[:, 1], math.sin(theta), math.cos(theta))
     pos.sort()
-    close, largest_gap = _gap_scan(pos, resolution)
+    wide, largest_gap = _gap_scan(pos, resolution)
 
-    lo, hi = _longest_run(close, pos)
+    lo, hi = _longest_run(wide, pos)
     length = pos[hi] - pos[lo]
     min_len = _MIN_LENGTH_FACTOR * resolution
     interval = (float(pos[lo]), float(pos[hi])) if length >= min_len else None
@@ -847,7 +844,7 @@ def certify_projection_interval(
         skip = runs.before[k.start]  # the cells of the rows before
         cols = cols[witness[skip : skip + len(cols)] >= 0]
         if len(cols):  # the first longest run of consecutive recurring columns
-            first, last = _longest_run(np.diff(cols) == 1, cols)
+            first, last = _longest_run(np.flatnonzero(np.diff(cols) != 1), cols)
             rec_len = (last - first + 1) * geom.pitch
             lo_t = (cols[first] - geom.m) * geom.pitch
             rec_interval = (float(lo_t), float(lo_t + rec_len))
@@ -862,8 +859,32 @@ def certify_projection_interval(
         length=float(length),
         largest_gap=largest_gap,
         certified=interval is not None,
+        gaps=np.stack([pos[wide], pos[wide + 1]], axis=1),
         recurrence_interval=rec_interval,
         recurrence_length=float(rec_len),
         recurrence_certified=rec_ok,
-        positions=pos if keep_positions else None,
     )
+
+
+def certify_projection_intervals(
+    perturbed: IfsSpec,
+    cand: RecurrentCandidate,
+    thetas,
+    resolution: float,
+    budget: int | None = None,
+) -> list[IntervalCertificate]:
+    """The certificates of the system's projections onto thetas, each with
+    its recurrence row. The row route (`first_witness_rows`) runs on the L
+    rows nearest the angles alone (`RowRuns.only`), into L at the check
+    slack, and one `attractor_points` call at resolution/2 (within the
+    stopping-word budget) gives the samples of every angle."""
+    geom = cand.geom
+    rows = np.unique(np.array([geom.nearest_row(th)[1] for th in thetas], dtype=np.int64))
+    runs = cand.L.only(rows)
+    words = two_letter_words(perturbed.letter_maps())
+    witness = first_witness_rows(words, runs, GridMembership(geom, cand.L, cand.check_slack))
+    samples = attractor_points(perturbed, resolution / 2.0, budget=budget)
+    return [
+        certify_projection_interval(samples, float(th), resolution, geom, (runs, witness))
+        for th in thetas
+    ]

@@ -138,7 +138,7 @@ def point_route_row(
         cols = cols[first_witness(words, th, tt, membership)[0] >= 0]
     interval, length = None, 0.0
     if len(cols):
-        first, last = _longest_run(np.diff(cols) == 1, cols)
+        first, last = _longest_run(np.flatnonzero(np.diff(cols) != 1), cols)
         length = (last - first + 1) * geom.pitch
         lo_t = (cols[first] - geom.m) * geom.pitch
         interval = (float(lo_t), float(lo_t + length))

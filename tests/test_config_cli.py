@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from ifsproj import ConfigError, OmegaAssignment, Perturbation, RunConfig, Searc
 from ifsproj import cli
 from ifsproj.cli import main
 from ifsproj.config import config_from_json_dict, load_config, override
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # --- config ---
 
@@ -195,6 +198,8 @@ def test_malformed_ifs_is_config_error(tmp_path, capsys):
     p.write_text(json.dumps(spec))
     assert main(["dimension", "--ifs", str(p)]) == 2
     assert "maps: missing symbol 'c'" in capsys.readouterr().err
+    full = {**spec["maps"], "c": {"r": 0.5, "tx": 0.0, "ty": 0.5}}
+    # an empty block: part_one empty, or the whole alphabet
     bad = (
         ("alphabet", 5),
         ("alphabet", [1, 2]),
@@ -202,14 +207,15 @@ def test_malformed_ifs_is_config_error(tmp_path, capsys):
         ("maps", ["a"]),
         ("part_one", 5),
         ("part_one", "ab"),
+        ("part_one", []),
+        ("part_one", ["a", "b", "c"]),
     )
     for field, value in bad:
-        p.write_text(json.dumps({**spec, field: value}))
+        p.write_text(json.dumps({**spec, "maps": full, field: value}))
         assert main(["dimension", "--ifs", str(p)]) == 2, (field, value)
         assert capsys.readouterr().err.startswith(f"{field}: must be"), (field, value)
     # map entries: reflect a JSON boolean, numbers not strings or booleans,
     # no unknown key, no symbol outside the alphabet
-    full = {**spec["maps"], "c": {"r": 0.5, "tx": 0.0, "ty": 0.5}}
     entries = (
         ("a", {"r": 0.5, "tx": 0.0, "ty": 0.0, "reflect": "false"}, "reflect"),
         ("a", {"r": 0.5, "tx": 0.0, "ty": 0.0, "refelct": True}, "refelct"),
@@ -475,3 +481,46 @@ def test_certify_full_projection(tmp_path, capsys):
     gaps = (tmp_path / "out" / "certify_gaps.csv").read_text().splitlines()
     assert gaps[0] == "left,right,gap"
     assert gaps[-1].startswith("# interval,")
+
+
+def certify_c3(tmp_path, theta: float) -> tuple[dict, list[list[float]], str]:
+    """certify on C3 = C x C, four maps of ratio 1/3 at the corners of the
+    unit square, at theta, rho 2^-5 and the other constants of
+    configs/four_corner.json: the report, the rows of certify_gaps.csv and
+    its trailer."""
+    third = 1.0 / 3.0
+    corners = {"a": (0, 0), "b": (2, 0), "c": (0, 2), "d": (2, 2)}
+    maps = {a: {"r": third, "tx": x * third, "ty": y * third} for a, (x, y) in corners.items()}
+    ifs = tmp_path / "c3.json"
+    ifs.write_text(json.dumps({"alphabet": list(corners), "maps": maps}))
+    out = tmp_path / f"c3_{theta}"
+    config = str(ROOT / "configs" / "four_corner.json")
+    argv = ["--config", config, "--ifs", str(ifs), "--rho", "0.03125", "--out", str(out)]
+    assert main(["certify", *argv, "--theta", repr(theta)]) == 0
+    report = json.loads((out / "certify_report.json").read_text())
+    header, *rows, trailer = (out / "certify_gaps.csv").read_text().splitlines()
+    assert header == "left,right,gap"
+    return report, [[float(x) for x in row.split(",")] for row in rows], trailer
+
+
+def test_certify_c3_known_answer(tmp_path, capsys):
+    """C3 projects at theta = 0 onto the middle-thirds Cantor set C
+    (Newhouse 1979). Its 4^7 samples at scale 5e-4 are the left ends of the
+    level-7 intervals of C, so the sample gaps wider than the resolution
+    1e-3 are the 63 gaps of levels 1-6 of C, each widened by 3^-7; the
+    largest is 1/3 + 3^-7, and no interval is certified. At theta = 0.2
+    the offsets are cos 0.2 (y - lambda x) with lambda = tan 0.2 < 1/3, so
+    the projection has the one gap of width (1/3 - lambda) cos 0.2 between
+    the images of the two columns of C, levels 2 on are filled, and an
+    interval is certified; the sample widens the gap by less than twice
+    its scale."""
+    report, gaps, trailer = certify_c3(tmp_path, 0.0)
+    assert not report["certified"] and report["n_samples"] == 4**7
+    assert len(gaps) == 63 and trailer.startswith("# no interval,largest_gap,")
+    assert report["largest_gap"] == pytest.approx(1.0 / 3.0 + 3.0**-7, abs=1e-12)
+
+    report, gaps, trailer = certify_c3(tmp_path, 0.2)
+    lam = math.tan(0.2)
+    assert report["certified"] and len(gaps) == 1 and trailer.startswith("# interval,")
+    assert gaps[0][2] == pytest.approx((1 - 3 * lam) / 3 * math.cos(0.2), abs=1e-3)
+    capsys.readouterr()

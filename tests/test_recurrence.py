@@ -21,6 +21,7 @@ from ifsproj import (
     build_perturbed_ifs,
     build_pipeline,
     certify_projection_interval,
+    certify_projection_intervals,
     check_recurrence,
     draw_assignment,
     first_witness,
@@ -39,7 +40,7 @@ import map_oracle as oracle
 from certificate_oracle import certify_line
 from dilation_oracle import _dilate_wrapped
 from membership_oracle import ThreeRectMembership, _pad_wrapped, row_runs
-from renormalize_oracle import invert_map, renormalize_map, renormalize_via_carrier
+from renormalize_oracle import invert_map, project_point, renormalize_map, renormalize_via_carrier
 
 
 def lines_meeting_unit_square(geom: GridGeometry) -> np.ndarray:
@@ -779,6 +780,24 @@ def test_projection_interval_sierpinski_y_axis():
     assert cert.length >= 0.9
 
 
+def test_certificate_gaps_equal_sort_and_diff():
+    """The certificate's wide gaps are those of the sorted sample offsets:
+    on C3 = C x C at theta 0 (the Cantor set C) and on four_corner at
+    theta 1.0, whose sample's gaps exceed a resolution finer than it."""
+    third = 1.0 / 3.0
+    corners = {"a": (0, 0), "b": (2, 0), "c": (0, 2), "d": (2, 2)}
+    maps = {a: Similarity(third, 0.0, False, (x * third, y * third)) for a, (x, y) in corners.items()}
+    cases = [(attractor_points(make_ifs(maps), 5e-4), 0.0, 1e-3)]
+    cases.append((attractor_points(get_builtin("four_corner"), 2.0**-6), 1.0, 2.0**-9))
+    for samples, theta, resolution in cases:
+        cert = certify_projection_interval(samples, theta, resolution)
+        pos = np.sort(project_point(theta, samples))
+        wide = np.diff(pos) > resolution
+        assert wide.any()
+        assert np.array_equal(cert.gaps, np.stack([pos[:-1][wide], pos[1:][wide]], axis=1))
+        assert np.array_equal(cert.gaps[:, 1] - cert.gaps[:, 0], np.diff(pos)[wide])
+
+
 def loop_longest_run(mask, coords):
     """One pass over mask; a run replaces the best only when strictly longer."""
     best, best_len, start = (0, 0), None, None
@@ -800,16 +819,18 @@ def test_longest_run_matches_loop(rng):
         counts = np.arange(len(mask) + 1)
         spans = np.cumsum(np.concatenate([[0.0], rng.integers(0, 3, len(mask)) * 0.25]))
         for coords in (counts, spans):
-            assert _longest_run(mask, coords) == loop_longest_run(mask, coords), (mask, coords)
-    assert _longest_run(np.array([1, 1, 0, 1, 1], bool), np.arange(6)) == (0, 2)
+            got = _longest_run(np.flatnonzero(~mask), coords)
+            assert got == loop_longest_run(mask, coords), (mask, coords)
+    assert _longest_run(np.array([2]), np.arange(6)) == (0, 2)
 
 
-def row_witnesses(ifs, cand: RecurrentCandidate, theta: float) -> tuple[RowRuns, np.ndarray]:
-    """L's runs on the row nearest theta alone and their first witnesses
-    into L at the check slack, as `certify` computes them."""
-    row, _ = cand.L.only(cand.geom.nearest_row(theta)[1])
+def row_witnesses(ifs, cand: RecurrentCandidate, theta: float | None) -> tuple[RowRuns, np.ndarray]:
+    """L's runs on the row nearest theta alone (all of L with theta None)
+    and their first witnesses into L at the check slack, as `certify`
+    computes them."""
+    rows = cand.L if theta is None else cand.L.only(cand.geom.nearest_row(theta)[1])
     words = two_letter_words(ifs.letter_maps())
-    return row, first_witness_rows(words, row, l_membership(cand))
+    return rows, first_witness_rows(words, rows, l_membership(cand))
 
 
 def test_projection_interval_recurrence_route(desk):
@@ -835,7 +856,7 @@ def test_projection_intervals_mirror_under_half_turn():
     geom = GridGeometry(61, t_max=1.5)
     cand = flat_candidate(geom, 0.1, lines_meeting_unit_square(geom))
     pts = attractor_points(four, 5e-3)
-    recurrence = (cand.L, check_recurrence(four, cand).cell_witness)
+    recurrence = row_witnesses(four, cand, None)
 
     def cert(theta):
         return certify_projection_interval(pts, theta, 1e-2, geom, recurrence)
@@ -876,31 +897,38 @@ def _cert_cases():
 
 
 def test_certificate_row_equals_point_route():
-    """The certificate's recurrence row is the same from the whole-L check's
-    witnesses (all of them, or those of the certified rows), from the row
-    route on the certified row alone, and from the point route (`certificate_oracle.point_route_row`): for rows in [0, pi),
+    """The certificate's recurrence row is the same from the whole-L row
+    route's witnesses (all of them, or those of the certified rows), from
+    the row route on the certified row alone, and from the point route (`certificate_oracle.point_route_row`): for rows in [0, pi),
     the same rows a half-turn on, negative angles, angles just below pi
-    (row 0 with t negated) and a row with no L cells."""
+    (row 0 with t negated) and a row with no L cells. The certificates of
+    `certify_projection_intervals`, whose row route runs on all the
+    certified rows at once, are the same as the others."""
     resolution = 0.05
     for name, ifs, cand in _cert_cases():
         geom = cand.geom
         samples = attractor_points(ifs, resolution / 2)
-        whole = (cand.L, check_recurrence(ifs, cand).cell_witness)
+        whole = row_witnesses(ifs, cand, None)
         rows = np.flatnonzero(np.diff(cand.L.ptr))[::5]
         thetas = np.concatenate([rows, rows + geom.n_theta, -rows - 0.3]) * geom.pitch
         thetas = [*thetas.tolist(), math.pi - geom.pitch / 4, math.nextafter(math.pi, 0.0)]
         empty = np.flatnonzero(np.diff(cand.L.ptr) == 0)
         thetas += (empty * geom.pitch).tolist()
-        # the check's witnesses of the certified rows only, as verify keeps them
-        picked, cells = cand.L.only(np.unique([geom.nearest_row(th)[1] for th in thetas]))
-        kept = (picked, whole[1][cells])
+        # the whole-L witnesses of the certified rows only, at those rows' cells
+        picked = np.unique([geom.nearest_row(th)[1] for th in thetas])
+        first = cand.L.before[cand.L.ptr]
+        cells = np.concatenate([np.arange(first[r], first[r + 1]) for r in picked])
+        kept = (cand.L.only(picked), whole[1][cells])
+        routed = certify_projection_intervals(ifs, cand, thetas, resolution)
         partial = certified = 0
-        for theta in thetas:
+        for theta, one_route in zip(thetas, routed):
             want = certificate_oracle.point_route_row(ifs, cand, theta, resolution)
             for recurrence in (whole, kept, row_witnesses(ifs, cand, theta)):
                 cert = certify_projection_interval(samples, theta, resolution, geom, recurrence)
                 got = (cert.recurrence_interval, cert.recurrence_length, cert.recurrence_certified)
                 assert got == want, (name, theta)
+            assert one_route.to_json_dict() == cert.to_json_dict(), (name, theta)
+            assert np.array_equal(one_route.gaps, cert.gaps), (name, theta)
             certified += want[2]
             _, row = geom.nearest_row(theta)
             partial += 0 < want[1] < cand.L.row_cells[row] * geom.pitch
