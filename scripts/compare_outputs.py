@@ -18,12 +18,15 @@ output depends on the BLAS kernel. The commands:
   slice test asks for runs of 3 phi cells;
 - `scan` on configs/sierpinski.json;
 - `search` on configs/sierpinski.json at seed 1: iid with budget 300, and
-  per_symbol with budget 5;
+  per_symbol with budget 5 and with budget 120, whose hill climb stalls and
+  restarts from a fresh draw at attempt 116;
 - `search` iid on configs/sierpinski.json at seed 2, budget 1000: 62 full
   blocks of iid draws and a partial one, so that a probe flag flipped in
   any of them would change the best assignment;
 - `search` iid on four_corner at rho 2^-7, seed 1, budget 200: 12 full blocks
   of iid draws and a partial one, on a second probe net;
+- `search` per_symbol on four_corner at rho 2^-7, seed 1, budget 150, a hill
+  climb on that second probe net;
 - `verify` on four_corner at rho 2^-7, seed 1, with the omega that
   `bench/run.py` draws for seed 1;
 - `verify` on configs/sierpinski.json (the desk run, whose check slack of
@@ -98,7 +101,13 @@ COMMANDS = {
     "search-per-symbol": [
         "search", "--config", SIERPINSKI, "--seed", "1", "--mode", "per_symbol", "--budget", "5",
     ],
+    "search-per-symbol-restart": [
+        "search", "--config", SIERPINSKI, "--seed", "1", "--mode", "per_symbol", "--budget", "120",
+    ],
     "search-iid-four-corner": ["search", *FINE, "--seed", "1", "--mode", "iid", "--budget", "200"],
+    "search-per-symbol-four-corner": [
+        "search", *FINE, "--seed", "1", "--mode", "per_symbol", "--budget", "150",
+    ],
     "verify": ["verify", *FINE, "--seed", "1", "--omega", OMEGA],
     "verify-sierpinski": ["verify", "--config", SIERPINSKI, "--seed", "1", "--omega", OMEGA_DESK],
     "certify": ["certify", *FINE, "--theta", "0.7854"],

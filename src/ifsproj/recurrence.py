@@ -282,7 +282,7 @@ class SliceBuilder:
         """
         geom, params = self.geom, self.params
         n1, n_phi, n2 = self.g.ratio.shape
-        n_t, m, h = geom.n_t, geom.m, geom.pitch
+        n_t, m, h, tol = geom.n_t, geom.m, geom.pitch, GridMembership._TOL
         R = params.required_run
         rows = rows[self.E.member[rows]]
         n_win = n_phi - R + 1
@@ -291,8 +291,8 @@ class SliceBuilder:
 
         theta_hat, _, shift = renormalize_affine(self.g, (rows * h)[:, None, None, None])
         arg_ok = self.E.member[np.rint(theta_hat / h).astype(np.int64) % geom.n_theta]
-        lo = np.ceil((shift - self.g.ratio) / h - 1e-9).astype(np.int64) + m
-        hi = np.floor((shift + self.g.ratio) / h + 1e-9).astype(np.int64) + m
+        lo = np.ceil((shift - self.g.ratio) / h - tol).astype(np.int64) + m
+        hi = np.floor((shift + self.g.ratio) / h + tol).astype(np.int64) + m
         lo, stop = np.maximum(lo, 0), np.minimum(hi + 1, n_t)
         passes = np.flatnonzero(arg_ok & (lo < stop))
 

@@ -309,11 +309,15 @@ def search_omega0(
     the best nor be probe-clean, and the outcome is that of counting every
     attempt's probe points.
 
-    mode "per_symbol": sequential hill climb resampling one symbol's
-    perturbation at a time, keeping changes that strictly shrink the
-    uncovered set; restarts from a fresh draw after _STALL_LIMIT consecutive
-    rejections. Matches the per-symbol product structure of the underlying
-    probability bound; much stronger at coarse rho.
+    mode "per_symbol": sequential hill climb on one stream, one draw per
+    attempt. The first attempt, and the first after _STALL_LIMIT rejections
+    in a row, takes the fresh draw as the current assignment (a restart);
+    every other attempt gives the draw's perturbation of one symbol (symbols
+    in turn by attempt index) to the current assignment and keeps the change
+    exactly when it strictly shrinks the uncovered set. Every candidate is
+    judged on the whole probe net by the row route, and only uncovered
+    counts are kept. Matches the per-symbol product structure of the
+    underlying probability bound; much stronger at coarse rho.
 
     On budget exhaustion omega0 is absent and the best assignment seen (by
     probe coverage in iid mode, by uncovered count in per_symbol mode) is
@@ -324,8 +328,8 @@ def search_omega0(
     tester = CoverageTester(ifs, cand, c1)
     n = cand.delta_count
 
-    def finish(omega0, attempts, accepted, best, covered):
-        coverage = float(np.count_nonzero(covered) / n) if covered is not None else 0.0
+    def finish(omega0, attempts, accepted, best, n_covered):
+        coverage = float(n_covered / n)
         return SearchOutcome(
             omega0=omega0,
             attempts=attempts,
@@ -335,6 +339,9 @@ def search_omega0(
             estimated_failure_prob=1.0 - coverage,
             mode=mode,
         )
+
+    def covered_count(assignment):
+        return int(np.count_nonzero(tester.coverage(tester.words([assignment]))[0]))
 
     if mode == "iid":
         n_probe = len(tester.probe_idx)
@@ -347,55 +354,35 @@ def search_omega0(
             for k, assignment, count in zip(ks, block, counts):
                 if count > best_count:
                     best_count, best_assignment = count, assignment
-                if count < n_probe:
-                    continue
-                covered = tester.coverage(tester.words([assignment]))[0]
-                if covered.all():
-                    return finish(assignment, k + 1, k, assignment, covered)
-        if best_assignment is None:
-            return finish(None, budget, None, None, None)
-        covered = tester.coverage(tester.words([best_assignment]))[0]
-        return finish(None, budget, None, best_assignment, covered)
+                if count == n_probe and covered_count(assignment) == n:
+                    return finish(assignment, k + 1, k, assignment, n)
+        n_best = covered_count(best_assignment) if best_assignment is not None else 0
+        return finish(None, budget, None, best_assignment, n_best)
 
     if mode == "per_symbol":
         rng = np.random.default_rng([seed])
         symbols = list(ifs.part_one)
         attempts, stall = 0, _STALL_LIMIT  # the first attempt is a fresh draw
-        best_unc, best_assignment, best_covered = n + 1, None, None
+        best_unc, best_assignment = n + 1, None
         while attempts < budget and best_unc > 0:
-            if stall >= _STALL_LIMIT:  # a fresh draw: the first, or a restart
-                current = draw_assignment(rng, ifs, epsilon)
-                attempts += 1
-                covered = tester.coverage(tester.words([current]))[0]
-                uncovered = int(np.count_nonzero(~covered))
-                if uncovered < best_unc:
-                    best_unc, best_assignment, best_covered = uncovered, current, covered
-                stall = 0
-                continue
-            sym = symbols[attempts % len(symbols)]
-            candidate = OmegaAssignment(
-                {**current.omegas, sym: draw_assignment(rng, ifs, epsilon).omegas[sym]}
-            )
-            attempts += 1
-            # a copy: the strided view would hold every uncovered index
-            probe_unc = np.flatnonzero(~covered)[:: max(1, uncovered // _PROBE_SIZE)].copy()
-            probe_cov = tester.coverage(tester.words([candidate]), probe_unc)[0]
-            if not probe_cov.any():
-                stall += 1
+            draw = draw_assignment(rng, ifs, epsilon)
+            fresh = stall >= _STALL_LIMIT  # the first attempt, or a restart
+            if fresh:
+                candidate = draw
             else:
-                cand_covered = tester.coverage(tester.words([candidate]))[0]
-                cand_unc = int(np.count_nonzero(~cand_covered))
-                if cand_unc < uncovered:
-                    current, covered, uncovered = candidate, cand_covered, cand_unc
-                    stall = 0
-                    if uncovered < best_unc:
-                        best_unc, best_assignment, best_covered = uncovered, current, covered
-                else:
-                    stall += 1
-                del cand_covered  # rejected flags must not outlive the next coverage
+                sym = symbols[attempts % len(symbols)]
+                candidate = OmegaAssignment({**current.omegas, sym: draw.omegas[sym]})
+            attempts += 1
+            cand_unc = n - covered_count(candidate)
+            if fresh or cand_unc < uncovered:
+                current, uncovered, stall = candidate, cand_unc, 0
+                if uncovered < best_unc:
+                    best_unc, best_assignment = uncovered, current
+            else:
+                stall += 1
         if best_unc == 0:
-            return finish(best_assignment, attempts, attempts - 1, best_assignment, best_covered)
-        return finish(None, attempts, None, best_assignment, best_covered)
+            return finish(best_assignment, attempts, attempts - 1, best_assignment, n)
+        return finish(None, attempts, None, best_assignment, n - best_unc if attempts else 0)
 
     raise ValueError(f"unknown search mode {mode!r}")
 

@@ -780,14 +780,20 @@ def test_projection_interval_sierpinski_y_axis():
     assert cert.length >= 0.9
 
 
+def cantor_product():
+    """C3 = C x C: four maps of ratio 1/3 that move I into its corners."""
+    third = 1.0 / 3.0
+    corners = {"a": (0, 0), "b": (2, 0), "c": (0, 2), "d": (2, 2)}
+    return make_ifs(
+        {a: Similarity(third, 0.0, False, (x * third, y * third)) for a, (x, y) in corners.items()}
+    )
+
+
 def test_certificate_gaps_equal_sort_and_diff():
     """The certificate's wide gaps are those of the sorted sample offsets:
     on C3 = C x C at theta 0 (the Cantor set C) and on four_corner at
     theta 1.0, whose sample's gaps exceed a resolution finer than it."""
-    third = 1.0 / 3.0
-    corners = {"a": (0, 0), "b": (2, 0), "c": (0, 2), "d": (2, 2)}
-    maps = {a: Similarity(third, 0.0, False, (x * third, y * third)) for a, (x, y) in corners.items()}
-    cases = [(attractor_points(make_ifs(maps), 5e-4), 0.0, 1e-3)]
+    cases = [(attractor_points(cantor_product(), 5e-4), 0.0, 1e-3)]
     cases.append((attractor_points(get_builtin("four_corner"), 2.0**-6), 1.0, 2.0**-9))
     for samples, theta, resolution in cases:
         cert = certify_projection_interval(samples, theta, resolution)
@@ -796,6 +802,30 @@ def test_certificate_gaps_equal_sort_and_diff():
         assert wide.any()
         assert np.array_equal(cert.gaps, np.stack([pos[:-1][wide], pos[1:][wide]], axis=1))
         assert np.array_equal(cert.gaps[:, 1] - cert.gaps[:, 0], np.diff(pos)[wide])
+
+
+def test_c3_gap_scan_over_lambda():
+    """C3 projects at theta onto max(|cos|, |sin|) (C + lambda C) up to an
+    affine move, lambda = min(|tan theta|, |cot theta|) (Newhouse 1979). For
+    lambda < 1/3 its largest gap is the one between the images of the two
+    columns of C, (1 - 3 lambda)/3 max(|cos|, |sin|) (the smaller copies of
+    C + 3 lambda C are intervals or have narrower gaps); for lambda >= 1/3 it
+    is the interval of length |cos| + |sin| that the unit square projects
+    onto (C has thickness 1). The gap scan at scale s = 5e-4 and resolution
+    1e-3 finds both within 2 s, at the angles k pi / 19, k = 1, ..., 18."""
+    s, resolution = 5e-4, 1e-3
+    samples = attractor_points(cantor_product(), s)
+    thin = 0
+    for theta in np.arange(1, 19) * math.pi / 19:
+        c, n = abs(math.cos(theta)), abs(math.sin(theta))
+        lam = min(n, c) / max(n, c)
+        cert = certify_projection_interval(samples, theta, resolution)
+        if lam < 1.0 / 3.0:
+            thin += 1
+            assert cert.largest_gap == pytest.approx((1 - 3 * lam) / 3 * max(c, n), abs=2 * s)
+        else:
+            assert cert.certified and cert.length == pytest.approx(c + n, abs=2 * s)
+    assert 0 < thin < 18
 
 
 def loop_longest_run(mask, coords):

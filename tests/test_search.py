@@ -30,7 +30,7 @@ from ifsproj import (
     two_letter_words,
     Line,
 )
-from ifsproj.search import _IID_BLOCK
+from ifsproj.search import _IID_BLOCK, _STALL_LIMIT
 import map_oracle as oracle
 from test_acceptance import farthest_line, obstruction_faults, settlement_faults
 from test_recurrence import _turned_system, flat_candidate, l_membership, lines_meeting_unit_square
@@ -198,6 +198,64 @@ def test_iid_blocks_match_one_attempt_at_a_time(recurrent_instance, monkeypatch)
     assert 0.0 < out.coverage < 1.0
 
 
+def _per_symbol_whole_net(ifs, cand, budget, seed, c1, epsilon):
+    """The per_symbol search written out one attempt at a time: one draw
+    per attempt from one stream; the first attempt and each one after
+    _STALL_LIMIT rejections in a row take the draw whole, every other
+    attempt k gives the draw's perturbation of symbol k mod |part_one| to the
+    current assignment and keeps it when the whole net then has strictly
+    fewer uncovered cells; the best assignment has the most covered cells,
+    the first such wins. Returns the outcome and the attempts that took a
+    fresh draw."""
+    tester = CoverageTester(ifs, cand, c1)
+    rng = np.random.default_rng([seed])
+    symbols = list(ifs.part_one)
+    fresh, best, best_covered, stall = [], None, None, _STALL_LIMIT
+    for k in range(budget):
+        draw = draw_assignment(rng, ifs, epsilon)
+        if stall == _STALL_LIMIT:
+            fresh.append(k)
+            candidate = draw
+        else:
+            sym = symbols[k % len(symbols)]
+            candidate = OmegaAssignment({**current.omegas, sym: draw.omegas[sym]})
+        covered = tester.coverage(tester.words([candidate]))[0]
+        if stall == _STALL_LIMIT or np.count_nonzero(~covered) < np.count_nonzero(~current_covered):
+            current, current_covered, stall = candidate, covered, 0
+            if best is None or np.count_nonzero(covered) > np.count_nonzero(best_covered):
+                best, best_covered = current, covered
+        else:
+            stall += 1
+        if best_covered.all():
+            return SearchOutcome(best, k + 1, k, best, 1.0, 0.0, "per_symbol"), fresh
+    coverage = float(np.count_nonzero(best_covered) / cand.delta_count) if best is not None else 0.0
+    return SearchOutcome(None, budget, None, best, coverage, 1.0 - coverage, "per_symbol"), fresh
+
+
+def test_per_symbol_matches_whole_net_hill_climb(desk):
+    """The per_symbol search is the hill climb of `_per_symbol_whole_net`,
+    field for field: on the gasket over the coarse lines-meeting-I candidate
+    (seed 0, budget 60), whose climb stalls and restarts at attempt 51; on
+    four_corner there, which it accepts at attempt 23; with budget 0; and on
+    the desk at the bench's budget 5 (seed 1)."""
+    runs = [
+        (*_coarse_candidate("sierpinski"), 60, 0, 0.5, 0.3),
+        (*_coarse_candidate("four_corner"), 40, 0, 0.5, 0.3),
+        (*_coarse_candidate("four_corner"), 0, 0, 0.5, 0.3),
+        (desk.ifs, desk.cand, 5, 1, desk.cfg.c1, desk.cfg.epsilon),
+    ]
+    outs, fresh = [], []
+    for ifs, cand, budget, seed, c1, epsilon in runs:
+        out = search_omega0(ifs, cand, budget=budget, seed=seed, mode="per_symbol", c1=c1, epsilon=epsilon)
+        reference, at = _per_symbol_whole_net(ifs, cand, budget, seed, c1, epsilon)
+        assert out == reference
+        outs.append(out)
+        fresh.append(at)
+    assert fresh == [[0, 51], [0], [], [0]]
+    assert [o.accepted_attempt for o in outs] == [None, 23, None, None]
+    assert out.attempts == 5 and 0.0 < out.coverage < 1.0
+
+
 def test_estimate_success_prob_matches_per_sample_loop(recurrent_instance):
     """The blocked estimate counts the same hits as evaluating each sample
     alone, for sample counts below, at and past one block."""
@@ -354,11 +412,11 @@ def test_probe_drops_only_draws_that_cannot_beat(system, monkeypatch):
 
 
 def test_desk_per_symbol_search_holds_no_stale_flags(desk, traced_peak):
-    """The desk per_symbol search (budget 5, seed 1) holds only the current
-    and best covered flags between full coverages: no witness array, no
-    rejected candidate's flags and no list of uncovered indices. Its peak
-    stays under 5.5 bytes per probe-net cell, one full coverage's own
-    scratch (int16 witnesses and their flags) included."""
+    """The desk per_symbol search (budget 5, seed 1) holds no covered flags
+    between full coverages, only uncovered counts: no witness array, no
+    candidate's flags and no list of uncovered indices. Its peak stays
+    under 5.5 bytes per probe-net cell, one full coverage's own scratch
+    (int16 witnesses and their flags) included."""
     out, peak = traced_peak(
         lambda: search_omega0(
             desk.ifs, desk.cand, budget=5, seed=1, mode="per_symbol",
