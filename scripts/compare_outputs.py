@@ -20,11 +20,11 @@ output depends on the BLAS kernel. The commands:
 - `search` on configs/sierpinski.json at seed 1: iid with budget 300, and
   per_symbol with budget 5 and with budget 120, whose hill climb stalls and
   restarts from a fresh draw at attempt 116;
-- `search` iid on configs/sierpinski.json at seed 2, budget 1000: 62 full
-  blocks of iid draws and a partial one, so that a probe flag flipped in
-  any of them would change the best assignment;
-- `search` iid on four_corner at rho 2^-7, seed 1, budget 200: 12 full blocks
-  of iid draws and a partial one, on a second probe net;
+- `search` iid on configs/sierpinski.json at seed 2, budget 1000: 15 full
+  blocks of 64 iid draws and a partial one of 40, so that a probe flag
+  flipped in any of them would change the best assignment;
+- `search` iid on four_corner at rho 2^-7, seed 1, budget 200: 3 full blocks
+  of 64 iid draws and a partial one of 8, on a second probe net;
 - `search` per_symbol on four_corner at rho 2^-7, seed 1, budget 150, a hill
   climb on that second probe net;
 - `verify` on four_corner at rho 2^-7, seed 1, with the omega that

@@ -119,7 +119,10 @@ def draw_assignment(rng: np.random.Generator, ifs: IfsSpec, epsilon: float) -> O
 
 _PROBE_SIZE = 2048  # probe points checked before a full evaluation
 _PROBE_STAGE = 256  # probe points in the first stage of `probe`; each later stage doubles
-_IID_BLOCK = 16  # iid draws evaluated in one call
+# iid draws evaluated in one call. Each probe call has a fixed cost, paid once
+# per block; but the first block (beat -1) takes every draw through every
+# stage, so its memory grows with the block.
+_IID_BLOCK = 64
 _STALL_LIMIT = 40  # per_symbol: rejections in a row before a fresh draw
 
 

@@ -85,11 +85,12 @@ def test_images_match_scalar_oracle(system):
 
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_block_perturbation_matches_scalar_oracle(system):
-    """40 seeded draws in blocks of _IID_BLOCK, the last one partial: each
-    block's letters and two-letter words are the oracle's for each draw."""
+    """2 * _IID_BLOCK + 8 seeded draws in blocks of _IID_BLOCK, the last one
+    partial: each block's letters and two-letter words are the oracle's for
+    each draw."""
     ifs = SYSTEMS[system]()
     rng = np.random.default_rng(11)
-    draws = [draw_assignment(rng, ifs, 0.3) for _ in range(40)]
+    draws = [draw_assignment(rng, ifs, 0.3) for _ in range(2 * _IID_BLOCK + 8)]
     for first in range(0, len(draws), _IID_BLOCK):
         block = draws[first : first + _IID_BLOCK]
         letters = perturbed_letters(ifs, block, C1, RHO)

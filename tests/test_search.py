@@ -166,8 +166,11 @@ def test_iid_blocks_match_one_attempt_at_a_time(recurrent_instance, monkeypatch)
     a block, in the second of which attempts 11 and 13 tie at a clean probe
     and the first stays best. First the gasket on the same candidate, which
     no draw covers, over a budget ending inside its fourth block: `probe`
-    drops most of its draws after the first block."""
+    drops most of its draws after the first block. The block is pinned to
+    16 draws, the size these budgets and attempts are chosen for."""
     four_corner, cand = recurrent_instance
+    block = 16
+    monkeypatch.setattr(ifsproj.search, "_IID_BLOCK", block)
     dropped = []
     probe = CoverageTester.probe
 
@@ -178,7 +181,7 @@ def test_iid_blocks_match_one_attempt_at_a_time(recurrent_instance, monkeypatch)
 
     monkeypatch.setattr(CoverageTester, "probe", counting)
     cases = (
-        (get_builtin("sierpinski"), 3 * _IID_BLOCK + 5, 0.5, 0.3, None),
+        (get_builtin("sierpinski"), 3 * block + 5, 0.5, 0.3, None),
         (four_corner, 40, 0.3, 0.3, 23),
         (four_corner, 40, 0.3, 0.1, 11),
         (four_corner, 21, 0.3, 0.3, None),
@@ -193,7 +196,7 @@ def test_iid_blocks_match_one_attempt_at_a_time(recurrent_instance, monkeypatch)
         assert out.accepted_attempt == accepted
         assert out.to_json_dict() == _iid_one_by_one(ifs, cand, budget, 0, c1, epsilon).to_json_dict()
     assert drops[0] > cases[0][1] // 2 and drops[1:] == [15, 0, 5, 5]
-    assert 0 < 23 % _IID_BLOCK < _IID_BLOCK - 1 and budget % _IID_BLOCK
+    assert 0 < 23 % block < block - 1 and budget % block
     assert out.best_assignment == draw_assignment(np.random.default_rng([0, 11]), ifs, epsilon)
     assert 0.0 < out.coverage < 1.0
 
@@ -256,22 +259,75 @@ def test_per_symbol_matches_whole_net_hill_climb(desk):
     assert out.attempts == 5 and 0.0 < out.coverage < 1.0
 
 
+def _success_one_by_one(ifs, cand, u, samples, seed, c1, epsilon):
+    """`estimate_success_prob` written out one sample at a time."""
+    member0 = GridMembership(cand.geom, cand.L0, cand.search_slack)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(samples):
+        a = draw_assignment(rng, ifs, epsilon)
+        words = two_letter_words(perturbed_letters(ifs, [a], c1, cand.rho))
+        hits += int(first_witness(words, np.array([u.theta]), np.array([u.t]), member0)[0, 0] >= 0)
+    return hits / samples
+
+
+def _net_line(geom):
+    """A line of the coarse lines-meeting-I candidates' probe net."""
+    return Line(30 * geom.pitch, (41 - geom.m) * geom.pitch)
+
+
 def test_estimate_success_prob_matches_per_sample_loop(recurrent_instance):
     """The blocked estimate counts the same hits as evaluating each sample
     alone, for sample counts below, at and past one block."""
     ifs, cand = recurrent_instance
-    geom = cand.geom
-    u = Line(30 * geom.pitch, (41 - geom.m) * geom.pitch)
-    member0 = GridMembership(geom, cand.L0, cand.search_slack)
+    u = _net_line(cand.geom)
     for samples in (1, _IID_BLOCK, 2 * _IID_BLOCK + 5):
-        rng = np.random.default_rng(3)
-        hits = 0
-        for _ in range(samples):
-            a = draw_assignment(rng, ifs, 0.3)
-            words = two_letter_words(perturbed_letters(ifs, [a], 0.3, cand.rho))
-            hits += int(first_witness(words, np.array([u.theta]), np.array([u.t]), member0)[0, 0] >= 0)
         p = estimate_success_prob(ifs, u, cand, samples=samples, seed=3, c1=0.3, epsilon=0.3)
-        assert p == hits / samples
+        assert p == _success_one_by_one(ifs, cand, u, samples, 3, 0.3, 0.3)
+    assert 0.0 < p < 1.0
+
+
+_SIZES_BUDGET = 2 * 64 + 9  # two blocks of 64 draws and a partial one
+_SIZES_CASES = {  # system: (seed, accepted attempt) at c1 0.5, epsilon 0.3
+    "sierpinski": [(0, None)],
+    "four_corner": [(2, 125), (3, None)],
+}
+
+
+@pytest.fixture(scope="module")
+def one_at_a_time():
+    """Per system of _SIZES_CASES: the coarse candidate, its net line,
+    `_iid_one_by_one`'s outcome of each case and `_success_one_by_one` on
+    the line, computed once for every block size."""
+    refs = {}
+    for system, cases in _SIZES_CASES.items():
+        ifs, cand = _coarse_candidate(system)
+        outcomes = [
+            _iid_one_by_one(ifs, cand, _SIZES_BUDGET, seed, 0.5, 0.3).to_json_dict()
+            for seed, _ in cases
+        ]
+        u = _net_line(cand.geom)
+        p = _success_one_by_one(ifs, cand, u, _SIZES_BUDGET, 3, 0.5, 0.3)
+        refs[system] = ifs, cand, u, outcomes, p
+    return refs
+
+
+@pytest.mark.parametrize("block", [1, 16, 64])
+@pytest.mark.parametrize("system", list(_SIZES_CASES))
+def test_iid_block_size_changes_no_outcome(system, block, one_at_a_time, monkeypatch):
+    """The iid search and `estimate_success_prob` give the one-at-a-time
+    outcome and estimate whatever `_IID_BLOCK` is, over a budget of two
+    64-draw blocks and a partial one: on the gasket over the coarse
+    lines-meeting-I candidate, which no draw covers, and on four_corner
+    there, which accepts attempt 125 (in the second 64-draw block) at seed 2
+    and fails at seed 3."""
+    ifs, cand, u, outcomes, p = one_at_a_time[system]
+    monkeypatch.setattr(ifsproj.search, "_IID_BLOCK", block)
+    for (seed, accepted), reference in zip(_SIZES_CASES[system], outcomes):
+        out = search_omega0(ifs, cand, budget=_SIZES_BUDGET, seed=seed, mode="iid", c1=0.5, epsilon=0.3)
+        assert out.accepted_attempt == accepted
+        assert out.to_json_dict() == reference
+    assert estimate_success_prob(ifs, u, cand, samples=_SIZES_BUDGET, seed=3, c1=0.5, epsilon=0.3) == p
     assert 0.0 < p < 1.0
 
 
@@ -341,10 +397,10 @@ def _coarse_candidate(system):
 def test_ordered_probe_changes_no_flag(system):
     """Probing in the unperturbed system's word order gives the canonical
     order's covered flags, each witness it returns re-verifies, and `probe`
-    with beat -1 counts the canonical flags of every draw: 40 draws in
-    blocks of _IID_BLOCK, the last one partial, on four_corner (4 of its 16
-    words unperturbed), the gasket and the turned system (rotated and
-    reflected maps)."""
+    with beat -1 counts the canonical flags of every draw: 2 * _IID_BLOCK + 8
+    draws in blocks of _IID_BLOCK, the last one partial, on four_corner (4
+    of its 16 words unperturbed), the gasket and the turned system (rotated
+    and reflected maps)."""
     ifs, cand = _coarse_candidate(system)
     geom = cand.geom
     tester = CoverageTester(ifs, cand, c1=0.5)
@@ -354,7 +410,7 @@ def test_ordered_probe_changes_no_flag(system):
     thetas, ts = cand.L1.lines(geom, tester.probe_idx)
     n = len(thetas)
     rng = np.random.default_rng(5)
-    draws = [draw_assignment(rng, ifs, 0.3) for _ in range(40)]
+    draws = [draw_assignment(rng, ifs, 0.3) for _ in range(2 * _IID_BLOCK + 8)]
     reordered = False
     for first in range(0, len(draws), _IID_BLOCK):
         block = draws[first : first + _IID_BLOCK]
@@ -379,7 +435,7 @@ def test_ordered_probe_changes_no_flag(system):
 def test_probe_drops_only_draws_that_cannot_beat(system, monkeypatch):
     """`probe(block, beat)` is an exact search: each draw gets its count of
     covered probe points where that exceeds beat and -1 where it does not,
-    for beat -1, 0, the median count, n - 1 and n (n probe points); the 40
+    for beat -1, 0, the median count, n - 1 and n (n probe points); the
     draws of `test_ordered_probe_changes_no_flag`. From the median up some
     draws are dropped before the last stage, so fewer (draw, point) pairs
     are evaluated than the probe has."""
@@ -389,7 +445,7 @@ def test_probe_drops_only_draws_that_cannot_beat(system, monkeypatch):
     assert len(tester.probe_stages) > 2
     assert np.array_equal(np.sort(np.concatenate(tester.probe_stages)), np.arange(n))
     rng = np.random.default_rng(5)
-    draws = [draw_assignment(rng, ifs, 0.3) for _ in range(40)]
+    draws = [draw_assignment(rng, ifs, 0.3) for _ in range(2 * _IID_BLOCK + 8)]
     blocks = [draws[first : first + _IID_BLOCK] for first in range(0, len(draws), _IID_BLOCK)]
     exact = [
         tester.coverage(tester.words(b), tester.probe_idx)[0].reshape(len(b), n).sum(axis=1)
