@@ -27,6 +27,10 @@ output depends on the BLAS kernel. The commands:
   of 64 iid draws and a partial one of 8, on a second probe net;
 - `search` per_symbol on four_corner at rho 2^-7, seed 1, budget 150, a hill
   climb on that second probe net;
+- `search` iid on configs/sierpinski.json with the gasket's maps given as an
+  IFS file whose part_one lists b before a, out of alphabet order, seed 1,
+  budget 200: each draw's numbers go to the part_one symbols in the order
+  the file lists them;
 - `verify` on four_corner at rho 2^-7, seed 1, with the omega that
   `bench/run.py` draws for seed 1;
 - `verify` on configs/sierpinski.json (the desk run, whose check slack of
@@ -89,6 +93,7 @@ TURNED = "four_corner_turned.json"  # an IFS file, written there too
 TURNED_RUN = ["--config", FOUR_CORNER, "--ifs", TURNED, "--rho", repr(2.0**-5)]
 C3 = "cantor_product.json"  # an IFS file, written there too
 C3_RUN = ["--config", FOUR_CORNER, "--ifs", C3, "--rho", repr(2.0**-5)]
+GASKET_B_A = "sierpinski_part_one_b_a.json"  # an IFS file, written there too
 
 COMMANDS = {
     "build-l-sierpinski": ["build-l", "--config", SIERPINSKI],
@@ -107,6 +112,10 @@ COMMANDS = {
     "search-iid-four-corner": ["search", *FINE, "--seed", "1", "--mode", "iid", "--budget", "200"],
     "search-per-symbol-four-corner": [
         "search", *FINE, "--seed", "1", "--mode", "per_symbol", "--budget", "150",
+    ],
+    "search-iid-part-one-b-a": [
+        "search", "--config", SIERPINSKI, "--ifs", GASKET_B_A,
+        "--seed", "1", "--mode", "iid", "--budget", "200",
     ],
     "verify": ["verify", *FINE, "--seed", "1", "--omega", OMEGA],
     "verify-sierpinski": ["verify", "--config", SIERPINSKI, "--seed", "1", "--omega", OMEGA_DESK],
@@ -162,6 +171,18 @@ def turned_four_corner() -> dict:
             "c": {"r": third, "tx": 0.0, "ty": 2 * third},
             "d": {"r": third, "reflect": True, "tx": 2 * third, "ty": 1.0},
         },
+    }
+
+
+def gasket_part_one_b_a() -> dict:
+    """The gasket of `ifsproj.systems.sierpinski` as an IFS file whose
+    part_one is (b, a), out of alphabet order."""
+    half = 0.5
+    corners = {"a": (0, 0), "b": (1, 0), "c": (0, 1)}
+    return {
+        "alphabet": list(corners),
+        "maps": {a: {"r": half, "tx": x * half, "ty": y * half} for a, (x, y) in corners.items()},
+        "part_one": ["b", "a"],
     }
 
 
@@ -275,6 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         PHI_RUN_3: phi_run_3_config(),
         TURNED: turned_four_corner(),
         C3: cantor_product(),
+        GASKET_B_A: gasket_part_one_b_a(),
     }
     for name, data in inputs.items():
         (work / name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

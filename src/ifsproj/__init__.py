@@ -60,10 +60,13 @@ from .search import (
     SearchOutcome,
     build_perturbed_ifs,
     closeness_report,
-    draw_assignment,
+    draw_omegas,
     estimate_success_prob,
     hull_obstruction,
     invariant_polygon,
+    omega_array,
+    omega_assignment,
+    omega_letters,
     perturbed_letters,
     search_omega0,
 )

@@ -98,35 +98,40 @@ class MapArrays(NamedTuple):
     def images(self, points) -> np.ndarray:
         """f(p) for every map f and point p, the points given as an array
         whose last axis is (x, y): shape (maps..., points..., 2), so one
-        point gives (maps..., 2)."""
+        point gives (maps..., 2). x and y are each computed and held
+        contiguously; the last axis is a view across the two."""
         px, py = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
         lead = (...,) + (None,) * px.ndim  # the maps' axes, then the points'
         cos_v, sin_v = np.cos(self.angle)[lead], np.sin(self.angle)[lead]
         sy = np.where(self.reflect[lead], -py, py)
-        out = np.empty(sy.shape + (2,))
-        x = np.multiply(cos_v, px, out=out[..., 0])
-        y = np.multiply(sin_v, px, out=out[..., 1])
+        out = np.empty((2,) + sy.shape)
+        x = np.multiply(cos_v, px, out=out[0])
+        y = np.multiply(sin_v, px, out=out[1])
         x -= sin_v * sy
         y += cos_v * sy
-        out *= self.ratio[lead][..., None]
+        out *= self.ratio[lead]
         tx, ty = self.translation
         x += tx[lead]
         y += ty[lead]
-        return out
+        return np.moveaxis(out, 0, -1)
 
     def compose(self, inner: "MapArrays") -> "MapArrays":
         """f o g for every map f along self's last axis and g along inner's,
         f-major along the result's last axis; leading axes broadcast. The
-        angles add as they are, not reduced mod 2 pi."""
-        r, ang, m, (tx, ty) = self._each(lambda v: v[..., None])
-        lr, la, lm, (lx, ly) = inner._each(lambda v: v[..., None, :])
+        angles add as they are, not reduced mod 2 pi. The arithmetic runs
+        g-major, so each elementwise loop runs along self's maps, usually
+        the long axis; one copy per field lays the result out f-major."""
+        r, ang, m, (tx, ty) = self._each(lambda v: v[..., None, :])
+        lr, la, lm, (lx, ly) = inner._each(lambda v: v[..., :, None])
         cos_a, sin_a = np.cos(ang), np.sin(ang)
         sgn = np.where(m, -1.0, 1.0)
         py = sgn * ly
         x = r * (cos_a * lx - sin_a * py) + tx
         y = r * (sin_a * lx + cos_a * py) + ty
+        lead = np.broadcast_shapes(self.ratio.shape[:-1], inner.ratio.shape[:-1])
+        size = self.ratio.shape[-1] * inner.ratio.shape[-1]  # explicit: a zero-size block reshapes too
         return MapArrays(r * lr, ang + sgn * la, m ^ lm, (x, y))._each(
-            lambda v: v.reshape(v.shape[:-2] + (-1,))
+            lambda v: np.swapaxes(v, -1, -2).reshape(lead + (size,))
         )
 
     def turned(self, phi, shift) -> "MapArrays":

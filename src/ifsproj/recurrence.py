@@ -137,6 +137,12 @@ class GridMembership:
     binary search where the row has several) and also serve
     `first_witness_rows`. The test is exact in index space, so re-checks
     reproduce it bit for bit.
+
+    Before the window test, `contains` looks up the offset bounds of each
+    point's nearest padded row (`_row_bounds`): a point outside the outer
+    bounds has no set cell within the slack, and a point inside the inner
+    bounds has one in that row, so only the points between them go through
+    the window test, and the answers are those of the window test alone.
     """
 
     _TOL = 1e-9  # index-space guard so boundary offsets stay included
@@ -151,6 +157,49 @@ class GridMembership:
         self.runs = _pad_runs(runs, geom.n_t, self._pad)
         # key stride n_t + 1 orders the runs by row, then by first column
         self._keys = self.runs.rows * (geom.n_t + 1) + self.runs.start
+        self._bounds = self._row_bounds()
+
+    def _row_bounds(self) -> tuple[np.ndarray, ...]:
+        """Per padded row r, the offset bounds (out_lo, out_hi, in_lo,
+        in_hi) of the points whose nearest padded row is r: none outside
+        [out_lo, out_hi] is a member, and every one inside [in_lo, in_hi]
+        is. Empty intervals run from +inf to -inf, so an empty set rejects
+        every point before the window test, which needs a run.
+
+        [out_lo, out_hi] spans the lowest first and highest last column
+        over rows r - _pad .. r + _pad, widened by the slack and one column:
+        a point's window reaches at most _pad - 1 rows on either side of
+        its nearest row. [in_lo, in_hi] spans row r's first run, widened by
+        the slack and narrowed by one column, when the slack is at least
+        half a pitch: the window then holds row r, and being at least a
+        pitch wide, it holds a cell of any run whose span it meets. Only the
+        rows a canonical theta can be nearest to get one, so a row index
+        clipped at either end never accepts. The window test admits column j
+        for offsets up to (j + _TOL) pitch + slack and down to
+        (j - _TOL) pitch - slack, computed with a few roundings of at most
+        n_t columns each; one column covers both."""
+        ptr, start, stop = self.runs
+        k, h, m, n = self._pad, self.geom.pitch, self.geom.m, len(ptr) - 1
+        full = np.flatnonzero(np.diff(ptr))
+        first = np.full(n + 2 * k, np.inf)  # k empty rows past each end
+        last = np.full(len(first), -np.inf)
+        first[full + k] = start[ptr[full]]
+        last[full + k] = stop[ptr[full + 1] - 1] - 1
+        window = np.lib.stride_tricks.sliding_window_view
+        lo = window(first, 2 * k + 1).min(axis=1)
+        hi = window(last, 2 * k + 1).max(axis=1)
+        run_lo, run_hi = np.full(n, np.inf), np.full(n, -np.inf)
+        if self.slack >= h / 2:
+            near = full[(full >= k) & (full <= n - k)]  # canonical theta: rows k .. n - k
+            run_lo[near] = start[ptr[near]]
+            run_hi[near] = stop[ptr[near]] - 1
+        reach = self.slack + h
+        return (
+            (lo - m) * h - reach,
+            (hi - m) * h + reach,
+            (run_lo - m) * h - (self.slack - h),
+            (run_hi - m) * h + (self.slack - h),
+        )
 
     def _window(self, x: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
         """First and last index of the cells within slack of the coordinates
@@ -167,9 +216,18 @@ class GridMembership:
     def contains(self, thetas: np.ndarray, ts: np.ndarray) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        out_lo, out_hi, in_lo, in_hi = self._bounds
+        near = np.rint(thetas / self.geom.pitch).astype(np.int64) + self._pad
+        np.minimum(np.maximum(near, 0, out=near), len(out_lo) - 1, out=near)
+        hit = (ts >= in_lo[near]) & (ts <= in_hi[near])
+        keep = np.flatnonzero((ts >= out_lo[near]) & (ts <= out_hi[near]) & ~hit)
+        if len(keep):
+            hit[keep] = self._window_hit(thetas[keep], ts[keep])
+        return hit
+
+    def _window_hit(self, thetas: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Does each point's slack window hold a cell of the set?"""
         ptr, start, stop = self.runs
-        if not len(stop):
-            return np.zeros(len(thetas), dtype=bool)
         n_t = self.geom.n_t
         r1, r2 = self.rows(thetas)
         c1, c2 = self._window(ts, self.geom.m)

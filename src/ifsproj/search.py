@@ -53,29 +53,51 @@ class OmegaAssignment:
         return cls({a: Perturbation(v["phi"], tuple(v["gamma"])) for a, v in d.items()})
 
 
-def perturbed_letters(
-    ifs: IfsSpec, assignments: Sequence[OmegaAssignment], c1: float, rho: float
-) -> MapArrays:
-    """The letter maps of ifs under each assignment, as (assignments,
-    letters) arrays in alphabet order: each part_one letter turned by its
-    phi about the center of its square f_a(I) and moved by gamma * c1 * rho
-    (`MapArrays.turned`), the part_two letters as they are."""
+def omega_array(ifs: IfsSpec, assignments: Sequence[OmegaAssignment]) -> np.ndarray:
+    """The assignments as an (assignments, part_one, 3) array: each
+    part_one symbol's (phi, gamma_x, gamma_y), symbols in part_one order,
+    the order `draw_omegas` draws them in."""
     for assignment in assignments:
         if set(assignment.omegas) != set(ifs.part_one):
             raise ValueError(
                 f"assignment domain {sorted(assignment.omegas)} != part_one {sorted(ifs.part_one)}"
             )
-    still = Perturbation(0.0, (0.0, 0.0))
-    omegas = [[w.omegas.get(a, still) for a in ifs.alphabet] for w in assignments]
-    phi = np.array([[o.phi for o in row] for row in omegas])
-    shift = np.array([[o.gamma for o in row] for row in omegas]) * (c1 * rho)
+    rows = [[(w.omegas[a].phi, *w.omegas[a].gamma) for a in ifs.part_one] for w in assignments]
+    return np.array(rows, dtype=float).reshape(len(assignments), len(ifs.part_one), 3)
+
+
+def omega_assignment(ifs: IfsSpec, omega: np.ndarray) -> OmegaAssignment:
+    """The assignment of one (part_one, 3) row of an omega array."""
+    return OmegaAssignment(
+        {a: Perturbation(phi, (gx, gy)) for a, (phi, gx, gy) in zip(ifs.part_one, omega.tolist())}
+    )
+
+
+def omega_letters(ifs: IfsSpec, omegas: np.ndarray, c1: float, rho: float) -> MapArrays:
+    """The letter maps of ifs under each assignment of an omega array
+    (`omega_array`), as (assignments, letters) arrays in alphabet order:
+    each part_one letter turned by its phi about the center of its square
+    f_a(I) and moved by gamma * c1 * rho (`MapArrays.turned`), the part_two
+    letters as they are."""
+    n, alphabet = len(omegas), ifs.alphabet
+    full = np.zeros((n, len(alphabet), 3))  # part_two letters: phi 0, gamma 0
+    full[:, [alphabet.index(a) for a in ifs.part_one]] = omegas
+    shift = full[..., 1:] * (c1 * rho)
     letters = ifs.letter_maps()
-    r, ang, refl, (x, y) = letters.turned(phi, (shift[..., 0], shift[..., 1]))
+    r, ang, refl, (x, y) = letters.turned(full[..., 0], (shift[..., 0], shift[..., 1]))
     # turning a part_two letter by 0 need not give it back bit for bit: keep it
-    one = np.isin(ifs.alphabet, ifs.part_one)
+    one = np.isin(alphabet, ifs.part_one)
     _, ang0, _, (x0, y0) = letters
     x, y = np.where(one, x, x0), np.where(one, y, y0)
     return MapArrays(r, np.where(one, ang, ang0), refl, (x, y))
+
+
+def perturbed_letters(
+    ifs: IfsSpec, assignments: Sequence[OmegaAssignment], c1: float, rho: float
+) -> MapArrays:
+    """The letter maps of ifs under each assignment, as (assignments,
+    letters) arrays in alphabet order (`omega_letters`)."""
+    return omega_letters(ifs, omega_array(ifs, assignments), c1, rho)
 
 
 def build_perturbed_ifs(
@@ -106,15 +128,20 @@ def closeness_report(
     }
 
 
-def draw_assignment(rng: np.random.Generator, ifs: IfsSpec, epsilon: float) -> OmegaAssignment:
-    """Uniform product draw, one (phi, gamma) block per part_one symbol in
-    alphabet order."""
-    omegas = {}
-    for a in ifs.part_one:
-        phi = rng.uniform(-epsilon, epsilon)
-        gx, gy = rng.uniform(-1.0, 1.0, size=2)
-        omegas[a] = Perturbation(float(phi), (float(gx), float(gy)))
-    return OmegaAssignment(omegas)
+def _uniform_box(u: np.ndarray, epsilon: float) -> np.ndarray:
+    """Uniforms on [0, 1) whose last axis has length 3 moved onto the box:
+    phi on (-epsilon, epsilon), gamma on (-1, 1)^2. rng.uniform(low, high)
+    is low + (high - low) * rng.random(), and so is each entry."""
+    low, high = np.array([-epsilon, -1.0, -1.0]), np.array([epsilon, 1.0, 1.0])
+    return low + (high - low) * u
+
+
+def draw_omegas(rng: np.random.Generator, ifs: IfsSpec, epsilon: float, n: int) -> np.ndarray:
+    """n uniform product draws in turn from rng, as an omega array
+    (`omega_array`): phi on (-epsilon, epsilon), then gamma on (-1, 1)^2,
+    for each part_one symbol in part_one order; these are the doubles that
+    rng.uniform, called once per number in that order, gives."""
+    return _uniform_box(rng.random((n, len(ifs.part_one), 3)), epsilon)
 
 
 _PROBE_SIZE = 2048  # probe points checked before a full evaluation
@@ -175,10 +202,11 @@ class CoverageTester:
             self.probe_stages.append(np.sort(rank[lo : lo + size]))
             lo, size = lo + size, 2 * size
 
-    def words(self, assignments: Sequence[OmegaAssignment]) -> MapArrays:
-        """The two-letter word maps of each assignment's perturbed system,
-        as (assignments, words) arrays: what `coverage` takes."""
-        return two_letter_words(perturbed_letters(self.ifs, assignments, self.c1, self.cand.rho))
+    def words(self, omegas: np.ndarray) -> MapArrays:
+        """The two-letter word maps of the perturbed system of each
+        assignment of an omega array (`omega_array`), as (assignments,
+        words) arrays: what `coverage` takes."""
+        return two_letter_words(omega_letters(self.ifs, omegas, self.c1, self.cand.rho))
 
     def coverage(
         self,
@@ -203,10 +231,11 @@ class CoverageTester:
             witness = first_witness(words, *lines, self.member0, order).ravel()
         return witness >= 0, witness
 
-    def probe(self, assignments: Sequence[OmegaAssignment], beat: int) -> np.ndarray:
-        """Each assignment's number of covered probe points where that
-        exceeds beat, else -1: an exact search for the assignments that
-        cover more than beat probe points (beat -1 counts every assignment).
+    def probe(self, omegas: np.ndarray, beat: int) -> np.ndarray:
+        """The number of covered probe points of each assignment of an
+        omega array, where that exceeds beat, else -1: an exact search for
+        the assignments that cover more than beat probe points (beat -1
+        counts every assignment).
 
         The block's word maps are built once. The stages of `probe_stages`
         run in turn, each one call of `coverage` on its points, with the
@@ -217,9 +246,9 @@ class CoverageTester:
         `probe_idx`, and -1 means at most beat of them.
         """
         n = len(self.probe_idx)
-        words = self.words(assignments)
-        live = np.arange(len(assignments))
-        misses = np.zeros(len(assignments), dtype=np.intp)
+        words = self.words(omegas)
+        live = np.arange(len(omegas))
+        misses = np.zeros(len(omegas), dtype=np.intp)
         for stage in self.probe_stages:
             if not len(live):
                 break
@@ -227,7 +256,7 @@ class CoverageTester:
             covered = self.coverage(words.take(live), self.probe_idx[stage], order)[0]
             misses[live] += len(stage) - np.count_nonzero(covered.reshape(len(live), -1), axis=1)
             live = live[n - misses[live] > beat]
-        counts = np.full(len(assignments), -1)
+        counts = np.full(len(omegas), -1)
         counts[live] = n - misses[live]
         return counts
 
@@ -283,8 +312,8 @@ def estimate_success_prob(
     hits = 0
     for first in range(0, samples, _IID_BLOCK):
         n = min(_IID_BLOCK, samples - first)
-        block = [draw_assignment(rng, ifs, epsilon) for _ in range(n)]
-        words = two_letter_words(perturbed_letters(ifs, block, c1, cand.rho))
+        omegas = draw_omegas(rng, ifs, epsilon, n)
+        words = two_letter_words(omega_letters(ifs, omegas, c1, cand.rho))
         hits += int(np.count_nonzero(first_witness(words, th, tt, member0) >= 0))
     return hits / samples
 
@@ -332,49 +361,52 @@ def search_omega0(
     n = cand.delta_count
 
     def finish(omega0, attempts, accepted, best, n_covered):
+        """The outcome; omega0 and best are omega array rows or None."""
         coverage = float(n_covered / n)
         return SearchOutcome(
-            omega0=omega0,
+            omega0=None if omega0 is None else omega_assignment(ifs, omega0),
             attempts=attempts,
             accepted_attempt=accepted,
-            best_assignment=best,
+            best_assignment=None if best is None else omega_assignment(ifs, best),
             coverage=coverage,
             estimated_failure_prob=1.0 - coverage,
             mode=mode,
         )
 
-    def covered_count(assignment):
-        return int(np.count_nonzero(tester.coverage(tester.words([assignment]))[0]))
+    def covered_count(omega):
+        return int(np.count_nonzero(tester.coverage(tester.words(omega[None]))[0]))
 
     if mode == "iid":
         n_probe = len(tester.probe_idx)
         best_count, best_assignment = -1, None
         for first in range(0, budget, _IID_BLOCK):
             ks = range(first, min(first + _IID_BLOCK, budget))
-            block = [draw_assignment(np.random.default_rng([seed, k]), ifs, epsilon) for k in ks]
+            # draw k is draw_omegas(default_rng([seed, k]), ifs, epsilon, 1)
+            u = [np.random.default_rng([seed, k]).random((len(ifs.part_one), 3)) for k in ks]
+            block = _uniform_box(np.stack(u), epsilon)
             # a dropped draw (-1) can neither beat the best nor cover every probe point
             counts = tester.probe(block, min(best_count, n_probe - 1))
-            for k, assignment, count in zip(ks, block, counts):
+            for k, omega, count in zip(ks, block, counts):
                 if count > best_count:
-                    best_count, best_assignment = count, assignment
-                if count == n_probe and covered_count(assignment) == n:
-                    return finish(assignment, k + 1, k, assignment, n)
+                    best_count, best_assignment = count, omega
+                if count == n_probe and covered_count(omega) == n:
+                    return finish(omega, k + 1, k, omega, n)
         n_best = covered_count(best_assignment) if best_assignment is not None else 0
         return finish(None, budget, None, best_assignment, n_best)
 
     if mode == "per_symbol":
         rng = np.random.default_rng([seed])
-        symbols = list(ifs.part_one)
         attempts, stall = 0, _STALL_LIMIT  # the first attempt is a fresh draw
         best_unc, best_assignment = n + 1, None
         while attempts < budget and best_unc > 0:
-            draw = draw_assignment(rng, ifs, epsilon)
+            draw = draw_omegas(rng, ifs, epsilon, 1)[0]
             fresh = stall >= _STALL_LIMIT  # the first attempt, or a restart
             if fresh:
                 candidate = draw
-            else:
-                sym = symbols[attempts % len(symbols)]
-                candidate = OmegaAssignment({**current.omegas, sym: draw.omegas[sym]})
+            else:  # part_one symbols in turn
+                sym = attempts % len(ifs.part_one)
+                candidate = current.copy()
+                candidate[sym] = draw[sym]
             attempts += 1
             cand_unc = n - covered_count(candidate)
             if fresh or cand_unc < uncovered:

@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from ifsproj.ifs import IfsSpec, MapArrays
-from ifsproj.search import OmegaAssignment
+from ifsproj.search import OmegaAssignment, Perturbation
 
 Word = tuple[str, ...]
 
@@ -84,6 +84,19 @@ def perturbed_maps(ifs: IfsSpec, assignment: OmegaAssignment, c1: float, rho: fl
         f = ifs.maps[a]
         maps.append(f if w is None else turn(f, w.phi, (w.gamma[0] * (c1 * rho), w.gamma[1] * (c1 * rho))))
     return maps
+
+
+def draw_assignment(rng: np.random.Generator, ifs: IfsSpec, epsilon: float) -> OmegaAssignment:
+    """The uniform product draw one number at a time: rng.uniform for phi
+    on (-epsilon, epsilon), then for gamma on (-1, 1)^2, for each part_one
+    symbol in part_one order; `ifsproj.search.draw_omegas` draws the same
+    doubles as arrays."""
+    omegas = {}
+    for a in ifs.part_one:
+        phi = rng.uniform(-epsilon, epsilon)
+        gx, gy = rng.uniform(-1.0, 1.0, size=2)
+        omegas[a] = Perturbation(float(phi), (float(gx), float(gy)))
+    return OmegaAssignment(omegas)
 
 
 def two_letter_words(alphabet, letters) -> list[tuple[Word, MapArrays]]:

@@ -1,7 +1,8 @@
 """`MapArrays`, the one arithmetic on maps, against the scalar references of
 tests/map_oracle.py: applied, composed and perturbed maps bit for bit, field
-by field and dtype for dtype, and a block of assignments perturbed at once
-bit for bit as its assignments one at a time."""
+by field and dtype for dtype, a block of assignments perturbed at once bit
+for bit as its assignments one at a time, and the array draws bit for bit
+as the scalar draws."""
 
 import math
 
@@ -9,10 +10,17 @@ import numpy as np
 import pytest
 
 import map_oracle as oracle
-from ifsproj import Similarity, build_perturbed_ifs, draw_assignment, get_builtin, make_ifs
+from map_oracle import draw_assignment
+from ifsproj import Similarity, build_perturbed_ifs, get_builtin, make_ifs
 from ifsproj.ifs import MapArrays
 from ifsproj.recurrence import two_letter_words
-from ifsproj.search import _IID_BLOCK, perturbed_letters
+from ifsproj.search import (
+    _IID_BLOCK,
+    draw_omegas,
+    omega_assignment,
+    omega_letters,
+    perturbed_letters,
+)
 from test_recurrence import _turned_system
 
 C1, RHO = 8.0, 2.0**-7
@@ -122,3 +130,40 @@ def test_block_equals_one_at_a_time(system):
         assert np.array_equal(record.translation[0], alone.translation[0][0])
         assert np.array_equal(record.translation[1], alone.translation[1][0])
         assert np.array_equal(record.angle, alone.angle[0] % (2 * math.pi))
+
+
+def _omega_rows(ifs, assignments) -> np.ndarray:
+    """Each assignment's (phi, gamma_x, gamma_y) per part_one symbol, looked
+    up by symbol, in part_one order."""
+    rows = [[(w.omegas[a].phi, *w.omegas[a].gamma) for a in ifs.part_one] for w in assignments]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 1e-5])
+def test_array_draws_equal_scalar_draws(epsilon):
+    """`draw_omegas` draws the doubles of the scalar draw
+    (`map_oracle.draw_assignment`) bit for bit, on per-index streams, as
+    the iid search seeds them, and on one sequential stream drawn in blocks
+    of _IID_BLOCK, the last one partial, as `estimate_success_prob` draws
+    it; and `omega_letters` of the drawn array gives the scalar oracle's
+    letters of the scalar draws. The gasket lists part_one as c, a, out of
+    alphabet order, so a draw laid out in alphabet order would fail."""
+    gasket = get_builtin("sierpinski")
+    ifs = make_ifs(gasket.maps, part_one=["c", "a"], alphabet=gasket.alphabet)
+    assert ifs.part_one == ("c", "a")
+    per_index = np.concatenate(
+        [draw_omegas(np.random.default_rng([7, k]), ifs, epsilon, 1) for k in range(100)]
+    )
+    want = [draw_assignment(np.random.default_rng([7, k]), ifs, epsilon) for k in range(100)]
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    n = 2 * _IID_BLOCK + 9
+    sizes = [min(_IID_BLOCK, n - first) for first in range(0, n, _IID_BLOCK)]
+    sequential = np.concatenate([draw_omegas(rng, ifs, epsilon, size) for size in sizes])
+    serial = [draw_assignment(ref, ifs, epsilon) for _ in range(n)]
+    for got, draws in ((per_index, want), (sequential, serial)):
+        assert got.shape == (len(draws), 2, 3)
+        assert got.tobytes() == _omega_rows(ifs, draws).tobytes()
+        assert [omega_assignment(ifs, row) for row in got] == draws
+        scalar = [f for a in draws for f in oracle.perturbed_maps(ifs, a, C1, RHO)]
+        _assert_maps_equal(omega_letters(ifs, got, C1, RHO), scalar)
+    assert np.abs(sequential[..., 0]).max() < epsilon < 2 * np.abs(sequential[..., 0]).max()

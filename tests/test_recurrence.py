@@ -23,7 +23,6 @@ from ifsproj import (
     certify_projection_interval,
     certify_projection_intervals,
     check_recurrence,
-    draw_assignment,
     first_witness,
     first_witness_rows,
     get_builtin,
@@ -37,6 +36,7 @@ from ifsproj.ifs import MapArrays
 from ifsproj.recurrence import _cover, _dilate, _first_true, _longest_run, _pad_runs
 import certificate_oracle
 import map_oracle as oracle
+from map_oracle import draw_assignment
 from certificate_oracle import certify_line
 from dilation_oracle import _dilate_wrapped
 from membership_oracle import ThreeRectMembership, _pad_wrapped, row_runs
@@ -160,6 +160,54 @@ def test_membership_matches_three_rect_oracle(rng, n_theta, t_max, density):
         assert np.array_equal(got, want), slack
         assert got.any() and not got.all()
         assert not GridMembership(geom, row_runs(np.zeros_like(grid)), slack).contains(thetas, ts).any()
+
+
+def test_row_bounds_decide_only_what_the_window_test_does(rng):
+    """The row bounds of `GridMembership.contains` at their edges: in every
+    row, points at the row's angle and one slack off it, at one slack
+    beyond the row's first and last cell, at 1e-12, 1/2, 1, 3/2 and 2
+    pitches further out and at 1/2 to 5/2 pitches further in (an empty row
+    takes the grid's first and last column), answer as ThreeRectMembership,
+    at slacks below, at and beyond the pipeline's. Rows hold several runs;
+    empty rows include the wrap row 0 and a band of three. Some points are
+    rejected and, from half a pitch of slack on, some accepted before the
+    window test, so neither bound is a no-op."""
+    geom = GridGeometry(40, t_max=1.0)
+    h, m, n, n_t = geom.pitch, geom.m, geom.n_theta, geom.n_t
+    grid = rng.random((n, n_t)) < 0.2
+    grid[:, : m // 2] = False  # rows end at different columns
+    grid[[0, 7, 8, 9, 25]] = False
+    full = grid.any(axis=1)
+    cols = np.flatnonzero(grid.any(axis=0))
+    first = np.where(full, grid.argmax(axis=1), cols[0])
+    last = np.where(full, n_t - 1 - grid[:, ::-1].argmax(axis=1), cols[-1])
+    beyond = np.array([-2.5, -2.0, -1.5, -1.0, -0.5, 0.0, 1e-12, 0.5, 1.0, 1.5, 2.0]) * h
+    for slack in (0.4 * h, h / 2, h, 2.0000003 * h, 2.5 * h):
+        th = (np.arange(n) * h + np.array([-slack, 0.0, slack])[:, None]).ravel()
+        lo = ((first - m) * h - slack)[None, :] - beyond[:, None]
+        hi = ((last - m) * h + slack)[None, :] + beyond[:, None]
+        ts = np.concatenate([np.tile(lo, 3), np.tile(hi, 3)], axis=1).ravel()
+        thetas = np.tile(th, 2 * len(beyond))
+        below = thetas < 0  # canonical theta: below 0 is the line (theta + pi, -t)
+        thetas[below] += math.pi
+        ts[below] *= -1
+
+        member = GridMembership(geom, row_runs(grid), slack)
+        window_hit, passed, found = member._window_hit, [], []
+
+        def counting(th, t):
+            hit = window_hit(th, t)
+            passed.append(len(th))
+            found.append(np.count_nonzero(hit))
+            return hit
+
+        member._window_hit = counting
+        got = member.contains(thetas, ts)
+        assert np.array_equal(got, ThreeRectMembership(geom, grid).contains(thetas, ts, slack))
+        assert got.any() and not got.all()
+        accepted = np.count_nonzero(got) - sum(found)
+        assert (accepted > 0) == (slack >= h / 2), slack
+        assert sum(passed) > 0 and len(ts) - sum(passed) - accepted > 0, slack  # some rejected
 
 
 def test_slice_params_validation():

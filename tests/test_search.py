@@ -18,7 +18,6 @@ from ifsproj import (
     build_perturbed_ifs,
     check_recurrence,
     closeness_report,
-    draw_assignment,
     estimate_success_prob,
     first_witness,
     get_builtin,
@@ -30,8 +29,9 @@ from ifsproj import (
     two_letter_words,
     Line,
 )
-from ifsproj.search import _IID_BLOCK, _STALL_LIMIT
+from ifsproj.search import _IID_BLOCK, _STALL_LIMIT, draw_omegas, omega_array, omega_letters
 import map_oracle as oracle
+from map_oracle import draw_assignment
 from test_acceptance import farthest_line, obstruction_faults, settlement_faults
 from test_recurrence import _turned_system, flat_candidate, l_membership, lines_meeting_unit_square
 
@@ -147,13 +147,14 @@ def _iid_one_by_one(ifs, cand, budget, seed, c1, epsilon) -> SearchOutcome:
     best_frac, best = -1.0, None
     for k in range(budget):
         a = draw_assignment(np.random.default_rng([seed, k]), ifs, epsilon)
-        probe, _ = tester.coverage(tester.words([a]), tester.probe_idx)
+        probe, _ = tester.coverage(tester.words(omega_array(ifs, [a])), tester.probe_idx)
         frac = float(np.count_nonzero(probe) / len(probe))
         if frac > best_frac:
             best_frac, best = frac, a
-        if probe.all() and tester.coverage(tester.words([a]))[0].all():
+        if probe.all() and tester.coverage(tester.words(omega_array(ifs, [a])))[0].all():
             return SearchOutcome(a, k + 1, k, a, 1.0, 0.0, "iid")
-    coverage = float(np.count_nonzero(tester.coverage(tester.words([best]))[0]) / cand.delta_count)
+    covered = tester.coverage(tester.words(omega_array(ifs, [best])))[0]
+    coverage = float(np.count_nonzero(covered) / cand.delta_count)
     return SearchOutcome(None, budget, None, best, coverage, 1.0 - coverage, "iid")
 
 
@@ -222,7 +223,7 @@ def _per_symbol_whole_net(ifs, cand, budget, seed, c1, epsilon):
         else:
             sym = symbols[k % len(symbols)]
             candidate = OmegaAssignment({**current.omegas, sym: draw.omegas[sym]})
-        covered = tester.coverage(tester.words([candidate]))[0]
+        covered = tester.coverage(tester.words(omega_array(ifs, [candidate])))[0]
         if stall == _STALL_LIMIT or np.count_nonzero(~covered) < np.count_nonzero(~current_covered):
             current, current_covered, stall = candidate, covered, 0
             if best is None or np.count_nonzero(covered) > np.count_nonzero(best_covered):
@@ -335,8 +336,8 @@ def test_probe_is_consistent_with_full_eval(recurrent_instance, rng):
     ifs, cand = recurrent_instance
     tester = CoverageTester(ifs, cand, c1=0.5)
     a = draw_assignment(rng, ifs, 0.3)
-    full, _ = tester.coverage(tester.words([a]))
-    probe, _ = tester.coverage(tester.words([a]), tester.probe_idx)
+    full, _ = tester.coverage(tester.words(omega_array(ifs, [a])))
+    probe, _ = tester.coverage(tester.words(omega_array(ifs, [a])), tester.probe_idx)
     assert np.array_equal(full[tester.probe_idx], probe)
 
 
@@ -360,7 +361,7 @@ def test_whole_grid_evaluations_stay_row_wise(monkeypatch):
         if hasattr(mod, "renormalize_arrays"):
             monkeypatch.setattr(mod, "renormalize_arrays", counting)
     assignment = draw_assignment(np.random.default_rng(0), res.ifs, cfg.epsilon)
-    covered, _ = tester.coverage(tester.words([assignment]))
+    covered, _ = tester.coverage(tester.words(omega_array(res.ifs, [assignment])))
     assert covered.any() and not covered.all()
     assert 0 < sum(points) <= 0.1 * len(covered)
 
@@ -375,7 +376,7 @@ def test_coverage_witnesses_reverify(recurrent_instance, rng):
     ifs, cand = recurrent_instance
     tester = CoverageTester(ifs, cand, c1=0.5)
     a = draw_assignment(rng, ifs, 0.3)
-    covered, witness = tester.coverage(tester.words([a]))
+    covered, witness = tester.coverage(tester.words(omega_array(ifs, [a])))
     maps = oracle.perturbed_maps(ifs, a, 0.5, cand.rho)
     words = [g for _, g in oracle.two_letter_words(ifs.alphabet, maps)]
     member0 = GridMembership(cand.geom, cand.L0, cand.search_slack)
@@ -410,7 +411,7 @@ def test_ordered_probe_changes_no_flag(system):
     thetas, ts = cand.L1.lines(geom, tester.probe_idx)
     n = len(thetas)
     rng = np.random.default_rng(5)
-    draws = [draw_assignment(rng, ifs, 0.3) for _ in range(2 * _IID_BLOCK + 8)]
+    draws = draw_omegas(rng, ifs, 0.3, 2 * _IID_BLOCK + 8)
     reordered = False
     for first in range(0, len(draws), _IID_BLOCK):
         block = draws[first : first + _IID_BLOCK]
@@ -422,7 +423,7 @@ def test_ordered_probe_changes_no_flag(system):
         assert np.array_equal(witness >= 0, covered)
         reordered |= not np.array_equal(witness, canonical_witness)
         # renormalize each covered point by its witness word
-        words = two_letter_words(perturbed_letters(ifs, block, 0.5, cand.rho))
+        words = two_letter_words(omega_letters(ifs, block, 0.5, cand.rho))
         pair = np.flatnonzero(covered)
         b, i = np.divmod(pair, n)
         g = words.take((b, witness[pair]))
@@ -445,7 +446,7 @@ def test_probe_drops_only_draws_that_cannot_beat(system, monkeypatch):
     assert len(tester.probe_stages) > 2
     assert np.array_equal(np.sort(np.concatenate(tester.probe_stages)), np.arange(n))
     rng = np.random.default_rng(5)
-    draws = [draw_assignment(rng, ifs, 0.3) for _ in range(2 * _IID_BLOCK + 8)]
+    draws = draw_omegas(rng, ifs, 0.3, 2 * _IID_BLOCK + 8)
     blocks = [draws[first : first + _IID_BLOCK] for first in range(0, len(draws), _IID_BLOCK)]
     exact = [
         tester.coverage(tester.words(b), tester.probe_idx)[0].reshape(len(b), n).sum(axis=1)
@@ -638,7 +639,8 @@ def test_farthest_lines_stay_uncovered(desk):
         i = int(np.count_nonzero(L1.ravel()[: row * geom.n_t + col]))
         th, tt = cand.L1.lines(geom, np.array([i]))
         assert (th[0], tt[0]) == (row * geom.pitch, (col - geom.m) * geom.pitch)
-        covered, _ = tester.coverage(tester.words([assignment]), indices=np.array([i]))
+        omega = omega_array(desk.ifs, [assignment])
+        covered, _ = tester.coverage(tester.words(omega), indices=np.array([i]))
         assert not covered[0]
 
         dist, row, col = farthest_line(L, geom, hull)

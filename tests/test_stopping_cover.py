@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 import stopping_oracle as oracle
+from map_oracle import draw_assignment
 
 import ifsproj.ifs
 from ifsproj import (
@@ -16,7 +17,6 @@ from ifsproj import (
     Similarity,
     attractor_points,
     build_perturbed_ifs,
-    draw_assignment,
     get_builtin,
     make_ifs,
     measured_c9,
