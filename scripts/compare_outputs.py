@@ -37,6 +37,10 @@ output depends on the BLAS kernel. The commands:
   2.0000003 pitches is not a whole number of cells), seed 1, with the omega
   that `bench/run.py`'s `draw_omega` draws at seed 1 for the gasket's
   part_one;
+- `verify` on configs/sierpinski.json with the gasket given as the IFS file
+  whose part_one lists b before a, seed 1, with the omega that `draw_omega`
+  draws at seed 1 for (b, a): the omega file's symbols go to the row's
+  columns in part_one order, not alphabet order;
 - `certify` at theta 0.7854 on the same system, with and without that
   omega, and with it at theta 3.9270 (0.7854 + pi), which reads its
   recurrence row a half-turn away and reports that row's interval with t
@@ -94,6 +98,7 @@ TURNED_RUN = ["--config", FOUR_CORNER, "--ifs", TURNED, "--rho", repr(2.0**-5)]
 C3 = "cantor_product.json"  # an IFS file, written there too
 C3_RUN = ["--config", FOUR_CORNER, "--ifs", C3, "--rho", repr(2.0**-5)]
 GASKET_B_A = "sierpinski_part_one_b_a.json"  # an IFS file, written there too
+OMEGA_B_A = "omega_sierpinski_b_a.json"
 
 COMMANDS = {
     "build-l-sierpinski": ["build-l", "--config", SIERPINSKI],
@@ -119,6 +124,9 @@ COMMANDS = {
     ],
     "verify": ["verify", *FINE, "--seed", "1", "--omega", OMEGA],
     "verify-sierpinski": ["verify", "--config", SIERPINSKI, "--seed", "1", "--omega", OMEGA_DESK],
+    "verify-part-one-b-a": [
+        "verify", "--config", SIERPINSKI, "--ifs", GASKET_B_A, "--seed", "1", "--omega", OMEGA_B_A,
+    ],
     "certify": ["certify", *FINE, "--theta", "0.7854"],
     "certify-omega": ["certify", *FINE, "--theta", "0.7854", "--omega", OMEGA],
     "certify-half-turn": ["certify", *FINE, "--theta", "3.9270", "--omega", OMEGA],
@@ -135,8 +143,8 @@ PATH_KEYS = ("candidate_file", "omega_file")
 
 def bench_omegas() -> dict[str, dict]:
     """The omega files by name: the omega `bench/run.py` writes for
-    four-corner-verify at seed 1, and the one its `draw_omega` draws at seed 1
-    for the gasket's part_one."""
+    four-corner-verify at seed 1, and the ones its `draw_omega` draws at
+    seed 1 for the gasket's part_one and for part_one (b, a)."""
     bench = runpy.run_path(str(ROOT / "bench" / "run.py"))
     wl = bench["WORKLOADS"]["four-corner-verify"]
 
@@ -147,6 +155,7 @@ def bench_omegas() -> dict[str, dict]:
     return {
         OMEGA: draw(ROOT / wl.config, wl.omega_symbols),
         OMEGA_DESK: draw(Path(SIERPINSKI), DESK_PART_ONE),
+        OMEGA_B_A: draw(Path(SIERPINSKI), ("b", "a")),
     }
 
 

@@ -12,7 +12,6 @@ from .ifs import (
     IfsSpec,
     MapArrays,
     OscReport,
-    Perturbation,
     Similarity,
     check_osc_unit_square,
     epsilon_distance,
@@ -20,12 +19,7 @@ from .ifs import (
     make_ifs,
     similarity_dimension,
 )
-from .lines import (
-    Line,
-    canonical_angle,
-    renormalize_affine,
-    renormalize_arrays,
-)
+from .lines import renormalize_affine, renormalize_arrays
 from .measure import (
     DirectionSet,
     ProjectedHistogram,
@@ -56,18 +50,15 @@ from .recurrence import (
 )
 from .search import (
     CoverageTester,
-    OmegaAssignment,
     SearchOutcome,
     build_perturbed_ifs,
     closeness_report,
     draw_omegas,
-    estimate_success_prob,
     hull_obstruction,
     invariant_polygon,
-    omega_array,
-    omega_assignment,
+    omega_from_json,
     omega_letters,
-    perturbed_letters,
+    omega_to_json,
     search_omega0,
 )
 from .systems import BUILTIN, cantor_dust, four_corner, get_builtin, sierpinski

@@ -21,11 +21,11 @@ from .ifs import IfsSpec, check_osc_unit_square
 from .measure import DirectionSet, build_E, stopping_cylinders
 from .recurrence import RecurrentCandidate, certify_projection_intervals, check_recurrence
 from .search import (
-    OmegaAssignment,
     build_perturbed_ifs,
     closeness_report,
     hull_obstruction,
-    perturbed_letters,
+    omega_from_json,
+    omega_to_json,
     search_omega0,
 )
 
@@ -65,20 +65,11 @@ def _build_pipeline(cfg: RunConfig):
     return res, E, cand
 
 
-def _load_omega(cfg: RunConfig, path: str) -> OmegaAssignment:
-    """The perturbation assignment in path, checked against the system's
-    part_one before any pipeline work; every fault is a ConfigError."""
-    data = read_json_file(path, "omega")
-    try:
-        assignment = OmegaAssignment.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"omega: malformed perturbation file: {exc}") from None
-    ifs = cfg.load_ifs_spec()
-    try:
-        perturbed_letters(ifs, [assignment], cfg.c1, cfg.rho)
-    except ValueError as exc:
-        raise ConfigError(f"omega: {exc}") from None
-    return assignment
+def _load_omega(cfg: RunConfig, path: str) -> np.ndarray:
+    """The assignment in path as an omega row (`omega_from_json`), checked
+    against the system's part_one before any pipeline work; every fault is
+    a ConfigError."""
+    return omega_from_json(cfg.load_ifs_spec(), read_json_file(path, "omega"))
 
 
 def _sample_e_rows(E: DirectionSet, cand: RecurrentCandidate, n: int, seed: int) -> np.ndarray:
@@ -96,11 +87,12 @@ def _assess(
     ifs: IfsSpec,
     E: DirectionSet,
     cand: RecurrentCandidate,
-    assignment: OmegaAssignment,
+    omega: np.ndarray,
 ) -> dict:
     """The recurrence check, the closeness report and the certified intervals
-    of one assignment: the part that search and verify reports share."""
-    perturbed = build_perturbed_ifs(ifs, assignment, cfg.c1, cfg.rho)
+    of one assignment, an omega row: the part that search and verify
+    reports share."""
+    perturbed = build_perturbed_ifs(ifs, omega, cfg.c1, cfg.rho)
     thetas = _sample_e_rows(E, cand, cfg.n_theta_sample, cfg.seed)
     check = check_recurrence(perturbed, cand)
     certs = certify_projection_intervals(
@@ -229,7 +221,7 @@ def cmd_search(cfg: RunConfig, args) -> int:
         epsilon=cfg.epsilon,
     )
     report = {
-        **outcome.to_json_dict(),
+        **outcome.to_json_dict(res.ifs),
         "seed": cfg.seed,
         "budget": cfg.search_budget,
         "excluded_fraction": E.excluded_fraction,
@@ -238,7 +230,8 @@ def cmd_search(cfg: RunConfig, args) -> int:
     if outcome.omega0 is not None:
         report.update(_assess(cfg, res.ifs, E, cand, outcome.omega0))
         report["status"] = "omega0 found"
-        omega_path = _write_json(os.path.join(out, "omega0.json"), outcome.omega0.to_json_dict())
+        omega0 = omega_to_json(res.ifs, outcome.omega0)
+        omega_path = _write_json(os.path.join(out, "omega0.json"), omega0)
         print(f"omega0 found at attempt {outcome.accepted_attempt} -> {omega_path}")
     else:
         report.update(check=None, closeness=None, certified_intervals=None)
@@ -252,14 +245,14 @@ def cmd_search(cfg: RunConfig, args) -> int:
 def cmd_verify(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     print(f"seed = {cfg.seed}")
-    assignment = _load_omega(cfg, args.omega)
+    omega = _load_omega(cfg, args.omega)
     res, E, cand = _build_pipeline(cfg)
     report = {
         "seed": cfg.seed,
         "omega_file": args.omega,
-        "omega": assignment.to_json_dict(),
+        "omega": omega_to_json(res.ifs, omega),
         "excluded_fraction": E.excluded_fraction,
-        **_assess(cfg, res.ifs, E, cand, assignment),
+        **_assess(cfg, res.ifs, E, cand, omega),
     }
     path = _write_json(os.path.join(out, "verify_report.json"), report)
     check = report["check"]
@@ -275,11 +268,11 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     if not np.isfinite(args.theta / cfg.geometry().pitch):
         raise ConfigError(f"theta: {args.theta!r} is too large for the theta grid")
     out = _outdir(cfg)
-    assignment = _load_omega(cfg, args.omega) if args.omega is not None else None
+    omega = _load_omega(cfg, args.omega) if args.omega is not None else None
     res, E, cand = _build_pipeline(cfg)
     ifs_eval = res.ifs
-    if assignment is not None:
-        ifs_eval = build_perturbed_ifs(res.ifs, assignment, cfg.c1, cfg.rho)
+    if omega is not None:
+        ifs_eval = build_perturbed_ifs(res.ifs, omega, cfg.c1, cfg.rho)
     (cert,) = certify_projection_intervals(
         ifs_eval, cand, [args.theta], cfg.cert_resolution, cfg.word_budget
     )

@@ -152,24 +152,6 @@ class MapArrays(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Perturbation:
-    """Rotation phi of a map's image square about its center, then the shift
-    gamma * c1 * rho, with each gamma component in (-1, 1). phi and gamma
-    pass the IFS file's number rule (`_finite_number`), as an omega file
-    gives them."""
-
-    phi: float
-    gamma: tuple[float, float]
-
-    def __post_init__(self):
-        if not all(_finite_number(v) for v in (self.phi, *self.gamma)):
-            raise ValueError("phi and gamma must be finite numbers")
-        gx, gy = self.gamma
-        if not (abs(gx) < 1.0 and abs(gy) < 1.0):
-            raise ValueError(f"gamma components must lie in (-1,1), got {self.gamma}")
-
-
-@dataclass(frozen=True)
 class IfsSpec:
     """A finite IFS of contracting similarities plus a two-part alphabet split.
 

@@ -2,9 +2,10 @@
 
 A line is (theta, t) with theta in [0, pi): the set of p with
 <p, nu(theta)> = t, where nu(theta) = (-sin theta, cos theta). The pair
-(theta + pi, -t) names the same set; the constructor canonicalizes.
+(theta + pi, -t) names the same set; renormalized lines come out folded
+into [0, pi).
 
-The angle fold (`canonical_angle`, `renormalize_affine`) and the offset
+The angle fold (`_fold`, read by `renormalize_affine`) and the offset
 y cos theta - x sin theta of a point (`offsets`) are written here once, in
 elementwise numpy with no matrix product: a BLAS product rounds with or
 without fused multiply-adds depending on the kernel the CPU selects.
@@ -13,7 +14,6 @@ without fused multiply-adds depending on the kernel the CPU selects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +37,6 @@ def _fold(theta_raw) -> tuple[np.ndarray, np.ndarray]:
     return theta, k
 
 
-def canonical_angle(theta_raw: float) -> tuple[float, int]:
-    """Reduce an angle mod pi; the fold count parity flips the offset sign."""
-    theta, k = _fold(theta_raw)
-    return float(theta), int(k)
-
-
 def offsets(x, y, sin, cos) -> np.ndarray:
     """y cos(theta) - x sin(theta): the offset t of the line at angle theta
     through the point (x, y), given the angle's sine and cosine. The
@@ -60,20 +54,6 @@ def offsets(x, y, sin, cos) -> np.ndarray:
             np.multiply(py, c, out=out)
             out -= px * s
         return it.operands[-1]
-
-
-@dataclass(frozen=True)
-class Line:
-    """An unoriented line, canonicalized to theta in [0, pi)."""
-
-    theta: float
-    t: float
-
-    def __post_init__(self):
-        theta, k = canonical_angle(float(self.theta))
-        t = float(self.t) if k % 2 == 0 else -float(self.t)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "t", t)
 
 
 def renormalize_affine(

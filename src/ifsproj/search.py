@@ -1,8 +1,12 @@
-"""Perturbations of an IFS and the randomized search for a covering one.
+"""Small perturbations of an IFS and the randomized search for a covering one.
 
 A perturbation rotates one map's image square about its center and shifts it
 by gamma * c1 * rho; ratios never change. An assignment gives one
-perturbation per first-block symbol. The search draws assignments from a
+perturbation per first-block symbol. An omega array holds n assignments as
+an (n, part_one, 3) array: each part_one symbol's (phi, gamma_x, gamma_y),
+symbols in part_one order; one assignment is a (part_one, 3) row. That is
+the only form an assignment takes: `omega_from_json` and `omega_to_json`
+read and write the omega file's JSON. The search draws assignments from a
 deterministic stream and accepts the first whose two-letter renormalizations
 send every probe-net point back into the candidate core (within grid pitch).
 
@@ -15,13 +19,13 @@ each two-letter renormalization push lines away from P by the factor
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import IfsSpec, MapArrays, Perturbation, Similarity, epsilon_distance, make_ifs
-from .lines import Line, offsets
+from .errors import ConfigError
+from .ifs import IfsSpec, MapArrays, Similarity, _finite_number, epsilon_distance, make_ifs
+from .lines import offsets
 from .recurrence import (
     GridGeometry,
     GridMembership,
@@ -33,52 +37,12 @@ from .recurrence import (
 )
 
 
-@dataclass(frozen=True)
-class OmegaAssignment:
-    """One perturbation per first-block symbol; second-block maps stay fixed."""
-
-    omegas: dict[str, Perturbation]
-
-    def to_json_dict(self) -> dict:
-        return {
-            a: {"phi": w.phi, "gamma": list(w.gamma)}
-            for a, w in sorted(self.omegas.items())
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "OmegaAssignment":
-        """Raises KeyError, TypeError or ValueError when d is malformed."""
-        if not isinstance(d, dict):
-            raise TypeError(f"expected an object keyed by symbol, got {type(d).__name__}")
-        return cls({a: Perturbation(v["phi"], tuple(v["gamma"])) for a, v in d.items()})
-
-
-def omega_array(ifs: IfsSpec, assignments: Sequence[OmegaAssignment]) -> np.ndarray:
-    """The assignments as an (assignments, part_one, 3) array: each
-    part_one symbol's (phi, gamma_x, gamma_y), symbols in part_one order,
-    the order `draw_omegas` draws them in."""
-    for assignment in assignments:
-        if set(assignment.omegas) != set(ifs.part_one):
-            raise ValueError(
-                f"assignment domain {sorted(assignment.omegas)} != part_one {sorted(ifs.part_one)}"
-            )
-    rows = [[(w.omegas[a].phi, *w.omegas[a].gamma) for a in ifs.part_one] for w in assignments]
-    return np.array(rows, dtype=float).reshape(len(assignments), len(ifs.part_one), 3)
-
-
-def omega_assignment(ifs: IfsSpec, omega: np.ndarray) -> OmegaAssignment:
-    """The assignment of one (part_one, 3) row of an omega array."""
-    return OmegaAssignment(
-        {a: Perturbation(phi, (gx, gy)) for a, (phi, gx, gy) in zip(ifs.part_one, omega.tolist())}
-    )
-
-
 def omega_letters(ifs: IfsSpec, omegas: np.ndarray, c1: float, rho: float) -> MapArrays:
-    """The letter maps of ifs under each assignment of an omega array
-    (`omega_array`), as (assignments, letters) arrays in alphabet order:
-    each part_one letter turned by its phi about the center of its square
-    f_a(I) and moved by gamma * c1 * rho (`MapArrays.turned`), the part_two
-    letters as they are."""
+    """The letter maps of ifs under each assignment of an omega array, as
+    (assignments, letters) arrays in alphabet order: each part_one letter
+    turned by its phi about the center of its square f_a(I) and moved by
+    gamma * c1 * rho (`MapArrays.turned`), the part_two letters as they
+    are."""
     n, alphabet = len(omegas), ifs.alphabet
     full = np.zeros((n, len(alphabet), 3))  # part_two letters: phi 0, gamma 0
     full[:, [alphabet.index(a) for a in ifs.part_one]] = omegas
@@ -92,20 +56,13 @@ def omega_letters(ifs: IfsSpec, omegas: np.ndarray, c1: float, rho: float) -> Ma
     return MapArrays(r, np.where(one, ang, ang0), refl, (x, y))
 
 
-def perturbed_letters(
-    ifs: IfsSpec, assignments: Sequence[OmegaAssignment], c1: float, rho: float
-) -> MapArrays:
-    """The letter maps of ifs under each assignment, as (assignments,
-    letters) arrays in alphabet order (`omega_letters`)."""
-    return omega_letters(ifs, omega_array(ifs, assignments), c1, rho)
-
-
-def build_perturbed_ifs(
-    ifs: IfsSpec, assignment: OmegaAssignment, c1: float, rho: float
-) -> IfsSpec:
-    """Apply the assignment on part_one, keep part_two; containment of the
-    perturbed squares in I may fail and is only warned about."""
-    r, ang, refl, (tx, ty) = perturbed_letters(ifs, [assignment], c1, rho).take(0)
+def build_perturbed_ifs(ifs: IfsSpec, omega: np.ndarray, c1: float, rho: float) -> IfsSpec:
+    """Apply one assignment, a (part_one, 3) omega row, on part_one, keep
+    part_two; containment of the perturbed squares in I may fail and is
+    only warned about."""
+    if omega.shape != (len(ifs.part_one), 3):
+        raise ValueError(f"omega row shape {omega.shape} is not (len(part_one), 3)")
+    r, ang, refl, (tx, ty) = omega_letters(ifs, omega[None], c1, rho).take(0)
     maps = {
         a: Similarity(float(r[i]), float(ang[i]), bool(refl[i]), (tx[i], ty[i]))
         for i, a in enumerate(ifs.alphabet)
@@ -137,11 +94,46 @@ def _uniform_box(u: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def draw_omegas(rng: np.random.Generator, ifs: IfsSpec, epsilon: float, n: int) -> np.ndarray:
-    """n uniform product draws in turn from rng, as an omega array
-    (`omega_array`): phi on (-epsilon, epsilon), then gamma on (-1, 1)^2,
-    for each part_one symbol in part_one order; these are the doubles that
-    rng.uniform, called once per number in that order, gives."""
+    """n uniform product draws in turn from rng, as an omega array: phi on
+    (-epsilon, epsilon), then gamma on (-1, 1)^2, for each part_one symbol
+    in part_one order; these are the doubles that rng.uniform, called once
+    per number in that order, gives."""
     return _uniform_box(rng.random((n, len(ifs.part_one), 3)), epsilon)
+
+
+def omega_from_json(ifs: IfsSpec, data) -> np.ndarray:
+    """The (part_one, 3) omega row of the omega file's JSON: an object keyed
+    by symbol, each entry a number phi and a pair of numbers gamma, every
+    number finite by the IFS file's rule (`_finite_number`) and each gamma
+    component in (-1, 1). The entries are checked before the domain, which
+    must be part_one; every fault is a ConfigError."""
+    try:
+        if not isinstance(data, dict):
+            raise TypeError(f"expected an object keyed by symbol, got {type(data).__name__}")
+        entries = {}
+        for a, v in data.items():
+            phi, gamma = v["phi"], tuple(v["gamma"])
+            if not all(_finite_number(x) for x in (phi, *gamma)):
+                raise ValueError("phi and gamma must be finite numbers")
+            gx, gy = gamma
+            if not (abs(gx) < 1.0 and abs(gy) < 1.0):
+                raise ValueError(f"gamma components must lie in (-1,1), got {gamma}")
+            entries[a] = (phi, gx, gy)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"omega: malformed perturbation file: {exc}") from None
+    if set(entries) != set(ifs.part_one):
+        raise ConfigError(
+            f"omega: assignment domain {sorted(entries)} != part_one {sorted(ifs.part_one)}"
+        )
+    return np.array([entries[a] for a in ifs.part_one], dtype=float)
+
+
+def omega_to_json(ifs: IfsSpec, omega: np.ndarray) -> dict:
+    """The omega file's JSON of one (part_one, 3) omega row, symbols sorted."""
+    return {
+        a: {"phi": phi, "gamma": [gx, gy]}
+        for a, (phi, gx, gy) in sorted(zip(ifs.part_one, omega.tolist()))
+    }
 
 
 _PROBE_SIZE = 2048  # probe points checked before a full evaluation
@@ -204,8 +196,8 @@ class CoverageTester:
 
     def words(self, omegas: np.ndarray) -> MapArrays:
         """The two-letter word maps of the perturbed system of each
-        assignment of an omega array (`omega_array`), as (assignments,
-        words) arrays: what `coverage` takes."""
+        assignment of an omega array, as (assignments, words) arrays: what
+        `coverage` takes."""
         return two_letter_words(omega_letters(self.ifs, omegas, self.c1, self.cand.rho))
 
     def coverage(
@@ -263,59 +255,28 @@ class CoverageTester:
 
 @dataclass
 class SearchOutcome:
-    omega0: OmegaAssignment | None
+    """omega0 and best_assignment are (part_one, 3) omega rows or None."""
+
+    omega0: np.ndarray | None
     attempts: int
     accepted_attempt: int | None
-    best_assignment: OmegaAssignment | None
+    best_assignment: np.ndarray | None
     coverage: float
     estimated_failure_prob: float
     mode: str
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, ifs: IfsSpec) -> dict:
+        """The outcome, its assignments as omega JSON (`omega_to_json`)."""
+        best = self.best_assignment
         return {
-            "omega0": self.omega0.to_json_dict() if self.omega0 else None,
+            "omega0": None if self.omega0 is None else omega_to_json(ifs, self.omega0),
             "attempts": self.attempts,
             "accepted_attempt": self.accepted_attempt,
-            "best_assignment": (
-                self.best_assignment.to_json_dict() if self.best_assignment else None
-            ),
+            "best_assignment": None if best is None else omega_to_json(ifs, best),
             "coverage": self.coverage,
             "estimated_failure_prob": self.estimated_failure_prob,
             "mode": self.mode,
         }
-
-
-def estimate_success_prob(
-    ifs: IfsSpec,
-    u: Line,
-    cand: RecurrentCandidate,
-    samples: int,
-    seed: int,
-    c1: float = 8.0,
-    epsilon: float = 0.3,
-) -> float:
-    """Monte Carlo measure of the assignments that send u back into L0.
-
-    u must lie on the probe net (within grid pitch of an L1 cell). The
-    samples are drawn in order from one stream and evaluated _IID_BLOCK at a
-    time.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    geom = cand.geom
-    if not GridMembership(geom, cand.L1, geom.pitch).contains([u.theta], [u.t])[0]:
-        raise ValueError(f"line (theta={u.theta}, t={u.t}) is not on the probe net")
-    member0 = GridMembership(geom, cand.L0, cand.search_slack)
-    rng = np.random.default_rng(seed)
-    th = np.array([u.theta])
-    tt = np.array([u.t])
-    hits = 0
-    for first in range(0, samples, _IID_BLOCK):
-        n = min(_IID_BLOCK, samples - first)
-        omegas = draw_omegas(rng, ifs, epsilon, n)
-        words = two_letter_words(omega_letters(ifs, omegas, c1, cand.rho))
-        hits += int(np.count_nonzero(first_witness(words, th, tt, member0) >= 0))
-    return hits / samples
 
 
 def search_omega0(
@@ -361,17 +322,9 @@ def search_omega0(
     n = cand.delta_count
 
     def finish(omega0, attempts, accepted, best, n_covered):
-        """The outcome; omega0 and best are omega array rows or None."""
+        """The outcome; omega0 and best are omega rows or None."""
         coverage = float(n_covered / n)
-        return SearchOutcome(
-            omega0=None if omega0 is None else omega_assignment(ifs, omega0),
-            attempts=attempts,
-            accepted_attempt=accepted,
-            best_assignment=None if best is None else omega_assignment(ifs, best),
-            coverage=coverage,
-            estimated_failure_prob=1.0 - coverage,
-            mode=mode,
-        )
+        return SearchOutcome(omega0, attempts, accepted, best, coverage, 1.0 - coverage, mode)
 
     def covered_count(omega):
         return int(np.count_nonzero(tester.coverage(tester.words(omega[None]))[0]))

@@ -15,7 +15,6 @@ import numpy as np
 
 from ifsproj.errors import BudgetExceeded
 from ifsproj.ifs import IfsSpec
-from ifsproj.lines import Line
 from ifsproj.recurrence import (
     _MIN_LENGTH_FACTOR,
     GridMembership,
@@ -25,7 +24,7 @@ from ifsproj.recurrence import (
     two_letter_words,
 )
 from map_oracle import IDENTITY, Word, compose, square_corners
-from renormalize_oracle import project_point
+from renormalize_oracle import Line, project_point
 
 
 @dataclass(frozen=True)

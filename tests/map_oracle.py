@@ -14,7 +14,6 @@ from typing import Iterable
 import numpy as np
 
 from ifsproj.ifs import IfsSpec, MapArrays
-from ifsproj.search import OmegaAssignment, Perturbation
 
 Word = tuple[str, ...]
 
@@ -75,28 +74,31 @@ def turn(f, phi: float, shift: tuple[float, float] = (0.0, 0.0)) -> MapArrays:
     return MapArrays(f.ratio, f.angle + phi, f.reflect, (x, y))
 
 
-def perturbed_maps(ifs: IfsSpec, assignment: OmegaAssignment, c1: float, rho: float) -> list:
-    """The letter maps of ifs under one assignment, in alphabet order: each
-    part_one letter turned by its phi and moved by gamma * c1 * rho."""
+def perturbed_maps(ifs: IfsSpec, omega: np.ndarray, c1: float, rho: float) -> list:
+    """The letter maps of ifs under one assignment, a (part_one, 3) omega
+    row, in alphabet order: each part_one letter turned by its phi and
+    moved by gamma * c1 * rho, reading the row's entry j as part_one[j]'s."""
     maps = []
     for a in ifs.alphabet:
-        w = assignment.omegas.get(a)
         f = ifs.maps[a]
-        maps.append(f if w is None else turn(f, w.phi, (w.gamma[0] * (c1 * rho), w.gamma[1] * (c1 * rho))))
+        if a in ifs.part_one:
+            phi, gx, gy = (float(v) for v in omega[ifs.part_one.index(a)])
+            f = turn(f, phi, (gx * (c1 * rho), gy * (c1 * rho)))
+        maps.append(f)
     return maps
 
 
-def draw_assignment(rng: np.random.Generator, ifs: IfsSpec, epsilon: float) -> OmegaAssignment:
-    """The uniform product draw one number at a time: rng.uniform for phi
-    on (-epsilon, epsilon), then for gamma on (-1, 1)^2, for each part_one
-    symbol in part_one order; `ifsproj.search.draw_omegas` draws the same
-    doubles as arrays."""
-    omegas = {}
-    for a in ifs.part_one:
+def draw_assignment(rng: np.random.Generator, ifs: IfsSpec, epsilon: float) -> np.ndarray:
+    """The uniform product draw one number at a time, as a (part_one, 3)
+    omega row: rng.uniform for phi on (-epsilon, epsilon), then for gamma
+    on (-1, 1)^2, for each part_one symbol in part_one order;
+    `ifsproj.search.draw_omegas` draws the same doubles as arrays."""
+    row = []
+    for _ in ifs.part_one:
         phi = rng.uniform(-epsilon, epsilon)
         gx, gy = rng.uniform(-1.0, 1.0, size=2)
-        omegas[a] = Perturbation(float(phi), (float(gx), float(gy)))
-    return OmegaAssignment(omegas)
+        row.append((float(phi), float(gx), float(gy)))
+    return np.array(row)
 
 
 def two_letter_words(alphabet, letters) -> list[tuple[Word, MapArrays]]:

@@ -1,6 +1,8 @@
 """Scalar renormalization of single lines, kept as test oracles for
 `ifsproj.lines.renormalize_arrays`, the closed form the package uses.
 
+A `Line` is one line (theta, t), canonicalized to theta in [0, pi) by the
+package's angle fold (`ifsproj.lines._fold`, through `canonical_angle`).
 `renormalize_map` is the closed form on one `Line`. The two reference routes
 do not follow the closed form's sign bookkeeping: the carrier route folds
 the angle and then projects the mapped carrier point, and the two-point route
@@ -10,13 +12,34 @@ takes the direction out of atan2.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from ifsproj.ifs import IfsSpec, Similarity
 from map_oracle import apply, compose_word
-from ifsproj.lines import Line, canonical_angle, renormalize_arrays
+from ifsproj.lines import _fold, renormalize_arrays
+
+
+def canonical_angle(theta_raw: float) -> tuple[float, int]:
+    """Reduce an angle mod pi; the fold count parity flips the offset sign."""
+    theta, k = _fold(theta_raw)
+    return float(theta), int(k)
+
+
+@dataclass(frozen=True)
+class Line:
+    """An unoriented line, canonicalized to theta in [0, pi)."""
+
+    theta: float
+    t: float
+
+    def __post_init__(self):
+        theta, k = canonical_angle(float(self.theta))
+        t = float(self.t) if k % 2 == 0 else -float(self.t)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "t", t)
 
 
 def carrier_point(line: Line) -> np.ndarray:

@@ -12,8 +12,6 @@ import numpy as np
 import pytest
 
 from ifsproj import (
-    Line,
-    OmegaAssignment,
     RunConfig,
     Similarity,
     attractor_points,
@@ -22,6 +20,7 @@ from ifsproj import (
     closeness_report,
     get_builtin,
     l2_norm_estimate,
+    omega_from_json,
     projected_histogram,
     similarity_dimension,
     stopping_cylinders,
@@ -31,7 +30,7 @@ from ifsproj.ifs import MapArrays
 from certificate_oracle import certify_line
 from crowding_oracle import bad_word_cap, classify_good_words
 from map_oracle import apply, compose_word
-from renormalize_oracle import invert_map, project_point, renormalize_map
+from renormalize_oracle import Line, invert_map, project_point, renormalize_map
 from stopping_oracle import stopping_words
 
 _state: dict = {}
@@ -408,7 +407,7 @@ def test_criterion_08_end_to_end_search(desk, tmp_path, emit):
         closeness = report["closeness"]
         certs = report["certified_intervals"]
     else:
-        best = OmegaAssignment.from_json_dict(report["best_assignment"])
+        best = omega_from_json(desk.ifs, report["best_assignment"])
         perturbed = build_perturbed_ifs(desk.ifs, best, cfg.c1, cfg.rho)
         closeness = closeness_report(desk.ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0)
         thetas = _sample_e_rows(desk.E, desk.cand, cfg.n_theta_sample, cfg.seed)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifsproj import ConfigError, OmegaAssignment, Perturbation, RunConfig, SearchOutcome, get_builtin
+from ifsproj import ConfigError, RunConfig, SearchOutcome, get_builtin
 from ifsproj import cli
 from ifsproj.cli import main
 from ifsproj.config import config_from_json_dict, load_config, override
@@ -377,7 +377,8 @@ def test_verify_identity_assignment(tmp_path, capsys):
 
 def check_bad_omega_rejected(tmp_path, capsys, monkeypatch, command):
     """Each faulty omega file exits 2 with an `omega:` message, before any
-    pipeline work."""
+    pipeline work; a file of integers is accepted, and verify echoes it as
+    floats, read from the omega row."""
 
     def no_pipeline(cfg):
         raise AssertionError("pipeline built before the omega file was checked")
@@ -385,6 +386,7 @@ def check_bad_omega_rejected(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr(cli, "build_pipeline", no_pipeline)
     cfg = coarse_config(tmp_path)
     extra = ["--theta", "0.0"] if command == "certify" else []
+    zero = '{"phi": 0.0, "gamma": [0.0, 0.0]}'
     faults = {
         "absent.json": (None, "omega: no such file"),
         "syntax.json": ("{not json", "omega: malformed"),
@@ -396,7 +398,13 @@ def check_bad_omega_rejected(tmp_path, capsys, monkeypatch, command):
         "bool_phi.json": ('{"a": {"phi": true, "gamma": [0.0, 0.0]}}', "omega: malformed"),
         "bool_gamma.json": ('{"a": {"phi": 0.0, "gamma": [false, 0.0]}}', "omega: malformed"),
         "list.json": ("[]", "omega: malformed"),
+        # |gamma| < 1 in each component, gamma a pair, each entry an object
+        "gamma_one.json": ('{"a": {"phi": 0.0, "gamma": [1.0, 0.0]}, "b": %s}' % zero, "omega: malformed"),
+        "gamma_minus_one.json": ('{"a": {"phi": 0.0, "gamma": [0.0, -1.0]}, "b": %s}' % zero, "omega: malformed"),
+        "long_gamma.json": ('{"a": {"phi": 0.0, "gamma": [0.0, 0.0, 0.0]}, "b": %s}' % zero, "omega: malformed"),
+        "number_entry.json": ('{"a": 0.5, "b": %s}' % zero, "omega: malformed"),
         "wrong_domain.json": ('{"a": {"phi": 0.0, "gamma": [0.0, 0.0]}}', "part_one"),
+        "extra_symbol.json": ('{"a": %s, "b": %s, "c": %s}' % (zero, zero, zero), "part_one"),
         "a_directory": ("", "omega: cannot read"),
     }
     for name, (text, message) in faults.items():
@@ -408,6 +416,15 @@ def check_bad_omega_rejected(tmp_path, capsys, monkeypatch, command):
         assert main([command, "--config", cfg, "--omega", str(path), *extra]) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("omega: ") and message in err, (name, err)
+    monkeypatch.undo()
+    path = tmp_path / "integers.json"
+    path.write_text('{"a": {"phi": 0, "gamma": [0, 0]}, "b": {"phi": 0, "gamma": [0, 0]}}')
+    assert main([command, "--config", cfg, "--omega", str(path), *extra]) == 0
+    capsys.readouterr()
+    if command == "verify":
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        want = {a: json.loads(zero) for a in ("a", "b")}
+        assert json.dumps(report["omega"], sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_verify_rejects_bad_omega(tmp_path, capsys, monkeypatch):
@@ -441,7 +458,7 @@ def test_search_success_report_matches_verify(tmp_path, capsys, monkeypatch):
     closeness and certified intervals as verify on the omega0 it writes."""
 
     def accept_identity(ifs, cand, budget, seed, mode, c1, epsilon):
-        identity = OmegaAssignment({a: Perturbation(0.0, (0.0, 0.0)) for a in ifs.part_one})
+        identity = np.zeros((len(ifs.part_one), 3))
         return SearchOutcome(
             omega0=identity,
             attempts=1,

@@ -5,18 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ifsproj import (
-    Line,
-    Similarity,
-    get_builtin,
-    make_ifs,
-    canonical_angle,
-    renormalize_arrays,
-)
+from ifsproj import Similarity, get_builtin, make_ifs, renormalize_arrays
 from ifsproj.ifs import MapArrays
 from certificate_oracle import line_square_intersects, project_square
 from map_oracle import apply, compose_word, square_corners
 from renormalize_oracle import (
+    Line,
+    canonical_angle,
     carrier_point,
     direction,
     invert_map,

@@ -14,13 +14,7 @@ from map_oracle import draw_assignment
 from ifsproj import Similarity, build_perturbed_ifs, get_builtin, make_ifs
 from ifsproj.ifs import MapArrays
 from ifsproj.recurrence import two_letter_words
-from ifsproj.search import (
-    _IID_BLOCK,
-    draw_omegas,
-    omega_assignment,
-    omega_letters,
-    perturbed_letters,
-)
+from ifsproj.search import _IID_BLOCK, draw_omegas, omega_letters
 from test_recurrence import _turned_system
 
 C1, RHO = 8.0, 2.0**-7
@@ -101,7 +95,7 @@ def test_block_perturbation_matches_scalar_oracle(system):
     draws = [draw_assignment(rng, ifs, 0.3) for _ in range(2 * _IID_BLOCK + 8)]
     for first in range(0, len(draws), _IID_BLOCK):
         block = draws[first : first + _IID_BLOCK]
-        letters = perturbed_letters(ifs, block, C1, RHO)
+        letters = omega_letters(ifs, np.stack(block), C1, RHO)
         assert letters.ratio.shape == (len(block), len(ifs.alphabet))
         scalar = [oracle.perturbed_maps(ifs, a, C1, RHO) for a in block]
         _assert_maps_equal(letters, [f for maps in scalar for f in maps])
@@ -117,11 +111,11 @@ def test_block_equals_one_at_a_time(system):
     hold those letters (angles reduced mod 2 pi)."""
     ifs = SYSTEMS[system]()
     rng = np.random.default_rng(12)
-    block = [draw_assignment(rng, ifs, 0.3) for _ in range(_IID_BLOCK + 3)]
-    letters = perturbed_letters(ifs, block, C1, RHO)
+    block = np.stack([draw_assignment(rng, ifs, 0.3) for _ in range(_IID_BLOCK + 3)])
+    letters = omega_letters(ifs, block, C1, RHO)
     words = two_letter_words(letters)
     for b, assignment in enumerate(block):
-        alone = perturbed_letters(ifs, [assignment], C1, RHO)
+        alone = omega_letters(ifs, assignment[None], C1, RHO)
         for got, want in ((letters.take([b]), alone), (words.take([b]), two_letter_words(alone))):
             for x, y in zip(got.fields(), want.fields()):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -132,22 +126,16 @@ def test_block_equals_one_at_a_time(system):
         assert np.array_equal(record.angle, alone.angle[0] % (2 * math.pi))
 
 
-def _omega_rows(ifs, assignments) -> np.ndarray:
-    """Each assignment's (phi, gamma_x, gamma_y) per part_one symbol, looked
-    up by symbol, in part_one order."""
-    rows = [[(w.omegas[a].phi, *w.omegas[a].gamma) for a in ifs.part_one] for w in assignments]
-    return np.array(rows)
-
-
 @pytest.mark.parametrize("epsilon", [0.3, 1e-5])
 def test_array_draws_equal_scalar_draws(epsilon):
     """`draw_omegas` draws the doubles of the scalar draw
     (`map_oracle.draw_assignment`) bit for bit, on per-index streams, as
     the iid search seeds them, and on one sequential stream drawn in blocks
-    of _IID_BLOCK, the last one partial, as `estimate_success_prob` draws
-    it; and `omega_letters` of the drawn array gives the scalar oracle's
-    letters of the scalar draws. The gasket lists part_one as c, a, out of
-    alphabet order, so a draw laid out in alphabet order would fail."""
+    of _IID_BLOCK, the last one partial (n draws at once are the stream's
+    next n draws); and `omega_letters` of the drawn array gives the scalar
+    oracle's letters of the scalar draws. The gasket lists part_one as c, a,
+    out of alphabet order, so letters that read the array's columns in
+    alphabet order would fail."""
     gasket = get_builtin("sierpinski")
     ifs = make_ifs(gasket.maps, part_one=["c", "a"], alphabet=gasket.alphabet)
     assert ifs.part_one == ("c", "a")
@@ -162,8 +150,7 @@ def test_array_draws_equal_scalar_draws(epsilon):
     serial = [draw_assignment(ref, ifs, epsilon) for _ in range(n)]
     for got, draws in ((per_index, want), (sequential, serial)):
         assert got.shape == (len(draws), 2, 3)
-        assert got.tobytes() == _omega_rows(ifs, draws).tobytes()
-        assert [omega_assignment(ifs, row) for row in got] == draws
+        assert got.tobytes() == np.stack(draws).tobytes()
         scalar = [f for a in draws for f in oracle.perturbed_maps(ifs, a, C1, RHO)]
         _assert_maps_equal(omega_letters(ifs, got, C1, RHO), scalar)
     assert np.abs(sequential[..., 0]).max() < epsilon < 2 * np.abs(sequential[..., 0]).max()

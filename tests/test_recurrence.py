@@ -8,7 +8,6 @@ from ifsproj import (
     BudgetExceeded,
     GridGeometry,
     GridMembership,
-    Line,
     RecurrentCandidate,
     RowRuns,
     RunConfig,
@@ -40,7 +39,7 @@ from map_oracle import draw_assignment
 from certificate_oracle import certify_line
 from dilation_oracle import _dilate_wrapped
 from membership_oracle import ThreeRectMembership, _pad_wrapped, row_runs
-from renormalize_oracle import invert_map, project_point, renormalize_map, renormalize_via_carrier
+from renormalize_oracle import Line, invert_map, project_point, renormalize_map, renormalize_via_carrier
 
 
 def lines_meeting_unit_square(geom: GridGeometry) -> np.ndarray:

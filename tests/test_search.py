@@ -6,11 +6,10 @@ from scipy.spatial import ConvexHull
 
 import ifsproj
 from ifsproj import (
+    ConfigError,
     CoverageTester,
     GridGeometry,
     GridMembership,
-    OmegaAssignment,
-    Perturbation,
     RunConfig,
     SearchOutcome,
     attractor_points,
@@ -18,18 +17,17 @@ from ifsproj import (
     build_perturbed_ifs,
     check_recurrence,
     closeness_report,
-    estimate_success_prob,
-    first_witness,
     get_builtin,
     hull_obstruction,
     invariant_polygon,
-    perturbed_letters,
+    make_ifs,
+    omega_from_json,
+    omega_to_json,
     renormalize_arrays,
     search_omega0,
     two_letter_words,
-    Line,
 )
-from ifsproj.search import _IID_BLOCK, _STALL_LIMIT, draw_omegas, omega_array, omega_letters
+from ifsproj.search import _IID_BLOCK, _STALL_LIMIT, draw_omegas, omega_letters
 import map_oracle as oracle
 from map_oracle import draw_assignment
 from test_acceptance import farthest_line, obstruction_faults, settlement_faults
@@ -49,22 +47,46 @@ def recurrent_instance():
 
 
 def test_perturbation_validates_gamma():
-    Perturbation(0.1, (0.99, -0.99))
-    with pytest.raises(ValueError):
-        Perturbation(0.1, (1.0, 0.0))
-    with pytest.raises(ValueError):
-        Perturbation(0.1, (0.0, -1.3))
+    """`omega_from_json` takes gamma components just inside (-1, 1) and
+    refuses one on or past the edge of the box."""
+    ifs = get_builtin("sierpinski")
+
+    def omega(gamma_b):
+        return {"a": {"phi": 0.1, "gamma": [0.99, -0.99]}, "b": {"phi": 0.1, "gamma": gamma_b}}
+
+    assert omega_from_json(ifs, omega([0.99, -0.99])).shape == (2, 3)
+    for gamma in ([1.0, 0.0], [0.0, -1.3]):
+        with pytest.raises(ConfigError, match=r"\(-1,1\)"):
+            omega_from_json(ifs, omega(gamma))
 
 
-def test_assignment_json_roundtrip():
-    a = OmegaAssignment(
-        {
-            "a": Perturbation(0.123456789, (0.25, -0.5)),
-            "b": Perturbation(-0.2, (0.0, 0.875)),
-        }
-    )
-    back = OmegaAssignment.from_json_dict(a.to_json_dict())
-    assert back == a  # bit-exact floats through json dicts
+def test_omega_json_reads_in_part_one_order():
+    """On the gasket with part_one (b, a), out of alphabet order,
+    `omega_from_json` lays each symbol's numbers out in part_one order, so
+    the row's letters are each symbol's map turned by its own phi and moved
+    by its own gamma c1 rho (`map_oracle.turn`, read off the JSON by
+    symbol, and `map_oracle.perturbed_maps`), and `omega_to_json` gives
+    float input back unchanged, symbols sorted."""
+    gasket = get_builtin("sierpinski")
+    ifs = make_ifs(gasket.maps, part_one=["b", "a"], alphabet=gasket.alphabet)
+    data = {
+        "a": {"phi": 0.123456789, "gamma": [0.25, -0.5]},
+        "b": {"phi": -0.2, "gamma": [0.0, 0.875]},
+    }
+    omega = omega_from_json(ifs, data)
+    assert omega.tolist() == [[-0.2, 0.0, 0.875], [0.123456789, 0.25, -0.5]]
+    back = omega_to_json(ifs, omega)
+    assert back == data and list(back) == ["a", "b"]
+    shift = 8.0 * RHO
+    by_symbol = [
+        oracle.turn(f, data[a]["phi"], tuple(g * shift for g in data[a]["gamma"])) if a in data else f
+        for a, f in zip(ifs.alphabet, oracle.letters(ifs))
+    ]
+    got = omega_letters(ifs, omega[None], 8.0, RHO).take(0)
+    for want in (by_symbol, oracle.perturbed_maps(ifs, omega, 8.0, RHO)):
+        fields = zip(*((f.ratio, f.angle, f.reflect, *f.translation) for f in want))
+        for x, y in zip(got.fields(), fields):
+            assert np.array_equal(x, np.array(y, dtype=x.dtype))
 
 
 def test_perturb_map_geometry():
@@ -72,29 +94,28 @@ def test_perturb_map_geometry():
     it by gamma c1 rho; the part_two letter c stays as it is."""
     ifs = get_builtin("sierpinski")
     f = ifs.maps["b"]
-    still = Perturbation(0.0, (0.0, 0.0))
     center = ifs.letter_maps().images((0.5, 0.5))
 
-    def perturbed(omega):
-        return perturbed_letters(ifs, [OmegaAssignment({"a": still, "b": omega})], 8.0, RHO).take(0)
+    def perturbed(omega_b):
+        return omega_letters(ifs, np.array([[(0.0, 0.0, 0.0), omega_b]]), 8.0, RHO).take(0)
 
-    rotated = perturbed(Perturbation(0.3, (0.0, 0.0)))
+    rotated = perturbed((0.3, 0.0, 0.0))
     # pure rotation about the image square center keeps the center put
     assert np.allclose(rotated.images((0.5, 0.5)), center)
     assert rotated.ratio[1] == f.ratio and rotated.reflect[1] == f.reflect
     assert rotated.angle[1] == pytest.approx(f.angle + 0.3)
-    shifted = perturbed(Perturbation(0.0, (0.5, -0.25)))
+    shifted = perturbed((0.0, 0.5, -0.25))
     assert np.allclose(shifted.images((0.5, 0.5))[1] - center[1], np.array([0.5, -0.25]) * 8.0 * RHO)
     for moved in (rotated, shifted):
         assert np.array_equal(moved.take([2]).images((0.3, 0.7)), ifs.letter_maps(["c"]).images((0.3, 0.7)))
 
 
 def test_build_perturbed_requires_part_one_domain():
+    """A row with one perturbation for the gasket's two part_one symbols is
+    refused, not broadcast over both."""
     ifs = get_builtin("sierpinski")
     with pytest.raises(ValueError, match="part_one"):
-        build_perturbed_ifs(
-            ifs, OmegaAssignment({"a": Perturbation(0.0, (0.0, 0.0))}), 8.0, RHO
-        )
+        build_perturbed_ifs(ifs, np.zeros((1, 3)), 8.0, RHO)
 
 
 def test_random_draws_stay_epsilon_close(rng):
@@ -130,15 +151,6 @@ def test_per_symbol_accepts_on_recurrent_instance(recurrent_instance):
     assert out.omega0 is not None and out.coverage == 1.0
 
 
-def test_estimate_success_prob(recurrent_instance):
-    ifs, cand = recurrent_instance
-    u = Line(0.0, 0.5)
-    p = estimate_success_prob(ifs, u, cand, samples=16, seed=1, c1=1e-9, epsilon=1e-9)
-    assert p == 1.0
-    with pytest.raises(ValueError, match="not on the probe net"):
-        estimate_success_prob(ifs, Line(0.0, -0.9), cand, samples=4, seed=1)
-
-
 def _iid_one_by_one(ifs, cand, budget, seed, c1, epsilon) -> SearchOutcome:
     """The iid search written out one attempt at a time: the best probe
     fraction (strictly greater wins), a full evaluation for each probe-clean
@@ -147,13 +159,13 @@ def _iid_one_by_one(ifs, cand, budget, seed, c1, epsilon) -> SearchOutcome:
     best_frac, best = -1.0, None
     for k in range(budget):
         a = draw_assignment(np.random.default_rng([seed, k]), ifs, epsilon)
-        probe, _ = tester.coverage(tester.words(omega_array(ifs, [a])), tester.probe_idx)
+        probe, _ = tester.coverage(tester.words(a[None]), tester.probe_idx)
         frac = float(np.count_nonzero(probe) / len(probe))
         if frac > best_frac:
             best_frac, best = frac, a
-        if probe.all() and tester.coverage(tester.words(omega_array(ifs, [a])))[0].all():
+        if probe.all() and tester.coverage(tester.words(a[None]))[0].all():
             return SearchOutcome(a, k + 1, k, a, 1.0, 0.0, "iid")
-    covered = tester.coverage(tester.words(omega_array(ifs, [best])))[0]
+    covered = tester.coverage(tester.words(best[None]))[0]
     coverage = float(np.count_nonzero(covered) / cand.delta_count)
     return SearchOutcome(None, budget, None, best, coverage, 1.0 - coverage, "iid")
 
@@ -195,10 +207,12 @@ def test_iid_blocks_match_one_attempt_at_a_time(recurrent_instance, monkeypatch)
         drops.append(sum(dropped))
         assert dropped[0] == 0
         assert out.accepted_attempt == accepted
-        assert out.to_json_dict() == _iid_one_by_one(ifs, cand, budget, 0, c1, epsilon).to_json_dict()
+        reference = _iid_one_by_one(ifs, cand, budget, 0, c1, epsilon)
+        assert out.to_json_dict(ifs) == reference.to_json_dict(ifs)
     assert drops[0] > cases[0][1] // 2 and drops[1:] == [15, 0, 5, 5]
     assert 0 < 23 % block < block - 1 and budget % block
-    assert out.best_assignment == draw_assignment(np.random.default_rng([0, 11]), ifs, epsilon)
+    best = draw_assignment(np.random.default_rng([0, 11]), ifs, epsilon)
+    assert np.array_equal(out.best_assignment, best)
     assert 0.0 < out.coverage < 1.0
 
 
@@ -213,7 +227,6 @@ def _per_symbol_whole_net(ifs, cand, budget, seed, c1, epsilon):
     fresh draw."""
     tester = CoverageTester(ifs, cand, c1)
     rng = np.random.default_rng([seed])
-    symbols = list(ifs.part_one)
     fresh, best, best_covered, stall = [], None, None, _STALL_LIMIT
     for k in range(budget):
         draw = draw_assignment(rng, ifs, epsilon)
@@ -221,9 +234,10 @@ def _per_symbol_whole_net(ifs, cand, budget, seed, c1, epsilon):
             fresh.append(k)
             candidate = draw
         else:
-            sym = symbols[k % len(symbols)]
-            candidate = OmegaAssignment({**current.omegas, sym: draw.omegas[sym]})
-        covered = tester.coverage(tester.words(omega_array(ifs, [candidate])))[0]
+            sym = k % len(ifs.part_one)
+            candidate = current.copy()
+            candidate[sym] = draw[sym]
+        covered = tester.coverage(tester.words(candidate[None]))[0]
         if stall == _STALL_LIMIT or np.count_nonzero(~covered) < np.count_nonzero(~current_covered):
             current, current_covered, stall = candidate, covered, 0
             if best is None or np.count_nonzero(covered) > np.count_nonzero(best_covered):
@@ -252,40 +266,12 @@ def test_per_symbol_matches_whole_net_hill_climb(desk):
     for ifs, cand, budget, seed, c1, epsilon in runs:
         out = search_omega0(ifs, cand, budget=budget, seed=seed, mode="per_symbol", c1=c1, epsilon=epsilon)
         reference, at = _per_symbol_whole_net(ifs, cand, budget, seed, c1, epsilon)
-        assert out == reference
+        assert out.to_json_dict(ifs) == reference.to_json_dict(ifs)
         outs.append(out)
         fresh.append(at)
     assert fresh == [[0, 51], [0], [], [0]]
     assert [o.accepted_attempt for o in outs] == [None, 23, None, None]
     assert out.attempts == 5 and 0.0 < out.coverage < 1.0
-
-
-def _success_one_by_one(ifs, cand, u, samples, seed, c1, epsilon):
-    """`estimate_success_prob` written out one sample at a time."""
-    member0 = GridMembership(cand.geom, cand.L0, cand.search_slack)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(samples):
-        a = draw_assignment(rng, ifs, epsilon)
-        words = two_letter_words(perturbed_letters(ifs, [a], c1, cand.rho))
-        hits += int(first_witness(words, np.array([u.theta]), np.array([u.t]), member0)[0, 0] >= 0)
-    return hits / samples
-
-
-def _net_line(geom):
-    """A line of the coarse lines-meeting-I candidates' probe net."""
-    return Line(30 * geom.pitch, (41 - geom.m) * geom.pitch)
-
-
-def test_estimate_success_prob_matches_per_sample_loop(recurrent_instance):
-    """The blocked estimate counts the same hits as evaluating each sample
-    alone, for sample counts below, at and past one block."""
-    ifs, cand = recurrent_instance
-    u = _net_line(cand.geom)
-    for samples in (1, _IID_BLOCK, 2 * _IID_BLOCK + 5):
-        p = estimate_success_prob(ifs, u, cand, samples=samples, seed=3, c1=0.3, epsilon=0.3)
-        assert p == _success_one_by_one(ifs, cand, u, samples, 3, 0.3, 0.3)
-    assert 0.0 < p < 1.0
 
 
 _SIZES_BUDGET = 2 * 64 + 9  # two blocks of 64 draws and a partial one
@@ -297,47 +283,42 @@ _SIZES_CASES = {  # system: (seed, accepted attempt) at c1 0.5, epsilon 0.3
 
 @pytest.fixture(scope="module")
 def one_at_a_time():
-    """Per system of _SIZES_CASES: the coarse candidate, its net line,
-    `_iid_one_by_one`'s outcome of each case and `_success_one_by_one` on
-    the line, computed once for every block size."""
+    """Per system of _SIZES_CASES: the coarse candidate and
+    `_iid_one_by_one`'s outcome of each case, computed once for every block
+    size."""
     refs = {}
     for system, cases in _SIZES_CASES.items():
         ifs, cand = _coarse_candidate(system)
         outcomes = [
-            _iid_one_by_one(ifs, cand, _SIZES_BUDGET, seed, 0.5, 0.3).to_json_dict()
+            _iid_one_by_one(ifs, cand, _SIZES_BUDGET, seed, 0.5, 0.3).to_json_dict(ifs)
             for seed, _ in cases
         ]
-        u = _net_line(cand.geom)
-        p = _success_one_by_one(ifs, cand, u, _SIZES_BUDGET, 3, 0.5, 0.3)
-        refs[system] = ifs, cand, u, outcomes, p
+        refs[system] = ifs, cand, outcomes
     return refs
 
 
 @pytest.mark.parametrize("block", [1, 16, 64])
 @pytest.mark.parametrize("system", list(_SIZES_CASES))
 def test_iid_block_size_changes_no_outcome(system, block, one_at_a_time, monkeypatch):
-    """The iid search and `estimate_success_prob` give the one-at-a-time
-    outcome and estimate whatever `_IID_BLOCK` is, over a budget of two
-    64-draw blocks and a partial one: on the gasket over the coarse
-    lines-meeting-I candidate, which no draw covers, and on four_corner
-    there, which accepts attempt 125 (in the second 64-draw block) at seed 2
-    and fails at seed 3."""
-    ifs, cand, u, outcomes, p = one_at_a_time[system]
+    """The iid search gives the one-at-a-time outcome whatever `_IID_BLOCK`
+    is, over a budget of two 64-draw blocks and a partial one: on the gasket
+    over the coarse lines-meeting-I candidate, which no draw covers, and on
+    four_corner there, which accepts attempt 125 (in the second 64-draw
+    block) at seed 2 and fails at seed 3."""
+    ifs, cand, outcomes = one_at_a_time[system]
     monkeypatch.setattr(ifsproj.search, "_IID_BLOCK", block)
     for (seed, accepted), reference in zip(_SIZES_CASES[system], outcomes):
         out = search_omega0(ifs, cand, budget=_SIZES_BUDGET, seed=seed, mode="iid", c1=0.5, epsilon=0.3)
         assert out.accepted_attempt == accepted
-        assert out.to_json_dict() == reference
-    assert estimate_success_prob(ifs, u, cand, samples=_SIZES_BUDGET, seed=3, c1=0.5, epsilon=0.3) == p
-    assert 0.0 < p < 1.0
+        assert out.to_json_dict(ifs) == reference
 
 
 def test_probe_is_consistent_with_full_eval(recurrent_instance, rng):
     ifs, cand = recurrent_instance
     tester = CoverageTester(ifs, cand, c1=0.5)
     a = draw_assignment(rng, ifs, 0.3)
-    full, _ = tester.coverage(tester.words(omega_array(ifs, [a])))
-    probe, _ = tester.coverage(tester.words(omega_array(ifs, [a])), tester.probe_idx)
+    full, _ = tester.coverage(tester.words(a[None]))
+    probe, _ = tester.coverage(tester.words(a[None]), tester.probe_idx)
     assert np.array_equal(full[tester.probe_idx], probe)
 
 
@@ -361,7 +342,7 @@ def test_whole_grid_evaluations_stay_row_wise(monkeypatch):
         if hasattr(mod, "renormalize_arrays"):
             monkeypatch.setattr(mod, "renormalize_arrays", counting)
     assignment = draw_assignment(np.random.default_rng(0), res.ifs, cfg.epsilon)
-    covered, _ = tester.coverage(tester.words(omega_array(res.ifs, [assignment])))
+    covered, _ = tester.coverage(tester.words(assignment[None]))
     assert covered.any() and not covered.all()
     assert 0 < sum(points) <= 0.1 * len(covered)
 
@@ -376,7 +357,7 @@ def test_coverage_witnesses_reverify(recurrent_instance, rng):
     ifs, cand = recurrent_instance
     tester = CoverageTester(ifs, cand, c1=0.5)
     a = draw_assignment(rng, ifs, 0.3)
-    covered, witness = tester.coverage(tester.words(omega_array(ifs, [a])))
+    covered, witness = tester.coverage(tester.words(a[None]))
     maps = oracle.perturbed_maps(ifs, a, 0.5, cand.rho)
     words = [g for _, g in oracle.two_letter_words(ifs.alphabet, maps)]
     member0 = GridMembership(cand.geom, cand.L0, cand.search_slack)
@@ -514,10 +495,10 @@ def test_search_is_deterministic(recurrent_instance):
     kw = dict(budget=6, seed=11, c1=0.5, epsilon=0.3)
     a = search_omega0(ifs, cand, mode="iid", **kw)
     b = search_omega0(ifs, cand, mode="iid", **kw)
-    assert a.to_json_dict() == b.to_json_dict()
+    assert a.to_json_dict(ifs) == b.to_json_dict(ifs)
     c = search_omega0(ifs, cand, mode="per_symbol", **kw)
     d = search_omega0(ifs, cand, mode="per_symbol", **kw)
-    assert c.to_json_dict() == d.to_json_dict()
+    assert c.to_json_dict(ifs) == d.to_json_dict(ifs)
 
 
 def test_search_reports_best_on_failure(recurrent_instance):
@@ -575,7 +556,7 @@ def test_invariant_polygon_holds_perturbed_attractors(part_one, rng):
     offsets = (normals * poly).sum(axis=1)
     edge = 1.0 - 1e-12  # gamma must stay inside the open box
     corners = [
-        OmegaAssignment({a: Perturbation(sp * eps, (sx * edge, sy * edge)) for a in part_one})
+        np.array([(sp * eps, sx * edge, sy * edge)] * len(part_one))
         for sp, sx, sy in product((-1, 1), repeat=3)
     ]
     for assignment in corners + [draw_assignment(rng, ifs, eps) for _ in range(12)]:
@@ -639,8 +620,7 @@ def test_farthest_lines_stay_uncovered(desk):
         i = int(np.count_nonzero(L1.ravel()[: row * geom.n_t + col]))
         th, tt = cand.L1.lines(geom, np.array([i]))
         assert (th[0], tt[0]) == (row * geom.pitch, (col - geom.m) * geom.pitch)
-        omega = omega_array(desk.ifs, [assignment])
-        covered, _ = tester.coverage(tester.words(omega), indices=np.array([i]))
+        covered, _ = tester.coverage(tester.words(assignment[None]), indices=np.array([i]))
         assert not covered[0]
 
         dist, row, col = farthest_line(L, geom, hull)

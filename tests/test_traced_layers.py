@@ -13,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ifsproj import OmegaAssignment, build_perturbed_ifs, get_builtin, stopping_cylinders
+from ifsproj import build_perturbed_ifs, get_builtin, omega_from_json, stopping_cylinders
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,7 +69,7 @@ def test_traced_cli_reaches_every_kernel_layer(tmp_path):
     # attractor points
     rho, c1 = cfg["constants"]["rho"], cfg["constants"]["c1"]
     ifs = get_builtin(cfg["ifs"])
-    perturbed = build_perturbed_ifs(ifs, OmegaAssignment.from_json_dict(omega), c1, rho)
+    perturbed = build_perturbed_ifs(ifs, omega_from_json(ifs, omega), c1, rho)
     scales = ((ifs, math.sqrt(rho)), (ifs, rho), (perturbed, cfg["grid"]["cert_resolution"] / 2))
     words = sum(len(stopping_cylinders(s, scale)[1]) for s, scale in scales)
     assert dump["counts"]["measure.stopping_cylinders.words"] == words
