@@ -45,6 +45,10 @@ output depends on the BLAS kernel. The commands:
   omega, and with it at theta 3.9270 (0.7854 + pi), which reads its
   recurrence row a half-turn away and reports that row's interval with t
   negated.
+- `certify` at theta 0.01 on four_corner at rho 2^-7, unperturbed: its
+  sample offsets lie so densely that the largest gap (about 0.005
+  resolutions) falls inside a bucket of `recurrence._bucket_extremes`, so
+  the certificate sorts the offsets instead.
 - `render` on configs/sierpinski.json: `attractor.pgm`, the stopping-word
   centers of `measure.stopping_cylinders` drawn as a raster.
 - `build-l`, `search` (iid, seed 1, budget 200), `verify` (seed 1, with
@@ -130,6 +134,7 @@ COMMANDS = {
     "certify": ["certify", *FINE, "--theta", "0.7854"],
     "certify-omega": ["certify", *FINE, "--theta", "0.7854", "--omega", OMEGA],
     "certify-half-turn": ["certify", *FINE, "--theta", "3.9270", "--omega", OMEGA],
+    "certify-near-axis": ["certify", *FINE, "--theta", "0.01"],
     "render-sierpinski": ["render", "--config", SIERPINSKI],
     "build-l-turned": ["build-l", *TURNED_RUN],
     "search-iid-turned": ["search", *TURNED_RUN, "--seed", "1", "--mode", "iid", "--budget", "200"],

@@ -22,26 +22,30 @@ def stopping_cylinders(
     rho: float,
     budget: int | None = None,
     point: tuple[float, float] = (0.5, 0.5),
-) -> tuple[np.ndarray, np.ndarray]:
+    with_ratios: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The points f_w(point) and ratios of the stopping words w at scale
     rho (see `ifs.stopping_batches`), in the words' lexicographic
     (alphabet-rank) order. This is the one gatherer of the stopping words:
     both arrays are allocated once, from the count, and filled batch by
     batch, so the words' maps are never held whole. Ratios are the
-    products of the letters' ratios taken left to right. The points are
-    column-major, so that `lines.offsets` reads each coordinate
+    products of the letters' ratios taken left to right; with_ratios false
+    gives None in their place, for a caller that reads only the points. The
+    points are column-major, so that `lines.offsets` reads each coordinate
     contiguously.
 
     The default point is the square center; passing an attractor point makes
     every f_w(point) an attractor point too.
     """
     count, batches = stopping_batches(ifs, rho, budget=budget)
-    points, ratios = np.empty((count, 2), order="F"), np.empty(count)
+    points = np.empty((count, 2), order="F")
+    ratios = np.empty(count) if with_ratios else None
     lo = 0
     for maps in batches:
         hi = lo + len(maps.ratio)
         points[lo:hi] = maps.images(point)
-        ratios[lo:hi] = maps.ratio
+        if with_ratios:
+            ratios[lo:hi] = maps.ratio
         lo = hi
     return points, ratios
 

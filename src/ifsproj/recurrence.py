@@ -818,25 +818,83 @@ class IntervalCertificate:
 
 def attractor_points(ifs: IfsSpec, scale: float, budget: int | None = None) -> np.ndarray:
     """Exact attractor points: images of the first map's fixed point under
-    every stopping word at the given scale. Reusable across angles."""
+    every stopping word at the given scale, from `stopping_cylinders`
+    without its ratios. Reusable across angles."""
     f0 = ifs.maps[ifs.alphabet[0]]
     p0 = np.linalg.solve(np.eye(2) - f0.linear(), np.asarray(f0.translation))
-    pts, _ = stopping_cylinders(ifs, scale, budget=budget, point=(p0[0], p0[1]))
+    pts, _ = stopping_cylinders(ifs, scale, budget=budget, point=(p0[0], p0[1]), with_ratios=False)
     return pts
 
 
 _MIN_LENGTH_FACTOR = 10.0  # a certified interval spans this many resolutions
+# Buckets per resolution in a certificate's pass (`_bucket_extremes`), which
+# is exact when the largest gap spans a bucket, about 1/64 resolution. At
+# resolution 1e-3 the largest gap of the ten angles `verify` samples was at
+# least 0.096 resolutions on four_corner at rho 2^-7 under the benchmark's
+# omegas of seeds 1-5, and at least 0.177 on the desk gasket under its
+# omegas; unperturbed four_corner reads 0.024 at theta 0.05 but 0.0049 at
+# theta 0.01, which takes the sort. 64 buckets to the resolution are about
+# 88K on four_corner's projection, few enough to stay in cache.
+_BUCKETS_PER_RESOLUTION = 64
 
 
-def _gap_scan(pos: np.ndarray, resolution: float) -> tuple[np.ndarray, float]:
-    """For sorted positions: the indices i of the gaps pos[i + 1] - pos[i]
-    wider than resolution, and the largest gap (inf with no gap). Chunk by
-    chunk, so no array of gaps or flags as long as pos is held."""
-    n = max(len(pos) - 1, 0)
+def _bucket_extremes(
+    samples: np.ndarray, sin: float, cos: float, resolution: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The least and the greatest sample offset (`lines.offsets`) in each
+    nonempty bucket of width (about) resolution / _BUCKETS_PER_RESOLUTION,
+    buckets ascending, from one pass over the samples, _CHUNK at a time.
+    None when these extremes may not give the gaps of the sorted offsets
+    exactly, or when the buckets would outnumber the samples.
+
+    A sample's bucket is monotone in its offset (rounding is monotone, and
+    so is clipping to the buckets), so consecutive sorted offsets lie in
+    one bucket or are the greatest of one nonempty bucket and the least of
+    the next. A gap inside a bucket is at most the bucket's extent (greatest
+    less least, rounded: rounding is monotone again). So when no extent
+    exceeds the resolution or the largest gap between buckets, the gaps
+    between buckets hold every gap wider than the resolution and the
+    largest gap, bit for bit. The buckets span the projection of the
+    samples' bounding box; an offset rounded past it is clipped into an end
+    bucket, which only widens that bucket's extent.
+    """
+    n = len(samples)
+    if not n:
+        return None
+    scale = _BUCKETS_PER_RESOLUTION / resolution  # buckets per unit offset
+    low, high = samples.min(axis=0), samples.max(axis=0)
+    corners = offsets(np.array([[low[0]], [high[0]]]), np.array([low[1], high[1]]), sin, cos)
+    origin = corners.min()
+    top = (corners.max() - origin) * scale  # the last bucket's index, unrounded
+    if not top < n:  # more buckets than samples, or too many to count
+        return None
+    count = int(top) + 1
+    least, greatest = np.full(count, math.inf), np.full(count, -math.inf)
+    for i in range(0, n, _CHUNK):
+        pos = offsets(samples[i : i + _CHUNK, 0], samples[i : i + _CHUNK, 1], sin, cos)
+        k = np.clip((pos - origin) * scale, 0, count - 1).astype(np.intp)
+        np.minimum.at(least, k, pos)
+        np.maximum.at(greatest, k, pos)
+    full = least <= greatest
+    least, greatest = least[full], greatest[full]
+    largest = _gap_scan(least, greatest, resolution)[1]
+    if len(least) > 1 and (greatest - least).max() <= min(largest, resolution):
+        return least, greatest
+    return None
+
+
+def _gap_scan(
+    least: np.ndarray, greatest: np.ndarray, resolution: float
+) -> tuple[np.ndarray, float]:
+    """For ascending buckets' extremes: the indices i of the gaps
+    least[i + 1] - greatest[i] wider than resolution, and the largest gap
+    (inf with no gap). Chunk by chunk, so no array of gaps or flags as long
+    as the buckets is held: on the sort route they are the samples."""
+    n = max(len(least) - 1, 0)
     wide, largest = [np.zeros(0, dtype=np.int64)], -math.inf
     for i in range(0, n, _CHUNK):
         stop = min(i + _CHUNK, n)
-        gaps = pos[i + 1 : stop + 1] - pos[i:stop]
+        gaps = least[i + 1 : stop + 1] - greatest[i:stop]
         wide.append(i + np.flatnonzero(gaps > resolution))
         largest = max(largest, float(gaps.max()))
     return np.concatenate(wide), largest if n else math.inf
@@ -874,6 +932,16 @@ def certify_projection_interval(
     every candidate window stays short. The certificate keeps the gaps
     wider than resolution, not the sample positions.
 
+    The gaps come from the extremes of buckets a fraction of the resolution
+    wide (`_bucket_extremes`), found in one pass with no array as long as
+    the samples. Where those may not be exact (the largest gap lies inside
+    a bucket, as on an unperturbed projection near an axis, whose offsets
+    lie densely), the sorted offsets are the extremes of buckets of one
+    sample each. Either way the gaps between consecutive buckets are the
+    gaps of the sorted offsets that matter, and one evaluator reads them:
+    the wide gaps and the largest gap (`_gap_scan`), and the first longest
+    run between wide gaps.
+
     recurrence, given with the grid geom, is a second, independent
     certificate: L's row runs (all of L, or only some rows, `RowRuns.only`,
     the row nearest theta among them) and the first witnesses of their
@@ -884,14 +952,24 @@ def certify_projection_interval(
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
-    pos = offsets(samples[:, 0], samples[:, 1], math.sin(theta), math.cos(theta))
-    pos.sort()
-    wide, largest_gap = _gap_scan(pos, resolution)
-
-    lo, hi = _longest_run(wide, pos)
-    length = pos[hi] - pos[lo]
+    sin, cos = math.sin(theta), math.cos(theta)
+    extremes = _bucket_extremes(samples, sin, cos, resolution)
+    if extremes is None:
+        pos = offsets(samples[:, 0], samples[:, 1], sin, cos)
+        pos.sort()
+        extremes = pos, pos
+    least, greatest = extremes
+    wide, largest_gap = _gap_scan(least, greatest, resolution)
+    # the runs between wide gaps, each from the least offset after one to the
+    # greatest before the next; the first longest wins
+    starts, stops = np.append(0, wide + 1), np.append(wide, len(least) - 1)
+    spans = greatest[stops] - least[starts] if len(least) else np.zeros(1)
+    best = int(np.argmax(spans))
+    length = float(spans[best])
     min_len = _MIN_LENGTH_FACTOR * resolution
-    interval = (float(pos[lo]), float(pos[hi])) if length >= min_len else None
+    interval = None
+    if length >= min_len:
+        interval = (float(least[starts[best]]), float(greatest[stops[best]]))
 
     rec_interval, rec_len, rec_ok = None, 0.0, None
     if recurrence is not None:
@@ -912,12 +990,12 @@ def certify_projection_interval(
     return IntervalCertificate(
         theta=float(theta),
         resolution=float(resolution),
-        n_samples=len(pos),
+        n_samples=len(samples),
         interval=interval,
-        length=float(length),
+        length=length,
         largest_gap=largest_gap,
         certified=interval is not None,
-        gaps=np.stack([pos[wide], pos[wide + 1]], axis=1),
+        gaps=np.stack([greatest[wide], least[wide + 1]], axis=1),
         recurrence_interval=rec_interval,
         recurrence_length=float(rec_len),
         recurrence_certified=rec_ok,

@@ -103,16 +103,20 @@ def draw_omegas(rng: np.random.Generator, ifs: IfsSpec, epsilon: float, n: int) 
 
 def omega_from_json(ifs: IfsSpec, data) -> np.ndarray:
     """The (part_one, 3) omega row of the omega file's JSON: an object keyed
-    by symbol, each entry a number phi and a pair of numbers gamma, every
-    number finite by the IFS file's rule (`_finite_number`) and each gamma
-    component in (-1, 1). The entries are checked before the domain, which
-    must be part_one; every fault is a ConfigError."""
+    by symbol, each entry a number phi and a pair of numbers gamma and no
+    other key (as in the IFS file), every number finite by that file's rule
+    (`_finite_number`) and each gamma component in (-1, 1). The entries are
+    checked before the domain, which must be part_one; every fault is a
+    ConfigError."""
     try:
         if not isinstance(data, dict):
             raise TypeError(f"expected an object keyed by symbol, got {type(data).__name__}")
         entries = {}
         for a, v in data.items():
             phi, gamma = v["phi"], tuple(v["gamma"])
+            extra = sorted(set(v) - {"phi", "gamma"})
+            if extra:
+                raise ValueError(f"unknown key {extra[0]!r} in the entry for symbol {a!r}")
             if not all(_finite_number(x) for x in (phi, *gamma)):
                 raise ValueError("phi and gamma must be finite numbers")
             gx, gy = gamma

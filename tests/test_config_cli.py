@@ -403,6 +403,11 @@ def check_bad_omega_rejected(tmp_path, capsys, monkeypatch, command):
         "gamma_minus_one.json": ('{"a": {"phi": 0.0, "gamma": [0.0, -1.0]}, "b": %s}' % zero, "omega: malformed"),
         "long_gamma.json": ('{"a": {"phi": 0.0, "gamma": [0.0, 0.0, 0.0]}, "b": %s}' % zero, "omega: malformed"),
         "number_entry.json": ('{"a": 0.5, "b": %s}' % zero, "omega: malformed"),
+        # a key beside phi and gamma, as the IFS file refuses one beside its map's numbers
+        "extra_key.json": (
+            '{"a": {"phi": 0.0, "gamma": [0.0, 0.0], "x": 1}, "b": %s}' % zero,
+            "omega: malformed perturbation file: unknown key 'x' in the entry for symbol 'a'",
+        ),
         "wrong_domain.json": ('{"a": {"phi": 0.0, "gamma": [0.0, 0.0]}}', "part_one"),
         "extra_symbol.json": ('{"a": %s, "b": %s, "c": %s}' % (zero, zero, zero), "part_one"),
         "a_directory": ("", "omega: cannot read"),

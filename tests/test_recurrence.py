@@ -32,7 +32,15 @@ from ifsproj import (
 )
 import ifsproj.recurrence
 from ifsproj.ifs import MapArrays
-from ifsproj.recurrence import _cover, _dilate, _first_true, _longest_run, _pad_runs
+from ifsproj.recurrence import (
+    _MIN_LENGTH_FACTOR,
+    _cover,
+    _dilate,
+    _first_true,
+    _longest_run,
+    _pad_runs,
+)
+from ifsproj.search import omega_from_json
 import certificate_oracle
 import map_oracle as oracle
 from map_oracle import draw_assignment
@@ -836,19 +844,114 @@ def cantor_product():
     )
 
 
-def test_certificate_gaps_equal_sort_and_diff():
-    """The certificate's wide gaps are those of the sorted sample offsets:
-    on C3 = C x C at theta 0 (the Cantor set C) and on four_corner at
-    theta 1.0, whose sample's gaps exceed a resolution finer than it."""
-    cases = [(attractor_points(cantor_product(), 5e-4), 0.0, 1e-3)]
-    cases.append((attractor_points(get_builtin("four_corner"), 2.0**-6), 1.0, 2.0**-9))
-    for samples, theta, resolution in cases:
+# the omega `bench/run.py` draws for four-corner-verify at seed 1
+BENCH_OMEGA = {
+    "a": {"phi": -0.21938145353255928, "gamma": [0.6948674738744653, 0.5275492379532281]},
+    "b": {"phi": -0.14695858455634697, "gamma": [-0.009129825816118098, -0.10101787042252375]},
+}
+
+
+@pytest.fixture
+def bench_samples():
+    """The attractor samples of four-corner-verify: four_corner at rho 2^-7
+    perturbed by BENCH_OMEGA, at scale 5e-4 (4^11 points)."""
+    four = get_builtin("four_corner")
+    omega = omega_from_json(four, BENCH_OMEGA)
+    return attractor_points(build_perturbed_ifs(four, omega, RunConfig().c1, 2.0**-7), 5e-4)
+
+
+def certificate_by_sorting(samples, theta, resolution) -> tuple[dict, np.ndarray]:
+    """The JSON fields and the wide gaps of a certificate without its
+    recurrence row, from the sorted offsets of all samples, their
+    differences and `_longest_run`: the route the certificate took before
+    bucket extremes."""
+    pos = np.sort(project_point(theta, samples))
+    steps = np.diff(pos)
+    wide = np.flatnonzero(steps > resolution)
+    lo, hi = _longest_run(wide, pos) if len(pos) else (0, 0)
+    length = float(pos[hi] - pos[lo]) if len(pos) else 0.0
+    interval = None
+    if length >= _MIN_LENGTH_FACTOR * resolution:
+        interval = [float(pos[lo]), float(pos[hi])]
+    fields = {
+        "theta": theta,
+        "resolution": resolution,
+        "n_samples": len(pos),
+        "interval": interval,
+        "length": length,
+        "largest_gap": float(steps.max()) if len(steps) else math.inf,
+        "certified": interval is not None,
+        "recurrence_interval": None,
+        "recurrence_length": 0.0,
+        "recurrence_certified": None,
+    }
+    return fields, np.stack([pos[wide], pos[wide + 1]], axis=1)
+
+
+def test_certificate_gaps_equal_sort_and_diff(bench_samples, monkeypatch):
+    """On both routes, bucket extremes and sorted offsets, a certificate's
+    fields and wide gaps equal those of sorting every sample offset
+    (`certificate_by_sorting`), and each case takes the route it should:
+    the buckets when the largest gap spans a bucket, the sort when it lies
+    inside one (unperturbed four_corner near an axis), when buckets would
+    outnumber the samples, and for fewer than two distinct offsets."""
+    four, c3 = get_builtin("four_corner"), cantor_product()
+    c3_samples = attractor_points(c3, 5e-4)
+    dust_samples = attractor_points(get_builtin("cantor_dust"), 2e-5)
+    four_samples = attractor_points(four, 2.0**-8)
+    cases = [
+        (bench_samples, 0.0, 1e-3, "buckets"),
+        (bench_samples, 2.3, 1e-3, "buckets"),
+        (c3_samples, 0.0, 1e-2, "buckets"),  # the Cantor set: wide gaps
+        (c3_samples, 0.2, 1e-2, "buckets"),
+        (c3_samples, 0.0, 1e-3, "sort"),  # 64K buckets for 4^7 samples
+        (dust_samples, 0.0, 1e-2, "buckets"),  # gaps of half the projection
+        (dust_samples, 0.4, 1e-2, "buckets"),
+        (four_samples, 0.01, 2.0**-7, "sort"),  # a gap of 1% of a bucket at most
+        (four_samples, 0.05, 2.0**-7, "buckets"),
+        (attractor_points(four, 2.0**-6), 1.0, 2.0**-9, "sort"),
+        (np.zeros((0, 2)), 0.3, 1e-3, "sort"),
+        (np.array([[0.25, 0.5]]), 0.3, 1e-3, "sort"),
+        (np.array([[0.0, 0.0], [1.0, 1.0]]), 0.3, 1e-3, "sort"),
+        (np.array([[0.25, 0.5], [0.25, 0.5]]), 0.3, 1e-3, "sort"),
+        # every point twice, the second time in reverse order
+        (np.concatenate([c3_samples, c3_samples[::-1]]), 0.0, 1e-2, "buckets"),
+        (np.concatenate([dust_samples, dust_samples[::-1]]), 0.4, 1e-2, "buckets"),
+    ]
+    routes = []
+    extremes = ifsproj.recurrence._bucket_extremes
+
+    def spy(*args):
+        found = extremes(*args)
+        routes.append("sort" if found is None else "buckets")
+        return found
+
+    monkeypatch.setattr(ifsproj.recurrence, "_bucket_extremes", spy)
+    wide = certified = 0
+    for samples, theta, resolution, route in cases:
         cert = certify_projection_interval(samples, theta, resolution)
-        pos = np.sort(project_point(theta, samples))
-        wide = np.diff(pos) > resolution
-        assert wide.any()
-        assert np.array_equal(cert.gaps, np.stack([pos[:-1][wide], pos[1:][wide]], axis=1))
-        assert np.array_equal(cert.gaps[:, 1] - cert.gaps[:, 0], np.diff(pos)[wide])
+        fields, gaps = certificate_by_sorting(samples, theta, resolution)
+        assert routes.pop() == route, (len(samples), theta, resolution)
+        assert cert.to_json_dict() == fields, (len(samples), theta, resolution)
+        assert cert.gaps.shape == gaps.shape and np.array_equal(cert.gaps, gaps)
+        wide += len(gaps) > 0
+        certified += cert.certified
+    assert wide >= 6 and 0 < certified < len(cases)
+    # buckets twice the resolution wide hide C's gaps of 3^-4 inside them
+    monkeypatch.setattr(ifsproj.recurrence, "_BUCKETS_PER_RESOLUTION", 0.5)
+    cert = certify_projection_interval(c3_samples, 0.0, 1e-2)
+    fields, gaps = certificate_by_sorting(c3_samples, 0.0, 1e-2)
+    assert routes.pop() == "sort" and len(gaps) == 15
+    assert cert.to_json_dict() == fields and np.array_equal(cert.gaps, gaps)
+
+
+def test_bucket_certificate_holds_no_sample_sized_array(bench_samples, traced_peak):
+    """A certificate on the bucket route allocates less than a tenth of the
+    samples' bytes: no array of offsets as long as the samples."""
+    certify_projection_interval(bench_samples[:1000], 0.7, 1e-3)  # imports stay outside the trace
+    cert, peak = traced_peak(lambda: certify_projection_interval(bench_samples, 0.7, 1e-3))
+    assert cert.certified and cert.n_samples == 4**11
+    assert peak < 0.1 * bench_samples.nbytes
 
 
 def test_c3_gap_scan_over_lambda():

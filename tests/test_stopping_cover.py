@@ -79,6 +79,9 @@ def test_cover_matches_depth_first_walkers(name, rho):
         stopping_cylinders(ifs, rho, point=point),
         oracle.stopping_cylinders(ifs, rho, point=point),
     )
+    points, ratios = stopping_cylinders(ifs, rho, point=point, with_ratios=False)
+    assert ratios is None
+    _assert_same([points], oracle.stopping_cylinders(ifs, rho, point=point)[:1])
 
 
 def test_mixed_system_interleaves_depths():
@@ -153,13 +156,14 @@ def test_budget_at_count_minus_one_reports_the_count(name, rho, batch, monkeypat
 
 
 def test_attractor_points_hold_no_cover_sized_scratch(traced_peak):
-    """Beside the points, stopping_cylinders returns the ratios (half the
-    points' bytes); the walk itself may add at most another half."""
+    """attractor_points takes the points of stopping_cylinders without the
+    ratios, so no ratio array is filled; the walk itself may add at most
+    half the points' bytes."""
     ifs = get_builtin("four_corner")
     attractor_points(ifs, 2.0**-5)  # imports and caches stay outside the trace
     pts, peak = traced_peak(lambda: attractor_points(ifs, 2.0**-9))
     assert len(pts) == 4**9
-    assert peak <= 2.0 * pts.nbytes
+    assert peak <= 1.5 * pts.nbytes
 
 
 def test_budget_overrun_raises_before_composing_maps(traced_peak):
