@@ -33,6 +33,10 @@ output depends on the BLAS kernel. The commands:
   the file lists them;
 - `verify` on four_corner at rho 2^-7, seed 1, with the omega that
   `bench/run.py` draws for seed 1;
+- `verify` on four_corner at rho 2^-5 with `grid.theta_pitch` 2^-4 (51
+  rows), seed 1, with that omega: its check slack, rho/2, is a quarter
+  pitch, so the check's row route hands every cell to the point route and
+  membership windows can fall between two columns;
 - `verify` on configs/sierpinski.json (the desk run, whose check slack of
   2.0000003 pitches is not a whole number of cells), seed 1, with the omega
   that `bench/run.py`'s `draw_omega` draws at seed 1 for the gasket's
@@ -97,6 +101,7 @@ OMEGA = "omega.json"  # written into the work directory, next to each output
 OMEGA_DESK = "omega_sierpinski.json"
 DESK_PART_ONE = ("a", "b")  # the gasket's part_one, the first ceil(3/2) symbols
 PHI_RUN_3 = "sierpinski_phi_run_3.json"  # written into the work directory too
+COARSE_THETA = "four_corner_coarse_theta.json"  # written there too
 TURNED = "four_corner_turned.json"  # an IFS file, written there too
 TURNED_RUN = ["--config", FOUR_CORNER, "--ifs", TURNED, "--rho", repr(2.0**-5)]
 C3 = "cantor_product.json"  # an IFS file, written there too
@@ -127,6 +132,7 @@ COMMANDS = {
         "--seed", "1", "--mode", "iid", "--budget", "200",
     ],
     "verify": ["verify", *FINE, "--seed", "1", "--omega", OMEGA],
+    "verify-coarse-theta": ["verify", "--config", COARSE_THETA, "--seed", "1", "--omega", OMEGA],
     "verify-sierpinski": ["verify", "--config", SIERPINSKI, "--seed", "1", "--omega", OMEGA_DESK],
     "verify-part-one-b-a": [
         "verify", "--config", SIERPINSKI, "--ifs", GASKET_B_A, "--seed", "1", "--omega", OMEGA_B_A,
@@ -169,6 +175,15 @@ def phi_run_3_config() -> dict:
     cells of width 0.6/33 and part of a third, so required_run = 3."""
     cfg = json.loads(Path(SIERPINSKI).read_text())
     cfg["constants"].update(rho=0.05, c7=0.05)
+    return cfg
+
+
+def coarse_theta_config() -> dict:
+    """configs/four_corner.json at rho 2^-5 with theta pitch 2^-4: 51 rows
+    of pitch pi/51, about four times the check slack rho/2."""
+    cfg = json.loads(Path(FOUR_CORNER).read_text())
+    cfg["constants"]["rho"] = 2.0**-5
+    cfg["grid"]["theta_pitch"] = 2.0**-4
     return cfg
 
 
@@ -308,6 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     inputs = {
         **bench_omegas(),
         PHI_RUN_3: phi_run_3_config(),
+        COARSE_THETA: coarse_theta_config(),
         TURNED: turned_four_corner(),
         C3: cantor_product(),
         GASKET_B_A: gasket_part_one_b_a(),

@@ -124,7 +124,7 @@ def cmd_dimension(cfg: RunConfig, args) -> int:
 
 def _render_pgm(ifs: IfsSpec, rho: float, size: int, path: str, budget: int | None) -> int:
     """White stopping-word centers on black, y axis pointing up."""
-    centers, _ = stopping_cylinders(ifs, rho, budget=budget)
+    centers, _ = stopping_cylinders(ifs, rho, budget=budget, with_ratios=False)
     img = np.zeros((size, size), dtype=np.uint8)
     cols = np.clip(np.rint(centers[:, 0] * (size - 1)).astype(int), 0, size - 1)
     rows = (size - 1) - np.clip(np.rint(centers[:, 1] * (size - 1)).astype(int), 0, size - 1)

@@ -379,32 +379,32 @@ _BATCH = 1 << 11  # prefix-tree nodes expanded at a time: a batch's maps stay in
 
 def _count_cover(ratios: np.ndarray, rho: float, budget: int | None) -> int:
     """The number of stopping words at scale rho, from the letters' ratios
-    alone, on the prefix tree that `stopping_batches` walks; products are
-    taken left to right, as `MapArrays.compose` takes them.
+    alone, counted level by level on the prefix tree that
+    `stopping_batches` walks. A node's subtree depends only on its ratio, so
+    each level's active nodes are kept as a count per distinct ratio;
+    products are taken left to right, as `MapArrays.compose` takes them.
 
-    done + k * (active nodes pending) is a lower bound on the count that
-    never decreases and equals it at the end, so BudgetExceeded (partial =
-    that bound) is raised exactly when the cover has more than budget
-    words."""
-    k = len(ratios)
-    done, n_pending = 0, 1
-    pending = [np.ones(1)]  # ratios of active nodes, more than rho each
-    while pending:
-        r = pending.pop()
-        if len(r) > _BATCH:
-            pending.append(r[_BATCH:])
-            r = r[:_BATCH]
-        children = (r[:, None] * ratios).ravel()
-        active = children[children > rho]
-        done += len(children) - len(active)
-        n_pending += len(active) - len(r)
-        total = done + k * n_pending
+    After each level, done + k * (active nodes), k the number of letters,
+    is a lower bound on the count that never decreases and equals it at
+    the end, so BudgetExceeded (partial = that bound) is raised exactly
+    when the cover has more than budget words."""
+    letters = ratios.tolist()
+    done, level = 0, {1.0: 1}  # distinct ratio -> active nodes of the level
+    while level:
+        children: dict[float, int] = {}
+        for r, count in level.items():
+            for q in letters:
+                child = r * q
+                if child > rho:
+                    children[child] = children.get(child, 0) + count
+                else:
+                    done += count
+        level = children
+        total = done + len(letters) * sum(level.values())
         if budget is not None and total > budget:
             raise BudgetExceeded(
                 f"budget exceeded: at least {total} stopping words > {budget}", partial=total
             )
-        if len(active):
-            pending.append(active)
     return done
 
 
@@ -447,15 +447,15 @@ def stopping_batches(
     words themselves are not kept; `measure.stopping_cylinders` gathers
     the maps' images and ratios.
 
-    The count comes first, from a walk over the ratios alone, so a budget
-    overrun raises BudgetExceeded before any map is composed. The maps come
-    from a front-first stack of node runs, each run in lexicographic order
-    and every node finished (ratio <= rho) or active: the leading finished
-    nodes of the front run are yielded, and at most _BATCH nodes after them
-    are expanded (`_expand`) and pushed back in their place. Every map is
-    computed by the same elementwise formula whatever the batch, so the
-    maps do not depend on _BATCH, and memory stays at a few batches per
-    tree level.
+    The count comes first, from the ratios alone (`_count_cover`), so a
+    budget overrun raises BudgetExceeded before any map is composed. The
+    maps come from a front-first stack of node runs, each run in
+    lexicographic order and every node finished (ratio <= rho) or active:
+    the leading finished nodes of the front run are yielded, and at most
+    _BATCH nodes after them are expanded (`_expand`) and pushed back in
+    their place. Every map is computed by the same elementwise formula
+    whatever the batch, so the maps do not depend on _BATCH, and memory
+    stays at a few batches per tree level.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0,1), got {rho}")

@@ -123,6 +123,17 @@ class RowRuns(NamedTuple):
         return row * geom.pitch, (self.start[k] + cells - before[k] - geom.m) * geom.pitch
 
 
+_TOL = 1e-9  # index-space guard so boundary offsets stay included
+
+
+def _index_window(x, reach, h: float, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of the grid points j * h within reach of the
+    coordinates x (reach and x broadcast), offset by base."""
+    lo = np.ceil((x - reach) / h - _TOL).astype(np.int64) + base
+    hi = np.floor((x + reach) / h + _TOL).astype(np.int64) + base
+    return lo, hi
+
+
 class GridMembership:
     """Slack-window membership queries against one gridded set, given by its
     row runs.
@@ -132,9 +143,8 @@ class GridMembership:
     and |t_j - t| <= slack. Windows crossing theta = 0 or pi continue on the
     other end with t negated: the set's row runs are padded once with the
     mirrored runs of its end rows (`_pad_runs`), so each query is one
-    rectangle of index space. The padded set is held only as these row runs
-    (`runs`), which answer each row of a window from the row's last run (a
-    binary search where the row has several) and also serve
+    rectangle of index space (`_index_window`). The padded set is held only
+    as these row runs (`runs`), which answer the window test and also serve
     `first_witness_rows`. The test is exact in index space, so re-checks
     reproduce it bit for bit.
 
@@ -144,8 +154,6 @@ class GridMembership:
     bounds has one in that row, so only the points between them go through
     the window test, and the answers are those of the window test alone.
     """
-
-    _TOL = 1e-9  # index-space guard so boundary offsets stay included
 
     def __init__(self, geom: GridGeometry, runs: RowRuns, slack: float):
         if len(runs.ptr) != geom.n_theta + 1:
@@ -201,17 +209,9 @@ class GridMembership:
             (run_hi - m) * h + (self.slack - h),
         )
 
-    def _window(self, x: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-        """First and last index of the cells within slack of the coordinates
-        x, offset by base."""
-        h, slack, tol = self.geom.pitch, self.slack, self._TOL
-        lo = np.ceil((x - slack) / h - tol).astype(np.int64) + base
-        hi = np.floor((x + slack) / h + tol).astype(np.int64) + base
-        return lo, hi
-
     def rows(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First and last padded row of the windows around thetas."""
-        return self._window(thetas, self._pad)
+        return _index_window(thetas, self.slack, self.geom.pitch, self._pad)
 
     def contains(self, thetas: np.ndarray, ts: np.ndarray) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -226,32 +226,24 @@ class GridMembership:
         return hit
 
     def _window_hit(self, thetas: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Does each point's slack window hold a cell of the set?"""
-        ptr, start, stop = self.runs
+        """Does each point's slack window hold a cell of the set? Every row
+        of every window in one pass: each (point, window row) pair looks up
+        the row's last run starting at or before the window's last column
+        (one binary search over `_keys`, which fails the ptr test when it
+        finds an earlier row's run), and hits when that run reaches the
+        window's first column. A window that falls between two rows or two
+        columns gets no pair."""
+        ptr, _, stop = self.runs
         n_t = self.geom.n_t
         r1, r2 = self.rows(thetas)
-        c1, c2 = self._window(ts, self.geom.m)
+        c1, c2 = _index_window(ts, self.slack, self.geom.pitch, self.geom.m)
         r1, r2, c2 = np.maximum(r1, 0), np.minimum(r2, len(ptr) - 2), np.minimum(c2, n_t - 1)
-        # empty windows read row -1, whose ptr entry (the run count) no k reaches
-        empty = (r1 > r2) | (c1 > c2)
-        r1[empty] = r2[empty] = -1
-
-        def row_hit(row, c1, c2):
-            # the row's last run starting at or before c2: its last run, or a
-            # binary search where it has several; a search that finds an
-            # earlier row's run fails the ptr test
-            k = ptr[row + 1] - 1
-            several = k > ptr[row]
-            if several.any():
-                key = row[several] * (n_t + 1) + c2[several]
-                k[several] = np.searchsorted(self._keys, key, "right") - 1
-            return (k >= ptr[row]) & (start[k] <= c2) & (stop[k] > c1)
-
-        # a window's end rows, then its inner rows where it has any
-        hit = row_hit(r1, c1, c2) | row_hit(r2, c1, c2)
-        for d in range(1, int((r2 - r1).max(initial=0))):
-            i = np.flatnonzero(r1 + d < r2)
-            hit[i] |= row_hit(r1[i] + d, c1[i], c2[i])
+        count = np.where(c1 <= c2, np.maximum(r2 - r1 + 1, 0), 0)
+        point = np.repeat(np.arange(len(ts)), count)
+        row, c1, c2 = _expand(r1, count), c1[point], c2[point]
+        k = np.searchsorted(self._keys, row * (n_t + 1) + c2, "right") - 1
+        hit = np.zeros(len(ts), dtype=bool)
+        hit[point[(k >= ptr[row]) & (stop[k] > c1)]] = True
         return hit
 
 
@@ -340,7 +332,7 @@ class SliceBuilder:
         """
         geom, params = self.geom, self.params
         n1, n_phi, n2 = self.g.ratio.shape
-        n_t, m, h, tol = geom.n_t, geom.m, geom.pitch, GridMembership._TOL
+        n_t, m, h = geom.n_t, geom.m, geom.pitch
         R = params.required_run
         rows = rows[self.E.member[rows]]
         n_win = n_phi - R + 1
@@ -349,8 +341,7 @@ class SliceBuilder:
 
         theta_hat, _, shift = renormalize_affine(self.g, (rows * h)[:, None, None, None])
         arg_ok = self.E.member[np.rint(theta_hat / h).astype(np.int64) % geom.n_theta]
-        lo = np.ceil((shift - self.g.ratio) / h - tol).astype(np.int64) + m
-        hi = np.floor((shift + self.g.ratio) / h + tol).astype(np.int64) + m
+        lo, hi = _index_window(shift, self.g.ratio, h, m)
         lo, stop = np.maximum(lo, 0), np.minimum(hi + 1, n_t)
         passes = np.flatnonzero(arg_ok & (lo < stop))
 
@@ -885,11 +876,14 @@ def _bucket_extremes(
 
 def _gap_scan(
     least: np.ndarray, greatest: np.ndarray, resolution: float
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, int, int]:
     """For ascending buckets' extremes: the indices i of the gaps
-    least[i + 1] - greatest[i] wider than resolution, and the largest gap
-    (inf with no gap). Chunk by chunk, so no array of gaps or flags as long
-    as the buckets is held: on the sort route they are the samples."""
+    least[i + 1] - greatest[i] wider than resolution, the largest gap (inf
+    with no gap), and (first, last) of the first run of buckets between wide
+    gaps with the largest span greatest[last] - least[first]; a run of one
+    bucket spans its extent, and no bucket gives (0, 0). Chunk by chunk, so
+    no array of gaps or flags as long as the buckets is held: on the sort
+    route they are the samples."""
     n = max(len(least) - 1, 0)
     wide, largest = [np.zeros(0, dtype=np.int64)], -math.inf
     for i in range(0, n, _CHUNK):
@@ -897,22 +891,10 @@ def _gap_scan(
         gaps = least[i + 1 : stop + 1] - greatest[i:stop]
         wide.append(i + np.flatnonzero(gaps > resolution))
         largest = max(largest, float(gaps.max()))
-    return np.concatenate(wide), largest if n else math.inf
-
-
-def _longest_run(breaks: np.ndarray, coords: np.ndarray) -> tuple[int, int]:
-    """(start, stop) of the run [start, stop) of the len(coords) - 1 steps
-    between consecutive coords that holds none of the break indices
-    (ascending) and has the largest measure coords[stop] - coords[start];
-    the first such run wins. (0, 0) when every step is a break."""
-    starts = np.concatenate(([0], breaks + 1))
-    stops = np.append(breaks, len(coords) - 1)
-    runs = stops > starts
-    if not runs.any():
-        return 0, 0
-    starts, stops = starts[runs], stops[runs]
-    k = int(np.argmax(coords[stops] - coords[starts]))
-    return int(starts[k]), int(stops[k])
+    wide = np.concatenate(wide)
+    starts, stops = np.append(0, wide + 1), np.append(wide, n)
+    best = int(np.argmax(greatest[stops] - least[starts])) if len(least) else 0
+    return wide, largest if n else math.inf, int(starts[best]), int(stops[best])
 
 
 def certify_projection_interval(
@@ -938,17 +920,18 @@ def certify_projection_interval(
     a bucket, as on an unperturbed projection near an axis, whose offsets
     lie densely), the sorted offsets are the extremes of buckets of one
     sample each. Either way the gaps between consecutive buckets are the
-    gaps of the sorted offsets that matter, and one evaluator reads them:
-    the wide gaps and the largest gap (`_gap_scan`), and the first longest
-    run between wide gaps.
+    gaps of the sorted offsets that matter, and one evaluator reads them
+    (`_gap_scan`): the wide gaps, the largest gap and the first longest run
+    between wide gaps.
 
     recurrence, given with the grid geom, is a second, independent
     certificate: L's row runs (all of L, or only some rows, `RowRuns.only`,
     the row nearest theta among them) and the first witnesses of their
-    cells into L from the row route (`first_witness_rows`). The longest
-    run of L cells in the row nearest theta that all recur is reported in
-    the offsets of theta itself: a row reached an odd number of half-turns
-    away names the line with t negated.
+    cells into L from the row route (`first_witness_rows`). The first
+    longest run of L cells in the row nearest theta that all recur, which
+    `_gap_scan` picks from the recurring columns at resolution 1, is
+    reported in the offsets of theta itself: a row reached an odd number of
+    half-turns away names the line with t negated.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
@@ -959,17 +942,12 @@ def certify_projection_interval(
         pos.sort()
         extremes = pos, pos
     least, greatest = extremes
-    wide, largest_gap = _gap_scan(least, greatest, resolution)
-    # the runs between wide gaps, each from the least offset after one to the
-    # greatest before the next; the first longest wins
-    starts, stops = np.append(0, wide + 1), np.append(wide, len(least) - 1)
-    spans = greatest[stops] - least[starts] if len(least) else np.zeros(1)
-    best = int(np.argmax(spans))
-    length = float(spans[best])
+    wide, largest_gap, first, last = _gap_scan(least, greatest, resolution)
+    length = float(greatest[last] - least[first]) if len(least) else 0.0
     min_len = _MIN_LENGTH_FACTOR * resolution
     interval = None
     if length >= min_len:
-        interval = (float(least[starts[best]]), float(greatest[stops[best]]))
+        interval = (float(least[first]), float(greatest[last]))
 
     rec_interval, rec_len, rec_ok = None, 0.0, None
     if recurrence is not None:
@@ -980,7 +958,7 @@ def certify_projection_interval(
         skip = runs.before[k.start]  # the cells of the rows before
         cols = cols[witness[skip : skip + len(cols)] >= 0]
         if len(cols):  # the first longest run of consecutive recurring columns
-            first, last = _longest_run(np.flatnonzero(np.diff(cols) != 1), cols)
+            _, _, first, last = _gap_scan(cols, cols, 1)
             rec_len = (last - first + 1) * geom.pitch
             lo_t = (cols[first] - geom.m) * geom.pitch
             rec_interval = (float(lo_t), float(lo_t + rec_len))

@@ -4,7 +4,9 @@ square at a time, with none of the package's array routes.
 
 Also the recurrence row of a projection-interval certificate as the point
 route computes it (`point_route_row`), the route the certificate took
-before it read the row route's witnesses.
+before it read the row route's witnesses, and `_longest_run`, the run
+selector it and the sort-and-diff certificate oracle read, kept here so
+that neither reads the selector of the code it checks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from ifsproj.recurrence import (
     _MIN_LENGTH_FACTOR,
     GridMembership,
     RecurrentCandidate,
-    _longest_run,
     first_witness,
     two_letter_words,
 )
@@ -112,6 +113,21 @@ def certify_line(
         verdict=verdict,
         survivors=[w for w, _ in front[:_MAX_SURVIVORS]],
     )
+
+
+def _longest_run(breaks: np.ndarray, coords: np.ndarray) -> tuple[int, int]:
+    """(start, stop) of the run [start, stop) of the len(coords) - 1 steps
+    between consecutive coords that holds none of the break indices
+    (ascending) and has the largest measure coords[stop] - coords[start];
+    the first such run wins. (0, 0) when every step is a break."""
+    starts = np.concatenate(([0], breaks + 1))
+    stops = np.append(breaks, len(coords) - 1)
+    runs = stops > starts
+    if not runs.any():
+        return 0, 0
+    starts, stops = starts[runs], stops[runs]
+    k = int(np.argmax(coords[stops] - coords[starts]))
+    return int(starts[k]), int(stops[k])
 
 
 def point_route_row(

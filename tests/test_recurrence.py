@@ -37,7 +37,7 @@ from ifsproj.recurrence import (
     _cover,
     _dilate,
     _first_true,
-    _longest_run,
+    _gap_scan,
     _pad_runs,
 )
 from ifsproj.search import omega_from_json
@@ -215,6 +215,41 @@ def test_row_bounds_decide_only_what_the_window_test_does(rng):
         accepted = np.count_nonzero(got) - sum(found)
         assert (accepted > 0) == (slack >= h / 2), slack
         assert sum(passed) > 0 and len(ts) - sum(passed) - accepted > 0, slack  # some rejected
+
+
+def test_window_test_alone_matches_three_rect_oracle(rng):
+    """`GridMembership._window_hit` on every point, not only those the row
+    bounds leave undecided, answers as ThreeRectMembership at slacks from
+    0.3 to 3.7 pitches. Rows hold several runs, are empty (the wrap row 0
+    among them), or are full, so a full row's one run reaches the top
+    column; points lie anywhere, near both wrap ends, exactly one slack
+    from a set cell's center, and past the grid's last column, where a
+    window's last column clipped at n_t - 1 keeps the lookup in its own
+    row. Below half a pitch a window can fall between two columns and
+    holds nothing."""
+    geom = GridGeometry(40, t_max=1.0)
+    h, m, n, n_t = geom.pitch, geom.m, geom.n_theta, geom.n_t
+    grid = rng.random((n, n_t)) < 0.3
+    grid[[0, 7, 8, 9, 25]] = False
+    grid[[5, 18, 30, 39]] = True
+    k = 3000
+    for slack in np.array([0.3, 0.5, 1.0, 2.0000003, 2.5, 3.7]) * h:
+        thetas = np.concatenate(
+            [rng.uniform(0.0, math.pi, k), rng.uniform(0.0, 2 * h, k), rng.uniform(math.pi - 2 * h, math.pi, k)]
+        )
+        ts = rng.uniform(-1.0 - 3 * slack, 1.0 + 3 * slack, 3 * k)
+        rows, cols = np.nonzero(grid)
+        pick = rng.integers(len(rows), size=k)
+        a, b = rng.choice([-1.0, 0.0, 1.0], size=(2, k))
+        th_edge, t_edge = rows[pick] * h + a * slack, (cols[pick] - m) * h + b * slack
+        below = th_edge < 0  # canonical theta: below 0 is the line (theta + pi, -t)
+        th_edge[below] += math.pi
+        t_edge[below] *= -1
+        thetas, ts = np.concatenate([thetas, th_edge]), np.concatenate([ts, t_edge])
+
+        got = GridMembership(geom, row_runs(grid), slack)._window_hit(thetas, ts)
+        assert np.array_equal(got, ThreeRectMembership(geom, grid).contains(thetas, ts, slack)), slack
+        assert got.any() and not got.all()
 
 
 def test_slice_params_validation():
@@ -863,12 +898,12 @@ def bench_samples():
 def certificate_by_sorting(samples, theta, resolution) -> tuple[dict, np.ndarray]:
     """The JSON fields and the wide gaps of a certificate without its
     recurrence row, from the sorted offsets of all samples, their
-    differences and `_longest_run`: the route the certificate took before
-    bucket extremes."""
+    differences and the oracle's `_longest_run`: the route the certificate
+    took before bucket extremes."""
     pos = np.sort(project_point(theta, samples))
     steps = np.diff(pos)
     wide = np.flatnonzero(steps > resolution)
-    lo, hi = _longest_run(wide, pos) if len(pos) else (0, 0)
+    lo, hi = certificate_oracle._longest_run(wide, pos) if len(pos) else (0, 0)
     length = float(pos[hi] - pos[lo]) if len(pos) else 0.0
     interval = None
     if length >= _MIN_LENGTH_FACTOR * resolution:
@@ -978,30 +1013,51 @@ def test_c3_gap_scan_over_lambda():
     assert 0 < thin < 18
 
 
-def loop_longest_run(mask, coords):
-    """One pass over mask; a run replaces the best only when strictly longer."""
-    best, best_len, start = (0, 0), None, None
-    for j, v in enumerate(list(mask) + [False]):
-        if v and start is None:
-            start = j
-        elif not v and start is not None:
-            if best_len is None or coords[j] - coords[start] > best_len:
-                best, best_len = (start, j), coords[j] - coords[start]
-            start = None
+def loop_longest_run(least, greatest, resolution):
+    """The gap route's rule in one pass over the buckets: a run ends at each
+    gap wider than resolution, spans greatest[last] - least[first] (one
+    bucket spans its extent), and replaces the best only when its span is
+    strictly larger."""
+    best, best_span, first = (0, 0), None, 0
+    for i in range(len(least)):
+        if i + 1 == len(least) or least[i + 1] - greatest[i] > resolution:
+            span = greatest[i] - least[first]
+            if best_span is None or span > best_span:
+                best, best_span = (first, i), span
+            first = i + 1
     return best
 
 
-def test_longest_run_matches_loop(rng):
-    masks = [np.zeros(0, bool), np.zeros(9, bool), np.ones(9, bool)]
+def test_longest_run_matches_loop(rng, monkeypatch):
+    """`_gap_scan`, the one longest-run selector, picks the run of the loop
+    oracle, with its wide gaps and largest gap, chunk by chunk (a chunk of
+    3 buckets). Steps are quarters, so spans tie often (the first run wins);
+    steps of 0 and of exactly the resolution join, and buckets with and
+    without extent make one-bucket runs that win or lose. On strictly
+    increasing columns at resolution 1, as the recurrence row calls it, it
+    picks the run of the certificate oracle's `_longest_run`, whose rule
+    drops one-column runs."""
+    monkeypatch.setattr(ifsproj.recurrence, "_CHUNK", 3)
+    masks = [np.zeros(0, bool), np.zeros(9, bool), np.ones(9, bool)]  # no step, all breaks, none
     masks += [np.array([1, 1, 0, 1, 1, 0, 1], bool), np.array([0, 1, 0, 1, 0], bool)]
     masks += [rng.random(int(rng.integers(1, 40))) < p for p in rng.uniform(0.1, 0.9, 300)]
-    for mask in masks:
-        counts = np.arange(len(mask) + 1)
-        spans = np.cumsum(np.concatenate([[0.0], rng.integers(0, 3, len(mask)) * 0.25]))
-        for coords in (counts, spans):
-            got = _longest_run(np.flatnonzero(~mask), coords)
-            assert got == loop_longest_run(mask, coords), (mask, coords)
-    assert _longest_run(np.array([2]), np.arange(6)) == (0, 2)
+    for mask in masks:  # mask[i]: the step after bucket i joins
+        n = len(mask) + 1
+        steps = np.where(mask, rng.integers(0, 3, len(mask)), rng.integers(5, 8, len(mask))) * 0.25
+        for extent in (np.zeros(n), rng.integers(0, 3, n) * 0.25):
+            least = np.cumsum(np.concatenate([[0.0], steps])) + np.cumsum(extent) - extent
+            greatest = least + extent
+            wide, largest, first, last = _gap_scan(least, greatest, 0.5)
+            gaps = least[1:] - greatest[:-1]
+            assert (first, last) == loop_longest_run(least, greatest, 0.5), (least, greatest)
+            assert np.array_equal(wide, np.flatnonzero(~mask))
+            assert largest == (gaps.max() if len(gaps) else math.inf)
+        cols = np.cumsum(np.concatenate([[3], np.where(mask, 1, rng.integers(2, 5, len(mask)))]))
+        start, stop = certificate_oracle._longest_run(np.flatnonzero(~mask), cols)
+        assert _gap_scan(cols, cols, 1)[2:] == (start, stop), cols
+    assert _gap_scan(np.zeros(0), np.zeros(0), 0.5)[2:] == (0, 0)
+    pos = np.array([0.0, 1, 2, 4, 5, 6])
+    assert _gap_scan(pos, pos, 1)[2:] == (0, 2)
 
 
 def row_witnesses(ifs, cand: RecurrentCandidate, theta: float | None) -> tuple[RowRuns, np.ndarray]:
