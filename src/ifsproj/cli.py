@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -65,6 +66,17 @@ def _build_pipeline(cfg: RunConfig):
     return res, E, cand
 
 
+def _perturbed(ifs: IfsSpec, omega: np.ndarray, cfg: RunConfig) -> IfsSpec:
+    """`build_perturbed_ifs`, with its note that a perturbed square leaves
+    I printed as a plain warning line on stderr, like the other notes."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        perturbed = build_perturbed_ifs(ifs, omega, cfg.c1, cfg.rho)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return perturbed
+
+
 def _load_omega(cfg: RunConfig, path: str) -> np.ndarray:
     """The assignment in path as an omega row (`omega_from_json`), checked
     against the system's part_one before any pipeline work; every fault is
@@ -92,7 +104,7 @@ def _assess(
     """The recurrence check, the closeness report and the certified intervals
     of one assignment, an omega row: the part that search and verify
     reports share."""
-    perturbed = build_perturbed_ifs(ifs, omega, cfg.c1, cfg.rho)
+    perturbed = _perturbed(ifs, omega, cfg)
     thetas = _sample_e_rows(E, cand, cfg.n_theta_sample, cfg.seed)
     check = check_recurrence(perturbed, cand)
     certs = certify_projection_intervals(
@@ -272,7 +284,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     res, E, cand = _build_pipeline(cfg)
     ifs_eval = res.ifs
     if omega is not None:
-        ifs_eval = build_perturbed_ifs(res.ifs, omega, cfg.c1, cfg.rho)
+        ifs_eval = _perturbed(res.ifs, omega, cfg)
     (cert,) = certify_projection_intervals(
         ifs_eval, cand, [args.theta], cfg.cert_resolution, cfg.word_budget
     )

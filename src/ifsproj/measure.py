@@ -9,6 +9,7 @@ whose estimated L2 density norm stays below a threshold c5.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ def stopping_cylinders(
     budget: int | None = None,
     point: tuple[float, float] = (0.5, 0.5),
     with_ratios: bool = True,
+    consume: Callable[[int, Iterator[np.ndarray]], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The points f_w(point) and ratios of the stopping words w at scale
     rho (see `ifs.stopping_batches`), in the words' lexicographic
@@ -34,10 +36,19 @@ def stopping_cylinders(
     points are column-major, so that `lines.offsets` reads each coordinate
     contiguously.
 
+    consume, given, streams the points instead: it is called once with the
+    count and an iterator over each batch's points, an array (m, 2) from
+    the same `MapArrays.images` call, and nothing is kept. The points
+    returned then have no columns, their length still the count, and the
+    ratios are None.
+
     The default point is the square center; passing an attractor point makes
     every f_w(point) an attractor point too.
     """
     count, batches = stopping_batches(ifs, rho, budget=budget)
+    if consume is not None:
+        consume(count, (maps.images(point) for maps in batches))
+        return np.empty((count, 0)), None
     points = np.empty((count, 2), order="F")
     ratios = np.empty(count) if with_ratios else None
     lo = 0

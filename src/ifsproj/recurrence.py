@@ -25,6 +25,7 @@ check, full coverage and every certificate's recurrence row) and
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
@@ -807,71 +808,133 @@ class IntervalCertificate:
         }
 
 
-def attractor_points(ifs: IfsSpec, scale: float, budget: int | None = None) -> np.ndarray:
+def attractor_points(
+    ifs: IfsSpec,
+    scale: float,
+    budget: int | None = None,
+    consume: Callable[[int, Iterator[np.ndarray]], None] | None = None,
+) -> np.ndarray:
     """Exact attractor points: images of the first map's fixed point under
     every stopping word at the given scale, from `stopping_cylinders`
-    without its ratios. Reusable across angles."""
+    without its ratios, in the words' order. consume, given, is handed the
+    count and the points batch by batch instead, and nothing is kept: the
+    array returned then has no columns, its length still the count
+    (`stopping_cylinders`). Either way the points are bit for bit the
+    same."""
     f0 = ifs.maps[ifs.alphabet[0]]
     p0 = np.linalg.solve(np.eye(2) - f0.linear(), np.asarray(f0.translation))
-    pts, _ = stopping_cylinders(ifs, scale, budget=budget, point=(p0[0], p0[1]), with_ratios=False)
+    pts, _ = stopping_cylinders(
+        ifs, scale, budget=budget, point=(p0[0], p0[1]), with_ratios=False, consume=consume
+    )
     return pts
 
 
+def _invariant_radius(ifs: IfsSpec) -> float:
+    """The radius R of a disk about c = (1/2, 1/2) that every map sends
+    into itself: R = max_a |f_a(c) - c| / (1 - max_a r_a). For |x - c| <= R,
+    |f_a(x) - c| <= r_a |x - c| + |f_a(c) - c| <= r R + (1 - r) R = R, so
+    the attractor lies in the disk, and its projection onto theta in the
+    offsets (c_y cos - c_x sin) +- R."""
+    letters = ifs.letter_maps()
+    moved = letters.images((0.5, 0.5)) - 0.5
+    return float(np.hypot(moved[:, 0], moved[:, 1]).max() / (1.0 - letters.ratio.max()))
+
+
 _MIN_LENGTH_FACTOR = 10.0  # a certified interval spans this many resolutions
-# Buckets per resolution in a certificate's pass (`_bucket_extremes`), which
-# is exact when the largest gap spans a bucket, about 1/64 resolution. At
+# Buckets per resolution in a certificate's pass (`_Buckets`), which is
+# exact when the largest gap spans a bucket, about 1/64 resolution. At
 # resolution 1e-3 the largest gap of the ten angles `verify` samples was at
 # least 0.096 resolutions on four_corner at rho 2^-7 under the benchmark's
 # omegas of seeds 1-5, and at least 0.177 on the desk gasket under its
 # omegas; unperturbed four_corner reads 0.024 at theta 0.05 but 0.0049 at
 # theta 0.01, which takes the sort. 64 buckets to the resolution are about
-# 88K on four_corner's projection, few enough to stay in cache.
+# 90K on four_corner's invariant disk, few enough to stay in cache.
 _BUCKETS_PER_RESOLUTION = 64
+
+
+class _Buckets:
+    """The least and the greatest sample offset (`lines.offsets`) at one
+    angle in each bucket of width (about) resolution /
+    _BUCKETS_PER_RESOLUTION, the buckets spanning a given offset range;
+    fed the samples chunk by chunk (`add`), so no array as long as the
+    samples is held.
+
+    A sample's bucket is monotone in its offset (rounding is monotone, and
+    so is clipping to the buckets, which puts an offset rounded past the
+    range into an end bucket), so consecutive sorted offsets lie in one
+    bucket or are the greatest of one nonempty bucket and the least of the
+    next. A gap inside a bucket is at most the bucket's extent (greatest
+    less least, rounded: rounding is monotone again). So when no extent
+    exceeds the resolution or the largest gap between buckets, the gaps
+    between buckets hold every gap wider than the resolution and the
+    largest gap, bit for bit (`extremes`), wherever the range lies."""
+
+    def __init__(self, sin: float, cos: float, resolution: float, low: float, count: int):
+        self.sin, self.cos, self.resolution = sin, cos, resolution
+        self.origin, self.scale = low, _BUCKETS_PER_RESOLUTION / resolution
+        self.least, self.greatest = np.full(count, math.inf), np.full(count, -math.inf)
+
+    @classmethod
+    def over(
+        cls, sin: float, cos: float, resolution: float, low: float, high: float, n: int
+    ) -> "_Buckets | None":
+        """Buckets spanning the offsets [low, high] for n samples; None when
+        they would outnumber the samples, or are too many to count."""
+        top = (high - low) * (_BUCKETS_PER_RESOLUTION / resolution)  # the last index, unrounded
+        return cls(sin, cos, resolution, low, int(top) + 1) if top < n else None
+
+    def add(self, points: np.ndarray) -> None:
+        """Take in the samples of an array (m, 2), _CHUNK at a time."""
+        last = len(self.least) - 1
+        for i in range(0, len(points), _CHUNK):
+            pos = offsets(points[i : i + _CHUNK, 0], points[i : i + _CHUNK, 1], self.sin, self.cos)
+            k = np.clip((pos - self.origin) * self.scale, 0, last).astype(np.intp)
+            np.minimum.at(self.least, k, pos)
+            np.maximum.at(self.greatest, k, pos)
+
+    def extremes(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The nonempty buckets' least and greatest offsets, ascending, or
+        None when they may not give the gaps of the sorted offsets exactly."""
+        full = self.least <= self.greatest
+        least, greatest = self.least[full], self.greatest[full]
+        largest = _gap_scan(least, greatest, self.resolution)[1]
+        if len(least) > 1 and (greatest - least).max() <= min(largest, self.resolution):
+            return least, greatest
+        return None
 
 
 def _bucket_extremes(
     samples: np.ndarray, sin: float, cos: float, resolution: float
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The least and the greatest sample offset (`lines.offsets`) in each
-    nonempty bucket of width (about) resolution / _BUCKETS_PER_RESOLUTION,
-    buckets ascending, from one pass over the samples, _CHUNK at a time.
-    None when these extremes may not give the gaps of the sorted offsets
-    exactly, or when the buckets would outnumber the samples.
-
-    A sample's bucket is monotone in its offset (rounding is monotone, and
-    so is clipping to the buckets), so consecutive sorted offsets lie in
-    one bucket or are the greatest of one nonempty bucket and the least of
-    the next. A gap inside a bucket is at most the bucket's extent (greatest
-    less least, rounded: rounding is monotone again). So when no extent
-    exceeds the resolution or the largest gap between buckets, the gaps
-    between buckets hold every gap wider than the resolution and the
-    largest gap, bit for bit. The buckets span the projection of the
-    samples' bounding box; an offset rounded past it is clipped into an end
-    bucket, which only widens that bucket's extent.
-    """
+    """The extremes of one pass of `_Buckets` over the samples, the buckets
+    spanning the projection of the samples' bounding box. None when they
+    may not give the gaps of the sorted offsets exactly, or when the
+    buckets would outnumber the samples."""
     n = len(samples)
     if not n:
         return None
-    scale = _BUCKETS_PER_RESOLUTION / resolution  # buckets per unit offset
     low, high = samples.min(axis=0), samples.max(axis=0)
     corners = offsets(np.array([[low[0]], [high[0]]]), np.array([low[1], high[1]]), sin, cos)
-    origin = corners.min()
-    top = (corners.max() - origin) * scale  # the last bucket's index, unrounded
-    if not top < n:  # more buckets than samples, or too many to count
+    buckets = _Buckets.over(sin, cos, resolution, corners.min(), corners.max(), n)
+    if buckets is None:
         return None
-    count = int(top) + 1
-    least, greatest = np.full(count, math.inf), np.full(count, -math.inf)
-    for i in range(0, n, _CHUNK):
-        pos = offsets(samples[i : i + _CHUNK, 0], samples[i : i + _CHUNK, 1], sin, cos)
-        k = np.clip((pos - origin) * scale, 0, count - 1).astype(np.intp)
-        np.minimum.at(least, k, pos)
-        np.maximum.at(greatest, k, pos)
-    full = least <= greatest
-    least, greatest = least[full], greatest[full]
-    largest = _gap_scan(least, greatest, resolution)[1]
-    if len(least) > 1 and (greatest - least).max() <= min(largest, resolution):
-        return least, greatest
-    return None
+    buckets.add(samples)
+    return buckets.extremes()
+
+
+def _chunks(batches: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """The points of consecutive arrays (m, 2), joined into column-major
+    arrays of at least _CHUNK points (the last may hold fewer), so that
+    `lines.offsets` reads each coordinate contiguously."""
+    held, size = [], 0
+    for points in batches:
+        held.append(points.T)
+        size += len(points)
+        if size >= _CHUNK:
+            yield np.concatenate(held, axis=1).T
+            held, size = [], 0
+    if held:
+        yield np.concatenate(held, axis=1).T
 
 
 def _gap_scan(
@@ -903,26 +966,33 @@ def certify_projection_interval(
     resolution: float,
     geom: GridGeometry | None = None,
     recurrence: tuple[RowRuns, np.ndarray] | None = None,
+    extremes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> IntervalCertificate:
     """Gap certificate for the projection of an attractor onto theta.
 
     samples are exact attractor points (`attractor_points` at scale
-    resolution/2, computed once by the caller for all its angles), so sample
-    positions lie in the projection. Certified means: some window of
-    consecutive samples has all gaps <= resolution and spans at least
-    _MIN_LENGTH_FACTOR * resolution. A dust-like projection fails because
-    every candidate window stays short. The certificate keeps the gaps
-    wider than resolution, not the sample positions.
+    resolution/2), so sample positions lie in the projection. Certified
+    means: some window of consecutive samples has all gaps <= resolution
+    and spans at least _MIN_LENGTH_FACTOR * resolution. A dust-like
+    projection fails because every candidate window stays short. The
+    certificate keeps the gaps wider than resolution, not the sample
+    positions.
 
     The gaps come from the extremes of buckets a fraction of the resolution
-    wide (`_bucket_extremes`), found in one pass with no array as long as
-    the samples. Where those may not be exact (the largest gap lies inside
-    a bucket, as on an unperturbed projection near an axis, whose offsets
-    lie densely), the sorted offsets are the extremes of buckets of one
-    sample each. Either way the gaps between consecutive buckets are the
-    gaps of the sorted offsets that matter, and one evaluator reads them
-    (`_gap_scan`): the wide gaps, the largest gap and the first longest run
-    between wide gaps.
+    wide (`_Buckets`), spanning the projection of the samples' bounding box
+    and fed the samples as one batch (`_bucket_extremes`), with no array as
+    long as the samples. Where those may not be exact (the largest gap lies
+    inside a bucket, as on an unperturbed projection near an axis, whose
+    offsets lie densely), the sorted offsets are the extremes of buckets of
+    one sample each. Either way the gaps between
+    consecutive buckets are the gaps of the sorted offsets that matter, and
+    one evaluator reads them (`_gap_scan`): the wide gaps, the largest gap
+    and the first longest run between wide gaps.
+
+    extremes, given, are those buckets' extremes already found for theta,
+    and samples is read only for its length, the sample count: so
+    `certify_projection_intervals` finishes the certificates of its
+    streamed walk, whose samples are never held (an array of no columns).
 
     recurrence, given with the grid geom, is a second, independent
     certificate: L's row runs (all of L, or only some rows, `RowRuns.only`,
@@ -935,12 +1005,13 @@ def certify_projection_interval(
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
-    sin, cos = math.sin(theta), math.cos(theta)
-    extremes = _bucket_extremes(samples, sin, cos, resolution)
     if extremes is None:
-        pos = offsets(samples[:, 0], samples[:, 1], sin, cos)
-        pos.sort()
-        extremes = pos, pos
+        sin, cos = math.sin(theta), math.cos(theta)
+        extremes = _bucket_extremes(samples, sin, cos, resolution)
+        if extremes is None:
+            pos = offsets(samples[:, 0], samples[:, 1], sin, cos)
+            pos.sort()
+            extremes = pos, pos
     least, greatest = extremes
     wide, largest_gap, first, last = _gap_scan(least, greatest, resolution)
     length = float(greatest[last] - least[first]) if len(least) else 0.0
@@ -988,17 +1059,53 @@ def certify_projection_intervals(
     budget: int | None = None,
 ) -> list[IntervalCertificate]:
     """The certificates of the system's projections onto thetas, each with
-    its recurrence row. The row route (`first_witness_rows`) runs on the L
-    rows nearest the angles alone (`RowRuns.only`), into L at the check
-    slack, and one `attractor_points` call at resolution/2 (within the
-    stopping-word budget) gives the samples of every angle."""
+    its recurrence row: those of `certify_projection_interval` on
+    `attractor_points` at resolution/2, without an array of the samples.
+
+    One streamed walk of the stopping words (`attractor_points` with a
+    consumer, within the word budget, which is checked before any map is
+    composed) feeds every angle's `_Buckets`, _CHUNK samples or more at a
+    time, and `certify_projection_interval` finishes each angle from its
+    buckets' extremes. The buckets span the projection of the invariant
+    disk (`_invariant_radius`), known before the walk, which holds every
+    sample but those that rounding pushes past it, and those fall in an
+    end bucket. An angle whose buckets may not be exact takes the route of
+    `certify_projection_interval` on samples regenerated once for all such
+    angles. When the buckets would outnumber the samples, the walk keeps
+    the samples instead, which then take no more memory than one angle's
+    buckets, and every angle takes that route. The row route
+    (`first_witness_rows`) runs on the L rows nearest the angles alone
+    (`RowRuns.only`), into L at the check slack."""
+    thetas = [float(th) for th in thetas]
+    radius = _invariant_radius(perturbed)
+    buckets: list[_Buckets | None] = []
+    kept: list[np.ndarray] = []
+
+    def walk(count: int, batches: Iterator[np.ndarray]) -> None:
+        for th in thetas:
+            sin, cos = math.sin(th), math.cos(th)
+            mid = 0.5 * cos - 0.5 * sin  # the offset of the disk's centre
+            buckets.append(_Buckets.over(sin, cos, resolution, mid - radius, mid + radius, count))
+        if None in buckets:  # more buckets than samples: keep the samples, in fewer bytes
+            buckets[:] = [None] * len(thetas)
+            kept.extend(batches)
+            return
+        for points in _chunks(batches):
+            for b in buckets:
+                b.add(points)
+
+    walked = attractor_points(perturbed, resolution / 2.0, budget=budget, consume=walk)
     geom = cand.geom
     rows = np.unique(np.array([geom.nearest_row(th)[1] for th in thetas], dtype=np.int64))
     runs = cand.L.only(rows)
     words = two_letter_words(perturbed.letter_maps())
     witness = first_witness_rows(words, runs, GridMembership(geom, cand.L, cand.check_slack))
-    samples = attractor_points(perturbed, resolution / 2.0, budget=budget)
-    return [
-        certify_projection_interval(samples, float(th), resolution, geom, (runs, witness))
-        for th in thetas
-    ]
+    samples = np.concatenate(kept) if kept else None
+    certs = []
+    for th, b in zip(thetas, buckets):
+        extremes = None if b is None else b.extremes()
+        if extremes is None and samples is None:
+            samples = attractor_points(perturbed, resolution / 2.0, budget=budget)
+        held = walked if extremes is not None else samples
+        certs.append(certify_projection_interval(held, th, resolution, geom, (runs, witness), extremes))
+    return certs

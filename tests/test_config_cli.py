@@ -375,6 +375,21 @@ def test_verify_identity_assignment(tmp_path, capsys):
     assert len(report["certified_intervals"]) == 2
 
 
+def test_perturbed_square_outside_is_a_plain_warning(tmp_path, capsys):
+    """verify and certify report a perturbed square that leaves I as one
+    plain `warning:` line on stderr, like the c7 note, not in Python's
+    warning format with a source path; both still exit 0."""
+    cfg = coarse_config(tmp_path)
+    omega = tmp_path / "omega.json"
+    zero = {"phi": 0.0, "gamma": [0.0, 0.0]}
+    omega.write_text(json.dumps({"a": {"phi": 0.2, "gamma": [0.0, 0.0]}, "b": zero}))
+    for extra in (["verify"], ["certify", "--theta", "0.5"]):
+        assert main([*extra, "--config", cfg, "--omega", str(omega)]) == 0, extra
+        err = capsys.readouterr().err.splitlines()
+        assert "warning: maps ['a'] send the unit square outside itself" in err, extra
+        assert not any("UserWarning" in line or ".py:" in line for line in err), extra
+
+
 def check_bad_omega_rejected(tmp_path, capsys, monkeypatch, command):
     """Each faulty omega file exits 2 with an `omega:` message, before any
     pipeline work; a file of integers is accepted, and verify echoes it as

@@ -989,6 +989,140 @@ def test_bucket_certificate_holds_no_sample_sized_array(bench_samples, traced_pe
     assert peak < 0.1 * bench_samples.nbytes
 
 
+def coarse_lines_candidate() -> RecurrentCandidate:
+    """The lines meeting I on a 61-row grid, as every layer of a candidate."""
+    geom = GridGeometry(61, t_max=1.5)
+    return flat_candidate(geom, 0.15, lines_meeting_unit_square(geom))
+
+
+def test_streamed_certificates_hold_no_sample_sized_array(traced_peak):
+    """`certify_projection_intervals` at four angles on the bucket route
+    allocates under a fifth of its samples' bytes (n x 16): the samples are
+    streamed, never held (measured 0.14; the gathered samples alone are
+    1.0)."""
+    four = get_builtin("four_corner")
+    perturbed = build_perturbed_ifs(four, omega_from_json(four, BENCH_OMEGA), RunConfig().c1, 2.0**-7)
+    cand, thetas = coarse_lines_candidate(), [0.3, 1.2, 2.0, 2.9]
+    certify_projection_intervals(perturbed, cand, thetas, 1e-2)  # imports stay outside the trace
+    certs, peak = traced_peak(lambda: certify_projection_intervals(perturbed, cand, thetas, 1e-3))
+    n = certs[0].n_samples
+    assert n == 4**11 and all(cert.certified for cert in certs)
+    assert peak < 0.2 * n * 16
+
+
+def test_streamed_certificates_mix_routes(monkeypatch):
+    """One `certify_projection_intervals` call on unperturbed four_corner at
+    resolution 2^-7 certifies theta 0.05 and 0.7 by buckets over the
+    invariant disk, and 0.01 and pi/2 + 0.01, whose largest gaps lie inside
+    a bucket, by the sort of `certify_projection_interval` on samples
+    regenerated once for both. Every certificate equals
+    `certify_projection_interval` on `attractor_points`. At resolution 0.2
+    the buckets would outnumber the samples, and the walk keeps them: no
+    regeneration either."""
+    four, cand = get_builtin("four_corner"), coarse_lines_candidate()
+    resolution = 2.0**-7
+    thetas = [0.01, 0.05, 0.7, math.pi / 2 + 0.01]
+    walks, routes = [], []
+    gather, extremes = ifsproj.recurrence.attractor_points, ifsproj.recurrence._bucket_extremes
+
+    def spy_gather(*args, consume=None, **kwargs):
+        walks.append("streamed" if consume else "gathered")
+        return gather(*args, consume=consume, **kwargs)
+
+    def spy_extremes(samples, sin, cos, resolution):
+        found = extremes(samples, sin, cos, resolution)
+        routes.append((math.atan2(sin, cos), "sort" if found is None else "buckets"))
+        return found
+
+    monkeypatch.setattr(ifsproj.recurrence, "attractor_points", spy_gather)
+    monkeypatch.setattr(ifsproj.recurrence, "_bucket_extremes", spy_extremes)
+    certs = certify_projection_intervals(four, cand, thetas, resolution)
+    assert walks == ["streamed", "gathered"]
+    assert [r for _, r in routes] == ["sort", "sort"]
+    assert [th for th, _ in routes] == pytest.approx([0.01, math.pi / 2 + 0.01], abs=1e-15)
+    walks.clear()
+    routes.clear()
+    coarse = certify_projection_intervals(four, cand, thetas, 0.2)
+    assert walks == ["streamed"] and len(routes) == len(thetas)
+    walks.clear()
+    certify_projection_intervals(four, cand, thetas[1:3], resolution)
+    assert walks == ["streamed"]
+    monkeypatch.undo()
+    recurrence = row_witnesses(four, cand, None)
+    for res, got in ((resolution, certs), (0.2, coarse)):
+        samples = attractor_points(four, res / 2)
+        for theta, cert in zip(thetas, got):
+            want = certify_projection_interval(samples, theta, res, cand.geom, recurrence)
+            assert cert.to_json_dict() == want.to_json_dict(), (res, theta)
+            assert cert.gaps.shape == want.gaps.shape and np.array_equal(cert.gaps, want.gaps)
+    assert all(cert.certified for cert in certs)
+
+
+def test_streamed_certificates_check_the_budget_first(monkeypatch):
+    """A word budget below the cover raises BudgetExceeded from
+    `certify_projection_intervals` with the partial count of
+    `attractor_points` (4^5 words at the first level past 1000), before any
+    map is composed, the recurrence row's two-letter words included."""
+    four = get_builtin("four_corner")
+    with pytest.raises(BudgetExceeded) as gathered:
+        attractor_points(four, 5e-4, budget=1000)
+    composed = []
+    compose = MapArrays.compose
+
+    def spy(self, inner):
+        composed.append(len(self.ratio))
+        return compose(self, inner)
+
+    monkeypatch.setattr(MapArrays, "compose", spy)
+    with pytest.raises(BudgetExceeded) as streamed:
+        certify_projection_intervals(four, coarse_lines_candidate(), [0.3, 0.7], 1e-3, budget=1000)
+    assert streamed.value.partial == gathered.value.partial == 4**5
+    assert composed == []
+
+
+def _turned_four_corner():
+    """The turned and reflected four-corner set of ratio 1/3 that
+    `scripts/compare_outputs.py` runs as its `*-turned` cases."""
+    third = 1.0 / 3.0
+    return make_ifs(
+        {
+            "a": Similarity(third, math.pi / 2, False, (third, 0.0)),
+            "b": Similarity(third, 0.0, False, (2 * third, 0.0)),
+            "c": Similarity(third, 0.0, False, (0.0, 2 * third)),
+            "d": Similarity(third, 0.0, True, (2 * third, 1.0)),
+        }
+    )
+
+
+def test_attractor_lies_in_the_invariant_disk():
+    """At 20 angles k pi / 20 every attractor sample's offset lies within
+    the invariant disk's radius of its centre's offset, up to rounding
+    (1e-12), on every built-in, on the turned and reflected four-corner set
+    and on four_corner under the benchmark's seed-1 omega. On four_corner
+    the disk is the square's circumscribed disk, and some sample lies on
+    its rim, so the band is tight there."""
+    four = get_builtin("four_corner")
+    omega = omega_from_json(four, BENCH_OMEGA)
+    systems = {
+        "four_corner": (four, 2.0**-8),
+        "sierpinski": (get_builtin("sierpinski"), 2.0**-8),
+        "cantor_dust": (get_builtin("cantor_dust"), 4.0**-5),
+        "turned": (_turned_four_corner(), 3.0**-6),
+        "four_corner_bench": (build_perturbed_ifs(four, omega, RunConfig().c1, 2.0**-7), 2.0**-8),
+    }
+    for name, (ifs, scale) in systems.items():
+        radius = ifsproj.recurrence._invariant_radius(ifs)
+        samples = attractor_points(ifs, scale)
+        reach = 0.0
+        for theta in np.arange(20) * (math.pi / 20):
+            mid = 0.5 * math.cos(theta) - 0.5 * math.sin(theta)
+            reach = max(reach, np.abs(project_point(theta, samples) - mid).max())
+        assert reach <= radius + 1e-12, name
+        if name == "four_corner":
+            assert radius == pytest.approx(math.sqrt(0.5), abs=1e-15)
+            assert reach == pytest.approx(radius, abs=1e-12)
+
+
 def test_c3_gap_scan_over_lambda():
     """C3 projects at theta onto max(|cos|, |sin|) (C + lambda C) up to an
     affine move, lambda = min(|tan theta|, |cot theta|) (Newhouse 1979). For
