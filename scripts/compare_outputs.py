@@ -50,9 +50,9 @@ output depends on the BLAS kernel. The commands:
   recurrence row a half-turn away and reports that row's interval with t
   negated.
 - `certify` at theta 0.01 on four_corner at rho 2^-7, unperturbed: its
-  sample offsets lie so densely that the largest gap (about 0.005
-  resolutions) falls inside a bucket of `recurrence._bucket_extremes`, so
-  the certificate sorts the offsets instead.
+  sample offsets lie so densely that the largest gap is about 0.005
+  resolutions, which the certificate reports as null (no gap wider than
+  the resolution).
 - `render` on configs/sierpinski.json: `attractor.pgm`, the stopping-word
   centers of `measure.stopping_cylinders` drawn as a raster.
 - `build-l`, `search` (iid, seed 1, budget 200), `verify` (seed 1, with
@@ -74,8 +74,9 @@ Outputs are compared as follows: `.npz` files by their unpacked arrays,
 `.json` files by value with `candidate_file` and `omega_file` removed (they
 name paths), and every other file by its bytes. Every differing file and
 JSON key is printed, a differing JSON number with its old value, its new
-value and the absolute difference; the exit status is 1 on any difference,
-0 otherwise.
+value and the absolute difference, and a JSON value that is or becomes a
+number or null with its old and new values; the exit status is 1 on any
+difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -267,8 +268,11 @@ def json_diff(a, b, path: str) -> list[str]:
         return [d for i, (x, y) in enumerate(zip(a, b)) for d in json_diff(x, y, f"{path}[{i}]")]
     if json.dumps(a) == json.dumps(b):
         return []
-    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+    numbers = [isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)]
+    if all(numbers):
         return [f"{path or '<root>'}: old {a!r} new {b!r} |delta| {abs(a - b)!r}"]
+    if any(numbers) or a is None or b is None:
+        return [f"{path or '<root>'}: old {json.dumps(a)} new {json.dumps(b)}"]
     return [f"{path or '<root>'}: values differ"]
 
 

@@ -288,6 +288,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     (cert,) = certify_projection_intervals(
         ifs_eval, cand, [args.theta], cfg.cert_resolution, cfg.word_budget
     )
+    largest = "null" if cert.largest_gap is None else repr(cert.largest_gap)
     gaps_path = os.path.join(out, "certify_gaps.csv")
     with open(gaps_path, "w", encoding="utf-8") as fh:
         fh.write("left,right,gap\n")
@@ -296,13 +297,14 @@ def cmd_certify(cfg: RunConfig, args) -> int:
         if cert.interval:
             fh.write(f"# interval,{cert.interval[0]!r},{cert.interval[1]!r},{cert.length!r}\n")
         else:
-            fh.write(f"# no interval,largest_gap,{cert.largest_gap!r}\n")
+            fh.write(f"# no interval,largest_gap,{largest}\n")
     report = {"seed": cfg.seed, "omega_file": args.omega, **cert.to_json_dict()}
     path = _write_json(os.path.join(out, "certify_report.json"), report)
     if cert.certified:
         print(f"interval [{cert.interval[0]!r}, {cert.interval[1]!r}] length {cert.length!r}")
     else:
-        print(f"no interval at resolution {cfg.cert_resolution!r}; largest gap {cert.largest_gap!r}")
+        gap = "no gap wider than the resolution" if cert.largest_gap is None else f"largest gap {largest}"
+        print(f"no interval at resolution {cfg.cert_resolution!r}; {gap}")
     print(f"report -> {path}; gap scan -> {gaps_path}")
     return 0
 

@@ -784,7 +784,7 @@ class IntervalCertificate:
     n_samples: int
     interval: tuple[float, float] | None
     length: float
-    largest_gap: float
+    largest_gap: float | None  # None when no gap exceeds the resolution
     certified: bool
     gaps: np.ndarray  # (left, right) samples of each gap wider than resolution, ascending
     recurrence_interval: tuple[float, float] | None = None
@@ -841,47 +841,45 @@ def _invariant_radius(ifs: IfsSpec) -> float:
 
 
 _MIN_LENGTH_FACTOR = 10.0  # a certified interval spans this many resolutions
-# Buckets per resolution in a certificate's pass (`_Buckets`), which is
-# exact when the largest gap spans a bucket, about 1/64 resolution. At
-# resolution 1e-3 the largest gap of the ten angles `verify` samples was at
-# least 0.096 resolutions on four_corner at rho 2^-7 under the benchmark's
-# omegas of seeds 1-5, and at least 0.177 on the desk gasket under its
-# omegas; unperturbed four_corner reads 0.024 at theta 0.05 but 0.0049 at
-# theta 0.01, which takes the sort. 64 buckets to the resolution are about
-# 90K on four_corner's invariant disk, few enough to stay in cache.
-_BUCKETS_PER_RESOLUTION = 64
 
 
 class _Buckets:
     """The least and the greatest sample offset (`lines.offsets`) at one
-    angle in each bucket of width (about) resolution /
-    _BUCKETS_PER_RESOLUTION, the buckets spanning a given offset range;
-    fed the samples chunk by chunk (`add`), so no array as long as the
-    samples is held.
+    angle in each bucket of width resolution/2, the buckets spanning the
+    offsets [low, high]; fed the samples chunk by chunk (`add`), so no array
+    as long as the samples is held.
 
     A sample's bucket is monotone in its offset (rounding is monotone, and
     so is clipping to the buckets, which puts an offset rounded past the
     range into an end bucket), so consecutive sorted offsets lie in one
     bucket or are the greatest of one nonempty bucket and the least of the
     next. A gap inside a bucket is at most the bucket's extent (greatest
-    less least, rounded: rounding is monotone again). So when no extent
-    exceeds the resolution or the largest gap between buckets, the gaps
-    between buckets hold every gap wider than the resolution and the
-    largest gap, bit for bit (`extremes`), wherever the range lies."""
+    less least, rounded: rounding is monotone again), so when no extent
+    exceeds the resolution, the gaps between buckets hold every gap wider
+    than the resolution, bit for bit, and the largest gap when it is one of
+    them (`extremes`).
 
-    def __init__(self, sin: float, cos: float, resolution: float, low: float, count: int):
+    No extent exceeds the resolution, by a margin of resolution/2 less
+    rounding. The index of an offset p is the rounded x = (p - low) * scale,
+    scale = 2/resolution rounded; each of the three roundings errs by a
+    factor within 1 +- u (u = 2^-53), so x = X (1 + e), |e| < 3.01u, where X
+    is the exact (p - low) * 2/resolution. Two offsets whose x lie in one
+    [k, k + 1), k < K (the bucket count), thus have X within 1 + 6.02u K of
+    each other: they lie within (1 + 7u K) resolution/2, and their rounded
+    difference within (1 + 8u K) resolution/2. An offset clipped into an end
+    bucket lies past [low, high] only by rounding: not at all when the range
+    is the projection of the samples' bounding box (a rounded offset is
+    monotone in each coordinate), and when it is the projection of an
+    invariant disk (`_invariant_radius`), by the rounding of the samples'
+    composed maps and of the disk, within 1e-12 on the built-in systems.
+    8u K stays below 2^-3 for any K that fits in memory, and so each extent
+    below the resolution; `extremes` checks it all the same."""
+
+    def __init__(self, sin: float, cos: float, resolution: float, low: float, high: float):
         self.sin, self.cos, self.resolution = sin, cos, resolution
-        self.origin, self.scale = low, _BUCKETS_PER_RESOLUTION / resolution
+        self.origin, self.scale = low, 2.0 / resolution
+        count = int((high - low) * self.scale) + 1
         self.least, self.greatest = np.full(count, math.inf), np.full(count, -math.inf)
-
-    @classmethod
-    def over(
-        cls, sin: float, cos: float, resolution: float, low: float, high: float, n: int
-    ) -> "_Buckets | None":
-        """Buckets spanning the offsets [low, high] for n samples; None when
-        they would outnumber the samples, or are too many to count."""
-        top = (high - low) * (_BUCKETS_PER_RESOLUTION / resolution)  # the last index, unrounded
-        return cls(sin, cos, resolution, low, int(top) + 1) if top < n else None
 
     def add(self, points: np.ndarray) -> None:
         """Take in the samples of an array (m, 2), _CHUNK at a time."""
@@ -892,34 +890,16 @@ class _Buckets:
             np.minimum.at(self.least, k, pos)
             np.maximum.at(self.greatest, k, pos)
 
-    def extremes(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The nonempty buckets' least and greatest offsets, ascending, or
-        None when they may not give the gaps of the sorted offsets exactly."""
+    def extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonempty buckets' least and greatest offsets, ascending.
+        Raises if some bucket's extent exceeds the resolution, which the
+        bound above rules out."""
         full = self.least <= self.greatest
         least, greatest = self.least[full], self.greatest[full]
-        largest = _gap_scan(least, greatest, self.resolution)[1]
-        if len(least) > 1 and (greatest - least).max() <= min(largest, self.resolution):
-            return least, greatest
-        return None
-
-
-def _bucket_extremes(
-    samples: np.ndarray, sin: float, cos: float, resolution: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The extremes of one pass of `_Buckets` over the samples, the buckets
-    spanning the projection of the samples' bounding box. None when they
-    may not give the gaps of the sorted offsets exactly, or when the
-    buckets would outnumber the samples."""
-    n = len(samples)
-    if not n:
-        return None
-    low, high = samples.min(axis=0), samples.max(axis=0)
-    corners = offsets(np.array([[low[0]], [high[0]]]), np.array([low[1], high[1]]), sin, cos)
-    buckets = _Buckets.over(sin, cos, resolution, corners.min(), corners.max(), n)
-    if buckets is None:
-        return None
-    buckets.add(samples)
-    return buckets.extremes()
+        extent = (greatest - least).max(initial=0.0)
+        if extent > self.resolution:
+            raise ArithmeticError(f"a bucket's extent {extent!r} exceeds the resolution {self.resolution!r}")
+        return least, greatest
 
 
 def _chunks(batches: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
@@ -945,8 +925,7 @@ def _gap_scan(
     with no gap), and (first, last) of the first run of buckets between wide
     gaps with the largest span greatest[last] - least[first]; a run of one
     bucket spans its extent, and no bucket gives (0, 0). Chunk by chunk, so
-    no array of gaps or flags as long as the buckets is held: on the sort
-    route they are the samples."""
+    no array of gaps or flags as long as the buckets is held."""
     n = max(len(least) - 1, 0)
     wide, largest = [np.zeros(0, dtype=np.int64)], -math.inf
     for i in range(0, n, _CHUNK):
@@ -978,16 +957,16 @@ def certify_projection_interval(
     certificate keeps the gaps wider than resolution, not the sample
     positions.
 
-    The gaps come from the extremes of buckets a fraction of the resolution
-    wide (`_Buckets`), spanning the projection of the samples' bounding box
-    and fed the samples as one batch (`_bucket_extremes`), with no array as
-    long as the samples. Where those may not be exact (the largest gap lies
-    inside a bucket, as on an unperturbed projection near an axis, whose
-    offsets lie densely), the sorted offsets are the extremes of buckets of
-    one sample each. Either way the gaps between
-    consecutive buckets are the gaps of the sorted offsets that matter, and
-    one evaluator reads them (`_gap_scan`): the wide gaps, the largest gap
-    and the first longest run between wide gaps.
+    The gaps come from the extremes of buckets half the resolution wide
+    (`_Buckets`), spanning the projection of the samples' bounding box and
+    fed the samples as one batch, with no array as long as the samples.
+    Every gap wider than the resolution lies between two consecutive
+    nonempty buckets, and one evaluator reads them (`_gap_scan`): the wide
+    gaps, the largest gap and the first longest run between wide gaps. So
+    `gaps`, `interval`, `length` and `certified` are those of the sorted
+    offsets, bit for bit, and so is `largest_gap` when it exceeds the
+    resolution; otherwise (no two samples, or no gap that wide) it is None:
+    a gap below the resolution measures the sampling, not the set.
 
     extremes, given, are those buckets' extremes already found for theta,
     and samples is read only for its length, the sample count: so
@@ -1007,13 +986,13 @@ def certify_projection_interval(
         raise ValueError(f"resolution must be positive, got {resolution}")
     if extremes is None:
         sin, cos = math.sin(theta), math.cos(theta)
-        extremes = _bucket_extremes(samples, sin, cos, resolution)
-        if extremes is None:
-            pos = offsets(samples[:, 0], samples[:, 1], sin, cos)
-            pos.sort()
-            extremes = pos, pos
+        box = np.stack([samples.min(axis=0), samples.max(axis=0)]) if len(samples) else np.zeros((2, 2))
+        corners = offsets(box[:, :1], box[:, 1], sin, cos)  # the four corners' offsets
+        buckets = _Buckets(sin, cos, resolution, corners.min(), corners.max())
+        buckets.add(samples)
+        extremes = buckets.extremes()
     least, greatest = extremes
-    wide, largest_gap, first, last = _gap_scan(least, greatest, resolution)
+    wide, largest, first, last = _gap_scan(least, greatest, resolution)
     length = float(greatest[last] - least[first]) if len(least) else 0.0
     min_len = _MIN_LENGTH_FACTOR * resolution
     interval = None
@@ -1042,7 +1021,7 @@ def certify_projection_interval(
         n_samples=len(samples),
         interval=interval,
         length=length,
-        largest_gap=largest_gap,
+        largest_gap=largest if len(wide) else None,
         certified=interval is not None,
         gaps=np.stack([greatest[wide], least[wide + 1]], axis=1),
         recurrence_interval=rec_interval,
@@ -1064,32 +1043,23 @@ def certify_projection_intervals(
 
     One streamed walk of the stopping words (`attractor_points` with a
     consumer, within the word budget, which is checked before any map is
-    composed) feeds every angle's `_Buckets`, _CHUNK samples or more at a
-    time, and `certify_projection_interval` finishes each angle from its
-    buckets' extremes. The buckets span the projection of the invariant
-    disk (`_invariant_radius`), known before the walk, which holds every
-    sample but those that rounding pushes past it, and those fall in an
-    end bucket. An angle whose buckets may not be exact takes the route of
-    `certify_projection_interval` on samples regenerated once for all such
-    angles. When the buckets would outnumber the samples, the walk keeps
-    the samples instead, which then take no more memory than one angle's
-    buckets, and every angle takes that route. The row route
-    (`first_witness_rows`) runs on the L rows nearest the angles alone
+    composed or any bucket made) feeds every angle's `_Buckets`, _CHUNK
+    samples or more at a time, and `certify_projection_interval` finishes
+    each angle from its buckets' extremes. The buckets, half the resolution
+    wide, span the projection of the invariant disk (`_invariant_radius`),
+    known before the walk, which holds every sample but those that rounding
+    pushes past it, and those fall in an end bucket. The row
+    route (`first_witness_rows`) runs on the L rows nearest the angles alone
     (`RowRuns.only`), into L at the check slack."""
     thetas = [float(th) for th in thetas]
     radius = _invariant_radius(perturbed)
-    buckets: list[_Buckets | None] = []
-    kept: list[np.ndarray] = []
+    buckets: list[_Buckets] = []
 
-    def walk(count: int, batches: Iterator[np.ndarray]) -> None:
+    def walk(_count: int, batches: Iterator[np.ndarray]) -> None:
         for th in thetas:
             sin, cos = math.sin(th), math.cos(th)
             mid = 0.5 * cos - 0.5 * sin  # the offset of the disk's centre
-            buckets.append(_Buckets.over(sin, cos, resolution, mid - radius, mid + radius, count))
-        if None in buckets:  # more buckets than samples: keep the samples, in fewer bytes
-            buckets[:] = [None] * len(thetas)
-            kept.extend(batches)
-            return
+            buckets.append(_Buckets(sin, cos, resolution, mid - radius, mid + radius))
         for points in _chunks(batches):
             for b in buckets:
                 b.add(points)
@@ -1100,12 +1070,7 @@ def certify_projection_intervals(
     runs = cand.L.only(rows)
     words = two_letter_words(perturbed.letter_maps())
     witness = first_witness_rows(words, runs, GridMembership(geom, cand.L, cand.check_slack))
-    samples = np.concatenate(kept) if kept else None
-    certs = []
-    for th, b in zip(thetas, buckets):
-        extremes = None if b is None else b.extremes()
-        if extremes is None and samples is None:
-            samples = attractor_points(perturbed, resolution / 2.0, budget=budget)
-        held = walked if extremes is not None else samples
-        certs.append(certify_projection_interval(held, th, resolution, geom, (runs, witness), extremes))
-    return certs
+    return [
+        certify_projection_interval(walked, th, resolution, geom, (runs, witness), b.extremes())
+        for th, b in zip(thetas, buckets)
+    ]

@@ -520,6 +520,21 @@ def test_certify_full_projection(tmp_path, capsys):
     assert gaps[-1].startswith("# interval,")
 
 
+def test_certify_without_a_wide_gap(tmp_path, capsys):
+    """certify on four_corner at cert_resolution 0.2: the samples at scale
+    0.1 lie on the lattice of pitch 1/16, so no gap exceeds the resolution,
+    and the projection, at most sqrt 2 long, is shorter than 10
+    resolutions. No interval, and the largest gap is reported as null."""
+    grid = {"cert_resolution": 0.2, "n_theta_sample": 2, "search_budget": 3}
+    assert main(["certify", "--config", coarse_config(tmp_path, grid=grid), "--theta", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("no interval at resolution 0.2; no gap wider than the resolution\n")
+    text = (tmp_path / "out" / "certify_report.json").read_text()
+    assert '"largest_gap": null' in text and not json.loads(text)["certified"]
+    gaps = (tmp_path / "out" / "certify_gaps.csv").read_text().splitlines()
+    assert gaps == ["left,right,gap", "# no interval,largest_gap,null"]
+
+
 def certify_c3(tmp_path, theta: float) -> tuple[dict, list[list[float]], str]:
     """certify on C3 = C x C, four maps of ratio 1/3 at the corners of the
     unit square, at theta, rho 2^-5 and the other constants of

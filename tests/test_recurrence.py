@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsproj import (
     BudgetExceeded,
@@ -898,8 +900,8 @@ def bench_samples():
 def certificate_by_sorting(samples, theta, resolution) -> tuple[dict, np.ndarray]:
     """The JSON fields and the wide gaps of a certificate without its
     recurrence row, from the sorted offsets of all samples, their
-    differences and the oracle's `_longest_run`: the route the certificate
-    took before bucket extremes."""
+    differences and the oracle's `_longest_run`. A largest gap at or below
+    the resolution, or none (fewer than two samples), is reported as None."""
     pos = np.sort(project_point(theta, samples))
     steps = np.diff(pos)
     wide = np.flatnonzero(steps > resolution)
@@ -914,7 +916,7 @@ def certificate_by_sorting(samples, theta, resolution) -> tuple[dict, np.ndarray
         "n_samples": len(pos),
         "interval": interval,
         "length": length,
-        "largest_gap": float(steps.max()) if len(steps) else math.inf,
+        "largest_gap": float(steps.max()) if len(wide) else None,
         "certified": interval is not None,
         "recurrence_interval": None,
         "recurrence_length": 0.0,
@@ -923,66 +925,117 @@ def certificate_by_sorting(samples, theta, resolution) -> tuple[dict, np.ndarray
     return fields, np.stack([pos[wide], pos[wide + 1]], axis=1)
 
 
-def test_certificate_gaps_equal_sort_and_diff(bench_samples, monkeypatch):
-    """On both routes, bucket extremes and sorted offsets, a certificate's
-    fields and wide gaps equal those of sorting every sample offset
-    (`certificate_by_sorting`), and each case takes the route it should:
-    the buckets when the largest gap spans a bucket, the sort when it lies
-    inside one (unperturbed four_corner near an axis), when buckets would
-    outnumber the samples, and for fewer than two distinct offsets."""
+def assert_certificate_by_sorting(cert, samples, theta, resolution) -> None:
+    """cert's fields and wide gaps are those of `certificate_by_sorting`."""
+    fields, gaps = certificate_by_sorting(samples, theta, resolution)
+    assert cert.to_json_dict() == fields, (len(samples), theta, resolution)
+    assert cert.gaps.shape == gaps.shape and np.array_equal(cert.gaps, gaps)
+
+
+def test_certificate_gaps_equal_sort_and_diff(bench_samples):
+    """A certificate's fields and wide gaps equal those of sorting every
+    sample offset (`certificate_by_sorting`): on the benchmark's samples, on
+    the Cantor sets' wide gaps, on unperturbed four_corner near an axis
+    (whose largest gap, about 0.005 resolutions, is None), with more
+    buckets than samples, and for no sample, one, two, two coincident, and
+    every sample twice, the second time in reverse order."""
     four, c3 = get_builtin("four_corner"), cantor_product()
     c3_samples = attractor_points(c3, 5e-4)
     dust_samples = attractor_points(get_builtin("cantor_dust"), 2e-5)
     four_samples = attractor_points(four, 2.0**-8)
     cases = [
-        (bench_samples, 0.0, 1e-3, "buckets"),
-        (bench_samples, 2.3, 1e-3, "buckets"),
-        (c3_samples, 0.0, 1e-2, "buckets"),  # the Cantor set: wide gaps
-        (c3_samples, 0.2, 1e-2, "buckets"),
-        (c3_samples, 0.0, 1e-3, "sort"),  # 64K buckets for 4^7 samples
-        (dust_samples, 0.0, 1e-2, "buckets"),  # gaps of half the projection
-        (dust_samples, 0.4, 1e-2, "buckets"),
-        (four_samples, 0.01, 2.0**-7, "sort"),  # a gap of 1% of a bucket at most
-        (four_samples, 0.05, 2.0**-7, "buckets"),
-        (attractor_points(four, 2.0**-6), 1.0, 2.0**-9, "sort"),
-        (np.zeros((0, 2)), 0.3, 1e-3, "sort"),
-        (np.array([[0.25, 0.5]]), 0.3, 1e-3, "sort"),
-        (np.array([[0.0, 0.0], [1.0, 1.0]]), 0.3, 1e-3, "sort"),
-        (np.array([[0.25, 0.5], [0.25, 0.5]]), 0.3, 1e-3, "sort"),
-        # every point twice, the second time in reverse order
-        (np.concatenate([c3_samples, c3_samples[::-1]]), 0.0, 1e-2, "buckets"),
-        (np.concatenate([dust_samples, dust_samples[::-1]]), 0.4, 1e-2, "buckets"),
+        (bench_samples, 0.0, 1e-3),
+        (bench_samples, 2.3, 1e-3),
+        (c3_samples, 0.0, 1e-2),  # the Cantor set: wide gaps
+        (c3_samples, 0.2, 1e-2),
+        (c3_samples, 0.0, 1e-3),  # 2K buckets for 4^7 samples
+        (dust_samples, 0.0, 1e-2),  # gaps of half the projection
+        (dust_samples, 0.4, 1e-2),
+        (four_samples, 0.01, 2.0**-7),  # the largest gap 0.005 resolutions
+        (four_samples, 0.05, 2.0**-7),
+        (attractor_points(four, 2.0**-6), 1.0, 2.0**-9),
+        (np.zeros((0, 2)), 0.3, 1e-3),
+        (np.array([[0.25, 0.5]]), 0.3, 1e-3),
+        (np.array([[0.0, 0.0], [1.0, 1.0]]), 0.3, 1e-3),
+        (np.array([[0.25, 0.5], [0.25, 0.5]]), 0.3, 1e-3),
+        (np.concatenate([c3_samples, c3_samples[::-1]]), 0.0, 1e-2),
+        (np.concatenate([dust_samples, dust_samples[::-1]]), 0.4, 1e-2),
     ]
-    routes = []
-    extremes = ifsproj.recurrence._bucket_extremes
-
-    def spy(*args):
-        found = extremes(*args)
-        routes.append("sort" if found is None else "buckets")
-        return found
-
-    monkeypatch.setattr(ifsproj.recurrence, "_bucket_extremes", spy)
-    wide = certified = 0
-    for samples, theta, resolution, route in cases:
+    wide = certified = null = 0
+    for samples, theta, resolution in cases:
         cert = certify_projection_interval(samples, theta, resolution)
-        fields, gaps = certificate_by_sorting(samples, theta, resolution)
-        assert routes.pop() == route, (len(samples), theta, resolution)
-        assert cert.to_json_dict() == fields, (len(samples), theta, resolution)
-        assert cert.gaps.shape == gaps.shape and np.array_equal(cert.gaps, gaps)
-        wide += len(gaps) > 0
+        assert_certificate_by_sorting(cert, samples, theta, resolution)
+        wide += len(cert.gaps) > 0
         certified += cert.certified
-    assert wide >= 6 and 0 < certified < len(cases)
-    # buckets twice the resolution wide hide C's gaps of 3^-4 inside them
-    monkeypatch.setattr(ifsproj.recurrence, "_BUCKETS_PER_RESOLUTION", 0.5)
-    cert = certify_projection_interval(c3_samples, 0.0, 1e-2)
-    fields, gaps = certificate_by_sorting(c3_samples, 0.0, 1e-2)
-    assert routes.pop() == "sort" and len(gaps) == 15
-    assert cert.to_json_dict() == fields and np.array_equal(cert.gaps, gaps)
+        null += cert.largest_gap is None
+    assert wide >= 6 and 0 < certified < len(cases) and 0 < null < len(cases)
+
+
+coordinates = st.one_of(st.floats(-1.5, 1.5), st.integers(-48, 48).map(lambda k: k / 32))
+
+
+@given(
+    st.lists(st.tuples(coordinates, coordinates), max_size=500),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+    st.floats(1e-4, 1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_certificate_equals_sorting_on_any_cloud(points, theta, resolution):
+    """On any cloud of up to 500 points, some on a lattice of pitch 1/32
+    (coincident offsets, and gaps at multiples of the pitch), at any angle
+    and resolution, the certificate is that of `certificate_by_sorting`."""
+    samples = np.array(points, dtype=float).reshape(-1, 2)
+    cert = certify_projection_interval(samples, theta, resolution)
+    assert_certificate_by_sorting(cert, samples, theta, resolution)
+
+
+def test_bucket_edges_and_the_disk_rim(monkeypatch):
+    """Offsets on bucket edges (the bucket origin plus k resolution/2, on it
+    or one ulp either side, for a random half of the edges) and offsets one
+    and four ulps past the invariant disk, which go to an end bucket, leave
+    no bucket's extent above the resolution, and the certificate from the
+    disk's buckets is that of `certificate_by_sorting`; at theta 0, where
+    the offset is y exactly, gaps of two buckets fall within four ulps
+    either side of the resolution. Buckets twice the resolution wide make
+    C3's certificate at theta 0 raise, where sorting finds 15 wide gaps,
+    rather than report wrong ones."""
+    radius = ifsproj.recurrence._invariant_radius(get_builtin("four_corner"))
+    rng = np.random.default_rng(5)
+    for theta, resolution in ((0.0, 1e-2), (0.7, 1e-3), (2.0, 2.0**-7)):
+        sin, cos = math.sin(theta), math.cos(theta)
+        mid = 0.5 * cos - 0.5 * sin
+        low, high = mid - radius, mid + radius
+        n = int((high - low) / (resolution / 2))
+        edges = low + np.sort(rng.choice(n, n // 2, replace=False)) * (resolution / 2)
+        t = np.nextafter(edges, edges + rng.integers(-1, 2, len(edges)))  # on or one ulp off
+        ulp_low, ulp_high = np.spacing(abs(low)), np.spacing(abs(high))
+        t = np.concatenate([t, [low - ulp_low, low - 4 * ulp_low, high + ulp_high, high + 4 * ulp_high]])
+        samples = np.stack([-t * sin, t * cos], axis=1)  # points of offset t, about
+        buckets = ifsproj.recurrence._Buckets(sin, cos, resolution, low, high)
+        buckets.add(samples)
+        cert = certify_projection_interval(samples, theta, resolution, extremes=buckets.extremes())
+        assert_certificate_by_sorting(cert, samples, theta, resolution)
+        if theta == 0.0:
+            steps = np.diff(np.sort(t)) - resolution
+            close = np.abs(steps) <= 4 * np.spacing(high)
+            assert (close & (steps > 0)).any() and (close & (steps <= 0)).any()
+
+    c3_samples = attractor_points(cantor_product(), 5e-4)
+    assert len(certificate_by_sorting(c3_samples, 0.0, 1e-2)[1]) == 15
+    init = ifsproj.recurrence._Buckets.__init__
+
+    def twice_as_wide(self, sin, cos, resolution, low, high):
+        init(self, sin, cos, 4 * resolution, low, high)
+        self.resolution = resolution
+
+    monkeypatch.setattr(ifsproj.recurrence._Buckets, "__init__", twice_as_wide)
+    with pytest.raises(ArithmeticError, match="exceeds the resolution"):
+        certify_projection_interval(c3_samples, 0.0, 1e-2)
 
 
 def test_bucket_certificate_holds_no_sample_sized_array(bench_samples, traced_peak):
-    """A certificate on the bucket route allocates less than a tenth of the
-    samples' bytes: no array of offsets as long as the samples."""
+    """A certificate allocates less than a tenth of the samples' bytes: no
+    array of offsets as long as the samples."""
     certify_projection_interval(bench_samples[:1000], 0.7, 1e-3)  # imports stay outside the trace
     cert, peak = traced_peak(lambda: certify_projection_interval(bench_samples, 0.7, 1e-3))
     assert cert.certified and cert.n_samples == 4**11
@@ -996,9 +1049,9 @@ def coarse_lines_candidate() -> RecurrentCandidate:
 
 
 def test_streamed_certificates_hold_no_sample_sized_array(traced_peak):
-    """`certify_projection_intervals` at four angles on the bucket route
-    allocates under a fifth of its samples' bytes (n x 16): the samples are
-    streamed, never held (measured 0.14; the gathered samples alone are
+    """`certify_projection_intervals` at four angles allocates under a
+    fifth of its samples' bytes (n x 16): the samples are
+    streamed, never held (measured 0.05; the gathered samples alone are
     1.0)."""
     four = get_builtin("four_corner")
     perturbed = build_perturbed_ifs(four, omega_from_json(four, BENCH_OMEGA), RunConfig().c1, 2.0**-7)
@@ -1010,52 +1063,40 @@ def test_streamed_certificates_hold_no_sample_sized_array(traced_peak):
     assert peak < 0.2 * n * 16
 
 
-def test_streamed_certificates_mix_routes(monkeypatch):
-    """One `certify_projection_intervals` call on unperturbed four_corner at
-    resolution 2^-7 certifies theta 0.05 and 0.7 by buckets over the
-    invariant disk, and 0.01 and pi/2 + 0.01, whose largest gaps lie inside
-    a bucket, by the sort of `certify_projection_interval` on samples
-    regenerated once for both. Every certificate equals
-    `certify_projection_interval` on `attractor_points`. At resolution 0.2
-    the buckets would outnumber the samples, and the walk keeps them: no
-    regeneration either."""
+def test_streamed_certificates_walk_once(monkeypatch):
+    """One `certify_projection_intervals` call on unperturbed four_corner
+    walks the stopping words once, streamed, and gathers no samples, at
+    resolution 2^-7 and at 0.2, where the buckets outnumber the samples,
+    with the angles 0.01 and pi/2 + 0.01 near an axis among the others
+    (their largest gaps, a few thousandths of a resolution, are None).
+    Every certificate equals `certify_projection_interval` on
+    `attractor_points`."""
     four, cand = get_builtin("four_corner"), coarse_lines_candidate()
-    resolution = 2.0**-7
     thetas = [0.01, 0.05, 0.7, math.pi / 2 + 0.01]
-    walks, routes = [], []
-    gather, extremes = ifsproj.recurrence.attractor_points, ifsproj.recurrence._bucket_extremes
+    walks = []
+    gather = ifsproj.recurrence.attractor_points
 
     def spy_gather(*args, consume=None, **kwargs):
         walks.append("streamed" if consume else "gathered")
         return gather(*args, consume=consume, **kwargs)
 
-    def spy_extremes(samples, sin, cos, resolution):
-        found = extremes(samples, sin, cos, resolution)
-        routes.append((math.atan2(sin, cos), "sort" if found is None else "buckets"))
-        return found
-
     monkeypatch.setattr(ifsproj.recurrence, "attractor_points", spy_gather)
-    monkeypatch.setattr(ifsproj.recurrence, "_bucket_extremes", spy_extremes)
-    certs = certify_projection_intervals(four, cand, thetas, resolution)
-    assert walks == ["streamed", "gathered"]
-    assert [r for _, r in routes] == ["sort", "sort"]
-    assert [th for th, _ in routes] == pytest.approx([0.01, math.pi / 2 + 0.01], abs=1e-15)
-    walks.clear()
-    routes.clear()
-    coarse = certify_projection_intervals(four, cand, thetas, 0.2)
-    assert walks == ["streamed"] and len(routes) == len(thetas)
-    walks.clear()
-    certify_projection_intervals(four, cand, thetas[1:3], resolution)
-    assert walks == ["streamed"]
+    streamed = {}
+    for resolution in (2.0**-7, 0.2):
+        streamed[resolution] = certify_projection_intervals(four, cand, thetas, resolution)
+        assert walks == ["streamed"], resolution
+        walks.clear()
     monkeypatch.undo()
     recurrence = row_witnesses(four, cand, None)
-    for res, got in ((resolution, certs), (0.2, coarse)):
-        samples = attractor_points(four, res / 2)
-        for theta, cert in zip(thetas, got):
-            want = certify_projection_interval(samples, theta, res, cand.geom, recurrence)
-            assert cert.to_json_dict() == want.to_json_dict(), (res, theta)
+    for resolution, certs in streamed.items():
+        samples = attractor_points(four, resolution / 2)
+        for theta, cert in zip(thetas, certs):
+            want = certify_projection_interval(samples, theta, resolution, cand.geom, recurrence)
+            assert cert.to_json_dict() == want.to_json_dict(), (resolution, theta)
             assert cert.gaps.shape == want.gaps.shape and np.array_equal(cert.gaps, want.gaps)
-    assert all(cert.certified for cert in certs)
+    fine = streamed[2.0**-7]
+    assert all(cert.certified for cert in fine)
+    assert fine[0].largest_gap is None and fine[3].largest_gap is None
 
 
 def test_streamed_certificates_check_the_budget_first(monkeypatch):
