@@ -87,8 +87,6 @@ def _load_omega(cfg: RunConfig, path: str) -> np.ndarray:
 def _sample_e_rows(E: DirectionSet, cand: RecurrentCandidate, n: int, seed: int) -> np.ndarray:
     """Deterministic sample of E-grid angles with a nonempty slice."""
     rows = np.flatnonzero(E.member & (np.diff(cand.L.ptr) > 0))
-    if not len(rows):
-        return np.array([])
     rng = np.random.default_rng([seed, 17])
     pick = rng.choice(rows, size=min(n, len(rows)), replace=False)
     return np.sort(pick) * cand.geom.pitch

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from itertools import combinations
 from typing import NamedTuple
 
@@ -438,7 +438,7 @@ def _expand(
 
 
 def stopping_batches(
-    ifs: IfsSpec, rho: float, budget: int | None = None
+    ifs: IfsSpec, rho: float, budget: int | None = None, prune: Callable | None = None
 ) -> tuple[int, Iterator[MapArrays]]:
     """The number of stopping words at scale rho, the minimal words w with
     ratio(w) <= rho < ratio(parent of w), and their maps f_w in consecutive
@@ -456,6 +456,9 @@ def stopping_batches(
     their place. Every map is computed by the same elementwise formula
     whatever the batch, so the maps do not depend on _BATCH, and memory
     stays at a few batches per tree level.
+
+    prune, given, gets each batch's active nodes before expansion and returns
+    True for those to drop with all their words, which the count still holds.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0,1), got {rho}")
@@ -479,7 +482,13 @@ def stopping_batches(
             stop = first + _BATCH
             if stop < len(active):
                 stack.append((maps.take(slice(stop, None)), active[stop:]))
-            stack.append(_expand(maps.take(slice(first, stop)), active[first:stop], letters, rho))
+            nodes, live = maps.take(slice(first, stop)), active[first:stop]
+            if prune is not None:
+                keep = ~live
+                keep[live] = ~prune(nodes.take(live))
+                nodes, live = nodes.take(keep), live[keep]
+            if len(live):
+                stack.append(_expand(nodes, live, letters, rho))
 
     return count, walk()
 

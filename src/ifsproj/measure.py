@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import IfsSpec, stopping_batches
+from .ifs import IfsSpec, MapArrays, stopping_batches
 from .lines import offsets
 
 
@@ -25,6 +25,7 @@ def stopping_cylinders(
     point: tuple[float, float] = (0.5, 0.5),
     with_ratios: bool = True,
     consume: Callable[[int, Iterator[np.ndarray]], None] | None = None,
+    prune: Callable[[MapArrays], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The points f_w(point) and ratios of the stopping words w at scale
     rho (see `ifs.stopping_batches`), in the words' lexicographic
@@ -40,12 +41,15 @@ def stopping_cylinders(
     count and an iterator over each batch's points, an array (m, 2) from
     the same `MapArrays.images` call, and nothing is kept. The points
     returned then have no columns, their length still the count, and the
-    ratios are None.
+    ratios are None. prune, allowed only with consume, goes to
+    `ifs.stopping_batches`; the count still includes the words it drops.
 
     The default point is the square center; passing an attractor point makes
     every f_w(point) an attractor point too.
     """
-    count, batches = stopping_batches(ifs, rho, budget=budget)
+    if prune is not None and consume is None:
+        raise ValueError("prune needs consume: a gathered cover holds every word")
+    count, batches = stopping_batches(ifs, rho, budget=budget, prune=prune)
     if consume is not None:
         consume(count, (maps.images(point) for maps in batches))
         return np.empty((count, 0)), None

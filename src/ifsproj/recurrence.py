@@ -813,6 +813,7 @@ def attractor_points(
     scale: float,
     budget: int | None = None,
     consume: Callable[[int, Iterator[np.ndarray]], None] | None = None,
+    prune: Callable[[MapArrays], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Exact attractor points: images of the first map's fixed point under
     every stopping word at the given scale, from `stopping_cylinders`
@@ -820,11 +821,12 @@ def attractor_points(
     count and the points batch by batch instead, and nothing is kept: the
     array returned then has no columns, its length still the count
     (`stopping_cylinders`). Either way the points are bit for bit the
-    same."""
+    same. prune, given with consume, drops prefix nodes with their words
+    (`ifs.stopping_batches`)."""
     f0 = ifs.maps[ifs.alphabet[0]]
     p0 = np.linalg.solve(np.eye(2) - f0.linear(), np.asarray(f0.translation))
     pts, _ = stopping_cylinders(
-        ifs, scale, budget=budget, point=(p0[0], p0[1]), with_ratios=False, consume=consume
+        ifs, scale, budget, (p0[0], p0[1]), with_ratios=False, consume=consume, prune=prune
     )
     return pts
 
@@ -840,14 +842,36 @@ def _invariant_radius(ifs: IfsSpec) -> float:
     return float(np.hypot(moved[:, 0], moved[:, 1]).max() / (1.0 - letters.ratio.max()))
 
 
+def _rounding_margin(ifs: IfsSpec, scale: float, radius: float) -> float:
+    """A bound on how far rounding carries the offset of a sample of
+    `attractor_points(ifs, scale)` past that of a prefix u's centre f_u(c)
+    plus or minus r_u R (R = radius), as the walk and `_Buckets.interior`
+    compute them. With u = 2^-53, cos and sin within 4u, r = max_a r_a, M
+    = 2 + R + max_a |t_a| bounding every point, centre and translation, D =
+    ceil(log scale / log r) + 1 letters a word at most (the 1 for rounded
+    ratio products) and A = D max_a angle_a bounding every angle summed: a
+    step of `MapArrays.compose` moves the image of a disk point by u M (A +
+    15) at most (u the ratio, u A the angle, 13u |t_a| + u |t| the
+    translation), `images` errs by 14u M, `offsets` by 3u M, rounded sin
+    and cos widen the disk by 6u R, the fixed point and R by 35u M / (1 -
+    r) (its system's condition is at most (1 + r)/(1 - r)), the interval's
+    ends by 4u M: over D steps, below u M (D + 8)(A + 16)/(1 - r) in all."""
+    letters = ifs.letter_maps()
+    r = float(letters.ratio.max())
+    depth = math.ceil(math.log(scale) / math.log(r)) + 1
+    size = 2.0 + radius + float(np.hypot(*letters.translation).max())
+    return 2.0**-53 * size * (depth + 8) * (depth * float(letters.angle.max()) + 16) / (1.0 - r)
+
+
 _MIN_LENGTH_FACTOR = 10.0  # a certified interval spans this many resolutions
 
 
 class _Buckets:
-    """The least and the greatest sample offset (`lines.offsets`) at one
-    angle in each bucket of width resolution/2, the buckets spanning the
-    offsets [low, high]; fed the samples chunk by chunk (`add`), so no array
-    as long as the samples is held.
+    """The least and the greatest sample offset (`lines.offsets`) in each
+    bucket of width resolution/2, a row of buckets per angle spanning its
+    offsets [low, high] (and closed by a spare bucket that stays empty);
+    fed the samples chunk by chunk (`add`), so no array as long as the
+    samples is held.
 
     A sample's bucket is monotone in its offset (rounding is monotone, and
     so is clipping to the buckets, which puts an offset rounded past the
@@ -870,51 +894,68 @@ class _Buckets:
     bucket lies past [low, high] only by rounding: not at all when the range
     is the projection of the samples' bounding box (a rounded offset is
     monotone in each coordinate), and when it is the projection of an
-    invariant disk (`_invariant_radius`), by the rounding of the samples'
-    composed maps and of the disk, within 1e-12 on the built-in systems.
+    invariant disk (`_invariant_radius`), by less than `_rounding_margin`.
     8u K stays below 2^-3 for any K that fits in memory, and so each extent
-    below the resolution; `extremes` checks it all the same."""
+    below the resolution; `extremes` checks it all the same.
 
-    def __init__(self, sin: float, cos: float, resolution: float, low: float, high: float):
-        self.sin, self.cos, self.resolution = sin, cos, resolution
-        self.origin, self.scale = low, 2.0 / resolution
-        count = int((high - low) * self.scale) + 1
-        self.least, self.greatest = np.full(count, math.inf), np.full(count, -math.inf)
+    A bucket is interior once the gaps from its neighbours' extremes to its
+    own are at most the resolution (merely nonempty neighbours can lie
+    further apart by rounding); end buckets never are. `add` drops samples
+    in interior buckets, and `interior` finds the prefixes whose samples
+    all would be. No bucket turns empty, and an interior bucket's gaps only
+    shrink as its neighbours fill, so they, and those of its samples, are
+    never wide. Every wide gap, the largest and every run's end that
+    `_gap_scan` reads thus lie at buckets never interior, which hold their
+    true extremes: the certificates do not change."""
+
+    def __init__(self, sin, cos, resolution: float, low, high):
+        self.sin, self.cos = np.atleast_1d(sin)[:, None], np.atleast_1d(cos)[:, None]
+        self.resolution, self.scale, self.origin = resolution, 2.0 / resolution, np.atleast_1d(low)[:, None]
+        count = int(((np.atleast_1d(high)[:, None] - self.origin) * self.scale).max(initial=0)) + 1
+        self.least, self.greatest = np.full((2, len(self.sin), count + 1), [[[math.inf]], [[-math.inf]]])
+        self.inner = np.zeros(self.least.shape, dtype=bool)
+        self.outer = np.arange(self.least.size + 1, dtype=np.int32)  # buckets before each not interior
+        self.rows = np.arange(len(self.sin), dtype=np.int32)[:, None] * (count + 1)
+        self.step = max(_CHUNK // max(len(self.sin), 1), 1)  # samples whose offsets number _CHUNK
+
+    def _index(self, pos: np.ndarray) -> np.ndarray:
+        """Each offset's bucket in the flattened rows; pos is overwritten."""
+        pos -= self.origin
+        pos *= self.scale
+        return np.clip(pos, 0, self.least.shape[1] - 2, out=pos).astype(np.int32) + self.rows
 
     def add(self, points: np.ndarray) -> None:
-        """Take in the samples of an array (m, 2), _CHUNK at a time."""
-        last = len(self.least) - 1
-        for i in range(0, len(points), _CHUNK):
-            pos = offsets(points[i : i + _CHUNK, 0], points[i : i + _CHUNK, 1], self.sin, self.cos)
-            k = np.clip((pos - self.origin) * self.scale, 0, last).astype(np.intp)
-            np.minimum.at(self.least, k, pos)
-            np.maximum.at(self.greatest, k, pos)
+        """Take in the samples of an array (m, 2) at every angle, step at a
+        time, marking the interior buckets after each step."""
+        for i in range(0, len(points), self.step):
+            pos = offsets(points[i : i + self.step, 0], points[i : i + self.step, 1], self.sin, self.cos)
+            k = self._index(pos.copy())
+            kept = ~self.inner.reshape(-1).take(k)
+            k, pos = k[kept], pos[kept]
+            np.minimum.at(self.least.reshape(-1), k, pos)
+            np.maximum.at(self.greatest.reshape(-1), k, pos)
+            close = self.least[:, 1:] - self.greatest[:, :-1] <= self.resolution
+            self.inner[:, 1:-1] = close[:, :-1] & close[:, 1:]
+            np.cumsum(~self.inner.reshape(-1), out=self.outer[1:])
 
-    def extremes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nonempty buckets' least and greatest offsets, ascending.
-        Raises if some bucket's extent exceeds the resolution, which the
-        bound above rules out."""
-        full = self.least <= self.greatest
-        least, greatest = self.least[full], self.greatest[full]
+    def interior(self, nodes: MapArrays, radius: float, margin: float) -> np.ndarray:
+        """Whether, at every angle, every offset within r_u radius + margin
+        of that of a node u's centre f_u(c) falls in an interior bucket."""
+        centre, reach = nodes.images((0.5, 0.5)), nodes.ratio * radius + margin
+        pos = offsets(centre[:, 0], centre[:, 1], self.sin, self.cos)
+        first = self.outer.take(self._index(pos - reach))
+        return (self.outer.take(self._index(pos + reach) + 1) == first).all(0)
+
+    def extremes(self, angle: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The nonempty buckets' least and greatest offsets at one angle,
+        ascending. Raises if some bucket's extent exceeds the resolution,
+        which the bound above rules out."""
+        full = self.least[angle] <= self.greatest[angle]
+        least, greatest = self.least[angle][full], self.greatest[angle][full]
         extent = (greatest - least).max(initial=0.0)
         if extent > self.resolution:
             raise ArithmeticError(f"a bucket's extent {extent!r} exceeds the resolution {self.resolution!r}")
         return least, greatest
-
-
-def _chunks(batches: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """The points of consecutive arrays (m, 2), joined into column-major
-    arrays of at least _CHUNK points (the last may hold fewer), so that
-    `lines.offsets` reads each coordinate contiguously."""
-    held, size = [], 0
-    for points in batches:
-        held.append(points.T)
-        size += len(points)
-        if size >= _CHUNK:
-            yield np.concatenate(held, axis=1).T
-            held, size = [], 0
-    if held:
-        yield np.concatenate(held, axis=1).T
 
 
 def _gap_scan(
@@ -958,15 +999,14 @@ def certify_projection_interval(
     positions.
 
     The gaps come from the extremes of buckets half the resolution wide
-    (`_Buckets`), spanning the projection of the samples' bounding box and
-    fed the samples as one batch, with no array as long as the samples.
-    Every gap wider than the resolution lies between two consecutive
-    nonempty buckets, and one evaluator reads them (`_gap_scan`): the wide
-    gaps, the largest gap and the first longest run between wide gaps. So
-    `gaps`, `interval`, `length` and `certified` are those of the sorted
-    offsets, bit for bit, and so is `largest_gap` when it exceeds the
-    resolution; otherwise (no two samples, or no gap that wide) it is None:
-    a gap below the resolution measures the sampling, not the set.
+    (`_Buckets`) spanning the projection of the samples' bounding box, with
+    no array as long as the samples. Every gap wider than the resolution
+    lies between two consecutive nonempty buckets, and `_gap_scan` reads
+    the wide gaps, the largest gap and the first longest run between wide
+    gaps. So `gaps`, `interval`, `length` and `certified` are those of the
+    sorted offsets, bit for bit, and so is `largest_gap` when it exceeds
+    the resolution; otherwise it is None: a gap below the resolution
+    measures the sampling, not the set.
 
     extremes, given, are those buckets' extremes already found for theta,
     and samples is read only for its length, the sample count: so
@@ -1043,34 +1083,38 @@ def certify_projection_intervals(
 
     One streamed walk of the stopping words (`attractor_points` with a
     consumer, within the word budget, which is checked before any map is
-    composed or any bucket made) feeds every angle's `_Buckets`, _CHUNK
-    samples or more at a time, and `certify_projection_interval` finishes
-    each angle from its buckets' extremes. The buckets, half the resolution
-    wide, span the projection of the invariant disk (`_invariant_radius`),
-    known before the walk, which holds every sample but those that rounding
-    pushes past it, and those fall in an end bucket. The row
-    route (`first_witness_rows`) runs on the L rows nearest the angles alone
-    (`RowRuns.only`), into L at the check slack."""
+    composed or any bucket made) feeds one `_Buckets`, a row per angle, and
+    `certify_projection_interval` finishes each angle from its row's
+    extremes. The rows, half the resolution wide, span the projection of
+    the invariant disk (`_invariant_radius`), which holds every sample but
+    those that rounding pushes past it into an end bucket. The walk drops a
+    prefix u whose samples would all fall in interior buckets, as every
+    offset within r_u R + `_rounding_margin` of f_u(c)'s does at every
+    angle (`_Buckets.interior`); with no angle it images nothing. The row
+    route (`first_witness_rows`) runs on the L rows nearest the angles
+    alone (`RowRuns.only`), into L at the check slack."""
     thetas = [float(th) for th in thetas]
     radius = _invariant_radius(perturbed)
-    buckets: list[_Buckets] = []
+    sin, cos = np.array([math.sin(th) for th in thetas]), np.array([math.cos(th) for th in thetas])
+    mid = 0.5 * cos - 0.5 * sin  # the offsets of the disk's centre
+    buckets = margin = None
 
-    def walk(_count: int, batches: Iterator[np.ndarray]) -> None:
-        for th in thetas:
-            sin, cos = math.sin(th), math.cos(th)
-            mid = 0.5 * cos - 0.5 * sin  # the offset of the disk's centre
-            buckets.append(_Buckets(sin, cos, resolution, mid - radius, mid + radius))
-        for points in _chunks(batches):
-            for b in buckets:
-                b.add(points)
+    def walk(_count: int, batches: Iterator[np.ndarray]) -> None:  # past the checks of scale and budget
+        nonlocal buckets, margin
+        buckets = _Buckets(sin, cos, resolution, mid - radius, mid + radius)
+        margin = _rounding_margin(perturbed, resolution / 2.0, radius)
+        for points in batches:
+            buckets.add(points)
 
-    walked = attractor_points(perturbed, resolution / 2.0, budget=budget, consume=walk)
+    walked = attractor_points(
+        perturbed, resolution / 2.0, budget, consume=walk, prune=lambda u: buckets.interior(u, radius, margin)
+    )
     geom = cand.geom
     rows = np.unique(np.array([geom.nearest_row(th)[1] for th in thetas], dtype=np.int64))
     runs = cand.L.only(rows)
     words = two_letter_words(perturbed.letter_maps())
     witness = first_witness_rows(words, runs, GridMembership(geom, cand.L, cand.check_slack))
     return [
-        certify_projection_interval(walked, th, resolution, geom, (runs, witness), b.extremes())
-        for th, b in zip(thetas, buckets)
+        certify_projection_interval(walked, th, resolution, geom, (runs, witness), buckets.extremes(i))
+        for i, th in enumerate(thetas)
     ]

@@ -32,8 +32,10 @@ from ifsproj import (
     stopping_cylinders,
     two_letter_words,
 )
+import ifsproj.ifs
 import ifsproj.recurrence
 from ifsproj.ifs import MapArrays
+from ifsproj.lines import offsets
 from ifsproj.recurrence import (
     _MIN_LENGTH_FACTOR,
     _cover,
@@ -1051,7 +1053,7 @@ def coarse_lines_candidate() -> RecurrentCandidate:
 def test_streamed_certificates_hold_no_sample_sized_array(traced_peak):
     """`certify_projection_intervals` at four angles allocates under a
     fifth of its samples' bytes (n x 16): the samples are
-    streamed, never held (measured 0.05; the gathered samples alone are
+    streamed, never held (measured 0.042; the gathered samples alone are
     1.0)."""
     four = get_builtin("four_corner")
     perturbed = build_perturbed_ifs(four, omega_from_json(four, BENCH_OMEGA), RunConfig().c1, 2.0**-7)
@@ -1137,11 +1139,12 @@ def _turned_four_corner():
 
 def test_attractor_lies_in_the_invariant_disk():
     """At 20 angles k pi / 20 every attractor sample's offset lies within
-    the invariant disk's radius of its centre's offset, up to rounding
-    (1e-12), on every built-in, on the turned and reflected four-corner set
-    and on four_corner under the benchmark's seed-1 omega. On four_corner
-    the disk is the square's circumscribed disk, and some sample lies on
-    its rim, so the band is tight there."""
+    the invariant disk's radius of its centre's offset, up to the derived
+    rounding margin (`_rounding_margin`, below 1e-12 on each of these), on
+    every built-in, on the turned and reflected four-corner set and on
+    four_corner under the benchmark's seed-1 omega. On four_corner the disk
+    is the square's circumscribed disk, and some sample lies on its rim, so
+    the band is tight there."""
     four = get_builtin("four_corner")
     omega = omega_from_json(four, BENCH_OMEGA)
     systems = {
@@ -1153,15 +1156,201 @@ def test_attractor_lies_in_the_invariant_disk():
     }
     for name, (ifs, scale) in systems.items():
         radius = ifsproj.recurrence._invariant_radius(ifs)
+        margin = ifsproj.recurrence._rounding_margin(ifs, scale, radius)
         samples = attractor_points(ifs, scale)
         reach = 0.0
         for theta in np.arange(20) * (math.pi / 20):
             mid = 0.5 * math.cos(theta) - 0.5 * math.sin(theta)
             reach = max(reach, np.abs(project_point(theta, samples) - mid).max())
-        assert reach <= radius + 1e-12, name
+        assert 0 < margin < 1e-12 and reach <= radius + margin, name
         if name == "four_corner":
             assert radius == pytest.approx(math.sqrt(0.5), abs=1e-15)
             assert reach == pytest.approx(radius, abs=1e-12)
+
+
+@pytest.fixture
+def leaves_imaged(monkeypatch):
+    """A list that gets, for each walk of the stopping words, the number of
+    words whose maps the walk yields: the samples it images."""
+    counts = []
+    batches = ifsproj.measure.stopping_batches
+
+    def spy(*args, **kwargs):
+        count, walk = batches(*args, **kwargs)
+        counts.append(0)
+
+        def counted():
+            for maps in walk:
+                counts[-1] += len(maps.ratio)
+                yield maps
+
+        return count, counted()
+
+    monkeypatch.setattr(ifsproj.measure, "stopping_batches", spy)
+    return counts
+
+
+def _pruning_case(name):
+    """A system, its angles in one call each, a resolution, the angles to
+    check against sorting (None: all) and the greatest share of the words
+    the walk may image (None: all of them, as when one angle's projection
+    has gaps; `_Buckets.add` still drops samples at the other angles once a
+    chunk of _CHUNK / len(angles) samples is in)."""
+    spread = [float(th) for th in np.arange(16) * (math.pi / 16) + 0.1]
+    four, c3 = get_builtin("four_corner"), cantor_product()
+    bench = build_perturbed_ifs(four, omega_from_json(four, BENCH_OMEGA), RunConfig().c1, 2.0**-7)
+    tenths = [float(th) for th in np.arange(10) * (math.pi / 10) + 0.05]
+    slopes = [math.atan(q) for q in (1 / 3, 1 / 2, 1, 2, 3)]  # C + q C is an interval
+    dust = get_builtin("cantor_dust")
+    return {
+        # four-corner-verify's system at ten angles, sorted at two
+        "benchmark": (bench, [tenths], 1e-3, tenths[::5], 0.5),
+        # the largest gaps near an axis are a few thousandths of a resolution
+        "four_corner": (four, [[0.01, math.pi / 2 + 0.01, math.pi / 4, *spread]], 2.0**-7, None, 1.0),
+        # 15 wide gaps at theta 0, among 64 angles so that a chunk is 512 of the 4^5 samples
+        "c3": (c3, [[0.0, math.atan(0.25), *np.arange(62) * (math.pi / 62) + 0.02]], 1e-2, None, None),
+        # two intervals at slope 1/4, one at each other slope
+        "c3_slopes": (c3, [[math.atan(0.25), *slopes, *(math.pi - th for th in slopes)]], 3e-4, None, 1.0),
+        # one angle a call, where a prefix's disk alone decides
+        "c3_one_angle": (c3, [[th] for th in (math.atan(0.25), *spread[::2])], 3e-4, None, 1.0),
+        # one interval at slopes 1/2 and 2, dust on the diagonal, where the buckets'
+        # edges fall on the corners' offsets; about one sample a bucket
+        "cantor_dust": (dust, [[math.atan(0.5), math.atan(2), math.pi / 4, *spread]], 2**0.5 / 256, None, None),
+        "turned": (_turned_four_corner(), [spread], 1e-3, None, None),
+        "gasket": (get_builtin("sierpinski"), [spread], 2e-3, None, 1.0),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["benchmark", "four_corner", "c3", "c3_slopes", "c3_one_angle", "cantor_dust", "turned", "gasket"]
+)
+def test_pruned_certificates_equal_gathered(name, leaves_imaged):
+    """Pruning changes no certificate: on four-corner-verify's system, on
+    unperturbed four_corner (with two angles near an axis), on C3 (wide
+    gaps at theta 0, two intervals at slope 1/4; also one angle a call),
+    on the Cantor dust, on the turned four-corner set and on the gasket,
+    each certificate of one `certify_projection_intervals` call, which
+    walks the stopping words once, equals `certify_projection_interval`
+    on the gathered `attractor_points` with the same recurrence row, and
+    that of sorting their offsets. Where every angle's projection is an
+    interval, the walk leaves words unimaged: on the benchmark's system
+    more than half of its 4^11."""
+    ifs, calls, resolution, sorted_thetas, share = _pruning_case(name)
+    cand = coarse_lines_candidate()
+    samples = attractor_points(ifs, resolution / 2)
+    recurrence = row_witnesses(ifs, cand, None)
+    for thetas in calls:
+        before = len(leaves_imaged)
+        certs = certify_projection_intervals(ifs, cand, thetas, resolution)
+        (imaged,) = leaves_imaged[before:]
+        assert imaged == len(samples) if share is None else imaged < share * len(samples)
+        for theta, cert in zip(thetas, certs):
+            want = certify_projection_interval(samples, theta, resolution, cand.geom, recurrence)
+            assert cert.to_json_dict() == want.to_json_dict(), theta
+            assert cert.gaps.shape == want.gaps.shape and np.array_equal(cert.gaps, want.gaps), theta
+            if sorted_thetas is None or theta in sorted_thetas:
+                bare = dataclasses.replace(
+                    cert, recurrence_interval=None, recurrence_length=0.0, recurrence_certified=None
+                )
+                assert_certificate_by_sorting(bare, samples, theta, resolution)
+
+
+def test_pruning_keeps_a_sample_past_its_prefix_disk():
+    """Rounding carries some of four_corner's samples past the projected
+    disk of a prefix, f_u(c) +- r_u R: at 64 angles, some depth-9 sample
+    (the maps composed letter by letter as the walk composes them, applied
+    to the first map's fixed point (0, 0)) lies past its depth-4 prefix's
+    disk. With buckets whose edge lies between the disk's end and that
+    sample, and every bucket interior but the sample's, `_Buckets.interior`
+    keeps the prefix: `_rounding_margin` covers the rounding. Without the
+    margin it would drop the prefix and its sample."""
+    four = get_builtin("four_corner")
+    letters = four.letter_maps()
+    (nodes,) = ifsproj.ifs.stopping_batches(four, 2.0**-4)[1]
+    leaves = nodes
+    for _ in range(5):
+        leaves = leaves.compose(letters)
+    points = leaves.images((0.0, 0.0)).reshape(len(nodes.ratio), -1, 2)
+    radius = ifsproj.recurrence._invariant_radius(four)
+    margin = ifsproj.recurrence._rounding_margin(four, 2.0**-9, radius)
+    centre = nodes.images((0.5, 0.5))
+    past = 0
+    for theta in np.arange(64) * (math.pi / 64):
+        sin, cos = math.sin(theta), math.cos(theta)
+        end = offsets(centre[:, 0], centre[:, 1], sin, cos) + nodes.ratio * radius
+        far = offsets(points[..., 0], points[..., 1], sin, cos).max(axis=1)
+        for i in np.flatnonzero(far > end):
+            past += 1
+            step = far[i] - end[i]  # buckets of width step/2 from the disk's end
+            buckets = ifsproj.recurrence._Buckets(sin, cos, step, end[i], far[i] + step)
+            (k,) = buckets._index(np.array([[far[i]]]))[0]
+            assert k > buckets._index(np.array([[end[i]]]))[0, 0]
+            buckets.inner[:] = True
+            buckets.inner[0, k] = False
+            buckets.outer[1:] = np.cumsum(~buckets.inner.reshape(-1))
+            node = nodes.take([i])
+            assert not buckets.interior(node, radius, margin)[0], (theta, i)
+            assert buckets.interior(node, radius, 0.0)[0], (theta, i)
+    assert past > 0
+
+
+def test_interior_needs_close_neighbours():
+    """Rounding can put the extremes of two neighbouring buckets more than
+    the resolution apart: at theta 0, where the offset is y, with buckets of
+    5e-4 from 0.5 - R, the least offset p1 of some bucket and the greatest
+    p2 of the next. A first chunk holds p1 and p2, a neighbour of each
+    within a quarter resolution and copies to fill it; a second chunk adds
+    an offset between p1 and p2. Neither bucket is interior, since their
+    gap exceeds the resolution, so the second chunk's offset is kept: the
+    certificate is that of sorting, with no wide gap."""
+    resolution = 1e-3
+    low = 0.5 - ifsproj.recurrence._invariant_radius(get_builtin("four_corner"))
+    buckets = ifsproj.recurrence._Buckets(0.0, 1.0, resolution, low, low + 1.0)
+
+    def least(k):  # the least offset of bucket k
+        p = low + k * (resolution / 2)
+        while buckets._index(np.array([[p]]))[0, 0] >= k:
+            p = np.nextafter(p, -np.inf)
+        while buckets._index(np.array([[p]]))[0, 0] < k:
+            p = np.nextafter(p, np.inf)
+        return p
+
+    k = next(k for k in range(1, 1000) if np.nextafter(least(k + 2), -np.inf) - least(k) > resolution)
+    p1, p2 = least(k), np.nextafter(least(k + 2), -np.inf)
+    first = np.repeat([p1 - resolution / 4, p1, p2, p2 + resolution / 4], ifsproj.recurrence._CHUNK // 4)
+    offsets_y = np.append(first, p1 + resolution / 4)
+    samples = np.stack([np.zeros_like(offsets_y), offsets_y], axis=1)
+    buckets.add(samples)
+    cert = certify_projection_interval(samples, 0.0, resolution, extremes=buckets.extremes())
+    assert_certificate_by_sorting(cert, samples, 0.0, resolution)
+    assert len(cert.gaps) == 0
+
+
+def test_bucket_certificate_ignores_sample_order():
+    """Buckets spanning the invariant disk, fed four_corner's 4^9 samples in
+    a shuffled order, drop those that fall in interior buckets, chunk by
+    chunk, and still give the certificate of sorting every offset: the
+    first and the last nonempty bucket are never interior, so no later
+    chunk's extreme there is dropped."""
+    four = get_builtin("four_corner")
+    radius = ifsproj.recurrence._invariant_radius(four)
+    samples = attractor_points(four, 2.0**-9)
+    samples = samples[np.random.default_rng(1).permutation(len(samples))]
+    for theta in (0.3, 0.7, 1.2, 2.0):
+        sin, cos = math.sin(theta), math.cos(theta)
+        mid = 0.5 * cos - 0.5 * sin
+        buckets = ifsproj.recurrence._Buckets(sin, cos, 2.0**-8, mid - radius, mid + radius)
+        buckets.add(samples)
+        cert = certify_projection_interval(samples, theta, 2.0**-8, extremes=buckets.extremes())
+        assert_certificate_by_sorting(cert, samples, theta, 2.0**-8)
+
+
+def test_no_angle_images_no_sample(leaves_imaged):
+    """With no angle every prefix node prunes, the root first: no stopping
+    word is imaged and there is no certificate."""
+    four = get_builtin("four_corner")
+    assert certify_projection_intervals(four, coarse_lines_candidate(), [], 1e-3) == []
+    assert leaves_imaged == [0]
 
 
 def test_c3_gap_scan_over_lambda():
