@@ -455,11 +455,9 @@ def stopping_batches(
     _BATCH nodes after them are expanded (`_expand`) and pushed back in
     their place. Every map is computed by the same elementwise formula
     whatever the batch, so the maps do not depend on _BATCH, and memory
-    stays at a few batches per tree level.
-
-    prune, given, gets each batch's active nodes before expansion and returns
-    True for those to drop with all their words, which the count still holds.
-    """
+    stays at a few batches per tree level. prune, given, gets each batch's
+    nodes before expansion and returns True for those to drop with all
+    their words, which the count still holds."""
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0,1), got {rho}")
     letters = ifs.letter_maps()
@@ -484,8 +482,7 @@ def stopping_batches(
                 stack.append((maps.take(slice(stop, None)), active[stop:]))
             nodes, live = maps.take(slice(first, stop)), active[first:stop]
             if prune is not None:
-                keep = ~live
-                keep[live] = ~prune(nodes.take(live))
+                keep = ~prune(nodes)
                 nodes, live = nodes.take(keep), live[keep]
             if len(live):
                 stack.append(_expand(nodes, live, letters, rho))

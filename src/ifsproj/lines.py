@@ -40,14 +40,9 @@ def _fold(theta_raw) -> tuple[np.ndarray, np.ndarray]:
 def offsets(x, y, sin, cos) -> np.ndarray:
     """y cos(theta) - x sin(theta): the offset t of the line at angle theta
     through the point (x, y), given the angle's sine and cosine. The
-    arguments broadcast. A result of at most _CHUNK entries is computed at
-    once; a longer one by a buffered iterator, which hands out _CHUNK
-    entries at a time, so a long point array is read once and no temporary
-    grows past a chunk."""
-    if (grid := np.broadcast(x, y, sin, cos)).size <= _CHUNK:
-        out = np.multiply(y, cos, out=np.empty(grid.shape))
-        out -= np.multiply(x, sin)
-        return out
+    arguments broadcast. A buffered iterator hands out _CHUNK entries at a
+    time, so a long point array is read once and no temporary grows past a
+    chunk."""
     it = np.nditer(
         [x, y, sin, cos, None],
         ["external_loop", "buffered", "zerosize_ok"],

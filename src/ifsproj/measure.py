@@ -41,14 +41,12 @@ def stopping_cylinders(
     count and an iterator over each batch's points, an array (m, 2) from
     the same `MapArrays.images` call, and nothing is kept. The points
     returned then have no columns, their length still the count, and the
-    ratios are None. prune, allowed only with consume, goes to
+    ratios are None. prune, for that streamed route, goes to
     `ifs.stopping_batches`; the count still includes the words it drops.
 
     The default point is the square center; passing an attractor point makes
     every f_w(point) an attractor point too.
     """
-    if prune is not None and consume is None:
-        raise ValueError("prune needs consume: a gathered cover holds every word")
     count, batches = stopping_batches(ifs, rho, budget=budget, prune=prune)
     if consume is not None:
         consume(count, (maps.images(point) for maps in batches))

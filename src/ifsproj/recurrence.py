@@ -821,13 +821,10 @@ def attractor_points(
     count and the points batch by batch instead, and nothing is kept: the
     array returned then has no columns, its length still the count
     (`stopping_cylinders`). Either way the points are bit for bit the
-    same. prune, given with consume, drops prefix nodes with their words
-    (`ifs.stopping_batches`)."""
+    same. prune, with consume, drops prefixes (`ifs.stopping_batches`)."""
     f0 = ifs.maps[ifs.alphabet[0]]
     p0 = np.linalg.solve(np.eye(2) - f0.linear(), np.asarray(f0.translation))
-    pts, _ = stopping_cylinders(
-        ifs, scale, budget, (p0[0], p0[1]), with_ratios=False, consume=consume, prune=prune
-    )
+    pts, _ = stopping_cylinders(ifs, scale, budget, (p0[0], p0[1]), False, consume, prune)
     return pts
 
 
@@ -844,18 +841,17 @@ def _invariant_radius(ifs: IfsSpec) -> float:
 
 def _rounding_margin(ifs: IfsSpec, scale: float, radius: float) -> float:
     """A bound on how far rounding carries the offset of a sample of
-    `attractor_points(ifs, scale)` past that of a prefix u's centre f_u(c)
-    plus or minus r_u R (R = radius), as the walk and `_Buckets.interior`
-    compute them. With u = 2^-53, cos and sin within 4u, r = max_a r_a, M
-    = 2 + R + max_a |t_a| bounding every point, centre and translation, D =
-    ceil(log scale / log r) + 1 letters a word at most (the 1 for rounded
-    ratio products) and A = D max_a angle_a bounding every angle summed: a
-    step of `MapArrays.compose` moves the image of a disk point by u M (A +
-    15) at most (u the ratio, u A the angle, 13u |t_a| + u |t| the
-    translation), `images` errs by 14u M, `offsets` by 3u M, rounded sin
-    and cos widen the disk by 6u R, the fixed point and R by 35u M / (1 -
-    r) (its system's condition is at most (1 + r)/(1 - r)), the interval's
-    ends by 4u M: over D steps, below u M (D + 8)(A + 16)/(1 - r) in all."""
+    `attractor_points(ifs, scale)` past f_u(c)'s +- r_u R (R = radius) for
+    its prefix u, as the walk and `_Buckets.interior` compute them. With u
+    = 2^-53, cos and sin within 4u, r = max_a r_a, M = 2 + R + max_a |t_a|
+    bounding every point, centre and translation, D = ceil(log scale / log
+    r) + 1 letters a word at most (1 for rounded ratio products), A = D
+    max_a angle_a: a `MapArrays.compose` step moves a disk point's image by
+    u M (A + 15) at most (u the ratio, u A the angle, 13u |t_a| + u |t| the
+    translation), `images` errs by 14u M, `offsets` by 3u M, sin and cos
+    widen the disk by 6u R, the fixed point and R by 35u M / (1 - r)
+    (condition at most (1 + r)/(1 - r)), the interval's ends by 4u M: over
+    D steps, below u M (D + 8)(A + 16)/(1 - r) in all."""
     letters = ifs.letter_maps()
     r = float(letters.ratio.max())
     depth = math.ceil(math.log(scale) / math.log(r)) + 1
@@ -868,10 +864,9 @@ _MIN_LENGTH_FACTOR = 10.0  # a certified interval spans this many resolutions
 
 class _Buckets:
     """The least and the greatest sample offset (`lines.offsets`) in each
-    bucket of width resolution/2, a row of buckets per angle spanning its
-    offsets [low, high] (and closed by a spare bucket that stays empty);
-    fed the samples chunk by chunk (`add`), so no array as long as the
-    samples is held.
+    bucket of width resolution/2, a row per angle spanning its offsets
+    [low, high] and a spare bucket, empty; fed the samples chunk by chunk
+    (`add`), so no array as long as the samples is held.
 
     A sample's bucket is monotone in its offset (rounding is monotone, and
     so is clipping to the buckets, which puts an offset rounded past the
@@ -901,15 +896,16 @@ class _Buckets:
     A bucket is interior once the gaps from its neighbours' extremes to its
     own are at most the resolution (merely nonempty neighbours can lie
     further apart by rounding); end buckets never are. `add` drops samples
-    in interior buckets, and `interior` finds the prefixes whose samples
-    all would be. No bucket turns empty, and an interior bucket's gaps only
-    shrink as its neighbours fill, so they, and those of its samples, are
-    never wide. Every wide gap, the largest and every run's end that
-    `_gap_scan` reads thus lie at buckets never interior, which hold their
-    true extremes: the certificates do not change."""
+    in buckets marked interior (`_mark`: the marks lag), and `interior`
+    finds the prefixes whose samples all would be. No bucket turns empty,
+    and an interior bucket's gaps only shrink as its neighbours fill, so
+    they, and those of its samples, are never wide. Every wide gap, the
+    largest and every run's end that `_gap_scan` reads thus lie at buckets
+    never interior, which hold their true extremes: the certificates do
+    not change."""
 
     def __init__(self, sin, cos, resolution: float, low, high):
-        self.sin, self.cos = np.atleast_1d(sin)[:, None], np.atleast_1d(cos)[:, None]
+        self.sin, self.cos = np.atleast_1d(sin), np.atleast_1d(cos)
         self.resolution, self.scale, self.origin = resolution, 2.0 / resolution, np.atleast_1d(low)[:, None]
         count = int(((np.atleast_1d(high)[:, None] - self.origin) * self.scale).max(initial=0)) + 1
         self.least, self.greatest = np.full((2, len(self.sin), count + 1), [[[math.inf]], [[-math.inf]]])
@@ -917,6 +913,15 @@ class _Buckets:
         self.outer = np.arange(self.least.size + 1, dtype=np.int32)  # buckets before each not interior
         self.rows = np.arange(len(self.sin), dtype=np.int32)[:, None] * (count + 1)
         self.step = max(_CHUNK // max(len(self.sin), 1), 1)  # samples whose offsets number _CHUNK
+        self.unmarked = 0  # offsets computed since the interior buckets were marked
+
+    def _offsets(self, points: np.ndarray) -> np.ndarray:
+        """The points' offsets, a row an angle (`offsets` would copy a broadcast column)."""
+        pos = np.empty((len(self.sin), len(points)))
+        for row, sin, cos in zip(pos, self.sin, self.cos):
+            row[:] = offsets(points[:, 0], points[:, 1], sin, cos)
+        self.unmarked += pos.size
+        return pos
 
     def _index(self, pos: np.ndarray) -> np.ndarray:
         """Each offset's bucket in the flattened rows; pos is overwritten."""
@@ -924,25 +929,31 @@ class _Buckets:
         pos *= self.scale
         return np.clip(pos, 0, self.least.shape[1] - 2, out=pos).astype(np.int32) + self.rows
 
+    def _mark(self) -> None:
+        """Mark the interior buckets once the offsets computed since the last marks number them."""
+        if self.unmarked >= self.least.size:
+            close = self.least[:, 1:] - self.greatest[:, :-1] <= self.resolution
+            self.inner[:, 1:-1] = close[:, :-1] & close[:, 1:]
+            np.cumsum(~self.inner.reshape(-1), out=self.outer[1:])
+            self.unmarked = 0
+
     def add(self, points: np.ndarray) -> None:
-        """Take in the samples of an array (m, 2) at every angle, step at a
-        time, marking the interior buckets after each step."""
+        """Take in the samples of an array (m, 2) at every angle, step at a time."""
         for i in range(0, len(points), self.step):
-            pos = offsets(points[i : i + self.step, 0], points[i : i + self.step, 1], self.sin, self.cos)
+            pos = self._offsets(points[i : i + self.step])
             k = self._index(pos.copy())
             kept = ~self.inner.reshape(-1).take(k)
             k, pos = k[kept], pos[kept]
             np.minimum.at(self.least.reshape(-1), k, pos)
             np.maximum.at(self.greatest.reshape(-1), k, pos)
-            close = self.least[:, 1:] - self.greatest[:, :-1] <= self.resolution
-            self.inner[:, 1:-1] = close[:, :-1] & close[:, 1:]
-            np.cumsum(~self.inner.reshape(-1), out=self.outer[1:])
+            self._mark()
 
     def interior(self, nodes: MapArrays, radius: float, margin: float) -> np.ndarray:
         """Whether, at every angle, every offset within r_u radius + margin
-        of that of a node u's centre f_u(c) falls in an interior bucket."""
+        of that of a node u's centre f_u(c) falls in a marked bucket."""
         centre, reach = nodes.images((0.5, 0.5)), nodes.ratio * radius + margin
-        pos = offsets(centre[:, 0], centre[:, 1], self.sin, self.cos)
+        pos = self._offsets(centre)
+        self._mark()
         first = self.outer.take(self._index(pos - reach))
         return (self.outer.take(self._index(pos + reach) + 1) == first).all(0)
 
@@ -1082,14 +1093,13 @@ def certify_projection_intervals(
     `attractor_points` at resolution/2, without an array of the samples.
 
     One streamed walk of the stopping words (`attractor_points` with a
-    consumer, within the word budget, which is checked before any map is
-    composed or any bucket made) feeds one `_Buckets`, a row per angle, and
-    `certify_projection_interval` finishes each angle from its row's
-    extremes. The rows, half the resolution wide, span the projection of
-    the invariant disk (`_invariant_radius`), which holds every sample but
-    those that rounding pushes past it into an end bucket. The walk drops a
-    prefix u whose samples would all fall in interior buckets, as every
-    offset within r_u R + `_rounding_margin` of f_u(c)'s does at every
+    consumer, within the word budget, checked before any map is composed or
+    any bucket made) feeds one `_Buckets`, a row per angle, whose extremes
+    `certify_projection_interval` finishes. Its buckets, half the
+    resolution wide, span the projection of the invariant disk
+    (`_invariant_radius`); rounding pushes a sample past it only into an
+    end bucket. The walk drops a prefix u whose offsets within r_u R +
+    `_rounding_margin` of f_u(c)'s all fall in interior buckets at every
     angle (`_Buckets.interior`); with no angle it images nothing. The row
     route (`first_witness_rows`) runs on the L rows nearest the angles
     alone (`RowRuns.only`), into L at the check slack."""

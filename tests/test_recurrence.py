@@ -1194,8 +1194,9 @@ def _pruning_case(name):
     """A system, its angles in one call each, a resolution, the angles to
     check against sorting (None: all) and the greatest share of the words
     the walk may image (None: all of them, as when one angle's projection
-    has gaps; `_Buckets.add` still drops samples at the other angles once a
-    chunk of _CHUNK / len(angles) samples is in)."""
+    has gaps, or when the walk is nearly done before some prefix's buckets
+    are marked interior at every angle; `_Buckets.add` still drops samples
+    at the angles where they are)."""
     spread = [float(th) for th in np.arange(16) * (math.pi / 16) + 0.1]
     four, c3 = get_builtin("four_corner"), cantor_product()
     bench = build_perturbed_ifs(four, omega_from_json(four, BENCH_OMEGA), RunConfig().c1, 2.0**-7)
@@ -1209,8 +1210,9 @@ def _pruning_case(name):
         "four_corner": (four, [[0.01, math.pi / 2 + 0.01, math.pi / 4, *spread]], 2.0**-7, None, 1.0),
         # 15 wide gaps at theta 0, among 64 angles so that a chunk is 512 of the 4^5 samples
         "c3": (c3, [[0.0, math.atan(0.25), *np.arange(62) * (math.pi / 62) + 0.02]], 1e-2, None, None),
-        # two intervals at slope 1/4, one at each other slope
-        "c3_slopes": (c3, [[math.atan(0.25), *slopes, *(math.pi - th for th in slopes)]], 3e-4, None, 1.0),
+        # two intervals at slope 1/4, one at each other slope; 104K buckets, marked
+        # every 9.5K samples, leave no prefix to drop
+        "c3_slopes": (c3, [[math.atan(0.25), *slopes, *(math.pi - th for th in slopes)]], 3e-4, None, None),
         # one angle a call, where a prefix's disk alone decides
         "c3_one_angle": (c3, [[th] for th in (math.atan(0.25), *spread[::2])], 3e-4, None, 1.0),
         # one interval at slopes 1/2 and 2, dust on the diagonal, where the buckets'
@@ -1343,6 +1345,40 @@ def test_bucket_certificate_ignores_sample_order():
         buckets.add(samples)
         cert = certify_projection_interval(samples, theta, 2.0**-8, extremes=buckets.extremes())
         assert_certificate_by_sorting(cert, samples, theta, 2.0**-8)
+
+
+def test_marking_costs_no_more_than_the_offsets(monkeypatch):
+    """On the Cantor dust at resolution 1e-5 and four angles, whose 1.1M
+    buckets outnumber the offsets of a step of the walk many times over,
+    `_Buckets` passes over its buckets to mark them no more often than
+    the offsets it computes fill them: the buckets passed over in marking
+    number no more than those offsets. The certificates equal those on
+    the gathered samples."""
+    dust, cand = get_builtin("cantor_dust"), coarse_lines_candidate()
+    thetas = [math.atan(0.5), 0.7, math.pi / 4, 2.5]
+    computed, marked = [], []
+    compute, mark = ifsproj.recurrence._Buckets._offsets, ifsproj.recurrence._Buckets._mark
+
+    def spy_compute(self, points):
+        pos = compute(self, points)
+        computed.append(pos.size)
+        return pos
+
+    def spy_mark(self):
+        unmarked = self.unmarked
+        mark(self)
+        if unmarked and not self.unmarked:
+            marked.append(self.least.size)
+
+    monkeypatch.setattr(ifsproj.recurrence._Buckets, "_offsets", spy_compute)
+    monkeypatch.setattr(ifsproj.recurrence._Buckets, "_mark", spy_mark)
+    certs = certify_projection_intervals(dust, cand, thetas, 1e-5)
+    assert sum(marked) <= sum(computed) and len(marked) < len(computed) / 10
+    monkeypatch.undo()
+    samples = attractor_points(dust, 5e-6)
+    for theta, cert in zip(thetas, certs):
+        want = certify_projection_interval(samples, theta, 1e-5, cand.geom, row_witnesses(dust, cand, None))
+        assert cert.to_json_dict() == want.to_json_dict(), theta
 
 
 def test_no_angle_images_no_sample(leaves_imaged):
