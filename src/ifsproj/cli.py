@@ -12,13 +12,12 @@ import argparse
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
 from .config import RunConfig, build_pipeline, load_config, override, read_json_file
 from .errors import BudgetExceeded, ConfigError
-from .ifs import IfsSpec, check_osc_unit_square
+from .ifs import IfsSpec, _outside, check_osc_unit_square
 from .measure import DirectionSet, build_E, stopping_cylinders
 from .recurrence import RecurrentCandidate, certify_projection_intervals, check_recurrence
 from .search import (
@@ -31,19 +30,9 @@ from .search import (
 )
 
 
-def _np_default(o):
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
-
-
 def _write_json(path: str, obj) -> str:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2, default=_np_default))
+        fh.write(json.dumps(obj, sort_keys=True, indent=2))
         fh.write("\n")
     return path
 
@@ -67,13 +56,12 @@ def _build_pipeline(cfg: RunConfig):
 
 
 def _perturbed(ifs: IfsSpec, omega: np.ndarray, cfg: RunConfig) -> IfsSpec:
-    """`build_perturbed_ifs`, with its note that a perturbed square leaves
-    I printed as a plain warning line on stderr, like the other notes."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        perturbed = build_perturbed_ifs(ifs, omega, cfg.c1, cfg.rho)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    """`build_perturbed_ifs`, with a warning on stderr when a perturbed
+    square leaves I."""
+    perturbed = build_perturbed_ifs(ifs, omega, cfg.c1, cfg.rho)
+    outside = _outside(perturbed)
+    if outside:
+        print(f"warning: maps {outside} send the unit square outside itself", file=sys.stderr)
     return perturbed
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .ifs import IfsSpec, ifs_from_json_dict
+from .ifs import IfsSpec, _finite_number, ifs_from_json_dict
 from .measure import DirectionSet, build_E, measured_c9
 from .recurrence import (
     GridGeometry,
@@ -96,7 +96,7 @@ class RunConfig:
             if v is not None:
                 pos[name] = v
         for name, v in pos.items():
-            if not ((_is_int(v) or isinstance(v, float)) and math.isfinite(v) and v > 0):
+            if not (_finite_number(v) and v > 0):
                 raise ConfigError(f"{name}: must be a positive number, got {v!r}")
         if self.rho >= 1:
             raise ConfigError(f"rho: must be < 1, got {self.rho}")

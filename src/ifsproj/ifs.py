@@ -15,7 +15,6 @@ machine that ran them.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from itertools import combinations
@@ -199,28 +198,23 @@ def default_partition(alphabet: Sequence[str]) -> tuple[tuple[str, ...], tuple[s
     return tuple(alphabet[:k]), tuple(alphabet[k:])
 
 
-def _outside(ifs: IfsSpec, corners: np.ndarray, tol: float) -> list[str]:
-    """The symbols a whose square f_a(I), given by its corners (one (4, 2)
-    array per symbol), reaches more than tol outside I."""
+_CONTAINMENT_TOL = 1e-9  # how far a map may send a corner of I outside I
+
+
+def _outside(ifs: IfsSpec, tol: float = _CONTAINMENT_TOL) -> list[str]:
+    """The symbols a whose square f_a(I) reaches more than tol outside I."""
+    corners = ifs.letter_maps().images(_CORNERS)
     far = (corners.min(axis=(1, 2)) < -tol) | (corners.max(axis=(1, 2)) > 1.0 + tol)
     return [a for a, out in zip(ifs.alphabet, far) if out]
-
-
-_CONTAINMENT_TOL = 1e-9  # how far a map may send a corner of I outside I
 
 
 def make_ifs(
     maps: Mapping[str, Similarity],
     part_one: Sequence[str] | None = None,
     alphabet: Sequence[str] | None = None,
-    check_containment: bool = True,
 ) -> IfsSpec:
-    """Assemble an IfsSpec, optionally verifying f_a(I) within the unit square.
-
-    Containment failures raise by default; pass check_containment=False to
-    downgrade them to a warning (used for perturbed systems that may poke
-    slightly outside I).
-    """
+    """Assemble an IfsSpec, verifying f_a(I) within the unit square: a map
+    that sends I outside itself raises ConfigError."""
     if alphabet is None:
         alphabet = tuple(maps.keys())
     else:
@@ -231,12 +225,9 @@ def make_ifs(
         part_one = tuple(part_one)
         part_two = tuple(a for a in alphabet if a not in set(part_one))
     spec = IfsSpec(alphabet=alphabet, maps=dict(maps), part_one=part_one, part_two=part_two)
-    outside = _outside(spec, spec.letter_maps().images(_CORNERS), _CONTAINMENT_TOL)
+    outside = _outside(spec)
     if outside:
-        msg = f"maps {outside} send the unit square outside itself"
-        if check_containment:
-            raise ConfigError(msg)
-        warnings.warn(msg, stacklevel=2)
+        raise ConfigError(f"maps {outside} send the unit square outside itself")
     return spec
 
 
@@ -318,8 +309,8 @@ def similarity_dimension(ratios: Sequence[float]) -> float:
         return math.fsum(r**d for r in ratios) - 1.0
 
     lo, hi = 1e-9, 64.0
-    if g(hi) >= 0.0:
-        raise ValueError("similarity dimension exceeds solver range")
+    while g(hi) >= 0.0:  # every ratio is below 1, so g falls to -1
+        hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if g(mid) > 0.0:
@@ -361,7 +352,7 @@ def check_osc_unit_square(ifs: IfsSpec, tol: float = 1e-12) -> OscReport:
     first-level images. Sufficient, not necessary, for the OSC proper.
     """
     corners = ifs.letter_maps().images(_CORNERS)
-    not_contained = _outside(ifs, corners, tol)
+    not_contained = _outside(ifs, tol)
     overlapping = [
         (ifs.alphabet[i], ifs.alphabet[j])
         for i, j in combinations(range(len(ifs.alphabet)), 2)
@@ -377,30 +368,33 @@ def check_osc_unit_square(ifs: IfsSpec, tol: float = 1e-12) -> OscReport:
 _BATCH = 1 << 11  # prefix-tree nodes expanded at a time: a batch's maps stay in cache
 
 
-def _count_cover(ratios: np.ndarray, rho: float, budget: int | None) -> int:
-    """The number of stopping words at scale rho, from the letters' ratios
-    alone, counted level by level on the prefix tree that
-    `stopping_batches` walks. A node's subtree depends only on its ratio, so
-    each level's active nodes are kept as a count per distinct ratio;
-    products are taken left to right, as `MapArrays.compose` takes them.
+def stopping_ratios(ifs: IfsSpec, rho: float, budget: int | None = None) -> dict[float, int]:
+    """The ratios of the stopping words at scale rho (see
+    `stopping_batches`), each with its number of words, from the letters'
+    ratios alone, level by level on the prefix tree that `stopping_batches`
+    walks. A node's subtree depends only on its ratio, so each level's
+    active nodes are kept as a count per distinct ratio; products are taken
+    left to right, as `MapArrays.compose` takes them, so the ratios are
+    those of the words' maps bit for bit. No map is composed.
 
-    After each level, done + k * (active nodes), k the number of letters,
-    is a lower bound on the count that never decreases and equals it at
-    the end, so BudgetExceeded (partial = that bound) is raised exactly
-    when the cover has more than budget words."""
-    letters = ratios.tolist()
-    done, level = 0, {1.0: 1}  # distinct ratio -> active nodes of the level
+    After each level, (finished words) + k * (active nodes), k the number
+    of letters, is a lower bound on the count that never decreases and
+    equals it at the end, so BudgetExceeded (partial = that bound) is
+    raised exactly when the cover has more than budget words."""
+    if not (0.0 < rho < 1.0):
+        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    letters = ifs.letter_maps().ratio.tolist()
+    done: dict[float, int] = {}
+    level = {1.0: 1}  # distinct ratio -> active nodes of the level
     while level:
         children: dict[float, int] = {}
         for r, count in level.items():
             for q in letters:
                 child = r * q
-                if child > rho:
-                    children[child] = children.get(child, 0) + count
-                else:
-                    done += count
+                ends = done if child <= rho else children
+                ends[child] = ends.get(child, 0) + count
         level = children
-        total = done + len(letters) * sum(level.values())
+        total = sum(done.values()) + len(letters) * sum(level.values())
         if budget is not None and total > budget:
             raise BudgetExceeded(
                 f"budget exceeded: at least {total} stopping words > {budget}", partial=total
@@ -447,7 +441,7 @@ def stopping_batches(
     words themselves are not kept; `measure.stopping_cylinders` gathers
     the maps' images and ratios.
 
-    The count comes first, from the ratios alone (`_count_cover`), so a
+    The count comes first, from the ratios alone (`stopping_ratios`), so a
     budget overrun raises BudgetExceeded before any map is composed. The
     maps come from a front-first stack of node runs, each run in
     lexicographic order and every node finished (ratio <= rho) or active:
@@ -458,10 +452,8 @@ def stopping_batches(
     stays at a few batches per tree level. prune, given, gets each batch's
     nodes before expansion and returns True for those to drop with all
     their words, which the count still holds."""
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    count = sum(stopping_ratios(ifs, rho, budget).values())
     letters = ifs.letter_maps()
-    count = _count_cover(letters.ratio, rho, budget)
 
     def walk():
         # the root node: the empty word and the identity map

@@ -9,12 +9,12 @@ whose estimated L2 density norm stays below a threshold c5.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import IfsSpec, MapArrays, stopping_batches
+from .ifs import IfsSpec, MapArrays, stopping_batches, stopping_ratios
 from .lines import offsets
 
 
@@ -24,7 +24,7 @@ def stopping_cylinders(
     budget: int | None = None,
     point: tuple[float, float] = (0.5, 0.5),
     with_ratios: bool = True,
-    consume: Callable[[int, Iterator[np.ndarray]], None] | None = None,
+    consume: Callable[[np.ndarray], None] | None = None,
     prune: Callable[[MapArrays], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The points f_w(point) and ratios of the stopping words w at scale
@@ -37,9 +37,9 @@ def stopping_cylinders(
     points are column-major, so that `lines.offsets` reads each coordinate
     contiguously.
 
-    consume, given, streams the points instead: it is called once with the
-    count and an iterator over each batch's points, an array (m, 2) from
-    the same `MapArrays.images` call, and nothing is kept. The points
+    consume, given, streams the points instead: it is called once per
+    batch with the batch's points, an array (m, 2) from the same
+    `MapArrays.images` call, and nothing is kept. The points
     returned then have no columns, their length still the count, and the
     ratios are None. prune, for that streamed route, goes to
     `ifs.stopping_batches`; the count still includes the words it drops.
@@ -49,7 +49,8 @@ def stopping_cylinders(
     """
     count, batches = stopping_batches(ifs, rho, budget=budget, prune=prune)
     if consume is not None:
-        consume(count, (maps.images(point) for maps in batches))
+        for maps in batches:
+            consume(maps.images(point))
         return np.empty((count, 0)), None
     points = np.empty((count, 2), order="F")
     ratios = np.empty(count) if with_ratios else None
@@ -172,13 +173,14 @@ def measured_c9(ifs: IfsSpec, rho: float, budget: int | None = None) -> float:
     more than budget words raises BudgetExceeded.
 
     Projected lengths of a square of side r lie in [r, sqrt(2) r] over all
-    angles, so the angle sup is exact without scanning theta.
+    angles, so the angle sup is exact without scanning theta. The max over
+    words depends only on the distinct word ratios (`ifs.stopping_ratios`),
+    so no map is composed.
     """
     d = ifs.dimension
     half = math.sqrt(rho)
     c9 = 1.0
-    # the max over words only depends on the distinct word ratios
-    for r in np.unique(stopping_cylinders(ifs, half, budget=budget)[1]).tolist():
+    for r in sorted(stopping_ratios(ifs, half, budget)):
         mu = r**d
         c9 = max(c9, mu / rho ** (0.5 * d), rho ** (0.5 * d) / mu)
         c9 = max(c9, math.sqrt(2.0) * r / half, half / r)

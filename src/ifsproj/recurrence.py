@@ -25,14 +25,14 @@ check, full coverage and every certificate's recurrence row) and
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from .ifs import IfsSpec, MapArrays
+from .ifs import IfsSpec, MapArrays, stopping_ratios
 from .lines import _CHUNK, offsets, renormalize_affine, renormalize_arrays
 from .measure import DirectionSet, stopping_cylinders
 
@@ -812,14 +812,14 @@ def attractor_points(
     ifs: IfsSpec,
     scale: float,
     budget: int | None = None,
-    consume: Callable[[int, Iterator[np.ndarray]], None] | None = None,
+    consume: Callable[[np.ndarray], None] | None = None,
     prune: Callable[[MapArrays], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Exact attractor points: images of the first map's fixed point under
     every stopping word at the given scale, from `stopping_cylinders`
     without its ratios, in the words' order. consume, given, is handed the
-    count and the points batch by batch instead, and nothing is kept: the
-    array returned then has no columns, its length still the count
+    points batch by batch instead, and nothing is kept: the array returned
+    then has no columns, its length still the count
     (`stopping_cylinders`). Either way the points are bit for bit the
     same. prune, with consume, drops prefixes (`ifs.stopping_batches`)."""
     f0 = ifs.maps[ifs.alphabet[0]]
@@ -976,19 +976,13 @@ def _gap_scan(
     least[i + 1] - greatest[i] wider than resolution, the largest gap (inf
     with no gap), and (first, last) of the first run of buckets between wide
     gaps with the largest span greatest[last] - least[first]; a run of one
-    bucket spans its extent, and no bucket gives (0, 0). Chunk by chunk, so
-    no array of gaps or flags as long as the buckets is held."""
-    n = max(len(least) - 1, 0)
-    wide, largest = [np.zeros(0, dtype=np.int64)], -math.inf
-    for i in range(0, n, _CHUNK):
-        stop = min(i + _CHUNK, n)
-        gaps = least[i + 1 : stop + 1] - greatest[i:stop]
-        wide.append(i + np.flatnonzero(gaps > resolution))
-        largest = max(largest, float(gaps.max()))
-    wide = np.concatenate(wide)
-    starts, stops = np.append(0, wide + 1), np.append(wide, n)
+    bucket spans its extent, and no bucket gives (0, 0)."""
+    gaps = least[1:] - greatest[:-1]
+    wide = np.flatnonzero(gaps > resolution)
+    largest = float(gaps.max()) if len(gaps) else math.inf
+    starts, stops = np.append(0, wide + 1), np.append(wide, len(gaps))
     best = int(np.argmax(greatest[stops] - least[starts])) if len(least) else 0
-    return wide, largest if n else math.inf, int(starts[best]), int(stops[best])
+    return wide, largest, int(starts[best]), int(stops[best])
 
 
 def certify_projection_interval(
@@ -1092,9 +1086,10 @@ def certify_projection_intervals(
     its recurrence row: those of `certify_projection_interval` on
     `attractor_points` at resolution/2, without an array of the samples.
 
-    One streamed walk of the stopping words (`attractor_points` with a
-    consumer, within the word budget, checked before any map is composed or
-    any bucket made) feeds one `_Buckets`, a row per angle, whose extremes
+    The word budget is checked first (`ifs.stopping_ratios`), before any
+    map is composed or any bucket made. Then one streamed walk of the
+    stopping words (`attractor_points` with a consumer) feeds one
+    `_Buckets`, a row per angle, whose extremes
     `certify_projection_interval` finishes. Its buckets, half the
     resolution wide, span the projection of the invariant disk
     (`_invariant_radius`); rounding pushes a sample past it only into an
@@ -1104,20 +1099,15 @@ def certify_projection_intervals(
     route (`first_witness_rows`) runs on the L rows nearest the angles
     alone (`RowRuns.only`), into L at the check slack."""
     thetas = [float(th) for th in thetas]
+    scale = resolution / 2.0
+    stopping_ratios(perturbed, scale, budget)
     radius = _invariant_radius(perturbed)
     sin, cos = np.array([math.sin(th) for th in thetas]), np.array([math.cos(th) for th in thetas])
     mid = 0.5 * cos - 0.5 * sin  # the offsets of the disk's centre
-    buckets = margin = None
-
-    def walk(_count: int, batches: Iterator[np.ndarray]) -> None:  # past the checks of scale and budget
-        nonlocal buckets, margin
-        buckets = _Buckets(sin, cos, resolution, mid - radius, mid + radius)
-        margin = _rounding_margin(perturbed, resolution / 2.0, radius)
-        for points in batches:
-            buckets.add(points)
-
+    buckets = _Buckets(sin, cos, resolution, mid - radius, mid + radius)
+    margin = _rounding_margin(perturbed, scale, radius)
     walked = attractor_points(
-        perturbed, resolution / 2.0, budget, consume=walk, prune=lambda u: buckets.interior(u, radius, margin)
+        perturbed, scale, budget, consume=buckets.add, prune=lambda u: buckets.interior(u, radius, margin)
     )
     geom = cand.geom
     rows = np.unique(np.array([geom.nearest_row(th)[1] for th in thetas], dtype=np.int64))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .ifs import IfsSpec, MapArrays, Similarity, _finite_number, epsilon_distance, make_ifs
+from .ifs import IfsSpec, MapArrays, Similarity, _finite_number, epsilon_distance
 from .lines import offsets
 from .recurrence import (
     GridGeometry,
@@ -58,8 +58,8 @@ def omega_letters(ifs: IfsSpec, omegas: np.ndarray, c1: float, rho: float) -> Ma
 
 def build_perturbed_ifs(ifs: IfsSpec, omega: np.ndarray, c1: float, rho: float) -> IfsSpec:
     """Apply one assignment, a (part_one, 3) omega row, on part_one, keep
-    part_two; containment of the perturbed squares in I may fail and is
-    only warned about."""
+    part_two. The perturbed squares may leave I, so containment is not
+    checked (`make_ifs` would reject them); the CLI notes it on stderr."""
     if omega.shape != (len(ifs.part_one), 3):
         raise ValueError(f"omega row shape {omega.shape} is not (len(part_one), 3)")
     r, ang, refl, (tx, ty) = omega_letters(ifs, omega[None], c1, rho).take(0)
@@ -67,7 +67,7 @@ def build_perturbed_ifs(ifs: IfsSpec, omega: np.ndarray, c1: float, rho: float) 
         a: Similarity(float(r[i]), float(ang[i]), bool(refl[i]), (tx[i], ty[i]))
         for i, a in enumerate(ifs.alphabet)
     }
-    return make_ifs(maps, part_one=ifs.part_one, alphabet=ifs.alphabet, check_containment=False)
+    return IfsSpec(alphabet=ifs.alphabet, maps=maps, part_one=ifs.part_one, part_two=ifs.part_two)
 
 
 def closeness_report(

@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,14 +17,6 @@ def desk():
     cfg = RunConfig(ifs="sierpinski")
     res, E, cand = build_pipeline(cfg)
     return SimpleNamespace(cfg=cfg, res=res, ifs=res.ifs, geom=cand.geom, E=E, cand=cand)
-
-
-@pytest.fixture(autouse=True)
-def _quiet_containment_warnings():
-    # perturbed systems poke slightly outside I by design
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*send the unit square outside itself")
-        yield
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ifsproj.ifs import IfsSpec, MapArrays
+from ifsproj.ifs import IfsSpec, MapArrays, Similarity, make_ifs
 
 Word = tuple[str, ...]
 
@@ -99,6 +99,20 @@ def draw_assignment(rng: np.random.Generator, ifs: IfsSpec, epsilon: float) -> n
         gx, gy = rng.uniform(-1.0, 1.0, size=2)
         row.append((float(phi), float(gx), float(gy)))
     return np.array(row)
+
+
+def turned_four_corner() -> IfsSpec:
+    """The turned and reflected four-corner set of ratio 1/3 that
+    `scripts/compare_outputs.py` runs as its `*-turned` cases."""
+    third = 1.0 / 3.0
+    return make_ifs(
+        {
+            "a": Similarity(third, math.pi / 2, False, (third, 0.0)),
+            "b": Similarity(third, 0.0, False, (2 * third, 0.0)),
+            "c": Similarity(third, 0.0, False, (0.0, 2 * third)),
+            "d": Similarity(third, 0.0, True, (2 * third, 1.0)),
+        }
+    )
 
 
 def two_letter_words(alphabet, letters) -> list[tuple[Word, MapArrays]]:

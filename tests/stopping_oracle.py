@@ -3,7 +3,9 @@ batched enumerator `ifsproj.ifs.stopping_batches` replaced, kept as test
 oracles. Both walk the prefix tree one node at a time and sort the leaves
 on tuple keys afterwards; they are also the test side's source of the
 words themselves, which `stopping_batches` does not keep. `word_ratio` is the
-ratio of one word, one letter at a time.
+ratio of one word, one letter at a time. `measured_c9` is the comparability
+constant from the gathered walk's ratios, as `ifsproj.measure.measured_c9`
+computed it before it read `ifsproj.ifs.stopping_ratios`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from ifsproj.errors import BudgetExceeded
 from ifsproj.ifs import IfsSpec, MapArrays
+from ifsproj.measure import stopping_cylinders as gathered_cylinders
 from map_oracle import Word, as_word
 
 
@@ -128,3 +131,16 @@ def stopping_cylinders(
     cx = ratios * (cos_v * px - sin_v * sy) + tx
     cy = ratios * (sin_v * px + cos_v * sy) + ty
     return np.column_stack([cx, cy]), ratios
+
+
+def measured_c9(ifs: IfsSpec, rho: float, budget: int | None = None) -> float:
+    """The sandwich constant over the distinct ratios of every stopping word
+    at scale sqrt(rho), gathered by `ifsproj.measure.stopping_cylinders`."""
+    d = ifs.dimension
+    half = math.sqrt(rho)
+    c9 = 1.0
+    for r in np.unique(gathered_cylinders(ifs, half, budget=budget)[1]).tolist():
+        mu = r**d
+        c9 = max(c9, mu / rho ** (0.5 * d), rho ** (0.5 * d) / mu)
+        c9 = max(c9, math.sqrt(2.0) * r / half, half / r)
+    return c9

@@ -171,6 +171,34 @@ def test_dimension_output(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "d = 2.000000000000"
 
 
+def test_dimension_past_64(tmp_path, capsys):
+    """Two maps of ratio 0.999 have d = log 2 / -log 0.999, about 692.8:
+    dimension reports it, and build-l stops at the word budget (exit 3)."""
+    slow = {
+        "alphabet": ["a", "b"],
+        "maps": {"a": {"r": 0.999, "tx": 0.0, "ty": 0.0}, "b": {"r": 0.999, "tx": 0.001, "ty": 0.0}},
+    }
+    p = tmp_path / "slow.json"
+    p.write_text(json.dumps(slow))
+    assert main(["dimension", "--ifs", str(p)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("d = 692.800549")
+    assert float(line[4:]) == pytest.approx(math.log(2.0) / -math.log(0.999), rel=1e-12)
+    assert main(["build-l", "--ifs", str(p), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("budget exceeded")
+
+
+def test_constants_past_the_float_range_are_config_errors(tmp_path, capsys):
+    """A JSON integer too large for a float is not a positive number:
+    epsilon, t_max or cert_resolution given as 10^400 exits 2 with the
+    field's message."""
+    huge = 10**400
+    for block, name in (("constants", "epsilon"), ("grid", "t_max"), ("grid", "cert_resolution")):
+        cfg = coarse_config(tmp_path, **{block: {name: huge}})
+        assert main(["build-l", "--config", cfg]) == 2, name
+        assert capsys.readouterr().err.startswith(f"{name}: must be a positive number, got {huge}"), name
+
+
 def test_dimension_reports_osc_failure(tmp_path, capsys):
     overlapping = {
         "alphabet": ["a", "b"],
@@ -248,7 +276,7 @@ def test_budget_exit_code(tmp_path, capsys):
 
 
 def test_word_budget_bounds_the_measured_c9_cover(tmp_path, capsys):
-    """The measured c9 enumerates the stopping words at sqrt(rho) under the
+    """The measured c9 counts the stopping words at sqrt(rho) under the
     word budget too: at rho 1e-9 that cover has 4^15 words, far more than
     budget 1000 (and at rho 1e-16 more than the default budget), so
     build-l exits 3 before any map is composed."""

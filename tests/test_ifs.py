@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from ifsproj import (
     BudgetExceeded,
     ConfigError,
+    IfsSpec,
     RunConfig,
     Similarity,
+    build_perturbed_ifs,
     check_osc_unit_square,
     epsilon_distance,
     get_builtin,
@@ -19,7 +22,7 @@ from ifsproj import (
     similarity_dimension,
     stopping_cylinders,
 )
-from ifsproj.ifs import MapArrays
+from ifsproj.ifs import MapArrays, _outside
 from map_oracle import apply, compose_word, square_corners
 from renormalize_oracle import invert_map
 from stopping_oracle import stopping_words, word_ratio
@@ -169,14 +172,25 @@ def test_cylinder_square_matches_word_map():
 
 
 def test_make_ifs_containment():
+    """make_ifs rejects a map that sends I outside itself. A perturbed
+    system may do so: `build_perturbed_ifs` builds its spec without the
+    check and emits no Python warning, and `_outside`, the test make_ifs
+    runs, names the maps for the CLI's note."""
     maps = {
         "a": Similarity(0.5, 0.0, False, (0.9, 0.0)),
         "b": Similarity(0.5, 0.0, False, (0.0, 0.0)),
     }
-    with pytest.raises(ConfigError, match="outside"):
+    with pytest.raises(ConfigError, match=r"maps \['a'\] send the unit square outside itself"):
         make_ifs(maps)
-    with pytest.warns(UserWarning, match="outside"):
-        make_ifs(maps, check_containment=False)
+    assert _outside(IfsSpec(("a", "b"), maps, ("a",), ("b",))) == ["a"]
+    four = get_builtin("four_corner")
+    assert _outside(four) == []
+    omega = np.array([[0.2, 0.0, 0.0], [0.0, 0.0, 0.0]])  # turns a's square past I
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        perturbed = build_perturbed_ifs(four, omega, 8.0, 0.05)
+    assert _outside(perturbed) == ["a"]
+    assert (perturbed.part_one, perturbed.part_two) == (four.part_one, four.part_two)
 
 
 def test_ifs_json_errors(tmp_path):

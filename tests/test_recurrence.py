@@ -1105,36 +1105,32 @@ def test_streamed_certificates_check_the_budget_first(monkeypatch):
     """A word budget below the cover raises BudgetExceeded from
     `certify_projection_intervals` with the partial count of
     `attractor_points` (4^5 words at the first level past 1000), before any
-    map is composed, the recurrence row's two-letter words included."""
+    map is composed, the recurrence row's two-letter words included, and
+    before any `_Buckets` is made."""
     four = get_builtin("four_corner")
     with pytest.raises(BudgetExceeded) as gathered:
         attractor_points(four, 5e-4, budget=1000)
-    composed = []
-    compose = MapArrays.compose
+    composed, made = [], []
+    buckets = ifsproj.recurrence._Buckets
+    compose, init = MapArrays.compose, buckets.__init__
 
     def spy(self, inner):
         composed.append(len(self.ratio))
         return compose(self, inner)
 
+    def spy_init(self, *args):
+        made.append(len(args[0]))
+        init(self, *args)
+
     monkeypatch.setattr(MapArrays, "compose", spy)
+    monkeypatch.setattr(buckets, "__init__", spy_init)
     with pytest.raises(BudgetExceeded) as streamed:
         certify_projection_intervals(four, coarse_lines_candidate(), [0.3, 0.7], 1e-3, budget=1000)
     assert streamed.value.partial == gathered.value.partial == 4**5
-    assert composed == []
-
-
-def _turned_four_corner():
-    """The turned and reflected four-corner set of ratio 1/3 that
-    `scripts/compare_outputs.py` runs as its `*-turned` cases."""
-    third = 1.0 / 3.0
-    return make_ifs(
-        {
-            "a": Similarity(third, math.pi / 2, False, (third, 0.0)),
-            "b": Similarity(third, 0.0, False, (2 * third, 0.0)),
-            "c": Similarity(third, 0.0, False, (0.0, 2 * third)),
-            "d": Similarity(third, 0.0, True, (2 * third, 1.0)),
-        }
-    )
+    assert composed == [] and made == []
+    # within the budget, the spies see the walk: one row of buckets per angle
+    certify_projection_intervals(four, coarse_lines_candidate(), [0.3, 0.7], 0.125, budget=1000)
+    assert composed and made == [2]
 
 
 def test_attractor_lies_in_the_invariant_disk():
@@ -1151,7 +1147,7 @@ def test_attractor_lies_in_the_invariant_disk():
         "four_corner": (four, 2.0**-8),
         "sierpinski": (get_builtin("sierpinski"), 2.0**-8),
         "cantor_dust": (get_builtin("cantor_dust"), 4.0**-5),
-        "turned": (_turned_four_corner(), 3.0**-6),
+        "turned": (oracle.turned_four_corner(), 3.0**-6),
         "four_corner_bench": (build_perturbed_ifs(four, omega, RunConfig().c1, 2.0**-7), 2.0**-8),
     }
     for name, (ifs, scale) in systems.items():
@@ -1218,7 +1214,7 @@ def _pruning_case(name):
         # one interval at slopes 1/2 and 2, dust on the diagonal, where the buckets'
         # edges fall on the corners' offsets; about one sample a bucket
         "cantor_dust": (dust, [[math.atan(0.5), math.atan(2), math.pi / 4, *spread]], 2**0.5 / 256, None, None),
-        "turned": (_turned_four_corner(), [spread], 1e-3, None, None),
+        "turned": (oracle.turned_four_corner(), [spread], 1e-3, None, None),
         "gasket": (get_builtin("sierpinski"), [spread], 2e-3, None, 1.0),
     }[name]
 

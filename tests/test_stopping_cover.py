@@ -4,11 +4,12 @@ walkers' words, and bit-identical points and ratios, at the default batch
 size and at batch sizes small enough to split every level."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import stopping_oracle as oracle
-from map_oracle import draw_assignment
+from map_oracle import draw_assignment, turned_four_corner
 
 import ifsproj.ifs
 from ifsproj import (
@@ -22,7 +23,7 @@ from ifsproj import (
     measured_c9,
     stopping_cylinders,
 )
-from ifsproj.ifs import stopping_batches
+from ifsproj.ifs import stopping_batches, stopping_ratios
 
 
 def stopping_cover(ifs, rho, budget=None) -> MapArrays:
@@ -41,6 +42,15 @@ def _mixed_system():
         "a": Similarity(0.5, 0.0, False, (0.0, 0.0)),
         "b": Similarity(0.3, 0.4, False, (0.7, 0.0)),
         "c": Similarity(0.4, 0.0, True, (0.55, 0.95)),
+    }
+    return make_ifs(maps)
+
+
+def _two_ratio_system():
+    """Ratios 1/2 and 0.3, so words of one length end at distinct ratios."""
+    maps = {
+        "a": Similarity(0.5, 0.0, False, (0.0, 0.0)),
+        "b": Similarity(0.3, 0.0, False, (0.7, 0.7)),
     }
     return make_ifs(maps)
 
@@ -179,7 +189,48 @@ def test_budget_overrun_raises_before_composing_maps(traced_peak):
     assert peak < 32 * 2**20
 
 
+RATIO_SYSTEMS = {**SYSTEMS, "turned": turned_four_corner, "two_ratios": _two_ratio_system}
+
+
+@pytest.mark.parametrize("name", list(RATIO_SYSTEMS))
+def test_stopping_ratios_count_the_walked_ratios(name):
+    """`stopping_ratios` holds every ratio of the walked cover
+    (`stopping_cylinders`), bit for bit, with its number of words, and
+    raises BudgetExceeded with the walk's partial count at every budget
+    below the cover."""
+    ifs = RATIO_SYSTEMS[name]()
+    for rho in (0.3, 0.05, 0.004):
+        ratios = stopping_cylinders(ifs, rho)[1]
+        assert stopping_ratios(ifs, rho) == Counter(ratios.tolist())
+        assert stopping_ratios(ifs, rho, budget=len(ratios)) == Counter(ratios.tolist())
+        for budget in {1, len(ratios) // 3, len(ratios) - 1} - {0}:
+            with pytest.raises(BudgetExceeded) as walked:
+                stopping_cylinders(ifs, rho, budget=budget)
+            with pytest.raises(BudgetExceeded) as counted:
+                stopping_ratios(ifs, rho, budget=budget)
+            # a lower bound on the count past the budget, as the walk reports it
+            assert budget < counted.value.partial == walked.value.partial <= len(ratios)
+
+
+@pytest.mark.parametrize("name", list(RATIO_SYSTEMS))
+def test_measured_c9_matches_the_gathered_ratios(name):
+    """`measured_c9` reads the cover's ratios from `stopping_ratios`; it
+    equals, bit for bit, the constant over the walk's gathered ratios
+    (tests/stopping_oracle.py), and raises at the same budget."""
+    ifs = RATIO_SYSTEMS[name]()
+    for rho in (0.3, 0.01, 1e-4):
+        assert measured_c9(ifs, rho) == oracle.measured_c9(ifs, rho)
+    count = len(stopping_cylinders(ifs, 0.01)[1])
+    with pytest.raises(BudgetExceeded) as ei:
+        measured_c9(ifs, 1e-4, budget=count - 1)
+    with pytest.raises(BudgetExceeded) as oracle_ei:
+        oracle.measured_c9(ifs, 1e-4, budget=count - 1)
+    assert ei.value.partial == oracle_ei.value.partial
+
+
 def test_rho_out_of_range():
     for rho in (0.0, 1.0):
         with pytest.raises(ValueError):
             stopping_cylinders(get_builtin("sierpinski"), rho)
+        with pytest.raises(ValueError):
+            stopping_ratios(get_builtin("sierpinski"), rho)

@@ -7,7 +7,6 @@ against the stopping words of the run, so a change of that function's
 return shape that breaks the count fails here too."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -63,13 +62,13 @@ def test_traced_cli_reaches_every_kernel_layer(tmp_path):
     dump = _traced_run(tmp_path, ["verify", *common, "--omega", "omega.json"])
     names = _span_names(dump)
     assert EXPECTED["verify"] <= names, EXPECTED["verify"] - names
-    # verify enumerates the stopping words three times: the system's at
-    # sqrt(rho) for the measured c9, the system's at rho for the direction
-    # scan, and the perturbed system's at cert_resolution / 2 for the
-    # attractor points
+    # verify walks the stopping words twice: the system's at rho for the
+    # direction scan, and the perturbed system's at cert_resolution / 2 for
+    # the attractor points; the measured c9 counts its cover's ratios
+    # without a walk (`ifs.stopping_ratios`)
     rho, c1 = cfg["constants"]["rho"], cfg["constants"]["c1"]
     ifs = get_builtin(cfg["ifs"])
     perturbed = build_perturbed_ifs(ifs, omega_from_json(ifs, omega), c1, rho)
-    scales = ((ifs, math.sqrt(rho)), (ifs, rho), (perturbed, cfg["grid"]["cert_resolution"] / 2))
+    scales = ((ifs, rho), (perturbed, cfg["grid"]["cert_resolution"] / 2))
     words = sum(len(stopping_cylinders(s, scale)[1]) for s, scale in scales)
     assert dump["counts"]["measure.stopping_cylinders.words"] == words
