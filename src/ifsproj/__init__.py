@@ -46,6 +46,7 @@ from .recurrence import (
     check_recurrence,
     first_witness,
     first_witness_rows,
+    recurrence_rows,
     two_letter_words,
 )
 from .search import (

@@ -19,7 +19,7 @@ from .config import RunConfig, build_pipeline, load_config, override, read_json_
 from .errors import BudgetExceeded, ConfigError
 from .ifs import IfsSpec, _outside, check_osc_unit_square
 from .measure import DirectionSet, build_E, stopping_cylinders
-from .recurrence import RecurrentCandidate, certify_projection_intervals, check_recurrence
+from .recurrence import RecurrentCandidate, certify_projection_intervals, check_recurrence, recurrence_rows
 from .search import (
     build_perturbed_ifs,
     closeness_report,
@@ -88,18 +88,17 @@ def _assess(
     omega: np.ndarray,
 ) -> dict:
     """The recurrence check, the closeness report and the certified intervals
-    of one assignment, an omega row: the part that search and verify
-    reports share."""
+    of one assignment, an omega row, each interval with its recurrence row:
+    the part that search and verify reports share."""
     perturbed = _perturbed(ifs, omega, cfg)
     thetas = _sample_e_rows(E, cand, cfg.n_theta_sample, cfg.seed)
     check = check_recurrence(perturbed, cand)
-    certs = certify_projection_intervals(
-        perturbed, cand, thetas, cfg.cert_resolution, cfg.word_budget
-    )
+    certs = certify_projection_intervals(perturbed, thetas, cfg.cert_resolution, cfg.word_budget)
+    rows = recurrence_rows(perturbed, cand, thetas, cfg.cert_resolution)
     return {
         "check": check.to_json_dict(),
         "closeness": closeness_report(ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0),
-        "certified_intervals": [cert.to_json_dict() for cert in certs],
+        "certified_intervals": [{**cert.to_json_dict(), **row} for cert, row in zip(certs, rows)],
     }
 
 
@@ -262,7 +261,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def cmd_certify(cfg: RunConfig, args) -> int:
     if not np.isfinite(args.theta):
         raise ConfigError(f"theta: must be finite, got {args.theta!r}")
-    # the certificate's recurrence row is round(theta / pitch)
+    # the recurrence row is round(theta / pitch)
     if not np.isfinite(args.theta / cfg.geometry().pitch):
         raise ConfigError(f"theta: {args.theta!r} is too large for the theta grid")
     out = _outdir(cfg)
@@ -271,9 +270,8 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     ifs_eval = res.ifs
     if omega is not None:
         ifs_eval = _perturbed(res.ifs, omega, cfg)
-    (cert,) = certify_projection_intervals(
-        ifs_eval, cand, [args.theta], cfg.cert_resolution, cfg.word_budget
-    )
+    (cert,) = certify_projection_intervals(ifs_eval, [args.theta], cfg.cert_resolution, cfg.word_budget)
+    (row,) = recurrence_rows(ifs_eval, cand, [args.theta], cfg.cert_resolution)
     largest = "null" if cert.largest_gap is None else repr(cert.largest_gap)
     gaps_path = os.path.join(out, "certify_gaps.csv")
     with open(gaps_path, "w", encoding="utf-8") as fh:
@@ -284,7 +282,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
             fh.write(f"# interval,{cert.interval[0]!r},{cert.interval[1]!r},{cert.length!r}\n")
         else:
             fh.write(f"# no interval,largest_gap,{largest}\n")
-    report = {"seed": cfg.seed, "omega_file": args.omega, **cert.to_json_dict()}
+    report = {"seed": cfg.seed, "omega_file": args.omega, **cert.to_json_dict(), **row}
     path = _write_json(os.path.join(out, "certify_report.json"), report)
     if cert.certified:
         print(f"interval [{cert.interval[0]!r}, {cert.interval[1]!r}] length {cert.length!r}")

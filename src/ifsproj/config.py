@@ -180,7 +180,8 @@ class ResolvedConstants:
 def build_pipeline(cfg: RunConfig) -> tuple[ResolvedConstants, DirectionSet, RecurrentCandidate]:
     """Resolve the constants, scan the directions into E, run the slice test
     on every E row and assemble the candidate. Raises ConfigError when the
-    attractor's dimension is at most 1."""
+    attractor's dimension is at most 1, and when the candidate is empty,
+    naming the cause."""
     res = cfg.resolve()
     if res.dimension <= 1.0 + 1e-9:
         raise ConfigError("d ≤ 1, theorem hypotheses unmet")
@@ -194,7 +195,15 @@ def build_pipeline(cfg: RunConfig) -> tuple[ResolvedConstants, DirectionSet, Rec
         epsilon=cfg.epsilon,
         budget=cfg.word_budget,
     )
-    slices = SliceBuilder(res.ifs, E, geom, res.slice_params).all_rows()
+    sp = res.slice_params
+    slices = SliceBuilder(res.ifs, E, geom, sp).all_rows()
+    if not len(slices.start):
+        cause = "slice test: no slice produced members"
+        if not E.member.any():
+            cause = f"c5: E holds no direction below {E.c5!r}"
+        elif sp.required_run > sp.n_phi:
+            cause = f"c7: a phi-run above {sp.c7!r} needs {sp.required_run} cells > n_phi = {sp.n_phi}"
+        raise ConfigError(f"{cause}; the candidate is empty")
     return res, E, build_candidate(E, slices, cfg.rho, geom)
 
 

@@ -169,6 +169,9 @@ class IfsSpec:
             raise ConfigError("alphabet must have at least 2 symbols")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ConfigError("alphabet has repeated symbols")
+        for a in self.alphabet:  # word names join symbols, so longer ones would merge them
+            if not (isinstance(a, str) and len(a) == 1):
+                raise ConfigError(f"alphabet: symbol {a!r} is not one character")
         if set(self.maps) != set(self.alphabet):
             raise ConfigError("maps must be keyed exactly by the alphabet")
         if sorted(self.part_one + self.part_two) != sorted(self.alphabet):

@@ -18,7 +18,7 @@ included.
 
 Recurrence has one rule, the first word that sends a line into a membership,
 and two routes with equal witnesses: `first_witness_rows` for grid cells (the
-check, full coverage and every certificate's recurrence row) and
+check, full coverage and the recurrence rows) and
 `first_witness` for scattered lines (probes and the row route's boundary).
 """
 
@@ -87,7 +87,6 @@ class RowRuns(NamedTuple):
     def only(self, rows) -> "RowRuns":
         """The runs of the given rows (ascending) alone, every other row
         empty."""
-        rows = np.atleast_1d(rows)
         count = np.diff(self.ptr)[rows]
         k = _expand(self.ptr[rows], count)
         n = len(self.ptr) - 1
@@ -733,21 +732,23 @@ def _first_true(mask: np.ndarray, k: int) -> np.ndarray:
     return np.array(found[:k], dtype=np.int64)
 
 
+def _check_rule(perturbed: IfsSpec, cand: RecurrentCandidate) -> tuple[MapArrays, GridMembership]:
+    """The check rule: the perturbed system's two-letter words, into the L
+    membership at the check slack (`RecurrentCandidate.check_slack`)."""
+    return two_letter_words(perturbed.letter_maps()), GridMembership(cand.geom, cand.L, cand.check_slack)
+
+
 def check_recurrence(perturbed: IfsSpec, cand: RecurrentCandidate) -> RecurrenceReport:
-    """Does every L cell map back into L (within the check rule's slack,
-    `RecurrentCandidate.check_slack`) under some two-letter word of the
-    perturbed system? The row route (`first_witness_rows`) answers for
-    every cell at once, against the L membership at that slack. Failures
-    are data, not errors.
+    """Does every L cell map back into L under the check rule
+    (`_check_rule`)? The row route (`first_witness_rows`) answers for every
+    cell at once. Failures are data, not errors.
 
     `witness_counts` counts, per word, the cells whose first witness it is;
     the counts sum to `recurred`. The witnesses themselves are dropped on
-    return; a certificate finds those of its own row
-    (`certify_projection_intervals`).
+    return; `recurrence_rows` finds those of its own rows.
     """
     names = ["".join(w) for w in product(perturbed.alphabet, repeat=2)]
-    words = two_letter_words(perturbed.letter_maps())
-    member = GridMembership(cand.geom, cand.L, cand.check_slack)
+    words, member = _check_rule(perturbed, cand)
     witness = first_witness_rows(words, cand.L, member)
     recurred = witness >= 0
     # per word, not np.bincount, which would copy the witnesses as int64
@@ -787,9 +788,6 @@ class IntervalCertificate:
     largest_gap: float | None  # None when no gap exceeds the resolution
     certified: bool
     gaps: np.ndarray  # (left, right) samples of each gap wider than resolution, ascending
-    recurrence_interval: tuple[float, float] | None = None
-    recurrence_length: float = 0.0
-    recurrence_certified: bool | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -800,11 +798,6 @@ class IntervalCertificate:
             "length": self.length,
             "largest_gap": self.largest_gap,
             "certified": self.certified,
-            "recurrence_interval": (
-                list(self.recurrence_interval) if self.recurrence_interval else None
-            ),
-            "recurrence_length": self.recurrence_length,
-            "recurrence_certified": self.recurrence_certified,
         }
 
 
@@ -886,10 +879,8 @@ class _Buckets:
     [k, k + 1), k < K (the bucket count), thus have X within 1 + 6.02u K of
     each other: they lie within (1 + 7u K) resolution/2, and their rounded
     difference within (1 + 8u K) resolution/2. An offset clipped into an end
-    bucket lies past [low, high] only by rounding: not at all when the range
-    is the projection of the samples' bounding box (a rounded offset is
-    monotone in each coordinate), and when it is the projection of an
-    invariant disk (`_invariant_radius`), by less than `_rounding_margin`.
+    bucket lies past [low, high], the projection of an invariant disk
+    (`_invariant_radius`), only by rounding: by less than `_rounding_margin`.
     8u K stays below 2^-3 for any K that fits in memory, and so each extent
     below the resolution; `extremes` checks it all the same.
 
@@ -905,9 +896,9 @@ class _Buckets:
     not change."""
 
     def __init__(self, sin, cos, resolution: float, low, high):
-        self.sin, self.cos = np.atleast_1d(sin), np.atleast_1d(cos)
-        self.resolution, self.scale, self.origin = resolution, 2.0 / resolution, np.atleast_1d(low)[:, None]
-        count = int(((np.atleast_1d(high)[:, None] - self.origin) * self.scale).max(initial=0)) + 1
+        self.sin, self.cos = sin, cos
+        self.resolution, self.scale, self.origin = resolution, 2.0 / resolution, low[:, None]
+        count = int(((high[:, None] - self.origin) * self.scale).max(initial=0)) + 1
         self.least, self.greatest = np.full((2, len(self.sin), count + 1), [[[math.inf]], [[-math.inf]]])
         self.inner = np.zeros(self.least.shape, dtype=bool)
         self.outer = np.arange(self.least.size + 1, dtype=np.int32)  # buckets before each not interior
@@ -957,7 +948,7 @@ class _Buckets:
         first = self.outer.take(self._index(pos - reach))
         return (self.outer.take(self._index(pos + reach) + 1) == first).all(0)
 
-    def extremes(self, angle: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    def extremes(self, angle: int) -> tuple[np.ndarray, np.ndarray]:
         """The nonempty buckets' least and greatest offsets at one angle,
         ascending. Raises if some bucket's extent exceeds the resolution,
         which the bound above rules out."""
@@ -986,16 +977,12 @@ def _gap_scan(
 
 
 def certify_projection_interval(
-    samples: np.ndarray,
-    theta: float,
-    resolution: float,
-    geom: GridGeometry | None = None,
-    recurrence: tuple[RowRuns, np.ndarray] | None = None,
-    extremes: tuple[np.ndarray, np.ndarray] | None = None,
+    extremes: tuple[np.ndarray, np.ndarray], n_samples: int, theta: float, resolution: float
 ) -> IntervalCertificate:
-    """Gap certificate for the projection of an attractor onto theta.
+    """Gap certificate for the projection of an attractor onto theta from
+    the extremes of n_samples samples' buckets (`_Buckets.extremes`).
 
-    samples are exact attractor points (`attractor_points` at scale
+    The samples are exact attractor points (`attractor_points` at scale
     resolution/2), so sample positions lie in the projection. Certified
     means: some window of consecutive samples has all gaps <= resolution
     and spans at least _MIN_LENGTH_FACTOR * resolution. A dust-like
@@ -1003,88 +990,37 @@ def certify_projection_interval(
     certificate keeps the gaps wider than resolution, not the sample
     positions.
 
-    The gaps come from the extremes of buckets half the resolution wide
-    (`_Buckets`) spanning the projection of the samples' bounding box, with
-    no array as long as the samples. Every gap wider than the resolution
-    lies between two consecutive nonempty buckets, and `_gap_scan` reads
-    the wide gaps, the largest gap and the first longest run between wide
-    gaps. So `gaps`, `interval`, `length` and `certified` are those of the
-    sorted offsets, bit for bit, and so is `largest_gap` when it exceeds
-    the resolution; otherwise it is None: a gap below the resolution
-    measures the sampling, not the set.
-
-    extremes, given, are those buckets' extremes already found for theta,
-    and samples is read only for its length, the sample count: so
-    `certify_projection_intervals` finishes the certificates of its
-    streamed walk, whose samples are never held (an array of no columns).
-
-    recurrence, given with the grid geom, is a second, independent
-    certificate: L's row runs (all of L, or only some rows, `RowRuns.only`,
-    the row nearest theta among them) and the first witnesses of their
-    cells into L from the row route (`first_witness_rows`). The first
-    longest run of L cells in the row nearest theta that all recur, which
-    `_gap_scan` picks from the recurring columns at resolution 1, is
-    reported in the offsets of theta itself: a row reached an odd number of
-    half-turns away names the line with t negated.
+    Every gap wider than the resolution lies between two consecutive
+    nonempty buckets, and `_gap_scan` reads the wide gaps, the largest gap
+    and the first longest run between wide gaps. So `gaps`, `interval`,
+    `length` and `certified` are those of the sorted offsets, bit for bit,
+    and so is `largest_gap` when it exceeds the resolution; otherwise it is
+    None: a gap below the resolution measures the sampling, not the set.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    if extremes is None:
-        sin, cos = math.sin(theta), math.cos(theta)
-        box = np.stack([samples.min(axis=0), samples.max(axis=0)]) if len(samples) else np.zeros((2, 2))
-        corners = offsets(box[:, :1], box[:, 1], sin, cos)  # the four corners' offsets
-        buckets = _Buckets(sin, cos, resolution, corners.min(), corners.max())
-        buckets.add(samples)
-        extremes = buckets.extremes()
     least, greatest = extremes
     wide, largest, first, last = _gap_scan(least, greatest, resolution)
     length = float(greatest[last] - least[first]) if len(least) else 0.0
-    min_len = _MIN_LENGTH_FACTOR * resolution
     interval = None
-    if length >= min_len:
+    if length >= _MIN_LENGTH_FACTOR * resolution:
         interval = (float(least[first]), float(greatest[last]))
-
-    rec_interval, rec_len, rec_ok = None, 0.0, None
-    if recurrence is not None:
-        runs, witness = recurrence
-        turns, row = geom.nearest_row(theta)
-        k = slice(runs.ptr[row], runs.ptr[row + 1])
-        cols = _expand(runs.start[k], runs.stop[k] - runs.start[k])
-        skip = runs.before[k.start]  # the cells of the rows before
-        cols = cols[witness[skip : skip + len(cols)] >= 0]
-        if len(cols):  # the first longest run of consecutive recurring columns
-            _, _, first, last = _gap_scan(cols, cols, 1)
-            rec_len = (last - first + 1) * geom.pitch
-            lo_t = (cols[first] - geom.m) * geom.pitch
-            rec_interval = (float(lo_t), float(lo_t + rec_len))
-            if turns % 2:
-                rec_interval = (-rec_interval[1], -rec_interval[0])
-        rec_ok = rec_len >= min_len
     return IntervalCertificate(
         theta=float(theta),
         resolution=float(resolution),
-        n_samples=len(samples),
+        n_samples=n_samples,
         interval=interval,
         length=length,
         largest_gap=largest if len(wide) else None,
         certified=interval is not None,
         gaps=np.stack([greatest[wide], least[wide + 1]], axis=1),
-        recurrence_interval=rec_interval,
-        recurrence_length=float(rec_len),
-        recurrence_certified=rec_ok,
     )
 
 
 def certify_projection_intervals(
-    perturbed: IfsSpec,
-    cand: RecurrentCandidate,
-    thetas,
-    resolution: float,
-    budget: int | None = None,
+    ifs: IfsSpec, thetas, resolution: float, budget: int | None = None
 ) -> list[IntervalCertificate]:
-    """The certificates of the system's projections onto thetas, each with
-    its recurrence row: those of `certify_projection_interval` on
-    `attractor_points` at resolution/2, without an array of the samples.
+    """The gap certificates of the system's projections onto thetas: those
+    of `certify_projection_interval` on `attractor_points` at resolution/2,
+    without an array of the samples. No candidate is needed.
 
     The word budget is checked first (`ifs.stopping_ratios`), before any
     map is composed or any bucket made. Then one streamed walk of the
@@ -1095,26 +1031,53 @@ def certify_projection_intervals(
     (`_invariant_radius`); rounding pushes a sample past it only into an
     end bucket. The walk drops a prefix u whose offsets within r_u R +
     `_rounding_margin` of f_u(c)'s all fall in interior buckets at every
-    angle (`_Buckets.interior`); with no angle it images nothing. The row
-    route (`first_witness_rows`) runs on the L rows nearest the angles
-    alone (`RowRuns.only`), into L at the check slack."""
+    angle (`_Buckets.interior`); with no angle it images nothing."""
     thetas = [float(th) for th in thetas]
     scale = resolution / 2.0
-    stopping_ratios(perturbed, scale, budget)
-    radius = _invariant_radius(perturbed)
+    stopping_ratios(ifs, scale, budget)
+    radius = _invariant_radius(ifs)
     sin, cos = np.array([math.sin(th) for th in thetas]), np.array([math.cos(th) for th in thetas])
     mid = 0.5 * cos - 0.5 * sin  # the offsets of the disk's centre
     buckets = _Buckets(sin, cos, resolution, mid - radius, mid + radius)
-    margin = _rounding_margin(perturbed, scale, radius)
+    margin = _rounding_margin(ifs, scale, radius)
     walked = attractor_points(
-        perturbed, scale, budget, consume=buckets.add, prune=lambda u: buckets.interior(u, radius, margin)
+        ifs, scale, budget, consume=buckets.add, prune=lambda u: buckets.interior(u, radius, margin)
     )
-    geom = cand.geom
-    rows = np.unique(np.array([geom.nearest_row(th)[1] for th in thetas], dtype=np.int64))
-    runs = cand.L.only(rows)
-    words = two_letter_words(perturbed.letter_maps())
-    witness = first_witness_rows(words, runs, GridMembership(geom, cand.L, cand.check_slack))
     return [
-        certify_projection_interval(walked, th, resolution, geom, (runs, witness), buckets.extremes(i))
+        certify_projection_interval(buckets.extremes(i), len(walked), th, resolution)
         for i, th in enumerate(thetas)
     ]
+
+
+def recurrence_rows(perturbed: IfsSpec, cand: RecurrentCandidate, thetas, resolution: float) -> list[dict]:
+    """The recurrence row of each angle, a certificate independent of the
+    gap certificate, as JSON fields: the first longest run of L cells in
+    the row nearest theta that all recur under the check rule
+    (`_check_rule`), certified when it spans _MIN_LENGTH_FACTOR resolutions.
+    The row route (`first_witness_rows`) runs on those rows alone
+    (`RowRuns.only`), and `_gap_scan` picks the run from a row's recurring
+    columns at resolution 1. The run is reported in theta's own offsets: a
+    row reached an odd number of half-turns away names the line with t
+    negated."""
+    geom = cand.geom
+    near = [geom.nearest_row(float(th)) for th in thetas]
+    runs = cand.L.only(np.unique(np.array([row for _, row in near], dtype=np.int64)))
+    words, member = _check_rule(perturbed, cand)
+    witness = first_witness_rows(words, runs, member)
+    found = []
+    for turns, row in near:
+        k = slice(runs.ptr[row], runs.ptr[row + 1])
+        cols = _expand(runs.start[k], runs.stop[k] - runs.start[k])
+        skip = runs.before[k.start]  # the cells of the rows before
+        cols = cols[witness[skip : skip + len(cols)] >= 0]
+        interval, length = None, 0.0
+        if len(cols):  # the first longest run of consecutive recurring columns
+            _, _, first, last = _gap_scan(cols, cols, 1)
+            length = (last - first + 1) * geom.pitch
+            lo_t = float((cols[first] - geom.m) * geom.pitch)
+            interval = [-(lo_t + length), -lo_t] if turns % 2 else [lo_t, lo_t + length]
+        certified = length >= _MIN_LENGTH_FACTOR * resolution
+        found.append(
+            {"recurrence_interval": interval, "recurrence_length": length, "recurrence_certified": certified}
+        )
+    return found

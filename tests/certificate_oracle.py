@@ -2,11 +2,11 @@
 checks its verdicts against a point cloud of the attractor. It works one
 square at a time, with none of the package's array routes.
 
-Also the recurrence row of a projection-interval certificate as the point
-route computes it (`point_route_row`), the route the certificate took
-before it read the row route's witnesses, and `_longest_run`, the run
-selector it and the sort-and-diff certificate oracle read, kept here so
-that neither reads the selector of the code it checks.
+Also the recurrence row of an angle as the point route computes it
+(`point_route_row`), the route `recurrence_rows` took before it read the
+row route's witnesses, and `_longest_run`, the run selector it and the
+sort-and-diff certificate oracle read, kept here so that neither reads the
+selector of the code it checks.
 """
 
 from __future__ import annotations
@@ -130,15 +130,13 @@ def _longest_run(breaks: np.ndarray, coords: np.ndarray) -> tuple[int, int]:
     return int(starts[k]), int(stops[k])
 
 
-def point_route_row(
-    ifs: IfsSpec, cand: RecurrentCandidate, theta: float, resolution: float
-) -> tuple[tuple[float, float] | None, float, bool]:
-    """(recurrence_interval, recurrence_length, recurrence_certified) of
-    the certificate at theta: the L cells of the row nearest theta go
-    through `first_witness` one by one against the L membership at the
-    check slack, and the first longest run of recurring columns is
-    reported in theta's own offsets (t negated an odd number of half-turns
-    away)."""
+def point_route_row(ifs: IfsSpec, cand: RecurrentCandidate, theta: float, resolution: float) -> dict:
+    """The JSON fields recurrence_interval, recurrence_length and
+    recurrence_certified of the recurrence row at theta: the L cells of the
+    row nearest theta go through `first_witness` one by one against the L
+    membership at the check slack, and the first longest run of recurring
+    columns is reported in theta's own offsets (t negated an odd number of
+    half-turns away)."""
     geom = cand.geom
     turns, row = divmod(int(round(theta / geom.pitch)), geom.n_theta)
     ptr, start, stop = cand.L
@@ -156,7 +154,11 @@ def point_route_row(
         first, last = _longest_run(np.flatnonzero(np.diff(cols) != 1), cols)
         length = (last - first + 1) * geom.pitch
         lo_t = (cols[first] - geom.m) * geom.pitch
-        interval = (float(lo_t), float(lo_t + length))
+        interval = [float(lo_t), float(lo_t + length)]
         if turns % 2:
-            interval = (-interval[1], -interval[0])
-    return interval, float(length), length >= _MIN_LENGTH_FACTOR * resolution
+            interval = [-interval[1], -interval[0]]
+    return {
+        "recurrence_interval": interval,
+        "recurrence_length": float(length),
+        "recurrence_certified": length >= _MIN_LENGTH_FACTOR * resolution,
+    }

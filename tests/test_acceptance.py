@@ -14,9 +14,8 @@ import pytest
 from ifsproj import (
     RunConfig,
     Similarity,
-    attractor_points,
     build_perturbed_ifs,
-    certify_projection_interval,
+    certify_projection_intervals,
     closeness_report,
     get_builtin,
     l2_norm_estimate,
@@ -412,10 +411,9 @@ def test_criterion_08_end_to_end_search(desk, tmp_path, emit):
         closeness = closeness_report(desk.ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0)
         thetas = _sample_e_rows(desk.E, desk.cand, cfg.n_theta_sample, cfg.seed)
         # only the gap certificates' verdicts are read below
-        pts = attractor_points(perturbed, cfg.cert_resolution / 2.0, budget=cfg.word_budget)
         certs = [
-            certify_projection_interval(pts, float(th), cfg.cert_resolution).to_json_dict()
-            for th in thetas
+            cert.to_json_dict()
+            for cert in certify_projection_intervals(perturbed, thetas, cfg.cert_resolution, cfg.word_budget)
         ]
     close_ok = bool(closeness["epsilon_ok"])
     n_cert = sum(1 for c in certs if c["certified"])

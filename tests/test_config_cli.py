@@ -270,6 +270,39 @@ def test_thin_system_guard(tmp_path, capsys):
     assert "d ≤ 1, theorem hypotheses unmet" in capsys.readouterr().err
 
 
+def test_symbols_are_one_character(tmp_path, capsys):
+    """Word names join two symbols, so a longer symbol could merge two
+    names (a·aa and aa·a are both "aaa") and drop counts from
+    `witness_counts`: verify on the gasket's maps under the alphabet
+    a, aa, b exits 2 naming the symbol."""
+    gasket = get_builtin("sierpinski")
+    symbols = ["a", "aa", "b"]
+    maps = {
+        s: {"r": m.ratio, "tx": m.translation[0], "ty": m.translation[1]}
+        for s, m in zip(symbols, (gasket.maps[a] for a in gasket.alphabet))
+    }
+    ifs, omega = tmp_path / "merged.json", tmp_path / "omega.json"
+    ifs.write_text(json.dumps({"alphabet": symbols, "maps": maps}))
+    omega.write_text(json.dumps({a: {"phi": 0.01, "gamma": [0.0, 0.0]} for a in ("a", "aa")}))
+    argv = ["verify", "--ifs", str(ifs), "--rho", "0.0625", "--omega", str(omega)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("alphabet: symbol 'aa' is not one character")
+
+
+@pytest.mark.parametrize("constants, field", [({"c7": 10.0}, "c7"), ({"c5": 1e-9}, "c5")])
+def test_empty_candidate_is_a_config_error(tmp_path, capsys, constants, field):
+    """A candidate left empty, by a c7 whose phi-run is longer than n_phi
+    cells (551 > 33) or by a c5 that keeps no direction in E, exits 2
+    from every pipeline command with one line naming the constant."""
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"ifs": "sierpinski", "constants": {"rho": 0.0625, **constants}}))
+    for command in (["build-l"], ["search"], ["certify", "--theta", "0.5"]):
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"{field}: ") and err.endswith("; the candidate is empty\n"), err
+        assert err.count("\n") == 1, err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     assert main(["render", "--ifs", "sierpinski", "--budget", "1", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err != ""

@@ -28,6 +28,7 @@ from ifsproj import (
     first_witness_rows,
     get_builtin,
     make_ifs,
+    recurrence_rows,
     renormalize_arrays,
     stopping_cylinders,
     two_letter_words,
@@ -852,8 +853,7 @@ def test_certify_line_budget():
 
 
 def test_projection_interval_four_corner_full():
-    four = get_builtin("four_corner")
-    cert = certify_projection_interval(attractor_points(four, 5e-4), 0.0, 1e-3)
+    (cert,) = certify_projection_intervals(get_builtin("four_corner"), [0.0], 1e-3)
     assert cert.certified
     lo, hi = cert.interval
     assert lo == pytest.approx(0.0, abs=2e-3)
@@ -861,17 +861,33 @@ def test_projection_interval_four_corner_full():
 
 
 def test_projection_interval_dust_fails_with_half_gap():
-    dust = get_builtin("cantor_dust")
-    cert = certify_projection_interval(attractor_points(dust, 5e-4), 0.0, 1e-3)
+    (cert,) = certify_projection_intervals(get_builtin("cantor_dust"), [0.0], 1e-3)
     assert not cert.certified
     assert cert.largest_gap == pytest.approx(0.5, abs=0.02)
 
 
 def test_projection_interval_sierpinski_y_axis():
-    sier = get_builtin("sierpinski")
-    cert = certify_projection_interval(attractor_points(sier, 5e-4), 0.0, 1e-3)
+    (cert,) = certify_projection_intervals(get_builtin("sierpinski"), [0.0], 1e-3)
     assert cert.certified
     assert cert.length >= 0.9
+
+
+def test_cantor_dust_known_answers_need_no_candidate(monkeypatch):
+    """The Cantor dust (d = 1, which `build_pipeline` refuses) projects at
+    slope 1/2 onto an interval of length 3/sqrt(5), the projection of I,
+    and on the diagonal onto a set whose largest gap is 1/4 of the sides'
+    projection, 0.25/sqrt(2): both within 2 s of the certificates at
+    resolution 1e-3 (scale s = 5e-4), which no `RecurrentCandidate` is
+    built for."""
+
+    def no_candidate(*args, **kwargs):
+        raise AssertionError("a certificate built a candidate")
+
+    monkeypatch.setattr(RecurrentCandidate, "__init__", no_candidate)
+    s, dust = 5e-4, get_builtin("cantor_dust")
+    slope, diagonal = certify_projection_intervals(dust, [math.atan(0.5), math.pi / 4], 2 * s)
+    assert slope.certified and slope.length == pytest.approx(3 / math.sqrt(5), abs=2 * s)
+    assert not diagonal.certified and diagonal.largest_gap == pytest.approx(0.25 / math.sqrt(2), abs=2 * s)
 
 
 def cantor_product():
@@ -890,20 +906,18 @@ BENCH_OMEGA = {
 }
 
 
-@pytest.fixture
-def bench_samples():
-    """The attractor samples of four-corner-verify: four_corner at rho 2^-7
-    perturbed by BENCH_OMEGA, at scale 5e-4 (4^11 points)."""
+def bench_system() -> ifsproj.IfsSpec:
+    """The system of four-corner-verify: four_corner at rho 2^-7 perturbed
+    by BENCH_OMEGA."""
     four = get_builtin("four_corner")
-    omega = omega_from_json(four, BENCH_OMEGA)
-    return attractor_points(build_perturbed_ifs(four, omega, RunConfig().c1, 2.0**-7), 5e-4)
+    return build_perturbed_ifs(four, omega_from_json(four, BENCH_OMEGA), RunConfig().c1, 2.0**-7)
 
 
 def certificate_by_sorting(samples, theta, resolution) -> tuple[dict, np.ndarray]:
-    """The JSON fields and the wide gaps of a certificate without its
-    recurrence row, from the sorted offsets of all samples, their
-    differences and the oracle's `_longest_run`. A largest gap at or below
-    the resolution, or none (fewer than two samples), is reported as None."""
+    """The JSON fields and the wide gaps of a gap certificate, from the
+    sorted offsets of all samples, their differences and the oracle's
+    `_longest_run`. A largest gap at or below the resolution, or none
+    (fewer than two samples), is reported as None."""
     pos = np.sort(project_point(theta, samples))
     steps = np.diff(pos)
     wide = np.flatnonzero(steps > resolution)
@@ -920,9 +934,6 @@ def certificate_by_sorting(samples, theta, resolution) -> tuple[dict, np.ndarray
         "length": length,
         "largest_gap": float(steps.max()) if len(wide) else None,
         "certified": interval is not None,
-        "recurrence_interval": None,
-        "recurrence_length": 0.0,
-        "recurrence_certified": None,
     }
     return fields, np.stack([pos[wide], pos[wide + 1]], axis=1)
 
@@ -934,28 +945,51 @@ def assert_certificate_by_sorting(cert, samples, theta, resolution) -> None:
     assert cert.gaps.shape == gaps.shape and np.array_equal(cert.gaps, gaps)
 
 
-def test_certificate_gaps_equal_sort_and_diff(bench_samples):
+def bucket_certificate(samples, theta, resolution, low=None, high=None):
+    """The certificate of any cloud of samples at one angle: `_Buckets` of
+    the offsets [low, high], by default the projection of the samples'
+    bounding box, which holds every rounded offset (a rounded offset is
+    monotone in each coordinate), fed the samples and finished by
+    `certify_projection_interval`."""
+    sin, cos = math.sin(theta), math.cos(theta)
+    if low is None:
+        box = np.stack([samples.min(axis=0), samples.max(axis=0)]) if len(samples) else np.zeros((2, 2))
+        corners = offsets(box[:, :1], box[:, 1], sin, cos)  # the four corners' offsets
+        low, high = corners.min(), corners.max()
+    buckets = ifsproj.recurrence._Buckets(
+        np.array([sin]), np.array([cos]), resolution, np.array([low]), np.array([high])
+    )
+    buckets.add(samples)
+    return certify_projection_interval(buckets.extremes(0), len(samples), theta, resolution)
+
+
+def test_certificate_gaps_equal_sort_and_diff():
     """A certificate's fields and wide gaps equal those of sorting every
-    sample offset (`certificate_by_sorting`): on the benchmark's samples, on
-    the Cantor sets' wide gaps, on unperturbed four_corner near an axis
-    (whose largest gap, about 0.005 resolutions, is None), with more
-    buckets than samples, and for no sample, one, two, two coincident, and
-    every sample twice, the second time in reverse order."""
-    four, c3 = get_builtin("four_corner"), cantor_product()
-    c3_samples = attractor_points(c3, 5e-4)
-    dust_samples = attractor_points(get_builtin("cantor_dust"), 2e-5)
-    four_samples = attractor_points(four, 2.0**-8)
-    cases = [
-        (bench_samples, 0.0, 1e-3),
-        (bench_samples, 2.3, 1e-3),
-        (c3_samples, 0.0, 1e-2),  # the Cantor set: wide gaps
-        (c3_samples, 0.2, 1e-2),
-        (c3_samples, 0.0, 1e-3),  # 2K buckets for 4^7 samples
-        (dust_samples, 0.0, 1e-2),  # gaps of half the projection
-        (dust_samples, 0.4, 1e-2),
-        (four_samples, 0.01, 2.0**-7),  # the largest gap 0.005 resolutions
-        (four_samples, 0.05, 2.0**-7),
-        (attractor_points(four, 2.0**-6), 1.0, 2.0**-9),
+    sample offset (`certificate_by_sorting`). `certify_projection_intervals`:
+    on the benchmark's system, on the Cantor sets' wide gaps, on
+    unperturbed four_corner near an axis (whose largest gap, about 0.005
+    resolutions, is None), with 2K buckets for 4^7 samples and with more
+    buckets than samples. Buckets of a
+    cloud's bounding box (`bucket_certificate`): for no sample, one, two,
+    two coincident, and the Cantor sets' samples twice, the second time in
+    reverse order."""
+    four, c3, dust = get_builtin("four_corner"), cantor_product(), get_builtin("cantor_dust")
+    systems = [
+        (bench_system(), [0.0, 2.3], 1e-3),
+        (c3, [0.0, 0.2], 1e-2),  # the Cantor set: wide gaps
+        (c3, [0.0], 1e-3),  # 2K buckets for 4^7 samples
+        (dust, [0.0, 0.4], 1e-2),  # gaps of half the projection
+        (four, [0.01, 0.05], 2.0**-7),  # the largest gap 0.005 resolutions
+        (dust, [1.0], 1e-5),  # more buckets than samples
+    ]
+    checked = []
+    for ifs, thetas, resolution in systems:
+        samples = attractor_points(ifs, resolution / 2)
+        for theta, cert in zip(thetas, certify_projection_intervals(ifs, thetas, resolution)):
+            assert_certificate_by_sorting(cert, samples, theta, resolution)
+            checked.append(cert)
+    c3_samples, dust_samples = attractor_points(c3, 5e-4), attractor_points(dust, 2e-5)
+    clouds = [
         (np.zeros((0, 2)), 0.3, 1e-3),
         (np.array([[0.25, 0.5]]), 0.3, 1e-3),
         (np.array([[0.0, 0.0], [1.0, 1.0]]), 0.3, 1e-3),
@@ -963,14 +997,14 @@ def test_certificate_gaps_equal_sort_and_diff(bench_samples):
         (np.concatenate([c3_samples, c3_samples[::-1]]), 0.0, 1e-2),
         (np.concatenate([dust_samples, dust_samples[::-1]]), 0.4, 1e-2),
     ]
-    wide = certified = null = 0
-    for samples, theta, resolution in cases:
-        cert = certify_projection_interval(samples, theta, resolution)
+    for samples, theta, resolution in clouds:
+        cert = bucket_certificate(samples, theta, resolution)
         assert_certificate_by_sorting(cert, samples, theta, resolution)
-        wide += len(cert.gaps) > 0
-        certified += cert.certified
-        null += cert.largest_gap is None
-    assert wide >= 6 and 0 < certified < len(cases) and 0 < null < len(cases)
+        checked.append(cert)
+    wide = sum(len(cert.gaps) > 0 for cert in checked)
+    certified = sum(cert.certified for cert in checked)
+    null = sum(cert.largest_gap is None for cert in checked)
+    assert wide >= 6 and 0 < certified < len(checked) and 0 < null < len(checked)
 
 
 coordinates = st.one_of(st.floats(-1.5, 1.5), st.integers(-48, 48).map(lambda k: k / 32))
@@ -985,9 +1019,10 @@ coordinates = st.one_of(st.floats(-1.5, 1.5), st.integers(-48, 48).map(lambda k:
 def test_certificate_equals_sorting_on_any_cloud(points, theta, resolution):
     """On any cloud of up to 500 points, some on a lattice of pitch 1/32
     (coincident offsets, and gaps at multiples of the pitch), at any angle
-    and resolution, the certificate is that of `certificate_by_sorting`."""
+    and resolution, the certificate of its bounding box's buckets
+    (`bucket_certificate`) is that of `certificate_by_sorting`."""
     samples = np.array(points, dtype=float).reshape(-1, 2)
-    cert = certify_projection_interval(samples, theta, resolution)
+    cert = bucket_certificate(samples, theta, resolution)
     assert_certificate_by_sorting(cert, samples, theta, resolution)
 
 
@@ -1013,17 +1048,15 @@ def test_bucket_edges_and_the_disk_rim(monkeypatch):
         ulp_low, ulp_high = np.spacing(abs(low)), np.spacing(abs(high))
         t = np.concatenate([t, [low - ulp_low, low - 4 * ulp_low, high + ulp_high, high + 4 * ulp_high]])
         samples = np.stack([-t * sin, t * cos], axis=1)  # points of offset t, about
-        buckets = ifsproj.recurrence._Buckets(sin, cos, resolution, low, high)
-        buckets.add(samples)
-        cert = certify_projection_interval(samples, theta, resolution, extremes=buckets.extremes())
+        cert = bucket_certificate(samples, theta, resolution, low, high)
         assert_certificate_by_sorting(cert, samples, theta, resolution)
         if theta == 0.0:
             steps = np.diff(np.sort(t)) - resolution
             close = np.abs(steps) <= 4 * np.spacing(high)
             assert (close & (steps > 0)).any() and (close & (steps <= 0)).any()
 
-    c3_samples = attractor_points(cantor_product(), 5e-4)
-    assert len(certificate_by_sorting(c3_samples, 0.0, 1e-2)[1]) == 15
+    c3 = cantor_product()
+    assert len(certificate_by_sorting(attractor_points(c3, 5e-3), 0.0, 1e-2)[1]) == 15
     init = ifsproj.recurrence._Buckets.__init__
 
     def twice_as_wide(self, sin, cos, resolution, low, high):
@@ -1032,16 +1065,7 @@ def test_bucket_edges_and_the_disk_rim(monkeypatch):
 
     monkeypatch.setattr(ifsproj.recurrence._Buckets, "__init__", twice_as_wide)
     with pytest.raises(ArithmeticError, match="exceeds the resolution"):
-        certify_projection_interval(c3_samples, 0.0, 1e-2)
-
-
-def test_bucket_certificate_holds_no_sample_sized_array(bench_samples, traced_peak):
-    """A certificate allocates less than a tenth of the samples' bytes: no
-    array of offsets as long as the samples."""
-    certify_projection_interval(bench_samples[:1000], 0.7, 1e-3)  # imports stay outside the trace
-    cert, peak = traced_peak(lambda: certify_projection_interval(bench_samples, 0.7, 1e-3))
-    assert cert.certified and cert.n_samples == 4**11
-    assert peak < 0.1 * bench_samples.nbytes
+        certify_projection_intervals(c3, [0.0], 1e-2)
 
 
 def coarse_lines_candidate() -> RecurrentCandidate:
@@ -1055,11 +1079,9 @@ def test_streamed_certificates_hold_no_sample_sized_array(traced_peak):
     fifth of its samples' bytes (n x 16): the samples are
     streamed, never held (measured 0.042; the gathered samples alone are
     1.0)."""
-    four = get_builtin("four_corner")
-    perturbed = build_perturbed_ifs(four, omega_from_json(four, BENCH_OMEGA), RunConfig().c1, 2.0**-7)
-    cand, thetas = coarse_lines_candidate(), [0.3, 1.2, 2.0, 2.9]
-    certify_projection_intervals(perturbed, cand, thetas, 1e-2)  # imports stay outside the trace
-    certs, peak = traced_peak(lambda: certify_projection_intervals(perturbed, cand, thetas, 1e-3))
+    perturbed, thetas = bench_system(), [0.3, 1.2, 2.0, 2.9]
+    certify_projection_intervals(perturbed, thetas, 1e-2)  # imports stay outside the trace
+    certs, peak = traced_peak(lambda: certify_projection_intervals(perturbed, thetas, 1e-3))
     n = certs[0].n_samples
     assert n == 4**11 and all(cert.certified for cert in certs)
     assert peak < 0.2 * n * 16
@@ -1071,9 +1093,8 @@ def test_streamed_certificates_walk_once(monkeypatch):
     resolution 2^-7 and at 0.2, where the buckets outnumber the samples,
     with the angles 0.01 and pi/2 + 0.01 near an axis among the others
     (their largest gaps, a few thousandths of a resolution, are None).
-    Every certificate equals `certify_projection_interval` on
-    `attractor_points`."""
-    four, cand = get_builtin("four_corner"), coarse_lines_candidate()
+    Every certificate is that of sorting the offsets of `attractor_points`."""
+    four = get_builtin("four_corner")
     thetas = [0.01, 0.05, 0.7, math.pi / 2 + 0.01]
     walks = []
     gather = ifsproj.recurrence.attractor_points
@@ -1085,17 +1106,14 @@ def test_streamed_certificates_walk_once(monkeypatch):
     monkeypatch.setattr(ifsproj.recurrence, "attractor_points", spy_gather)
     streamed = {}
     for resolution in (2.0**-7, 0.2):
-        streamed[resolution] = certify_projection_intervals(four, cand, thetas, resolution)
+        streamed[resolution] = certify_projection_intervals(four, thetas, resolution)
         assert walks == ["streamed"], resolution
         walks.clear()
     monkeypatch.undo()
-    recurrence = row_witnesses(four, cand, None)
     for resolution, certs in streamed.items():
         samples = attractor_points(four, resolution / 2)
         for theta, cert in zip(thetas, certs):
-            want = certify_projection_interval(samples, theta, resolution, cand.geom, recurrence)
-            assert cert.to_json_dict() == want.to_json_dict(), (resolution, theta)
-            assert cert.gaps.shape == want.gaps.shape and np.array_equal(cert.gaps, want.gaps)
+            assert_certificate_by_sorting(cert, samples, theta, resolution)
     fine = streamed[2.0**-7]
     assert all(cert.certified for cert in fine)
     assert fine[0].largest_gap is None and fine[3].largest_gap is None
@@ -1105,8 +1123,7 @@ def test_streamed_certificates_check_the_budget_first(monkeypatch):
     """A word budget below the cover raises BudgetExceeded from
     `certify_projection_intervals` with the partial count of
     `attractor_points` (4^5 words at the first level past 1000), before any
-    map is composed, the recurrence row's two-letter words included, and
-    before any `_Buckets` is made."""
+    map is composed and before any `_Buckets` is made."""
     four = get_builtin("four_corner")
     with pytest.raises(BudgetExceeded) as gathered:
         attractor_points(four, 5e-4, budget=1000)
@@ -1125,11 +1142,11 @@ def test_streamed_certificates_check_the_budget_first(monkeypatch):
     monkeypatch.setattr(MapArrays, "compose", spy)
     monkeypatch.setattr(buckets, "__init__", spy_init)
     with pytest.raises(BudgetExceeded) as streamed:
-        certify_projection_intervals(four, coarse_lines_candidate(), [0.3, 0.7], 1e-3, budget=1000)
+        certify_projection_intervals(four, [0.3, 0.7], 1e-3, budget=1000)
     assert streamed.value.partial == gathered.value.partial == 4**5
     assert composed == [] and made == []
     # within the budget, the spies see the walk: one row of buckets per angle
-    certify_projection_intervals(four, coarse_lines_candidate(), [0.3, 0.7], 0.125, budget=1000)
+    certify_projection_intervals(four, [0.3, 0.7], 0.125, budget=1000)
     assert composed and made == [2]
 
 
@@ -1142,13 +1159,12 @@ def test_attractor_lies_in_the_invariant_disk():
     is the square's circumscribed disk, and some sample lies on its rim, so
     the band is tight there."""
     four = get_builtin("four_corner")
-    omega = omega_from_json(four, BENCH_OMEGA)
     systems = {
         "four_corner": (four, 2.0**-8),
         "sierpinski": (get_builtin("sierpinski"), 2.0**-8),
         "cantor_dust": (get_builtin("cantor_dust"), 4.0**-5),
         "turned": (oracle.turned_four_corner(), 3.0**-6),
-        "four_corner_bench": (build_perturbed_ifs(four, omega, RunConfig().c1, 2.0**-7), 2.0**-8),
+        "four_corner_bench": (bench_system(), 2.0**-8),
     }
     for name, (ifs, scale) in systems.items():
         radius = ifsproj.recurrence._invariant_radius(ifs)
@@ -1186,36 +1202,35 @@ def leaves_imaged(monkeypatch):
     return counts
 
 
+
 def _pruning_case(name):
-    """A system, its angles in one call each, a resolution, the angles to
-    check against sorting (None: all) and the greatest share of the words
-    the walk may image (None: all of them, as when one angle's projection
-    has gaps, or when the walk is nearly done before some prefix's buckets
-    are marked interior at every angle; `_Buckets.add` still drops samples
-    at the angles where they are)."""
+    """A system, its angles in one call each, a resolution, and the
+    greatest share of the words the walk may image (None: all of them, as
+    when one angle's projection has gaps, or when the walk is nearly done
+    before some prefix's buckets are marked interior at every angle;
+    `_Buckets.add` still drops samples at the angles where they are)."""
     spread = [float(th) for th in np.arange(16) * (math.pi / 16) + 0.1]
     four, c3 = get_builtin("four_corner"), cantor_product()
-    bench = build_perturbed_ifs(four, omega_from_json(four, BENCH_OMEGA), RunConfig().c1, 2.0**-7)
     tenths = [float(th) for th in np.arange(10) * (math.pi / 10) + 0.05]
     slopes = [math.atan(q) for q in (1 / 3, 1 / 2, 1, 2, 3)]  # C + q C is an interval
     dust = get_builtin("cantor_dust")
     return {
-        # four-corner-verify's system at ten angles, sorted at two
-        "benchmark": (bench, [tenths], 1e-3, tenths[::5], 0.5),
+        # four-corner-verify's system at ten angles
+        "benchmark": (bench_system(), [tenths], 1e-3, 0.5),
         # the largest gaps near an axis are a few thousandths of a resolution
-        "four_corner": (four, [[0.01, math.pi / 2 + 0.01, math.pi / 4, *spread]], 2.0**-7, None, 1.0),
+        "four_corner": (four, [[0.01, math.pi / 2 + 0.01, math.pi / 4, *spread]], 2.0**-7, 1.0),
         # 15 wide gaps at theta 0, among 64 angles so that a chunk is 512 of the 4^5 samples
-        "c3": (c3, [[0.0, math.atan(0.25), *np.arange(62) * (math.pi / 62) + 0.02]], 1e-2, None, None),
+        "c3": (c3, [[0.0, math.atan(0.25), *np.arange(62) * (math.pi / 62) + 0.02]], 1e-2, None),
         # two intervals at slope 1/4, one at each other slope; 104K buckets, marked
         # every 9.5K samples, leave no prefix to drop
-        "c3_slopes": (c3, [[math.atan(0.25), *slopes, *(math.pi - th for th in slopes)]], 3e-4, None, None),
+        "c3_slopes": (c3, [[math.atan(0.25), *slopes, *(math.pi - th for th in slopes)]], 3e-4, None),
         # one angle a call, where a prefix's disk alone decides
-        "c3_one_angle": (c3, [[th] for th in (math.atan(0.25), *spread[::2])], 3e-4, None, 1.0),
+        "c3_one_angle": (c3, [[th] for th in (math.atan(0.25), *spread[::2])], 3e-4, 1.0),
         # one interval at slopes 1/2 and 2, dust on the diagonal, where the buckets'
         # edges fall on the corners' offsets; about one sample a bucket
-        "cantor_dust": (dust, [[math.atan(0.5), math.atan(2), math.pi / 4, *spread]], 2**0.5 / 256, None, None),
-        "turned": (oracle.turned_four_corner(), [spread], 1e-3, None, None),
-        "gasket": (get_builtin("sierpinski"), [spread], 2e-3, None, 1.0),
+        "cantor_dust": (dust, [[math.atan(0.5), math.atan(2), math.pi / 4, *spread]], 2**0.5 / 256, None),
+        "turned": (oracle.turned_four_corner(), [spread], 1e-3, None),
+        "gasket": (get_builtin("sierpinski"), [spread], 2e-3, 1.0),
     }[name]
 
 
@@ -1228,29 +1243,19 @@ def test_pruned_certificates_equal_gathered(name, leaves_imaged):
     gaps at theta 0, two intervals at slope 1/4; also one angle a call),
     on the Cantor dust, on the turned four-corner set and on the gasket,
     each certificate of one `certify_projection_intervals` call, which
-    walks the stopping words once, equals `certify_projection_interval`
-    on the gathered `attractor_points` with the same recurrence row, and
-    that of sorting their offsets. Where every angle's projection is an
+    walks the stopping words once, is that of sorting the offsets of the
+    gathered `attractor_points`. Where every angle's projection is an
     interval, the walk leaves words unimaged: on the benchmark's system
     more than half of its 4^11."""
-    ifs, calls, resolution, sorted_thetas, share = _pruning_case(name)
-    cand = coarse_lines_candidate()
+    ifs, calls, resolution, share = _pruning_case(name)
     samples = attractor_points(ifs, resolution / 2)
-    recurrence = row_witnesses(ifs, cand, None)
     for thetas in calls:
         before = len(leaves_imaged)
-        certs = certify_projection_intervals(ifs, cand, thetas, resolution)
+        certs = certify_projection_intervals(ifs, thetas, resolution)
         (imaged,) = leaves_imaged[before:]
         assert imaged == len(samples) if share is None else imaged < share * len(samples)
         for theta, cert in zip(thetas, certs):
-            want = certify_projection_interval(samples, theta, resolution, cand.geom, recurrence)
-            assert cert.to_json_dict() == want.to_json_dict(), theta
-            assert cert.gaps.shape == want.gaps.shape and np.array_equal(cert.gaps, want.gaps), theta
-            if sorted_thetas is None or theta in sorted_thetas:
-                bare = dataclasses.replace(
-                    cert, recurrence_interval=None, recurrence_length=0.0, recurrence_certified=None
-                )
-                assert_certificate_by_sorting(bare, samples, theta, resolution)
+            assert_certificate_by_sorting(cert, samples, theta, resolution)
 
 
 def test_pruning_keeps_a_sample_past_its_prefix_disk():
@@ -1280,7 +1285,9 @@ def test_pruning_keeps_a_sample_past_its_prefix_disk():
         for i in np.flatnonzero(far > end):
             past += 1
             step = far[i] - end[i]  # buckets of width step/2 from the disk's end
-            buckets = ifsproj.recurrence._Buckets(sin, cos, step, end[i], far[i] + step)
+            buckets = ifsproj.recurrence._Buckets(
+                np.array([sin]), np.array([cos]), step, end[i : i + 1], far[i : i + 1] + step
+            )
             (k,) = buckets._index(np.array([[far[i]]]))[0]
             assert k > buckets._index(np.array([[end[i]]]))[0, 0]
             buckets.inner[:] = True
@@ -1303,7 +1310,7 @@ def test_interior_needs_close_neighbours():
     certificate is that of sorting, with no wide gap."""
     resolution = 1e-3
     low = 0.5 - ifsproj.recurrence._invariant_radius(get_builtin("four_corner"))
-    buckets = ifsproj.recurrence._Buckets(0.0, 1.0, resolution, low, low + 1.0)
+    buckets = ifsproj.recurrence._Buckets(np.zeros(1), np.ones(1), resolution, np.array([low]), np.array([low + 1]))
 
     def least(k):  # the least offset of bucket k
         p = low + k * (resolution / 2)
@@ -1318,8 +1325,7 @@ def test_interior_needs_close_neighbours():
     first = np.repeat([p1 - resolution / 4, p1, p2, p2 + resolution / 4], ifsproj.recurrence._CHUNK // 4)
     offsets_y = np.append(first, p1 + resolution / 4)
     samples = np.stack([np.zeros_like(offsets_y), offsets_y], axis=1)
-    buckets.add(samples)
-    cert = certify_projection_interval(samples, 0.0, resolution, extremes=buckets.extremes())
+    cert = bucket_certificate(samples, 0.0, resolution, low, low + 1.0)
     assert_certificate_by_sorting(cert, samples, 0.0, resolution)
     assert len(cert.gaps) == 0
 
@@ -1335,11 +1341,8 @@ def test_bucket_certificate_ignores_sample_order():
     samples = attractor_points(four, 2.0**-9)
     samples = samples[np.random.default_rng(1).permutation(len(samples))]
     for theta in (0.3, 0.7, 1.2, 2.0):
-        sin, cos = math.sin(theta), math.cos(theta)
-        mid = 0.5 * cos - 0.5 * sin
-        buckets = ifsproj.recurrence._Buckets(sin, cos, 2.0**-8, mid - radius, mid + radius)
-        buckets.add(samples)
-        cert = certify_projection_interval(samples, theta, 2.0**-8, extremes=buckets.extremes())
+        mid = 0.5 * math.cos(theta) - 0.5 * math.sin(theta)
+        cert = bucket_certificate(samples, theta, 2.0**-8, mid - radius, mid + radius)
         assert_certificate_by_sorting(cert, samples, theta, 2.0**-8)
 
 
@@ -1348,9 +1351,9 @@ def test_marking_costs_no_more_than_the_offsets(monkeypatch):
     buckets outnumber the offsets of a step of the walk many times over,
     `_Buckets` passes over its buckets to mark them no more often than
     the offsets it computes fill them: the buckets passed over in marking
-    number no more than those offsets. The certificates equal those on
-    the gathered samples."""
-    dust, cand = get_builtin("cantor_dust"), coarse_lines_candidate()
+    number no more than those offsets. The certificates are those of
+    sorting the gathered samples."""
+    dust = get_builtin("cantor_dust")
     thetas = [math.atan(0.5), 0.7, math.pi / 4, 2.5]
     computed, marked = [], []
     compute, mark = ifsproj.recurrence._Buckets._offsets, ifsproj.recurrence._Buckets._mark
@@ -1368,20 +1371,18 @@ def test_marking_costs_no_more_than_the_offsets(monkeypatch):
 
     monkeypatch.setattr(ifsproj.recurrence._Buckets, "_offsets", spy_compute)
     monkeypatch.setattr(ifsproj.recurrence._Buckets, "_mark", spy_mark)
-    certs = certify_projection_intervals(dust, cand, thetas, 1e-5)
+    certs = certify_projection_intervals(dust, thetas, 1e-5)
     assert sum(marked) <= sum(computed) and len(marked) < len(computed) / 10
     monkeypatch.undo()
     samples = attractor_points(dust, 5e-6)
     for theta, cert in zip(thetas, certs):
-        want = certify_projection_interval(samples, theta, 1e-5, cand.geom, row_witnesses(dust, cand, None))
-        assert cert.to_json_dict() == want.to_json_dict(), theta
+        assert_certificate_by_sorting(cert, samples, theta, 1e-5)
 
 
 def test_no_angle_images_no_sample(leaves_imaged):
     """With no angle every prefix node prunes, the root first: no stopping
     word is imaged and there is no certificate."""
-    four = get_builtin("four_corner")
-    assert certify_projection_intervals(four, coarse_lines_candidate(), [], 1e-3) == []
+    assert certify_projection_intervals(get_builtin("four_corner"), [], 1e-3) == []
     assert leaves_imaged == [0]
 
 
@@ -1395,20 +1396,17 @@ def test_c3_gap_scan_over_lambda():
     onto (C has thickness 1). The gap scan at scale s = 5e-4 and resolution
     1e-3 finds both within 2 s, at the angles k pi / 19, k = 1, ..., 18."""
     s, resolution = 5e-4, 1e-3
-    samples = attractor_points(cantor_product(), s)
+    thetas = np.arange(1, 19) * math.pi / 19
     thin = 0
-    for theta in np.arange(1, 19) * math.pi / 19:
+    for theta, cert in zip(thetas, certify_projection_intervals(cantor_product(), thetas, resolution)):
         c, n = abs(math.cos(theta)), abs(math.sin(theta))
         lam = min(n, c) / max(n, c)
-        cert = certify_projection_interval(samples, theta, resolution)
         if lam < 1.0 / 3.0:
             thin += 1
             assert cert.largest_gap == pytest.approx((1 - 3 * lam) / 3 * max(c, n), abs=2 * s)
         else:
             assert cert.certified and cert.length == pytest.approx(c + n, abs=2 * s)
     assert 0 < thin < 18
-
-
 def loop_longest_run(least, greatest, resolution):
     """The gap route's rule in one pass over the buckets: a run ends at each
     gap wider than resolution, spans greatest[last] - least[first] (one
@@ -1456,53 +1454,36 @@ def test_longest_run_matches_loop(rng, monkeypatch):
     assert _gap_scan(pos, pos, 1)[2:] == (0, 2)
 
 
-def row_witnesses(ifs, cand: RecurrentCandidate, theta: float | None) -> tuple[RowRuns, np.ndarray]:
-    """L's runs on the row nearest theta alone (all of L with theta None)
-    and their first witnesses into L at the check slack, as `certify`
-    computes them."""
-    rows = cand.L if theta is None else cand.L.only(cand.geom.nearest_row(theta)[1])
-    words = two_letter_words(ifs.letter_maps())
-    return rows, first_witness_rows(words, rows, l_membership(cand))
-
-
 def test_projection_interval_recurrence_route(desk):
+    """The recurrence row of the desk candidate's first E row is a
+    nonempty run of recurring cells."""
     theta = float(np.flatnonzero(desk.E.member)[0]) * desk.geom.pitch
-    cert = certify_projection_interval(
-        attractor_points(desk.ifs, 5e-4),
-        theta,
-        1e-3,
-        desk.geom,
-        row_witnesses(desk.ifs, desk.cand, theta),
-    )
-    assert cert.recurrence_certified is not None
-    assert cert.recurrence_length > 0.0
-    lo, hi = cert.recurrence_interval
-    assert hi - lo == pytest.approx(cert.recurrence_length)
+    (row,) = recurrence_rows(desk.ifs, desk.cand, [theta], 1e-3)
+    assert isinstance(row["recurrence_certified"], bool)
+    assert row["recurrence_length"] > 0.0
+    lo, hi = row["recurrence_interval"]
+    assert hi - lo == pytest.approx(row["recurrence_length"])
 
 
 def test_projection_intervals_mirror_under_half_turn():
-    """theta and theta + pi name the same lines with t negated, so both
-    certificates come out mirrored; a theta just below pi reads row 0 with t
-    negated."""
+    """theta and theta + pi name the same lines with t negated, so both the
+    gap certificates and the recurrence rows come out mirrored; a theta
+    just below pi reads row 0 with t negated."""
     four = get_builtin("four_corner")
     geom = GridGeometry(61, t_max=1.5)
     cand = flat_candidate(geom, 0.1, lines_meeting_unit_square(geom))
-    pts = attractor_points(four, 5e-3)
-    recurrence = row_witnesses(four, cand, None)
-
-    def cert(theta):
-        return certify_projection_interval(pts, theta, 1e-2, geom, recurrence)
-
     theta = round(1.5 / geom.pitch) * geom.pitch
-    a, b = cert(theta), cert(theta + math.pi)
-    assert a.certified and b.certified and a.recurrence_interval is not None
+    thetas = [theta, theta + math.pi, 0.0, math.pi - geom.pitch / 4]
+    a, b, _, near_pi = certify_projection_intervals(four, thetas, 1e-2)
+    rows = recurrence_rows(four, cand, thetas, 1e-2)
+    row_a, row_b, row0, row_near_pi = (row["recurrence_interval"] for row in rows)
+    assert a.certified and b.certified and row_a is not None
     assert b.interval == pytest.approx((-a.interval[1], -a.interval[0]), abs=1e-12)
-    assert b.recurrence_interval == (-a.recurrence_interval[1], -a.recurrence_interval[0])
+    assert row_b == [-row_a[1], -row_a[0]]
 
     assert cand.L.row_cells[0] > 0
-    row0, near_pi = cert(0.0), cert(math.pi - geom.pitch / 4)
-    lo, hi = near_pi.recurrence_interval
-    assert (lo, hi) == (-row0.recurrence_interval[1], -row0.recurrence_interval[0])
+    lo, hi = row_near_pi
+    assert [lo, hi] == [-row0[1], -row0[0]]
     # and it sits on the point-gap interval of the same direction, [-1, 0]
     assert near_pi.interval[0] - geom.pitch <= lo < hi <= near_pi.interval[1] + geom.pitch
 
@@ -1529,39 +1510,25 @@ def _cert_cases():
 
 
 def test_certificate_row_equals_point_route():
-    """The certificate's recurrence row is the same from the whole-L row
-    route's witnesses (all of them, or those of the certified rows), from
-    the row route on the certified row alone, and from the point route (`certificate_oracle.point_route_row`): for rows in [0, pi),
-    the same rows a half-turn on, negative angles, angles just below pi
-    (row 0 with t negated) and a row with no L cells. The certificates of
-    `certify_projection_intervals`, whose row route runs on all the
-    certified rows at once, are the same as the others."""
+    """The recurrence rows of `recurrence_rows` equal those of the point
+    route (`certificate_oracle.point_route_row`), whether its row route
+    runs on the rows of all the angles at once or on each angle's row
+    alone: for rows in [0, pi), the same rows a half-turn on, negative
+    angles, angles just below pi (row 0 with t negated) and rows with no L
+    cells."""
     resolution = 0.05
     for name, ifs, cand in _cert_cases():
         geom = cand.geom
-        samples = attractor_points(ifs, resolution / 2)
-        whole = row_witnesses(ifs, cand, None)
         rows = np.flatnonzero(np.diff(cand.L.ptr))[::5]
         thetas = np.concatenate([rows, rows + geom.n_theta, -rows - 0.3]) * geom.pitch
         thetas = [*thetas.tolist(), math.pi - geom.pitch / 4, math.nextafter(math.pi, 0.0)]
         empty = np.flatnonzero(np.diff(cand.L.ptr) == 0)
         thetas += (empty * geom.pitch).tolist()
-        # the whole-L witnesses of the certified rows only, at those rows' cells
-        picked = np.unique([geom.nearest_row(th)[1] for th in thetas])
-        first = cand.L.before[cand.L.ptr]
-        cells = np.concatenate([np.arange(first[r], first[r + 1]) for r in picked])
-        kept = (cand.L.only(picked), whole[1][cells])
-        routed = certify_projection_intervals(ifs, cand, thetas, resolution)
         partial = certified = 0
-        for theta, one_route in zip(thetas, routed):
+        for theta, row in zip(thetas, recurrence_rows(ifs, cand, thetas, resolution)):
             want = certificate_oracle.point_route_row(ifs, cand, theta, resolution)
-            for recurrence in (whole, kept, row_witnesses(ifs, cand, theta)):
-                cert = certify_projection_interval(samples, theta, resolution, geom, recurrence)
-                got = (cert.recurrence_interval, cert.recurrence_length, cert.recurrence_certified)
-                assert got == want, (name, theta)
-            assert one_route.to_json_dict() == cert.to_json_dict(), (name, theta)
-            assert np.array_equal(one_route.gaps, cert.gaps), (name, theta)
-            certified += want[2]
-            _, row = geom.nearest_row(theta)
-            partial += 0 < want[1] < cand.L.row_cells[row] * geom.pitch
+            assert row == want == recurrence_rows(ifs, cand, [theta], resolution)[0], (name, theta)
+            certified += want["recurrence_certified"]
+            _, r = geom.nearest_row(theta)
+            partial += 0 < want["recurrence_length"] < cand.L.row_cells[r] * geom.pitch
         assert 0 < certified < len(thetas) and partial > 0 and len(empty) > 0, name
