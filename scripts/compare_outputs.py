@@ -69,6 +69,12 @@ output depends on the BLAS kernel. The commands:
   certificate covers (the `# no interval` trailer and 63 wide gaps); at
   0.2 the projection is an interval with one wide gap in its sample.
   The other constants are those of configs/four_corner.json.
+- `verify` (seed 1, with the four_corner omega above) and `certify` (at
+  theta 0.7854, unperturbed) at rho 2^-5 on a set of unequal ratios, the
+  only commands whose stopping words have unequal lengths: a and b of
+  ratio 1/2 at (0, 0) and (1/2, 0), c and d of ratio 1/4 at (0, 3/4) and
+  (3/4, 3/4) (dimension 1.4500; the open unit square test holds). The
+  other constants are those of configs/four_corner.json.
 
 Outputs are compared as follows: `.npz` files by their unpacked arrays,
 `.json` files by value with `candidate_file` and `omega_file` removed (they
@@ -107,6 +113,8 @@ TURNED = "four_corner_turned.json"  # an IFS file, written there too
 TURNED_RUN = ["--config", FOUR_CORNER, "--ifs", TURNED, "--rho", repr(2.0**-5)]
 C3 = "cantor_product.json"  # an IFS file, written there too
 C3_RUN = ["--config", FOUR_CORNER, "--ifs", C3, "--rho", repr(2.0**-5)]
+TWO_RATIO = "two_ratio.json"  # an IFS file, written there too
+TWO_RATIO_RUN = ["--config", FOUR_CORNER, "--ifs", TWO_RATIO, "--rho", repr(2.0**-5)]
 GASKET_B_A = "sierpinski_part_one_b_a.json"  # an IFS file, written there too
 OMEGA_B_A = "omega_sierpinski_b_a.json"
 
@@ -149,6 +157,8 @@ COMMANDS = {
     "certify-turned": ["certify", *TURNED_RUN, "--theta", "4.0", "--omega", OMEGA],
     "certify-c3": ["certify", *C3_RUN, "--theta", "0.0"],
     "certify-c3-tilt": ["certify", *C3_RUN, "--theta", "0.2"],
+    "verify-two-ratio": ["verify", *TWO_RATIO_RUN, "--seed", "1", "--omega", OMEGA],
+    "certify-two-ratio": ["certify", *TWO_RATIO_RUN, "--theta", "0.7854"],
 }
 PATH_KEYS = ("candidate_file", "omega_file")
 
@@ -224,6 +234,16 @@ def cantor_product() -> dict:
     return {
         "alphabet": list(corners),
         "maps": {a: {"r": third, "tx": x * third, "ty": y * third} for a, (x, y) in corners.items()},
+    }
+
+
+def two_ratio() -> dict:
+    """A set of two ratios as an IFS file: a and b of ratio 1/2 along the
+    bottom, c and d of ratio 1/4 in the top corners."""
+    maps = {"a": (0.5, 0.0, 0.0), "b": (0.5, 0.5, 0.0), "c": (0.25, 0.0, 0.75), "d": (0.25, 0.75, 0.75)}
+    return {
+        "alphabet": list(maps),
+        "maps": {a: {"r": r, "tx": tx, "ty": ty} for a, (r, tx, ty) in maps.items()},
     }
 
 
@@ -330,6 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         COARSE_THETA: coarse_theta_config(),
         TURNED: turned_four_corner(),
         C3: cantor_product(),
+        TWO_RATIO: two_ratio(),
         GASKET_B_A: gasket_part_one_b_a(),
     }
     for name, data in inputs.items():

@@ -135,10 +135,9 @@ def _render_pgm(ifs: IfsSpec, rho: float, size: int, path: str, budget: int | No
 def cmd_scan(cfg: RunConfig, args) -> int:
     ifs = cfg.load_ifs_spec()
     out = _outdir(cfg)
-    grid = cfg.grid_size if cfg.grid_size is not None else cfg.n_theta
     E = build_E(
         ifs,
-        grid,
+        cfg.n_theta,
         cfg.rho,
         cfg.delta_value(),
         c5=cfg.c5,
@@ -148,16 +147,12 @@ def cmd_scan(cfg: RunConfig, args) -> int:
     csv_path = os.path.join(out, "scan.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("theta,l2_estimate,in_E\n")
-        for j in range(grid):
+        for j in range(cfg.n_theta):
             m = "true" if E.member[j] else "false"
             fh.write(f"{float(E.theta_grid[j])!r},{float(E.l2[j])!r},{m}\n")
         fh.write(f"# excluded_fraction,{float(E.excluded_fraction)!r}\n")
-    print(f"scan: {grid} rows -> {csv_path}")
+    print(f"scan: {cfg.n_theta} rows -> {csv_path}")
     print(f"c5 = {E.c5!r}, excluded_fraction = {E.excluded_fraction!r}")
-    if getattr(args, "render", False):
-        pgm_path = os.path.join(out, "attractor.pgm")
-        n = _render_pgm(ifs, cfg.rho, cfg.raster_size, pgm_path, cfg.word_budget)
-        print(f"raster: {n} centers -> {pgm_path}")
     return 0
 
 
@@ -166,7 +161,7 @@ def cmd_build_l(cfg: RunConfig, args) -> int:
     res, E, cand = _build_pipeline(cfg)
     geom = cand.geom
     npz_path = os.path.join(out, "candidate.npz")
-    cand.save(npz_path)
+    cand.save(npz_path, E)
     rows = np.flatnonzero(E.member)
     slice_measures = cand.L0.row_cells[rows] * geom.pitch
     summary = {
@@ -266,12 +261,18 @@ def cmd_certify(cfg: RunConfig, args) -> int:
         raise ConfigError(f"theta: {args.theta!r} is too large for the theta grid")
     out = _outdir(cfg)
     omega = _load_omega(cfg, args.omega) if args.omega is not None else None
-    res, E, cand = _build_pipeline(cfg)
-    ifs_eval = res.ifs
+    ifs_eval = cfg.load_ifs_spec()
+    try:  # the recurrence row needs a candidate; the gap certificate does not
+        cand = _build_pipeline(cfg)[2]
+    except ConfigError as exc:
+        print(f"warning: {exc}; no recurrence row", file=sys.stderr)
+        cand = None
     if omega is not None:
-        ifs_eval = _perturbed(res.ifs, omega, cfg)
+        ifs_eval = _perturbed(ifs_eval, omega, cfg)
     (cert,) = certify_projection_intervals(ifs_eval, [args.theta], cfg.cert_resolution, cfg.word_budget)
-    (row,) = recurrence_rows(ifs_eval, cand, [args.theta], cfg.cert_resolution)
+    row = dict.fromkeys(("recurrence_interval", "recurrence_length", "recurrence_certified"))
+    if cand is not None:
+        (row,) = recurrence_rows(ifs_eval, cand, [args.theta], cfg.cert_resolution)
     largest = "null" if cert.largest_gap is None else repr(cert.largest_gap)
     gaps_path = os.path.join(out, "certify_gaps.csv")
     with open(gaps_path, "w", encoding="utf-8") as fh:
@@ -334,11 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recurrent sets of lines and interval certificates for self-similar attractors",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("dimension", "build-l", "render"):
+    for name in ("dimension", "scan", "build-l", "render"):
         _add_common(sub.add_parser(name))
-    sp = sub.add_parser("scan")
-    _add_common(sp)
-    sp.add_argument("--render", action="store_true", help="also write the PGM raster")
     sp = sub.add_parser("search")
     _add_common(sp)
     sp.add_argument("--mode", choices=("iid", "per_symbol"), default=None)

@@ -31,15 +31,12 @@ _CONSTANT_KEYS = (
     "c5",
     "c6",
     "c7",
-    "c9",
-    "c10",
     "delta",
 )
 _GRID_KEYS = (
     "theta_pitch",
     "t_max",
     "n_phi",
-    "grid_size",
     "raster_size",
     "word_budget",
     "search_budget",
@@ -64,14 +61,11 @@ class RunConfig:
     c1: float = 8.0
     c5: float | None = None  # None: smallest value excluding < epsilon/2 of angles
     c6: float = 0.05
-    c7: float | None = None  # None: c6 * c10 * epsilon / (4 c9)
-    c9: float | None = None  # None: measured comparability constant
-    c10: float | None = None  # None: c9^-2 / 16
+    c7: float | None = None  # None: c6 * c10 * epsilon / (4 c9), c9 measured, c10 = c9^-2 / 16
     delta: float | None = None  # None: sqrt(rho)/8
     theta_pitch: float | None = None  # None: pi / ceil(4 pi / rho)
     t_max: float = 1.0
     n_phi: int = 33
-    grid_size: int | None = None  # scan rows; None: full theta grid
     raster_size: int = 512
     word_budget: int = 6_000_000
     search_budget: int = 10_000
@@ -91,7 +85,7 @@ class RunConfig:
             "t_max": self.t_max,
             "cert_resolution": self.cert_resolution,
         }
-        for name in ("c5", "c7", "c9", "c10", "delta", "theta_pitch"):
+        for name in ("c5", "c7", "delta", "theta_pitch"):
             v = getattr(self, name)
             if v is not None:
                 pos[name] = v
@@ -118,8 +112,6 @@ class RunConfig:
                 raise ConfigError(f"{name}: must be a positive integer, got {v!r}")
         if self.theta_pitch is not None and self.theta_pitch >= math.pi:  # E needs 2 rows
             raise ConfigError(f"theta_pitch: must be < pi, got {self.theta_pitch}")
-        if self.grid_size is not None and not (_is_int(self.grid_size) and self.grid_size >= 2):
-            raise ConfigError(f"grid_size: must be an integer >= 2, got {self.grid_size!r}")
 
     def load_ifs_spec(self) -> IfsSpec:
         src = self.ifs
@@ -147,17 +139,12 @@ class RunConfig:
     def resolve(self, ifs: IfsSpec | None = None) -> "ResolvedConstants":
         """Fill in measured/derived constants for a concrete system."""
         ifs = self.load_ifs_spec() if ifs is None else ifs
-        c9 = measured_c9(ifs, self.rho, self.word_budget) if self.c9 is None else self.c9
-        c10 = c9**-2 / 16.0 if self.c10 is None else self.c10
-        c7 = self.c6 * c10 * self.epsilon / (4.0 * c9) if self.c7 is None else self.c7
-        d = ifs.dimension
-        n_required = max(1, round(self.c6**2 * self.rho ** (-(d - 1) / 2)))
+        c9 = measured_c9(ifs, self.rho, self.word_budget)
+        c7 = self.c6 * (c9**-2 / 16.0) * self.epsilon / (4.0 * c9) if self.c7 is None else self.c7
+        n_required = max(1, round(self.c6**2 * self.rho ** (-(ifs.dimension - 1) / 2)))
         return ResolvedConstants(
             ifs=ifs,
-            dimension=d,
             c9=c9,
-            c10=c10,
-            delta=self.delta_value(),
             slice_params=SliceParams(
                 epsilon=self.epsilon,
                 c7=c7,
@@ -170,33 +157,31 @@ class RunConfig:
 @dataclass(frozen=True)
 class ResolvedConstants:
     ifs: IfsSpec
-    dimension: float
     c9: float
-    c10: float
-    delta: float
     slice_params: SliceParams
 
 
 def build_pipeline(cfg: RunConfig) -> tuple[ResolvedConstants, DirectionSet, RecurrentCandidate]:
-    """Resolve the constants, scan the directions into E, run the slice test
-    on every E row and assemble the candidate. Raises ConfigError when the
-    attractor's dimension is at most 1, and when the candidate is empty,
-    naming the cause."""
-    res = cfg.resolve()
-    if res.dimension <= 1.0 + 1e-9:
+    """Refuse an attractor of dimension at most 1 (a ConfigError, before any
+    stopping word is counted), resolve the constants, scan the directions
+    into E, run the slice test on every E row and assemble the candidate.
+    An empty candidate is a ConfigError too, naming the cause."""
+    ifs = cfg.load_ifs_spec()
+    if ifs.dimension <= 1.0 + 1e-9:
         raise ConfigError("d ≤ 1, theorem hypotheses unmet")
+    res = cfg.resolve(ifs)
     geom = cfg.geometry()
     E = build_E(
-        res.ifs,
+        ifs,
         cfg.n_theta,
         cfg.rho,
-        res.delta,
+        cfg.delta_value(),
         c5=cfg.c5,
         epsilon=cfg.epsilon,
         budget=cfg.word_budget,
     )
     sp = res.slice_params
-    slices = SliceBuilder(res.ifs, E, geom, sp).all_rows()
+    slices = SliceBuilder(ifs, E, geom, sp).all_rows()
     if not len(slices.start):
         cause = "slice test: no slice produced members"
         if not E.member.any():
@@ -204,7 +189,7 @@ def build_pipeline(cfg: RunConfig) -> tuple[ResolvedConstants, DirectionSet, Rec
         elif sp.required_run > sp.n_phi:
             cause = f"c7: a phi-run above {sp.c7!r} needs {sp.required_run} cells > n_phi = {sp.n_phi}"
         raise ConfigError(f"{cause}; the candidate is empty")
-    return res, E, build_candidate(E, slices, cfg.rho, geom)
+    return res, E, build_candidate(slices, cfg.rho, geom)
 
 
 def config_from_json_dict(data: dict) -> RunConfig:

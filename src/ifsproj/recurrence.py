@@ -305,16 +305,13 @@ class SliceBuilder:
                 f"direction set grid ({len(E.theta_grid)}) does not match "
                 f"candidate grid ({geom.n_theta})"
             )
-        self.ifs = ifs
         self.E = E
         self.geom = geom
         self.params = params
-        self.a1 = list(ifs.part_one)
-        self.a2 = list(ifs.part_two)
-        n1, n2, n_phi = len(self.a1), len(self.a2), params.n_phi
+        n1, n2, n_phi = len(ifs.part_one), len(ifs.part_two), params.n_phi
         # (rotate f_{a1} by phi about its cell center) o f_{a2} for every (a1, phi, a2)
-        turned = ifs.letter_maps(self.a1).reshape(n1, 1).turned(params.phi_centers(), (0.0, 0.0))
-        self.g = turned.compose(ifs.letter_maps(self.a2)).reshape(n1, n_phi, n2)
+        turned = ifs.letter_maps(ifs.part_one).reshape(n1, 1).turned(params.phi_centers(), (0.0, 0.0))
+        self.g = turned.compose(ifs.letter_maps(ifs.part_two)).reshape(n1, n_phi, n2)
 
     def _runs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The slice test's member cells on the given rows (those in E), as
@@ -421,8 +418,6 @@ class RecurrentCandidate:
     L1: RowRuns
     r_cells: int
     r1_cells: int
-    e_member: np.ndarray
-    c5: float
 
     @property
     def search_slack(self) -> float:
@@ -438,7 +433,8 @@ class RecurrentCandidate:
     def delta_count(self) -> int:
         return int(self.L1.before[-1])
 
-    def save(self, path: str):
+    def save(self, path: str, E: DirectionSet):
+        """Write `candidate.npz`: the layers, their radii, E.member and E.c5."""
         np.savez_compressed(
             path,
             n_theta=self.geom.n_theta,
@@ -447,14 +443,12 @@ class RecurrentCandidate:
             **{k: np.packbits(getattr(self, k).grid(self.geom.n_t), axis=1) for k in _LAYERS},
             r_cells=self.r_cells,
             r1_cells=self.r1_cells,
-            e_member=np.packbits(self.e_member),
-            c5=self.c5,
+            e_member=np.packbits(E.member),
+            c5=E.c5,
         )
 
 
-def build_candidate(
-    E: DirectionSet, slices: RowRuns, rho: float, geom: GridGeometry
-) -> RecurrentCandidate:
+def build_candidate(slices: RowRuns, rho: float, geom: GridGeometry) -> RecurrentCandidate:
     """Assemble the candidate from the core L0, given as the row runs of the
     slice test on every E row (`SliceBuilder.all_rows`), and thicken it."""
     if len(slices.ptr) != geom.n_theta + 1:
@@ -471,8 +465,6 @@ def build_candidate(
         L1=_dilate(slices, geom.n_t, r1_cells),
         r_cells=r_cells,
         r1_cells=r1_cells,
-        e_member=E.member.copy(),
-        c5=E.c5,
     )
 
 

@@ -24,7 +24,8 @@ def test_defaults_resolve():
     res = cfg.resolve()
     assert res.c9 == pytest.approx(math.sqrt(2.0))
     assert res.slice_params.n_required >= 1
-    assert res.slice_params.c7 > 0 and res.c10 > 0
+    # c7 = c6 c10 epsilon / (4 c9), with c10 = c9^-2 / 16 derived from the measured c9
+    assert res.slice_params.c7 == cfg.c6 * (res.c9**-2 / 16) * cfg.epsilon / (4 * res.c9) > 0
 
 
 @pytest.mark.parametrize(
@@ -37,7 +38,7 @@ def test_defaults_resolve():
         (dict(seed=-1), "seed"),
         (dict(search_mode="annealing"), "search_mode"),
         (dict(theta_pitch=-0.01), "theta_pitch"),
-        (dict(grid_size=0), "grid_size"),
+        (dict(c7=0.0), "c7"),
         (dict(word_budget=0), "word_budget"),
         (dict(n_phi="33"), "n_phi"),
         (dict(n_phi=33.0), "n_phi"),
@@ -47,7 +48,7 @@ def test_defaults_resolve():
         (dict(c1=True), "c1"),
         (dict(out=5), "out"),
         (dict(cert_resolution=2.0), "cert_resolution"),
-        (dict(grid_size=1), "grid_size"),
+        (dict(theta_pitch=math.pi), "theta_pitch"),
         (dict(theta_pitch=4.0), "theta_pitch"),
     ],
 )
@@ -61,12 +62,12 @@ def test_nested_blocks():
         {
             "ifs": "four_corner",
             "constants": {"rho": 0.05, "c1": 2.0},
-            "grid": {"grid_size": 8, "n_phi": 9},
+            "grid": {"raster_size": 8, "n_phi": 9},
             "seed": 7,
         }
     )
     assert cfg.ifs == "four_corner" and cfg.rho == 0.05
-    assert cfg.c1 == 2.0 and cfg.grid_size == 8 and cfg.n_phi == 9 and cfg.seed == 7
+    assert cfg.c1 == 2.0 and cfg.raster_size == 8 and cfg.n_phi == 9 and cfg.seed == 7
 
 
 def test_unknown_and_duplicate_keys():
@@ -77,6 +78,9 @@ def test_unknown_and_duplicate_keys():
     removed = (
         ("constants", "c2"),
         ("constants", "c3"),
+        ("constants", "c9"),
+        ("constants", "c10"),
+        ("grid", "grid_size"),
         ("grid", "max_depth"),
         ("grid", "survivor_budget"),
         ("grid", "t_pitch"),
@@ -266,8 +270,12 @@ def test_malformed_ifs_is_config_error(tmp_path, capsys):
 
 
 def test_thin_system_guard(tmp_path, capsys):
-    assert main(["build-l", "--ifs", "cantor_dust", "--out", str(tmp_path)]) == 2
-    assert "d ≤ 1, theorem hypotheses unmet" in capsys.readouterr().err
+    """The d <= 1 refusal comes before c9 is measured, so a budget too
+    small for the stopping cover at sqrt(rho) (16 words > 10) does not turn
+    it into a budget exit."""
+    for budget in ([], ["--budget", "10"]):
+        assert main(["build-l", "--ifs", "cantor_dust", *budget, "--out", str(tmp_path)]) == 2, budget
+        assert capsys.readouterr().err == "d ≤ 1, theorem hypotheses unmet\n", budget
 
 
 def test_symbols_are_one_character(tmp_path, capsys):
@@ -293,14 +301,50 @@ def test_symbols_are_one_character(tmp_path, capsys):
 def test_empty_candidate_is_a_config_error(tmp_path, capsys, constants, field):
     """A candidate left empty, by a c7 whose phi-run is longer than n_phi
     cells (551 > 33) or by a c5 that keeps no direction in E, exits 2
-    from every pipeline command with one line naming the constant."""
+    from build-l and search with one line naming the constant. certify
+    needs the candidate only for its recurrence row: it warns with the
+    same cause, writes the gap certificate with the recurrence fields null
+    and exits 0."""
     cfg = tmp_path / "empty.json"
     cfg.write_text(json.dumps({"ifs": "sierpinski", "constants": {"rho": 0.0625, **constants}}))
+    out = tmp_path / "out"
     for command in (["build-l"], ["search"], ["certify", "--theta", "0.5"]):
-        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2, command
+        code = 0 if command[0] == "certify" else 2
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == code, command
         err = capsys.readouterr().err
-        assert err.startswith(f"{field}: ") and err.endswith("; the candidate is empty\n"), err
-        assert err.count("\n") == 1, err
+        prefix = "warning: " if code == 0 else ""
+        suffix = "; no recurrence row" if code == 0 else ""
+        assert err.startswith(f"{prefix}{field}: "), err
+        assert err.endswith(f"; the candidate is empty{suffix}\n") and err.count("\n") == 1, err
+    report = json.loads((out / "certify_report.json").read_text())
+    assert report["theta"] == 0.5 and report["n_samples"] > 0
+    for key in ("recurrence_interval", "recurrence_length", "recurrence_certified"):
+        assert report[key] is None, key
+
+
+def test_certify_needs_no_candidate(tmp_path, capsys):
+    """certify on the Cantor dust, which the pipeline refuses (d = 1),
+    still writes its gap certificate: at slope 1/2 the projection is an
+    interval of length 3/sqrt(5), and on the diagonal its largest gap is
+    0.25/sqrt(2), both within the resolution 1e-3. The omega file is read
+    before the pipeline, so a missing one exits 2 with no warning."""
+    cfg = str(ROOT / "configs" / "cantor_dust.json")
+    argv = ["certify", "--config", cfg, "--out", str(tmp_path)]
+    assert main([*argv, "--theta", "0.5", "--omega", str(tmp_path / "absent.json")]) == 2
+    assert capsys.readouterr().err.startswith("omega: no such file")
+    for theta in (math.atan(0.5), math.pi / 4):
+        assert main([*argv, "--theta", repr(theta)]) == 0
+        assert capsys.readouterr().err == "warning: d ≤ 1, theorem hypotheses unmet; no recurrence row\n"
+        report = json.loads((tmp_path / "certify_report.json").read_text())
+        assert report["theta"] == theta and report["omega_file"] is None
+        for key in ("recurrence_interval", "recurrence_length", "recurrence_certified"):
+            assert report[key] is None, key
+        if theta == math.pi / 4:
+            assert not report["certified"]
+            assert report["largest_gap"] == pytest.approx(0.25 / math.sqrt(2), abs=1e-3)
+        else:
+            assert report["certified"]
+            assert report["length"] == pytest.approx(3 / math.sqrt(5), abs=1e-3)
 
 
 def test_budget_exit_code(tmp_path, capsys):
@@ -340,7 +384,7 @@ def test_render_rejects_bad_size(tmp_path, capsys):
 
 
 def test_scan_csv_format_and_determinism(tmp_path, capsys):
-    cfg = coarse_config(tmp_path, grid={"grid_size": 16})
+    cfg = coarse_config(tmp_path, grid={"theta_pitch": 0.2})  # ceil(pi / 0.2) = 16 rows
     assert main(["scan", "--config", cfg]) == 0
     csv = tmp_path / "out" / "scan.csv"
     lines = csv.read_text().splitlines()
@@ -358,8 +402,13 @@ def test_scan_csv_format_and_determinism(tmp_path, capsys):
 
 
 def test_scan_render_flag(tmp_path, capsys):
-    cfg = coarse_config(tmp_path, grid={"grid_size": 8, "raster_size": 16})
-    assert main(["scan", "--config", cfg, "--render"]) == 0
+    """scan has no --render flag: `render` writes the raster, at the
+    config's raster_size."""
+    cfg = coarse_config(tmp_path, grid={"raster_size": 16})
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--config", cfg, "--render"])
+    assert exc.value.code == 2 and "--render" in capsys.readouterr().err
+    assert main(["render", "--config", cfg]) == 0
     assert (tmp_path / "out" / "attractor.pgm").read_bytes().startswith(b"P5 16 16 255\n")
     capsys.readouterr()
 

@@ -90,8 +90,6 @@ def flat_candidate(geom: GridGeometry, rho: float, member: np.ndarray) -> Recurr
         L1=runs,
         r_cells=0,
         r1_cells=0,
-        e_member=np.ones(geom.n_theta, dtype=bool),
-        c5=1.0,
     )
 
 
@@ -397,7 +395,7 @@ def test_slice_without_e_rows_is_an_empty_candidate(coarse_sierpinski):
     runs = SliceBuilder(ifs, no_rows, geom, SliceParams(epsilon=0.3, c7=1e-3)).all_rows()
     assert not runs.ptr.any() and len(runs.ptr) == geom.n_theta + 1 and not len(runs.start)
     with pytest.raises(ValueError, match="empty candidate"):
-        build_candidate(no_rows, runs, rho, geom)
+        build_candidate(runs, rho, geom)
 
 
 def test_desk_slice_holds_one_block_of_rows(desk, traced_peak):
@@ -502,9 +500,10 @@ def test_cover_counts_runs(rng):
 
 def test_candidate_save_load_roundtrip(desk, tmp_path):
     """candidate.npz holds every layer as its painted boolean grid, packed
-    to bits, and every scalar field; a second save writes the same bytes."""
+    to bits, every scalar field, and E's membership and c5; a second save
+    writes the same bytes."""
     cand, p = desk.cand, tmp_path / "cand.npz"
-    cand.save(str(p))
+    cand.save(str(p), desk.E)
     n_t = cand.geom.n_t
     with np.load(p) as z:
         assert int(z["n_theta"]) == cand.geom.n_theta
@@ -512,14 +511,14 @@ def test_candidate_save_load_roundtrip(desk, tmp_path):
         assert float(z["rho"]) == cand.rho
         assert int(z["r_cells"]) == cand.r_cells
         assert int(z["r1_cells"]) == cand.r1_cells
-        assert float(z["c5"]) == cand.c5
+        assert float(z["c5"]) == desk.E.c5
         for name in ("L0", "L", "L1"):
             grid = np.unpackbits(z[name], axis=1, count=n_t).astype(bool)
             assert np.array_equal(grid, getattr(cand, name).grid(n_t))
         e_member = np.unpackbits(z["e_member"], count=cand.geom.n_theta).astype(bool)
-        assert np.array_equal(e_member, cand.e_member)
+        assert np.array_equal(e_member, desk.E.member)
     p2 = tmp_path / "cand2.npz"
-    cand.save(str(p2))
+    cand.save(str(p2), desk.E)
     assert p.read_bytes() == p2.read_bytes()
 
 
