@@ -22,7 +22,6 @@ from .ifs import (
 from .lines import renormalize_affine, renormalize_arrays
 from .measure import (
     DirectionSet,
-    ProjectedHistogram,
     build_E,
     l2_norm_estimate,
     measured_c9,

@@ -18,7 +18,7 @@ import numpy as np
 from .config import RunConfig, build_pipeline, load_config, override, read_json_file
 from .errors import BudgetExceeded, ConfigError
 from .ifs import IfsSpec, _outside, check_osc_unit_square
-from .measure import DirectionSet, build_E, stopping_cylinders
+from .measure import DirectionSet, stopping_cylinders
 from .recurrence import RecurrentCandidate, certify_projection_intervals, check_recurrence, recurrence_rows
 from .search import (
     build_perturbed_ifs,
@@ -44,15 +44,14 @@ def _outdir(cfg: RunConfig) -> str:
 
 def _build_pipeline(cfg: RunConfig):
     """`build_pipeline`, with a warning on stderr when c7 is degenerate."""
-    res, E, cand = build_pipeline(cfg)
-    sp = res.slice_params
+    ifs, sp, E, cand = build_pipeline(cfg)
     if sp.c7 < sp.phi_cell_width:
         print(
             f"warning: c7 = {sp.c7!r} is smaller than one phi cell ({sp.phi_cell_width!r}), "
             "so the phi-run test only asks that some phi cell passes",
             file=sys.stderr,
         )
-    return res, E, cand
+    return ifs, sp, E, cand
 
 
 def _perturbed(ifs: IfsSpec, omega: np.ndarray, cfg: RunConfig) -> IfsSpec:
@@ -133,23 +132,14 @@ def _render_pgm(ifs: IfsSpec, rho: float, size: int, path: str, budget: int | No
 
 
 def cmd_scan(cfg: RunConfig, args) -> int:
-    ifs = cfg.load_ifs_spec()
     out = _outdir(cfg)
-    E = build_E(
-        ifs,
-        cfg.n_theta,
-        cfg.rho,
-        cfg.delta_value(),
-        c5=cfg.c5,
-        epsilon=cfg.epsilon,
-        budget=cfg.word_budget,
-    )
+    E = cfg.direction_set(cfg.load_ifs_spec())
     csv_path = os.path.join(out, "scan.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("theta,l2_estimate,in_E\n")
-        for j in range(cfg.n_theta):
-            m = "true" if E.member[j] else "false"
-            fh.write(f"{float(E.theta_grid[j])!r},{float(E.l2[j])!r},{m}\n")
+        for theta, l2, member in zip(E.theta_grid, E.l2, E.member):
+            m = "true" if member else "false"
+            fh.write(f"{float(theta)!r},{float(l2)!r},{m}\n")
         fh.write(f"# excluded_fraction,{float(E.excluded_fraction)!r}\n")
     print(f"scan: {cfg.n_theta} rows -> {csv_path}")
     print(f"c5 = {E.c5!r}, excluded_fraction = {E.excluded_fraction!r}")
@@ -158,7 +148,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 def cmd_build_l(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
-    res, E, cand = _build_pipeline(cfg)
+    _, sp, E, cand = _build_pipeline(cfg)
     geom = cand.geom
     npz_path = os.path.join(out, "candidate.npz")
     cand.save(npz_path, E)
@@ -170,10 +160,10 @@ def cmd_build_l(cfg: RunConfig, args) -> int:
         "pitch": geom.pitch,
         "t_max": cfg.t_max,
         "c5": E.c5,
-        "c7": res.slice_params.c7,
-        "phi_cell_width": res.slice_params.phi_cell_width,
-        "required_run": res.slice_params.required_run,
-        "n_required": res.slice_params.n_required,
+        "c7": sp.c7,
+        "phi_cell_width": sp.phi_cell_width,
+        "required_run": sp.required_run,
+        "n_required": sp.n_required,
         "excluded_fraction": E.excluded_fraction,
         "e_rows": int(E.member.sum()),
         "counts": {k: int(getattr(cand, k).before[-1]) for k in ("L0", "L", "L1")},
@@ -193,8 +183,8 @@ def cmd_build_l(cfg: RunConfig, args) -> int:
 def cmd_search(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     print(f"seed = {cfg.seed}")
-    res, E, cand = _build_pipeline(cfg)
-    obstruction = hull_obstruction(res.ifs, cand, cfg.c1, cfg.epsilon)
+    ifs, _, E, cand = _build_pipeline(cfg)
+    obstruction = hull_obstruction(ifs, cand, cfg.c1, cfg.epsilon)
     if obstruction is None:
         print("hull obstruction: not proved")
     else:
@@ -204,7 +194,7 @@ def cmd_search(cfg: RunConfig, args) -> int:
             f"{rule['distance']:.6g} from the invariant polygon > bound {rule['bound']:.6g})"
         )
     outcome = search_omega0(
-        res.ifs,
+        ifs,
         cand,
         budget=cfg.search_budget,
         seed=cfg.seed,
@@ -213,16 +203,16 @@ def cmd_search(cfg: RunConfig, args) -> int:
         epsilon=cfg.epsilon,
     )
     report = {
-        **outcome.to_json_dict(res.ifs),
+        **outcome.to_json_dict(ifs),
         "seed": cfg.seed,
         "budget": cfg.search_budget,
         "excluded_fraction": E.excluded_fraction,
         "obstruction": obstruction,
     }
     if outcome.omega0 is not None:
-        report.update(_assess(cfg, res.ifs, E, cand, outcome.omega0))
+        report.update(_assess(cfg, ifs, E, cand, outcome.omega0))
         report["status"] = "omega0 found"
-        omega0 = omega_to_json(res.ifs, outcome.omega0)
+        omega0 = omega_to_json(ifs, outcome.omega0)
         omega_path = _write_json(os.path.join(out, "omega0.json"), omega0)
         print(f"omega0 found at attempt {outcome.accepted_attempt} -> {omega_path}")
     else:
@@ -238,13 +228,13 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     print(f"seed = {cfg.seed}")
     omega = _load_omega(cfg, args.omega)
-    res, E, cand = _build_pipeline(cfg)
+    ifs, _, E, cand = _build_pipeline(cfg)
     report = {
         "seed": cfg.seed,
         "omega_file": args.omega,
-        "omega": omega_to_json(res.ifs, omega),
+        "omega": omega_to_json(ifs, omega),
         "excluded_fraction": E.excluded_fraction,
-        **_assess(cfg, res.ifs, E, cand, omega),
+        **_assess(cfg, ifs, E, cand, omega),
     }
     path = _write_json(os.path.join(out, "verify_report.json"), report)
     check = report["check"]
@@ -263,7 +253,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     omega = _load_omega(cfg, args.omega) if args.omega is not None else None
     ifs_eval = cfg.load_ifs_spec()
     try:  # the recurrence row needs a candidate; the gap certificate does not
-        cand = _build_pipeline(cfg)[2]
+        cand = _build_pipeline(cfg)[3]
     except ConfigError as exc:
         print(f"warning: {exc}; no recurrence row", file=sys.stderr)
         cand = None

@@ -136,51 +136,31 @@ class RunConfig:
     def delta_value(self) -> float:
         return math.sqrt(self.rho) / 8.0 if self.delta is None else self.delta
 
-    def resolve(self, ifs: IfsSpec | None = None) -> "ResolvedConstants":
-        """Fill in measured/derived constants for a concrete system."""
-        ifs = self.load_ifs_spec() if ifs is None else ifs
+    def resolve(self, ifs: IfsSpec) -> SliceParams:
+        """The slice test's parameters for a concrete system: c7 derived
+        from the measured c9 unless given, n_required from the dimension."""
         c9 = measured_c9(ifs, self.rho, self.word_budget)
         c7 = self.c6 * (c9**-2 / 16.0) * self.epsilon / (4.0 * c9) if self.c7 is None else self.c7
         n_required = max(1, round(self.c6**2 * self.rho ** (-(ifs.dimension - 1) / 2)))
-        return ResolvedConstants(
-            ifs=ifs,
-            c9=c9,
-            slice_params=SliceParams(
-                epsilon=self.epsilon,
-                c7=c7,
-                n_phi=self.n_phi,
-                n_required=n_required,
-            ),
-        )
+        return SliceParams(epsilon=self.epsilon, c7=c7, n_phi=self.n_phi, n_required=n_required)
+
+    def direction_set(self, ifs: IfsSpec) -> DirectionSet:
+        """E for a concrete system on this config's theta grid (`build_E`)."""
+        return build_E(ifs, self.n_theta, self.rho, self.delta_value(), self.c5, self.epsilon, self.word_budget)
 
 
-@dataclass(frozen=True)
-class ResolvedConstants:
-    ifs: IfsSpec
-    c9: float
-    slice_params: SliceParams
-
-
-def build_pipeline(cfg: RunConfig) -> tuple[ResolvedConstants, DirectionSet, RecurrentCandidate]:
+def build_pipeline(cfg: RunConfig) -> tuple[IfsSpec, SliceParams, DirectionSet, RecurrentCandidate]:
     """Refuse an attractor of dimension at most 1 (a ConfigError, before any
-    stopping word is counted), resolve the constants, scan the directions
-    into E, run the slice test on every E row and assemble the candidate.
-    An empty candidate is a ConfigError too, naming the cause."""
+    stopping word is counted), resolve the slice parameters, scan the
+    directions into E, run the slice test on every E row and assemble the
+    candidate; returns the system, the slice parameters, E and the
+    candidate. An empty candidate is a ConfigError too, naming the cause."""
     ifs = cfg.load_ifs_spec()
     if ifs.dimension <= 1.0 + 1e-9:
         raise ConfigError("d ≤ 1, theorem hypotheses unmet")
-    res = cfg.resolve(ifs)
+    sp = cfg.resolve(ifs)
     geom = cfg.geometry()
-    E = build_E(
-        ifs,
-        cfg.n_theta,
-        cfg.rho,
-        cfg.delta_value(),
-        c5=cfg.c5,
-        epsilon=cfg.epsilon,
-        budget=cfg.word_budget,
-    )
-    sp = res.slice_params
+    E = cfg.direction_set(ifs)
     slices = SliceBuilder(ifs, E, geom, sp).all_rows()
     if not len(slices.start):
         cause = "slice test: no slice produced members"
@@ -189,7 +169,7 @@ def build_pipeline(cfg: RunConfig) -> tuple[ResolvedConstants, DirectionSet, Rec
         elif sp.required_run > sp.n_phi:
             cause = f"c7: a phi-run above {sp.c7!r} needs {sp.required_run} cells > n_phi = {sp.n_phi}"
         raise ConfigError(f"{cause}; the candidate is empty")
-    return res, E, build_candidate(slices, cfg.rho, geom)
+    return ifs, sp, E, build_candidate(slices, cfg.rho, geom)
 
 
 def config_from_json_dict(data: dict) -> RunConfig:

@@ -47,12 +47,6 @@ class Similarity:
         tx, ty = self.translation
         object.__setattr__(self, "translation", (float(tx), float(ty)))
 
-    def linear(self) -> np.ndarray:
-        """The 2x2 linear part r * R(angle) * M^reflect."""
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        m = [[c, s], [s, -c]] if self.reflect else [[c, -s], [s, c]]
-        return self.ratio * np.array(m)
-
 
 class MapArrays(NamedTuple):
     """The fields of `Similarity` as arrays of one shape, one map per

@@ -64,24 +64,10 @@ def stopping_cylinders(
     return points, ratios
 
 
-@dataclass(frozen=True)
-class ProjectedHistogram:
-    """Piecewise-constant estimate of the projected density at angle theta.
-
-    Bins have width bin_width and are aligned to multiples of it; origin is
-    the left edge of masses[0].
-    """
-
-    theta: float
-    bin_width: float
-    origin: float
-    masses: np.ndarray
-
-
-def projected_histogram(
-    cylinders: tuple[np.ndarray, np.ndarray], theta: float, delta: float
-) -> ProjectedHistogram:
-    """Deposit cylinder masses at projected centers into width-delta bins.
+def projected_histogram(cylinders: tuple[np.ndarray, np.ndarray], theta: float, delta: float) -> np.ndarray:
+    """The masses of the projected density's estimate at angle theta in
+    bins of width delta, aligned to multiples of it, from the first
+    nonempty bin: cylinder masses deposited at their projected centers.
     cylinders is the stopping words' centers and masses ratio^d at scale
     rho (`stopping_cylinders`), computed once by the caller for all its
     angles.
@@ -94,30 +80,33 @@ def projected_histogram(
     centers, masses = cylinders
     pos = offsets(centers[:, 0], centers[:, 1], math.sin(theta), math.cos(theta))
     idx = np.floor(pos / delta).astype(np.int64)
-    lo = int(idx.min())
-    binned = np.bincount(idx - lo, weights=masses)
-    return ProjectedHistogram(theta=theta, bin_width=delta, origin=lo * delta, masses=binned)
+    return np.bincount(idx - int(idx.min()), weights=masses)
 
 
-def l2_norm_estimate(h: ProjectedHistogram) -> float:
-    """Squared L2 norm of the histogram's density: sum of mass^2 / bin width.
-    The sum is exactly rounded (`math.fsum`), so no summation order, and no
-    BLAS kernel, can change it."""
-    return math.fsum((h.masses * h.masses).tolist()) / h.bin_width
+def l2_norm_estimate(masses: np.ndarray, delta: float) -> float:
+    """Squared L2 norm of the density whose bins of width delta hold
+    masses: sum of mass^2 / delta. The sum is exactly rounded
+    (`math.fsum`), so no summation order, and no BLAS kernel, can change
+    it."""
+    return math.fsum((masses * masses).tolist()) / delta
 
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """Membership of the uniform theta-grid in E = {theta : l2 < c5}."""
+    """Membership of the uniform theta-grid theta_j = j*pi/n (n the length
+    of l2) in E = {theta : l2 < c5}."""
 
-    theta_grid: np.ndarray
     l2: np.ndarray
     c5: float
     member: np.ndarray
-    excluded_fraction: float
 
-    def member_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.member)
+    @property
+    def theta_grid(self) -> np.ndarray:
+        return np.arange(len(self.l2)) * (math.pi / len(self.l2))
+
+    @property
+    def excluded_fraction(self) -> float:
+        return float(np.count_nonzero(~self.member) / len(self.member))
 
 
 def select_c5(l2_values: np.ndarray, epsilon: float) -> float:
@@ -125,14 +114,16 @@ def select_c5(l2_values: np.ndarray, epsilon: float) -> float:
 
     Membership is strict (l2 < c5), so candidate thresholds are the observed
     values themselves plus one value just above the maximum (excludes none).
+    A value excludes those at or above it, so the excluded fractions fall
+    along the sorted values: the threshold is the first value v of the sorted
+    array x whose count of entries x >= v, read off one `searchsorted`, is
+    small enough.
     """
-    vals = np.unique(l2_values)
-    candidates = np.append(vals, np.nextafter(vals[-1], np.inf))
-    n = len(l2_values)
-    for c in candidates:
-        if np.count_nonzero(l2_values >= c) / n < epsilon / 2.0:
-            return float(c)
-    raise AssertionError("unreachable: the last candidate excludes nothing")
+    x = np.sort(l2_values)
+    n = len(x)
+    candidates = np.append(x, np.nextafter(x[-1], np.inf))
+    excluded = n - np.searchsorted(x, candidates, "left")
+    return float(candidates[np.argmax(excluded / n < epsilon / 2.0)])
 
 
 def build_E(
@@ -140,13 +131,13 @@ def build_E(
     grid_size: int,
     rho: float,
     delta: float,
-    c5: float | None = None,
-    epsilon: float = 0.3,
+    c5: float | None,
+    epsilon: float,
     budget: int | None = None,
 ) -> DirectionSet:
     """Evaluate the L2 estimate on theta_j = j*pi/grid_size and threshold it.
 
-    With c5 absent, the threshold is auto-selected as the smallest grid
+    With c5 None, the threshold is auto-selected as the smallest grid
     quantile whose excluded fraction stays below epsilon/2.
     """
     if grid_size < 2:
@@ -154,17 +145,10 @@ def build_E(
     centers, ratios = stopping_cylinders(ifs, rho, budget=budget)
     cylinders = (centers, ratios**ifs.dimension)
     thetas = np.arange(grid_size) * (math.pi / grid_size)
-    l2 = np.array([l2_norm_estimate(projected_histogram(cylinders, th, delta)) for th in thetas])
+    l2 = np.array([l2_norm_estimate(projected_histogram(cylinders, th, delta), delta) for th in thetas])
     if c5 is None:
         c5 = select_c5(l2, epsilon)
-    member = l2 < c5
-    return DirectionSet(
-        theta_grid=thetas,
-        l2=l2,
-        c5=float(c5),
-        member=member,
-        excluded_fraction=float(np.count_nonzero(~member) / grid_size),
-    )
+    return DirectionSet(l2=l2, c5=float(c5), member=l2 < c5)
 
 
 def measured_c9(ifs: IfsSpec, rho: float, budget: int | None = None) -> float:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ifs import IfsSpec, MapArrays, stopping_ratios
+from .ifs import IfsSpec, MapArrays, Similarity, stopping_ratios
 from .lines import _CHUNK, offsets, renormalize_affine, renormalize_arrays
 from .measure import DirectionSet, stopping_cylinders
 
@@ -44,7 +44,7 @@ class GridGeometry:
     so the symmetric t-grid is exact under the wrap."""
 
     n_theta: int
-    t_max: float = 1.0
+    t_max: float
 
     @property
     def pitch(self) -> float:
@@ -254,7 +254,7 @@ class SliceParams:
 
     epsilon: float
     c7: float
-    n_phi: int = 33
+    n_phi: int
     n_required: int = 1
 
     def __post_init__(self):
@@ -300,9 +300,9 @@ class SliceBuilder:
     """
 
     def __init__(self, ifs: IfsSpec, E: DirectionSet, geom: GridGeometry, params: SliceParams):
-        if len(E.theta_grid) != geom.n_theta:
+        if len(E.member) != geom.n_theta:
             raise ValueError(
-                f"direction set grid ({len(E.theta_grid)}) does not match "
+                f"direction set grid ({len(E.member)}) does not match "
                 f"candidate grid ({geom.n_theta})"
             )
         self.E = E
@@ -364,7 +364,7 @@ class SliceBuilder:
         is row-local, so the runs of consecutive blocks of rows, joined in
         order, are those of all rows at once; no E rows make one empty
         block."""
-        rows = self.E.member_rows()
+        rows = np.flatnonzero(self.E.member)
         per_block = max(1, _SLICE_BLOCK // self.g.ratio.size)
         starts = range(0, max(len(rows), 1), per_block)
         blocks = [self._runs(rows[i : i + per_block]) for i in starts]
@@ -408,16 +408,29 @@ _LAYERS = ("L0", "L", "L1")  # in the order of candidate.npz
 class RecurrentCandidate:
     """The layers of the candidate recurrent set, as row runs. L0 is the
     core, L its rho/2 cell-dilation — the set recurrence targets — and L1
-    the rho dilation whose cells form the probe net Delta. Only `save`
-    paints them as boolean grids, for `candidate.npz`."""
+    the rho dilation whose cells form the probe net Delta; both dilations
+    are made from L0 on construction. Only `save` paints the layers as
+    boolean grids, for `candidate.npz`."""
 
     geom: GridGeometry
     rho: float
     L0: RowRuns
-    L: RowRuns
-    L1: RowRuns
-    r_cells: int
-    r1_cells: int
+    L: RowRuns = field(init=False)
+    L1: RowRuns = field(init=False)
+
+    def __post_init__(self):
+        self.L = _dilate(self.L0, self.geom.n_t, self.r_cells)
+        self.L1 = _dilate(self.L0, self.geom.n_t, self.r1_cells)
+
+    @property
+    def r_cells(self) -> int:
+        """The radius of L about L0 in cells: rho/2, rounded up."""
+        return math.ceil((self.rho / 2.0) / self.geom.pitch)
+
+    @property
+    def r1_cells(self) -> int:
+        """The radius of L1 about L0 in cells: rho, rounded up."""
+        return math.ceil(self.rho / self.geom.pitch)
 
     @property
     def search_slack(self) -> float:
@@ -455,17 +468,7 @@ def build_candidate(slices: RowRuns, rho: float, geom: GridGeometry) -> Recurren
         raise ValueError(f"slice runs cover {len(slices.ptr) - 1} rows, not {geom.n_theta}")
     if not len(slices.start):
         raise ValueError("empty candidate: no slice produced members")
-    r_cells = math.ceil((rho / 2.0) / geom.pitch)
-    r1_cells = math.ceil(rho / geom.pitch)
-    return RecurrentCandidate(
-        geom=geom,
-        rho=rho,
-        L0=slices,
-        L=_dilate(slices, geom.n_t, r_cells),
-        L1=_dilate(slices, geom.n_t, r1_cells),
-        r_cells=r_cells,
-        r1_cells=r1_cells,
-    )
+    return RecurrentCandidate(geom, rho, slices)
 
 
 def two_letter_words(letters: MapArrays) -> MapArrays:
@@ -807,10 +810,33 @@ def attractor_points(
     then has no columns, its length still the count
     (`stopping_cylinders`). Either way the points are bit for bit the
     same. prune, with consume, drops prefixes (`ifs.stopping_batches`)."""
-    f0 = ifs.maps[ifs.alphabet[0]]
-    p0 = np.linalg.solve(np.eye(2) - f0.linear(), np.asarray(f0.translation))
-    pts, _ = stopping_cylinders(ifs, scale, budget, (p0[0], p0[1]), False, consume, prune)
+    p0 = _fixed_point(ifs.maps[ifs.alphabet[0]])
+    pts, _ = stopping_cylinders(ifs, scale, budget, p0, False, consume, prune)
     return pts
+
+
+def _fixed_point(f: Similarity) -> tuple[float, float]:
+    """The fixed point p = (I - A)^-1 t of f(p) = A p + t, A = r R(angle)
+    diag(1, -1 if reflect else 1), from the adjugate of I - A and its
+    determinant in scalar arithmetic, so no BLAS or LAPACK kernel rounds it.
+
+    It errs by less than 25u |p| / (1 - r), u = 2^-53, with cos and sin
+    within 4u. Each entry of the rounded I - A lies within 8u of the exact
+    one, so the error matrix has norm below 15u; the smallest singular
+    value s of I - A is at least 1 - r, so the rounded matrix's exact
+    solution p* lies within 15.01u |p| / (1 - r) of p. A row of the
+    adjugate has norm at most the determinant over s, and |t| <= (1 + r)
+    |p*|, so each rounded numerator errs by 4.02u |p*| / (1 - r) over the
+    determinant; the determinant errs relatively by 2.01u (1 + r^2) /
+    (1 - r^2) <= 2.01u / (1 - r), the division by u: each coordinate of
+    p* moves by 7.03u |p*| / (1 - r), the point by 9.95u |p*| / (1 - r)."""
+    c, s = math.cos(f.angle), math.sin(f.angle)
+    sign = -1.0 if f.reflect else 1.0
+    a11, a12 = 1.0 - f.ratio * c, sign * f.ratio * s
+    a21, a22 = -f.ratio * s, 1.0 - sign * f.ratio * c
+    det = a11 * a22 - a12 * a21
+    tx, ty = f.translation
+    return (a22 * tx - a12 * ty) / det, (a11 * ty - a21 * tx) / det
 
 
 def _invariant_radius(ifs: IfsSpec) -> float:
@@ -834,8 +860,9 @@ def _rounding_margin(ifs: IfsSpec, scale: float, radius: float) -> float:
     max_a angle_a: a `MapArrays.compose` step moves a disk point's image by
     u M (A + 15) at most (u the ratio, u A the angle, 13u |t_a| + u |t| the
     translation), `images` errs by 14u M, `offsets` by 3u M, sin and cos
-    widen the disk by 6u R, the fixed point and R by 35u M / (1 - r)
-    (condition at most (1 + r)/(1 - r)), the interval's ends by 4u M: over
+    widen the disk by 6u R, the fixed point by 25u M / (1 - r)
+    (`_fixed_point`), R by 27u M / (1 - r) (the moved centres by 23.3u M,
+    the ratio and the quotient by 3u R), the interval's ends by 4u M: over
     D steps, below u M (D + 8)(A + 16)/(1 - r) in all."""
     letters = ifs.letter_maps()
     r = float(letters.ratio.max())

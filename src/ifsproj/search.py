@@ -266,8 +266,11 @@ class SearchOutcome:
     accepted_attempt: int | None
     best_assignment: np.ndarray | None
     coverage: float
-    estimated_failure_prob: float
     mode: str
+
+    @property
+    def estimated_failure_prob(self) -> float:
+        return 1.0 - self.coverage
 
     def to_json_dict(self, ifs: IfsSpec) -> dict:
         """The outcome, its assignments as omega JSON (`omega_to_json`)."""
@@ -288,9 +291,9 @@ def search_omega0(
     cand: RecurrentCandidate,
     budget: int,
     seed: int,
-    mode: str = "iid",
-    c1: float = 8.0,
-    epsilon: float = 0.3,
+    mode: str,
+    c1: float,
+    epsilon: float,
 ) -> SearchOutcome:
     """Randomized search for an assignment covering the whole probe net.
 
@@ -328,7 +331,7 @@ def search_omega0(
     def finish(omega0, attempts, accepted, best, n_covered):
         """The outcome; omega0 and best are omega rows or None."""
         coverage = float(n_covered / n)
-        return SearchOutcome(omega0, attempts, accepted, best, coverage, 1.0 - coverage, mode)
+        return SearchOutcome(omega0, attempts, accepted, best, coverage, mode)
 
     def covered_count(omega):
         return int(np.count_nonzero(tester.coverage(tester.words(omega[None]))[0]))

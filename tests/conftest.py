@@ -15,8 +15,8 @@ def desk():
     criteria; takes a few seconds to build once.
     """
     cfg = RunConfig(ifs="sierpinski")
-    res, E, cand = build_pipeline(cfg)
-    return SimpleNamespace(cfg=cfg, res=res, ifs=res.ifs, geom=cand.geom, E=E, cand=cand)
+    ifs, sp, E, cand = build_pipeline(cfg)
+    return SimpleNamespace(cfg=cfg, ifs=ifs, sp=sp, geom=cand.geom, E=E, cand=cand)
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from ifsproj import (
     closeness_report,
     get_builtin,
     l2_norm_estimate,
+    measured_c9,
     omega_from_json,
     projected_histogram,
     similarity_dimension,
@@ -170,17 +171,17 @@ def _criterion5_report() -> dict:
         cylinders = (centers, ratios**ifs.dimension)
         delta = math.sqrt(rho_coarse) / 8.0
         sums[name] = [
-            float(projected_histogram(cylinders, j * math.pi / 12, delta).masses.sum())
+            float(projected_histogram(cylinders, j * math.pi / 12, delta).sum())
             for j in range(12)
         ]
     cfg = RunConfig()
     four = get_builtin("four_corner")
     centers, ratios = stopping_cylinders(four, cfg.rho)
-    hist = projected_histogram((centers, ratios**four.dimension), 0.0, cfg.delta_value())
+    masses = projected_histogram((centers, ratios**four.dimension), 0.0, cfg.delta_value())
     return {
         "histogram_sums": sums,
-        "four_corner_sum_desk": float(hist.masses.sum()),
-        "four_corner_l2_theta0": float(l2_norm_estimate(hist)),
+        "four_corner_sum_desk": float(masses.sum()),
+        "four_corner_l2_theta0": float(l2_norm_estimate(masses, cfg.delta_value())),
     }
 
 
@@ -200,12 +201,13 @@ def test_criterion_05_measure_sanity(emit):
 
 
 def _criterion6_report(desk) -> dict:
-    cfg, res = desk.cfg, desk.res
+    cfg = desk.cfg
+    c9 = measured_c9(desk.ifs, cfg.rho, cfg.word_budget)
     words = stopping_words(desk.ifs, math.sqrt(cfg.rho))
     centers = np.array([apply(compose_word(desk.ifs, w), (0.5, 0.5)) for w in words])
     thetas = np.arange(desk.geom.n_theta) * desk.geom.pitch
     proj = centers @ np.stack([-np.sin(thetas), np.cos(thetas)])
-    radius = math.sqrt(cfg.rho) / res.c9
+    radius = math.sqrt(cfg.rho) / c9
     threshold = (1.0 / cfg.c6) * cfg.rho ** (-0.5 * (desk.ifs.dimension - 1.0))
     bad = np.empty(len(thetas), dtype=int)
     for j in range(len(thetas)):
@@ -213,9 +215,9 @@ def _criterion6_report(desk) -> dict:
         crowd = np.searchsorted(xs, xs + radius, "left") - np.searchsorted(xs, xs - radius, "right")
         bad[j] = int((crowd > threshold).sum())
     for j in (0, len(thetas) // 2, len(thetas) - 1):
-        wc = classify_good_words(desk.ifs, float(thetas[j]), words, cfg.rho, cfg.c6, res.c9)
+        wc = classify_good_words(desk.ifs, float(thetas[j]), words, cfg.rho, cfg.c6, c9)
         assert int((~wc.good).sum()) == bad[j]
-    cap = bad_word_cap(desk.E.c5, cfg.c6, res.c9, cfg.rho, desk.ifs.dimension)
+    cap = bad_word_cap(desk.E.c5, cfg.c6, c9, cfg.rho, desk.ifs.dimension)
     e_rows = np.flatnonzero(desk.E.member)
     return {
         "n_words": len(words),
@@ -319,9 +321,9 @@ def obstruction_faults(obs, ifs, cand, c1: float, epsilon: float) -> list[str]:
         faults.append("polygon is not convex")
     for a in ifs.alphabet:
         f = ifs.maps[a]
-        images = poly @ f.linear().T + np.asarray(f.translation)
+        images = apply(f, poly)
         if a in ifs.part_one:
-            center = f.linear() @ np.array([0.5, 0.5]) + np.asarray(f.translation)
+            center = apply(f, (0.5, 0.5))
             reach = _box_max(normals, images, center, c1, cand.rho, epsilon).max(axis=1)
         else:
             reach = (normals @ images.T).max(axis=1)

@@ -33,19 +33,25 @@ pytestmark = pytest.mark.skipif(
 )
 
 
+def _env(core: str | None) -> dict:
+    """The environment of a child on this checkout's package, with
+    OPENBLAS_CORETYPE=core, or unset for None (the default kernel)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    return env
+
+
 def _under_both_kernels(tmp_path: Path, args: list[str], report: str) -> list[bytes]:
     """The bytes of one report that the CLI command writes under the
     default kernel and under OPENBLAS_CORETYPE=Prescott."""
     reports = []
     for core in (None, "Prescott"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-        if core is not None:
-            env["OPENBLAS_CORETYPE"] = core
         out = tmp_path / (core or "default")
         subprocess.run(
             [sys.executable, "-m", "ifsproj.cli", *args, "--out", str(out)],
-            env=env,
+            env=_env(core),
             check=True,
             capture_output=True,
         )
@@ -86,3 +92,30 @@ def test_search_report_is_kernel_independent(tmp_path):
     default, prescott = _under_both_kernels(tmp_path, args, "search_report.json")
     assert default == prescott
     assert json.loads(default)["obstruction"] is not None
+
+
+_SEED_11_POINTS = """
+import hashlib, numpy as np
+from ifsproj import attractor_points, build_perturbed_ifs, get_builtin
+ifs = get_builtin("four_corner")
+omega = np.array([
+    [-0.028572267894108827, 0.11954477216099191, 0.8484211680474587],
+    [-0.02060995794013598, 0.01568254612454223, 0.1747696576997939],
+])
+points = attractor_points(build_perturbed_ifs(ifs, omega, 8.0, 2.0**-7), 1e-2)
+print(hashlib.sha256(np.ascontiguousarray(points).tobytes()).hexdigest())
+"""
+
+
+def test_attractor_points_are_kernel_independent():
+    """`attractor_points` at scale 1e-2 on four_corner perturbed by the omega
+    that `bench/run.py` draws at seed 11 (c1 8, rho 2^-7) gives the same
+    bytes under both kernels: every point is an image of the first map's
+    fixed point, which a LAPACK solve would round by the kernel."""
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", _SEED_11_POINTS], env=_env(core), check=True, capture_output=True, text=True
+        ).stdout
+        for core in (None, "Prescott")
+    ]
+    assert digests[0] == digests[1] and len(digests[0]) > 60

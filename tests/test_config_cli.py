@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifsproj import ConfigError, RunConfig, SearchOutcome, get_builtin
+from ifsproj import ConfigError, RunConfig, SearchOutcome, get_builtin, measured_c9
 from ifsproj import cli
 from ifsproj.cli import main
 from ifsproj.config import config_from_json_dict, load_config, override
@@ -21,11 +21,13 @@ def test_defaults_resolve():
     assert cfg.n_theta == math.ceil(4 * math.pi / cfg.rho)
     assert cfg.geometry().pitch == pytest.approx(math.pi / cfg.n_theta)
     assert cfg.delta_value() == pytest.approx(math.sqrt(cfg.rho) / 8)
-    res = cfg.resolve()
-    assert res.c9 == pytest.approx(math.sqrt(2.0))
-    assert res.slice_params.n_required >= 1
+    ifs = cfg.load_ifs_spec()
+    sp = cfg.resolve(ifs)
+    c9 = measured_c9(ifs, cfg.rho, cfg.word_budget)
+    assert c9 == pytest.approx(math.sqrt(2.0))
+    assert sp.n_required >= 1 and sp.n_phi == cfg.n_phi and sp.epsilon == cfg.epsilon
     # c7 = c6 c10 epsilon / (4 c9), with c10 = c9^-2 / 16 derived from the measured c9
-    assert res.slice_params.c7 == cfg.c6 * (res.c9**-2 / 16) * cfg.epsilon / (4 * res.c9) > 0
+    assert sp.c7 == cfg.c6 * (c9**-2 / 16) * cfg.epsilon / (4 * c9) > 0
 
 
 @pytest.mark.parametrize(
@@ -429,7 +431,8 @@ def test_build_l_slice_constants_and_degenerate_warning(tmp_path, capsys, c7):
     cfg = coarse_config(tmp_path, constants=constants)
     assert main(["build-l", "--config", cfg]) == 0
     summary = json.loads((tmp_path / "out" / "candidate.json").read_text())
-    sp = load_config(cfg).resolve().slice_params
+    run = load_config(cfg)
+    sp = run.resolve(run.load_ifs_spec())
     width = 2.0 * 0.3 / 33
     assert summary["c7"] == sp.c7 == (sp.c7 if c7 is None else c7)
     assert summary["phi_cell_width"] == pytest.approx(width, rel=1e-15)
@@ -577,9 +580,10 @@ def test_certify_rejects_nonfinite_theta(tmp_path, capsys, monkeypatch):
     for theta in ("nan", "inf", "-inf"):
         assert main(["certify", "--config", cfg, f"--theta={theta}"]) == 2, theta
         assert capsys.readouterr().err.startswith("theta: must be finite"), theta
-    # finite, but theta / pitch overflows the row index
-    for theta in ("1e308", "-1.7e308"):
-        assert main(["certify", "--config", cfg, f"--theta={theta}"]) == 2, theta
+    # finite, but theta / pitch overflows the row index, on this grid and the desk's
+    desk = str(ROOT / "configs" / "sierpinski.json")
+    for config, theta in ((cfg, "1e308"), (cfg, "-1.7e308"), (desk, "1e308")):
+        assert main(["certify", "--config", config, f"--theta={theta}"]) == 2, theta
         assert capsys.readouterr().err.startswith(f"theta: {float(theta)!r} is too large"), theta
 
 
@@ -595,7 +599,6 @@ def test_search_success_report_matches_verify(tmp_path, capsys, monkeypatch):
             accepted_attempt=0,
             best_assignment=identity,
             coverage=1.0,
-            estimated_failure_prob=0.0,
             mode=mode,
         )
 

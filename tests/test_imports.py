@@ -1,5 +1,6 @@
 """No module in src/, tests/ or scripts/ imports a name that it never uses,
-and every public definition of the package has a reader outside tests."""
+every public definition of the package has a reader outside tests, and no
+module of the package takes a BLAS or LAPACK route."""
 
 import ast
 import os
@@ -59,6 +60,52 @@ def test_finds_an_unused_import(tmp_path):
     src = tmp_path / "m.py"
     src.write_text('import os\nimport sys\nfrom math import pi, tau\n\ndef f(x: "tau") -> int:\n    return sys.argv\n')
     assert unused_imports(src) == [(1, "os"), (3, "pi")]
+
+
+_BLAS_NAMES = {"linalg", "dot", "matmul", "inner", "einsum", "tensordot", "vdot"}
+
+
+def blas_routes(path: Path) -> list[tuple[int, str]]:
+    """(line, route) of every matrix product `@` in path, and of every
+    np.linalg, np.dot, np.matmul, np.inner, np.einsum, np.tensordot and
+    np.vdot, read as an attribute of np or numpy or imported from numpy:
+    the routes by which a BLAS or LAPACK kernel, picked by the CPU, would
+    round a number."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in _BLAS_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            found.append((node.lineno, f"np.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+            names = [a.name for a in node.names if node.module == "numpy.linalg" or a.name in _BLAS_NAMES]
+            found += [(node.lineno, f"{node.module}.{name}") for name in names]
+    return sorted(found)
+
+
+def test_package_takes_no_blas_route():
+    """README promises that no reported number passes through a BLAS
+    product: the package's own arithmetic is elementwise."""
+    package = sorted((ROOT / "src" / "ifsproj").glob("*.py"))
+    routes = [f"{p.relative_to(ROOT)}:{line}: {route}" for p in package for line, route in blas_routes(p)]
+    assert len(package) > 5 and routes == []
+
+
+def test_finds_a_blas_route(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import numpy as np\nfrom numpy.linalg import solve\nfrom numpy import dot, multiply\n\n"
+        "def f(a, b, dot_):\n    a @= b\n    x = np.linalg.norm(a) + numpy.vdot(a, b)\n"
+        "    return np.multiply(a, b) + dot_(a, b) + a.T @ b + np.einsum('i,i', a, b)\n"
+    )
+    assert blas_routes(src) == [
+        (2, "numpy.linalg.solve"), (3, "numpy.dot"), (6, "@"), (7, "np.linalg"), (7, "np.vdot"), (8, "@"), (8, "np.einsum")
+    ]
 
 
 def _defined_names(stmt: ast.stmt) -> list[str]:

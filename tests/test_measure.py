@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsproj import (
     build_E,
@@ -47,16 +49,16 @@ def test_histograms_sum_to_one(rng):
         centers, ratios = stopping_cylinders(ifs, 4.0**-3)
         data = (centers, ratios**ifs.dimension)
         for theta in rng.uniform(0, math.pi, size=12):
-            h = projected_histogram(data, float(theta), math.sqrt(4.0**-3) / 8)
-            assert math.fsum(h.masses.tolist()) == pytest.approx(1.0, abs=1e-9)
+            masses = projected_histogram(data, float(theta), math.sqrt(4.0**-3) / 8)
+            assert math.fsum(masses.tolist()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_four_corner_l2_flat():
     # the full square projects to the uniform density; its L2 norm is 1
     ifs = get_builtin("four_corner")
     centers, ratios = stopping_cylinders(ifs, RHO)
-    h = projected_histogram((centers, ratios**ifs.dimension), 0.0, DELTA)
-    assert l2_norm_estimate(h) == pytest.approx(1.0, rel=0.05)
+    masses = projected_histogram((centers, ratios**ifs.dimension), 0.0, DELTA)
+    assert l2_norm_estimate(masses, DELTA) == pytest.approx(1.0, rel=0.05)
 
 
 def test_select_c5_threshold():
@@ -66,9 +68,32 @@ def test_select_c5_threshold():
     assert np.count_nonzero(l2 >= c5) / len(l2) < 0.5
 
 
+def _select_c5_by_scan(l2_values: np.ndarray, epsilon: float) -> float:
+    """The threshold by one count over all values for each distinct value
+    in turn, ascending, and a value just above the maximum last."""
+    vals = np.unique(l2_values)
+    n = len(l2_values)
+    for c in np.append(vals, np.nextafter(vals[-1], np.inf)):
+        if np.count_nonzero(l2_values >= c) / n < epsilon / 2.0:
+            return float(c)
+    raise AssertionError("unreachable: the last candidate excludes nothing")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.5, 1.0, 1.0 + 2.0**-52, 2.0, 3.0, 10.0]), min_size=1, max_size=40),
+    st.floats(min_value=1e-3, max_value=1.5),
+)
+def test_select_c5_matches_the_scan(values, epsilon):
+    """The sorted search picks the scan's threshold on arrays full of ties,
+    neighbouring doubles among them."""
+    l2 = np.array(values)
+    assert select_c5(l2, epsilon) == _select_c5_by_scan(l2, epsilon)
+
+
 def test_build_E_shapes_and_exclusion():
     ifs = get_builtin("sierpinski")
-    E = build_E(ifs, 64, RHO, DELTA, epsilon=0.3)
+    E = build_E(ifs, 64, RHO, DELTA, c5=None, epsilon=0.3)
     assert len(E.theta_grid) == 64 and len(E.l2) == 64 and len(E.member) == 64
     assert E.excluded_fraction < 0.15  # strictly below epsilon/2
     assert np.all(E.member == (E.l2 < E.c5))

@@ -82,15 +82,9 @@ def flat_candidate(geom: GridGeometry, rho: float, member: np.ndarray) -> Recurr
     """Candidate whose three layers coincide, the row runs of the grid
     member; enough for membership tests."""
     runs = row_runs(member)
-    return RecurrentCandidate(
-        geom=geom,
-        rho=rho,
-        L0=runs,
-        L=runs,
-        L1=runs,
-        r_cells=0,
-        r1_cells=0,
-    )
+    cand = RecurrentCandidate(geom, rho, runs)
+    cand.L = cand.L1 = runs
+    return cand
 
 
 def l_membership(cand: RecurrentCandidate) -> GridMembership:
@@ -308,7 +302,7 @@ def coarse_four_corner():
     ifs = get_builtin("four_corner")
     rho = 0.05
     geom = GridGeometry(61, t_max=1.2)
-    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, epsilon=0.3)
+    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, c5=None, epsilon=0.3)
     return ifs, rho, geom, E
 
 
@@ -317,7 +311,7 @@ def coarse_sierpinski():
     ifs = get_builtin("sierpinski")
     rho = 0.05
     geom = GridGeometry(61, t_max=1.2)
-    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, epsilon=0.3)
+    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, c5=None, epsilon=0.3)
     return ifs, rho, geom, E
 
 
@@ -328,7 +322,7 @@ def coarse_turned():
     ifs = _turned_system(("a", "b"))
     rho = 0.05
     geom = GridGeometry(61, t_max=1.2)
-    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, epsilon=0.3)
+    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, c5=None, epsilon=0.3)
     return ifs, rho, geom, E
 
 
@@ -373,16 +367,17 @@ def test_slice_does_not_depend_on_block_size(
     (None), is bit for bit all_rows on every row at once: on each coarse
     system, and on the gasket with c7 0.05, whose phi runs span 3 cells."""
     systems = (coarse_four_corner, coarse_sierpinski, coarse_turned)
-    cases = [(system, SliceParams(epsilon=0.3, c7=1e-3)) for system in systems]
-    cases.append((coarse_sierpinski, SliceParams(epsilon=0.3, c7=0.05)))
+    cases = [(system, SliceParams(epsilon=0.3, c7=1e-3, n_phi=33)) for system in systems]
+    cases.append((coarse_sierpinski, SliceParams(epsilon=0.3, c7=0.05, n_phi=33)))
     assert cases[-1][1].required_run == 3
     for (ifs, rho, geom, E), params in cases:
         builder = SliceBuilder(ifs, E, geom, params)
         monkeypatch.setattr(ifsproj.recurrence, "_SLICE_BLOCK", 1 << 62)
         whole = builder.all_rows()
         assert len(whole.start) > 0
-        n_rows = len(E.member_rows()) if rows_per_block is None else rows_per_block
-        assert n_rows < len(E.member_rows()) or rows_per_block is None
+        e_rows = np.count_nonzero(E.member)
+        n_rows = e_rows if rows_per_block is None else rows_per_block
+        assert n_rows < e_rows or rows_per_block is None
         monkeypatch.setattr(ifsproj.recurrence, "_SLICE_BLOCK", n_rows * builder.g.ratio.size)
         blocked = builder.all_rows()
         for a, b in zip(blocked, whole):
@@ -392,7 +387,7 @@ def test_slice_does_not_depend_on_block_size(
 def test_slice_without_e_rows_is_an_empty_candidate(coarse_sierpinski):
     ifs, rho, geom, E = coarse_sierpinski
     no_rows = dataclasses.replace(E, member=np.zeros_like(E.member))
-    runs = SliceBuilder(ifs, no_rows, geom, SliceParams(epsilon=0.3, c7=1e-3)).all_rows()
+    runs = SliceBuilder(ifs, no_rows, geom, SliceParams(epsilon=0.3, c7=1e-3, n_phi=33)).all_rows()
     assert not runs.ptr.any() and len(runs.ptr) == geom.n_theta + 1 and not len(runs.start)
     with pytest.raises(ValueError, match="empty candidate"):
         build_candidate(runs, rho, geom)
@@ -401,7 +396,7 @@ def test_slice_without_e_rows_is_an_empty_candidate(coarse_sierpinski):
 def test_desk_slice_holds_one_block_of_rows(desk, traced_peak):
     """all_rows on the desk's 2,735 E rows holds one block's phi tensor at a
     time: 1.5 MB measured, against 29.3 MB for all rows at once."""
-    builder = SliceBuilder(desk.ifs, desk.E, desk.geom, desk.res.slice_params)
+    builder = SliceBuilder(desk.ifs, desk.E, desk.geom, desk.sp)
     runs, peak = traced_peak(builder.all_rows)
     for a, b in zip(runs, desk.cand.L0):
         assert np.array_equal(a, b)
@@ -1502,9 +1497,9 @@ def _cert_cases():
     }
     cases = [(name, ifs, flat_candidate(geom, 0.15, grid)) for name, ifs in systems.items()]
     cfg = dataclasses.replace(RunConfig(ifs="four_corner"), rho=2.0**-4)
-    res, _, cand = build_pipeline(cfg)
-    omega = draw_assignment(np.random.default_rng(1), res.ifs, cfg.epsilon)
-    cases.append(("four_corner_pipeline", build_perturbed_ifs(res.ifs, omega, cfg.c1, cfg.rho), cand))
+    ifs, _, _, cand = build_pipeline(cfg)
+    omega = draw_assignment(np.random.default_rng(1), ifs, cfg.epsilon)
+    cases.append(("four_corner_pipeline", build_perturbed_ifs(ifs, omega, cfg.c1, cfg.rho), cand))
     return cases
 
 

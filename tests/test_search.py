@@ -164,10 +164,10 @@ def _iid_one_by_one(ifs, cand, budget, seed, c1, epsilon) -> SearchOutcome:
         if frac > best_frac:
             best_frac, best = frac, a
         if probe.all() and tester.coverage(tester.words(a[None]))[0].all():
-            return SearchOutcome(a, k + 1, k, a, 1.0, 0.0, "iid")
+            return SearchOutcome(a, k + 1, k, a, 1.0, "iid")
     covered = tester.coverage(tester.words(best[None]))[0]
     coverage = float(np.count_nonzero(covered) / cand.delta_count)
-    return SearchOutcome(None, budget, None, best, coverage, 1.0 - coverage, "iid")
+    return SearchOutcome(None, budget, None, best, coverage, "iid")
 
 
 def test_iid_blocks_match_one_attempt_at_a_time(recurrent_instance, monkeypatch):
@@ -245,9 +245,9 @@ def _per_symbol_whole_net(ifs, cand, budget, seed, c1, epsilon):
         else:
             stall += 1
         if best_covered.all():
-            return SearchOutcome(best, k + 1, k, best, 1.0, 0.0, "per_symbol"), fresh
+            return SearchOutcome(best, k + 1, k, best, 1.0, "per_symbol"), fresh
     coverage = float(np.count_nonzero(best_covered) / cand.delta_count) if best is not None else 0.0
-    return SearchOutcome(None, budget, None, best, coverage, 1.0 - coverage, "per_symbol"), fresh
+    return SearchOutcome(None, budget, None, best, coverage, "per_symbol"), fresh
 
 
 def test_per_symbol_matches_whole_net_hill_climb(desk):
@@ -330,8 +330,8 @@ def test_whole_grid_evaluations_stay_row_wise(monkeypatch):
     once under each unperturbed word (`probe_order`), a fixed cost of the
     probe size, not of a coverage evaluation."""
     cfg = RunConfig(ifs="sierpinski", rho=4.0**-3)
-    res, _, cand = build_pipeline(cfg)
-    tester = CoverageTester(res.ifs, cand, cfg.c1)
+    ifs, _, _, cand = build_pipeline(cfg)
+    tester = CoverageTester(ifs, cand, cfg.c1)
     points = []
 
     def counting(g, thetas, ts, sincos=None):
@@ -341,13 +341,13 @@ def test_whole_grid_evaluations_stay_row_wise(monkeypatch):
     for mod in (ifsproj.lines, ifsproj.recurrence, ifsproj.search):
         if hasattr(mod, "renormalize_arrays"):
             monkeypatch.setattr(mod, "renormalize_arrays", counting)
-    assignment = draw_assignment(np.random.default_rng(0), res.ifs, cfg.epsilon)
+    assignment = draw_assignment(np.random.default_rng(0), ifs, cfg.epsilon)
     covered, _ = tester.coverage(tester.words(assignment[None]))
     assert covered.any() and not covered.all()
     assert 0 < sum(points) <= 0.1 * len(covered)
 
     points.clear()
-    perturbed = build_perturbed_ifs(res.ifs, assignment, cfg.c1, cfg.rho)
+    perturbed = build_perturbed_ifs(ifs, assignment, cfg.c1, cfg.rho)
     rep = check_recurrence(perturbed, cand)
     assert 0 < rep.recurred < rep.total
     assert 0 < sum(points) <= 0.1 * rep.total
@@ -484,8 +484,8 @@ def test_memberships_hold_no_per_cell_arrays():
     lists: the candidate's layers, a CoverageTester with its L0 membership,
     and the L membership of the check hold fewer bytes than the grid has
     cells."""
-    res, _, cand = build_pipeline(RunConfig(ifs="sierpinski", rho=4.0**-3))
-    tester = CoverageTester(res.ifs, cand, 8.0)
+    ifs, _, _, cand = build_pipeline(RunConfig(ifs="sierpinski", rho=4.0**-3))
+    tester = CoverageTester(ifs, cand, 8.0)
     held = _held_bytes(cand) + _held_bytes(tester) + _held_bytes(l_membership(cand))
     assert held < cand.geom.n_theta * cand.geom.n_t
 
@@ -516,7 +516,7 @@ def test_search_reports_best_on_failure(recurrent_instance):
 def test_unknown_mode_rejected(recurrent_instance):
     ifs, cand = recurrent_instance
     with pytest.raises(ValueError, match="mode"):
-        search_omega0(ifs, cand, budget=1, seed=0, mode="annealing")
+        search_omega0(ifs, cand, budget=1, seed=0, mode="annealing", c1=8.0, epsilon=0.3)
 
 
 # --- hull obstruction ---
@@ -524,7 +524,7 @@ def test_unknown_mode_rejected(recurrent_instance):
 
 def test_no_obstruction_on_recurrent_instance(recurrent_instance):
     ifs, cand = recurrent_instance
-    assert search_omega0(ifs, cand, budget=1, seed=0, c1=1e-9, epsilon=1e-9).omega0 is not None
+    assert search_omega0(ifs, cand, budget=1, seed=0, mode="iid", c1=1e-9, epsilon=1e-9).omega0 is not None
     assert hull_obstruction(ifs, cand, c1=1e-9, epsilon=1e-9) is None
 
 
@@ -541,7 +541,7 @@ def test_obstruction_on_single_far_line(ifs):
         assert (obs[rule]["cell"]["row"], obs[rule]["cell"]["col"]) == (0, col)
         assert obs[rule]["distance"] > obs[rule]["bound"]
     assert obstruction_faults(obs, ifs, cand, 8.0, 0.3) == []
-    assert search_omega0(ifs, cand, budget=3, seed=0, c1=8.0, epsilon=0.3).omega0 is None
+    assert search_omega0(ifs, cand, budget=3, seed=0, mode="iid", c1=8.0, epsilon=0.3).omega0 is None
 
 
 @pytest.mark.parametrize("part_one", [("a", "b"), ("c",)])
