@@ -14,8 +14,8 @@ the OLD_SRC side with the environment as it is, so
 output depends on the BLAS kernel. The commands:
 
 - `build-l` on configs/sierpinski.json, configs/four_corner.json,
-  four_corner at rho 2^-7, and the gasket at rho 0.05 with c7 0.05, whose
-  slice test asks for runs of 3 phi cells;
+  four_corner at rho 2^-7, and the gasket at rho 0.05 with `grid.n_phi` 9,
+  the slice test's one setting at a value other than the default;
 - `scan` on configs/sierpinski.json;
 - `search` on configs/sierpinski.json at seed 1: iid with budget 300, and
   per_symbol with budget 5 and with budget 120, whose hill climb stalls and
@@ -81,7 +81,9 @@ Outputs are compared as follows: `.npz` files by their unpacked arrays,
 name paths), and every other file by its bytes. Every differing file and
 JSON key is printed, a differing JSON number with its old value, its new
 value and the absolute difference, and a JSON value that is or becomes a
-number or null with its old and new values; the exit status is 1 on any
+number or null with its old and new values. A command that exits nonzero
+on either side is printed with both exit codes and, when they differ, the
+last line of each side's console log. The exit status is 1 on any
 difference, 0 otherwise.
 """
 
@@ -107,7 +109,7 @@ FINE = ["--config", FOUR_CORNER, "--rho", repr(2.0**-7)]
 OMEGA = "omega.json"  # written into the work directory, next to each output
 OMEGA_DESK = "omega_sierpinski.json"
 DESK_PART_ONE = ("a", "b")  # the gasket's part_one, the first ceil(3/2) symbols
-PHI_RUN_3 = "sierpinski_phi_run_3.json"  # written into the work directory too
+N_PHI_9 = "sierpinski_n_phi_9.json"  # written into the work directory too
 COARSE_THETA = "four_corner_coarse_theta.json"  # written there too
 TURNED = "four_corner_turned.json"  # an IFS file, written there too
 TURNED_RUN = ["--config", FOUR_CORNER, "--ifs", TURNED, "--rho", repr(2.0**-5)]
@@ -122,7 +124,7 @@ COMMANDS = {
     "build-l-sierpinski": ["build-l", "--config", SIERPINSKI],
     "build-l-four-corner": ["build-l", "--config", FOUR_CORNER],
     "build-l-four-corner-fine": ["build-l", *FINE],
-    "build-l-sierpinski-phi-run-3": ["build-l", "--config", PHI_RUN_3],
+    "build-l-sierpinski-n-phi-9": ["build-l", "--config", N_PHI_9],
     "scan-sierpinski": ["scan", "--config", SIERPINSKI],
     "search-iid": ["search", "--config", SIERPINSKI, "--seed", "1", "--mode", "iid", "--budget", "300"],
     "search-iid-seed-2": ["search", "--config", SIERPINSKI, "--seed", "2", "--mode", "iid", "--budget", "1000"],
@@ -181,11 +183,12 @@ def bench_omegas() -> dict[str, dict]:
     }
 
 
-def phi_run_3_config() -> dict:
-    """configs/sierpinski.json at rho 0.05 with c7 0.05: c7 spans two phi
-    cells of width 0.6/33 and part of a third, so required_run = 3."""
+def n_phi_9_config() -> dict:
+    """configs/sierpinski.json at rho 0.05 with 9 phi cells, against the
+    default 33."""
     cfg = json.loads(Path(SIERPINSKI).read_text())
-    cfg["constants"].update(rho=0.05, c7=0.05)
+    cfg["constants"]["rho"] = 0.05
+    cfg["grid"]["n_phi"] = 9
     return cfg
 
 
@@ -271,6 +274,12 @@ def run_all(src: Path, work: Path, side: str, coretype: str | None = None) -> di
     return codes
 
 
+def last_log_line(work: Path, side: str, name: str) -> str:
+    """The last nonblank line one command wrote to its console log."""
+    lines = (work / "logs" / f"{side}-{name}.log").read_text(encoding="utf-8").splitlines()
+    return next((line for line in reversed(lines) if line.strip()), "(empty log)")
+
+
 def json_diff(a, b, path: str) -> list[str]:
     """Key paths at which two decoded JSON values differ."""
     if isinstance(a, dict) and isinstance(b, dict):
@@ -346,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     work.mkdir(parents=True, exist_ok=True)
     inputs = {
         **bench_omegas(),
-        PHI_RUN_3: phi_run_3_config(),
+        N_PHI_9: n_phi_9_config(),
         COARSE_THETA: coarse_theta_config(),
         TURNED: turned_four_corner(),
         C3: cantor_product(),
@@ -360,11 +369,14 @@ def main(argv: list[str] | None = None) -> int:
         "old": run_all(args.old_src.resolve(), work, "old"),
         "new": run_all(args.new_src.resolve(), work, "new", args.new_kernel),
     }
-    diffs = [
-        f"{name}: exit code old {codes['old'][name]} new {codes['new'][name]}"
-        for name in COMMANDS
-        if codes["old"][name] or codes["new"][name]
-    ]
+    diffs = []
+    for name in COMMANDS:
+        old, new = codes["old"][name], codes["new"][name]
+        if old or new:
+            line = f"{name}: exit code old {old} new {new}"
+            if old != new:
+                line += "".join(f"; {side} log: {last_log_line(work, side, name)}" for side in ("old", "new"))
+            diffs.append(line)
     diffs += compare(work / "old", work / "new")
     for d in diffs:
         print(d)

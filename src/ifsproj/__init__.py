@@ -1,7 +1,7 @@
 """Recurrent sets of lines for planar self-similar attractors.
 
-Build a candidate recurrent set from an L2 density scan and a word-counting
-slice test, search for a small perturbation of the system under which the
+Build a candidate recurrent set from an L2 density scan and a slice test
+over two-letter words, search for a small perturbation of the system under which the
 candidate recurs, and certify numerically that projections of the perturbed
 attractor contain intervals.
 """
@@ -24,7 +24,6 @@ from .measure import (
     DirectionSet,
     build_E,
     l2_norm_estimate,
-    measured_c9,
     projected_histogram,
     select_c5,
     stopping_cylinders,

@@ -42,18 +42,6 @@ def _outdir(cfg: RunConfig) -> str:
     return cfg.out
 
 
-def _build_pipeline(cfg: RunConfig):
-    """`build_pipeline`, with a warning on stderr when c7 is degenerate."""
-    ifs, sp, E, cand = build_pipeline(cfg)
-    if sp.c7 < sp.phi_cell_width:
-        print(
-            f"warning: c7 = {sp.c7!r} is smaller than one phi cell ({sp.phi_cell_width!r}), "
-            "so the phi-run test only asks that some phi cell passes",
-            file=sys.stderr,
-        )
-    return ifs, sp, E, cand
-
-
 def _perturbed(ifs: IfsSpec, omega: np.ndarray, cfg: RunConfig) -> IfsSpec:
     """`build_perturbed_ifs`, with a warning on stderr when a perturbed
     square leaves I."""
@@ -148,7 +136,7 @@ def cmd_scan(cfg: RunConfig, args) -> int:
 
 def cmd_build_l(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
-    _, sp, E, cand = _build_pipeline(cfg)
+    _, E, cand = build_pipeline(cfg)
     geom = cand.geom
     npz_path = os.path.join(out, "candidate.npz")
     cand.save(npz_path, E)
@@ -160,10 +148,6 @@ def cmd_build_l(cfg: RunConfig, args) -> int:
         "pitch": geom.pitch,
         "t_max": cfg.t_max,
         "c5": E.c5,
-        "c7": sp.c7,
-        "phi_cell_width": sp.phi_cell_width,
-        "required_run": sp.required_run,
-        "n_required": sp.n_required,
         "excluded_fraction": E.excluded_fraction,
         "e_rows": int(E.member.sum()),
         "counts": {k: int(getattr(cand, k).before[-1]) for k in ("L0", "L", "L1")},
@@ -183,7 +167,7 @@ def cmd_build_l(cfg: RunConfig, args) -> int:
 def cmd_search(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     print(f"seed = {cfg.seed}")
-    ifs, _, E, cand = _build_pipeline(cfg)
+    ifs, E, cand = build_pipeline(cfg)
     obstruction = hull_obstruction(ifs, cand, cfg.c1, cfg.epsilon)
     if obstruction is None:
         print("hull obstruction: not proved")
@@ -228,7 +212,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     out = _outdir(cfg)
     print(f"seed = {cfg.seed}")
     omega = _load_omega(cfg, args.omega)
-    ifs, _, E, cand = _build_pipeline(cfg)
+    ifs, E, cand = build_pipeline(cfg)
     report = {
         "seed": cfg.seed,
         "omega_file": args.omega,
@@ -253,7 +237,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     omega = _load_omega(cfg, args.omega) if args.omega is not None else None
     ifs_eval = cfg.load_ifs_spec()
     try:  # the recurrence row needs a candidate; the gap certificate does not
-        cand = _build_pipeline(cfg)[3]
+        cand = build_pipeline(cfg)[2]
     except ConfigError as exc:
         print(f"warning: {exc}; no recurrence row", file=sys.stderr)
         cand = None

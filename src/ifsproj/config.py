@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .ifs import IfsSpec, _finite_number, ifs_from_json_dict
-from .measure import DirectionSet, build_E, measured_c9
+from .measure import DirectionSet, build_E
 from .recurrence import (
     GridGeometry,
     RecurrentCandidate,
@@ -29,8 +29,6 @@ _CONSTANT_KEYS = (
     "c0",
     "c1",
     "c5",
-    "c6",
-    "c7",
     "delta",
 )
 _GRID_KEYS = (
@@ -60,8 +58,6 @@ class RunConfig:
     c0: float = 2.0
     c1: float = 8.0
     c5: float | None = None  # None: smallest value excluding < epsilon/2 of angles
-    c6: float = 0.05
-    c7: float | None = None  # None: c6 * c10 * epsilon / (4 c9), c9 measured, c10 = c9^-2 / 16
     delta: float | None = None  # None: sqrt(rho)/8
     theta_pitch: float | None = None  # None: pi / ceil(4 pi / rho)
     t_max: float = 1.0
@@ -81,11 +77,10 @@ class RunConfig:
             "epsilon": self.epsilon,
             "c0": self.c0,
             "c1": self.c1,
-            "c6": self.c6,
             "t_max": self.t_max,
             "cert_resolution": self.cert_resolution,
         }
-        for name in ("c5", "c7", "delta", "theta_pitch"):
+        for name in ("c5", "delta", "theta_pitch"):
             v = getattr(self, name)
             if v is not None:
                 pos[name] = v
@@ -136,40 +131,33 @@ class RunConfig:
     def delta_value(self) -> float:
         return math.sqrt(self.rho) / 8.0 if self.delta is None else self.delta
 
-    def resolve(self, ifs: IfsSpec) -> SliceParams:
-        """The slice test's parameters for a concrete system: c7 derived
-        from the measured c9 unless given, n_required from the dimension."""
-        c9 = measured_c9(ifs, self.rho, self.word_budget)
-        c7 = self.c6 * (c9**-2 / 16.0) * self.epsilon / (4.0 * c9) if self.c7 is None else self.c7
-        n_required = max(1, round(self.c6**2 * self.rho ** (-(ifs.dimension - 1) / 2)))
-        return SliceParams(epsilon=self.epsilon, c7=c7, n_phi=self.n_phi, n_required=n_required)
+    def resolve(self) -> SliceParams:
+        """The slice test's parameters."""
+        return SliceParams(epsilon=self.epsilon, n_phi=self.n_phi)
 
     def direction_set(self, ifs: IfsSpec) -> DirectionSet:
         """E for a concrete system on this config's theta grid (`build_E`)."""
         return build_E(ifs, self.n_theta, self.rho, self.delta_value(), self.c5, self.epsilon, self.word_budget)
 
 
-def build_pipeline(cfg: RunConfig) -> tuple[IfsSpec, SliceParams, DirectionSet, RecurrentCandidate]:
+def build_pipeline(cfg: RunConfig) -> tuple[IfsSpec, DirectionSet, RecurrentCandidate]:
     """Refuse an attractor of dimension at most 1 (a ConfigError, before any
-    stopping word is counted), resolve the slice parameters, scan the
-    directions into E, run the slice test on every E row and assemble the
-    candidate; returns the system, the slice parameters, E and the
-    candidate. An empty candidate is a ConfigError too, naming the cause."""
+    stopping word is counted), scan the directions into E, run the slice
+    test on every E row and assemble the candidate; returns the system, E
+    and the candidate. An empty candidate is a ConfigError too, naming the
+    cause."""
     ifs = cfg.load_ifs_spec()
     if ifs.dimension <= 1.0 + 1e-9:
         raise ConfigError("d ≤ 1, theorem hypotheses unmet")
-    sp = cfg.resolve(ifs)
     geom = cfg.geometry()
     E = cfg.direction_set(ifs)
-    slices = SliceBuilder(ifs, E, geom, sp).all_rows()
+    slices = SliceBuilder(ifs, E, geom, cfg.resolve()).all_rows()
     if not len(slices.start):
         cause = "slice test: no slice produced members"
         if not E.member.any():
             cause = f"c5: E holds no direction below {E.c5!r}"
-        elif sp.required_run > sp.n_phi:
-            cause = f"c7: a phi-run above {sp.c7!r} needs {sp.required_run} cells > n_phi = {sp.n_phi}"
         raise ConfigError(f"{cause}; the candidate is empty")
-    return ifs, sp, E, build_candidate(slices, cfg.rho, geom)
+    return ifs, E, build_candidate(slices, cfg.rho, geom)
 
 
 def config_from_json_dict(data: dict) -> RunConfig:

@@ -160,18 +160,18 @@ class IfsSpec:
 
     def __post_init__(self):
         if len(self.alphabet) < 2:
-            raise ConfigError("alphabet must have at least 2 symbols")
+            raise ConfigError("alphabet: must have at least 2 symbols")
         if len(set(self.alphabet)) != len(self.alphabet):
-            raise ConfigError("alphabet has repeated symbols")
+            raise ConfigError("alphabet: has repeated symbols")
         for a in self.alphabet:  # word names join symbols, so longer ones would merge them
             if not (isinstance(a, str) and len(a) == 1):
                 raise ConfigError(f"alphabet: symbol {a!r} is not one character")
         if set(self.maps) != set(self.alphabet):
-            raise ConfigError("maps must be keyed exactly by the alphabet")
+            raise ConfigError("maps: must be keyed exactly by the alphabet")
         if sorted(self.part_one + self.part_two) != sorted(self.alphabet):
-            raise ConfigError("part_one and part_two must partition the alphabet")
+            raise ConfigError("part_one: part_one and part_two must partition the alphabet")
         if set(self.part_one) & set(self.part_two):
-            raise ConfigError("part_one and part_two overlap")
+            raise ConfigError("part_one: overlaps part_two")
         if not self.part_one or not self.part_two:
             raise ConfigError(
                 "part_one: must be a nonempty proper subset of the alphabet, "
@@ -180,7 +180,7 @@ class IfsSpec:
         for a in self.alphabet:
             r = self.maps[a].ratio
             if not (0.0 < r < 1.0):
-                raise ConfigError(f"map {a!r} is not a contraction (ratio={r})")
+                raise ConfigError(f"maps: map {a!r} is not a contraction (ratio={r})")
         d = similarity_dimension([self.maps[a].ratio for a in self.alphabet])
         object.__setattr__(self, "dimension", d)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import IfsSpec, MapArrays, stopping_batches, stopping_ratios
+from .ifs import IfsSpec, MapArrays, stopping_batches
 from .lines import offsets
 
 
@@ -150,22 +150,3 @@ def build_E(
         c5 = select_c5(l2, epsilon)
     return DirectionSet(l2=l2, c5=float(c5), member=l2 < c5)
 
-
-def measured_c9(ifs: IfsSpec, rho: float, budget: int | None = None) -> float:
-    """Smallest constant making the cylinder-measure and projected-length
-    sandwiches hold for every stopping word at scale rho^(1/2); a cover of
-    more than budget words raises BudgetExceeded.
-
-    Projected lengths of a square of side r lie in [r, sqrt(2) r] over all
-    angles, so the angle sup is exact without scanning theta. The max over
-    words depends only on the distinct word ratios (`ifs.stopping_ratios`),
-    so no map is composed.
-    """
-    d = ifs.dimension
-    half = math.sqrt(rho)
-    c9 = 1.0
-    for r in sorted(stopping_ratios(ifs, half, budget)):
-        mu = r**d
-        c9 = max(c9, mu / rho ** (0.5 * d), rho ** (0.5 * d) / mu)
-        c9 = max(c9, math.sqrt(2.0) * r / half, half / r)
-    return c9

@@ -2,14 +2,14 @@
 
 The candidate lives on a uniform grid over [0, pi) x (-t_max, t_max). A grid
 cell (theta_i, t_j) enters the core set L0 when theta_i lies in the direction
-set E and t_j passes the slice test: at least n_required first-block symbols
-admit a phi-interval of rotations, of measure above c7, all of whose
-two-letter renormalizations land back at a direction in E at offset within
-the unit window |t_hat| <= 1 about the origin. That window is fixed, not tied
-to the attractor, so L0 admits lines that miss the attractor's convex hull;
-when they lie far enough outside, no small perturbation makes the candidate
-recur (see `search.hull_obstruction`). PAPER.md holds only the abstract, so it
-does not settle whether the paper's slice is narrower than this one. Dilating
+set E and t_j passes the slice test: for some first-block symbol, phi cell
+of rotations and second-block symbol, the two-letter renormalization lands
+back at a direction in E at offset within the unit window |t_hat| <= 1
+about the origin. That window is fixed, not tied to the attractor, so L0
+admits lines that miss the attractor's convex hull; when they lie far
+enough outside, no small perturbation makes the candidate recur (see
+`search.hull_obstruction`). PAPER.md holds only the abstract, so it does
+not settle whether the paper's slice is narrower than this one. Dilating
 L0 by rho/2 and rho (in cells) gives L and L1; the probe net Delta is the
 cells of L1 (its pitch is capped below by the grid pitch). Membership queries
 for off-grid points use a sup-metric slack window: a point is "in" a gridded
@@ -253,9 +253,7 @@ class SliceParams:
     sits at a cell center; phi cells tile (-epsilon, epsilon)."""
 
     epsilon: float
-    c7: float
     n_phi: int
-    n_required: int = 1
 
     def __post_init__(self):
         if self.n_phi < 1 or self.n_phi % 2 == 0:
@@ -263,18 +261,9 @@ class SliceParams:
         if not (0.0 < self.epsilon < math.pi / 2):
             raise ValueError(f"epsilon out of range: {self.epsilon}")
 
-    @property
-    def phi_cell_width(self) -> float:
-        return 2.0 * self.epsilon / self.n_phi
-
     def phi_centers(self) -> np.ndarray:
-        w = self.phi_cell_width
+        w = 2.0 * self.epsilon / self.n_phi
         return -self.epsilon + (np.arange(self.n_phi) + 0.5) * w
-
-    @property
-    def required_run(self) -> int:
-        """Cells in a phi-run whose measure strictly exceeds c7."""
-        return int(math.floor(self.c7 / self.phi_cell_width)) + 1
 
 
 _SLICE_BLOCK = 1 << 13  # (row, a1, phi, a2) entries of the slice test evaluated at a time
@@ -307,7 +296,6 @@ class SliceBuilder:
             )
         self.E = E
         self.geom = geom
-        self.params = params
         n1, n2, n_phi = len(ifs.part_one), len(ifs.part_two), params.n_phi
         # (rotate f_{a1} by phi about its cell center) o f_{a2} for every (a1, phi, a2)
         turned = ifs.letter_maps(ifs.part_one).reshape(n1, 1).turned(params.phi_centers(), (0.0, 0.0))
@@ -320,38 +308,18 @@ class SliceBuilder:
         Each (row, a1, phi, a2) with its image angle theta_hat in E passes
         on the column interval of its offset window; `renormalize_affine`
         broadcasts `g` against the rows' angles elementwise, so a row's
-        windows round alike whatever rows are evaluated with it. Four covers
-        reduce these: the union over a2 gives the cells each (a1, phi)
-        passes; a window of required_run consecutive phi cells passes where
-        all of them do (a cover of required_run); a1 qualifies where some
-        window passes; a cell is a member where at least n_required
-        first-block symbols qualify.
+        windows round alike whatever rows are evaluated with it. A row's
+        member cells are the union of its passing windows.
         """
-        geom, params = self.geom, self.params
-        n1, n_phi, n2 = self.g.ratio.shape
+        geom = self.geom
         n_t, m, h = geom.n_t, geom.m, geom.pitch
-        R = params.required_run
         rows = rows[self.E.member[rows]]
-        n_win = n_phi - R + 1
-        if n_win < 1:
-            rows = rows[:0]
-
         theta_hat, _, shift = renormalize_affine(self.g, (rows * h)[:, None, None, None])
         arg_ok = self.E.member[np.rint(theta_hat / h).astype(np.int64) % geom.n_theta]
         lo, hi = _index_window(shift, self.g.ratio, h, m)
         lo, stop = np.maximum(lo, 0), np.minimum(hi + 1, n_t)
         passes = np.flatnonzero(arg_ok & (lo < stop))
-
-        # key (row, a1, phi): the cells each rotation passes
-        key, start, stop = _cover(passes // n2, lo.ravel()[passes], stop.ravel()[passes], 1)
-        # key (row, a1, window): each phi cell's runs, once per window holding it
-        phi = key % n_phi
-        w0 = np.maximum(phi - R + 1, 0)
-        count = np.minimum(phi, n_win - 1) - w0 + 1
-        key = np.repeat(key // n_phi * n_win, count) + _expand(w0, count)
-        key, start, stop = _cover(key, np.repeat(start, count), np.repeat(stop, count), R)
-        key, start, stop = _cover(key // n_win, start, stop, 1)
-        key, start, stop = _cover(key // n1, start, stop, params.n_required)
+        key, start, stop = _cover(passes // self.g.ratio.size, lo.ravel()[passes], stop.ravel()[passes])
         return rows[key], start, stop
 
     def row_member(self, row: int) -> np.ndarray:
@@ -384,7 +352,7 @@ def _pad_runs(runs: RowRuns, n_t: int, k: int) -> RowRuns:
     row = np.concatenate([rows[tail:] - (n - k), rows + k, rows[:head] + n + k])
     start = np.concatenate([n_t - runs.stop[tail:], runs.start, n_t - runs.stop[:head]])
     stop = np.concatenate([n_t - runs.start[tail:], runs.stop, n_t - runs.start[:head]])
-    return RowRuns.from_rows(n + 2 * k, *_cover(row, start, stop, 1))
+    return RowRuns.from_rows(n + 2 * k, *_cover(row, start, stop))
 
 
 def _dilate(runs: RowRuns, n_t: int, k: int) -> RowRuns:
@@ -397,7 +365,7 @@ def _dilate(runs: RowRuns, n_t: int, k: int) -> RowRuns:
     start, stop = np.repeat(runs.start, 2 * k + 1), np.repeat(runs.stop, 2 * k + 1)
     wrap = (row < 0) | (row >= n)
     start, stop = np.where(wrap, n_t - stop, start), np.where(wrap, n_t - start, stop)
-    row, start, stop = _cover(row % n, np.maximum(start - k, 0), np.minimum(stop + k, n_t), 1)
+    row, start, stop = _cover(row % n, np.maximum(start - k, 0), np.minimum(stop + k, n_t))
     return RowRuns.from_rows(n, row, start, stop)
 
 
@@ -532,32 +500,15 @@ def _merge(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return start[first], reach[np.append(first[1:], len(start)) - 1]
 
 
-def _cover(
-    keys: np.ndarray, start: np.ndarray, stop: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cells covered by at least k >= 1 of the nonempty half-open runs
-    [start, stop) of their own key, as maximal runs (keys, start, stop) in
-    order of key, then start. Starts are nonnegative; touching runs join.
-
-    The runs of all keys are handled at once, each key's cells laid out past
-    the previous key's on one line. A union (k = 1) is a `_merge`; otherwise
-    one sweep counts the runs opened minus those closed before each
-    stretch between run ends.
+def _cover(keys: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of the nonempty half-open runs [start, stop) of each key,
+    as maximal runs (keys, start, stop) in order of key, then start. Starts
+    are nonnegative; touching runs join. The runs of all keys are one
+    `_merge`, each key's cells laid out past the previous key's on one line.
     """
     stride = int(stop.max(initial=0)) + 1
     base = keys * stride
-    if k == 1:
-        a, b = _merge(base + start, base + stop)
-    else:
-        x = np.concatenate([base + start, base + stop])
-        order = np.argsort(x, kind="stable")
-        x = x[order]
-        depth = np.cumsum(np.where(order < len(start), 1, -1))
-        on = np.flatnonzero((depth[:-1] >= k) & (x[:-1] < x[1:]))
-        a, b = x[on], x[on + 1]
-        first, last = np.ones(len(a), dtype=bool), np.ones(len(a), dtype=bool)
-        first[1:] = last[:-1] = a[1:] != b[:-1]
-        a, b = a[first], b[last]
+    a, b = _merge(base + start, base + stop)
     key = a // stride
     return key, a - key * stride, b - key * stride
 
@@ -607,7 +558,7 @@ def _pull_back(
     t_row = _expand(r1, band)
     n_runs = ptr[t_row + 1] - ptr[t_row]
     k = _expand(ptr[t_row], n_runs)
-    i, a, b = _cover(np.repeat(np.repeat(np.arange(len(rows)), band), n_runs), start[k], stop[k], 1)
+    i, a, b = _cover(np.repeat(np.repeat(np.arange(len(rows)), band), n_runs), start[k], stop[k])
     ends = np.stack([(a - m) * h - member.slack, (b - 1 - m) * h + member.slack])
     j = (shift[i] + sign[i] * g.ratio * ends) / h + m
     return rows[i], j.min(axis=0), j.max(axis=0)

@@ -3,9 +3,8 @@ batched enumerator `ifsproj.ifs.stopping_batches` replaced, kept as test
 oracles. Both walk the prefix tree one node at a time and sort the leaves
 on tuple keys afterwards; they are also the test side's source of the
 words themselves, which `stopping_batches` does not keep. `word_ratio` is the
-ratio of one word, one letter at a time. `measured_c9` is the comparability
-constant from the gathered walk's ratios, as `ifsproj.measure.measured_c9`
-computed it before it read `ifsproj.ifs.stopping_ratios`.
+ratio of one word, one letter at a time. `measured_c9` is criterion 6's
+comparability constant from the gathered walk's ratios (`sandwich_c9`).
 """
 
 from __future__ import annotations
@@ -136,10 +135,19 @@ def stopping_cylinders(
 def measured_c9(ifs: IfsSpec, rho: float, budget: int | None = None) -> float:
     """The sandwich constant over the distinct ratios of every stopping word
     at scale sqrt(rho), gathered by `ifsproj.measure.stopping_cylinders`."""
+    ratios = gathered_cylinders(ifs, math.sqrt(rho), budget=budget)[1]
+    return sandwich_c9(ifs, rho, np.unique(ratios).tolist())
+
+
+def sandwich_c9(ifs: IfsSpec, rho: float, ratios: Iterable[float]) -> float:
+    """Smallest constant making the cylinder-measure and projected-length
+    sandwiches hold for every stopping word at scale rho^(1/2) whose ratio
+    is given. Projected lengths of a square of side r lie in [r, sqrt(2) r]
+    over all angles, so the angle sup is exact without scanning theta."""
     d = ifs.dimension
     half = math.sqrt(rho)
     c9 = 1.0
-    for r in np.unique(gathered_cylinders(ifs, half, budget=budget)[1]).tolist():
+    for r in ratios:
         mu = r**d
         c9 = max(c9, mu / rho ** (0.5 * d), rho ** (0.5 * d) / mu)
         c9 = max(c9, math.sqrt(2.0) * r / half, half / r)

@@ -19,7 +19,6 @@ from ifsproj import (
     closeness_report,
     get_builtin,
     l2_norm_estimate,
-    measured_c9,
     omega_from_json,
     projected_histogram,
     similarity_dimension,
@@ -31,7 +30,7 @@ from certificate_oracle import certify_line
 from crowding_oracle import bad_word_cap, classify_good_words
 from map_oracle import apply, compose_word
 from renormalize_oracle import Line, invert_map, project_point, renormalize_map
-from stopping_oracle import stopping_words
+from stopping_oracle import measured_c9, stopping_words
 
 _state: dict = {}
 
@@ -200,6 +199,9 @@ def test_criterion_05_measure_sanity(emit):
     assert ok, line
 
 
+C6 = 0.05  # criterion 6's crowding constant: a word is bad past C6^-1 rho^-(d-1)/2 centers
+
+
 def _criterion6_report(desk) -> dict:
     cfg = desk.cfg
     c9 = measured_c9(desk.ifs, cfg.rho, cfg.word_budget)
@@ -208,16 +210,16 @@ def _criterion6_report(desk) -> dict:
     thetas = np.arange(desk.geom.n_theta) * desk.geom.pitch
     proj = centers @ np.stack([-np.sin(thetas), np.cos(thetas)])
     radius = math.sqrt(cfg.rho) / c9
-    threshold = (1.0 / cfg.c6) * cfg.rho ** (-0.5 * (desk.ifs.dimension - 1.0))
+    threshold = (1.0 / C6) * cfg.rho ** (-0.5 * (desk.ifs.dimension - 1.0))
     bad = np.empty(len(thetas), dtype=int)
     for j in range(len(thetas)):
         xs = np.sort(proj[:, j])
         crowd = np.searchsorted(xs, xs + radius, "left") - np.searchsorted(xs, xs - radius, "right")
         bad[j] = int((crowd > threshold).sum())
     for j in (0, len(thetas) // 2, len(thetas) - 1):
-        wc = classify_good_words(desk.ifs, float(thetas[j]), words, cfg.rho, cfg.c6, c9)
+        wc = classify_good_words(desk.ifs, float(thetas[j]), words, cfg.rho, C6, c9)
         assert int((~wc.good).sum()) == bad[j]
-    cap = bad_word_cap(desk.E.c5, cfg.c6, c9, cfg.rho, desk.ifs.dimension)
+    cap = bad_word_cap(desk.E.c5, C6, c9, cfg.rho, desk.ifs.dimension)
     e_rows = np.flatnonzero(desk.E.member)
     return {
         "n_words": len(words),

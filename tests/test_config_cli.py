@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifsproj import ConfigError, RunConfig, SearchOutcome, get_builtin, measured_c9
+from ifsproj import ConfigError, RunConfig, SearchOutcome, get_builtin
 from ifsproj import cli
 from ifsproj.cli import main
 from ifsproj.config import config_from_json_dict, load_config, override
@@ -21,13 +21,8 @@ def test_defaults_resolve():
     assert cfg.n_theta == math.ceil(4 * math.pi / cfg.rho)
     assert cfg.geometry().pitch == pytest.approx(math.pi / cfg.n_theta)
     assert cfg.delta_value() == pytest.approx(math.sqrt(cfg.rho) / 8)
-    ifs = cfg.load_ifs_spec()
-    sp = cfg.resolve(ifs)
-    c9 = measured_c9(ifs, cfg.rho, cfg.word_budget)
-    assert c9 == pytest.approx(math.sqrt(2.0))
-    assert sp.n_required >= 1 and sp.n_phi == cfg.n_phi and sp.epsilon == cfg.epsilon
-    # c7 = c6 c10 epsilon / (4 c9), with c10 = c9^-2 / 16 derived from the measured c9
-    assert sp.c7 == cfg.c6 * (c9**-2 / 16) * cfg.epsilon / (4 * c9) > 0
+    sp = cfg.resolve()
+    assert sp.n_phi == cfg.n_phi and sp.epsilon == cfg.epsilon
 
 
 @pytest.mark.parametrize(
@@ -40,7 +35,7 @@ def test_defaults_resolve():
         (dict(seed=-1), "seed"),
         (dict(search_mode="annealing"), "search_mode"),
         (dict(theta_pitch=-0.01), "theta_pitch"),
-        (dict(c7=0.0), "c7"),
+        (dict(delta=0.0), "delta"),
         (dict(word_budget=0), "word_budget"),
         (dict(n_phi="33"), "n_phi"),
         (dict(n_phi=33.0), "n_phi"),
@@ -80,6 +75,8 @@ def test_unknown_and_duplicate_keys():
     removed = (
         ("constants", "c2"),
         ("constants", "c3"),
+        ("constants", "c6"),
+        ("constants", "c7"),
         ("constants", "c9"),
         ("constants", "c10"),
         ("grid", "grid_size"),
@@ -92,8 +89,10 @@ def test_unknown_and_duplicate_keys():
             config_from_json_dict({block: {key: 1}})
         with pytest.raises(ConfigError, match=f"^{key}: unknown key"):
             config_from_json_dict({key: 1})
-    with pytest.raises(ConfigError, match="given twice"):
+    with pytest.raises(ConfigError, match="^constants.rho: given twice"):
         config_from_json_dict({"rho": 0.1, "constants": {"rho": 0.1}})
+    with pytest.raises(ConfigError, match="^rho: given twice"):
+        config_from_json_dict({"constants": {"rho": 0.1}, "rho": 0.1})
     for block, value in (("constants", "x"), ("grid", [1])):
         with pytest.raises(ConfigError, match=f"^{block}: expected a JSON object"):
             config_from_json_dict({block: value})
@@ -166,6 +165,12 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
     coarse = coarse_config(tmp_path, grid={"cert_resolution": 4.0})
     assert main(["certify", "--config", coarse, "--theta", "0.5"]) == 2
     assert capsys.readouterr().err.startswith("cert_resolution: must be < 2")
+    assert main(["build-l", "--config", coarse_config(tmp_path, ifs=5)]) == 2
+    assert capsys.readouterr().err.startswith("ifs: expected a name, path, or inline spec, got int")
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["build-l", "--config", str(listed)]) == 2
+    assert capsys.readouterr().err.startswith("config: expected a JSON object, got list")
 
 
 def test_dimension_output(capsys):
@@ -248,8 +253,22 @@ def test_malformed_ifs_is_config_error(tmp_path, capsys):
         p.write_text(json.dumps({**spec, "maps": full, field: value}))
         assert main(["dimension", "--ifs", str(p)]) == 2, (field, value)
         assert capsys.readouterr().err.startswith(f"{field}: must be"), (field, value)
-    # map entries: reflect a JSON boolean, numbers not strings or booleans,
-    # no unknown key, no symbol outside the alphabet
+    # the system's own checks: two or more distinct symbols, part_one a set
+    # of them
+    partition = "part_one: part_one and part_two must partition the alphabet"
+    systems = (
+        ({"alphabet": ["a"], "maps": {"a": full["a"]}}, "alphabet: must have at least 2 symbols"),
+        ({"alphabet": ["a", "a", "b", "c"], "maps": full}, "alphabet: has repeated symbols"),
+        ({**spec, "maps": full, "part_one": ["a", "a"]}, partition),
+        ({**spec, "maps": full, "part_one": ["z"]}, partition),
+    )
+    for system, message in systems:
+        p.write_text(json.dumps(system))
+        assert main(["dimension", "--ifs", str(p)]) == 2, system
+        assert capsys.readouterr().err.startswith(message), system
+    # map entries: an object, reflect a JSON boolean, numbers not strings or
+    # booleans, r given, positive and below 1, no unknown key, no symbol
+    # outside the alphabet
     entries = (
         ("a", {"r": 0.5, "tx": 0.0, "ty": 0.0, "reflect": "false"}, "reflect"),
         ("a", {"r": 0.5, "tx": 0.0, "ty": 0.0, "refelct": True}, "refelct"),
@@ -258,6 +277,10 @@ def test_malformed_ifs_is_config_error(tmp_path, capsys):
         ("c", {"r": 0.5, "angle": False, "tx": 0.0, "ty": 0.5}, "angle"),
         ("b", {"r": 0.5, "tx": float("nan"), "ty": 0.0}, "tx"),
         ("z", {"r": 0.5, "tx": 0.5, "ty": 0.5}, "alphabet"),
+        ("c", 5, "expected an object"),
+        ("c", {"tx": 0.0, "ty": 0.5}, "missing 'r'"),
+        ("c", {"r": -0.5, "tx": 0.0, "ty": 0.5}, "must be positive"),
+        ("a", {"r": 1.0, "tx": 0.0, "ty": 0.0}, "not a contraction"),
     )
     for symbol, entry, word in entries:
         p.write_text(json.dumps({**spec, "maps": {**full, symbol: entry}}))
@@ -272,9 +295,9 @@ def test_malformed_ifs_is_config_error(tmp_path, capsys):
 
 
 def test_thin_system_guard(tmp_path, capsys):
-    """The d <= 1 refusal comes before c9 is measured, so a budget too
-    small for the stopping cover at sqrt(rho) (16 words > 10) does not turn
-    it into a budget exit."""
+    """The d <= 1 refusal comes before the direction scan, so a budget too
+    small for the stopping cover at rho (256 words > 10) does not turn it
+    into a budget exit."""
     for budget in ([], ["--budget", "10"]):
         assert main(["build-l", "--ifs", "cantor_dust", *budget, "--out", str(tmp_path)]) == 2, budget
         assert capsys.readouterr().err == "d ≤ 1, theorem hypotheses unmet\n", budget
@@ -299,16 +322,14 @@ def test_symbols_are_one_character(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("alphabet: symbol 'aa' is not one character")
 
 
-@pytest.mark.parametrize("constants, field", [({"c7": 10.0}, "c7"), ({"c5": 1e-9}, "c5")])
-def test_empty_candidate_is_a_config_error(tmp_path, capsys, constants, field):
-    """A candidate left empty, by a c7 whose phi-run is longer than n_phi
-    cells (551 > 33) or by a c5 that keeps no direction in E, exits 2
-    from build-l and search with one line naming the constant. certify
+def test_empty_candidate_is_a_config_error(tmp_path, capsys):
+    """A candidate left empty, by a c5 that keeps no direction in E, exits
+    2 from build-l and search with one line naming the constant. certify
     needs the candidate only for its recurrence row: it warns with the
     same cause, writes the gap certificate with the recurrence fields null
     and exits 0."""
     cfg = tmp_path / "empty.json"
-    cfg.write_text(json.dumps({"ifs": "sierpinski", "constants": {"rho": 0.0625, **constants}}))
+    cfg.write_text(json.dumps({"ifs": "sierpinski", "constants": {"rho": 0.0625, "c5": 1e-9}}))
     out = tmp_path / "out"
     for command in (["build-l"], ["search"], ["certify", "--theta", "0.5"]):
         code = 0 if command[0] == "certify" else 2
@@ -316,7 +337,7 @@ def test_empty_candidate_is_a_config_error(tmp_path, capsys, constants, field):
         err = capsys.readouterr().err
         prefix = "warning: " if code == 0 else ""
         suffix = "; no recurrence row" if code == 0 else ""
-        assert err.startswith(f"{prefix}{field}: "), err
+        assert err.startswith(f"{prefix}c5: "), err
         assert err.endswith(f"; the candidate is empty{suffix}\n") and err.count("\n") == 1, err
     report = json.loads((out / "certify_report.json").read_text())
     assert report["theta"] == 0.5 and report["n_samples"] > 0
@@ -354,11 +375,11 @@ def test_budget_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
-def test_word_budget_bounds_the_measured_c9_cover(tmp_path, capsys):
-    """The measured c9 counts the stopping words at sqrt(rho) under the
-    word budget too: at rho 1e-9 that cover has 4^15 words, far more than
-    budget 1000 (and at rho 1e-16 more than the default budget), so
-    build-l exits 3 before any map is composed."""
+def test_word_budget_bounds_the_stopping_cover(tmp_path, capsys):
+    """The direction scan counts the stopping words at rho under the word
+    budget: at rho 1e-9 that cover has 4^30 words, far more than budget
+    1000 (and at rho 1e-16 more than the default budget), so build-l exits
+    3 before any map is composed."""
     for extra in (["--rho", "1e-9", "--budget", "1000"], ["--rho", "1e-16"]):
         assert main(["build-l", "--ifs", "four_corner", *extra, "--out", str(tmp_path)]) == 3, extra
         assert capsys.readouterr().err.startswith("budget exceeded"), extra
@@ -418,34 +439,16 @@ def test_scan_render_flag(tmp_path, capsys):
 def test_build_l_outputs(tmp_path, capsys):
     cfg = coarse_config(tmp_path)
     assert main(["build-l", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
     summary = json.loads((tmp_path / "out" / "candidate.json").read_text())
+    assert set(summary) == {
+        "rho", "n_theta", "pitch", "t_max", "c5", "excluded_fraction", "e_rows", "counts",
+        "min_slice_measure", "empty_e_slices", "candidate_file",
+    }
     assert summary["counts"]["L0"] <= summary["counts"]["L"] <= summary["counts"]["L1"]
     assert summary["e_rows"] > 0 and summary["min_slice_measure"] > 0
     assert (tmp_path / "out" / "candidate.npz").exists()
     capsys.readouterr()
-
-
-@pytest.mark.parametrize("c7", [None, 0.05])
-def test_build_l_slice_constants_and_degenerate_warning(tmp_path, capsys, c7):
-    constants = {"rho": 0.05} if c7 is None else {"rho": 0.05, "c7": c7}
-    cfg = coarse_config(tmp_path, constants=constants)
-    assert main(["build-l", "--config", cfg]) == 0
-    summary = json.loads((tmp_path / "out" / "candidate.json").read_text())
-    run = load_config(cfg)
-    sp = run.resolve(run.load_ifs_spec())
-    width = 2.0 * 0.3 / 33
-    assert summary["c7"] == sp.c7 == (sp.c7 if c7 is None else c7)
-    assert summary["phi_cell_width"] == pytest.approx(width, rel=1e-15)
-    assert summary["required_run"] == math.floor(sp.c7 / width) + 1
-    assert summary["n_required"] == sp.n_required
-    err = capsys.readouterr().err
-    if c7 is None:
-        # the derived c7 is far below one phi cell: runs of one cell suffice
-        assert sp.c7 < width and summary["required_run"] == 1
-        assert "warning: c7" in err and "smaller than one phi cell" in err
-    else:
-        assert summary["required_run"] == 3
-        assert "warning" not in err
 
 
 def test_search_reports_and_is_deterministic(tmp_path, capsys):
@@ -490,7 +493,7 @@ def test_verify_identity_assignment(tmp_path, capsys):
 
 def test_perturbed_square_outside_is_a_plain_warning(tmp_path, capsys):
     """verify and certify report a perturbed square that leaves I as one
-    plain `warning:` line on stderr, like the c7 note, not in Python's
+    plain `warning:` line on stderr, not in Python's
     warning format with a source path; both still exit 0."""
     cfg = coarse_config(tmp_path)
     omega = tmp_path / "omega.json"

@@ -9,14 +9,13 @@ from ifsproj import (
     build_E,
     get_builtin,
     l2_norm_estimate,
-    measured_c9,
     projected_histogram,
     select_c5,
     stopping_cylinders,
 )
 from crowding_oracle import bad_word_cap, classify_good_words
 from map_oracle import apply, compose_word
-from stopping_oracle import stopping_words
+from stopping_oracle import measured_c9, stopping_words
 
 RHO = 4.0**-4
 DELTA = math.sqrt(RHO) / 8.0

@@ -251,50 +251,41 @@ def test_window_test_alone_matches_three_rect_oracle(rng):
 
 def test_slice_params_validation():
     with pytest.raises(ValueError):
-        SliceParams(epsilon=0.3, c7=1e-4, n_phi=10)
-    p = SliceParams(epsilon=0.3, c7=0.07, n_phi=9)
-    w = 2 * 0.3 / 9
-    assert p.phi_cell_width == pytest.approx(w)
-    assert p.required_run == int(0.07 / w) + 1 == 2
+        SliceParams(epsilon=0.3, n_phi=10)
+    p = SliceParams(epsilon=0.3, n_phi=9)
     assert len(p.phi_centers()) == 9
+    # the cells tile (-epsilon, epsilon)
+    assert np.diff(p.phi_centers()) == pytest.approx(np.full(8, 2 * 0.3 / 9))
     assert p.phi_centers()[4] == pytest.approx(0.0)  # odd count centers zero
 
 
 # --- slice test against a direct reimplementation ---
 
 
-def brute_best_runs(ifs, row, E, geom, phis):
-    """Longest run of consecutive phi cells that pass, per first-block symbol
-    and column of one row: one carrier-point renormalization per (column,
-    a1, phi, a2)."""
-    best = np.zeros((len(ifs.part_one), geom.n_t), dtype=int)
+def brute_slice_row(ifs, row, E, geom, phis):
+    """The slice test on one row, column by column: a column is a member
+    when some (a1, phi, a2) passes, found by one carrier-point
+    renormalization per (a1, phi, a2) up to the first that passes."""
+    member = np.zeros(geom.n_t, dtype=bool)
     if not E.member[row]:
-        return best
+        return member
     theta = row * geom.pitch
-    maps = []  # maps[a1][phi][a2]: the rotated f_{a1} composed with f_{a2}
-    for a1 in ifs.part_one:
-        rotated = [oracle.turn(ifs.maps[a1], phi) for phi in phis]
-        maps.append([[oracle.compose(f1, ifs.maps[a2]) for a2 in ifs.part_two] for f1 in rotated])
+    # the rotated f_{a1} composed with f_{a2}, for every (a1, phi, a2)
+    maps = [
+        oracle.compose(oracle.turn(ifs.maps[a1], phi), ifs.maps[a2])
+        for a1 in ifs.part_one
+        for phi in phis
+        for a2 in ifs.part_two
+    ]
     for j in range(geom.n_t):
         t = (j - geom.m) * geom.pitch
-        for i, per_phi in enumerate(maps):
-            run = 0
-            for per_a2 in per_phi:
-                hit = False
-                for g in per_a2:
-                    v = renormalize_via_carrier(g, Line(theta, t))
-                    arg_row = int(round(v.theta / geom.pitch)) % geom.n_theta
-                    if E.member[arg_row] and abs(v.t) <= 1.0 + 1e-6:
-                        hit = True
-                        break
-                run = run + 1 if hit else 0
-                best[i, j] = max(best[i, j], run)
-    return best
-
-
-def brute_slice_row(ifs, row, E, geom, params):
-    best = brute_best_runs(ifs, row, E, geom, params.phi_centers())
-    return (best >= params.required_run).sum(axis=0) >= params.n_required
+        for g in maps:
+            v = renormalize_via_carrier(g, Line(theta, t))
+            arg_row = int(round(v.theta / geom.pitch)) % geom.n_theta
+            if E.member[arg_row] and abs(v.t) <= 1.0 + 1e-6:
+                member[j] = True
+                break
+    return member
 
 
 @pytest.fixture(scope="module")
@@ -326,37 +317,18 @@ def coarse_turned():
     return ifs, rho, geom, E
 
 
-@pytest.mark.parametrize("c7,n_phi", [(1e-3, 9), (0.07, 9)])
-def test_slice_matches_brute_force(coarse_four_corner, coarse_turned, c7, n_phi):
-    for ifs, rho, geom, E in (coarse_four_corner, coarse_turned):
-        params = SliceParams(epsilon=0.3, c7=c7, n_phi=n_phi)
-        builder = SliceBuilder(ifs, E, geom, params)
-        for row in (0, 7, 23, 44):
-            member = builder.row_member(row)
-            brute = brute_slice_row(ifs, row, E, geom, params)
-            assert member.any() or not E.member[row]
-            assert np.array_equal(member, brute), f"row {row}"
-
-
 def test_whole_grid_slice_matches_brute_force(coarse_four_corner, coarse_sierpinski, coarse_turned):
     """all_rows on every row, and row_member on a few, against the direct
-    reimplementation, for phi runs from one cell to more than n_phi and one
-    or two qualifying first-block symbols."""
-    n_phi = 9
-    w = 0.6 / n_phi
-    phis = SliceParams(epsilon=0.3, c7=w / 2, n_phi=n_phi).phi_centers()
+    reimplementation."""
+    params = SliceParams(epsilon=0.3, n_phi=9)
+    phis = params.phi_centers()
     for ifs, rho, geom, E in (coarse_four_corner, coarse_sierpinski, coarse_turned):
-        best = np.array([brute_best_runs(ifs, row, E, geom, phis) for row in range(geom.n_theta)])
-        for run in (1, 2, 3, n_phi, n_phi + 1):
-            for n_required in (1, 2):
-                params = SliceParams(epsilon=0.3, c7=(run - 0.5) * w, n_phi=n_phi, n_required=n_required)
-                assert params.required_run == run
-                builder = SliceBuilder(ifs, E, geom, params)
-                brute = (best >= run).sum(axis=1) >= n_required
-                assert np.array_equal(builder.all_rows().grid(geom.n_t), brute), (run, n_required)
-                for row in (0, 23, 60):
-                    assert np.array_equal(builder.row_member(row), brute[row])
-        assert best.max() == n_phi  # some column passes every phi cell
+        brute = np.array([brute_slice_row(ifs, row, E, geom, phis) for row in range(geom.n_theta)])
+        assert brute[E.member].any() and not brute[E.member].all()
+        builder = SliceBuilder(ifs, E, geom, params)
+        assert np.array_equal(builder.all_rows().grid(geom.n_t), brute)
+        for row in (0, 23, 60):
+            assert np.array_equal(builder.row_member(row), brute[row])
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 2, 7, None])
@@ -364,13 +336,10 @@ def test_slice_does_not_depend_on_block_size(
     monkeypatch, coarse_four_corner, coarse_sierpinski, coarse_turned, rows_per_block
 ):
     """all_rows with the E rows in blocks of 1, 2 or 7 rows, or all in one
-    (None), is bit for bit all_rows on every row at once: on each coarse
-    system, and on the gasket with c7 0.05, whose phi runs span 3 cells."""
-    systems = (coarse_four_corner, coarse_sierpinski, coarse_turned)
-    cases = [(system, SliceParams(epsilon=0.3, c7=1e-3, n_phi=33)) for system in systems]
-    cases.append((coarse_sierpinski, SliceParams(epsilon=0.3, c7=0.05, n_phi=33)))
-    assert cases[-1][1].required_run == 3
-    for (ifs, rho, geom, E), params in cases:
+    (None), is bit for bit all_rows on every row at once, on each coarse
+    system."""
+    params = SliceParams(epsilon=0.3, n_phi=33)
+    for ifs, rho, geom, E in (coarse_four_corner, coarse_sierpinski, coarse_turned):
         builder = SliceBuilder(ifs, E, geom, params)
         monkeypatch.setattr(ifsproj.recurrence, "_SLICE_BLOCK", 1 << 62)
         whole = builder.all_rows()
@@ -387,7 +356,7 @@ def test_slice_does_not_depend_on_block_size(
 def test_slice_without_e_rows_is_an_empty_candidate(coarse_sierpinski):
     ifs, rho, geom, E = coarse_sierpinski
     no_rows = dataclasses.replace(E, member=np.zeros_like(E.member))
-    runs = SliceBuilder(ifs, no_rows, geom, SliceParams(epsilon=0.3, c7=1e-3, n_phi=33)).all_rows()
+    runs = SliceBuilder(ifs, no_rows, geom, SliceParams(epsilon=0.3, n_phi=33)).all_rows()
     assert not runs.ptr.any() and len(runs.ptr) == geom.n_theta + 1 and not len(runs.start)
     with pytest.raises(ValueError, match="empty candidate"):
         build_candidate(runs, rho, geom)
@@ -396,20 +365,11 @@ def test_slice_without_e_rows_is_an_empty_candidate(coarse_sierpinski):
 def test_desk_slice_holds_one_block_of_rows(desk, traced_peak):
     """all_rows on the desk's 2,735 E rows holds one block's phi tensor at a
     time: 1.5 MB measured, against 29.3 MB for all rows at once."""
-    builder = SliceBuilder(desk.ifs, desk.E, desk.geom, desk.sp)
+    builder = SliceBuilder(desk.ifs, desk.E, desk.geom, desk.cfg.resolve())
     runs, peak = traced_peak(builder.all_rows)
     for a, b in zip(runs, desk.cand.L0):
         assert np.array_equal(a, b)
     assert peak <= 3 * 2**20
-
-
-def test_slice_monotone_in_c7(coarse_four_corner):
-    ifs, rho, geom, E = coarse_four_corner
-    loose = SliceBuilder(ifs, E, geom, SliceParams(epsilon=0.3, c7=1e-4, n_phi=9))
-    tight = SliceBuilder(ifs, E, geom, SliceParams(epsilon=0.3, c7=0.12, n_phi=9))
-    for row in (3, 19, 50):
-        # decreasing c7 never removes members
-        assert not np.any(tight.row_member(row) & ~loose.row_member(row))
 
 
 # --- candidate assembly and persistence ---
@@ -475,7 +435,7 @@ def test_run_padding_matches_oracle(k, rng):
 
 def test_cover_counts_runs(rng):
     """_cover against counting each cell's runs, over several keys, with
-    touching, nested and repeated runs."""
+    touching, nested and repeated runs: a cell is covered by at least one."""
     n_keys, width = 5, 30
     for _ in range(50):
         n = int(rng.integers(0, 40))
@@ -485,12 +445,11 @@ def test_cover_counts_runs(rng):
         count = np.zeros((n_keys, width + 8), dtype=int)
         for key, a, b in zip(keys, start, stop):
             count[key, a:b] += 1
-        for k in (1, 2, 3):
-            key, a, b = _cover(keys, start, stop, k)
-            got = RowRuns.from_rows(n_keys, key, a, b)
-            assert np.array_equal(got.grid(width + 8), count >= k)
-            # maximal runs: none empty, none touching the next one of its key
-            assert np.all(a < b) and not np.any((key[1:] == key[:-1]) & (a[1:] <= b[:-1]))
+        key, a, b = _cover(keys, start, stop)
+        got = RowRuns.from_rows(n_keys, key, a, b)
+        assert np.array_equal(got.grid(width + 8), count >= 1)
+        # maximal runs: none empty, none touching the next one of its key
+        assert np.all(a < b) and not np.any((key[1:] == key[:-1]) & (a[1:] <= b[:-1]))
 
 
 def test_candidate_save_load_roundtrip(desk, tmp_path):
@@ -1497,7 +1456,7 @@ def _cert_cases():
     }
     cases = [(name, ifs, flat_candidate(geom, 0.15, grid)) for name, ifs in systems.items()]
     cfg = dataclasses.replace(RunConfig(ifs="four_corner"), rho=2.0**-4)
-    ifs, _, _, cand = build_pipeline(cfg)
+    ifs, _, cand = build_pipeline(cfg)
     omega = draw_assignment(np.random.default_rng(1), ifs, cfg.epsilon)
     cases.append(("four_corner_pipeline", build_perturbed_ifs(ifs, omega, cfg.c1, cfg.rho), cand))
     return cases

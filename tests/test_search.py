@@ -330,7 +330,7 @@ def test_whole_grid_evaluations_stay_row_wise(monkeypatch):
     once under each unperturbed word (`probe_order`), a fixed cost of the
     probe size, not of a coverage evaluation."""
     cfg = RunConfig(ifs="sierpinski", rho=4.0**-3)
-    ifs, _, _, cand = build_pipeline(cfg)
+    ifs, _, cand = build_pipeline(cfg)
     tester = CoverageTester(ifs, cand, cfg.c1)
     points = []
 
@@ -484,7 +484,7 @@ def test_memberships_hold_no_per_cell_arrays():
     lists: the candidate's layers, a CoverageTester with its L0 membership,
     and the L membership of the check hold fewer bytes than the grid has
     cells."""
-    ifs, _, _, cand = build_pipeline(RunConfig(ifs="sierpinski", rho=4.0**-3))
+    ifs, _, cand = build_pipeline(RunConfig(ifs="sierpinski", rho=4.0**-3))
     tester = CoverageTester(ifs, cand, 8.0)
     held = _held_bytes(cand) + _held_bytes(tester) + _held_bytes(l_membership(cand))
     assert held < cand.geom.n_theta * cand.geom.n_t

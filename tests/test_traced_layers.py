@@ -64,8 +64,7 @@ def test_traced_cli_reaches_every_kernel_layer(tmp_path):
     assert EXPECTED["verify"] <= names, EXPECTED["verify"] - names
     # verify walks the stopping words twice: the system's at rho for the
     # direction scan, and the perturbed system's at cert_resolution / 2 for
-    # the attractor points; the measured c9 counts its cover's ratios
-    # without a walk (`ifs.stopping_ratios`)
+    # the attractor points
     rho, c1 = cfg["constants"]["rho"], cfg["constants"]["c1"]
     ifs = get_builtin(cfg["ifs"])
     perturbed = build_perturbed_ifs(ifs, omega_from_json(ifs, omega), c1, rho)
