@@ -75,6 +75,14 @@ output depends on the BLAS kernel. The commands:
   ratio 1/2 at (0, 0) and (1/2, 0), c and d of ratio 1/4 at (0, 3/4) and
   (3/4, 3/4) (dimension 1.4500; the open unit square test holds). The
   other constants are those of configs/four_corner.json.
+- `certify` at theta atan(1/2) on configs/cantor_dust.json with
+  `grid.cert_resolution` 1e-5: its 4^9 stopping words are fewer than its
+  buckets, so the certificate's walk runs unpruned, and the projection is
+  an interval of length 3/sqrt 5.
+- `certify` at theta 0.7 on configs/four_corner.json with
+  `grid.cert_resolution` 2.5e-4 and `grid.word_budget` 4^13: the walk is
+  pruned after the first leaves of the 4^7 prefixes, each extended six
+  letters deep.
 
 Outputs are compared as follows: `.npz` files by their unpacked arrays,
 `.json` files by value with `candidate_file` and `omega_file` removed (they
@@ -105,6 +113,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SIERPINSKI = str(ROOT / "configs" / "sierpinski.json")
 FOUR_CORNER = str(ROOT / "configs" / "four_corner.json")
+CANTOR_DUST = str(ROOT / "configs" / "cantor_dust.json")
 FINE = ["--config", FOUR_CORNER, "--rho", repr(2.0**-7)]
 OMEGA = "omega.json"  # written into the work directory, next to each output
 OMEGA_DESK = "omega_sierpinski.json"
@@ -118,6 +127,8 @@ C3_RUN = ["--config", FOUR_CORNER, "--ifs", C3, "--rho", repr(2.0**-5)]
 TWO_RATIO = "two_ratio.json"  # an IFS file, written there too
 TWO_RATIO_RUN = ["--config", FOUR_CORNER, "--ifs", TWO_RATIO, "--rho", repr(2.0**-5)]
 GASKET_B_A = "sierpinski_part_one_b_a.json"  # an IFS file, written there too
+DUST_FINE_CERT = "cantor_dust_cert_1e-5.json"  # written there too
+FOUR_CORNER_FINE_CERT = "four_corner_cert_2.5e-4.json"  # written there too
 OMEGA_B_A = "omega_sierpinski_b_a.json"
 
 COMMANDS = {
@@ -161,6 +172,8 @@ COMMANDS = {
     "certify-c3-tilt": ["certify", *C3_RUN, "--theta", "0.2"],
     "verify-two-ratio": ["verify", *TWO_RATIO_RUN, "--seed", "1", "--omega", OMEGA],
     "certify-two-ratio": ["certify", *TWO_RATIO_RUN, "--theta", "0.7854"],
+    "certify-dust-fine": ["certify", "--config", DUST_FINE_CERT, "--theta", "0.4636476"],
+    "certify-four-corner-fine": ["certify", "--config", FOUR_CORNER_FINE_CERT, "--theta", "0.7"],
 }
 PATH_KEYS = ("candidate_file", "omega_file")
 
@@ -198,6 +211,13 @@ def coarse_theta_config() -> dict:
     cfg = json.loads(Path(FOUR_CORNER).read_text())
     cfg["constants"]["rho"] = 2.0**-5
     cfg["grid"]["theta_pitch"] = 2.0**-4
+    return cfg
+
+
+def fine_cert_config(path: str, grid: dict) -> dict:
+    """A config file of this checkout with some grid settings replaced."""
+    cfg = json.loads(Path(path).read_text())
+    cfg["grid"] = {**cfg.get("grid", {}), **grid}
     return cfg
 
 
@@ -361,6 +381,8 @@ def main(argv: list[str] | None = None) -> int:
         C3: cantor_product(),
         TWO_RATIO: two_ratio(),
         GASKET_B_A: gasket_part_one_b_a(),
+        DUST_FINE_CERT: fine_cert_config(CANTOR_DUST, {"cert_resolution": 1e-5}),
+        FOUR_CORNER_FINE_CERT: fine_cert_config(FOUR_CORNER, {"cert_resolution": 2.5e-4, "word_budget": 4**13}),
     }
     for name, data in inputs.items():
         (work / name).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

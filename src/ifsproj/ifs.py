@@ -224,7 +224,7 @@ def make_ifs(
     spec = IfsSpec(alphabet=alphabet, maps=dict(maps), part_one=part_one, part_two=part_two)
     outside = _outside(spec)
     if outside:
-        raise ConfigError(f"maps {outside} send the unit square outside itself")
+        raise ConfigError(f"maps: {outside} send the unit square outside itself")
     return spec
 
 
@@ -365,14 +365,31 @@ def check_osc_unit_square(ifs: IfsSpec, tol: float = 1e-12) -> OscReport:
 _BATCH = 1 << 11  # prefix-tree nodes expanded at a time: a batch's maps stay in cache
 
 
+def _levels(ratios: list[float], rho: float) -> Iterator[tuple[dict[float, int], dict[float, int]]]:
+    """The prefix tree that `stopping_batches` walks, level by level from
+    the root's children: after each level, the stopping words found so far
+    and the level's active nodes (ratio > rho), each as a count per
+    distinct ratio. A node's subtree depends only on its ratio, so the
+    counts are all the tree needs; products are taken left to right, as
+    `MapArrays.compose` takes them, so the ratios are those of the words'
+    maps bit for bit. No map is composed."""
+    done: dict[float, int] = {}
+    level = {1.0: 1}
+    while level:
+        children: dict[float, int] = {}
+        for r, count in level.items():
+            for q in ratios:
+                child = r * q
+                ends = done if child <= rho else children
+                ends[child] = ends.get(child, 0) + count
+        level = children
+        yield done, level
+
+
 def stopping_ratios(ifs: IfsSpec, rho: float, budget: int | None = None) -> dict[float, int]:
     """The ratios of the stopping words at scale rho (see
-    `stopping_batches`), each with its number of words, from the letters'
-    ratios alone, level by level on the prefix tree that `stopping_batches`
-    walks. A node's subtree depends only on its ratio, so each level's
-    active nodes are kept as a count per distinct ratio; products are taken
-    left to right, as `MapArrays.compose` takes them, so the ratios are
-    those of the words' maps bit for bit. No map is composed.
+    `stopping_batches`), each with its number of words, counted level by
+    level (`_levels`) from the letters' ratios alone.
 
     After each level, (finished words) + k * (active nodes), k the number
     of letters, is a lower bound on the count that never decreases and
@@ -381,22 +398,60 @@ def stopping_ratios(ifs: IfsSpec, rho: float, budget: int | None = None) -> dict
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0,1), got {rho}")
     letters = ifs.letter_maps().ratio.tolist()
-    done: dict[float, int] = {}
-    level = {1.0: 1}  # distinct ratio -> active nodes of the level
-    while level:
-        children: dict[float, int] = {}
-        for r, count in level.items():
-            for q in letters:
-                child = r * q
-                ends = done if child <= rho else children
-                ends[child] = ends.get(child, 0) + count
-        level = children
+    for done, level in _levels(letters, rho):
         total = sum(done.values()) + len(letters) * sum(level.values())
         if budget is not None and total > budget:
             raise BudgetExceeded(
                 f"budget exceeded: at least {total} stopping words > {budget}", partial=total
             )
     return done
+
+
+def _identity() -> MapArrays:
+    """The root of the prefix tree: the empty word's map, one element."""
+    return MapArrays(np.ones(1), np.zeros(1), np.zeros(1, dtype=bool), (np.zeros(1), np.zeros(1)))
+
+
+def first_leaves(ifs: IfsSpec, rho: float, nodes: int) -> Iterator[MapArrays] | None:
+    """The maps of the first leaves of the coarsest level below the root
+    of the prefix tree (`stopping_batches`) with at least `nodes` nodes,
+    in batches of at most k _BATCH maps (k letters), not in the words'
+    order; None when no level has that many but the last, whose nodes are
+    the stopping words themselves, so that the first leaves would be the
+    whole cover.
+
+    The nodes of level j are its active nodes and the stopping words of
+    length at most j, so every stopping word lies below exactly one of
+    them; the level is found from the counts of `_levels`. The first leaf
+    of a node u is the stopping word u a^m, a the first letter and m >= 0
+    the least with ratio(u a^m) <= rho: every u a^j, j < m, has a greater
+    ratio, so u a^m is minimal. Its map is composed letter by letter from
+    the identity by `MapArrays.compose`, the walk's own elementwise
+    formula, so it is bit for bit the map that the walk yields for the same
+    word."""
+    letters = ifs.letter_maps()
+    for depth, (done, level) in enumerate(_levels(letters.ratio.tolist(), rho), 1):
+        if not level:
+            return None
+        if sum(done.values()) + sum(level.values()) >= nodes:
+            break
+    first = letters.take(slice(0, 1))
+
+    def walk():
+        stack = [(_identity(), 0)]  # runs of active nodes, each of one length
+        while stack:
+            maps, length = stack.pop()
+            if len(maps.ratio) > _BATCH:
+                stack.append((maps.take(slice(_BATCH, None)), length))
+                maps = maps.take(slice(0, _BATCH))
+            children = maps.compose(letters if length < depth else first)
+            done = children.ratio <= rho
+            if done.any():
+                yield children.take(done)
+            if not done.all():
+                stack.append((children.take(~done), length + 1))
+
+    return walk()
 
 
 def _expand(
@@ -453,11 +508,7 @@ def stopping_batches(
     letters = ifs.letter_maps()
 
     def walk():
-        # the root node: the empty word and the identity map
-        root = MapArrays(
-            np.ones(1), np.zeros(1), np.zeros(1, dtype=bool), (np.zeros(1), np.zeros(1))
-        )
-        stack = [(root, np.ones(1, dtype=bool))]
+        stack = [(_identity(), np.ones(1, dtype=bool))]
         while stack:
             maps, active = stack.pop()
             first = int(np.argmax(active))

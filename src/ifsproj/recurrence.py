@@ -27,12 +27,13 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from .ifs import IfsSpec, MapArrays, Similarity, stopping_ratios
+from .ifs import IfsSpec, MapArrays, Similarity, first_leaves, stopping_ratios
 from .lines import _CHUNK, offsets, renormalize_affine, renormalize_arrays
 from .measure import DirectionSet, stopping_cylinders
 
@@ -863,7 +864,10 @@ class _Buckets:
     they, and those of its samples, are never wide. Every wide gap, the
     largest and every run's end that `_gap_scan` reads thus lie at buckets
     never interior, which hold their true extremes: the certificates do
-    not change."""
+    not change. Nothing of this depends on the samples' order, and a sample
+    met twice (a first leaf that the walk images again) moves no extreme,
+    since a least and a greatest already holding it stay as they are; so
+    any repeats of the samples give the same certificates."""
 
     def __init__(self, sin, cos, resolution: float, low, high):
         self.sin, self.cos = sin, cos
@@ -1001,7 +1005,18 @@ def certify_projection_intervals(
     (`_invariant_radius`); rounding pushes a sample past it only into an
     end bucket. The walk drops a prefix u whose offsets within r_u R +
     `_rounding_margin` of f_u(c)'s all fall in interior buckets at every
-    angle (`_Buckets.interior`); with no angle it images nothing."""
+    angle (`_Buckets.interior`); with no angle it images nothing.
+
+    So that the buckets fill before the lexicographic walk reaches them,
+    they first take the first leaves (`ifs.first_leaves`) of the coarsest
+    level of the prefix tree with a node per bucket, imaged at the first
+    map's fixed point. A first leaf is a stopping word whose map is
+    composed as the walk composes it, so its sample is bit for bit one of
+    the walk's: the buckets see only the cover's samples, some twice, and
+    `_Buckets`' argument, which no order or repeat affects, gives the
+    certificates of sorting them all. When only the last level has that
+    many nodes, the leaves would be the whole cover, and the walk runs
+    without leaves and without pruning."""
     thetas = [float(th) for th in thetas]
     scale = resolution / 2.0
     stopping_ratios(ifs, scale, budget)
@@ -1009,10 +1024,14 @@ def certify_projection_intervals(
     sin, cos = np.array([math.sin(th) for th in thetas]), np.array([math.cos(th) for th in thetas])
     mid = 0.5 * cos - 0.5 * sin  # the offsets of the disk's centre
     buckets = _Buckets(sin, cos, resolution, mid - radius, mid + radius)
-    margin = _rounding_margin(ifs, scale, radius)
-    walked = attractor_points(
-        ifs, scale, budget, consume=buckets.add, prune=lambda u: buckets.interior(u, radius, margin)
-    )
+    leaves = first_leaves(ifs, scale, buckets.least.size) if thetas else iter(())  # no angle: the root prunes
+    prune = None
+    if leaves is not None:
+        p0 = _fixed_point(ifs.maps[ifs.alphabet[0]])
+        for maps in leaves:
+            buckets.add(maps.images(p0))
+        prune = partial(buckets.interior, radius=radius, margin=_rounding_margin(ifs, scale, radius))
+    walked = attractor_points(ifs, scale, budget, consume=buckets.add, prune=prune)
     return [
         certify_projection_interval(buckets.extremes(i), len(walked), th, resolution)
         for i, th in enumerate(thetas)

@@ -115,6 +115,16 @@ def turned_four_corner() -> IfsSpec:
     )
 
 
+def two_ratio_system() -> IfsSpec:
+    """Ratios 1/2 and 0.3, so words of one length end at distinct ratios."""
+    return make_ifs(
+        {
+            "a": Similarity(0.5, 0.0, False, (0.0, 0.0)),
+            "b": Similarity(0.3, 0.0, False, (0.7, 0.7)),
+        }
+    )
+
+
 def two_letter_words(alphabet, letters) -> list[tuple[Word, MapArrays]]:
     """(word, f_{b1} o f_{b2}) for every two-letter word over the letter
     maps (given in alphabet order), in alphabet-product order."""

@@ -180,7 +180,7 @@ def test_make_ifs_containment():
         "a": Similarity(0.5, 0.0, False, (0.9, 0.0)),
         "b": Similarity(0.5, 0.0, False, (0.0, 0.0)),
     }
-    with pytest.raises(ConfigError, match=r"maps \['a'\] send the unit square outside itself"):
+    with pytest.raises(ConfigError, match=r"^maps: \['a'\] send the unit square outside itself"):
         make_ifs(maps)
     assert _outside(IfsSpec(("a", "b"), maps, ("a",), ("b",))) == ["a"]
     four = get_builtin("four_corner")

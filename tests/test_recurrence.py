@@ -53,6 +53,7 @@ from certificate_oracle import certify_line
 from dilation_oracle import _dilate_wrapped
 from membership_oracle import ThreeRectMembership, _pad_wrapped, row_runs
 from renormalize_oracle import Line, invert_map, project_point, renormalize_map, renormalize_via_carrier
+from stopping_oracle import stopping_words
 
 
 def lines_meeting_unit_square(geom: GridGeometry) -> np.ndarray:
@@ -1028,16 +1029,18 @@ def coarse_lines_candidate() -> RecurrentCandidate:
 
 
 def test_streamed_certificates_hold_no_sample_sized_array(traced_peak):
-    """`certify_projection_intervals` at four angles allocates under a
-    fifth of its samples' bytes (n x 16): the samples are
-    streamed, never held (measured 0.042; the gathered samples alone are
-    1.0)."""
-    perturbed, thetas = bench_system(), [0.3, 1.2, 2.0, 2.9]
-    certify_projection_intervals(perturbed, thetas, 1e-2)  # imports stay outside the trace
-    certs, peak = traced_peak(lambda: certify_projection_intervals(perturbed, thetas, 1e-3))
-    n = certs[0].n_samples
-    assert n == 4**11 and all(cert.certified for cert in certs)
-    assert peak < 0.2 * n * 16
+    """`certify_projection_intervals` on four-corner-verify's system, at
+    four angles and at ten, allocates under 6% of its samples' bytes (n x
+    16): the samples are streamed, never held, and so are the first leaves
+    (measured 0.036 and 0.035; the gathered samples alone are 1.0, and
+    holding the 65,536 first leaves of the ten angles at once 0.088)."""
+    perturbed = bench_system()
+    for thetas in ([0.3, 1.2, 2.0, 2.9], [float(th) for th in np.arange(10) * (math.pi / 10) + 0.05]):
+        certify_projection_intervals(perturbed, thetas, 1e-2)  # imports stay outside the trace
+        certs, peak = traced_peak(lambda: certify_projection_intervals(perturbed, thetas, 1e-3))
+        n = certs[0].n_samples
+        assert n == 4**11 and all(cert.certified for cert in certs)
+        assert peak < 0.06 * n * 16, len(thetas)
 
 
 def test_streamed_certificates_walk_once(monkeypatch):
@@ -1136,13 +1139,26 @@ def test_attractor_lies_in_the_invariant_disk():
 @pytest.fixture
 def leaves_imaged(monkeypatch):
     """A list that gets, for each walk of the stopping words, the number of
-    words whose maps the walk yields: the samples it images."""
-    counts = []
-    batches = ifsproj.measure.stopping_batches
+    words whose maps the walk yields, plus the first leaves
+    (`ifs.first_leaves`) imaged since the walk before: the samples that
+    one `certify_projection_intervals` call images."""
+    counts, leaves = [], [0]
+    batches, first = ifsproj.measure.stopping_batches, ifsproj.recurrence.first_leaves
+
+    def spy_leaves(*args):
+        walk = first(*args)
+
+        def counted():
+            for maps in walk:
+                leaves[0] += len(maps.ratio)
+                yield maps
+
+        return None if walk is None else counted()
 
     def spy(*args, **kwargs):
         count, walk = batches(*args, **kwargs)
-        counts.append(0)
+        counts.append(leaves[0])
+        leaves[0] = 0
 
         def counted():
             for maps in walk:
@@ -1151,44 +1167,54 @@ def leaves_imaged(monkeypatch):
 
         return count, counted()
 
+    monkeypatch.setattr(ifsproj.recurrence, "first_leaves", spy_leaves)
     monkeypatch.setattr(ifsproj.measure, "stopping_batches", spy)
     return counts
 
 
-
 def _pruning_case(name):
     """A system, its angles in one call each, a resolution, and the
-    greatest share of the words the walk may image (None: all of them, as
-    when one angle's projection has gaps, or when the walk is nearly done
-    before some prefix's buckets are marked interior at every angle;
-    `_Buckets.add` still drops samples at the angles where they are)."""
+    greatest share of the words that the call images, first leaves
+    included (None: all of them, as when one angle's projection has gaps,
+    or when no level above the cover's last has as many nodes as there are
+    buckets and the walk runs unpruned; `_Buckets.add` still drops samples
+    at the angles where their buckets are interior)."""
     spread = [float(th) for th in np.arange(16) * (math.pi / 16) + 0.1]
     four, c3 = get_builtin("four_corner"), cantor_product()
     tenths = [float(th) for th in np.arange(10) * (math.pi / 10) + 0.05]
     slopes = [math.atan(q) for q in (1 / 3, 1 / 2, 1, 2, 3)]  # C + q C is an interval
-    dust = get_builtin("cantor_dust")
+    dust, turned, gasket = get_builtin("cantor_dust"), oracle.turned_four_corner(), get_builtin("sierpinski")
     return {
-        # four-corner-verify's system at ten angles
-        "benchmark": (bench_system(), [tenths], 1e-3, 0.5),
+        # four-corner-verify's system at ten angles: 65,536 first leaves and
+        # 30,496 words of the walk (0.023)
+        "benchmark": (bench_system(), [tenths], 1e-3, 0.05),
         # the largest gaps near an axis are a few thousandths of a resolution
         "four_corner": (four, [[0.01, math.pi / 2 + 0.01, math.pi / 4, *spread]], 2.0**-7, 1.0),
         # 15 wide gaps at theta 0, among 64 angles so that a chunk is 512 of the 4^5 samples
         "c3": (c3, [[0.0, math.atan(0.25), *np.arange(62) * (math.pi / 62) + 0.02]], 1e-2, None),
-        # two intervals at slope 1/4, one at each other slope; 104K buckets, marked
-        # every 9.5K samples, leave no prefix to drop
+        # two intervals at slope 1/4, one at each other slope; 104K buckets, and
+        # only the last level's 4^9 nodes outnumber them
         "c3_slopes": (c3, [[math.atan(0.25), *slopes, *(math.pi - th for th in slopes)]], 3e-4, None),
         # one angle a call, where a prefix's disk alone decides
         "c3_one_angle": (c3, [[th] for th in (math.atan(0.25), *spread[::2])], 3e-4, 1.0),
         # one interval at slopes 1/2 and 2, dust on the diagonal, where the buckets'
         # edges fall on the corners' offsets; about one sample a bucket
         "cantor_dust": (dust, [[math.atan(0.5), math.atan(2), math.pi / 4, *spread]], 2**0.5 / 256, None),
-        "turned": (oracle.turned_four_corner(), [spread], 1e-3, None),
-        "gasket": (get_builtin("sierpinski"), [spread], 2e-3, 1.0),
+        # 45K buckets against 4^7 words
+        "turned": (turned, [spread], 1e-3, None),
+        # 45K buckets against level 8's 4^8 nodes (measured 0.304)
+        "turned_four": (turned, [spread[::4]], 2.5e-4, 0.4),
+        # 22.7K buckets, and only the last level's 3^10 nodes outnumber them
+        "gasket": (gasket, [spread], 2e-3, None),
+        # 5.7K buckets against level 8's 3^8 nodes (measured 0.191)
+        "gasket_four": (gasket, [spread[::4]], 2e-3, 0.25),
     }[name]
 
 
 @pytest.mark.parametrize(
-    "name", ["benchmark", "four_corner", "c3", "c3_slopes", "c3_one_angle", "cantor_dust", "turned", "gasket"]
+    "name",
+    ["benchmark", "four_corner", "c3", "c3_slopes", "c3_one_angle", "cantor_dust"]
+    + ["turned", "turned_four", "gasket", "gasket_four"],
 )
 def test_pruned_certificates_equal_gathered(name, leaves_imaged):
     """Pruning changes no certificate: on four-corner-verify's system, on
@@ -1198,8 +1224,9 @@ def test_pruned_certificates_equal_gathered(name, leaves_imaged):
     each certificate of one `certify_projection_intervals` call, which
     walks the stopping words once, is that of sorting the offsets of the
     gathered `attractor_points`. Where every angle's projection is an
-    interval, the walk leaves words unimaged: on the benchmark's system
-    more than half of its 4^11."""
+    interval and a level above the last has a node per bucket, the call
+    leaves words unimaged: on the benchmark's system, first leaves
+    included, more than 95% of its 4^11."""
     ifs, calls, resolution, share = _pruning_case(name)
     samples = attractor_points(ifs, resolution / 2)
     for thetas in calls:
@@ -1209,6 +1236,44 @@ def test_pruned_certificates_equal_gathered(name, leaves_imaged):
         assert imaged == len(samples) if share is None else imaged < share * len(samples)
         for theta, cert in zip(thetas, certs):
             assert_certificate_by_sorting(cert, samples, theta, resolution)
+
+
+def _leaf_case(name):
+    """A system, a scale and a node count whose level lies above the last."""
+    return {
+        "benchmark": (bench_system(), 2.0**-8, 1000),
+        "turned": (oracle.turned_four_corner(), 3.0**-6, 200),
+        "c3": (cantor_product(), 3.0**-6, 200),
+        "two_ratios": (oracle.two_ratio_system(), 1e-3, 100),
+    }[name]
+
+
+@pytest.mark.parametrize("batch", [None, 7])
+@pytest.mark.parametrize("name", ["benchmark", "turned", "c3", "two_ratios"])
+def test_first_leaves_are_exact_samples(name, batch, monkeypatch):
+    """The first leaves (`ifs.first_leaves`), imaged at the first map's
+    fixed point, are bit for bit the gathered `attractor_points` samples of
+    the stopping words (`stopping_oracle.stopping_words`) whose letters
+    past the level are all the first letter, each once: on four-corner-
+    verify's system, on the turned and reflected four-corner set, on C3 and
+    on a two-ratio system, at the default batch and at one that splits
+    every level. The level is the coarsest whose prefixes of the words
+    number at least the nodes asked for; asked for the whole cover, there
+    are no first leaves."""
+    ifs, scale, nodes = _leaf_case(name)
+    if batch is not None:
+        monkeypatch.setattr(ifsproj.ifs, "_BATCH", batch)
+    words = stopping_words(ifs, scale)
+    samples = attractor_points(ifs, scale)
+    depth = next(j for j in range(1, 64) if len({w[:j] for w in words}) >= nodes)
+    first = ifs.alphabet[0]
+    expected = [i for i, w in enumerate(words) if set(w[depth:]) <= {first}]
+    assert depth < max(map(len, words)) and len(expected) >= nodes
+    p0 = ifsproj.recurrence._fixed_point(ifs.maps[first])
+    leaves = np.concatenate([maps.images(p0) for maps in ifsproj.ifs.first_leaves(ifs, scale, nodes)])
+    bits = sorted(row.tobytes() for row in np.ascontiguousarray(leaves))
+    assert bits == sorted(row.tobytes() for row in np.ascontiguousarray(samples[expected]))
+    assert ifsproj.ifs.first_leaves(ifs, scale, len(words)) is None
 
 
 def test_pruning_keeps_a_sample_past_its_prefix_disk():

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import stopping_oracle as oracle
-from map_oracle import draw_assignment, turned_four_corner
+from map_oracle import draw_assignment, turned_four_corner, two_ratio_system
 
 import ifsproj.ifs
 from ifsproj import (
@@ -41,15 +41,6 @@ def _mixed_system():
         "a": Similarity(0.5, 0.0, False, (0.0, 0.0)),
         "b": Similarity(0.3, 0.4, False, (0.7, 0.0)),
         "c": Similarity(0.4, 0.0, True, (0.55, 0.95)),
-    }
-    return make_ifs(maps)
-
-
-def _two_ratio_system():
-    """Ratios 1/2 and 0.3, so words of one length end at distinct ratios."""
-    maps = {
-        "a": Similarity(0.5, 0.0, False, (0.0, 0.0)),
-        "b": Similarity(0.3, 0.0, False, (0.7, 0.7)),
     }
     return make_ifs(maps)
 
@@ -180,7 +171,7 @@ def test_budget_overrun_raises_before_composing_maps(traced_peak):
     assert peak < 32 * 2**20
 
 
-RATIO_SYSTEMS = {**SYSTEMS, "turned": turned_four_corner, "two_ratios": _two_ratio_system}
+RATIO_SYSTEMS = {**SYSTEMS, "turned": turned_four_corner, "two_ratios": two_ratio_system}
 
 
 @pytest.mark.parametrize("name", list(RATIO_SYSTEMS))
