@@ -54,7 +54,8 @@ output depends on the BLAS kernel. The commands:
   resolutions, which the certificate reports as null (no gap wider than
   the resolution).
 - `render` on configs/sierpinski.json: `attractor.pgm`, the stopping-word
-  centers of `measure.stopping_cylinders` drawn as a raster.
+  centers of `measure.stopping_cylinders` drawn as a raster, at the
+  default 512 pixels and with `--size 64`, the raster size's one setting.
 - `build-l`, `search` (iid, seed 1, budget 200), `verify` (seed 1, with
   the four_corner omega above, drawn for part_one (a, b)) and `certify` (at
   theta 4.0, past pi, so its recurrence row is read a half-turn away with
@@ -164,6 +165,7 @@ COMMANDS = {
     "certify-half-turn": ["certify", *FINE, "--theta", "3.9270", "--omega", OMEGA],
     "certify-near-axis": ["certify", *FINE, "--theta", "0.01"],
     "render-sierpinski": ["render", "--config", SIERPINSKI],
+    "render-sierpinski-size-64": ["render", "--config", SIERPINSKI, "--size", "64"],
     "build-l-turned": ["build-l", *TURNED_RUN],
     "search-iid-turned": ["search", *TURNED_RUN, "--seed", "1", "--mode", "iid", "--budget", "200"],
     "verify-turned": ["verify", *TURNED_RUN, "--seed", "1", "--omega", OMEGA],

@@ -59,11 +59,15 @@ def _load_omega(cfg: RunConfig, path: str) -> np.ndarray:
     return omega_from_json(cfg.load_ifs_spec(), read_json_file(path, "omega"))
 
 
-def _sample_e_rows(E: DirectionSet, cand: RecurrentCandidate, n: int, seed: int) -> np.ndarray:
-    """Deterministic sample of E-grid angles with a nonempty slice."""
+_N_THETA_SAMPLE = 10  # directions a report certifies
+
+
+def _sample_e_rows(E: DirectionSet, cand: RecurrentCandidate, seed: int) -> np.ndarray:
+    """Deterministic sample of _N_THETA_SAMPLE E-grid angles (all of them
+    when fewer) with a nonempty slice."""
     rows = np.flatnonzero(E.member & (np.diff(cand.L.ptr) > 0))
     rng = np.random.default_rng([seed, 17])
-    pick = rng.choice(rows, size=min(n, len(rows)), replace=False)
+    pick = rng.choice(rows, size=min(_N_THETA_SAMPLE, len(rows)), replace=False)
     return np.sort(pick) * cand.geom.pitch
 
 
@@ -78,13 +82,13 @@ def _assess(
     of one assignment, an omega row, each interval with its recurrence row:
     the part that search and verify reports share."""
     perturbed = _perturbed(ifs, omega, cfg)
-    thetas = _sample_e_rows(E, cand, cfg.n_theta_sample, cfg.seed)
+    thetas = _sample_e_rows(E, cand, cfg.seed)
     check = check_recurrence(perturbed, cand)
     certs = certify_projection_intervals(perturbed, thetas, cfg.cert_resolution, cfg.word_budget)
     rows = recurrence_rows(perturbed, cand, thetas, cfg.cert_resolution)
     return {
         "check": check.to_json_dict(),
-        "closeness": closeness_report(ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0),
+        "closeness": closeness_report(ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho),
         "certified_intervals": [{**cert.to_json_dict(), **row} for cert, row in zip(certs, rows)],
     }
 
@@ -146,7 +150,7 @@ def cmd_build_l(cfg: RunConfig, args) -> int:
         "rho": cfg.rho,
         "n_theta": geom.n_theta,
         "pitch": geom.pitch,
-        "t_max": cfg.t_max,
+        "t_max": geom.t_max,
         "c5": E.c5,
         "excluded_fraction": E.excluded_fraction,
         "e_rows": int(E.member.sum()),
@@ -269,11 +273,12 @@ def cmd_certify(cfg: RunConfig, args) -> int:
 
 
 def cmd_render(cfg: RunConfig, args) -> int:
-    cfg = override(cfg, raster_size=args.size)
+    if args.size < 1:
+        raise ConfigError(f"size: must be a positive integer, got {args.size!r}")
     ifs = cfg.load_ifs_spec()
     out = _outdir(cfg)
     path = os.path.join(out, "attractor.pgm")
-    n = _render_pgm(ifs, cfg.rho, cfg.raster_size, path, cfg.word_budget)
+    n = _render_pgm(ifs, cfg.rho, args.size, path, cfg.word_budget)
     print(f"raster: {n} centers -> {path}")
     return 0
 
@@ -321,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--theta", type=float, required=True)
     sp.add_argument("--omega", default=None, help="optional perturbation assignment json")
-    sub.choices["render"].add_argument("--size", type=int, default=None)
+    sub.choices["render"].add_argument("--size", type=int, default=512, help="raster width and height")
     return p
 
 

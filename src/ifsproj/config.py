@@ -1,15 +1,16 @@
 """Run configuration: constants, grids, budgets, and their derived values.
 
 A config file is JSON with an "ifs" entry (builtin name, file path, or
-inline spec) plus optional "constants" and "grid" blocks; flat keys are
-accepted too. Unknown keys are rejected so typos fail loudly.
+inline spec) plus optional "constants" and "grid" blocks. Each key has one
+spelling: a block key only in its block, the others only at top level.
+Unknown keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .ifs import IfsSpec, _finite_number, ifs_from_json_dict
@@ -23,24 +24,13 @@ from .recurrence import (
 )
 from .systems import BUILTIN, get_builtin
 
-_CONSTANT_KEYS = (
-    "rho",
-    "epsilon",
-    "c0",
-    "c1",
-    "c5",
-    "delta",
-)
-_GRID_KEYS = (
-    "theta_pitch",
-    "t_max",
-    "n_phi",
-    "raster_size",
-    "word_budget",
-    "search_budget",
-    "n_theta_sample",
-    "cert_resolution",
-)
+# Each key's one spelling: a block's keys in that block, the rest at top level.
+_BLOCKS = {
+    "constants": ("rho", "epsilon", "c1"),
+    "grid": ("theta_pitch", "n_phi", "word_budget", "search_budget", "cert_resolution"),
+}
+_TOP_LEVEL = ("ifs", "search_mode", "seed", "out")
+_T_MAX = 1.0  # the candidate grid's columns t lie in (-_T_MAX, _T_MAX)
 
 
 def _is_int(v) -> bool:
@@ -55,17 +45,11 @@ class RunConfig:
     ifs: dict | str = "sierpinski"
     rho: float = 4.0**-4
     epsilon: float = 0.3
-    c0: float = 2.0
     c1: float = 8.0
-    c5: float | None = None  # None: smallest value excluding < epsilon/2 of angles
-    delta: float | None = None  # None: sqrt(rho)/8
     theta_pitch: float | None = None  # None: pi / ceil(4 pi / rho)
-    t_max: float = 1.0
     n_phi: int = 33
-    raster_size: int = 512
     word_budget: int = 6_000_000
     search_budget: int = 10_000
-    n_theta_sample: int = 10
     cert_resolution: float = 1e-3
     search_mode: str = "iid"
     seed: int = 0
@@ -75,15 +59,11 @@ class RunConfig:
         pos = {
             "rho": self.rho,
             "epsilon": self.epsilon,
-            "c0": self.c0,
             "c1": self.c1,
-            "t_max": self.t_max,
             "cert_resolution": self.cert_resolution,
         }
-        for name in ("c5", "delta", "theta_pitch"):
-            v = getattr(self, name)
-            if v is not None:
-                pos[name] = v
+        if self.theta_pitch is not None:
+            pos["theta_pitch"] = self.theta_pitch
         for name, v in pos.items():
             if not (_finite_number(v) and v > 0):
                 raise ConfigError(f"{name}: must be a positive number, got {v!r}")
@@ -101,7 +81,7 @@ class RunConfig:
             raise ConfigError(f"out: must be a directory path, got {self.out!r}")
         if self.search_mode not in ("iid", "per_symbol"):
             raise ConfigError(f"search_mode: must be 'iid' or 'per_symbol', got {self.search_mode!r}")
-        for name in ("word_budget", "search_budget", "n_theta_sample", "raster_size"):
+        for name in ("word_budget", "search_budget"):
             v = getattr(self, name)
             if not (_is_int(v) and v >= 1):
                 raise ConfigError(f"{name}: must be a positive integer, got {v!r}")
@@ -126,10 +106,13 @@ class RunConfig:
         return math.ceil(4.0 * math.pi / self.rho)
 
     def geometry(self) -> GridGeometry:
-        return GridGeometry(self.n_theta, t_max=self.t_max)
+        return GridGeometry(self.n_theta, t_max=_T_MAX)
 
-    def delta_value(self) -> float:
-        return math.sqrt(self.rho) / 8.0 if self.delta is None else self.delta
+    @property
+    def delta(self) -> float:
+        """The histogram bin width of the E scan: sqrt(rho)/8, at the
+        rho^(1/2) scale that `measure.projected_histogram` asks for."""
+        return math.sqrt(self.rho) / 8.0
 
     def resolve(self) -> SliceParams:
         """The slice test's parameters."""
@@ -137,7 +120,7 @@ class RunConfig:
 
     def direction_set(self, ifs: IfsSpec) -> DirectionSet:
         """E for a concrete system on this config's theta grid (`build_E`)."""
-        return build_E(ifs, self.n_theta, self.rho, self.delta_value(), self.c5, self.epsilon, self.word_budget)
+        return build_E(ifs, self.n_theta, self.rho, self.delta, self.epsilon, self.word_budget)
 
 
 def build_pipeline(cfg: RunConfig) -> tuple[IfsSpec, DirectionSet, RecurrentCandidate]:
@@ -153,10 +136,7 @@ def build_pipeline(cfg: RunConfig) -> tuple[IfsSpec, DirectionSet, RecurrentCand
     E = cfg.direction_set(ifs)
     slices = SliceBuilder(ifs, E, geom, cfg.resolve()).all_rows()
     if not len(slices.start):
-        cause = "slice test: no slice produced members"
-        if not E.member.any():
-            cause = f"c5: E holds no direction below {E.c5!r}"
-        raise ConfigError(f"{cause}; the candidate is empty")
+        raise ConfigError("slice test: no slice produced members; the candidate is empty")
     return ifs, E, build_candidate(slices, cfg.rho, geom)
 
 
@@ -164,26 +144,15 @@ def config_from_json_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config: expected a JSON object, got {type(data).__name__}")
     flat: dict = {}
-
-    def take(block, allowed: tuple[str, ...], label: str):
-        if not isinstance(block, dict):
-            raise ConfigError(f"{label}: expected a JSON object, got {type(block).__name__}")
-        for k, v in block.items():
-            if k not in allowed:
-                raise ConfigError(f"{label}.{k}: unknown key")
-            if k in flat:
-                raise ConfigError(f"{label}.{k}: given twice")
-            flat[k] = v
-
-    known = {f.name for f in fields(RunConfig)}
     for k, v in data.items():
-        if k == "constants":
-            take(v, _CONSTANT_KEYS, "constants")
-        elif k == "grid":
-            take(v, _GRID_KEYS, "grid")
-        elif k in known:
-            if k in flat:
-                raise ConfigError(f"{k}: given twice")
+        if k in _BLOCKS:
+            if not isinstance(v, dict):
+                raise ConfigError(f"{k}: expected a JSON object, got {type(v).__name__}")
+            for key in v:
+                if key not in _BLOCKS[k]:
+                    raise ConfigError(f"{k}.{key}: unknown key")
+            flat.update(v)
+        elif k in _TOP_LEVEL:
             flat[k] = v
         else:
             raise ConfigError(f"{k}: unknown key")

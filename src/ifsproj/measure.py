@@ -131,22 +131,18 @@ def build_E(
     grid_size: int,
     rho: float,
     delta: float,
-    c5: float | None,
     epsilon: float,
     budget: int | None = None,
 ) -> DirectionSet:
-    """Evaluate the L2 estimate on theta_j = j*pi/grid_size and threshold it.
-
-    With c5 None, the threshold is auto-selected as the smallest grid
-    quantile whose excluded fraction stays below epsilon/2.
-    """
+    """Evaluate the L2 estimate on theta_j = j*pi/grid_size and threshold it
+    at c5 = `select_c5`, the smallest grid quantile whose excluded fraction
+    stays below epsilon/2."""
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     centers, ratios = stopping_cylinders(ifs, rho, budget=budget)
     cylinders = (centers, ratios**ifs.dimension)
     thetas = np.arange(grid_size) * (math.pi / grid_size)
     l2 = np.array([l2_norm_estimate(projected_histogram(cylinders, th, delta), delta) for th in thetas])
-    if c5 is None:
-        c5 = select_c5(l2, epsilon)
-    return DirectionSet(l2=l2, c5=float(c5), member=l2 < c5)
+    c5 = select_c5(l2, epsilon)
+    return DirectionSet(l2=l2, c5=c5, member=l2 < c5)
 

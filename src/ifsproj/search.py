@@ -70,18 +70,20 @@ def build_perturbed_ifs(ifs: IfsSpec, omega: np.ndarray, c1: float, rho: float) 
     return IfsSpec(alphabet=ifs.alphabet, maps=maps, part_one=ifs.part_one, part_two=ifs.part_two)
 
 
-def closeness_report(
-    base: IfsSpec, perturbed: IfsSpec, epsilon: float, c1: float, rho: float, c0: float
-) -> dict:
+_C0 = 2.0  # c0 of the sufficient closeness bound rho <= epsilon / (2 c1 c0)
+
+
+def closeness_report(base: IfsSpec, perturbed: IfsSpec, epsilon: float, c1: float, rho: float) -> dict:
     """Measured epsilon-distance plus the documented sufficient bound
     rho <= epsilon / (2 c1 c0); both reported, neither fatal."""
     dist = epsilon_distance(base, perturbed)
+    bound = epsilon / (2.0 * c1 * _C0)
     return {
         "epsilon_distance": dist,
         "epsilon": epsilon,
         "epsilon_ok": dist < epsilon,
-        "sufficient_bound": epsilon / (2.0 * c1 * c0),
-        "sufficient_bound_ok": rho <= epsilon / (2.0 * c1 * c0),
+        "sufficient_bound": bound,
+        "sufficient_bound_ok": rho <= bound,
     }
 
 

@@ -176,11 +176,11 @@ def _criterion5_report() -> dict:
     cfg = RunConfig()
     four = get_builtin("four_corner")
     centers, ratios = stopping_cylinders(four, cfg.rho)
-    masses = projected_histogram((centers, ratios**four.dimension), 0.0, cfg.delta_value())
+    masses = projected_histogram((centers, ratios**four.dimension), 0.0, cfg.delta)
     return {
         "histogram_sums": sums,
         "four_corner_sum_desk": float(masses.sum()),
-        "four_corner_l2_theta0": float(l2_norm_estimate(masses, cfg.delta_value())),
+        "four_corner_l2_theta0": float(l2_norm_estimate(masses, cfg.delta)),
     }
 
 
@@ -412,8 +412,8 @@ def test_criterion_08_end_to_end_search(desk, tmp_path, emit):
     else:
         best = omega_from_json(desk.ifs, report["best_assignment"])
         perturbed = build_perturbed_ifs(desk.ifs, best, cfg.c1, cfg.rho)
-        closeness = closeness_report(desk.ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho, cfg.c0)
-        thetas = _sample_e_rows(desk.E, desk.cand, cfg.n_theta_sample, cfg.seed)
+        closeness = closeness_report(desk.ifs, perturbed, cfg.epsilon, cfg.c1, cfg.rho)
+        thetas = _sample_e_rows(desk.E, desk.cand, cfg.seed)
         # only the gap certificates' verdicts are read below
         certs = [
             cert.to_json_dict()

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifsproj import ConfigError, RunConfig, SearchOutcome, get_builtin
+from ifsproj import ConfigError, RowRuns, RunConfig, SearchOutcome, SliceBuilder, get_builtin
 from ifsproj import cli
 from ifsproj.cli import main
 from ifsproj.config import config_from_json_dict, load_config, override
@@ -20,7 +20,7 @@ def test_defaults_resolve():
     assert cfg.rho == 4.0**-4
     assert cfg.n_theta == math.ceil(4 * math.pi / cfg.rho)
     assert cfg.geometry().pitch == pytest.approx(math.pi / cfg.n_theta)
-    assert cfg.delta_value() == pytest.approx(math.sqrt(cfg.rho) / 8)
+    assert cfg.delta == pytest.approx(math.sqrt(cfg.rho) / 8)
     sp = cfg.resolve()
     assert sp.n_phi == cfg.n_phi and sp.epsilon == cfg.epsilon
 
@@ -35,7 +35,7 @@ def test_defaults_resolve():
         (dict(seed=-1), "seed"),
         (dict(search_mode="annealing"), "search_mode"),
         (dict(theta_pitch=-0.01), "theta_pitch"),
-        (dict(delta=0.0), "delta"),
+        (dict(c1=0.0), "c1"),
         (dict(word_budget=0), "word_budget"),
         (dict(n_phi="33"), "n_phi"),
         (dict(n_phi=33.0), "n_phi"),
@@ -59,12 +59,12 @@ def test_nested_blocks():
         {
             "ifs": "four_corner",
             "constants": {"rho": 0.05, "c1": 2.0},
-            "grid": {"raster_size": 8, "n_phi": 9},
+            "grid": {"search_budget": 8, "n_phi": 9},
             "seed": 7,
         }
     )
     assert cfg.ifs == "four_corner" and cfg.rho == 0.05
-    assert cfg.c1 == 2.0 and cfg.raster_size == 8 and cfg.n_phi == 9 and cfg.seed == 7
+    assert cfg.c1 == 2.0 and cfg.search_budget == 8 and cfg.n_phi == 9 and cfg.seed == 7
 
 
 def test_unknown_and_duplicate_keys():
@@ -83,16 +83,28 @@ def test_unknown_and_duplicate_keys():
         ("grid", "max_depth"),
         ("grid", "survivor_budget"),
         ("grid", "t_pitch"),
+        ("constants", "c0"),
+        ("constants", "c5"),
+        ("constants", "delta"),
+        ("grid", "t_max"),
+        ("grid", "raster_size"),
+        ("grid", "n_theta_sample"),
     )
     for block, key in removed:
         with pytest.raises(ConfigError, match=f"{block}.{key}: unknown key"):
             config_from_json_dict({block: {key: 1}})
         with pytest.raises(ConfigError, match=f"^{key}: unknown key"):
             config_from_json_dict({key: 1})
-    with pytest.raises(ConfigError, match="^constants.rho: given twice"):
+    # one spelling per key: a block key only in its block, a top-level key
+    # only at top level, so no key can be given twice
+    with pytest.raises(ConfigError, match="^rho: unknown key"):
         config_from_json_dict({"rho": 0.1, "constants": {"rho": 0.1}})
-    with pytest.raises(ConfigError, match="^rho: given twice"):
-        config_from_json_dict({"constants": {"rho": 0.1}, "rho": 0.1})
+    with pytest.raises(ConfigError, match="^n_phi: unknown key"):
+        config_from_json_dict({"n_phi": 9})
+    with pytest.raises(ConfigError, match="^grid.seed: unknown key"):
+        config_from_json_dict({"grid": {"seed": 1}})
+    with pytest.raises(ConfigError, match="^constants.n_phi: unknown key"):
+        config_from_json_dict({"constants": {"n_phi": 9}})
     for block, value in (("constants", "x"), ("grid", [1])):
         with pytest.raises(ConfigError, match=f"^{block}: expected a JSON object"):
             config_from_json_dict({block: value})
@@ -148,7 +160,7 @@ def coarse_config(tmp_path, **extra):
     data = {
         "ifs": "four_corner",
         "constants": {"rho": 0.05},
-        "grid": {"cert_resolution": 0.05, "n_theta_sample": 2, "search_budget": 3},
+        "grid": {"cert_resolution": 0.05, "search_budget": 3},
         "seed": 3,
         "out": str(tmp_path / "out"),
     }
@@ -201,10 +213,10 @@ def test_dimension_past_64(tmp_path, capsys):
 
 def test_constants_past_the_float_range_are_config_errors(tmp_path, capsys):
     """A JSON integer too large for a float is not a positive number:
-    epsilon, t_max or cert_resolution given as 10^400 exits 2 with the
-    field's message."""
+    epsilon, theta_pitch or cert_resolution given as 10^400 exits 2 with
+    the field's message."""
     huge = 10**400
-    for block, name in (("constants", "epsilon"), ("grid", "t_max"), ("grid", "cert_resolution")):
+    for block, name in (("constants", "epsilon"), ("grid", "theta_pitch"), ("grid", "cert_resolution")):
         cfg = coarse_config(tmp_path, **{block: {name: huge}})
         assert main(["build-l", "--config", cfg]) == 2, name
         assert capsys.readouterr().err.startswith(f"{name}: must be a positive number, got {huge}"), name
@@ -322,14 +334,20 @@ def test_symbols_are_one_character(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("alphabet: symbol 'aa' is not one character")
 
 
-def test_empty_candidate_is_a_config_error(tmp_path, capsys):
-    """A candidate left empty, by a c5 that keeps no direction in E, exits
-    2 from build-l and search with one line naming the constant. certify
+def test_empty_candidate_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """A candidate left empty, by a slice test that passes no cell, exits
+    2 from build-l and search with one line naming the cause. certify
     needs the candidate only for its recurrence row: it warns with the
     same cause, writes the gap certificate with the recurrence fields null
     and exits 0."""
+
+    def no_members(builder):
+        none = np.empty(0, dtype=np.int64)
+        return RowRuns.from_rows(builder.geom.n_theta, none, none, none)
+
+    monkeypatch.setattr(SliceBuilder, "all_rows", no_members)
     cfg = tmp_path / "empty.json"
-    cfg.write_text(json.dumps({"ifs": "sierpinski", "constants": {"rho": 0.0625, "c5": 1e-9}}))
+    cfg.write_text(json.dumps({"ifs": "sierpinski", "constants": {"rho": 0.0625}}))
     out = tmp_path / "out"
     for command in (["build-l"], ["search"], ["certify", "--theta", "0.5"]):
         code = 0 if command[0] == "certify" else 2
@@ -337,7 +355,7 @@ def test_empty_candidate_is_a_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         prefix = "warning: " if code == 0 else ""
         suffix = "; no recurrence row" if code == 0 else ""
-        assert err.startswith(f"{prefix}c5: "), err
+        assert err.startswith(f"{prefix}slice test: "), err
         assert err.endswith(f"; the candidate is empty{suffix}\n") and err.count("\n") == 1, err
     report = json.loads((out / "certify_report.json").read_text())
     assert report["theta"] == 0.5 and report["n_samples"] > 0
@@ -402,7 +420,7 @@ def test_render_rejects_bad_size(tmp_path, capsys):
     for size in ("0", "-3"):
         argv = ["render", "--ifs", "sierpinski", "--out", str(tmp_path), f"--size={size}"]
         assert main(argv) == 2, size
-        assert capsys.readouterr().err.startswith("raster_size: must be a positive integer")
+        assert capsys.readouterr().err.startswith("size: must be a positive integer")
     assert not (tmp_path / "attractor.pgm").exists()
 
 
@@ -425,13 +443,13 @@ def test_scan_csv_format_and_determinism(tmp_path, capsys):
 
 
 def test_scan_render_flag(tmp_path, capsys):
-    """scan has no --render flag: `render` writes the raster, at the
-    config's raster_size."""
-    cfg = coarse_config(tmp_path, grid={"raster_size": 16})
+    """scan has no --render flag: `render` writes the raster, at its
+    --size."""
+    cfg = coarse_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--config", cfg, "--render"])
     assert exc.value.code == 2 and "--render" in capsys.readouterr().err
-    assert main(["render", "--config", cfg]) == 0
+    assert main(["render", "--config", cfg, "--size", "16"]) == 0
     assert (tmp_path / "out" / "attractor.pgm").read_bytes().startswith(b"P5 16 16 255\n")
     capsys.readouterr()
 
@@ -488,7 +506,7 @@ def test_verify_identity_assignment(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
     assert report["closeness"]["epsilon_distance"] == 0.0
     assert 0.0 < report["check"]["fraction"] <= 1.0
-    assert len(report["certified_intervals"]) == 2
+    assert len(report["certified_intervals"]) == cli._N_THETA_SAMPLE
 
 
 def test_perturbed_square_outside_is_a_plain_warning(tmp_path, capsys):
@@ -620,7 +638,7 @@ def test_search_success_report_matches_verify(tmp_path, capsys, monkeypatch):
     verify = json.loads((out / "verify_report.json").read_text())
     for key in ("check", "closeness", "certified_intervals"):
         assert search[key] is not None and search[key] == verify[key], key
-    assert len(search["certified_intervals"]) == 2
+    assert len(search["certified_intervals"]) == cli._N_THETA_SAMPLE
     capsys.readouterr()
 
 
@@ -641,7 +659,7 @@ def test_certify_without_a_wide_gap(tmp_path, capsys):
     0.1 lie on the lattice of pitch 1/16, so no gap exceeds the resolution,
     and the projection, at most sqrt 2 long, is shorter than 10
     resolutions. No interval, and the largest gap is reported as null."""
-    grid = {"cert_resolution": 0.2, "n_theta_sample": 2, "search_budget": 3}
+    grid = {"cert_resolution": 0.2, "search_budget": 3}
     assert main(["certify", "--config", coarse_config(tmp_path, grid=grid), "--theta", "0.5"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("no interval at resolution 0.2; no gap wider than the resolution\n")

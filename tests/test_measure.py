@@ -92,7 +92,7 @@ def test_select_c5_matches_the_scan(values, epsilon):
 
 def test_build_E_shapes_and_exclusion():
     ifs = get_builtin("sierpinski")
-    E = build_E(ifs, 64, RHO, DELTA, c5=None, epsilon=0.3)
+    E = build_E(ifs, 64, RHO, DELTA, epsilon=0.3)
     assert len(E.theta_grid) == 64 and len(E.l2) == 64 and len(E.member) == 64
     assert E.excluded_fraction < 0.15  # strictly below epsilon/2
     assert np.all(E.member == (E.l2 < E.c5))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ from map_oracle import draw_assignment
 from certificate_oracle import certify_line
 from dilation_oracle import _dilate_wrapped
 from membership_oracle import ThreeRectMembership, _pad_wrapped, row_runs
-from renormalize_oracle import Line, invert_map, project_point, renormalize_map, renormalize_via_carrier
+from renormalize_oracle import Line, canonical_angle, invert_map, project_point, renormalize_map
 from stopping_oracle import stopping_words
 
 
@@ -264,28 +265,23 @@ def test_slice_params_validation():
 
 
 def brute_slice_row(ifs, row, E, geom, phis):
-    """The slice test on one row, column by column: a column is a member
-    when some (a1, phi, a2) passes, found by one carrier-point
-    renormalization per (a1, phi, a2) up to the first that passes."""
+    """The slice test on one row: a column is a member when some
+    (a1, phi, a2) passes, found by the carrier route on all the row's
+    columns at once: fold the angle, map each line's carrier point (its
+    point nearest the origin) through the inverse and project it."""
     member = np.zeros(geom.n_t, dtype=bool)
     if not E.member[row]:
         return member
     theta = row * geom.pitch
-    # the rotated f_{a1} composed with f_{a2}, for every (a1, phi, a2)
-    maps = [
-        oracle.compose(oracle.turn(ifs.maps[a1], phi), ifs.maps[a2])
-        for a1 in ifs.part_one
-        for phi in phis
-        for a2 in ifs.part_two
-    ]
-    for j in range(geom.n_t):
-        t = (j - geom.m) * geom.pitch
-        for g in maps:
-            v = renormalize_via_carrier(g, Line(theta, t))
-            arg_row = int(round(v.theta / geom.pitch)) % geom.n_theta
-            if E.member[arg_row] and abs(v.t) <= 1.0 + 1e-6:
-                member[j] = True
-                break
+    t = (np.arange(geom.n_t) - geom.m) * geom.pitch
+    carriers = t[:, None] * np.array([-math.sin(theta), math.cos(theta)])
+    for a1, phi, a2 in product(ifs.part_one, phis, ifs.part_two):
+        # the rotated f_{a1} composed with f_{a2}
+        g = oracle.compose(oracle.turn(ifs.maps[a1], phi), ifs.maps[a2])
+        theta_p, _ = canonical_angle(g.angle - theta if g.reflect else theta - g.angle)
+        if E.member[int(round(theta_p / geom.pitch)) % geom.n_theta]:
+            t_hat = project_point(theta_p, oracle.apply(invert_map(g), carriers))
+            member |= np.abs(t_hat) <= 1.0 + 1e-6
     return member
 
 
@@ -294,7 +290,7 @@ def coarse_four_corner():
     ifs = get_builtin("four_corner")
     rho = 0.05
     geom = GridGeometry(61, t_max=1.2)
-    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, c5=None, epsilon=0.3)
+    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, epsilon=0.3)
     return ifs, rho, geom, E
 
 
@@ -303,7 +299,7 @@ def coarse_sierpinski():
     ifs = get_builtin("sierpinski")
     rho = 0.05
     geom = GridGeometry(61, t_max=1.2)
-    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, c5=None, epsilon=0.3)
+    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, epsilon=0.3)
     return ifs, rho, geom, E
 
 
@@ -314,7 +310,7 @@ def coarse_turned():
     ifs = _turned_system(("a", "b"))
     rho = 0.05
     geom = GridGeometry(61, t_max=1.2)
-    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, c5=None, epsilon=0.3)
+    E = build_E(ifs, 61, rho, math.sqrt(rho) / 8, epsilon=0.3)
     return ifs, rho, geom, E
 
 

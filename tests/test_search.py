@@ -125,7 +125,7 @@ def test_random_draws_stay_epsilon_close(rng):
     for _ in range(100):
         a = draw_assignment(rng, ifs, 0.3)
         pert = build_perturbed_ifs(ifs, a, 8.0, RHO)
-        rep = closeness_report(ifs, pert, 0.3, 8.0, RHO, 2.0)
+        rep = closeness_report(ifs, pert, 0.3, 8.0, RHO)
         assert rep["epsilon_ok"], rep
         worst = max(worst, rep["epsilon_distance"])
     assert rep["sufficient_bound_ok"]
