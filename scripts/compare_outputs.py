@@ -13,9 +13,8 @@ the OLD_SRC side with the environment as it is, so
 `compare_outputs.py src src --new-kernel Prescott` checks in one run that no
 output depends on the BLAS kernel. The commands:
 
-- `build-l` on configs/sierpinski.json, configs/four_corner.json,
-  four_corner at rho 2^-7, and the gasket at rho 0.05 with `grid.n_phi` 9,
-  the slice test's one setting at a value other than the default;
+- `build-l` on configs/sierpinski.json, configs/four_corner.json and
+  four_corner at rho 2^-7;
 - `scan` on configs/sierpinski.json;
 - `search` on configs/sierpinski.json at seed 1: iid with budget 300, and
   per_symbol with budget 5 and with budget 120, whose hill climb stalls and
@@ -119,8 +118,7 @@ FINE = ["--config", FOUR_CORNER, "--rho", repr(2.0**-7)]
 OMEGA = "omega.json"  # written into the work directory, next to each output
 OMEGA_DESK = "omega_sierpinski.json"
 DESK_PART_ONE = ("a", "b")  # the gasket's part_one, the first ceil(3/2) symbols
-N_PHI_9 = "sierpinski_n_phi_9.json"  # written into the work directory too
-COARSE_THETA = "four_corner_coarse_theta.json"  # written there too
+COARSE_THETA = "four_corner_coarse_theta.json"  # written into the work directory too
 TURNED = "four_corner_turned.json"  # an IFS file, written there too
 TURNED_RUN = ["--config", FOUR_CORNER, "--ifs", TURNED, "--rho", repr(2.0**-5)]
 C3 = "cantor_product.json"  # an IFS file, written there too
@@ -136,7 +134,6 @@ COMMANDS = {
     "build-l-sierpinski": ["build-l", "--config", SIERPINSKI],
     "build-l-four-corner": ["build-l", "--config", FOUR_CORNER],
     "build-l-four-corner-fine": ["build-l", *FINE],
-    "build-l-sierpinski-n-phi-9": ["build-l", "--config", N_PHI_9],
     "scan-sierpinski": ["scan", "--config", SIERPINSKI],
     "search-iid": ["search", "--config", SIERPINSKI, "--seed", "1", "--mode", "iid", "--budget", "300"],
     "search-iid-seed-2": ["search", "--config", SIERPINSKI, "--seed", "2", "--mode", "iid", "--budget", "1000"],
@@ -196,15 +193,6 @@ def bench_omegas() -> dict[str, dict]:
         OMEGA_DESK: draw(Path(SIERPINSKI), DESK_PART_ONE),
         OMEGA_B_A: draw(Path(SIERPINSKI), ("b", "a")),
     }
-
-
-def n_phi_9_config() -> dict:
-    """configs/sierpinski.json at rho 0.05 with 9 phi cells, against the
-    default 33."""
-    cfg = json.loads(Path(SIERPINSKI).read_text())
-    cfg["constants"]["rho"] = 0.05
-    cfg["grid"]["n_phi"] = 9
-    return cfg
 
 
 def coarse_theta_config() -> dict:
@@ -377,7 +365,6 @@ def main(argv: list[str] | None = None) -> int:
     work.mkdir(parents=True, exist_ok=True)
     inputs = {
         **bench_omegas(),
-        N_PHI_9: n_phi_9_config(),
         COARSE_THETA: coarse_theta_config(),
         TURNED: turned_four_corner(),
         C3: cantor_product(),

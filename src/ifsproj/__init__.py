@@ -36,7 +36,6 @@ from .recurrence import (
     RecurrentCandidate,
     RowRuns,
     SliceBuilder,
-    SliceParams,
     attractor_points,
     build_candidate,
     certify_projection_interval,

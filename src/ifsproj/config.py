@@ -12,25 +12,22 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ConfigError
 from .ifs import IfsSpec, _finite_number, ifs_from_json_dict
 from .measure import DirectionSet, build_E
-from .recurrence import (
-    GridGeometry,
-    RecurrentCandidate,
-    SliceBuilder,
-    SliceParams,
-    build_candidate,
-)
+from .recurrence import _MAX_WORDS, GridGeometry, RecurrentCandidate, SliceBuilder, build_candidate
 from .systems import BUILTIN, get_builtin
 
 # Each key's one spelling: a block's keys in that block, the rest at top level.
 _BLOCKS = {
     "constants": ("rho", "epsilon", "c1"),
-    "grid": ("theta_pitch", "n_phi", "word_budget", "search_budget", "cert_resolution"),
+    "grid": ("theta_pitch", "word_budget", "search_budget", "cert_resolution"),
 }
 _TOP_LEVEL = ("ifs", "search_mode", "seed", "out")
 _T_MAX = 1.0  # the candidate grid's columns t lie in (-_T_MAX, _T_MAX)
+_N_PHI = 33  # odd, so the unperturbed rotation sits at a cell center
 
 
 def _is_int(v) -> bool:
@@ -47,7 +44,6 @@ class RunConfig:
     epsilon: float = 0.3
     c1: float = 8.0
     theta_pitch: float | None = None  # None: pi / ceil(4 pi / rho)
-    n_phi: int = 33
     word_budget: int = 6_000_000
     search_budget: int = 10_000
     cert_resolution: float = 1e-3
@@ -73,8 +69,6 @@ class RunConfig:
             raise ConfigError(f"epsilon: must be < pi/2, got {self.epsilon}")
         if self.cert_resolution >= 2:  # certificates sample at scale cert_resolution / 2 < 1
             raise ConfigError(f"cert_resolution: must be < 2, got {self.cert_resolution}")
-        if not (_is_int(self.n_phi) and self.n_phi >= 1 and self.n_phi % 2 == 1):
-            raise ConfigError(f"n_phi: must be a positive odd integer, got {self.n_phi!r}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed: must be an unsigned integer, got {self.seed!r}")
         if not isinstance(self.out, str):
@@ -114,9 +108,11 @@ class RunConfig:
         rho^(1/2) scale that `measure.projected_histogram` asks for."""
         return math.sqrt(self.rho) / 8.0
 
-    def resolve(self) -> SliceParams:
-        """The slice test's parameters."""
-        return SliceParams(epsilon=self.epsilon, n_phi=self.n_phi)
+    def resolve(self) -> np.ndarray:
+        """The slice test's rotations phi: the centers of _N_PHI cells
+        tiling (-epsilon, epsilon)."""
+        w = 2.0 * self.epsilon / _N_PHI
+        return -self.epsilon + (np.arange(_N_PHI) + 0.5) * w
 
     def direction_set(self, ifs: IfsSpec) -> DirectionSet:
         """E for a concrete system on this config's theta grid (`build_E`)."""
@@ -124,14 +120,18 @@ class RunConfig:
 
 
 def build_pipeline(cfg: RunConfig) -> tuple[IfsSpec, DirectionSet, RecurrentCandidate]:
-    """Refuse an attractor of dimension at most 1 (a ConfigError, before any
-    stopping word is counted), scan the directions into E, run the slice
-    test on every E row and assemble the candidate; returns the system, E
-    and the candidate. An empty candidate is a ConfigError too, naming the
-    cause."""
+    """Refuse an attractor of dimension at most 1, or an alphabet whose
+    two-letter words outnumber what a witness indexes (ConfigErrors, before
+    any stopping word is counted), scan the directions into E, run the
+    slice test on every E row and assemble the candidate; returns the
+    system, E and the candidate. An empty candidate is a ConfigError too,
+    naming the cause."""
     ifs = cfg.load_ifs_spec()
     if ifs.dimension <= 1.0 + 1e-9:
         raise ConfigError("d ≤ 1, theorem hypotheses unmet")
+    n = len(ifs.alphabet)
+    if n * n > _MAX_WORDS:  # a witness indexes the two-letter words as int16
+        raise ConfigError(f"alphabet: {n} symbols make {n * n} two-letter words, more than {_MAX_WORDS}")
     geom = cfg.geometry()
     E = cfg.direction_set(ifs)
     slices = SliceBuilder(ifs, E, geom, cfg.resolve()).all_rows()

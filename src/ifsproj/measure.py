@@ -98,7 +98,10 @@ class DirectionSet:
 
     l2: np.ndarray
     c5: float
-    member: np.ndarray
+
+    @property
+    def member(self) -> np.ndarray:
+        return self.l2 < self.c5
 
     @property
     def theta_grid(self) -> np.ndarray:
@@ -144,5 +147,5 @@ def build_E(
     thetas = np.arange(grid_size) * (math.pi / grid_size)
     l2 = np.array([l2_norm_estimate(projected_histogram(cylinders, th, delta), delta) for th in thetas])
     c5 = select_c5(l2, epsilon)
-    return DirectionSet(l2=l2, c5=c5, member=l2 < c5)
+    return DirectionSet(l2=l2, c5=c5)
 

@@ -248,25 +248,6 @@ class GridMembership:
         return hit
 
 
-@dataclass(frozen=True)
-class SliceParams:
-    """Knobs of the slice test. n_phi is kept odd so the unperturbed rotation
-    sits at a cell center; phi cells tile (-epsilon, epsilon)."""
-
-    epsilon: float
-    n_phi: int
-
-    def __post_init__(self):
-        if self.n_phi < 1 or self.n_phi % 2 == 0:
-            raise ValueError(f"n_phi must be odd and positive, got {self.n_phi}")
-        if not (0.0 < self.epsilon < math.pi / 2):
-            raise ValueError(f"epsilon out of range: {self.epsilon}")
-
-    def phi_centers(self) -> np.ndarray:
-        w = 2.0 * self.epsilon / self.n_phi
-        return -self.epsilon + (np.arange(self.n_phi) + 0.5) * w
-
-
 _SLICE_BLOCK = 1 << 13  # (row, a1, phi, a2) entries of the slice test evaluated at a time
 
 
@@ -274,11 +255,12 @@ class SliceBuilder:
     """Evaluates the slice test on blocks of consecutive rows, sharing the
     phi-tensor precompute: `all_rows` takes the E rows about _SLICE_BLOCK
     (row, a1, phi, a2) entries at a time, so its working set depends
-    neither on the number of E rows nor on the alphabet or n_phi.
+    neither on the number of E rows nor on the alphabet or the rotations.
 
-    For first-block symbol a1, rotation phi, second symbol a2, the composed
-    map g is (rotate f_{a1} by phi about its cell center) o f_{a2}; the
-    builder keeps them as one (n1, n_phi, n2) `MapArrays` `g`. A row's
+    phi holds the rotations (`RunConfig.resolve`). For first-block symbol
+    a1, rotation phi, second symbol a2, the composed map g is (rotate
+    f_{a1} by phi about its cell center) o f_{a2}; the builder keeps them
+    as one (n1, len(phi), n2) `MapArrays` `g`. A row's
     renormalization T_g(theta, t) = (theta_hat, sign (t - shift) / r) comes
     from `lines.renormalize_affine`, and the offsets t with |t_hat| <= 1
     form the window [shift - r, shift + r] whatever the sign.
@@ -289,7 +271,7 @@ class SliceBuilder:
     paper's slice is narrower is not settled by PAPER.md.
     """
 
-    def __init__(self, ifs: IfsSpec, E: DirectionSet, geom: GridGeometry, params: SliceParams):
+    def __init__(self, ifs: IfsSpec, E: DirectionSet, geom: GridGeometry, phi: np.ndarray):
         if len(E.member) != geom.n_theta:
             raise ValueError(
                 f"direction set grid ({len(E.member)}) does not match "
@@ -297,10 +279,10 @@ class SliceBuilder:
             )
         self.E = E
         self.geom = geom
-        n1, n2, n_phi = len(ifs.part_one), len(ifs.part_two), params.n_phi
+        n1, n2 = len(ifs.part_one), len(ifs.part_two)
         # (rotate f_{a1} by phi about its cell center) o f_{a2} for every (a1, phi, a2)
-        turned = ifs.letter_maps(ifs.part_one).reshape(n1, 1).turned(params.phi_centers(), (0.0, 0.0))
-        self.g = turned.compose(ifs.letter_maps(ifs.part_two)).reshape(n1, n_phi, n2)
+        turned = ifs.letter_maps(ifs.part_one).reshape(n1, 1).turned(phi, (0.0, 0.0))
+        self.g = turned.compose(ifs.letter_maps(ifs.part_two)).reshape(n1, len(phi), n2)
 
     def _runs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The slice test's member cells on the given rows (those in E), as
@@ -447,6 +429,9 @@ def two_letter_words(letters: MapArrays) -> MapArrays:
     return letters.compose(letters)
 
 
+_MAX_WORDS = int(np.iinfo(np.int16).max)  # a witness is an int16 word index
+
+
 def first_witness(
     words: MapArrays,
     thetas: np.ndarray,
@@ -457,7 +442,8 @@ def first_witness(
     """For each word list (set) and each line (theta, t), the index of the
     set's first word g whose renormalization T_g sends the line into member
     (within its slack), as a (sets, lines) int16 array; -1 where no word of
-    the set does. words holds the sets' maps as (sets, words) arrays.
+    the set does. words holds the sets' maps as (sets, words) arrays, at
+    most _MAX_WORDS words a set.
 
     order, a (words, lines) array whose column i is a permutation of the
     word indices, sets the order in which line i tries the words of every
@@ -471,6 +457,8 @@ def first_witness(
     sine and cosine are computed once per call.
     """
     (n_sets, n_words), n = words.ratio.shape, len(thetas)
+    if n_words > _MAX_WORDS:
+        raise ValueError(f"{n_words} words: int16 witnesses index at most {_MAX_WORDS}")
     sin, cos = np.sin(thetas), np.cos(thetas)
     flat = words.reshape(-1)  # set b, word w: b * n_words + w; one flat index is the fastest take
     witness = np.full(n_sets * n, -1, dtype=np.int16)
@@ -581,6 +569,8 @@ def first_witness_rows(words: MapArrays, source: RowRuns, member: GridMembership
     slack of half a pitch a window can fall between cell centers; there the
     point route answers for every cell.
     """
+    if len(words.ratio) > _MAX_WORDS:
+        raise ValueError(f"{len(words.ratio)} words: int16 witnesses index at most {_MAX_WORDS}")
     geom = member.geom
     n_t = geom.n_t
     ptr, start, stop = source

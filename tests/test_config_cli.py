@@ -21,8 +21,8 @@ def test_defaults_resolve():
     assert cfg.n_theta == math.ceil(4 * math.pi / cfg.rho)
     assert cfg.geometry().pitch == pytest.approx(math.pi / cfg.n_theta)
     assert cfg.delta == pytest.approx(math.sqrt(cfg.rho) / 8)
-    sp = cfg.resolve()
-    assert sp.n_phi == cfg.n_phi and sp.epsilon == cfg.epsilon
+    phi = cfg.resolve()
+    assert len(phi) == 33 and -cfg.epsilon < phi.min() and phi.max() < cfg.epsilon
 
 
 @pytest.mark.parametrize(
@@ -31,15 +31,15 @@ def test_defaults_resolve():
         (dict(rho=1.5), "rho"),
         (dict(rho=-0.1), "rho"),
         (dict(epsilon=2.0), "epsilon"),
-        (dict(n_phi=10), "n_phi"),
+        (dict(epsilon=math.pi / 2), "epsilon"),
         (dict(seed=-1), "seed"),
         (dict(search_mode="annealing"), "search_mode"),
         (dict(theta_pitch=-0.01), "theta_pitch"),
         (dict(c1=0.0), "c1"),
         (dict(word_budget=0), "word_budget"),
-        (dict(n_phi="33"), "n_phi"),
-        (dict(n_phi=33.0), "n_phi"),
-        (dict(n_phi=True), "n_phi"),
+        (dict(search_budget="33"), "search_budget"),
+        (dict(word_budget=33.0), "word_budget"),
+        (dict(word_budget=True), "word_budget"),
         (dict(seed=True), "seed"),
         (dict(search_budget=True), "search_budget"),
         (dict(c1=True), "c1"),
@@ -59,12 +59,12 @@ def test_nested_blocks():
         {
             "ifs": "four_corner",
             "constants": {"rho": 0.05, "c1": 2.0},
-            "grid": {"search_budget": 8, "n_phi": 9},
+            "grid": {"search_budget": 8, "word_budget": 9},
             "seed": 7,
         }
     )
     assert cfg.ifs == "four_corner" and cfg.rho == 0.05
-    assert cfg.c1 == 2.0 and cfg.search_budget == 8 and cfg.n_phi == 9 and cfg.seed == 7
+    assert cfg.c1 == 2.0 and cfg.search_budget == 8 and cfg.word_budget == 9 and cfg.seed == 7
 
 
 def test_unknown_and_duplicate_keys():
@@ -89,6 +89,7 @@ def test_unknown_and_duplicate_keys():
         ("grid", "t_max"),
         ("grid", "raster_size"),
         ("grid", "n_theta_sample"),
+        ("grid", "n_phi"),
     )
     for block, key in removed:
         with pytest.raises(ConfigError, match=f"{block}.{key}: unknown key"):
@@ -99,12 +100,12 @@ def test_unknown_and_duplicate_keys():
     # only at top level, so no key can be given twice
     with pytest.raises(ConfigError, match="^rho: unknown key"):
         config_from_json_dict({"rho": 0.1, "constants": {"rho": 0.1}})
-    with pytest.raises(ConfigError, match="^n_phi: unknown key"):
-        config_from_json_dict({"n_phi": 9})
+    with pytest.raises(ConfigError, match="^search_budget: unknown key"):
+        config_from_json_dict({"search_budget": 9})
     with pytest.raises(ConfigError, match="^grid.seed: unknown key"):
         config_from_json_dict({"grid": {"seed": 1}})
-    with pytest.raises(ConfigError, match="^constants.n_phi: unknown key"):
-        config_from_json_dict({"constants": {"n_phi": 9}})
+    with pytest.raises(ConfigError, match="^constants.search_budget: unknown key"):
+        config_from_json_dict({"constants": {"search_budget": 9}})
     for block, value in (("constants", "x"), ("grid", [1])):
         with pytest.raises(ConfigError, match=f"^{block}: expected a JSON object"):
             config_from_json_dict({block: value})
@@ -171,8 +172,8 @@ def coarse_config(tmp_path, **extra):
 
 
 def test_malformed_config_is_config_error(tmp_path, capsys):
-    assert main(["build-l", "--config", coarse_config(tmp_path, grid={"n_phi": "33"})]) == 2
-    assert capsys.readouterr().err.startswith("n_phi: must be a positive odd integer")
+    assert main(["build-l", "--config", coarse_config(tmp_path, grid={"search_budget": "33"})]) == 2
+    assert capsys.readouterr().err.startswith("search_budget: must be a positive integer")
     # attractor samples at scale cert_resolution / 2 need that scale below 1
     coarse = coarse_config(tmp_path, grid={"cert_resolution": 4.0})
     assert main(["certify", "--config", coarse, "--theta", "0.5"]) == 2
@@ -386,6 +387,38 @@ def test_certify_needs_no_candidate(tmp_path, capsys):
         else:
             assert report["certified"]
             assert report["length"] == pytest.approx(3 / math.sqrt(5), abs=1e-3)
+
+
+def grid_225(tmp_path, **extra) -> str:
+    """A coarse config (`coarse_config`) on the 15 x 15 grid of maps of
+    ratio 1/15: d = 2, the open-square test holds, and its 225 one-character
+    symbols make 50,625 two-letter words, more than an int16 witness
+    indexes."""
+    symbols = [chr(0x100 + k) for k in range(225)]
+    maps = {a: {"r": 1 / 15, "tx": (k % 15) / 15, "ty": (k // 15) / 15} for k, a in enumerate(symbols)}
+    return coarse_config(tmp_path, ifs={"alphabet": symbols, "maps": maps}, **extra)
+
+
+def test_alphabet_past_the_witness_index_is_refused(tmp_path, capsys):
+    """build-l exits 2 on the 225-map grid, naming the cause, before the E
+    scan."""
+    assert main(["build-l", "--config", grid_225(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("alphabet: 225 symbols make 50625 two-letter words") and err.count("\n") == 1
+
+
+def test_certify_past_the_witness_index(tmp_path, capsys):
+    """certify needs the candidate only for its recurrence row: on the
+    225-map grid at resolution 1e-2 it certifies from the 50,625 two-letter
+    stopping words, warns, and writes null recurrence fields."""
+    config = grid_225(tmp_path, grid={"cert_resolution": 1e-2})
+    assert main(["certify", "--config", config, "--theta", "0.5"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: alphabet: ") and err.endswith("; no recurrence row\n")
+    report = json.loads((tmp_path / "out" / "certify_report.json").read_text())
+    assert report["certified"] and report["n_samples"] == 225**2
+    for key in ("recurrence_interval", "recurrence_length", "recurrence_certified"):
+        assert report[key] is None, key
 
 
 def test_budget_exit_code(tmp_path, capsys):

@@ -16,7 +16,6 @@ from ifsproj import (
     RunConfig,
     Similarity,
     SliceBuilder,
-    SliceParams,
     attractor_points,
     build_E,
     build_candidate,
@@ -251,14 +250,20 @@ def test_window_test_alone_matches_three_rect_oracle(rng):
         assert got.any() and not got.all()
 
 
-def test_slice_params_validation():
-    with pytest.raises(ValueError):
-        SliceParams(epsilon=0.3, n_phi=10)
-    p = SliceParams(epsilon=0.3, n_phi=9)
-    assert len(p.phi_centers()) == 9
-    # the cells tile (-epsilon, epsilon)
-    assert np.diff(p.phi_centers()) == pytest.approx(np.full(8, 2 * 0.3 / 9))
-    assert p.phi_centers()[4] == pytest.approx(0.0)  # odd count centers zero
+def phi_cells(n: int, epsilon: float = 0.3) -> np.ndarray:
+    """The centers of n rotation cells tiling (-epsilon, epsilon)."""
+    w = 2.0 * epsilon / n
+    return -epsilon + (np.arange(n) + 0.5) * w
+
+
+def test_resolve_gives_the_phi_centers():
+    for epsilon in (0.3, 0.05, 1.5):
+        phi = RunConfig(epsilon=epsilon).resolve()
+        assert len(phi) == 33
+        assert phi[16] == pytest.approx(0.0, abs=1e-15)  # an odd count centers zero
+        # the cells tile (-epsilon, epsilon)
+        assert np.diff(phi) == pytest.approx(np.full(32, 2 * epsilon / 33))
+        assert np.array_equal(phi, phi_cells(33, epsilon))  # the formula, bit for bit
 
 
 # --- slice test against a direct reimplementation ---
@@ -317,12 +322,11 @@ def coarse_turned():
 def test_whole_grid_slice_matches_brute_force(coarse_four_corner, coarse_sierpinski, coarse_turned):
     """all_rows on every row, and row_member on a few, against the direct
     reimplementation."""
-    params = SliceParams(epsilon=0.3, n_phi=9)
-    phis = params.phi_centers()
+    phis = phi_cells(9)
     for ifs, rho, geom, E in (coarse_four_corner, coarse_sierpinski, coarse_turned):
         brute = np.array([brute_slice_row(ifs, row, E, geom, phis) for row in range(geom.n_theta)])
         assert brute[E.member].any() and not brute[E.member].all()
-        builder = SliceBuilder(ifs, E, geom, params)
+        builder = SliceBuilder(ifs, E, geom, phis)
         assert np.array_equal(builder.all_rows().grid(geom.n_t), brute)
         for row in (0, 23, 60):
             assert np.array_equal(builder.row_member(row), brute[row])
@@ -335,9 +339,8 @@ def test_slice_does_not_depend_on_block_size(
     """all_rows with the E rows in blocks of 1, 2 or 7 rows, or all in one
     (None), is bit for bit all_rows on every row at once, on each coarse
     system."""
-    params = SliceParams(epsilon=0.3, n_phi=33)
     for ifs, rho, geom, E in (coarse_four_corner, coarse_sierpinski, coarse_turned):
-        builder = SliceBuilder(ifs, E, geom, params)
+        builder = SliceBuilder(ifs, E, geom, phi_cells(33))
         monkeypatch.setattr(ifsproj.recurrence, "_SLICE_BLOCK", 1 << 62)
         whole = builder.all_rows()
         assert len(whole.start) > 0
@@ -352,8 +355,9 @@ def test_slice_does_not_depend_on_block_size(
 
 def test_slice_without_e_rows_is_an_empty_candidate(coarse_sierpinski):
     ifs, rho, geom, E = coarse_sierpinski
-    no_rows = dataclasses.replace(E, member=np.zeros_like(E.member))
-    runs = SliceBuilder(ifs, no_rows, geom, SliceParams(epsilon=0.3, n_phi=33)).all_rows()
+    no_rows = dataclasses.replace(E, c5=E.l2.min())  # membership is l2 < c5
+    assert not no_rows.member.any()
+    runs = SliceBuilder(ifs, no_rows, geom, phi_cells(33)).all_rows()
     assert not runs.ptr.any() and len(runs.ptr) == geom.n_theta + 1 and not len(runs.start)
     with pytest.raises(ValueError, match="empty candidate"):
         build_candidate(runs, rho, geom)
@@ -630,6 +634,31 @@ def test_row_route_matches_point_route(rng, slack_pitches):
         assert np.array_equal(first_witness_rows(g, runs, member), first_witness(g.reshape(1, 1), thetas, ts, member)[0])
     empty = row_runs(np.zeros_like(source))
     assert len(first_witness_rows(maps, empty, member)) == 0
+
+
+def test_witness_routes_refuse_word_lists_past_int16():
+    """A witness is an int16 word index, so both routes refuse a list of
+    more words than int16 holds instead of wrapping an index: with 40,000
+    words of which only the last sends the line home, its index 39,999
+    would read -25,537, uncovered. The longest list taken still names its
+    last word."""
+    geom = GridGeometry(61, t_max=1.2)
+    grid = np.zeros((geom.n_theta, geom.n_t), dtype=bool)
+    grid[30, geom.m] = True
+    source = row_runs(grid)
+    member = GridMembership(geom, source, geom.pitch)
+    theta = 30 * geom.pitch
+    miss, home = _word_onto(theta, 0.0, theta, 1.0, 0.3), _word_onto(theta, 0.0, theta, 0.0, 0.3)
+    words = MapArrays.of([miss, home]).take(np.append(np.zeros(39_999, dtype=int), 1))
+    with pytest.raises(ValueError, match="int16"):
+        first_witness(words.reshape(1, -1), np.array([theta]), np.array([0.0]), member)
+    with pytest.raises(ValueError, match="int16"):
+        first_witness_rows(words, source, member)
+    # the home word first in the line's order: one step, however long the list
+    n = np.iinfo(np.int16).max
+    last = words.take(np.s_[-n:]).reshape(1, -1)
+    order = np.arange(n)[::-1, None]
+    assert first_witness(last, np.array([theta]), np.array([0.0]), member, order)[0, 0] == n - 1
 
 
 def _one_list_witness(words, thetas, ts, member):
