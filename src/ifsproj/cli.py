@@ -38,7 +38,10 @@ def _write_json(path: str, obj) -> str:
 
 
 def _outdir(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot create directory {cfg.out!r}: {exc.strerror}") from None
     return cfg.out
 
 

@@ -19,8 +19,6 @@ import numpy as np
 
 from .ifs import MapArrays
 
-_CHUNK = 1 << 15  # entries computed at a time: their products stay in cache
-
 
 def _fold(theta_raw) -> tuple[np.ndarray, np.ndarray]:
     """theta_raw reduced mod pi into [0, pi), elementwise, and the count k
@@ -40,20 +38,8 @@ def _fold(theta_raw) -> tuple[np.ndarray, np.ndarray]:
 def offsets(x, y, sin, cos) -> np.ndarray:
     """y cos(theta) - x sin(theta): the offset t of the line at angle theta
     through the point (x, y), given the angle's sine and cosine. The
-    arguments broadcast. A buffered iterator hands out _CHUNK entries at a
-    time, so a long point array is read once and no temporary grows past a
-    chunk."""
-    it = np.nditer(
-        [x, y, sin, cos, None],
-        ["external_loop", "buffered", "zerosize_ok"],
-        [["readonly"]] * 4 + [["writeonly", "allocate"]],
-        buffersize=_CHUNK,
-    )
-    with it:
-        for px, py, s, c, out in it:
-            np.multiply(py, c, out=out)
-            out -= px * s
-        return it.operands[-1]
+    arguments broadcast."""
+    return np.asarray(y) * cos - np.asarray(x) * sin
 
 
 def renormalize_affine(

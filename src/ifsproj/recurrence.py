@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ifs import IfsSpec, MapArrays, Similarity, first_leaves, stopping_ratios
-from .lines import _CHUNK, offsets, renormalize_affine, renormalize_arrays
+from .lines import offsets, renormalize_affine, renormalize_arrays
 from .measure import DirectionSet, stopping_cylinders
 
 
@@ -125,6 +125,7 @@ class RowRuns(NamedTuple):
 
 
 _TOL = 1e-9  # index-space guard so boundary offsets stay included
+_CHUNK = 1 << 15  # entries taken at a time: their temporaries stay in cache
 
 
 def _index_window(x, reach, h: float, base: int) -> tuple[np.ndarray, np.ndarray]:
@@ -819,8 +820,9 @@ _MIN_LENGTH_FACTOR = 10.0  # a certified interval spans this many resolutions
 class _Buckets:
     """The least and the greatest sample offset (`lines.offsets`) in each
     bucket of width resolution/2, a row per angle spanning its offsets
-    [low, high] and a spare bucket, empty; fed the samples chunk by chunk
-    (`add`), so no array as long as the samples is held.
+    [low, high] and a spare bucket, empty; fed the samples step by step
+    (`add`: one `lines.offsets` call a step gives every angle's row, about
+    _CHUNK offsets), so no array as long as the samples is held.
 
     A sample's bucket is monotone in its offset (rounding is monotone, and
     so is clipping to the buckets, which puts an offset rounded past the
@@ -871,18 +873,15 @@ class _Buckets:
         self.unmarked = 0  # offsets computed since the interior buckets were marked
 
     def _offsets(self, points: np.ndarray) -> np.ndarray:
-        """The points' offsets, a row an angle (`offsets` would copy a broadcast column)."""
-        pos = np.empty((len(self.sin), len(points)))
-        for row, sin, cos in zip(pos, self.sin, self.cos):
-            row[:] = offsets(points[:, 0], points[:, 1], sin, cos)
+        """The points' offsets, a row an angle."""
+        pos = offsets(points[:, 0], points[:, 1], self.sin[:, None], self.cos[:, None])
         self.unmarked += pos.size
         return pos
 
     def _index(self, pos: np.ndarray) -> np.ndarray:
-        """Each offset's bucket in the flattened rows; pos is overwritten."""
-        pos -= self.origin
-        pos *= self.scale
-        return np.clip(pos, 0, self.least.shape[1] - 2, out=pos).astype(np.int32) + self.rows
+        """Each offset's bucket in the flattened rows."""
+        x = (pos - self.origin) * self.scale
+        return np.clip(x, 0, self.least.shape[1] - 2, out=x).astype(np.int32) + self.rows
 
     def _mark(self) -> None:
         """Mark the interior buckets once the offsets computed since the last marks number them."""
@@ -896,7 +895,7 @@ class _Buckets:
         """Take in the samples of an array (m, 2) at every angle, step at a time."""
         for i in range(0, len(points), self.step):
             pos = self._offsets(points[i : i + self.step])
-            k = self._index(pos.copy())
+            k = self._index(pos)
             kept = ~self.inner.reshape(-1).take(k)
             k, pos = k[kept], pos[kept]
             np.minimum.at(self.least.reshape(-1), k, pos)
@@ -1012,7 +1011,7 @@ def certify_projection_intervals(
     stopping_ratios(ifs, scale, budget)
     radius = _invariant_radius(ifs)
     sin, cos = np.array([math.sin(th) for th in thetas]), np.array([math.cos(th) for th in thetas])
-    mid = 0.5 * cos - 0.5 * sin  # the offsets of the disk's centre
+    mid = offsets(0.5, 0.5, sin, cos)  # the offsets of the disk's centre
     buckets = _Buckets(sin, cos, resolution, mid - radius, mid + radius)
     leaves = first_leaves(ifs, scale, buckets.least.size) if thetas else iter(())  # no angle: the root prunes
     prune = None
@@ -1040,7 +1039,7 @@ def recurrence_rows(perturbed: IfsSpec, cand: RecurrentCandidate, thetas, resolu
     negated."""
     geom = cand.geom
     near = [geom.nearest_row(float(th)) for th in thetas]
-    runs = cand.L.only(np.unique(np.array([row for _, row in near], dtype=np.int64)))
+    runs = cand.L.only(np.array(sorted({row for _, row in near}), dtype=np.int64))
     words, member = _check_rule(perturbed, cand)
     witness = first_witness_rows(words, runs, member)
     found = []

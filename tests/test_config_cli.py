@@ -186,6 +186,22 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config: expected a JSON object, got list")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["scan"], ["build-l"], ["search"], ["verify", "--omega", "omega.json"], ["certify", "--theta", "0.5"], ["render"]],
+)
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, command):
+    """--out naming an existing file, or a directory beneath one, exits 2
+    with an `out:` message before any work, and leaves the file as it was."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    for out in (blocker, blocker / "sub"):
+        assert main([*command, "--ifs", "four_corner", "--rho", "0.05", "--out", str(out)]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith(f"out: cannot create directory {str(out)!r}: "), err
+    assert blocker.read_text() == "kept\n"
+
+
 def test_dimension_output(capsys):
     assert main(["dimension", "--ifs", "sierpinski"]) == 0
     out = capsys.readouterr().out.splitlines()

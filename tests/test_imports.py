@@ -3,12 +3,14 @@ every public definition of the package has a reader outside tests, and no
 module of the package takes a BLAS or LAPACK route."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
 
 
 def _annotation_names(node: ast.expr) -> set[str]:
@@ -166,6 +168,24 @@ def test_finds_an_unread_definition(tmp_path):
 def test_cli_imports_no_scipy():
     """scipy serves only the test oracles: importing the CLI loads none of it."""
     code = "import sys, ifsproj.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_verify_leaves_numpy_ma_unloaded(tmp_path):
+    """A coarse verify, which certifies and reads the recurrence rows, never
+    imports numpy.ma, which the first `np.unique` call loads."""
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps({"ifs": "four_corner", "constants": {"rho": 0.05}, "grid": {"cert_resolution": 0.05}})
+    )
+    omega = tmp_path / "omega.json"
+    zero = {"phi": 0.0, "gamma": [0.0, 0.0]}
+    omega.write_text(json.dumps({"a": zero, "b": zero}))
+    argv = ["verify", "--config", str(config), "--omega", str(omega), "--out", str(tmp_path / "out")]
+    code = (
+        "import sys; from ifsproj.cli import main; status = main(sys.argv[1:]); "
+        "print('numpy.ma' in sys.modules); sys.exit(status)"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=CHILD_ENV, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ifsproj import IfsSpec, Similarity, get_builtin, renormalize_arrays
 from ifsproj.ifs import MapArrays
+from ifsproj.lines import offsets
 from certificate_oracle import line_square_intersects, project_square
 from map_oracle import apply, compose_word, square_corners
 from renormalize_oracle import (
@@ -189,3 +190,23 @@ def test_precomputed_trig_is_bit_identical(rng):
     assert ((got_th >= 0.0) & (got_th < math.pi)).all()
     assert got_th[0] == 0.0  # -5e-324 folds up to pi, which is the angle 0
 
+
+
+def test_offsets_broadcast_bit_for_bit(rng):
+    """`offsets` equals y cos - x sin in Python floats, entry by entry: a
+    scalar point against angle arrays, a column of angles against more than
+    2^15 points, and empty arrays."""
+
+    def loop(x, y, sin, cos):
+        return [[float(yj) * float(c) - float(xj) * float(s) for xj, yj in zip(x, y)] for s, c in zip(sin, cos)]
+
+    thetas = rng.uniform(0.0, math.pi, 5)
+    sin, cos = np.sin(thetas), np.cos(thetas)
+    got = offsets(0.3, -1.7, sin, cos)
+    assert got.shape == (5,) and got.tolist() == [row[0] for row in loop([0.3], [-1.7], sin, cos)]
+    x, y = rng.uniform(-2.0, 2.0, (2, (1 << 15) + 7))
+    got = offsets(x, y, sin[:3, None], cos[:3, None])
+    assert got.shape == (3, len(x)) and got.tolist() == loop(x, y, sin[:3], cos[:3])
+    empty = np.empty(0)
+    assert offsets(empty, empty, empty, empty).shape == (0,)
+    assert offsets(empty, empty, sin[:, None], cos[:, None]).shape == (5, 0)
