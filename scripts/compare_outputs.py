@@ -32,10 +32,6 @@ output depends on the BLAS kernel. The commands:
   the file lists them;
 - `verify` on four_corner at rho 2^-7, seed 1, with the omega that
   `bench/run.py` draws for seed 1;
-- `verify` on four_corner at rho 2^-5 with `grid.theta_pitch` 2^-4 (51
-  rows), seed 1, with that omega: its check slack, rho/2, is a quarter
-  pitch, so the check's row route hands every cell to the point route and
-  membership windows can fall between two columns;
 - `verify` on configs/sierpinski.json (the desk run, whose check slack of
   2.0000003 pitches is not a whole number of cells), seed 1, with the omega
   that `bench/run.py`'s `draw_omega` draws at seed 1 for the gasket's
@@ -118,7 +114,6 @@ FINE = ["--config", FOUR_CORNER, "--rho", repr(2.0**-7)]
 OMEGA = "omega.json"  # written into the work directory, next to each output
 OMEGA_DESK = "omega_sierpinski.json"
 DESK_PART_ONE = ("a", "b")  # the gasket's part_one, the first ceil(3/2) symbols
-COARSE_THETA = "four_corner_coarse_theta.json"  # written into the work directory too
 TURNED = "four_corner_turned.json"  # an IFS file, written there too
 TURNED_RUN = ["--config", FOUR_CORNER, "--ifs", TURNED, "--rho", repr(2.0**-5)]
 C3 = "cantor_product.json"  # an IFS file, written there too
@@ -152,7 +147,6 @@ COMMANDS = {
         "--seed", "1", "--mode", "iid", "--budget", "200",
     ],
     "verify": ["verify", *FINE, "--seed", "1", "--omega", OMEGA],
-    "verify-coarse-theta": ["verify", "--config", COARSE_THETA, "--seed", "1", "--omega", OMEGA],
     "verify-sierpinski": ["verify", "--config", SIERPINSKI, "--seed", "1", "--omega", OMEGA_DESK],
     "verify-part-one-b-a": [
         "verify", "--config", SIERPINSKI, "--ifs", GASKET_B_A, "--seed", "1", "--omega", OMEGA_B_A,
@@ -193,15 +187,6 @@ def bench_omegas() -> dict[str, dict]:
         OMEGA_DESK: draw(Path(SIERPINSKI), DESK_PART_ONE),
         OMEGA_B_A: draw(Path(SIERPINSKI), ("b", "a")),
     }
-
-
-def coarse_theta_config() -> dict:
-    """configs/four_corner.json at rho 2^-5 with theta pitch 2^-4: 51 rows
-    of pitch pi/51, about four times the check slack rho/2."""
-    cfg = json.loads(Path(FOUR_CORNER).read_text())
-    cfg["constants"]["rho"] = 2.0**-5
-    cfg["grid"]["theta_pitch"] = 2.0**-4
-    return cfg
 
 
 def fine_cert_config(path: str, grid: dict) -> dict:
@@ -365,7 +350,6 @@ def main(argv: list[str] | None = None) -> int:
     work.mkdir(parents=True, exist_ok=True)
     inputs = {
         **bench_omegas(),
-        COARSE_THETA: coarse_theta_config(),
         TURNED: turned_four_corner(),
         C3: cantor_product(),
         TWO_RATIO: two_ratio(),

@@ -23,7 +23,7 @@ from .systems import BUILTIN, get_builtin
 # Each key's one spelling: a block's keys in that block, the rest at top level.
 _BLOCKS = {
     "constants": ("rho", "epsilon", "c1"),
-    "grid": ("theta_pitch", "word_budget", "search_budget", "cert_resolution"),
+    "grid": ("word_budget", "search_budget", "cert_resolution"),
 }
 _TOP_LEVEL = ("ifs", "search_mode", "seed", "out")
 _T_MAX = 1.0  # the candidate grid's columns t lie in (-_T_MAX, _T_MAX)
@@ -37,13 +37,12 @@ def _is_int(v) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs of a pipeline run. None means "derive the default"."""
+    """All knobs of a pipeline run."""
 
     ifs: dict | str = "sierpinski"
     rho: float = 4.0**-4
     epsilon: float = 0.3
     c1: float = 8.0
-    theta_pitch: float | None = None  # None: pi / ceil(4 pi / rho)
     word_budget: int = 6_000_000
     search_budget: int = 10_000
     cert_resolution: float = 1e-3
@@ -58,8 +57,6 @@ class RunConfig:
             "c1": self.c1,
             "cert_resolution": self.cert_resolution,
         }
-        if self.theta_pitch is not None:
-            pos["theta_pitch"] = self.theta_pitch
         for name, v in pos.items():
             if not (_finite_number(v) and v > 0):
                 raise ConfigError(f"{name}: must be a positive number, got {v!r}")
@@ -79,8 +76,6 @@ class RunConfig:
             v = getattr(self, name)
             if not (_is_int(v) and v >= 1):
                 raise ConfigError(f"{name}: must be a positive integer, got {v!r}")
-        if self.theta_pitch is not None and self.theta_pitch >= math.pi:  # E needs 2 rows
-            raise ConfigError(f"theta_pitch: must be < pi, got {self.theta_pitch}")
 
     def load_ifs_spec(self) -> IfsSpec:
         src = self.ifs
@@ -95,8 +90,6 @@ class RunConfig:
 
     @property
     def n_theta(self) -> int:
-        if self.theta_pitch is not None:
-            return math.ceil(math.pi / self.theta_pitch)
         return math.ceil(4.0 * math.pi / self.rho)
 
     def geometry(self) -> GridGeometry:

@@ -10,16 +10,16 @@ admits lines that miss the attractor's convex hull; when they lie far
 enough outside, no small perturbation makes the candidate recur (see
 `search.hull_obstruction`). PAPER.md holds only the abstract, so it does
 not settle whether the paper's slice is narrower than this one. Dilating
-L0 by rho/2 and rho (in cells) gives L and L1; the probe net Delta is the
-cells of L1 (its pitch is capped below by the grid pitch). Membership queries
-for off-grid points use a sup-metric slack window: a point is "in" a gridded
-set when some true cell center lies within the slack of it, boundary
-included.
+L0 by rho/2 and rho (in cells, at least 2 and 4 on a pitch of at most
+rho/4) gives L and L1; the probe net Delta is the cells of L1. Membership
+queries for off-grid points use a sup-metric slack window: a point is "in"
+a gridded set when some true cell center lies within the slack of it,
+boundary included.
 
 Recurrence has one rule, the first word that sends a line into a membership,
 and two routes with equal witnesses: `first_witness_rows` for grid cells (the
 check, full coverage and the recurrence rows) and
-`first_witness` for scattered lines (probes and the row route's boundary).
+`first_witness` for scattered lines (the probes).
 """
 
 from __future__ import annotations
@@ -566,21 +566,21 @@ def first_witness_rows(words: MapArrays, source: RowRuns, member: GridMembership
     the point route (`renormalize_arrays` and `GridMembership.contains`).
     Rounding and the membership's index guard move an interval end by far
     less than a column for any word of ratio below 1e6, so the witnesses
-    equal `first_witness` on the cells' (theta, t) bit for bit. Below a
-    slack of half a pitch a window can fall between cell centers; there the
-    point route answers for every cell.
+    equal `first_witness` on the cells' (theta, t) bit for bit. The
+    intervals assume that every slack window holds a cell center, so a
+    slack below half a pitch is a ValueError; the pipeline's slacks are one
+    pitch (search) and rho/2, at least two pitches (check).
     """
+    geom = member.geom
     if len(words.ratio) > _MAX_WORDS:
         raise ValueError(f"{len(words.ratio)} words: int16 witnesses index at most {_MAX_WORDS}")
-    geom = member.geom
+    if member.slack < geom.pitch / 2:
+        raise ValueError(f"slack {member.slack} is below half the pitch {geom.pitch}: windows can miss cells")
     n_t = geom.n_t
     ptr, start, stop = source
     run_x = source.rows * n_t + start
     before = source.before
     n_cells = int(before[-1])
-    if member.slack < geom.pitch / 2:
-        lines = source.lines(geom, np.arange(n_cells))
-        return first_witness(words.reshape(1, -1), *lines, member)[0]
 
     def cell_ranges(row, c0, c1):
         """[first, stop) of the source cells in columns [c0, c1) of each row,

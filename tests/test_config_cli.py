@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifsproj import ConfigError, RowRuns, RunConfig, SearchOutcome, SliceBuilder, get_builtin
+from ifsproj import ConfigError, RecurrentCandidate, RowRuns, RunConfig, SearchOutcome, SliceBuilder, get_builtin
 from ifsproj import cli
 from ifsproj.cli import main
 from ifsproj.config import config_from_json_dict, load_config, override
@@ -25,6 +25,20 @@ def test_defaults_resolve():
     assert len(phi) == 33 and -cfg.epsilon < phi.min() and phi.max() < cfg.epsilon
 
 
+def test_every_rho_gives_the_row_route_a_slack_of_two_pitches():
+    """The grid follows from rho alone: pitch pi / ceil(4 pi / rho), at most
+    rho/4. So the check slack rho/2 is at least two pitches and L and L1
+    are at least 2 and 4 cells thick at every rho, and no config reaches
+    the row route's refusal of a slack below half a pitch."""
+    used = [4.0**-4, 4.0**-5, 4.0**-6, 2.0**-5, 2.0**-7, 1 / 16]  # by the configs, bench, scripts and tests
+    no_cells = np.zeros(0, dtype=np.int64)
+    for rho in [*np.geomspace(1e-4, 0.999, 500).tolist(), *used]:
+        geom = RunConfig(rho=rho).geometry()
+        cand = RecurrentCandidate(geom, rho, RowRuns(np.zeros(geom.n_theta + 1, np.int64), no_cells, no_cells))
+        assert cand.check_slack > 1.99 * geom.pitch, rho
+        assert cand.r_cells >= 2 and cand.r1_cells >= 4, rho
+
+
 @pytest.mark.parametrize(
     "kwargs, field",
     [
@@ -34,7 +48,7 @@ def test_defaults_resolve():
         (dict(epsilon=math.pi / 2), "epsilon"),
         (dict(seed=-1), "seed"),
         (dict(search_mode="annealing"), "search_mode"),
-        (dict(theta_pitch=-0.01), "theta_pitch"),
+        (dict(cert_resolution=-0.01), "cert_resolution"),
         (dict(c1=0.0), "c1"),
         (dict(word_budget=0), "word_budget"),
         (dict(search_budget="33"), "search_budget"),
@@ -45,8 +59,8 @@ def test_defaults_resolve():
         (dict(c1=True), "c1"),
         (dict(out=5), "out"),
         (dict(cert_resolution=2.0), "cert_resolution"),
-        (dict(theta_pitch=math.pi), "theta_pitch"),
-        (dict(theta_pitch=4.0), "theta_pitch"),
+        (dict(rho=math.nan), "rho"),
+        (dict(epsilon=math.inf), "epsilon"),
     ],
 )
 def test_validation_names_offending_field(kwargs, field):
@@ -90,6 +104,7 @@ def test_unknown_and_duplicate_keys():
         ("grid", "raster_size"),
         ("grid", "n_theta_sample"),
         ("grid", "n_phi"),
+        ("grid", "theta_pitch"),
     )
     for block, key in removed:
         with pytest.raises(ConfigError, match=f"{block}.{key}: unknown key"):
@@ -230,10 +245,10 @@ def test_dimension_past_64(tmp_path, capsys):
 
 def test_constants_past_the_float_range_are_config_errors(tmp_path, capsys):
     """A JSON integer too large for a float is not a positive number:
-    epsilon, theta_pitch or cert_resolution given as 10^400 exits 2 with
-    the field's message."""
+    epsilon, c1 or cert_resolution given as 10^400 exits 2 with the
+    field's message."""
     huge = 10**400
-    for block, name in (("constants", "epsilon"), ("grid", "theta_pitch"), ("grid", "cert_resolution")):
+    for block, name in (("constants", "epsilon"), ("constants", "c1"), ("grid", "cert_resolution")):
         cfg = coarse_config(tmp_path, **{block: {name: huge}})
         assert main(["build-l", "--config", cfg]) == 2, name
         assert capsys.readouterr().err.startswith(f"{name}: must be a positive number, got {huge}"), name
@@ -474,7 +489,7 @@ def test_render_rejects_bad_size(tmp_path, capsys):
 
 
 def test_scan_csv_format_and_determinism(tmp_path, capsys):
-    cfg = coarse_config(tmp_path, grid={"theta_pitch": 0.2})  # ceil(pi / 0.2) = 16 rows
+    cfg = coarse_config(tmp_path, constants={"rho": 0.8})  # ceil(4 pi / 0.8) = 16 rows
     assert main(["scan", "--config", cfg]) == 0
     csv = tmp_path / "out" / "scan.csv"
     lines = csv.read_text().splitlines()

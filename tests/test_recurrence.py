@@ -497,7 +497,7 @@ def test_single_far_line_fails():
     geom = GridGeometry(61, t_max=8.0)
     member = np.zeros((geom.n_theta, geom.n_t), dtype=bool)
     member[0, geom.m + int(6.0 / geom.pitch)] = True
-    cand = flat_candidate(geom, 0.05, member)
+    cand = flat_candidate(geom, 0.06, member)  # check slack 0.03, above half the pitch pi/61
     rep = check_recurrence(ifs, cand)
     assert rep.total == 1 and rep.recurred == 0
     assert rep.failures
@@ -582,7 +582,7 @@ def _word_onto(theta, t, image_theta, image_t, ratio):
     return Similarity(ratio, theta - image_theta, False, (-shift * math.sin(theta), shift * math.cos(theta)))
 
 
-@pytest.mark.parametrize("slack_pitches", [1.0, 2.0000003, 2.5, 0.4])
+@pytest.mark.parametrize("slack_pitches", [1.0, 2.0000003, 2.5, 0.5])
 def test_row_route_matches_point_route(rng, slack_pitches):
     """first_witness_rows equals first_witness on every cell of a source
     grid: rows of 0, 1 and 2+ runs in source and target, the rows at theta 0
@@ -590,8 +590,8 @@ def test_row_route_matches_point_route(rng, slack_pitches):
     words that send whole rows onto window edges (images on the grid or
     half grid), words that send a cell exactly one slack (or none) off a
     target cell, and images far beyond t_max. Slacks: one pitch (search
-    rule), rho/2 = 2.0000003 pitch (desk check rule), 2.5 pitch, and below
-    half a pitch, where the point route answers for every cell."""
+    rule), rho/2 = 2.0000003 pitch (desk check rule), 2.5 pitch, and half a
+    pitch, the least slack the row route takes."""
     ifs = _turned_system(("a", "b"))
     geom = GridGeometry(61, t_max=1.2)
     h, m = geom.pitch, geom.m
@@ -634,6 +634,24 @@ def test_row_route_matches_point_route(rng, slack_pitches):
         assert np.array_equal(first_witness_rows(g, runs, member), first_witness(g.reshape(1, 1), thetas, ts, member)[0])
     empty = row_runs(np.zeros_like(source))
     assert len(first_witness_rows(maps, empty, member)) == 0
+
+
+def test_row_route_refuses_a_sub_half_pitch_slack(rng):
+    """Below half a pitch a slack window can fall between two cell
+    centers, which the row route's pulled-back intervals do not allow for,
+    so it refuses such a membership; the point route still answers."""
+    ifs = _turned_system(("a", "b"))
+    geom = GridGeometry(61, t_max=1.2)
+    source, target = _run_grid(rng, geom), _run_grid(rng, geom)
+    words = two_letter_words(ifs.letter_maps())
+    rows, cols = np.nonzero(source)
+    thetas, ts = rows * geom.pitch, (cols - geom.m) * geom.pitch
+    for slack_pitches in (0.4, 0.499):
+        member = GridMembership(geom, row_runs(target), slack_pitches * geom.pitch)
+        with pytest.raises(ValueError, match="below half the pitch"):
+            first_witness_rows(words, row_runs(source), member)
+        got = first_witness(words.reshape(1, -1), thetas, ts, member)[0]
+        assert len(got) == len(rows) and (got >= 0).any()
 
 
 def test_witness_routes_refuse_word_lists_past_int16():

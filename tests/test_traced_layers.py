@@ -4,10 +4,14 @@ the package would leave a layer without spans; this test catches that at a
 coarse rho, running the wrapper unmodified in a child process. The word
 count the wrapper reads off `measure.stopping_cylinders`' result is checked
 against the stopping words of the run, so a change of that function's
-return shape that breaks the count fails here too."""
+return shape that breaks the count fails here too. Each bench workload's
+expected dominant layer must be called outside set-up, as `bench/run.py`
+checks with its own `layer_stats`: a change that moves that work out of the
+wrapped function would fail every traced bench run of the workload."""
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +52,14 @@ def _span_names(dump: dict) -> set[str]:
     return {span[2] for span in dump["spans"]}
 
 
+def _dominant_calls(dump: dict, workload: str) -> int:
+    """Calls outside set-up of the layer that `bench/run.py` expects to
+    dominate the workload, counted by its own `layer_stats`."""
+    bench = runpy.run_path(str(ROOT / "bench" / "run.py"))
+    dominant = bench["WORKLOADS"][workload].dominant
+    return bench["layer_stats"](dump["spans"])["outside_calls"][dominant]
+
+
 def test_traced_cli_reaches_every_kernel_layer(tmp_path):
     cfg = json.loads((ROOT / "configs" / "sierpinski.json").read_text())
     cfg["constants"]["rho"] = 1.0 / 16.0
@@ -57,11 +69,16 @@ def test_traced_cli_reaches_every_kernel_layer(tmp_path):
     (tmp_path / "omega.json").write_text(json.dumps(omega))
     common = ["--config", "config.json", "--out", "out"]
 
-    names = _span_names(_traced_run(tmp_path, ["search", *common]))
+    dump = _traced_run(tmp_path, ["search", *common])
+    names = _span_names(dump)
     assert EXPECTED["search"] <= names, EXPECTED["search"] - names
+    assert _dominant_calls(dump, "desk-iid") > 0
+    dump = _traced_run(tmp_path, ["search", *common, "--mode", "per_symbol"])
+    assert _dominant_calls(dump, "desk-per-symbol") > 0
     dump = _traced_run(tmp_path, ["verify", *common, "--omega", "omega.json"])
     names = _span_names(dump)
     assert EXPECTED["verify"] <= names, EXPECTED["verify"] - names
+    assert _dominant_calls(dump, "four-corner-verify") > 0
     # verify walks the stopping words twice: the system's at rho for the
     # direction scan, and the perturbed system's at cert_resolution / 2 for
     # the attractor points
