@@ -336,17 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_for(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     budget_field = "search_budget" if args.command == "search" else "word_budget"
-    cfg = override(
+    return override(
         cfg,
         ifs=args.ifs,
         seed=args.seed,
         out=args.out,
         rho=args.rho,
+        search_mode=getattr(args, "mode", None),
         **{budget_field: args.budget},
     )
-    if args.command == "search" and getattr(args, "mode", None):
-        cfg = override(cfg, search_mode=args.mode)
-    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

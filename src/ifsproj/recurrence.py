@@ -14,7 +14,8 @@ L0 by rho/2 and rho (in cells, at least 2 and 4 on a pitch of at most
 rho/4) gives L and L1; the probe net Delta is the cells of L1. Membership
 queries for off-grid points use a sup-metric slack window: a point is "in"
 a gridded set when some true cell center lies within the slack of it,
-boundary included.
+boundary included. The slack is at least half a pitch, so every window holds
+a grid row and a grid column; `GridMembership` refuses a smaller one.
 
 Recurrence has one rule, the first word that sends a line into a membership,
 and two routes with equal witnesses: `first_witness_rows` for grid cells (the
@@ -142,11 +143,13 @@ class GridMembership:
 
     A point (theta, t), with theta canonical in [0, pi], is a member when
     some true cell center (theta_i, t_j) satisfies |theta_i - theta| <= slack
-    and |t_j - t| <= slack. Windows crossing theta = 0 or pi continue on the
-    other end with t negated: the set's row runs are padded once with the
-    mirrored runs of its end rows (`_pad_runs`), so each query is one
-    rectangle of index space (`_index_window`). The padded set is held only
-    as these row runs (`runs`), which answer the window test and also serve
+    and |t_j - t| <= slack. The slack is at least half a pitch (a smaller
+    one is a ValueError), so every window holds a grid row and column.
+    Windows crossing theta = 0 or pi continue on the other end with t
+    negated: the set's row runs are padded once with the mirrored runs of
+    its end rows (`_pad_runs`), so each query is one rectangle of index
+    space (`_index_window`). The padded set is held only as these row runs
+    (`runs`), which answer the window test and also serve
     `first_witness_rows`. The test is exact in index space, so re-checks
     reproduce it bit for bit.
 
@@ -160,6 +163,8 @@ class GridMembership:
     def __init__(self, geom: GridGeometry, runs: RowRuns, slack: float):
         if len(runs.ptr) != geom.n_theta + 1:
             raise ValueError(f"runs cover {len(runs.ptr) - 1} rows, not {geom.n_theta}")
+        if slack < geom.pitch / 2:
+            raise ValueError(f"slack {slack} is below half the pitch {geom.pitch}: windows can miss cells")
         self.geom = geom
         self.slack = slack
         # rows a window around a canonical theta can reach past either end
@@ -180,9 +185,9 @@ class GridMembership:
         over rows r - _pad .. r + _pad, widened by the slack and one column:
         a point's window reaches at most _pad - 1 rows on either side of
         its nearest row. [in_lo, in_hi] spans row r's first run, widened by
-        the slack and narrowed by one column, when the slack is at least
-        half a pitch: the window then holds row r, and being at least a
-        pitch wide, it holds a cell of any run whose span it meets. Only the
+        the slack and narrowed by one column: a slack of half a pitch or
+        more puts row r in the window, and makes it at least a pitch wide,
+        so it holds a cell of any run whose span it meets. Only the
         rows a canonical theta can be nearest to get one, so a row index
         clipped at either end never accepts. The window test admits column j
         for offsets up to (j + _TOL) pitch + slack and down to
@@ -199,10 +204,9 @@ class GridMembership:
         lo = window(first, 2 * k + 1).min(axis=1)
         hi = window(last, 2 * k + 1).max(axis=1)
         run_lo, run_hi = np.full(n, np.inf), np.full(n, -np.inf)
-        if self.slack >= h / 2:
-            near = full[(full >= k) & (full <= n - k)]  # canonical theta: rows k .. n - k
-            run_lo[near] = start[ptr[near]]
-            run_hi[near] = stop[ptr[near]] - 1
+        near = full[(full >= k) & (full <= n - k)]  # canonical theta: rows k .. n - k
+        run_lo[near] = start[ptr[near]]
+        run_hi[near] = stop[ptr[near]] - 1
         reach = self.slack + h
         return (
             (lo - m) * h - reach,
@@ -233,8 +237,7 @@ class GridMembership:
         the row's last run starting at or before the window's last column
         (one binary search over `_keys`, which fails the ptr test when it
         finds an earlier row's run), and hits when that run reaches the
-        window's first column. A window that falls between two rows or two
-        columns gets no pair."""
+        window's first column. A window past the last column gets no pair."""
         ptr, _, stop = self.runs
         n_t = self.geom.n_t
         r1, r2 = self.rows(thetas)
@@ -323,34 +326,34 @@ class SliceBuilder:
         return RowRuns.from_rows(self.geom.n_theta, *(np.concatenate(x) for x in zip(*blocks)))
 
 
+def _shifted(runs: RowRuns, n_t: int, shifts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, start, stop) of each run copied onto its row plus each shift;
+    copies past a theta end are mirrored, as t is negated on the far end."""
+    row = (runs.rows[:, None] + np.asarray(shifts)).ravel()
+    start, stop = np.repeat(runs.start, len(shifts)), np.repeat(runs.stop, len(shifts))
+    wrap = (row < 0) | (row >= len(runs.ptr) - 1)
+    return row, np.where(wrap, n_t - stop, start), np.where(wrap, n_t - start, stop)
+
+
 def _pad_runs(runs: RowRuns, n_t: int, k: int) -> RowRuns:
     """The runs of the grid with n_t columns whose runs are given, with k
     rows added at each theta end (as many as it has, if fewer): the rows
-    that continue it past pi and below 0, which are the far end's rows with
-    t negated, so their runs are mirrored as in `_dilate`."""
+    that continue it past pi and below 0 (`_shifted`)."""
     n = len(runs.ptr) - 1
     k = min(k, n)
-    rows = runs.rows
-    # the runs of the last k rows start at tail; those of the first k end at head
-    tail, head = runs.ptr[n - k], runs.ptr[k]
-    row = np.concatenate([rows[tail:] - (n - k), rows + k, rows[:head] + n + k])
-    start = np.concatenate([n_t - runs.stop[tail:], runs.start, n_t - runs.stop[:head]])
-    stop = np.concatenate([n_t - runs.start[tail:], runs.stop, n_t - runs.start[:head]])
-    return RowRuns.from_rows(n + 2 * k, *_cover(row, start, stop))
+    row, start, stop = _shifted(runs, n_t, (-n, 0, n))
+    keep = (row >= -k) & (row < n + k)
+    return RowRuns.from_rows(n + 2 * k, *_cover(row[keep] + k, start[keep], stop[keep]))
 
 
 def _dilate(runs: RowRuns, n_t: int, k: int) -> RowRuns:
     """Sup-metric dilation by k cells of the grid with n_t columns whose
     runs are given; the theta axis wraps with t negated. Each run is copied
-    onto the 2k + 1 rows around its own, mirrored where the row passes an
-    end, and widened by k columns; the copies are merged."""
+    onto the 2k + 1 rows around its own (`_shifted`) and widened by k
+    columns; the copies are merged."""
     n = len(runs.ptr) - 1
-    row = (runs.rows[:, None] + np.arange(-k, k + 1)).ravel()
-    start, stop = np.repeat(runs.start, 2 * k + 1), np.repeat(runs.stop, 2 * k + 1)
-    wrap = (row < 0) | (row >= n)
-    start, stop = np.where(wrap, n_t - stop, start), np.where(wrap, n_t - start, stop)
-    row, start, stop = _cover(row % n, np.maximum(start - k, 0), np.minimum(stop + k, n_t))
-    return RowRuns.from_rows(n, row, start, stop)
+    row, start, stop = _shifted(runs, n_t, range(-k, k + 1))
+    return RowRuns.from_rows(n, *_cover(row % n, np.maximum(start - k, 0), np.minimum(stop + k, n_t)))
 
 
 _LAYERS = ("L0", "L", "L1")  # in the order of candidate.npz
@@ -567,15 +570,12 @@ def first_witness_rows(words: MapArrays, source: RowRuns, member: GridMembership
     Rounding and the membership's index guard move an interval end by far
     less than a column for any word of ratio below 1e6, so the witnesses
     equal `first_witness` on the cells' (theta, t) bit for bit. The
-    intervals assume that every slack window holds a cell center, so a
-    slack below half a pitch is a ValueError; the pipeline's slacks are one
-    pitch (search) and rho/2, at least two pitches (check).
+    intervals rest on every slack window holding a grid row and column,
+    which `GridMembership`'s least slack, half a pitch, ensures.
     """
     geom = member.geom
     if len(words.ratio) > _MAX_WORDS:
         raise ValueError(f"{len(words.ratio)} words: int16 witnesses index at most {_MAX_WORDS}")
-    if member.slack < geom.pitch / 2:
-        raise ValueError(f"slack {member.slack} is below half the pitch {geom.pitch}: windows can miss cells")
     n_t = geom.n_t
     ptr, start, stop = source
     run_x = source.rows * n_t + start

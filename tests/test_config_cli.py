@@ -29,7 +29,7 @@ def test_every_rho_gives_the_row_route_a_slack_of_two_pitches():
     """The grid follows from rho alone: pitch pi / ceil(4 pi / rho), at most
     rho/4. So the check slack rho/2 is at least two pitches and L and L1
     are at least 2 and 4 cells thick at every rho, and no config reaches
-    the row route's refusal of a slack below half a pitch."""
+    the membership's refusal of a slack below half a pitch."""
     used = [4.0**-4, 4.0**-5, 4.0**-6, 2.0**-5, 2.0**-7, 1 / 16]  # by the configs, bench, scripts and tests
     no_cells = np.zeros(0, dtype=np.int64)
     for rho in [*np.geomspace(1e-4, 0.999, 500).tolist(), *used]:

@@ -136,14 +136,14 @@ def test_membership_matches_three_rect_oracle(rng, n_theta, t_max, density):
     """One padded rectangle per query answers as the unpadded grid with a
     mirrored second rectangle at the wrap did, at the slacks the pipeline
     uses (pitch, rho/2 = 2.0000003 pitch at the desk constants), beyond
-    them, and below half a pitch, where a window can hold no row or column.
-    The dense grid has long runs and full rows; an all-false grid holds no
-    run and contains nothing."""
+    them, and at half a pitch, the least the membership takes. The dense
+    grid has long runs and full rows; an all-false grid holds no run and
+    contains nothing."""
     geom = GridGeometry(n_theta, t_max=t_max)
     h, m = geom.pitch, geom.m
     grid = rng.random((geom.n_theta, geom.n_t)) < density
     n = 2000
-    for slack in (0.4 * h, h / 2, h, 2.0000003 * h, 2.5 * h):
+    for slack in (h / 2, h, 2.0000003 * h, 2.5 * h):
         thetas = np.concatenate(
             [rng.uniform(0.0, math.pi, n), rng.uniform(0.0, h, n), rng.uniform(math.pi - h, math.pi, n)]
         )
@@ -173,10 +173,10 @@ def test_row_bounds_decide_only_what_the_window_test_does(rng):
     beyond the row's first and last cell, at 1e-12, 1/2, 1, 3/2 and 2
     pitches further out and at 1/2 to 5/2 pitches further in (an empty row
     takes the grid's first and last column), answer as ThreeRectMembership,
-    at slacks below, at and beyond the pipeline's. Rows hold several runs;
-    empty rows include the wrap row 0 and a band of three. Some points are
-    rejected and, from half a pitch of slack on, some accepted before the
-    window test, so neither bound is a no-op."""
+    at half a pitch, the least the membership takes, and at and beyond the
+    pipeline's slacks. Rows hold several runs; empty rows include the wrap
+    row 0 and a band of three. Some points are rejected and some accepted
+    before the window test, so neither bound is a no-op."""
     geom = GridGeometry(40, t_max=1.0)
     h, m, n, n_t = geom.pitch, geom.m, geom.n_theta, geom.n_t
     grid = rng.random((n, n_t)) < 0.2
@@ -187,7 +187,7 @@ def test_row_bounds_decide_only_what_the_window_test_does(rng):
     first = np.where(full, grid.argmax(axis=1), cols[0])
     last = np.where(full, n_t - 1 - grid[:, ::-1].argmax(axis=1), cols[-1])
     beyond = np.array([-2.5, -2.0, -1.5, -1.0, -0.5, 0.0, 1e-12, 0.5, 1.0, 1.5, 2.0]) * h
-    for slack in (0.4 * h, h / 2, h, 2.0000003 * h, 2.5 * h):
+    for slack in (h / 2, h, 2.0000003 * h, 2.5 * h):
         th = (np.arange(n) * h + np.array([-slack, 0.0, slack])[:, None]).ravel()
         lo = ((first - m) * h - slack)[None, :] - beyond[:, None]
         hi = ((last - m) * h + slack)[None, :] + beyond[:, None]
@@ -211,27 +211,26 @@ def test_row_bounds_decide_only_what_the_window_test_does(rng):
         assert np.array_equal(got, ThreeRectMembership(geom, grid).contains(thetas, ts, slack))
         assert got.any() and not got.all()
         accepted = np.count_nonzero(got) - sum(found)
-        assert (accepted > 0) == (slack >= h / 2), slack
+        assert accepted > 0, slack
         assert sum(passed) > 0 and len(ts) - sum(passed) - accepted > 0, slack  # some rejected
 
 
 def test_window_test_alone_matches_three_rect_oracle(rng):
     """`GridMembership._window_hit` on every point, not only those the row
     bounds leave undecided, answers as ThreeRectMembership at slacks from
-    0.3 to 3.7 pitches. Rows hold several runs, are empty (the wrap row 0
+    0.5 to 3.7 pitches. Rows hold several runs, are empty (the wrap row 0
     among them), or are full, so a full row's one run reaches the top
     column; points lie anywhere, near both wrap ends, exactly one slack
     from a set cell's center, and past the grid's last column, where a
     window's last column clipped at n_t - 1 keeps the lookup in its own
-    row. Below half a pitch a window can fall between two columns and
-    holds nothing."""
+    row."""
     geom = GridGeometry(40, t_max=1.0)
     h, m, n, n_t = geom.pitch, geom.m, geom.n_theta, geom.n_t
     grid = rng.random((n, n_t)) < 0.3
     grid[[0, 7, 8, 9, 25]] = False
     grid[[5, 18, 30, 39]] = True
     k = 3000
-    for slack in np.array([0.3, 0.5, 1.0, 2.0000003, 2.5, 3.7]) * h:
+    for slack in np.array([0.5, 1.0, 2.0000003, 2.5, 3.7]) * h:
         thetas = np.concatenate(
             [rng.uniform(0.0, math.pi, k), rng.uniform(0.0, 2 * h, k), rng.uniform(math.pi - 2 * h, math.pi, k)]
         )
@@ -591,7 +590,7 @@ def test_row_route_matches_point_route(rng, slack_pitches):
     half grid), words that send a cell exactly one slack (or none) off a
     target cell, and images far beyond t_max. Slacks: one pitch (search
     rule), rho/2 = 2.0000003 pitch (desk check rule), 2.5 pitch, and half a
-    pitch, the least slack the row route takes."""
+    pitch, the least slack the membership takes."""
     ifs = _turned_system(("a", "b"))
     geom = GridGeometry(61, t_max=1.2)
     h, m = geom.pitch, geom.m
@@ -636,22 +635,17 @@ def test_row_route_matches_point_route(rng, slack_pitches):
     assert len(first_witness_rows(maps, empty, member)) == 0
 
 
-def test_row_route_refuses_a_sub_half_pitch_slack(rng):
-    """Below half a pitch a slack window can fall between two cell
-    centers, which the row route's pulled-back intervals do not allow for,
-    so it refuses such a membership; the point route still answers."""
-    ifs = _turned_system(("a", "b"))
+def test_membership_refuses_a_sub_half_pitch_slack():
+    """Below half a pitch a slack window can fall between two rows or two
+    columns and hold no cell center, which the row bounds and the row
+    route's pulled-back intervals do not allow for, so the membership
+    refuses such a slack when it is built; half a pitch is taken."""
     geom = GridGeometry(61, t_max=1.2)
-    source, target = _run_grid(rng, geom), _run_grid(rng, geom)
-    words = two_letter_words(ifs.letter_maps())
-    rows, cols = np.nonzero(source)
-    thetas, ts = rows * geom.pitch, (cols - geom.m) * geom.pitch
+    target = row_runs(np.ones((geom.n_theta, geom.n_t), dtype=bool))
     for slack_pitches in (0.4, 0.499):
-        member = GridMembership(geom, row_runs(target), slack_pitches * geom.pitch)
         with pytest.raises(ValueError, match="below half the pitch"):
-            first_witness_rows(words, row_runs(source), member)
-        got = first_witness(words.reshape(1, -1), thetas, ts, member)[0]
-        assert len(got) == len(rows) and (got >= 0).any()
+            GridMembership(geom, target, slack_pitches * geom.pitch)
+    assert GridMembership(geom, target, 0.5 * geom.pitch).slack == 0.5 * geom.pitch
 
 
 def test_witness_routes_refuse_word_lists_past_int16():
@@ -692,14 +686,14 @@ def _one_list_witness(words, thetas, ts, member):
     return witness
 
 
-@pytest.mark.parametrize("slack_pitches", [1.0, 2.5, 0.4])
+@pytest.mark.parametrize("slack_pitches", [1.0, 2.5, 0.5])
 def test_batched_first_witness_matches_per_set_loop(rng, slack_pitches):
     """first_witness on a block of word lists equals each list on its own,
     bit for bit: blocks of 1, 7 and 16 perturbed copies of the turned
     system's words (rotated and reflected maps, in a different order in
     each list); lines at theta 0, just below pi, on grid cells and anywhere;
     a target of rows with 0, 1 and 2+ runs; slacks of one pitch (search
-    rule), 2.5 pitch and below half a pitch."""
+    rule), 2.5 pitch and half a pitch, the least the membership takes."""
     ifs = _turned_system(("a", "b"))
     geom = GridGeometry(61, t_max=1.2)
     h, m = geom.pitch, geom.m
